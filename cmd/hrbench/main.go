@@ -34,15 +34,17 @@ import (
 	"highradix"
 	"highradix/internal/cache"
 	"highradix/internal/experiments"
+	"highradix/internal/network"
 	"highradix/internal/serve"
 	"highradix/internal/sim"
 	"highradix/internal/traffic"
 )
 
-// point is one (architecture, radix) measurement. The event-wheel and
-// idle-advance microbenchmarks reuse the struct with Arch "wheel"
-// (Radix = pending events) and "idle-gap"/"idle-percycle" (Radix =
-// router radix), so -check guards their allocs/op too.
+// point is one (architecture, radix) measurement. The event-wheel,
+// idle-advance and loaded-network microbenchmarks reuse the struct with
+// Arch "wheel" (Radix = pending events), "idle-gap"/"idle-percycle"
+// (Radix = router radix) and "net-step" (Radix = Clos switch radix at
+// 4096 terminals), so -check guards their allocs/op too.
 type point struct {
 	Arch        string  `json:"arch"`
 	Radix       int     `json:"radix"`
@@ -190,6 +192,37 @@ func stepBenchmark(cfg highradix.RouterConfig) func(b *testing.B) {
 	}
 }
 
+// netStepBenchmark measures one steady-state cycle of a 4096-terminal
+// Figure 19 Clos network at half load: the serial network driver's loop
+// body (generate, inject, step, recycle) without its statistics,
+// mirroring BenchmarkLoadedNetworkStep in internal/network. The network
+// is built and warmed before the timer starts, so allocs/op = 0 says the
+// engine's hot path allocates nothing.
+func netStepBenchmark(cfg network.Config) func(b *testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		o := network.Options{Net: cfg, Load: 0.5, Seed: 1}.WithDefaults()
+		topo, err := o.Topology()
+		if err != nil {
+			b.Fatal(err)
+		}
+		nw := network.NewNetwork(topo, o.RouteSeed())
+		src := network.NewSources(topo, o.SourceOpts(topo), 0, topo.Routers())
+		const warmup = 1000
+		for now := int64(0); now < warmup+int64(b.N); now++ {
+			if now == warmup {
+				b.ResetTimer()
+			}
+			src.Generate(now, false)
+			src.InjectAll(now, nw, nil)
+			nw.Step(now)
+			for _, f := range nw.Ejected() {
+				src.Recycle(f)
+			}
+		}
+	}
+}
+
 func runSweep(benchtime string, verbose bool) sweep {
 	// testing.Benchmark sizes b.N from -test.benchtime, which only
 	// exists after testing.Init registers the testing flags; outside
@@ -200,7 +233,7 @@ func runSweep(benchtime string, verbose bool) sweep {
 		os.Exit(1)
 	}
 	s := sweep{
-		Note:      "steady-state per-cycle router step cost at 60% uniform load (timer restarts after construction and warmup), plus event-wheel (radix = pending events) and 2%-load idle-advance microbenchmarks; ns/op is machine-dependent, allocs/op is deterministic at a fixed Nx benchtime",
+		Note:      "steady-state per-cycle router step cost at 60% uniform load (timer restarts after construction and warmup), plus event-wheel (radix = pending events), 2%-load idle-advance and 50%-load 4096-terminal network-cycle (net-step, radix = Clos switch radix) microbenchmarks; ns/op is machine-dependent, allocs/op is deterministic at a fixed Nx benchtime",
 		Load:      benchLoad,
 		Benchtime: benchtime,
 	}
@@ -242,6 +275,9 @@ func runSweep(benchtime string, verbose bool) sweep {
 	}
 	record("idle-percycle", 64, idleBenchmark(traffic.InjPerCycle))
 	record("idle-gap", 64, idleBenchmark(traffic.InjGap))
+	for _, cfg := range []network.Config{{Radix: 64, Digits: 2}, {Radix: 16, Digits: 3}} {
+		record("net-step", cfg.Radix, netStepBenchmark(cfg))
+	}
 	return s
 }
 

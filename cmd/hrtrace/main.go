@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"highradix/internal/router"
 	"highradix/internal/testbench"
@@ -27,7 +28,7 @@ type record struct {
 
 func main() {
 	var (
-		arch    = flag.String("arch", "baseline", "lowradix|baseline|buffered|sharedxp|hierarchical")
+		arch    = flag.String("arch", "baseline", strings.Join(router.ArchNames(), "|"))
 		radix   = flag.Int("radix", 64, "router radix k")
 		vcs     = flag.Int("vcs", 4, "virtual channels")
 		subsize = flag.Int("subsize", 8, "hierarchical subswitch size")

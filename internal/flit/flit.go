@@ -60,18 +60,6 @@ type Flit struct {
 
 	// Hops counts router traversals in network simulations.
 	Hops int
-
-	// Route is the output port selected by route computation at the
-	// router currently holding the flit (network simulations; unused by
-	// single-router models, where Dst is already the output port).
-	Route int
-
-	// RouteVC is the downstream virtual channel selected alongside
-	// Route. It usually equals VC; dateline topologies (ring, torus)
-	// switch packets to a higher VC class on wrap links. Stamped per
-	// flit when it lands in a buffer, so a flit still queued keeps its
-	// own choice even after a later head recomputes the buffer's route.
-	RouteVC int
 }
 
 // String renders a compact human-readable description, useful in test

@@ -53,7 +53,6 @@ func TestFreeListMatchesMakePacket(t *testing.T) {
 	// touched the way a router would.
 	for _, f := range MakePacket(99, 5, 6, 3, 8, 42, true) {
 		f.VC = 3
-		f.Route = 11
 		f.Hops = 4
 		f.InjectedAt = 77
 		l.Put(f)

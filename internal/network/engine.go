@@ -1,30 +1,121 @@
 package network
 
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 
 	"highradix/internal/arb"
 	"highradix/internal/flit"
 	"highradix/internal/sim"
 )
 
-// arrival is a flit in flight toward a router input buffer.
+// Engine index widths. Buffered and in-flight flits are 32-byte records
+// with narrow port, VC and terminal fields, and credits are 4-byte queue
+// indices, which bounds what a topology may ask of one engine;
+// CheckLimits turns an oversize topology into an error before any
+// engine is built.
+const (
+	// MaxPorts bounds ports per router (slot.route is 16 bits).
+	MaxPorts = 1 << 16
+	// MaxVCs bounds virtual channels per port (slot.routeVC is 8 bits).
+	MaxVCs = 1 << 8
+	// MaxBufDepth bounds the per-(port, VC) buffer depth (queue fill
+	// counts are 16 bits).
+	MaxBufDepth = 1<<16 - 1
+	// MaxQueues bounds Routers*Ports*VCs and Terminals*VCs (queue,
+	// credit and terminal indices are 32 bits).
+	MaxQueues = math.MaxInt32
+)
+
+// CheckLimits reports whether topo fits the engine's index widths.
+func CheckLimits(topo Topology) error {
+	p, v := int64(topo.Ports()), int64(topo.VCs())
+	for _, l := range []struct {
+		what     string
+		got, max int64
+	}{
+		{"ports per router", p, MaxPorts},
+		{"VCs per port", v, MaxVCs},
+		{"flits of buffer depth", int64(topo.BufDepth()), MaxBufDepth},
+		{"input queues (routers x ports x VCs)", int64(topo.Routers()) * p * v, MaxQueues},
+		{"injection channels (terminals x VCs)", int64(topo.Terminals()) * v, MaxQueues},
+	} {
+		if l.got > l.max {
+			return fmt.Errorf("network: %s topology has %d %s; the engine supports at most %d",
+				topo.Name(), l.got, l.what, l.max)
+		}
+	}
+	return nil
+}
+
+// Flit kind bits, cached beside a buffered flit so allocation never
+// dereferences it (head and tail are immutable for a flit's lifetime).
+const (
+	kindHead uint8 = 1 << iota
+	kindTail
+)
+
+// hdr is a flit as the engine carries it between injection and
+// ejection: the pointer it will hand back, plus the fields routing and
+// allocation read, copied out once at Inject so that no hop ever
+// dereferences the flit (PacketID and Dst are immutable in flight; the
+// hop count is written back on ejection).
+type hdr struct {
+	f    *flit.Flit
+	pkt  uint64
+	dst  int32
+	hops uint32
+}
+
+// slot is one buffered flit: its header, the input port it sits at, the
+// output port and downstream VC stamped when it landed, and its
+// head/tail bits.
+type slot struct {
+	hdr
+	port    uint16
+	route   uint16
+	routeVC uint8
+	kind    uint8
+}
+
+// inQueue is the fill of one input buffer plus the routing choice of
+// the packet currently arriving in it: a head's choice is relayed to
+// the body flits landing behind it, and each flit's slot is stamped at
+// land time, so a queued flit keeps its own choice even after a later
+// head overwrites route and vc here.
+type inQueue struct {
+	n     uint16
+	route uint16
+	vc    uint8
+}
+
+// outVC is the state of one outgoing channel VC.
+type outVC struct {
+	// owner is the packet holding the channel VC between head and tail
+	// (wormhole flow control: flits of different packets must not
+	// interleave on one link VC); 0 is free.
+	owner uint64
+	// credit counts free slots in the downstream buffer; ejection
+	// channels are uncounted.
+	credit int32
+}
+
+// arrival is a flit in flight toward input buffer (router, port, vc).
 type arrival struct {
-	router int // global router id
-	port   int
-	vc     int
-	f      *flit.Flit
+	hdr
+	router int32 // global router id
+	port   uint16
+	vc     uint8
+	kind   uint8
 }
 
-// creditMsg returns a buffer slot to an upstream output, or — when
-// router is -1 — an injection credit to terminal `port`.
-type creditMsg struct {
-	router int
-	port   int
-	vc     int
-}
-
-type serial struct{ freeAt int64 }
+// creditMsg returns a buffer slot upstream: a value >= 0 is the local
+// outVC index it replenishes, a value < 0 is the complement of the
+// injection-credit index terminal*VCs+vc.
+type creditMsg int32
 
 // XKind tags a cross-shard message.
 type XKind uint8
@@ -57,21 +148,14 @@ type Xmsg struct {
 // SortXmsgs orders messages by the canonical (At, SrcRouter, SrcPort,
 // VC, Kind) key.
 func SortXmsgs(ms []Xmsg) {
-	sort.Slice(ms, func(i, j int) bool {
-		a, b := ms[i], ms[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.SrcRouter != b.SrcRouter {
-			return a.SrcRouter < b.SrcRouter
-		}
-		if a.SrcPort != b.SrcPort {
-			return a.SrcPort < b.SrcPort
-		}
-		if a.VC != b.VC {
-			return a.VC < b.VC
-		}
-		return a.Kind < b.Kind
+	slices.SortFunc(ms, func(a, b Xmsg) int {
+		return cmp.Or(
+			cmp.Compare(a.At, b.At),
+			cmp.Compare(a.SrcRouter, b.SrcRouter),
+			cmp.Compare(a.SrcPort, b.SrcPort),
+			cmp.Compare(a.VC, b.VC),
+			cmp.Compare(a.Kind, b.Kind),
+		)
 	})
 }
 
@@ -84,8 +168,14 @@ func SortXmsgs(ms []Xmsg) {
 // driver owns [0, Routers()); shard workers each own a slice of it.
 // Events bound for routers outside the range accumulate in an outbox
 // (TakeOutbox) instead of a local calendar, and remote events enter
-// through PutRemote. All state arrays are indexed by local router id
-// r-lo, so a shard allocates only its own routers.
+// through PutRemote.
+//
+// All state lives in flat banks over the owned routers (DESIGN.md,
+// "Network engine memory layout"). With lr = r-lo the local router id:
+//
+//	q = (lr*ports+port)*VCs+vc   input queues and outgoing channel VCs
+//	o = lr*ports+port            output ports
+//	t*VCs+vc                     injection credits of terminal t
 type Network struct {
 	topo Topology
 	seed uint64
@@ -95,35 +185,29 @@ type Network struct {
 	n     int // terminals
 	v     int // VCs
 	ports int
+	depth int
 	ser   int64
 	hop   int64
 	cd    int64
 
-	// buf[local][port][vc] are the input buffers.
-	buf [][][]*sim.Queue[*flit.Flit]
-	// credit[local][port][vc] counts free slots in the downstream
-	// buffer fed by output `port`; ejection ports are uncounted.
-	credit [][][]int
-	// linkOwner[local][port][vc] holds the packet that owns outgoing
-	// channel VC between head and tail (wormhole flow control: flits of
-	// different packets must not interleave on one link VC).
-	linkOwner [][][]uint64
-	// routeOf/vcOf[local][port][vc] relay a head's routing choice to
-	// the body flits landing behind it in the same buffer; each flit is
-	// stamped (Route, RouteVC) at land time so a queued flit keeps its
-	// own choice even after a later head overwrites these tables.
-	routeOf [][][]int
-	vcOf    [][][]int
-	// outFree[local][port] serializes each output channel.
-	outFree [][]serial
-	// outPtr is the rotating allocation pointer per (local, output)
-	// over flat (port*VCs+vc) requester indices.
-	outPtr [][]int
-
-	// injCredit[terminal][vc] counts free slots in the entry buffer fed
-	// by each terminal; allocated only for terminals whose entry router
-	// lies in [lo, hi).
-	injCredit [][]int
+	// Input queue q is a FIFO of inq[q].n flits: front[q], then
+	// rest[q*(depth-1):] in order. Allocation reads only the dense front
+	// bank; rest is touched when a queue holds more than one flit.
+	front []slot
+	rest  []slot
+	inq   []inQueue
+	// out[q] is outgoing channel VC (output port, vc) of a router.
+	out []outVC
+	// outFree[o] is the cycle output o's channel finishes serializing.
+	outFree []int64
+	// outPtr[o] is the rotating allocation pointer of output o over
+	// flat (port*VCs+vc) requester indices.
+	outPtr []int32
+	// links[o] and feeders[o] cache topo.Link and topo.Feeder.
+	links, feeders []Link
+	// injCredit[t*VCs+vc] counts free slots in the entry buffer fed by
+	// terminal t; nonzero only for terminals entering [lo, hi).
+	injCredit []int32
 
 	// arrivals and credits are calendars, not delay lines: the barrier
 	// merge inserts remote events out of order relative to local ones.
@@ -131,17 +215,21 @@ type Network struct {
 	credits  *sim.Calendar[creditMsg]
 	toTerm   *sim.DelayLine[*flit.Flit]
 
-	// reqScratch[output] collects flat (port*VCs+vc) requester indices;
-	// reused across routers and cycles.
-	reqScratch [][]int
-
-	// Occupancy tracking, so Step visits only routers that hold flits
-	// (O(active) per cycle) and InFlight is O(1).
+	// The request matrix, maintained as queue fronts change so that Step
+	// visits only outputs somebody wants (O(active) per cycle): bit fi of
+	// row want[o*reqW:][:reqW] is set while the front flit of input queue
+	// lr*ports*VCs+fi is routed to output o; bit `port` of
+	// wanted[lr*outW:][:outW] while output o's row is nonzero; act marks
+	// routers with any wanted output, i.e. any buffered flit.
+	want     []uint64
+	wanted   []uint64
+	reqW     int
+	outW     int
 	act      arb.BitVec
-	occ      []arb.BitVec
-	bufCount []int32
 	buffered int
-	outReqd  arb.BitVec
+	// exposed collects the queues whose next flit reached the front
+	// during a router's grants; they join the matrix after them.
+	exposed []int32
 
 	outbox []Xmsg
 	// outFlits counts XFlit entries in the outbox: flits that have left
@@ -160,6 +248,9 @@ func New(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := CheckLimits(topo); err != nil {
+		return nil, err
+	}
 	return NewNetwork(topo, topo.Config().Seed^0x632be59bd9b4e019), nil
 }
 
@@ -170,81 +261,61 @@ func NewNetwork(topo Topology, seed uint64) *Network {
 
 // NewNetworkRange builds an engine owning routers [lo, hi) of topo.
 // seed drives routing; every shard of one run must use the same value.
+// The topology must satisfy CheckLimits (Options.Topology checks it for
+// both drivers); building an engine over one that does not is a caller
+// bug and panics.
 func NewNetworkRange(topo Topology, seed uint64, lo, hi int) *Network {
-	p, v := topo.Ports(), topo.VCs()
-	// An empty range (a shard of zero routers, legal when workers exceed
-	// routers) still needs a nonempty activity vector: BitVecs reject
-	// zero sizes, and a one-bit vector that never sets is free.
-	actBits := hi - lo
-	if actBits == 0 {
-		actBits = 1
+	if err := CheckLimits(topo); err != nil {
+		panic(err)
 	}
-	span := int(topo.HopDelay()) + 2
-	if cd := topo.CreditDelay(); cd+1 > span {
-		span = cd + 1
-	}
+	p, v, depth := topo.Ports(), topo.VCs(), topo.BufDepth()
+	routers := hi - lo
+	span := max(topo.HopDelay()+2, topo.CreditDelay()+1)
+	nq := routers * p * v
 	nw := &Network{
 		topo: topo, seed: seed, lo: lo, hi: hi,
-		n: topo.Terminals(), v: v, ports: p,
+		n: topo.Terminals(), v: v, ports: p, depth: depth,
 		ser: int64(topo.SerCycles()), hop: int64(topo.HopDelay()), cd: int64(topo.CreditDelay()),
-		buf:        make([][][]*sim.Queue[*flit.Flit], hi-lo),
-		credit:     make([][][]int, hi-lo),
-		linkOwner:  make([][][]uint64, hi-lo),
-		routeOf:    make([][][]int, hi-lo),
-		vcOf:       make([][][]int, hi-lo),
-		outFree:    make([][]serial, hi-lo),
-		outPtr:     make([][]int, hi-lo),
-		injCredit:  make([][]int, topo.Terminals()),
-		arrivals:   sim.NewCalendar[arrival](span),
-		credits:    sim.NewCalendar[creditMsg](span),
-		toTerm:     sim.NewDelayLine[*flit.Flit](topo.SerCycles()),
-		reqScratch: make([][]int, p),
-		act:        arb.MakeBitVec(actBits),
-		occ:        make([]arb.BitVec, hi-lo),
-		bufCount:   make([]int32, hi-lo),
-		outReqd:    arb.MakeBitVec(p),
+		front:     make([]slot, nq),
+		rest:      make([]slot, nq*(depth-1)),
+		inq:       make([]inQueue, nq),
+		out:       make([]outVC, nq),
+		outFree:   make([]int64, routers*p),
+		outPtr:    make([]int32, routers*p),
+		links:     make([]Link, routers*p),
+		feeders:   make([]Link, routers*p),
+		injCredit: make([]int32, topo.Terminals()*v),
+		arrivals:  sim.NewCalendar[arrival](span),
+		credits:   sim.NewCalendar[creditMsg](span),
+		toTerm:    sim.NewDelayLine[*flit.Flit](topo.SerCycles()),
+		// An empty range (a shard of zero routers, legal when workers
+		// exceed routers) still needs a nonempty activity vector: BitVecs
+		// reject zero sizes, and a one-bit vector that never sets is free.
+		act:  arb.MakeBitVec(max(routers, 1)),
+		reqW: (p*v + 63) / 64,
+		outW: (p + 63) / 64,
 	}
-	depth := topo.BufDepth()
-	for lr := range nw.buf {
-		r := lo + lr
-		nw.occ[lr] = arb.MakeBitVec(p * v)
-		nw.buf[lr] = make([][]*sim.Queue[*flit.Flit], p)
-		nw.credit[lr] = make([][]int, p)
-		nw.linkOwner[lr] = make([][]uint64, p)
-		nw.routeOf[lr] = make([][]int, p)
-		nw.vcOf[lr] = make([][]int, p)
-		nw.outFree[lr] = make([]serial, p)
-		nw.outPtr[lr] = make([]int, p)
-		for pt := 0; pt < p; pt++ {
-			nw.buf[lr][pt] = make([]*sim.Queue[*flit.Flit], v)
-			nw.credit[lr][pt] = make([]int, v)
-			nw.linkOwner[lr][pt] = make([]uint64, v)
-			nw.routeOf[lr][pt] = make([]int, v)
-			nw.vcOf[lr][pt] = make([]int, v)
-			feedsRouter := topo.Link(r, pt).Router >= 0
+	nw.want = make([]uint64, routers*p*nw.reqW)
+	nw.wanted = make([]uint64, routers*nw.outW)
+	for o := range nw.links {
+		r, pt := lo+o/p, o%p
+		nw.links[o] = topo.Link(r, pt)
+		nw.feeders[o] = topo.Feeder(r, pt)
+		if nw.links[o].Router >= 0 {
 			for c := 0; c < v; c++ {
-				nw.buf[lr][pt][c] = sim.NewQueue[*flit.Flit](depth)
-				if feedsRouter {
-					nw.credit[lr][pt][c] = depth
-				}
+				nw.out[o*v+c].credit = int32(depth)
 			}
 		}
 	}
 	for t := 0; t < nw.n; t++ {
-		er, _ := topo.Entry(t)
-		if er < lo || er >= hi {
-			continue
-		}
-		nw.injCredit[t] = make([]int, v)
-		for c := 0; c < v; c++ {
-			nw.injCredit[t][c] = depth
+		if er, _ := topo.Entry(t); nw.Owns(er) {
+			for c := 0; c < v; c++ {
+				nw.injCredit[t*v+c] = int32(depth)
+			}
 		}
 	}
 	return nw
 }
-
-// Topology returns the topology the engine runs.
-func (nw *Network) Topology() Topology { return nw.topo }
 
 // Terminals returns the endpoint count.
 func (nw *Network) Terminals() int { return nw.n }
@@ -254,20 +325,37 @@ func (nw *Network) Owns(r int) bool { return r >= nw.lo && r < nw.hi }
 
 // CanInject reports whether terminal src can send a flit on vc. Only
 // valid for terminals whose entry router this engine owns.
-func (nw *Network) CanInject(src, vc int) bool { return nw.injCredit[src][vc] > 0 }
+func (nw *Network) CanInject(src, vc int) bool { return nw.injCredit[src*nw.v+vc] > 0 }
+
+// flitArrival builds the in-flight record of f toward (router, port,
+// vc), reading the flit's header fields.
+func flitArrival(f *flit.Flit, router, port, vc int) arrival {
+	a := arrival{
+		hdr:    hdr{f: f, pkt: f.PacketID, dst: int32(f.Dst), hops: uint32(f.Hops)},
+		router: int32(router), port: uint16(port), vc: uint8(vc),
+	}
+	if f.Head {
+		a.kind |= kindHead
+	}
+	if f.Tail {
+		a.kind |= kindTail
+	}
+	return a
+}
 
 // Inject launches a flit from terminal f.Src on virtual channel vc.
 // The caller enforces the terminal channel's serialization rate. The
 // entry router is always local (sources live with their shard).
 func (nw *Network) Inject(now int64, f *flit.Flit, vc int) {
-	if nw.injCredit[f.Src][vc] <= 0 {
+	ic := &nw.injCredit[f.Src*nw.v+vc]
+	if *ic <= 0 {
 		panic("network: injection without credit")
 	}
-	nw.injCredit[f.Src][vc]--
+	*ic--
 	f.VC = vc
 	f.InjectedAt = now
 	r, p := nw.topo.Entry(f.Src)
-	nw.arrivals.Schedule(now+nw.hop+1, arrival{router: r, port: p, vc: vc, f: f})
+	nw.arrivals.Schedule(now+nw.hop+1, flitArrival(f, r, p, vc))
 }
 
 // Ejected returns flits delivered to terminals during the last Step,
@@ -328,180 +416,251 @@ func (nw *Network) TakeOutbox() []Xmsg {
 	return out
 }
 
+// queue returns the flat index of (router, port, vc) for an owned
+// router.
+func (nw *Network) queue(router, port, vc int) int {
+	return ((router-nw.lo)*nw.ports+port)*nw.v + vc
+}
+
 // PutRemote applies a cross-shard message produced by another engine.
 // Called between epochs only (never concurrently with Step).
 func (nw *Network) PutRemote(m Xmsg) {
 	switch m.Kind {
 	case XFlit:
-		nw.arrivals.Schedule(m.At, arrival{router: m.DstRouter, port: m.DstPort, vc: m.VC, f: m.F})
+		nw.arrivals.Schedule(m.At, flitArrival(m.F, m.DstRouter, m.DstPort, m.VC))
 	default:
-		nw.credits.Schedule(m.At, creditMsg{router: m.DstRouter, port: m.DstPort, vc: m.VC})
+		nw.credits.Schedule(m.At, creditMsg(nw.queue(m.DstRouter, m.DstPort, m.VC)))
 	}
 }
 
-// land places an arrived flit into its input buffer, computing the
+// land places arrived flits into their input buffers, computing the
 // packet's next hop when the flit is a head. The route key is a pure
 // hash of (seed, packet, router), so the choice is identical whichever
 // shard evaluates it.
-func (nw *Network) land(a arrival) {
-	lr := a.router - nw.lo
-	if a.f.Head {
-		np, nvc := nw.topo.NextHop(a.router, a.port, a.f.Dst, a.vc,
-			routeKey(nw.seed, a.f.PacketID, a.router))
-		nw.routeOf[lr][a.port][a.vc] = np
-		nw.vcOf[lr][a.port][a.vc] = nvc
+func (nw *Network) land(as []arrival) {
+	for i := range as {
+		a := &as[i]
+		r, port, vc := int(a.router), int(a.port), int(a.vc)
+		lr := r - nw.lo
+		fi := port*nw.v + vc
+		q := lr*nw.ports*nw.v + fi
+		in := &nw.inq[q]
+		if a.kind&kindHead != 0 {
+			np, nvc := nw.topo.NextHop(r, port, int(a.dst), vc, routeKey(nw.seed, a.pkt, r))
+			in.route, in.vc = uint16(np), uint8(nvc)
+		}
+		s := slot{hdr: a.hdr, port: a.port, route: in.route, routeVC: in.vc, kind: a.kind}
+		switch n := int(in.n); {
+		case n == 0:
+			nw.front[q] = s
+			nw.request(lr, int(s.route), fi)
+			nw.act.Set(lr)
+		case n < nw.depth:
+			nw.rest[q*(nw.depth-1)+n-1] = s
+		default:
+			panic("network: input buffer overflow (credit accounting bug)")
+		}
+		in.n++
 	}
-	a.f.Route = nw.routeOf[lr][a.port][a.vc]
-	a.f.RouteVC = nw.vcOf[lr][a.port][a.vc]
-	nw.buf[lr][a.port][a.vc].MustPush(a.f)
-	nw.occ[lr].Set(a.port*nw.v + a.vc)
-	nw.bufCount[lr]++
-	nw.act.Set(lr)
-	nw.buffered++
+	nw.buffered += len(as)
+}
+
+// request enters queue fi of router lr, whose front flit is routed to
+// output port out, into the request matrix.
+func (nw *Network) request(lr, out, fi int) {
+	nw.want[(lr*nw.ports+out)*nw.reqW+fi>>6] |= 1 << (fi & 63)
+	nw.wanted[lr*nw.outW+out>>6] |= 1 << (out & 63)
+}
+
+func allZero(ws []uint64) bool {
+	for _, w := range ws {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func (nw *Network) applyCredits(cs []creditMsg) {
+	for _, c := range cs {
+		if c < 0 {
+			nw.injCredit[^c]++
+		} else {
+			nw.out[c].credit++
+		}
+	}
 }
 
 // Step advances the owned routers one cycle.
 func (nw *Network) Step(now int64) {
 	nw.ejected = nw.ejected[:0]
-	nw.credits.PopDue(now, func(c creditMsg) {
-		if c.router < 0 {
-			nw.injCredit[c.port][c.vc]++
-			return
-		}
-		nw.credit[c.router-nw.lo][c.port][c.vc]++
-	})
+	nw.credits.PopDue(now, nw.applyCredits)
 	nw.arrivals.PopDue(now, nw.land)
-	nw.toTerm.DrainReady(now, func(f *flit.Flit) {
+	for {
+		f, ok := nw.toTerm.PopReady(now)
+		if !ok {
+			break
+		}
 		nw.ejected = append(nw.ejected, f)
-	})
+	}
 	if len(nw.ejected) > 1 {
-		sort.Slice(nw.ejected, func(i, j int) bool { return nw.ejected[i].Dst < nw.ejected[j].Dst })
+		slices.SortFunc(nw.ejected, func(a, b *flit.Flit) int { return cmp.Compare(a.Dst, b.Dst) })
 	}
 
-	v := nw.v
-	flat := nw.ports * v
+	v, ports, reqW := nw.v, nw.ports, nw.reqW
+	flat := ports * v
 	for lr := nw.act.Next(0); lr >= 0; lr = nw.act.Next(lr + 1) {
-		r := nw.lo + lr
-		bufs := nw.buf[lr]
-		occR := &nw.occ[lr]
-		// Request phase: every occupied input VC posts its front flit's
-		// output request (single-iteration separable allocation,
-		// requester side). The flat (port*VCs+vc) bit order equals the
-		// dense (port, vc) double loop's.
-		for fi := occR.Next(0); fi >= 0; fi = occR.Next(fi + 1) {
-			f, _ := bufs[fi/v][fi%v].Peek()
-			nw.outReqd.Set(f.Route)
-			nw.reqScratch[f.Route] = append(nw.reqScratch[f.Route], fi)
-		}
-		// Grant phase: one winner per requested free output, rotating
-		// priority over flat (port, vc) indices. Each visited output's
-		// scratch is truncated in place — including when the channel is
-		// busy — so the next router starts clean without a wide reset.
-		for out := nw.outReqd.Next(0); out >= 0; out = nw.outReqd.Next(out + 1) {
-			nw.outReqd.Clear(out)
-			reqs := nw.reqScratch[out]
-			nw.reqScratch[out] = reqs[:0]
-			if nw.outFree[lr][out].freeAt > now {
-				continue
-			}
-			link := nw.topo.Link(r, out)
-			eject := link.Router < 0
-			ptr := nw.outPtr[lr][out]
-			best, bestRank := -1, flat
-			for _, fi := range reqs {
-				p, c := fi/v, fi%v
-				fr, _ := bufs[p][c].Peek()
-				ovc := fr.RouteVC
-				if !eject && nw.credit[lr][out][ovc] <= 0 {
+		obase, qbase := lr*ports, lr*flat
+		wanted := nw.wanted[lr*nw.outW:][:nw.outW]
+		exposed := nw.exposed[:0]
+		// Single-iteration separable allocation: every wanted output
+		// whose channel is free grants one requester. A queue whose next
+		// flit reaches the front here requests from the next cycle on.
+		for wi, w := range wanted {
+			for ; w != 0; w &= w - 1 {
+				out := wi<<6 + bits.TrailingZeros64(w)
+				o := obase + out
+				if nw.outFree[o] > now {
 					continue
 				}
-				// Wormhole link-VC ownership: a head flit needs the
-				// channel VC free; body flits must own it. This is what
-				// keeps packets from interleaving on a link.
-				owner := nw.linkOwner[lr][out][ovc]
-				if fr.Head && !fr.Tail {
-					if owner != 0 {
-						continue
+				link := nw.links[o]
+				eject := link.Router < 0
+				row := nw.want[o*reqW:][:reqW]
+				best := nw.arbitrate(row, int(nw.outPtr[o]), qbase, o*v, eject)
+				if best < 0 {
+					continue
+				}
+				q := qbase + best
+				s := nw.front[q]
+				if row[best>>6] &^= 1 << (best & 63); allZero(row) {
+					wanted[wi] &^= 1 << (out & 63)
+				}
+				// Vacated slots keep their stale flit pointers: flits are
+				// recycled through the sources' free lists, never
+				// collected mid-run.
+				if in := &nw.inq[q]; in.n > 1 {
+					in.n--
+					rest := nw.rest[q*(nw.depth-1):][:in.n]
+					nw.front[q] = rest[0]
+					copy(rest, rest[1:])
+					exposed = append(exposed, int32(best))
+				} else {
+					in.n = 0
+				}
+				nw.buffered--
+				if best+1 == flat {
+					nw.outPtr[o] = 0
+				} else {
+					nw.outPtr[o] = int32(best + 1)
+				}
+				nw.outFree[o] = now + nw.ser
+				p := int(s.port)
+				c := best - p*v
+				nw.sendCreditUpstream(now, lr, p, c)
+				ovc := int(s.routeVC)
+				ch := &nw.out[o*v+ovc]
+				switch s.kind {
+				case kindHead:
+					ch.owner = s.pkt
+				case kindTail:
+					ch.owner = 0
+				}
+				s.hops++
+				if eject {
+					// The exit wire must be the destination terminal
+					// (routing invariant); the packet pays serialization
+					// once (Eq. 1). The flit gets back what it would
+					// have accumulated hop by hop: its count and last VC.
+					if link.Terminal != int(s.dst) {
+						panic("network: routing delivered flit to wrong terminal")
 					}
-				} else if !fr.Head && owner != fr.PacketID {
+					s.f.Hops, s.f.VC = int(s.hops), c
+					nw.toTerm.Push(now, s.f)
 					continue
-				} else if fr.Head && fr.Tail && owner != 0 {
-					continue
 				}
-				rank := (fi - ptr + flat) % flat
-				if rank < bestRank {
-					bestRank, best = rank, fi
+				ch.credit--
+				at := now + nw.hop + 1
+				if nw.Owns(link.Router) {
+					nw.arrivals.Schedule(at, arrival{hdr: s.hdr, router: int32(link.Router), port: uint16(link.Port), vc: uint8(ovc), kind: s.kind})
+				} else {
+					// The header crosses shards inside the flit.
+					s.f.Hops, s.f.VC = int(s.hops), ovc
+					nw.outbox = append(nw.outbox, Xmsg{
+						At: at, Kind: XFlit,
+						SrcRouter: nw.lo + lr, SrcPort: out,
+						DstRouter: link.Router, DstPort: link.Port, VC: ovc, F: s.f,
+					})
+					nw.outFlits++
 				}
 			}
-			if best < 0 {
-				continue
-			}
-			p, c := best/v, best%v
-			f := bufs[p][c].MustPop()
-			ovc := f.RouteVC
-			if bufs[p][c].Len() == 0 {
-				occR.Clear(best)
-			}
-			nw.bufCount[lr]--
-			if nw.bufCount[lr] == 0 {
-				nw.act.Clear(lr)
-			}
-			nw.buffered--
-			nw.outPtr[lr][out] = (best + 1) % flat
-			nw.outFree[lr][out].freeAt = now + nw.ser
-			nw.sendCreditUpstream(now, r, p, c)
-			if f.Head && !f.Tail {
-				nw.linkOwner[lr][out][ovc] = f.PacketID
-			}
-			if f.Tail && !f.Head {
-				nw.linkOwner[lr][out][ovc] = 0
-			}
-			f.Hops++
-			if eject {
-				// The exit wire must be the destination terminal
-				// (routing invariant); the packet pays serialization
-				// once (Eq. 1).
-				if link.Terminal != f.Dst {
-					panic("network: routing delivered flit to wrong terminal")
-				}
-				nw.toTerm.Push(now, f)
-				continue
-			}
-			nw.credit[lr][out][ovc]--
-			f.VC = ovc
-			at := now + nw.hop + 1
-			if nw.Owns(link.Router) {
-				nw.arrivals.Schedule(at, arrival{router: link.Router, port: link.Port, vc: ovc, f: f})
-			} else {
-				nw.outbox = append(nw.outbox, Xmsg{
-					At: at, Kind: XFlit,
-					SrcRouter: r, SrcPort: out,
-					DstRouter: link.Router, DstPort: link.Port, VC: ovc, F: f,
-				})
-				nw.outFlits++
-			}
+		}
+		for _, fi := range exposed {
+			nw.request(lr, int(nw.front[qbase+int(fi)].route), int(fi))
+		}
+		nw.exposed = exposed
+		if allZero(wanted) {
+			nw.act.Clear(lr)
 		}
 	}
 }
 
-// sendCreditUpstream routes a freed (router, port, vc) buffer slot
+// arbitrate returns the first eligible requester of an output's request
+// row in rotating-priority order from ptr, or -1. chbase indexes the
+// output's channel VCs; qbase the router's input queues.
+func (nw *Network) arbitrate(row []uint64, ptr, qbase, chbase int, eject bool) int {
+	// The walk starts in ptr's word masked to bits >= ptr, wraps through
+	// the whole words, and ends in the same word masked to bits < ptr.
+	for k, wi := 0, ptr>>6; k <= len(row); k++ {
+		w := row[wi]
+		switch k {
+		case 0:
+			w &= ^uint64(0) << (ptr & 63)
+		case len(row):
+			w &= 1<<(ptr&63) - 1
+		}
+		for ; w != 0; w &= w - 1 {
+			fi := wi<<6 + bits.TrailingZeros64(w)
+			s := &nw.front[qbase+fi]
+			ch := &nw.out[chbase+int(s.routeVC)]
+			if !eject && ch.credit <= 0 {
+				continue
+			}
+			// Wormhole link-VC ownership: a head flit needs the channel
+			// VC free; body flits must own it. This is what keeps
+			// packets from interleaving on a link.
+			if s.kind&kindHead != 0 {
+				if ch.owner != 0 {
+					continue
+				}
+			} else if ch.owner != s.pkt {
+				continue
+			}
+			return fi
+		}
+		if wi++; wi == len(row) {
+			wi = 0
+		}
+	}
+	return -1
+}
+
+// sendCreditUpstream routes the freed slot of input buffer (lr, p, c)
 // back to the output (or terminal) that feeds it. Terminal feeders are
 // always local (the terminal's entry router is this router); remote
 // router feeders go through the outbox.
-func (nw *Network) sendCreditUpstream(now int64, r, p, c int) {
-	fd := nw.topo.Feeder(r, p)
+func (nw *Network) sendCreditUpstream(now int64, lr, p, c int) {
+	fd := nw.feeders[lr*nw.ports+p]
 	at := now + nw.cd
-	if fd.Router < 0 {
-		nw.credits.Schedule(at, creditMsg{router: -1, port: fd.Terminal, vc: c})
-		return
+	switch {
+	case fd.Router < 0:
+		nw.credits.Schedule(at, ^creditMsg(fd.Terminal*nw.v+c))
+	case nw.Owns(fd.Router):
+		nw.credits.Schedule(at, creditMsg(nw.queue(fd.Router, fd.Port, c)))
+	default:
+		nw.outbox = append(nw.outbox, Xmsg{
+			At: at, Kind: XCredit,
+			SrcRouter: nw.lo + lr, SrcPort: p,
+			DstRouter: fd.Router, DstPort: fd.Port, VC: c,
+		})
 	}
-	if nw.Owns(fd.Router) {
-		nw.credits.Schedule(at, creditMsg{router: fd.Router, port: fd.Port, vc: c})
-		return
-	}
-	nw.outbox = append(nw.outbox, Xmsg{
-		At: at, Kind: XCredit,
-		SrcRouter: r, SrcPort: p,
-		DstRouter: fd.Router, DstPort: fd.Port, VC: c,
-	})
 }

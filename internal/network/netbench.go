@@ -86,13 +86,19 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-// Topology resolves the run's topology: Topo when set, else the Clos
-// described by Net.
+// Topology resolves the run's topology — Topo when set, else the Clos
+// described by Net — and checks it against the engine's index widths,
+// so both drivers reject an oversize topology before building anything.
 func (o Options) Topology() (Topology, error) {
-	if o.Topo != nil {
-		return o.Topo, nil
+	topo := o.Topo
+	if topo == nil {
+		clos, err := NewClos(o.Net)
+		if err != nil {
+			return nil, err
+		}
+		topo = clos
 	}
-	return NewClos(o.Net)
+	return topo, CheckLimits(topo)
 }
 
 // RouteSeed derives the routing-hash seed every engine of this run

@@ -37,8 +37,8 @@ type Sources struct {
 	opts  SourceOpts
 	owned []int // ascending terminal ids
 
-	rngs    []*sim.RNG
-	srcQ    []*sim.Queue[*flit.Flit]
+	rngs    []sim.RNG
+	srcQ    []sim.Queue[*flit.Flit]
 	injFree []int64
 	vcPtr   []int
 	curVC   []int
@@ -63,8 +63,8 @@ func NewSources(topo Topology, o SourceOpts, lo, hi int) *Sources {
 	n := topo.Terminals()
 	s := &Sources{
 		topo: topo, opts: o,
-		rngs:    make([]*sim.RNG, n),
-		srcQ:    make([]*sim.Queue[*flit.Flit], n),
+		rngs:    make([]sim.RNG, n),
+		srcQ:    make([]sim.Queue[*flit.Flit], n),
 		injFree: make([]int64, n),
 		vcPtr:   make([]int, n),
 		curVC:   make([]int, n),
@@ -81,8 +81,8 @@ func NewSources(topo Topology, o SourceOpts, lo, hi int) *Sources {
 			continue
 		}
 		s.owned = append(s.owned, t)
-		s.rngs[t] = sim.NewRNG(termSeed(o.Seed, t))
-		s.srcQ[t] = sim.NewQueue[*flit.Flit](0)
+		s.rngs[t].Seed(termSeed(o.Seed, t))
+		s.srcQ[t] = sim.MakeQueue[*flit.Flit](0)
 		s.curVC[t] = -1
 	}
 	if s.gap {
@@ -97,7 +97,7 @@ func NewSources(topo Topology, o SourceOpts, lo, hi int) *Sources {
 		s.wheel = sim.NewWheel(horizon)
 		s.gapProc = traffic.NewBernoulliGap(o.Rate)
 		for _, t := range s.owned {
-			if at := s.gapProc.NextInject(0, s.rngs[t]); at < sim.NoWake {
+			if at := s.gapProc.NextInject(0, &s.rngs[t]); at < sim.NoWake {
 				s.wheel.Schedule(at, int32(t))
 			}
 		}
@@ -107,7 +107,7 @@ func NewSources(topo Topology, o SourceOpts, lo, hi int) *Sources {
 
 // spawn queues one packet at terminal t.
 func (s *Sources) spawn(now int64, t int, measuring bool) {
-	dst := s.opts.Pattern.Dest(t, s.rngs[t])
+	dst := s.opts.Pattern.Dest(t, &s.rngs[t])
 	s.seq[t]++
 	// Structured ids — terminal in the high word, per-terminal sequence
 	// below — are unique and assigned without any shared counter, so id
@@ -134,7 +134,7 @@ func (s *Sources) Generate(now int64, measuring bool) {
 		s.wheel.PopDue(now, func(id int32) {
 			t := int(id)
 			s.spawn(now, t, measuring)
-			if at := s.gapProc.NextInject(now+1, s.rngs[t]); at < sim.NoWake {
+			if at := s.gapProc.NextInject(now+1, &s.rngs[t]); at < sim.NoWake {
 				s.wheel.Schedule(at, id)
 			}
 		})

@@ -10,19 +10,16 @@ package sim
 // The window invariant is that every pending event lies in
 // [base, base+len(buckets)); Schedule grows the ring when an event
 // falls beyond it, so the capacity hint only sizes the common case.
-// Events scheduled before base (possible only through a synchronizer
-// bug; the shard mutation tests seed exactly this) are clamped to base
-// and apply at the next drain rather than corrupting the ring.
+// A bucket therefore holds events of one cycle only, and entries carry
+// no timestamp: the bucket index is the cycle. Events scheduled before
+// base (possible only through a synchronizer bug; the shard mutation
+// tests seed exactly this) are clamped to base and apply at the next
+// drain rather than corrupting the ring.
 type Calendar[T any] struct {
-	buckets [][]calEntry[T]
+	buckets [][]T
 	mask    int64
 	base    int64 // every cycle < base has been drained
 	count   int
-}
-
-type calEntry[T any] struct {
-	at int64
-	v  T
 }
 
 // NewCalendar returns a calendar able to hold events up to span cycles
@@ -32,7 +29,7 @@ func NewCalendar[T any](span int) *Calendar[T] {
 	for size < int64(span)+1 {
 		size <<= 1
 	}
-	return &Calendar[T]{buckets: make([][]calEntry[T], size), mask: size - 1}
+	return &Calendar[T]{buckets: make([][]T, size), mask: size - 1}
 }
 
 // Len returns the number of pending events.
@@ -48,22 +45,20 @@ func (c *Calendar[T]) Schedule(at int64, v T) {
 		c.grow()
 	}
 	b := at & c.mask
-	c.buckets[b] = append(c.buckets[b], calEntry[T]{at: at, v: v})
+	c.buckets[b] = append(c.buckets[b], v)
 	c.count++
 }
 
-// grow doubles the ring and rehomes pending events. Each old bucket
-// holds events of a single cycle (the window invariant), so per-cycle
-// insertion order survives the move.
+// grow doubles the ring and rehomes each pending bucket whole: bucket i
+// of the old ring holds the one cycle of [base, base+len) congruent to
+// i, so per-cycle insertion order survives the move.
 func (c *Calendar[T]) grow() {
-	old := c.buckets
-	c.buckets = make([][]calEntry[T], 2*len(old))
+	old, oldMask := c.buckets, c.mask
+	c.buckets = make([][]T, 2*len(old))
 	c.mask = int64(len(c.buckets)) - 1
-	for _, bkt := range old {
-		for _, e := range bkt {
-			b := e.at & c.mask
-			c.buckets[b] = append(c.buckets[b], e)
-		}
+	for i, bkt := range old {
+		at := c.base + (int64(i)-c.base)&oldMask
+		c.buckets[at&c.mask] = bkt
 	}
 }
 
@@ -79,33 +74,24 @@ func (c *Calendar[T]) NextAt() (int64, bool) {
 	}
 }
 
-// PopDue delivers every event with cycle <= now, in cycle order and in
-// insertion order within a cycle, then advances the window past now.
+// PopDue delivers every event with cycle <= now — one call of fn per
+// nonempty cycle, in cycle order, the slice in insertion order — then
+// advances the window past now. The slice is recycled when fn returns.
 // fn must not call Schedule on the same calendar.
-func (c *Calendar[T]) PopDue(now int64, fn func(T)) {
+func (c *Calendar[T]) PopDue(now int64, fn func([]T)) {
 	if now < c.base {
 		return
 	}
-	if c.count > 0 {
-		for at := c.base; at <= now; at++ {
-			b := at & c.mask
-			bkt := c.buckets[b]
-			if len(bkt) == 0 {
-				continue
-			}
-			c.count -= len(bkt)
-			for i := range bkt {
-				fn(bkt[i].v)
-			}
-			var zero calEntry[T]
-			for i := range bkt {
-				bkt[i] = zero // release references for the collector
-			}
-			c.buckets[b] = bkt[:0]
-			if c.count == 0 {
-				break
-			}
+	for at := c.base; at <= now && c.count > 0; at++ {
+		b := at & c.mask
+		bkt := c.buckets[b]
+		if len(bkt) == 0 {
+			continue
 		}
+		c.count -= len(bkt)
+		fn(bkt)
+		clear(bkt) // release references for the collector
+		c.buckets[b] = bkt[:0]
 	}
 	c.base = now + 1
 }

@@ -18,6 +18,13 @@ type RNG struct {
 // guarantees a well-mixed nonzero state for any seed including zero.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed resets the generator in place to NewRNG(seed)'s state, for
+// banks of generators held by value.
+func (r *RNG) Seed(seed uint64) {
 	sm := seed
 	next := func() uint64 {
 		sm += 0x9e3779b97f4a7c15
@@ -29,7 +36,6 @@ func NewRNG(seed uint64) *RNG {
 	for i := range r.s {
 		r.s[i] = next()
 	}
-	return r
 }
 
 // Split derives an independent stream from the current state. The parent
