@@ -7,7 +7,6 @@ import (
 	"flag"
 	"fmt"
 	"hash"
-	"strings"
 	"testing"
 
 	"highradix/internal/flit"
@@ -118,80 +117,6 @@ func TestEngineDigest(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// oversize wraps a topology and overrides the dimensions that are set,
-// to present the engine with one it cannot index.
-type oversize struct {
-	network.Topology
-	ports, vcs, depth, routers, terminals int
-}
-
-func pick(override, base int) int {
-	if override != 0 {
-		return override
-	}
-	return base
-}
-
-func (o oversize) Ports() int     { return pick(o.ports, o.Topology.Ports()) }
-func (o oversize) VCs() int       { return pick(o.vcs, o.Topology.VCs()) }
-func (o oversize) BufDepth() int  { return pick(o.depth, o.Topology.BufDepth()) }
-func (o oversize) Routers() int   { return pick(o.routers, o.Topology.Routers()) }
-func (o oversize) Terminals() int { return pick(o.terminals, o.Topology.Terminals()) }
-
-// TestOversizeTopologyIsAnError checks that both drivers turn a topology
-// beyond the engine's index widths into an error naming the limit —
-// before building anything, so neither a panic nor a wrapped index nor a
-// giant allocation can follow — and that the direct Clos constructor
-// does the same.
-func TestOversizeTopologyIsAnError(t *testing.T) {
-	base := digestTopologies(t)[0].topo
-	for _, tc := range []struct {
-		name  string
-		topo  oversize
-		limit int
-	}{
-		{"ports", oversize{Topology: base, ports: network.MaxPorts + 1}, network.MaxPorts},
-		{"vcs", oversize{Topology: base, vcs: network.MaxVCs + 1}, network.MaxVCs},
-		{"depth", oversize{Topology: base, depth: network.MaxBufDepth + 1}, network.MaxBufDepth},
-		{"queues", oversize{Topology: base, routers: 1 << 20, ports: 1 << 10, vcs: 4}, network.MaxQueues},
-		{"injection", oversize{Topology: base, terminals: 1 << 30, vcs: 4}, network.MaxQueues},
-	} {
-		o := network.Options{Topo: tc.topo, Load: 0.1, WarmupCycles: 10, MeasureCycles: 10}
-		for driver, run := range map[string]func() (network.Result, error){
-			"network.Run": func() (network.Result, error) { return network.Run(o) },
-			"shard.Run":   func() (network.Result, error) { return shard.Run(shard.Options{Options: o, Workers: 2}) },
-		} {
-			_, err := run()
-			if err == nil || !strings.Contains(err.Error(), fmt.Sprint(tc.limit)) {
-				t.Errorf("%s, %s: error %v, want one naming the limit %d", tc.name, driver, err, tc.limit)
-			}
-		}
-	}
-	if _, err := network.New(network.Config{Radix: network.MaxPorts + 1, Digits: 1}); err == nil {
-		t.Error("network.New accepted a Clos wider than MaxPorts")
-	}
-}
-
-// TestEmptyRangeConstructs checks the other edge of construction: an
-// engine over zero routers (a shard left empty because workers exceed
-// routers) builds and steps, and such a run still equals the serial one.
-func TestEmptyRangeConstructs(t *testing.T) {
-	ring := digestTopologies(t)[2].topo
-	network.NewNetworkRange(ring, 1, 3, 3).Step(0)
-	o := network.Options{Topo: ring, Load: 0.4, WarmupCycles: 50, MeasureCycles: 100, Seed: 5}
-	want, err := network.Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := shard.Run(shard.Options{Options: o, Workers: ring.Routers() + 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("workers > routers diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -1,26 +1,33 @@
-package network
+package network_test
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"highradix/internal/network"
+	"highradix/internal/network/shard"
+)
 
 // TestWiringTablesMatchTopology pins the engine's precomputed link and
 // feeder tables to the topology's own answers for every (router, port),
 // over a full engine and over a shard-style sub-range (whose tables are
 // offset by lo).
 func TestWiringTablesMatchTopology(t *testing.T) {
-	for _, tc := range testTopologies(t) {
-		n := tc.topo.Routers()
+	for _, tc := range digestTopologies(t) {
+		n, ports := tc.topo.Routers(), tc.topo.Ports()
 		for _, rg := range [][2]int{{0, n}, {n / 3, n - 1}} {
-			nw := NewNetworkRange(tc.topo, 1, rg[0], rg[1])
-			if got, want := len(nw.links), (rg[1]-rg[0])*tc.topo.Ports(); got != want {
+			links, feeders := network.NewNetworkRange(tc.topo, 1, rg[0], rg[1]).WiringTables()
+			if got, want := len(links), (rg[1]-rg[0])*ports; got != want {
 				t.Fatalf("%s [%d,%d): %d link entries, want %d", tc.name, rg[0], rg[1], got, want)
 			}
 			for r := rg[0]; r < rg[1]; r++ {
-				for p := 0; p < tc.topo.Ports(); p++ {
-					o := (r-rg[0])*tc.topo.Ports() + p
-					if got, want := nw.links[o], tc.topo.Link(r, p); got != want {
+				for p := 0; p < ports; p++ {
+					o := (r-rg[0])*ports + p
+					if got, want := links[o], tc.topo.Link(r, p); got != want {
 						t.Errorf("%s [%d,%d): links[%d] = %+v, topo.Link(%d,%d) = %+v", tc.name, rg[0], rg[1], o, got, r, p, want)
 					}
-					if got, want := nw.feeders[o], tc.topo.Feeder(r, p); got != want {
+					if got, want := feeders[o], tc.topo.Feeder(r, p); got != want {
 						t.Errorf("%s [%d,%d): feeders[%d] = %+v, topo.Feeder(%d,%d) = %+v", tc.name, rg[0], rg[1], o, got, r, p, want)
 					}
 				}
@@ -29,23 +36,76 @@ func TestWiringTablesMatchTopology(t *testing.T) {
 	}
 }
 
-func testTopologies(t *testing.T) []struct {
-	name string
-	topo Topology
-} {
-	must := func(topo Topology, err error) Topology {
-		if err != nil {
-			t.Fatal(err)
-		}
-		return topo
+// oversize wraps a topology and overrides the dimensions that are set,
+// to present the engine with one it cannot index.
+type oversize struct {
+	network.Topology
+	ports, vcs, depth, routers, terminals int
+}
+
+func pick(override, base int) int {
+	if override != 0 {
+		return override
 	}
-	return []struct {
-		name string
-		topo Topology
+	return base
+}
+
+func (o oversize) Ports() int     { return pick(o.ports, o.Topology.Ports()) }
+func (o oversize) VCs() int       { return pick(o.vcs, o.Topology.VCs()) }
+func (o oversize) BufDepth() int  { return pick(o.depth, o.Topology.BufDepth()) }
+func (o oversize) Routers() int   { return pick(o.routers, o.Topology.Routers()) }
+func (o oversize) Terminals() int { return pick(o.terminals, o.Topology.Terminals()) }
+
+// TestOversizeTopologyIsAnError checks that both drivers turn a topology
+// beyond the engine's index widths into an error naming the limit —
+// before building anything, so neither a panic nor a wrapped index nor a
+// giant allocation can follow — and that the direct Clos constructor
+// does the same.
+func TestOversizeTopologyIsAnError(t *testing.T) {
+	base := digestTopologies(t)[0].topo
+	for _, tc := range []struct {
+		name  string
+		topo  oversize
+		limit int
 	}{
-		{"clos-k4d2", must(NewClos(Config{Radix: 4, Digits: 2, VCs: 2, BufDepth: 4}))},
-		{"clos-k4d3", must(NewClos(Config{Radix: 4, Digits: 3, VCs: 2, BufDepth: 4}))},
-		{"ring", must(NewRing(RingConfig{Routers: 8, VCs: 4, BufDepth: 4}))},
-		{"torus", must(NewTorus(TorusConfig{X: 3, Y: 3, VCs: 4, BufDepth: 4}))},
+		{"ports", oversize{Topology: base, ports: network.MaxPorts + 1}, network.MaxPorts},
+		{"vcs", oversize{Topology: base, vcs: network.MaxVCs + 1}, network.MaxVCs},
+		{"depth", oversize{Topology: base, depth: network.MaxBufDepth + 1}, network.MaxBufDepth},
+		{"queues", oversize{Topology: base, routers: 1 << 20, ports: 1 << 10, vcs: 4}, network.MaxQueues},
+		{"injection", oversize{Topology: base, terminals: 1 << 30, vcs: 4}, network.MaxQueues},
+	} {
+		o := network.Options{Topo: tc.topo, Load: 0.1, WarmupCycles: 10, MeasureCycles: 10}
+		for driver, run := range map[string]func() (network.Result, error){
+			"network.Run": func() (network.Result, error) { return network.Run(o) },
+			"shard.Run":   func() (network.Result, error) { return shard.Run(shard.Options{Options: o, Workers: 2}) },
+		} {
+			_, err := run()
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprint(tc.limit)) {
+				t.Errorf("%s, %s: error %v, want one naming the limit %d", tc.name, driver, err, tc.limit)
+			}
+		}
+	}
+	if _, err := network.New(network.Config{Radix: network.MaxPorts + 1, Digits: 1}); err == nil {
+		t.Error("network.New accepted a Clos wider than MaxPorts")
+	}
+}
+
+// TestEmptyRangeConstructs checks the other edge of construction: an
+// engine over zero routers (a shard left empty because workers exceed
+// routers) builds and steps, and such a run still equals the serial one.
+func TestEmptyRangeConstructs(t *testing.T) {
+	ring := digestTopologies(t)[2].topo
+	network.NewNetworkRange(ring, 1, 3, 3).Step(0)
+	o := network.Options{Topo: ring, Load: 0.4, WarmupCycles: 50, MeasureCycles: 100, Seed: 5}
+	want, err := network.Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := shard.Run(shard.Options{Options: o, Workers: ring.Routers() + 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("workers > routers diverged:\n got %+v\nwant %+v", got, want)
 	}
 }

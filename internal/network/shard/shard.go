@@ -25,7 +25,8 @@
 package shard
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"highradix/internal/flit"
@@ -303,19 +304,13 @@ func Run(o Options) (network.Result, error) {
 			}
 		}
 		if !testUnorderedMerge {
-			sort.Slice(recs, func(i, j int) bool {
-				if recs[i].at != recs[j].at {
-					return recs[i].at < recs[j].at
-				}
-				return recs[i].dst < recs[j].dst
+			slices.SortFunc(recs, func(a, b delivRec) int {
+				return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.dst, b.dst))
 			})
 		}
 		if hooked {
-			sort.Slice(injs, func(i, j int) bool {
-				if injs[i].at != injs[j].at {
-					return injs[i].at < injs[j].at
-				}
-				return injs[i].src < injs[j].src
+			slices.SortFunc(injs, func(a, b injRec) int {
+				return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src))
 			})
 		}
 		var genTotal, injLabeledTotal int64
