@@ -7,73 +7,45 @@ import (
 	"highradix/internal/sweep"
 )
 
-// netRun executes one network point through the driver the scale
-// selects: serial when NetWorkers is 0, sharded otherwise. The two are
-// byte-identical (shard's determinism suite), so generators use this
-// interchangeably.
-func (s Scale) netRun(o network.Options) (network.Result, error) {
-	if s.NetWorkers > 0 {
-		return shard.Run(shard.Options{Options: o, Workers: s.NetWorkers})
-	}
-	return network.Run(o)
-}
-
-// runNet is netRun behind the scale's cache, under a pool slot. The
-// cache key deliberately omits the worker count: serial and sharded
-// runs of one configuration are byte-identical, so they share an
-// entry.
+// runNet executes one network point behind the scale's cache, under a
+// pool slot, through the driver the scale selects: serial when
+// NetWorkers is 0, sharded otherwise. The two are byte-identical
+// (shard's determinism suite), so the cache key deliberately omits the
+// worker count and they share an entry.
 func (s Scale) runNet(p *sweep.Pool, o network.Options) (network.Result, error) {
 	key, ok := o.CacheKey()
 	return sweep.RunCached(p, s.Cache, key, ok, network.EncodeResult, network.DecodeResult,
-		func() (network.Result, error) { return s.netRun(o) })
+		func() (network.Result, error) {
+			if s.NetWorkers > 0 {
+				return shard.Run(shard.Options{Options: o, Workers: s.NetWorkers})
+			}
+			return network.Run(o)
+		})
 }
 
-// Fig19 reproduces Figure 19: latency versus offered load for a
-// 4096-node Clos network built from radix-64 routers (three stages,
-// 64^2 terminals) and from radix-16 routers (five stages, 16^3
-// terminals), with oblivious routing (random middle stages) and uniform
-// random traffic. At Quick scale the network is shrunk to 256 nodes
-// (16^2 vs 4^4), preserving the high-vs-low-radix stage contrast while
-// keeping test and benchmark runtimes reasonable. Network runs are the
-// most expensive points in the repository, so both networks and all
-// their per-load points go through the sweep pool.
-func Fig19(s Scale) (*stats.Table, error) {
-	t := &stats.Table{
-		Title:  "Figure 19: 4096-node Clos, radix-64 (3 stages) vs radix-16 (5 stages)",
-		XLabel: "offered load",
-		YLabel: "latency (cycles)",
-	}
-	type netCase struct {
-		name string
-		cfg  network.Config
-	}
-	var cases []netCase
-	if s.FullNetwork {
-		cases = []netCase{
-			{"radix-64 (3 stages)", network.Config{Radix: 64, Digits: 2}},
-			{"radix-16 (5 stages)", network.Config{Radix: 16, Digits: 3}},
-		}
-	} else {
-		t.Title = "Figure 19 (reduced): 256-node Clos, radix-16 (3 stages) vs radix-4 (7 stages)"
-		cases = []netCase{
-			{"radix-16 (3 stages)", network.Config{Radix: 16, Digits: 2}},
-			{"radix-4 (7 stages)", network.Config{Radix: 4, Digits: 4}},
-		}
-	}
+// netCase declares one line of a network latency-versus-load figure: a
+// name and the options selecting its network (Net or Topo).
+type netCase struct {
+	name string
+	o    network.Options
+}
+
+// netFigure runs the declared cases on the sweep pool. Each case
+// contributes a latency-load curve and, from a run at 5% load, its
+// zero-load latency and hop count; series and scalars are appended to t
+// in declaration order. Network runs are the most expensive points in
+// the repository, so every case and all its per-load points go through
+// the pool.
+func (s Scale) netFigure(t *stats.Table, cases []netCase) error {
 	p := s.pool()
 	type caseOut struct {
 		series *stats.Series
 		zero   network.Result
 	}
 	outs, err := sweep.Gather(cases, func(c netCase) (caseOut, error) {
-		base := network.Options{
-			Net:           c.cfg,
-			WarmupCycles:  s.NetWarmup,
-			MeasureCycles: s.NetMeasure,
-			Seed:          s.Seed,
-			NoFastForward: s.NoFastForward,
-			Injection:     s.Injection,
-		}
+		base := c.o
+		base.WarmupCycles, base.MeasureCycles = s.NetWarmup, s.NetMeasure
+		base.Seed, base.NoFastForward, base.Injection = s.Seed, s.NoFastForward, s.Injection
 		series, err := sweep.Curve(p, c.name, s.NetLoads, func(load float64) (sweep.Point, error) {
 			o := base
 			o.Load = load
@@ -86,21 +58,50 @@ func Fig19(s Scale) (*stats.Table, error) {
 		if err != nil {
 			return caseOut{}, err
 		}
-		zeroOpts := base
-		zeroOpts.Load = 0.05
-		zero, err := s.runNet(p, zeroOpts)
+		base.Load = 0.05
+		zero, err := s.runNet(p, base)
 		if err != nil {
 			return caseOut{}, err
 		}
 		return caseOut{series: series, zero: zero}, nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for i, out := range outs {
 		t.AddSeries(out.series)
 		t.AddScalar("zero-load latency "+cases[i].name, out.zero.AvgLatency, "cycles")
 		t.AddScalar("avg hops "+cases[i].name, out.zero.AvgHops, "router traversals")
+	}
+	return nil
+}
+
+// Fig19 reproduces Figure 19: latency versus offered load for a
+// 4096-node Clos network built from radix-64 routers (three stages,
+// 64^2 terminals) and from radix-16 routers (five stages, 16^3
+// terminals), with oblivious routing (random middle stages) and uniform
+// random traffic. At Quick scale the network is shrunk to 256 nodes
+// (16^2 vs 4^4), preserving the high-vs-low-radix stage contrast while
+// keeping test and benchmark runtimes reasonable.
+func Fig19(s Scale) (*stats.Table, error) {
+	t := &stats.Table{
+		Title:  "Figure 19: 4096-node Clos, radix-64 (3 stages) vs radix-16 (5 stages)",
+		XLabel: "offered load",
+		YLabel: "latency (cycles)",
+	}
+	cases := []netCase{
+		{"radix-64 (3 stages)", network.Options{Net: network.Config{Radix: 64, Digits: 2}}},
+		{"radix-16 (5 stages)", network.Options{Net: network.Config{Radix: 16, Digits: 3}}},
+	}
+	if !s.FullNetwork {
+		t.Title = "Figure 19 (reduced): 256-node Clos, radix-16 (3 stages) vs radix-4 (7 stages)"
+		cases = []netCase{
+			{"radix-16 (3 stages)", network.Options{Net: network.Config{Radix: 16, Digits: 2}}},
+			{"radix-4 (7 stages)", network.Options{Net: network.Config{Radix: 4, Digits: 4}}},
+		}
+	}
+	if err := s.netFigure(t, cases); err != nil {
+		return nil, err
 	}
 	t.AddNote("paper: the high-radix network has lower zero-load latency network-wide despite the higher per-router latency, because hop count falls")
 	return t, nil
@@ -132,58 +133,13 @@ func FigTopo(s Scale) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cases := []struct {
-		name string
-		topo network.Topology
-	}{
-		{"ring-16", ring},
-		{"torus-4x4", torus},
-		{"clos-16 (radix-4)", clos},
+	cases := []netCase{
+		{"ring-16", network.Options{Topo: ring}},
+		{"torus-4x4", network.Options{Topo: torus}},
+		{"clos-16 (radix-4)", network.Options{Topo: clos}},
 	}
-	p := s.pool()
-	type caseOut struct {
-		series *stats.Series
-		zero   network.Result
-	}
-	outs, err := sweep.Gather(cases, func(c struct {
-		name string
-		topo network.Topology
-	}) (caseOut, error) {
-		base := network.Options{
-			Topo:          c.topo,
-			WarmupCycles:  s.NetWarmup,
-			MeasureCycles: s.NetMeasure,
-			Seed:          s.Seed,
-			NoFastForward: s.NoFastForward,
-			Injection:     s.Injection,
-		}
-		series, err := sweep.Curve(p, c.name, s.NetLoads, func(load float64) (sweep.Point, error) {
-			o := base
-			o.Load = load
-			res, err := s.runNet(p, o)
-			if err != nil {
-				return sweep.Point{}, err
-			}
-			return sweep.Point{Y: res.AvgLatency, Saturated: res.Saturated}, nil
-		})
-		if err != nil {
-			return caseOut{}, err
-		}
-		zeroOpts := base
-		zeroOpts.Load = 0.05
-		zero, err := s.runNet(p, zeroOpts)
-		if err != nil {
-			return caseOut{}, err
-		}
-		return caseOut{series: series, zero: zero}, nil
-	})
-	if err != nil {
+	if err := s.netFigure(t, cases); err != nil {
 		return nil, err
-	}
-	for i, out := range outs {
-		t.AddSeries(out.series)
-		t.AddScalar("zero-load latency "+cases[i].name, out.zero.AvgLatency, "cycles")
-		t.AddScalar("avg hops "+cases[i].name, out.zero.AvgHops, "router traversals")
 	}
 	t.AddNote("extension: direct low-degree topologies pay hop count and early saturation; the multistage Clos trades per-hop latency for path diversity")
 	return t, nil

@@ -1,9 +1,10 @@
 // Package network implements the network-scale simulations of the
 // paper's Section 7 (Figure 19) and their generalization: a Topology
 // interface with folded-Clos, ring and 2D-torus families, a
-// topology-agnostic input-queued engine (Network), and a serial driver
-// (Run). The sibling package network/shard partitions the same engine
-// across workers with byte-identical results.
+// topology-agnostic input-queued engine (Network), and the World that
+// internal/drive runs it as (Run). The sibling package network/shard
+// partitions the same engine across workers with byte-identical
+// results.
 //
 // The flagship topology is the multistage Clos of Figure 19: 4096
 // nodes connected either by three stages of radix-64 routers (used as

@@ -283,6 +283,18 @@ func TestNetbenchRun(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadLoads: a load no terminal can offer is an error, not
+// a run (testbench.Run has the same test against the same check).
+func TestRunRejectsBadLoads(t *testing.T) {
+	o := Options{Net: Config{Radix: 4, Digits: 2}, WarmupCycles: 50, MeasureCycles: 100}
+	for _, load := range []float64{-0.5, 8} {
+		o.Load = load
+		if _, err := Run(o); err == nil {
+			t.Errorf("load %v accepted", load)
+		}
+	}
+}
+
 func TestNetworkLatencyRisesWithLoad(t *testing.T) {
 	base := Options{
 		Net:           Config{Radix: 8, Digits: 2, Seed: 6},

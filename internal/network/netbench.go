@@ -1,7 +1,11 @@
 package network
 
 import (
+	"fmt"
+
+	"highradix/internal/drive"
 	"highradix/internal/flit"
+	"highradix/internal/sim"
 	"highradix/internal/stats"
 	"highradix/internal/traffic"
 )
@@ -137,158 +141,140 @@ type Result struct {
 	DrainUsed int64
 }
 
-// Run executes one network simulation serially. The sharded runner
-// (internal/network/shard) reproduces this function's results
-// byte-for-byte at every worker count; changes to the cycle structure
-// here must be mirrored there (TestShardDeterminism pins the
-// equivalence).
-func Run(o Options) (Result, error) {
+// World is an engine with the source bank feeding it, the shape
+// internal/drive advances. Run drives one over the whole topology; each
+// worker of the sharded runner steps one over its router range.
+type World struct {
+	Net *Network
+	Src *Sources
+
+	hooks    Hooks
+	onInject func(*flit.Flit)
+	dense    bool
+	now      int64 // the cycle being simulated, for onInject
+}
+
+// NewWorld builds the engine and sources of o (already defaulted) for
+// routers [lo, hi) of topo.
+func NewWorld(o Options, topo Topology, lo, hi int) *World {
+	w := &World{
+		Net:   NewNetworkRange(topo, o.RouteSeed(), lo, hi),
+		Src:   NewSources(topo, o.SourceOpts(topo), lo, hi),
+		hooks: o.Hooks,
+		dense: o.NoFastForward,
+	}
+	if o.Hooks != nil {
+		w.onInject = func(f *flit.Flit) { w.hooks.Injected(w.now, f) }
+	}
+	return w
+}
+
+// Advance simulates cycle now up to its deliveries — generate as ph
+// directs, inject, step — and returns the flits delivered in it (valid
+// until the next call). A quiescent network's step is a provable no-op
+// that ejects nothing, so it is skipped outright — exact at any time,
+// unlike a jump — and Ejected(), which still holds the previous step's
+// recycled flits, is not read.
+func (w *World) Advance(now int64, ph drive.Phase, onInject func(*flit.Flit)) []*flit.Flit {
+	if ph.Generating {
+		w.Src.Generate(now, ph.Measuring)
+	}
+	w.Src.InjectAll(now, w.Net, onInject)
+	if !w.dense && w.Net.Quiescent() {
+		return nil
+	}
+	w.Net.Step(now)
+	return w.Net.Ejected()
+}
+
+// Cycle implements drive.World.
+func (w *World) Cycle(now int64, ph drive.Phase, t *drive.Tally) error {
+	w.now = now
+	for _, f := range w.Advance(now, ph, w.onInject) {
+		t.Deliver(f.CreatedAt, f.Hops, f.Tail, f.Measured)
+		if w.hooks != nil {
+			w.hooks.Delivered(now, f)
+		}
+		w.Src.Recycle(f)
+	}
+	if w.hooks != nil {
+		return w.hooks.EndCycle(now, w.Net.InFlight())
+	}
+	return nil
+}
+
+// NextWake implements drive.Waker: the engine's next internal event,
+// brought forward to the gap wheel's next injection while generation is
+// live. Per-cycle generation draws every terminal's stream every live
+// cycle, so while it is live no cycle may be skipped. The auditor's
+// EndCycle is a no-op on skipped cycles (no events, and the watchdog
+// only arms against a live set that the engine's NextWake bounds).
+func (w *World) NextWake(now int64, live bool) int64 {
+	gen := sim.NoWake
+	if live {
+		gen = w.Src.NextGen(now)
+	}
+	if gen <= now+1 {
+		return now + 1 // no jump whatever the engine holds: don't ask it
+	}
+	return min(gen, w.Net.NextWake(now))
+}
+
+func (w *World) Backlog() int64         { return w.Src.Backlog() }
+func (w *World) InFlight() int          { return w.Net.InFlight() }
+func (w *World) GenFlits() int64        { return w.Src.GenFlits() }
+func (w *World) InjectedLabeled() int64 { return w.Src.InjectedLabeled() }
+
+// Drive runs the world build returns for o under internal/drive and
+// summarizes what it measured: everything Run and the sharded runner
+// share. build receives the defaulted options, the resolved topology
+// and the driver configuration the world will be run with.
+func Drive(o Options, build func(o Options, topo Topology, c drive.Config) drive.World) (Result, error) {
 	o = o.WithDefaults()
 	topo, err := o.Topology()
 	if err != nil {
 		return Result{}, err
 	}
-	nw := NewNetwork(topo, o.RouteSeed())
-	src := NewSources(topo, o.SourceOpts(topo), 0, topo.Routers())
-	n, ser := topo.Terminals(), topo.SerCycles()
-	gap := o.Injection == traffic.InjGap
-
-	lat := stats.NewSample(8192)
-	hops := stats.NewSample(4096)
-	var (
-		deliveredLabeled int64
-		measFlitsOut     int64
-		delFlits         int64
-		now              int64
-	)
-	measStart := o.WarmupCycles
-	measEnd := o.WarmupCycles + o.MeasureCycles
-	maxCycles := measEnd + o.DrainCycles
-	// Whole cycles may be jumped only where no RNG draw can occur.
-	// Unhooked per-cycle runs draw every terminal's stream every cycle,
-	// so they never jump (they still skip quiescent Steps, which is
-	// exact at any time); hooked runs stop generating at measEnd and may
-	// fast-forward the drain tail once every source queue is empty.
-	fastForward := !o.NoFastForward
-	var onInject func(*flit.Flit)
-	if o.Hooks != nil {
-		onInject = func(f *flit.Flit) { o.Hooks.Injected(now, f) }
+	if err := drive.CheckLoad(o.Load, topo.SerCycles(), o.PktLen); err != nil {
+		return Result{}, fmt.Errorf("network: %w", err)
 	}
-
-	for now = 0; now < maxCycles; now++ {
-		measuring := now >= measStart && now < measEnd
-		generating := o.Hooks == nil || now < measEnd
-		if generating {
-			src.Generate(now, measuring)
-		}
-		src.InjectAll(now, nw, onInject)
-		// Advance the network and collect deliveries. A quiescent
-		// network's step is a provable no-op (and ejects nothing), so it
-		// is skipped outright; Ejected() must not be read on a skipped
-		// cycle, as it still holds the previous step's recycled flits.
-		if !fastForward || !nw.Quiescent() {
-			nw.Step(now)
-			for _, f := range nw.Ejected() {
-				if measuring {
-					measFlitsOut++
-				}
-				if f.Tail && f.Measured {
-					lat.Add(float64(now - f.CreatedAt))
-					hops.Add(float64(f.Hops))
-					deliveredLabeled++
-				}
-				delFlits++
-				if o.Hooks != nil {
-					o.Hooks.Delivered(now, f)
-				}
-				src.Recycle(f)
-			}
-		}
-		if o.Hooks != nil {
-			if err := o.Hooks.EndCycle(now, nw.InFlight()); err != nil {
-				return Result{}, err
-			}
-			// A hooked run drains every generated flit, not just the
-			// labeled sample, so conservation holds over the whole run.
-			if now >= measEnd && delFlits >= src.GenFlits() {
-				now++
-				break
-			}
-		} else if now >= measEnd && (deliveredLabeled >= src.InjectedLabeled() ||
-			(src.Backlog() == 0 && nw.InFlight() == 0)) {
-			// The second disjunct ends the drain the moment the network
-			// is provably empty: with no source backlog and nothing in
-			// flight, no further delivery can occur, so waiting out the
-			// drain bound would only burn cycles (and, in a run that
-			// leaked labeled packets, mask the loss — the saturation
-			// check below still flags it).
-			now++
-			break
-		}
-		// Fast-forward across provably idle stretches: every source
-		// queue is empty and no generation can occur before the
-		// network's next internal event, so jump time straight there.
-		// Skipped cycles draw no RNG, deliver nothing, and leave every
-		// exit check unchanged (wake is capped at measEnd so no phase
-		// boundary is crossed); the auditor's EndCycle is a no-op on
-		// them (no events, and the watchdog only arms against a live
-		// set that NextWake bounds). Per-cycle generation draws every
-		// live cycle, so only a hooked drain tail may jump; gap mode
-		// schedules every future injection on the wheel, so any idle
-		// stretch may be jumped, at any load, with the wake capped at
-		// the wheel's next event.
-		if fastForward && src.Backlog() == 0 && (gap || !generating) {
-			wake := nw.NextWake(now)
-			if gap && (o.Hooks == nil || now+1 < measEnd) {
-				if at, ok := src.WheelNext(); ok && at < wake {
-					wake = at
-				}
-			}
-			if now < measEnd && wake > measEnd {
-				wake = measEnd
-			}
-			if wake > maxCycles {
-				wake = maxCycles
-			}
-			if wake-1 > now {
-				now = wake - 1
-			}
-		}
+	c := drive.Config{
+		Warmup: o.WarmupCycles, Measure: o.MeasureCycles, Drain: o.DrainCycles,
+		Audited: o.Hooks != nil, Dense: o.NoFastForward,
 	}
-
-	res := Result{
+	t, err := drive.Run(c, build(o, topo, c))
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{
 		Load:       o.Load,
-		AvgLatency: lat.Mean(),
-		P99:        lat.Quantile(0.99),
-		Throughput: float64(measFlitsOut) * float64(ser) / (float64(n) * float64(o.MeasureCycles)),
-		Packets:    deliveredLabeled,
-		Cycles:     now,
-		AvgHops:    hops.Mean(),
-	}
-	if now > measEnd {
-		res.DrainUsed = now - measEnd
-	}
-	if deliveredLabeled < src.InjectedLabeled() || res.AvgLatency > o.SatLatency {
-		res.Saturated = true
-	}
-	return res, nil
+		AvgLatency: t.Lat.Mean(),
+		P99:        t.Lat.Quantile(0.99),
+		Throughput: t.Throughput(topo.Terminals(), topo.SerCycles()),
+		Packets:    t.Labeled,
+		Saturated:  t.Saturated(o.SatLatency),
+		Cycles:     t.Cycles,
+		AvgHops:    t.AvgHops(),
+		DrainUsed:  t.DrainUsed,
+	}, nil
 }
 
-// Sweep runs across offered loads, stopping after the first saturated
-// point, and returns the latency-versus-load series.
+// Run executes one network simulation serially. The sharded runner
+// (internal/network/shard) reproduces its results byte-for-byte at
+// every worker count (TestShardDeterminism pins the equivalence).
+func Run(o Options) (Result, error) {
+	return Drive(o, func(o Options, topo Topology, _ drive.Config) drive.World {
+		return NewWorld(o, topo, 0, topo.Routers())
+	})
+}
+
+// Sweep runs across offered loads, ending at the first saturated point
+// (see drive.Sweep), and returns the latency-versus-load series.
 func Sweep(name string, loads []float64, base Options) (*stats.Series, error) {
-	s := &stats.Series{Name: name}
-	for _, load := range loads {
+	return drive.Sweep(name, loads, func(load float64) (float64, bool, error) {
 		o := base
 		o.Load = load
 		res, err := Run(o)
-		if err != nil {
-			return nil, err
-		}
-		s.Add(load, res.AvgLatency, res.Saturated)
-		if res.Saturated {
-			break
-		}
-	}
-	return s, nil
+		return res.AvgLatency, res.Saturated, err
+	})
 }

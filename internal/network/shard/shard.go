@@ -1,6 +1,6 @@
 // Package shard runs a network simulation partitioned across P workers
-// with results byte-identical to the serial driver (network.Run) at
-// every worker count.
+// with results byte-identical to the serial run (network.Run) at every
+// worker count.
 //
 // The synchronization is conservative and deterministic. Time advances
 // in epochs of L = network.Lookahead(topo) cycles: the minimum latency
@@ -16,12 +16,16 @@
 // sequence, and with it every downstream allocation decision, is
 // independent of worker count and scheduling.
 //
-// Statistics and hooks are replayed by the coordinator from per-worker
-// records merged in the serial driver's own order (deliveries by
-// (cycle, destination), injections by (cycle, source)), which makes not
-// just the final numbers but the full observable event stream identical
-// to a serial run. TestShardDeterminism pins this equivalence;
-// DESIGN.md ("Sharded synchronization") gives the legality argument.
+// The run itself is internal/drive's, as it is for network.Run: the
+// sharded network is a drive.World whose Cycle simulates an epoch on
+// the workers when the driver reaches its first cycle, then replays
+// each cycle's records, merged in the serial world's own order
+// (injections by (cycle, source), deliveries by (cycle, destination)),
+// into the driver's tally and the run's hooks. That makes not just the
+// final numbers but the full observable event stream identical to a
+// serial run. TestShardDeterminism pins this equivalence; DESIGN.md
+// ("The driver", "Topologies & sharded synchronization") gives the
+// legality argument.
 package shard
 
 import (
@@ -29,11 +33,10 @@ import (
 	"slices"
 	"sync"
 
+	"highradix/internal/drive"
 	"highradix/internal/flit"
 	"highradix/internal/network"
 	"highradix/internal/sim"
-	"highradix/internal/stats"
-	"highradix/internal/traffic"
 )
 
 // Options parameterizes a sharded run: the serial options plus the
@@ -106,340 +109,223 @@ type injRec struct {
 	f   *flit.Flit
 }
 
-// worker owns one shard: an engine over a contiguous router range and
-// the source bank of the terminals entering it. Workers run epochs
-// concurrently and never touch each other's state; everything they
-// produce for the coordinator lands in their own record slices.
+// worker owns one shard: the World (engine and source bank) of a
+// contiguous router range. Workers run epochs concurrently and never
+// touch each other's state; everything they produce for the
+// coordinator lands in their own record slices.
 type worker struct {
-	eng *network.Network
-	src *network.Sources
-
-	hooked, gap, ff    bool
-	measStart, measEnd int64
+	*network.World
+	cfg drive.Config // Audited: a hooked run, whose records keep their flits for the replay
 
 	deliv []delivRec
 	injs  []injRec
 	// inflight and backlog snapshot the post-cycle state of every epoch
-	// cycle (frozen values replicated across locally fast-forwarded
-	// stretches), so the coordinator can reconstruct the global counters
-	// the serial driver's per-cycle exit checks and EndCycle hook read.
+	// cycle, one slot per cycle of the longest epoch (frozen values
+	// replicated across locally fast-forwarded stretches), so the
+	// coordinator can reconstruct the global counters the driver's exit
+	// checks and the EndCycle hook read.
 	inflight []int
 	backlog  []int64
 }
 
-// runEpoch simulates cycles [from, end), mirroring the serial driver's
-// per-cycle structure exactly: generate, inject, step-unless-quiescent,
-// record deliveries, then fast-forward across provably idle local
-// stretches (never past the epoch boundary, and only where the serial
-// driver could jump too: no cycle that draws generation randomness is
-// ever skipped).
+// runEpoch simulates cycles [from, end), recording each cycle's
+// deliveries instead of accounting them, and jumps across provably idle
+// local stretches by the driver's own rule with the epoch's end as the
+// bound.
 func (w *worker) runEpoch(from, end int64) {
 	w.deliv = w.deliv[:0]
 	w.injs = w.injs[:0]
-	span := int(end - from)
-	if cap(w.inflight) < span {
-		w.inflight = make([]int, span)
-		w.backlog = make([]int64, span)
+	now := from
+	var onInject func(*flit.Flit)
+	if w.cfg.Audited {
+		onInject = func(f *flit.Flit) {
+			w.injs = append(w.injs, injRec{at: now, src: f.Src, f: f})
+		}
 	}
-	w.inflight = w.inflight[:span]
-	w.backlog = w.backlog[:span]
+	for now < end {
+		for _, f := range w.Advance(now, w.cfg.At(now), onInject) {
+			rec := delivRec{
+				at: now, createdAt: f.CreatedAt, dst: f.Dst,
+				hops: f.Hops, tail: f.Tail, measured: f.Measured,
+			}
+			if w.cfg.Audited {
+				rec.f = f
+			} else {
+				w.Src.Recycle(f)
+			}
+			w.deliv = append(w.deliv, rec)
+		}
+		inflight, backlog := w.InFlight(), w.Backlog()
+		for wake := w.cfg.Wake(w, now, end); now < wake; now++ {
+			w.inflight[now-from] = inflight
+			w.backlog[now-from] = backlog
+		}
+	}
+}
 
-	var now int64
-	onInject := func(f *flit.Flit) {
-		w.injs = append(w.injs, injRec{at: now, src: f.Src, f: f})
+// world is the sharded network as internal/drive sees it. The workers
+// simulate a whole epoch ahead of the cycle the driver is at; Cycle
+// then replays that cycle's records, merged into the serial world's
+// own order, so the driver's accounting, exit checks and hooks see
+// exactly what a serial run would have shown them.
+type world struct {
+	cfg      drive.Config
+	hooks    network.Hooks
+	workers  []*worker
+	owner    []int // router -> worker
+	epochLen int64
+
+	// [from, end) is the simulated epoch; cur the cycle last replayed.
+	from, end, cur int64
+	xs             []network.Xmsg
+	recs           []delivRec
+	injs           []injRec
+	ri, ii         int
+}
+
+func newWorld(o network.Options, topo network.Topology, c drive.Config, workers int) *world {
+	parts := Partition(topo.Routers(), max(workers, 1))
+	s := &world{
+		cfg: c, hooks: o.Hooks,
+		workers:  make([]*worker, len(parts)),
+		owner:    make([]int, topo.Routers()),
+		epochLen: max(int64(network.Lookahead(topo)+testLookaheadSkew), 1),
 	}
-	for now = from; now < end; now++ {
-		i := now - from
-		measuring := now >= w.measStart && now < w.measEnd
-		generating := !w.hooked || now < w.measEnd
-		if generating {
-			w.src.Generate(now, measuring)
+	// The coordinator owns the hooks; workers record for its replay.
+	o.Hooks = nil
+	for i, rg := range parts {
+		s.workers[i] = &worker{
+			World: network.NewWorld(o, topo, rg[0], rg[1]), cfg: c,
+			inflight: make([]int, s.epochLen), backlog: make([]int64, s.epochLen),
 		}
-		if w.hooked {
-			w.src.InjectAll(now, w.eng, onInject)
-		} else {
-			w.src.InjectAll(now, w.eng, nil)
-		}
-		if !w.ff || !w.eng.Quiescent() {
-			w.eng.Step(now)
-			for _, f := range w.eng.Ejected() {
-				rec := delivRec{
-					at: now, createdAt: f.CreatedAt, dst: f.Dst,
-					hops: f.Hops, tail: f.Tail, measured: f.Measured,
-				}
-				if w.hooked {
-					rec.f = f
-				}
-				w.deliv = append(w.deliv, rec)
-				if !w.hooked {
-					w.src.Recycle(f)
-				}
-			}
-		}
-		w.inflight[i] = w.eng.InFlight()
-		w.backlog[i] = w.src.Backlog()
-		if w.ff && w.src.Backlog() == 0 && (w.gap || !generating) {
-			wake := w.eng.NextWake(now)
-			if w.gap && (!w.hooked || now+1 < w.measEnd) {
-				if at, ok := w.src.WheelNext(); ok && at < wake {
-					wake = at
-				}
-			}
-			if now < w.measEnd && wake > w.measEnd {
-				wake = w.measEnd
-			}
-			if wake > end {
-				wake = end
-			}
-			for c := now + 1; c < wake; c++ {
-				w.inflight[c-from] = w.inflight[i]
-				w.backlog[c-from] = w.backlog[i]
-			}
-			if wake-1 > now {
-				now = wake - 1
-			}
+		for r := rg[0]; r < rg[1]; r++ {
+			s.owner[r] = i
 		}
 	}
+	return s
+}
+
+// epoch simulates [from, from+epochLen) on the workers and prepares its
+// replay.
+func (s *world) epoch(from int64) {
+	end := min(from+s.epochLen, s.cfg.Bound())
+	var wg sync.WaitGroup
+	wg.Add(len(s.workers))
+	for _, w := range s.workers {
+		go func(w *worker) {
+			defer wg.Done()
+			w.runEpoch(from, end)
+		}(w)
+	}
+	wg.Wait()
+
+	// Barrier: merge the cross-shard mailboxes in canonical order and
+	// deliver each message to its destination's owner. Merge order is
+	// observable (calendar insertion order within a cycle survives into
+	// land/drain order), so this sort is what detaches the results from
+	// worker count and goroutine scheduling.
+	s.xs = s.xs[:0]
+	for _, w := range s.workers {
+		s.xs = append(s.xs, w.Net.TakeOutbox()...)
+	}
+	network.SortXmsgs(s.xs)
+	for _, m := range s.xs {
+		s.workers[s.owner[m.DstRouter]].Net.PutRemote(m)
+	}
+
+	// Merge the per-worker records into the serial world's accumulation
+	// order: deliveries by (cycle, destination), injections by (cycle,
+	// source).
+	s.recs, s.injs = s.recs[:0], s.injs[:0]
+	for _, w := range s.workers {
+		s.recs = append(s.recs, w.deliv...)
+		s.injs = append(s.injs, w.injs...)
+	}
+	if !testUnorderedMerge {
+		slices.SortFunc(s.recs, func(a, b delivRec) int {
+			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.dst, b.dst))
+		})
+	}
+	slices.SortFunc(s.injs, func(a, b injRec) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src))
+	})
+	s.from, s.end, s.ri, s.ii = from, end, 0, 0
+}
+
+// Cycle implements drive.World: simulate the epoch now opens, if it has
+// not been yet, then replay cycle now of it.
+func (s *world) Cycle(now int64, _ drive.Phase, t *drive.Tally) error {
+	if now >= s.end {
+		s.epoch(now)
+	}
+	s.cur = now
+	for ; s.ii < len(s.injs) && s.injs[s.ii].at == now; s.ii++ {
+		s.hooks.Injected(now, s.injs[s.ii].f)
+	}
+	for ; s.ri < len(s.recs) && s.recs[s.ri].at == now; s.ri++ {
+		rec := &s.recs[s.ri]
+		t.Deliver(rec.createdAt, rec.hops, rec.tail, rec.measured)
+		if s.hooks != nil {
+			s.hooks.Delivered(now, rec.f)
+		}
+	}
+	if s.hooks != nil {
+		return s.hooks.EndCycle(now, s.InFlight())
+	}
+	return nil
+}
+
+// NextWake implements drive.Waker. Inside an epoch the next cycle is
+// already simulated and must be replayed; at its edge the earliest
+// event over the workers (read after the mailbox exchange, so remote
+// arrivals count) says where the next epoch may start.
+func (s *world) NextWake(now int64, live bool) int64 {
+	if now+1 < s.end {
+		return now + 1
+	}
+	wake := sim.NoWake
+	for _, w := range s.workers {
+		wake = min(wake, w.NextWake(now, live))
+	}
+	return wake
+}
+
+// sum adds f over the workers.
+func (s *world) sum(f func(*worker) int64) (n int64) {
+	for _, w := range s.workers {
+		n += f(w)
+	}
+	return n
+}
+
+// Backlog and InFlight sum the workers' snapshots of the cycle last
+// replayed.
+func (s *world) Backlog() int64 {
+	return s.sum(func(w *worker) int64 { return w.backlog[s.cur-s.from] })
+}
+
+func (s *world) InFlight() int {
+	return int(s.sum(func(w *worker) int64 { return int64(w.inflight[s.cur-s.from]) }))
+}
+
+// GenFlits and InjectedLabeled sum the workers' counters as of the end
+// of the simulated epoch, ahead of the cycle being replayed. The driver
+// reads them only past the window, where both are final — generation
+// stops there in audited runs and labeling always does — so they are
+// exactly the values a serial run would have read.
+func (s *world) GenFlits() int64 {
+	return s.sum(func(w *worker) int64 { return w.Src.GenFlits() })
+}
+
+func (s *world) InjectedLabeled() int64 {
+	return s.sum(func(w *worker) int64 { return w.Src.InjectedLabeled() })
 }
 
 // Run executes one network simulation across o.Workers shards and
 // returns the byte-identical serial result. See the package comment for
 // the synchronization scheme.
 func Run(o Options) (network.Result, error) {
-	o.Options = o.Options.WithDefaults()
-	topo, err := o.Topology()
-	if err != nil {
-		return network.Result{}, err
-	}
-	p := o.Workers
-	if p < 1 {
-		p = 1
-	}
-	parts := Partition(topo.Routers(), p)
-	epochLen := int64(network.Lookahead(topo) + testLookaheadSkew)
-	if epochLen < 1 {
-		epochLen = 1
-	}
-	hooked := o.Hooks != nil
-	gap := o.Injection == traffic.InjGap
-	ff := !o.NoFastForward
-	measStart := o.WarmupCycles
-	measEnd := o.WarmupCycles + o.MeasureCycles
-	maxCycles := measEnd + o.DrainCycles
-
-	workers := make([]*worker, p)
-	owner := make([]int, topo.Routers())
-	srcOpts := o.SourceOpts(topo)
-	for i, rg := range parts {
-		workers[i] = &worker{
-			eng:    network.NewNetworkRange(topo, o.RouteSeed(), rg[0], rg[1]),
-			src:    network.NewSources(topo, srcOpts, rg[0], rg[1]),
-			hooked: hooked, gap: gap, ff: ff,
-			measStart: measStart, measEnd: measEnd,
-		}
-		for r := rg[0]; r < rg[1]; r++ {
-			owner[r] = i
-		}
-	}
-
-	n, ser := topo.Terminals(), topo.SerCycles()
-	lat := stats.NewSample(8192)
-	hops := stats.NewSample(4096)
-	var (
-		deliveredLabeled int64
-		measFlitsOut     int64
-		delFlits         int64
-		now              int64
-	)
-	var xs []network.Xmsg
-	var recs []delivRec
-	var injs []injRec
-	var wg sync.WaitGroup
-
-	for now = 0; now < maxCycles; {
-		from := now
-		end := from + epochLen
-		if end > maxCycles {
-			end = maxCycles
-		}
-		// 1. Epoch: every worker simulates [from, end) independently.
-		wg.Add(len(workers))
-		for _, w := range workers {
-			go func(w *worker) {
-				defer wg.Done()
-				w.runEpoch(from, end)
-			}(w)
-		}
-		wg.Wait()
-		now = end
-
-		// 2. Barrier: merge the cross-shard mailboxes in canonical order
-		// and deliver each message to its destination's owner. Merge
-		// order is observable (calendar insertion order within a cycle
-		// survives into land/drain order), so this sort is what detaches
-		// the results from worker count and goroutine scheduling.
-		xs = xs[:0]
-		for _, w := range workers {
-			xs = append(xs, w.eng.TakeOutbox()...)
-		}
-		network.SortXmsgs(xs)
-		for _, m := range xs {
-			workers[owner[m.DstRouter]].eng.PutRemote(m)
-		}
-
-		// 3. Replay: merge the per-worker records into the serial
-		// driver's accumulation order and rerun its per-cycle accounting,
-		// hooks, and exit checks over the epoch. Totals that feed the
-		// drain-exit checks (generated flits, labeled injections) are
-		// final by measEnd — generation stops there in hooked runs and
-		// labeling always does — and the checks never fire earlier, so
-		// the barrier-time sums are exactly the values the serial driver
-		// would have read at each checked cycle.
-		recs = recs[:0]
-		injs = injs[:0]
-		for _, w := range workers {
-			recs = append(recs, w.deliv...)
-			if hooked {
-				injs = append(injs, w.injs...)
-			}
-		}
-		if !testUnorderedMerge {
-			slices.SortFunc(recs, func(a, b delivRec) int {
-				return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.dst, b.dst))
-			})
-		}
-		if hooked {
-			slices.SortFunc(injs, func(a, b injRec) int {
-				return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src))
-			})
-		}
-		var genTotal, injLabeledTotal int64
-		for _, w := range workers {
-			genTotal += w.src.GenFlits()
-			injLabeledTotal += w.src.InjectedLabeled()
-		}
-		sumAt := func(c int64) (inflight int, backlog int64) {
-			for _, w := range workers {
-				inflight += w.inflight[c-from]
-				backlog += w.backlog[c-from]
-			}
-			return
-		}
-		ri, ii := 0, 0
-		exited := false
-		for c := from; c < end && !exited; c++ {
-			measuring := c >= measStart && c < measEnd
-			for ii < len(injs) && injs[ii].at == c {
-				o.Hooks.Injected(c, injs[ii].f)
-				ii++
-			}
-			for ri < len(recs) && recs[ri].at == c {
-				rec := recs[ri]
-				if measuring {
-					measFlitsOut++
-				}
-				if rec.tail && rec.measured {
-					lat.Add(float64(c - rec.createdAt))
-					hops.Add(float64(rec.hops))
-					deliveredLabeled++
-				}
-				delFlits++
-				if hooked {
-					o.Hooks.Delivered(c, rec.f)
-				}
-				ri++
-			}
-			inflight, backlog := sumAt(c)
-			if hooked {
-				if err := o.Hooks.EndCycle(c, inflight); err != nil {
-					return network.Result{}, err
-				}
-				if c >= measEnd && delFlits >= genTotal {
-					now = c + 1
-					exited = true
-				}
-			} else if c >= measEnd && (deliveredLabeled >= injLabeledTotal ||
-				(backlog == 0 && inflight == 0)) {
-				now = c + 1
-				exited = true
-			}
-		}
-		if exited {
-			break
-		}
-
-		// 4. Global fast-forward, mirroring the serial driver's jump from
-		// the epoch's last cycle: if no worker can generate or deliver
-		// anything before the earliest pending event, advance the next
-		// epoch's start straight there. Evaluated only after the exit
-		// scan — a jump from a cycle where the exit would have fired
-		// would overshoot the serial stop cycle.
-		last := end - 1
-		generatingLast := !hooked || last < measEnd
-		_, backlogLast := sumAt(last)
-		if ff && backlogLast == 0 && (gap || !generatingLast) {
-			wake := sim.NoWake
-			for _, w := range workers {
-				if at := w.eng.NextWake(last); at < wake {
-					wake = at
-				}
-			}
-			if gap && (!hooked || end < measEnd) {
-				for _, w := range workers {
-					if at, ok := w.src.WheelNext(); ok && at < wake {
-						wake = at
-					}
-				}
-			}
-			if last < measEnd && wake > measEnd {
-				wake = measEnd
-			}
-			if wake > maxCycles {
-				wake = maxCycles
-			}
-			if wake > now {
-				now = wake
-			}
-		}
-	}
-
-	res := network.Result{
-		Load:       o.Load,
-		AvgLatency: lat.Mean(),
-		P99:        lat.Quantile(0.99),
-		Throughput: float64(measFlitsOut) * float64(ser) / (float64(n) * float64(o.MeasureCycles)),
-		Packets:    deliveredLabeled,
-		Cycles:     now,
-		AvgHops:    hops.Mean(),
-	}
-	if now > measEnd {
-		res.DrainUsed = now - measEnd
-	}
-	var injLabeledTotal int64
-	for _, w := range workers {
-		injLabeledTotal += w.src.InjectedLabeled()
-	}
-	if deliveredLabeled < injLabeledTotal || res.AvgLatency > o.SatLatency {
-		res.Saturated = true
-	}
-	return res, nil
-}
-
-// Sweep is the sharded counterpart of network.Sweep: runs across
-// offered loads, stopping after the first saturated point.
-func Sweep(name string, loads []float64, base Options) (*stats.Series, error) {
-	s := &stats.Series{Name: name}
-	for _, load := range loads {
-		o := base
-		o.Load = load
-		res, err := Run(o)
-		if err != nil {
-			return nil, err
-		}
-		s.Add(load, res.AvgLatency, res.Saturated)
-		if res.Saturated {
-			break
-		}
-	}
-	return s, nil
+	return network.Drive(o.Options, func(no network.Options, topo network.Topology, c drive.Config) drive.World {
+		return newWorld(no, topo, c, o.Workers)
+	})
 }

@@ -150,6 +150,18 @@ func TestShardMultiFlit(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadLoads: the sharded runner refuses the loads
+// network.Run refuses.
+func TestRunRejectsBadLoads(t *testing.T) {
+	o := baseOpts(testTopologies(t)["clos"], 1, traffic.InjPerCycle)
+	for _, load := range []float64{-0.5, 8} {
+		o.Load = load
+		if _, err := Run(Options{Options: o, Workers: 2}); err == nil {
+			t.Errorf("load %v accepted", load)
+		}
+	}
+}
+
 // TestPartition pins the partitioner's contract: contiguous, covering,
 // sizes differing by at most one, and empty tails when workers exceed
 // routers.

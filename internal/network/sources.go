@@ -26,7 +26,7 @@ type SourceOpts struct {
 }
 
 // Sources owns the generation and injection state of the terminals
-// whose entry router lies in one engine's range. The serial driver
+// whose entry router lies in one engine's range. The serial run
 // uses a single bank over all terminals; each shard worker owns the
 // bank for its routers. Because every per-terminal decision (packet
 // id, destination, inter-arrival gap) comes from that terminal's
@@ -86,15 +86,7 @@ func NewSources(topo Topology, o SourceOpts, lo, hi int) *Sources {
 		s.curVC[t] = -1
 	}
 	if s.gap {
-		// Horizon sized to a few mean inter-injection gaps per terminal;
-		// see the matching comment in testbench.Run.
-		horizon := 4096
-		if o.Rate > 0 {
-			if g := 4.0 / o.Rate; g < 4096 {
-				horizon = int(g)
-			}
-		}
-		s.wheel = sim.NewWheel(horizon)
+		s.wheel = traffic.NewGapWheel(o.Rate)
 		s.gapProc = traffic.NewBernoulliGap(o.Rate)
 		for _, t := range s.owned {
 			if at := s.gapProc.NextInject(0, &s.rngs[t]); at < sim.NoWake {
@@ -210,11 +202,16 @@ func (s *Sources) GenFlits() int64 { return s.genFlits }
 // generated.
 func (s *Sources) InjectedLabeled() int64 { return s.injectedLabeled }
 
-// WheelNext returns the gap wheel's next scheduled injection cycle.
-// Only meaningful in gap mode.
-func (s *Sources) WheelNext() (int64, bool) {
+// NextGen returns the earliest cycle after now at which a live bank can
+// generate: now+1 in per-cycle mode (every terminal draws every
+// cycle), the wheel's next scheduled injection in gap mode — sim.NoWake
+// when nothing is scheduled.
+func (s *Sources) NextGen(now int64) int64 {
 	if s.wheel == nil {
-		return 0, false
+		return now + 1
 	}
-	return s.wheel.NextAt()
+	if at, ok := s.wheel.NextAt(); ok {
+		return at
+	}
+	return sim.NoWake
 }

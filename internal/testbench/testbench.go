@@ -7,11 +7,11 @@
 package testbench
 
 import (
-	"errors"
 	"fmt"
 
 	"highradix/internal/arb"
 	"highradix/internal/check"
+	"highradix/internal/drive"
 	"highradix/internal/flit"
 	"highradix/internal/router"
 	"highradix/internal/sim"
@@ -155,68 +155,87 @@ type source struct {
 	rng     *sim.RNG
 }
 
-// push enqueues f, capturing its Head bit while the flit is still warm
-// from creation.
-func (s *source) push(f *flit.Flit) {
-	s.q.MustPush(srcFlit{f: f, head: f.Head})
+// world is the single-router system internal/drive advances: the router
+// under test behind its k sources.
+type world struct {
+	r   router.Router
+	chk *check.Checker
+	// Every packet's flits come from a per-run free list; ejected flits
+	// are recycled (see the contract on router.Router.Ejected), so the
+	// steady-state hot path allocates nothing.
+	fl *flit.FreeList
+	// Sources live in one value slice: the per-cycle scans walk them
+	// contiguously instead of chasing a pointer per source. srcAct tracks
+	// the ones with a nonempty generation queue so the injection scan
+	// walks only them; backlog is the total queued flits.
+	srcs    []source
+	srcAct  arb.BitVec
+	backlog int64
+	pattern traffic.Pattern
+	trace   *traffic.Trace
+	// Gap mode drives generation from a calendar queue of per-source
+	// next-injection cycles; onDue generates at one due source.
+	wheel *sim.Wheel
+	onDue func(id int32)
+
+	pktLen, vcs, st int
+	// wakeExact: the architecture vouches that Quiescent/NextWake cover
+	// all its per-cycle state (see the quiescence contract in
+	// router/core) and the run is not forced dense, so quiescent Steps
+	// may be skipped and NextWake relied on.
+	wakeExact bool
+
+	now       int64 // the cycle being simulated, for onDue
+	measuring bool
+	pktID     uint64
+	genFlits  int64
+	labeled   int64
 }
 
-// Run executes one simulation and returns its measurements.
-func Run(o Options) (Result, error) {
-	o = o.withDefaults()
-	var (
-		r   router.Router
-		chk *check.Checker
-	)
+// newWorld validates o (already defaulted) and builds its world.
+func newWorld(o Options) (*world, error) {
+	w := &world{fl: flit.NewFreeList(), pattern: o.Pattern, trace: o.Trace, pktLen: o.PktLen}
 	if o.Check {
-		w, err := check.Wrap(o.Router, check.Options{})
+		c, err := check.Wrap(o.Router, check.Options{})
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
-		r, chk = w, w.Checker()
+		w.r, w.chk = c, c.Checker()
 	} else {
-		var err error
-		r, err = router.New(o.Router)
+		r, err := router.New(o.Router)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
+		w.r = r
 	}
-	cfg := r.Config()
-	k, v, st := cfg.Radix, cfg.VCs, cfg.STCycles
+	cfg := w.r.Config()
+	k := cfg.Radix
+	w.vcs, w.st = cfg.VCs, cfg.STCycles
+	w.wakeExact = cfg.Traits().WakeExact && !o.NoFastForward
 	if o.Trace == nil {
-		if o.Load < 0 {
-			return Result{}, errors.New("testbench: negative load")
-		}
-		if o.Load/float64(st*o.PktLen) > 1 {
-			return Result{}, fmt.Errorf("testbench: load %.3g needs more than one packet per cycle per source", o.Load)
+		if err := drive.CheckLoad(o.Load, w.st, o.PktLen); err != nil {
+			return nil, fmt.Errorf("testbench: %w", err)
 		}
 	} else {
 		for _, e := range o.Trace.Entries() {
 			if e.Src < 0 || e.Src >= k || e.Dst < 0 || e.Dst >= k {
-				return Result{}, fmt.Errorf("testbench: trace entry %+v outside radix %d", e, k)
+				return nil, fmt.Errorf("testbench: trace entry %+v outside radix %d", e, k)
 			}
 		}
 		o.Trace.Reset()
 	}
-	pktRate := o.Load / float64(st*o.PktLen)
+	pktRate := o.Load / float64(w.st*o.PktLen)
 
 	master := sim.NewRNG(o.Seed ^ 0x685a2d9cb9a5d1f3)
-	// Every packet's flits come from a per-run free list; ejected flits
-	// are recycled (see the contract on router.Router.Ejected), so the
-	// steady-state hot path allocates nothing.
-	fl := flit.NewFreeList()
-	pattern := o.Pattern
-	// Sources live in one value slice: the two per-cycle scans below
-	// walk them contiguously instead of chasing a pointer per source.
 	// Gap mode replaces the per-cycle Bernoulli/Markov processes with
-	// gap-sampled twins and drives generation from a calendar queue of
-	// per-source next-injection cycles. Trace replays have their own
-	// event feed (Trace.NextDue) and ignore the mode.
+	// gap-sampled twins. Trace replays have their own event feed
+	// (Trace.NextDue) and ignore the mode.
 	gap := o.Injection == traffic.InjGap && o.Trace == nil
-	srcs := make([]source, k)
+	w.srcs = make([]source, k)
+	w.srcAct = arb.MakeBitVec(k)
 	var bursters []traffic.Burster
-	for i := range srcs {
-		s := &srcs[i]
+	for i := range w.srcs {
+		s := &w.srcs[i]
 		s.q = *sim.NewQueue[srcFlit](0)
 		s.curVC = -1
 		s.rng = master.Split()
@@ -235,307 +254,220 @@ func Run(o Options) (Result, error) {
 			s.proc = traffic.NewBernoulli(pktRate)
 		}
 	}
-	if pattern == nil {
-		pattern = traffic.NewUniform(k)
+	if w.pattern == nil {
+		w.pattern = traffic.NewUniform(k)
 	}
 	if o.Bursty {
-		pattern = traffic.NewBurstPattern(pattern, bursters)
+		w.pattern = traffic.NewBurstPattern(w.pattern, bursters)
 	}
-	var wheel *sim.Wheel
 	if gap {
-		// Size the horizon to a few mean inter-injection gaps: large
-		// enough that overflow migration is rare, small enough that the
-		// bucket arrays stay hot (a 4096-bucket wheel under dense events
-		// touches every bucket once per lap, which is pure allocation
-		// churn when the run is shorter than a lap).
-		horizon := 4096
-		if pktRate > 0 {
-			if g := 4.0 / pktRate; g < 4096 {
-				horizon = int(g)
-			}
+		w.wheel = traffic.NewGapWheel(pktRate)
+		for i := range w.srcs {
+			w.schedule(i, 0)
 		}
-		wheel = sim.NewWheel(horizon)
-		for i := range srcs {
-			s := &srcs[i]
-			if at := s.gap.NextInject(0, s.rng); at < sim.NoWake {
-				wheel.Schedule(at, int32(i))
-			}
+		w.onDue = func(id int32) {
+			i := int(id)
+			w.spawn(i, w.pattern.Dest(i, w.srcs[i].rng), w.pktLen)
+			w.schedule(i, w.now+1)
 		}
 	}
+	return w, nil
+}
 
-	lat := stats.NewSample(8192)
-	var (
-		pktID            uint64
-		injectedLabeled  int64
-		deliveredLabeled int64
-		measFlitsOut     int64
-		genFlits         int64
-		delFlits         int64
-		srcBacklog       int64
-		now              int64
-	)
-	// srcAct tracks sources with a nonempty generation queue so the
-	// per-cycle injection scan walks only them; srcBacklog is the total
-	// queued flits, the O(1) "all sources empty" test fast-forwarding
-	// needs.
-	srcAct := arb.MakeBitVec(k)
-	measStart := o.WarmupCycles
-	measEnd := o.WarmupCycles + o.MeasureCycles
-	maxCycles := measEnd + o.DrainCycles
-	if o.Trace != nil && o.Trace.Duration()+o.DrainCycles > maxCycles {
-		maxCycles = o.Trace.Duration() + o.DrainCycles
+// schedule puts gap source i's next injection at or after from, if it
+// has one, on the wheel.
+func (w *world) schedule(i int, from int64) {
+	s := &w.srcs[i]
+	if at := s.gap.NextInject(from, s.rng); at < sim.NoWake {
+		w.wheel.Schedule(at, int32(i))
 	}
-	// Fast-forwarding (see the quiescence contract in router/core) is
-	// legal only when the architecture vouches that Quiescent/NextWake
-	// cover all its per-cycle state. Synthetic generation draws RNG
-	// every cycle it is active, so whole cycles may be skipped only
-	// where no draw can occur: trace replays (generation happens at
-	// recorded cycles) and the drain tail of checked runs (injection
-	// has stopped for good). Skipping the Step of a quiescent router,
-	// by contrast, is exact at any time.
-	wakeExact := cfg.Traits().WakeExact && !o.NoFastForward
+}
 
-	measureHookDue := o.OnMeasureStart != nil
-	for now = 0; now < maxCycles; now++ {
-		if measureHookDue && now >= measStart {
-			measureHookDue = false
-			o.OnMeasureStart()
+// spawn queues one packet generated this cycle at source src.
+func (w *world) spawn(src, dst, length int) {
+	w.pktID++
+	s := &w.srcs[src]
+	for _, f := range w.fl.MakePacket(w.pktID, src, dst, 0, length, w.now, w.measuring) {
+		// Capture the Head bit while the flit is still warm from creation.
+		s.q.MustPush(srcFlit{f: f, head: f.Head})
+	}
+	w.genFlits += int64(length)
+	w.backlog += int64(length)
+	w.srcAct.Set(src)
+	if w.measuring {
+		w.labeled++
+	}
+}
+
+// Cycle implements drive.World.
+func (w *world) Cycle(now int64, ph drive.Phase, t *drive.Tally) error {
+	w.now, w.measuring = now, ph.Measuring
+	// Generate packets. A trace injects at its recorded cycles whatever
+	// the phase; a synthetic source only while generation is live.
+	switch {
+	case w.trace != nil:
+		for _, e := range w.trace.Due(now) {
+			w.spawn(e.Src, e.Dst, e.Len)
 		}
-		measuring := now >= measStart && now < measEnd
-		// Generate packets.
-		if o.Trace != nil {
-			for _, e := range o.Trace.Due(now) {
-				pktID++
-				for _, f := range fl.MakePacket(pktID, e.Src, e.Dst, 0, e.Len, now, measuring) {
-					srcs[e.Src].push(f)
-				}
-				genFlits += int64(e.Len)
-				srcBacklog += int64(e.Len)
-				srcAct.Set(e.Src)
-				if measuring {
-					injectedLabeled++
-				}
-			}
-		} else if gap {
-			// Event-driven generation: only sources whose scheduled
-			// injection cycle has arrived are visited, in ascending
-			// source order within a cycle — the order the dense scan
-			// visits them, so the dense twin is draw-for-draw identical.
-			// A checked run stops popping at the end of the window, the
-			// same cutoff as the per-cycle path.
-			if !o.Check || now < measEnd {
-				wheel.PopDue(now, func(id int32) {
-					i := int(id)
-					s := &srcs[i]
-					dst := pattern.Dest(i, s.rng)
-					pktID++
-					for _, f := range fl.MakePacket(pktID, i, dst, 0, o.PktLen, now, measuring) {
-						s.push(f)
-					}
-					genFlits += int64(o.PktLen)
-					srcBacklog += int64(o.PktLen)
-					srcAct.Set(i)
-					if measuring {
-						injectedLabeled++
-					}
-					if at := s.gap.NextInject(now+1, s.rng); at < sim.NoWake {
-						wheel.Schedule(at, int32(i))
-					}
-				})
-			}
-		} else if !o.Check || now < measEnd {
-			// A checked run stops injecting at the end of the window so
-			// the router drains to empty and conservation can be audited.
-			for i := range srcs {
-				s := &srcs[i]
-				if !s.proc.Inject(s.rng) {
-					continue
-				}
-				dst := pattern.Dest(i, s.rng)
-				pktID++
-				for _, f := range fl.MakePacket(pktID, i, dst, 0, o.PktLen, now, measuring) {
-					s.push(f)
-				}
-				genFlits += int64(o.PktLen)
-				srcBacklog += int64(o.PktLen)
-				srcAct.Set(i)
-				if measuring {
-					injectedLabeled++
-				}
-			}
-		}
-		// Move flits across the injection channels into input buffers.
-		// Only sources holding queued flits are visited; ascending bit
-		// order matches the dense scan exactly.
-		for i := srcAct.Next(0); i >= 0; i = srcAct.Next(i + 1) {
-			s := &srcs[i]
-			if s.injFree > now {
-				continue
-			}
-			sf, ok := s.q.Peek()
-			if !ok {
-				continue
-			}
-			if sf.head {
-				if s.curVC < 0 {
-					for t := 0; t < v; t++ {
-						vc := s.vcPtr + t
-						if vc >= v {
-							vc -= v
-						}
-						if r.CanAccept(i, vc) {
-							s.curVC = vc
-							break
-						}
-					}
-				}
-				if s.curVC < 0 {
-					continue
-				}
-				if !r.CanAccept(i, s.curVC) {
-					continue
-				}
-			} else if !r.CanAccept(i, s.curVC) {
-				continue
-			}
-			s.q.MustPop()
-			srcBacklog--
-			if s.q.Len() == 0 {
-				srcAct.Clear(i)
-			}
-			f := sf.f
-			f.VC = s.curVC
-			r.Accept(now, f)
-			s.injFree = now + int64(st)
-			if f.Tail {
-				s.vcPtr = (s.curVC + 1) % v
-				s.curVC = -1
-			}
-		}
-		// Advance the router and collect ejections. A quiescent router's
-		// step is a provable no-op (and ejects nothing), so it is
-		// skipped outright; Ejected() must not be read on a skipped
-		// cycle, as it still holds the previous step's recycled flits.
-		if !wakeExact || !r.Quiescent() {
-			r.Step(now)
-			for _, f := range r.Ejected() {
-				if measuring {
-					measFlitsOut++
-				}
-				if f.Tail && f.Measured {
-					lat.Add(float64(now - f.CreatedAt))
-					deliveredLabeled++
-				}
-				delFlits++
-				fl.Put(f)
-			}
-		}
-		if chk != nil {
-			if err := chk.Err(); err != nil {
-				return Result{}, err
-			}
-			// A checked run drains every flit, not just the labeled
-			// sample, so conservation can be verified over the whole run.
-			if now >= measEnd && delFlits >= genFlits {
-				now++
-				break
-			}
-		} else if now >= measEnd && deliveredLabeled >= injectedLabeled {
-			now++
-			break
-		}
-		// Fast-forward across provably idle stretches: when no source
-		// holds a flit and no generation can occur before the router's
-		// next internal event, jump time straight there. The skipped
-		// cycles are provably identical to dense stepping: no RNG
-		// draws, no injections, no router events, and the exit checks
-		// above cannot change state they did not change at cycle now
-		// (wake is capped at measEnd so no phase boundary is crossed).
-		// Per-cycle injection draws RNG every live cycle, so jumps are
-		// legal only in trace replays and the drain tail of checked
-		// runs; gap mode schedules every future injection on the wheel,
-		// so any idle stretch may be jumped, at any load, with the wake
-		// capped at the wheel's next event.
-		if wakeExact && srcBacklog == 0 {
-			// now+1 when no case applies: per-cycle injection is live,
-			// so no cycle may be skipped.
-			wake := now + 1
-			switch {
-			case gap:
-				wake = r.NextWake(now)
-				// Generation stays live forever in unchecked runs and
-				// until measEnd in checked ones; beyond that the wheel's
-				// remaining events can never fire.
-				if !o.Check || now+1 < measEnd {
-					if at, ok := wheel.NextAt(); ok && at < wake {
-						wake = at
-					}
-				}
-			case o.Trace != nil:
-				wake = r.NextWake(now)
-				if due, ok := o.Trace.NextDue(); ok && due < wake {
-					wake = due
-				}
-			case o.Check && now+1 >= measEnd:
-				wake = r.NextWake(now)
-			}
-			if now < measEnd && wake > measEnd {
-				wake = measEnd
-			}
-			if wake > maxCycles {
-				wake = maxCycles
-			}
-			if wake-1 > now {
-				now = wake - 1
+	case !ph.Generating:
+	case w.wheel != nil:
+		// Event-driven generation: only sources whose scheduled
+		// injection cycle has arrived are visited, in ascending source
+		// order within a cycle — the order the dense scan visits them,
+		// so the dense twin is draw-for-draw identical.
+		w.wheel.PopDue(now, w.onDue)
+	default:
+		for i := range w.srcs {
+			s := &w.srcs[i]
+			if s.proc.Inject(s.rng) {
+				w.spawn(i, w.pattern.Dest(i, s.rng), w.pktLen)
 			}
 		}
 	}
-	if chk != nil && delFlits >= genFlits {
-		if err := chk.Final(now); err != nil {
+	// Move flits across the injection channels into input buffers.
+	// Only sources holding queued flits are visited; ascending bit
+	// order matches the dense scan exactly.
+	r, v := w.r, w.vcs
+	for i := w.srcAct.Next(0); i >= 0; i = w.srcAct.Next(i + 1) {
+		s := &w.srcs[i]
+		if s.injFree > now {
+			continue
+		}
+		sf, ok := s.q.Peek()
+		if !ok {
+			continue
+		}
+		if sf.head && s.curVC < 0 {
+			for j := 0; j < v; j++ {
+				vc := s.vcPtr + j
+				if vc >= v {
+					vc -= v
+				}
+				if r.CanAccept(i, vc) {
+					s.curVC = vc
+					break
+				}
+			}
+			if s.curVC < 0 {
+				continue
+			}
+		}
+		if !r.CanAccept(i, s.curVC) {
+			continue
+		}
+		s.q.MustPop()
+		w.backlog--
+		if s.q.Len() == 0 {
+			w.srcAct.Clear(i)
+		}
+		f := sf.f
+		f.VC = s.curVC
+		r.Accept(now, f)
+		s.injFree = now + int64(w.st)
+		if f.Tail {
+			s.vcPtr = (s.curVC + 1) % v
+			s.curVC = -1
+		}
+	}
+	// Advance the router and collect ejections. A quiescent router's
+	// step is a provable no-op (and ejects nothing), so it is skipped
+	// outright — exact at any time, unlike a jump; Ejected() must not be
+	// read on a skipped cycle, as it still holds the previous step's
+	// recycled flits.
+	if !w.wakeExact || !r.Quiescent() {
+		r.Step(now)
+		for _, f := range r.Ejected() {
+			t.Deliver(f.CreatedAt, 0, f.Tail, f.Measured)
+			w.fl.Put(f)
+		}
+	}
+	if w.chk != nil {
+		return w.chk.Err()
+	}
+	return nil
+}
+
+// NextWake implements drive.Waker: the router's next internal event,
+// brought forward to the next recorded or wheel-scheduled generation. A
+// per-cycle source draws randomness every live cycle, so while one is
+// live no cycle may be skipped.
+func (w *world) NextWake(now int64, live bool) int64 {
+	if !w.wakeExact {
+		return now + 1
+	}
+	gen, pending := int64(0), false
+	switch {
+	case w.trace != nil:
+		gen, pending = w.trace.NextDue()
+	case !live:
+	case w.wheel != nil:
+		gen, pending = w.wheel.NextAt()
+	default:
+		return now + 1
+	}
+	wake := w.r.NextWake(now)
+	if pending && gen < wake {
+		wake = gen
+	}
+	return wake
+}
+
+func (w *world) Backlog() int64         { return w.backlog }
+func (w *world) InFlight() int          { return w.r.InFlight() }
+func (w *world) GenFlits() int64        { return w.genFlits }
+func (w *world) InjectedLabeled() int64 { return w.labeled }
+
+// Run executes one simulation and returns its measurements.
+func Run(o Options) (Result, error) {
+	o = o.withDefaults()
+	w, err := newWorld(o)
+	if err != nil {
+		return Result{}, err
+	}
+	c := drive.Config{
+		Warmup: o.WarmupCycles, Measure: o.MeasureCycles, Drain: o.DrainCycles,
+		Audited: o.Check, Dense: o.NoFastForward, OnMeasureStart: o.OnMeasureStart,
+	}
+	if o.Trace != nil {
+		c.SourceEnd = o.Trace.Duration()
+	}
+	t, err := drive.Run(c, w)
+	if err != nil {
+		return Result{}, err
+	}
+	if w.chk != nil && t.Flits >= w.genFlits {
+		if err := w.chk.Final(t.Cycles); err != nil {
 			return Result{}, err
 		}
 	}
-
 	res := Result{
 		Load:       o.Load,
-		AvgLatency: lat.Mean(),
-		P50:        lat.Quantile(0.5),
-		P99:        lat.Quantile(0.99),
-		Throughput: float64(measFlitsOut) * float64(st) / (float64(k) * float64(o.MeasureCycles)),
-		Packets:    deliveredLabeled,
-		RelErr99:   lat.RelativeError99(),
-		Cycles:     now,
+		AvgLatency: t.Lat.Mean(),
+		P50:        t.Lat.Quantile(0.5),
+		P99:        t.Lat.Quantile(0.99),
+		Throughput: t.Throughput(len(w.srcs), w.st),
+		Packets:    t.Labeled,
+		RelErr99:   t.Lat.RelativeError99(),
+		Cycles:     t.Cycles,
 	}
-	// A run is saturated when it fails to reach steady state: the drain
-	// did not complete, the mean latency diverged, or the accepted
-	// throughput fell measurably short of the offered load (the standard
-	// criterion — beyond saturation a router accepts less than offered).
-	if deliveredLabeled < injectedLabeled || res.AvgLatency > o.SatLatency ||
-		res.Throughput < 0.9*o.Load-0.01 {
-		res.Saturated = true
-	}
+	// Beyond the driver's two signs of a run that failed to reach steady
+	// state, the single router has a third: accepted throughput measurably
+	// short of the offered load (the standard criterion — beyond
+	// saturation a router accepts less than offered).
+	res.Saturated = t.Saturated(o.SatLatency) || res.Throughput < 0.9*o.Load-0.01
 	return res, nil
 }
 
 // Sweep runs the simulation across the supplied offered loads and
-// returns a latency-versus-load series named name. Sweeping stops after
-// the first saturated point (matching how the paper's curves end at
-// saturation), which also keeps sweeps fast.
+// returns a latency-versus-load series named name, ending at the first
+// saturated point (see drive.Sweep).
 func Sweep(name string, loads []float64, base Options) (*stats.Series, error) {
-	s := &stats.Series{Name: name}
-	for _, load := range loads {
+	return drive.Sweep(name, loads, func(load float64) (float64, bool, error) {
 		o := base
 		o.Load = load
 		res, err := Run(o)
-		if err != nil {
-			return nil, err
-		}
-		s.Add(load, res.AvgLatency, res.Saturated)
-		if res.Saturated {
-			break
-		}
-	}
-	return s, nil
+		return res.AvgLatency, res.Saturated, err
+	})
 }
 
 // SaturationThroughput measures accepted throughput at an offered load

@@ -64,6 +64,23 @@ type GapProcess interface {
 	Name() string
 }
 
+// NewGapWheel returns the calendar queue a gap-mode driver schedules
+// its sources on, for sources injecting rate packets per cycle each.
+// The horizon is a few mean inter-injection gaps: large enough that
+// overflow migration is rare, small enough that the bucket arrays stay
+// hot (a 4096-bucket wheel under dense events touches every bucket once
+// per lap, which is pure allocation churn when the run is shorter than
+// a lap).
+func NewGapWheel(rate float64) *sim.Wheel {
+	horizon := 4096
+	if rate > 0 {
+		if g := 4.0 / rate; g < 4096 {
+			horizon = int(g)
+		}
+	}
+	return sim.NewWheel(horizon)
+}
+
 // geometric samples the geometric distribution on {0, 1, 2, ...} with
 // success probability p — the number of independent Bernoulli(p)
 // failures before the first success — by inverting its CDF with a
