@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -281,19 +282,24 @@ func runSweep(benchtime string, verbose bool) sweep {
 	return s
 }
 
+// shardWorkers is the worker count fig19-sharded is timed at: one per
+// CPU up to the 2 the end-to-end benchmark's net_shard2 runs. More
+// workers than CPUs would time the scheduler, not the shard layer.
+func shardWorkers() int { return min(runtime.GOMAXPROCS(0), 2) }
+
 // figureTimings times the Quick-scale regeneration of the figures whose
 // wall-clock the repository tracks (the cheapest single-router figure
 // and the Clos-network figure), serially (Workers=1), one run each. The
 // network figure is timed twice — through the serial network driver and
-// through the sharded runner at 4 workers — so the file records the A/B
-// wall-clock of the shard layer on byte-identical output.
+// through the sharded runner at shardWorkers — so the file records the
+// A/B wall-clock of the shard layer on byte-identical output.
 func figureTimings(verbose bool) []figPoint {
 	base := experiments.Quick
 	base.Workers = 1
 	serial := base
 	serial.NetWorkers = 0
 	sharded := base
-	sharded.NetWorkers = 4
+	sharded.NetWorkers = shardWorkers()
 	runs := []struct {
 		label string
 		exp   string
@@ -489,6 +495,7 @@ func main() {
 
 	s := runSweep(*benchtime, !*quiet)
 	s.Figures = figureTimings(!*quiet)
+	s.Note += fmt.Sprintf("; fig19-sharded ran at %d shard workers", shardWorkers())
 	c, err := cacheTimings(!*quiet)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hrbench:", err)

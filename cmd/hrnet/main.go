@@ -63,6 +63,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hrnet:", err)
 		os.Exit(2)
 	}
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "hrnet: -workers %d: want 0 (the serial driver) or a worker count >= 1\n", *workers)
+		os.Exit(1)
+	}
 
 	if *profile != "" {
 		f, err := os.Create(*profile)

@@ -53,6 +53,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hrsweep:", err)
 		os.Exit(2)
 	}
+	if *netw < -1 {
+		fmt.Fprintf(os.Stderr, "hrsweep: -netw %d: want -1 (the scale default), 0 (the serial driver) or a worker count >= 1\n", *netw)
+		os.Exit(1)
+	}
 
 	if *profile != "" {
 		f, err := os.Create(*profile)

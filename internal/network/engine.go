@@ -129,35 +129,23 @@ const (
 )
 
 // Xmsg is one cross-shard event, produced into a shard's outbox during
-// an epoch and applied to the owning shard's calendars at the barrier.
-// (SrcRouter, SrcPort) identify the producing router output (flits) or
-// freed input buffer (credits); together with At, VC and Kind they form
-// the canonical merge key — unique per message, so sorting on it gives
-// every worker count the same merge order.
+// an epoch and pulled into the owning shard's calendars at the barrier:
+// an XFlit is the arrival record itself, header included, so a flit in
+// transit is never dereferenced; an XCredit replenishes outgoing channel
+// VC (router, port, vc). A message carries no sort key: Step emits a
+// cycle's flits by ascending router and output port, so outboxes read in
+// ascending shard order already list every arrival cycle's flits in the
+// order a serial run schedules them in, and credits are counter
+// increments, which commute.
 type Xmsg struct {
-	At        int64
-	Kind      XKind
-	SrcRouter int
-	SrcPort   int
-	DstRouter int
-	DstPort   int
-	VC        int
-	F         *flit.Flit
+	At   int64
+	Kind XKind
+	arrival
 }
 
-// SortXmsgs orders messages by the canonical (At, SrcRouter, SrcPort,
-// VC, Kind) key.
-func SortXmsgs(ms []Xmsg) {
-	slices.SortFunc(ms, func(a, b Xmsg) int {
-		return cmp.Or(
-			cmp.Compare(a.At, b.At),
-			cmp.Compare(a.SrcRouter, b.SrcRouter),
-			cmp.Compare(a.SrcPort, b.SrcPort),
-			cmp.Compare(a.VC, b.VC),
-			cmp.Compare(a.Kind, b.Kind),
-		)
-	})
-}
+// Dst returns the input buffer (XFlit) or outgoing channel VC (XCredit)
+// the message is addressed to.
+func (m *Xmsg) Dst() (router, port, vc int) { return int(m.router), int(m.port), int(m.vc) }
 
 // Network is the topology-agnostic input-queued engine: per-VC input
 // buffers, credit-based flow control, wormhole link-VC ownership, and
@@ -422,14 +410,18 @@ func (nw *Network) queue(router, port, vc int) int {
 	return ((router-nw.lo)*nw.ports+port)*nw.v + vc
 }
 
-// PutRemote applies a cross-shard message produced by another engine.
-// Called between epochs only (never concurrently with Step).
-func (nw *Network) PutRemote(m Xmsg) {
-	switch m.Kind {
-	case XFlit:
-		nw.arrivals.Schedule(m.At, flitArrival(m.F, m.DstRouter, m.DstPort, m.VC))
-	default:
-		nw.credits.Schedule(m.At, creditMsg(nw.queue(m.DstRouter, m.DstPort, m.VC)))
+// PutRemote schedules, in order, the messages of another engine's outbox
+// that are addressed to routers this engine owns. Called between epochs
+// only (never concurrently with either engine's Step).
+func (nw *Network) PutRemote(ms []Xmsg) {
+	for i := range ms {
+		switch m := &ms[i]; {
+		case !nw.Owns(int(m.router)):
+		case m.Kind == XFlit:
+			nw.arrivals.Schedule(m.At, m.arrival)
+		default:
+			nw.credits.Schedule(m.At, creditMsg(nw.queue(m.Dst())))
+		}
 	}
 }
 
@@ -580,16 +572,11 @@ func (nw *Network) Step(now int64) {
 				}
 				ch.credit--
 				at := now + nw.hop + 1
+				a := arrival{hdr: s.hdr, router: int32(link.Router), port: uint16(link.Port), vc: uint8(ovc), kind: s.kind}
 				if nw.Owns(link.Router) {
-					nw.arrivals.Schedule(at, arrival{hdr: s.hdr, router: int32(link.Router), port: uint16(link.Port), vc: uint8(ovc), kind: s.kind})
+					nw.arrivals.Schedule(at, a)
 				} else {
-					// The header crosses shards inside the flit.
-					s.f.Hops, s.f.VC = int(s.hops), ovc
-					nw.outbox = append(nw.outbox, Xmsg{
-						At: at, Kind: XFlit,
-						SrcRouter: nw.lo + lr, SrcPort: out,
-						DstRouter: link.Router, DstPort: link.Port, VC: ovc, F: s.f,
-					})
+					nw.outbox = append(nw.outbox, Xmsg{At: at, Kind: XFlit, arrival: a})
 					nw.outFlits++
 				}
 			}
@@ -659,8 +646,7 @@ func (nw *Network) sendCreditUpstream(now int64, lr, p, c int) {
 	default:
 		nw.outbox = append(nw.outbox, Xmsg{
 			At: at, Kind: XCredit,
-			SrcRouter: nw.lo + lr, SrcPort: p,
-			DstRouter: fd.Router, DstPort: fd.Port, VC: c,
+			arrival: arrival{router: int32(fd.Router), port: uint16(fd.Port), vc: uint8(c)},
 		})
 	}
 }

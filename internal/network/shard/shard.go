@@ -8,13 +8,16 @@
 // grant, a credit returns after CreditDelay). Every event produced
 // during an epoch therefore takes effect at or after the next epoch's
 // start, so workers can simulate a whole epoch without hearing from
-// each other, then exchange at a single barrier. At the barrier the
-// cross-shard mailboxes are merged in the canonical (cycle, source
-// router, source port, VC, kind) order — a key proven unique because
-// each router output sends at most one flit per cycle and each input
-// buffer frees at most one slot per (cycle, VC) — so the merged event
-// sequence, and with it every downstream allocation decision, is
-// independent of worker count and scheduling.
+// each other, then exchange at a barrier. The exchange is itself
+// parallel: each worker pulls the events addressed to its routers out
+// of the other workers' outboxes, walking them in ascending worker
+// order. That order is the canonical (cycle, source router, source
+// port) order by construction — shards are contiguous router ranges in
+// worker order, and an engine emits one cycle's flits by ascending
+// router and output port — so the event sequence each calendar sees,
+// and with it every downstream allocation decision, is independent of
+// worker count and scheduling without anything being sorted
+// (TestOutboxCanonicalByConstruction).
 //
 // The run itself is internal/drive's, as it is for network.Run: the
 // sharded network is a drive.World whose Cycle simulates an epoch on
@@ -29,7 +32,6 @@
 package shard
 
 import (
-	"cmp"
 	"slices"
 	"sync"
 
@@ -64,9 +66,9 @@ var (
 	// catch (results still deterministic per worker count, but no longer
 	// equal across worker counts).
 	testLookaheadSkew int
-	// testUnorderedMerge, when true, merges per-worker delivery records
-	// in worker order instead of the canonical (cycle, destination)
-	// order, modelling a mailbox merge that forgot to sort.
+	// testUnorderedMerge, when true, concatenates per-worker delivery
+	// records in worker order instead of merging them into the canonical
+	// (cycle, destination) order, modelling a merge that forgot to compare.
 	testUnorderedMerge bool
 )
 
@@ -89,9 +91,9 @@ func Partition(n, p int) [][2]int {
 
 // delivRec is one delivered flit, recorded by the worker at delivery
 // and replayed by the coordinator in canonical order. Unhooked runs
-// copy the fields the statistics need and recycle the flit; hooked runs
-// keep the pointer alive (the auditor reads only fields that are stable
-// after ejection).
+// copy the fields the statistics need and send the flit home (spent);
+// hooked runs keep the pointer alive (the auditor reads only fields
+// that are stable after ejection).
 type delivRec struct {
 	at        int64
 	createdAt int64
@@ -115,10 +117,18 @@ type injRec struct {
 // coordinator lands in their own record slices.
 type worker struct {
 	*network.World
-	cfg drive.Config // Audited: a hooked run, whose records keep their flits for the replay
+	cfg  drive.Config // Audited: a hooked run, whose records keep their flits for the replay
+	home []int        // terminal -> the worker its sources live with
 
 	deliv []delivRec
 	injs  []injRec
+	// mail is the epoch's outbox, left for the other workers to pull.
+	mail []network.Xmsg
+	// spent[i] lists the flits delivered here this epoch that worker i
+	// generated. Sinks and sources of one flow rarely share a shard (in a
+	// Clos never), so a flit recycled where it died would feed a free list
+	// nobody draws from while its source allocates a fresh one per packet.
+	spent [][]*flit.Flit
 	// inflight and backlog snapshot the post-cycle state of every epoch
 	// cycle, one slot per cycle of the longest epoch (frozen values
 	// replicated across locally fast-forwarded stretches), so the
@@ -135,6 +145,9 @@ type worker struct {
 func (w *worker) runEpoch(from, end int64) {
 	w.deliv = w.deliv[:0]
 	w.injs = w.injs[:0]
+	for i := range w.spent {
+		w.spent[i] = w.spent[i][:0]
+	}
 	now := from
 	var onInject func(*flit.Flit)
 	if w.cfg.Audited {
@@ -151,7 +164,8 @@ func (w *worker) runEpoch(from, end int64) {
 			if w.cfg.Audited {
 				rec.f = f
 			} else {
-				w.Src.Recycle(f)
+				h := w.home[f.Src]
+				w.spent[h] = append(w.spent[h], f)
 			}
 			w.deliv = append(w.deliv, rec)
 		}
@@ -159,6 +173,20 @@ func (w *worker) runEpoch(from, end int64) {
 		for wake := w.cfg.Wake(w, now, end); now < wake; now++ {
 			w.inflight[now-from] = inflight
 			w.backlog[now-from] = backlog
+		}
+	}
+	w.mail = w.Net.TakeOutbox()
+}
+
+// pull completes the epoch for worker i, concurrently with the other
+// workers' pulls: it schedules the events the epoch sent to its routers,
+// reading the outboxes in ascending worker order (the canonical order;
+// see the package comment), and takes back its terminals' spent flits.
+func (w *worker) pull(i int, all []*worker) {
+	for _, o := range all {
+		w.Net.PutRemote(o.mail)
+		for _, f := range o.spent[i] {
+			w.Src.Recycle(f)
 		}
 	}
 }
@@ -172,15 +200,16 @@ type world struct {
 	cfg      drive.Config
 	hooks    network.Hooks
 	workers  []*worker
-	owner    []int // router -> worker
 	epochLen int64
 
 	// [from, end) is the simulated epoch; cur the cycle last replayed.
 	from, end, cur int64
-	xs             []network.Xmsg
 	recs           []delivRec
 	injs           []injRec
 	ri, ii         int
+	// Scratch for merge: the workers' record streams.
+	recSrc [][]delivRec
+	injSrc [][]injRec
 }
 
 func newWorld(o network.Options, topo network.Topology, c drive.Config, workers int) *world {
@@ -188,66 +217,86 @@ func newWorld(o network.Options, topo network.Topology, c drive.Config, workers 
 	s := &world{
 		cfg: c, hooks: o.Hooks,
 		workers:  make([]*worker, len(parts)),
-		owner:    make([]int, topo.Routers()),
 		epochLen: max(int64(network.Lookahead(topo)+testLookaheadSkew), 1),
 	}
 	// The coordinator owns the hooks; workers record for its replay.
 	o.Hooks = nil
-	for i, rg := range parts {
+	home := make([]int, topo.Terminals())
+	for i := range s.workers {
 		s.workers[i] = &worker{
-			World: network.NewWorld(o, topo, rg[0], rg[1]), cfg: c,
+			cfg: c, home: home, spent: make([][]*flit.Flit, len(parts)),
 			inflight: make([]int, s.epochLen), backlog: make([]int64, s.epochLen),
 		}
-		for r := rg[0]; r < rg[1]; r++ {
-			s.owner[r] = i
-		}
+	}
+	s.each(func(i int, w *worker) { w.World = network.NewWorld(o, topo, parts[i][0], parts[i][1]) })
+	for t := range home {
+		er, _ := topo.Entry(t)
+		home[t] = slices.IndexFunc(s.workers, func(w *worker) bool { return w.Net.Owns(er) })
 	}
 	return s
 }
 
-// epoch simulates [from, from+epochLen) on the workers and prepares its
-// replay.
+// each runs f once per worker, concurrently, and returns when all have
+// finished. The caller's goroutine takes the first worker itself: it
+// starts at once, the others a thread wake-up later, and in a Clos the
+// first shard (every source) is the slowest.
+func (s *world) each(f func(i int, w *worker)) {
+	var wg sync.WaitGroup
+	wg.Add(len(s.workers) - 1)
+	for i, w := range s.workers[1:] {
+		go func() {
+			defer wg.Done()
+			f(i+1, w)
+		}()
+	}
+	f(0, s.workers[0])
+	wg.Wait()
+}
+
+// merge appends the streams, each already in less order, to dst in less
+// order; equal heads go lowest stream first.
+func merge[T any](dst []T, streams [][]T, less func(a, b *T) bool) []T {
+	for {
+		best, live := -1, 0
+		for i, st := range streams {
+			if len(st) == 0 {
+				continue
+			}
+			if live++; best < 0 || less(&st[0], &streams[best][0]) {
+				best = i
+			}
+		}
+		if live == 0 {
+			return dst
+		}
+		if live == 1 { // the last stream (in a Clos the only one: the sinks' shard) needs no compares
+			return append(dst, streams[best]...)
+		}
+		dst = append(dst, streams[best][0])
+		streams[best] = streams[best][1:]
+	}
+}
+
+// epoch simulates [from, from+epochLen) on the workers, exchanges what
+// they sent each other, and prepares the epoch's replay.
 func (s *world) epoch(from int64) {
 	end := min(from+s.epochLen, s.cfg.Bound())
-	var wg sync.WaitGroup
-	wg.Add(len(s.workers))
-	for _, w := range s.workers {
-		go func(w *worker) {
-			defer wg.Done()
-			w.runEpoch(from, end)
-		}(w)
-	}
-	wg.Wait()
-
-	// Barrier: merge the cross-shard mailboxes in canonical order and
-	// deliver each message to its destination's owner. Merge order is
-	// observable (calendar insertion order within a cycle survives into
-	// land/drain order), so this sort is what detaches the results from
-	// worker count and goroutine scheduling.
-	s.xs = s.xs[:0]
-	for _, w := range s.workers {
-		s.xs = append(s.xs, w.Net.TakeOutbox()...)
-	}
-	network.SortXmsgs(s.xs)
-	for _, m := range s.xs {
-		s.workers[s.owner[m.DstRouter]].Net.PutRemote(m)
-	}
+	s.each(func(_ int, w *worker) { w.runEpoch(from, end) })
+	s.each(func(i int, w *worker) { w.pull(i, s.workers) })
 
 	// Merge the per-worker records into the serial world's accumulation
 	// order: deliveries by (cycle, destination), injections by (cycle,
-	// source).
-	s.recs, s.injs = s.recs[:0], s.injs[:0]
+	// source). Each worker's are already in that order.
+	s.recSrc, s.injSrc = s.recSrc[:0], s.injSrc[:0]
 	for _, w := range s.workers {
-		s.recs = append(s.recs, w.deliv...)
-		s.injs = append(s.injs, w.injs...)
+		s.recSrc = append(s.recSrc, w.deliv)
+		s.injSrc = append(s.injSrc, w.injs)
 	}
-	if !testUnorderedMerge {
-		slices.SortFunc(s.recs, func(a, b delivRec) int {
-			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.dst, b.dst))
-		})
-	}
-	slices.SortFunc(s.injs, func(a, b injRec) int {
-		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src))
+	s.recs = merge(s.recs[:0], s.recSrc, func(a, b *delivRec) bool {
+		return !testUnorderedMerge && (a.at < b.at || a.at == b.at && a.dst < b.dst)
+	})
+	s.injs = merge(s.injs[:0], s.injSrc, func(a, b *injRec) bool {
+		return a.at < b.at || a.at == b.at && a.src < b.src
 	})
 	s.from, s.end, s.ri, s.ii = from, end, 0, 0
 }

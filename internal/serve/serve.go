@@ -308,9 +308,11 @@ func (s *Server) compute(ctx context.Context, fn func() ([]byte, bool, error)) (
 	ch := make(chan out, 1)
 	s.inflight.Add(1)
 	go func() {
-		defer s.inflight.Add(-1)
-		defer func() { <-s.cold }()
 		b, h, err := fn()
+		// Release before replying: a client holding the reply must not be
+		// able to observe its own computation as still in flight.
+		<-s.cold
+		s.inflight.Add(-1)
 		ch <- out{b, h, err}
 	}()
 	select {
