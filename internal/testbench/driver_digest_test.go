@@ -42,24 +42,35 @@ func digestRun(h hash.Hash, o Options) {
 	h.Write(EncodeResult(res))
 }
 
+// digestPoint is one operating point of a digest row.
+type digestPoint struct {
+	seed  uint64
+	load  float64
+	drain int64
+}
+
 // driverDigest folds the runs of one table row into one SHA-256:
 // {Check off, on} x {PktLen 1, 4} x three operating points over two
 // seeds, each stepped with fast-forwarding and then dense. Load 0.45
 // keeps the router busy through the window, 0.04 leaves the idle
 // stretches that gap runs and checked drain tails jump across, and
 // 0.95 against a 60-cycle drain ends on the cycle bound instead of an
-// exit rule. The dense twin must hash identically, so it is compared,
-// not folded.
+// exit rule.
 func driverDigest(t *testing.T, base Options) string {
 	t.Helper()
+	return foldDigest(t, base, []bool{false, true}, []int{1, 4},
+		[]digestPoint{{1, 0.45, 0}, {2, 0.04, 0}, {1, 0.95, 60}})
+}
+
+// foldDigest hashes base at every (check, packet length, operating
+// point) into one SHA-256. Each run's dense twin must hash identically,
+// so it is compared, not folded.
+func foldDigest(t *testing.T, base Options, checks []bool, pktLens []int, points []digestPoint) string {
+	t.Helper()
 	h := sha256.New()
-	for _, chk := range []bool{false, true} {
-		for _, pktLen := range []int{1, 4} {
-			for _, run := range []struct {
-				seed  uint64
-				load  float64
-				drain int64
-			}{{1, 0.45, 0}, {2, 0.04, 0}, {1, 0.95, 60}} {
+	for _, chk := range checks {
+		for _, pktLen := range pktLens {
+			for _, run := range points {
 				o := base
 				o.Check, o.PktLen, o.Seed, o.Load, o.DrainCycles = chk, pktLen, run.seed, run.load, run.drain
 				var twin [2]string
@@ -126,20 +137,72 @@ func TestDriverDigest(t *testing.T) {
 			Trace: tr, WarmupCycles: 100, MeasureCycles: 300},
 	})
 	for _, r := range rows {
-		if *printDigests {
-			fmt.Printf("\t%q: %q,\n", r.name, driverDigest(t, r.o))
-			continue
-		}
-		t.Run(r.name, func(t *testing.T) {
-			want, ok := driverDigests[r.name]
-			if !ok {
-				t.Fatalf("no recorded digest for %s", r.name)
-			}
-			if got := driverDigest(t, r.o); got != want {
-				t.Errorf("digest %s, want %s", got, want)
-			}
-		})
+		checkDigest(t, r.name, driverDigests, func(t *testing.T) string { return driverDigest(t, r.o) })
 	}
+}
+
+// checkDigest holds one row to its recorded digest, or prints it under
+// -print-digests.
+func checkDigest(t *testing.T, name string, recorded map[string]string, digest func(*testing.T) string) {
+	if *printDigests {
+		fmt.Printf("\t%q: %q,\n", name, digest(t))
+		return
+	}
+	t.Run(name, func(t *testing.T) {
+		want, ok := recorded[name]
+		if !ok {
+			t.Fatalf("no recorded digest for %s", name)
+		}
+		if got := digest(t); got != want {
+			t.Errorf("digest %s, want %s", got, want)
+		}
+	})
+}
+
+// TestScaleDigest extends the oracle to radix 128, the smallest radix
+// at which the output and credit-bus arbiters are arb.Tree (n > m^2 =
+// 64) and the crosspoint and subswitch grids outgrow the caches — code
+// no Variants(16, 2) row reaches. Every variant of the three grid
+// architectures, the baseline and VOQ, VCs 4, packet lengths 1 and 3, loads 0.45 and 0.95
+// (the latter against a 60-cycle drain), both injection modes, with the
+// dense twin compared as above. The digests were recorded at commit
+// b89d0b7, on the nested per-queue layout, before the routers' flit
+// storage moved into one FIFO bank.
+func TestScaleDigest(t *testing.T) {
+	for _, a := range []router.Arch{router.ArchBaseline, router.ArchBuffered, router.ArchSharedXpoint,
+		router.ArchHierarchical, router.ArchVOQ} {
+		d, _ := router.Describe(a)
+		for _, vt := range d.Variants(128, 4) {
+			for _, inj := range []traffic.InjMode{traffic.InjPerCycle, traffic.InjGap} {
+				name := fmt.Sprintf("%s/k128/%s", vt.Name, inj)
+				o := Options{Router: vt.Config, Injection: inj, WarmupCycles: 100, MeasureCycles: 300}
+				checkDigest(t, name, scaleDigests, func(t *testing.T) string {
+					return foldDigest(t, o, []bool{false}, []int{1, 3}, []digestPoint{{1, 0.45, 0}, {1, 0.95, 60}})
+				})
+			}
+		}
+	}
+}
+
+var scaleDigests = map[string]string{
+	"baseline-cva/k128/percycle":         "9c203a3549ea94ae7efb58c7f977857940a9e94c44a9ccb3ce8af621c026f5e2",
+	"baseline-cva/k128/gap":              "9ab7fbc59014dababab56ce363908a32886a4e4192c167b6ac0bbd6a62c8f106",
+	"baseline-ova/k128/percycle":         "edb3939c441189c6c71c8f7a25ec13d3487d716cc3b3722b2e2b4fddeddd6789",
+	"baseline-ova/k128/gap":              "024e0e5738c32b2a376a5cf6dc8c60eda1531e0111cf7106a98fe6ca8b4be408",
+	"baseline-prioritized/k128/percycle": "2cd4e3b0e1c5d7fdf714df3fbe76381a2fa19c3be6446ca3ee1e56312ecab9c4",
+	"baseline-prioritized/k128/gap":      "8ada9aaf859a3496fc8c988aaf01f38a693200fa0ffceec29f616fe54fd6f72e",
+	"buffered/k128/percycle":             "6b71041f96b56974c96db8bc1f4f3932dcc4508df95fa98a79c99b9638548dde",
+	"buffered/k128/gap":                  "0e33ddb6e2434ac8f0f6bbd9d8908d0ec485d93435f9ef7785d9dc7da89f31e7",
+	"buffered-ideal/k128/percycle":       "e25017e485c01cf404eaaa65c2b2e26902984bbc38952d6a6db4a6fbda244c60",
+	"buffered-ideal/k128/gap":            "723c4b8c013b1aadcb6f516078a99e7e31a6235e783969b3e5b8cb6637cda783",
+	"sharedxp/k128/percycle":             "40648e0e95f2b782d1e1024e94f432399ff282f3ab31aaaa3ee4de8850be8d0f",
+	"sharedxp/k128/gap":                  "b54853e55789a824b36c7e07ee7d0514a5bc9c9bc94a0c58e4c54058833f665a",
+	"hierarchical/k128/percycle":         "fb8123c1ca5af69a1eaf6f48dd04c490855f595eac618291391947c2149daa47",
+	"hierarchical/k128/gap":              "37807af3baadd7805acf49d0a91159c45151c82e3207d8a28399936a90461094",
+	"voq/k128/percycle":                  "b3be4da008f6826aff57618f30dc12f886e318a264d25ac90e8d53e2de7a978a",
+	"voq/k128/gap":                       "9375d2a25e4796c1204fbd56acc4f709a6c3224edfa986b0af1188ac26c1dde5",
+	"voq-iter2/k128/percycle":            "d19558e8d940abcbf553136fcb96ba9f1e3a63156771e6094cbc848d078cf269",
+	"voq-iter2/k128/gap":                 "89a879bb1c03662fa24f9df561b2fdefd341e7153efbdd7495da0cf5e6b748b0",
 }
 
 var driverDigests = map[string]string{
