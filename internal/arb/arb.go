@@ -45,10 +45,17 @@ type RoundRobin struct {
 
 // NewRoundRobin returns a round-robin arbiter over n lines.
 func NewRoundRobin(n int) *RoundRobin {
+	a := MakeRoundRobin(n)
+	return &a
+}
+
+// MakeRoundRobin returns a round-robin arbiter over n lines by value,
+// for banks of arbiters stored in one flat slice.
+func MakeRoundRobin(n int) RoundRobin {
 	if n <= 0 {
 		panic("arb: arbiter size must be positive")
 	}
-	return &RoundRobin{n: n}
+	return RoundRobin{n: n}
 }
 
 // Size returns the number of request lines.

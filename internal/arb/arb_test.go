@@ -109,3 +109,23 @@ func TestFixedPriority(t *testing.T) {
 		t.Fatalf("empty request granted %d", w)
 	}
 }
+
+// TestMakeBitVecsRowsIndependent: rows carved from one slab behave as
+// separate vectors — a row's last line never reads or writes its
+// neighbour's first word.
+func TestMakeBitVecsRowsIndependent(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 200} {
+		rows := MakeBitVecs(3, n)
+		rows[1].Set(n - 1)
+		rows[1].Set(0)
+		if rows[0].Any() || rows[2].Any() {
+			t.Fatalf("n=%d: a set bit leaked into a neighbouring row", n)
+		}
+		if n > 1 && (rows[1].Count() != 2 || rows[1].Next(1) != n-1) {
+			t.Fatalf("n=%d: row reads back count %d, last line %d", n, rows[1].Count(), rows[1].Next(1))
+		}
+		if rows[0].Next(0) != -1 || rows[1].Len() != n {
+			t.Fatalf("n=%d: scan ran past the row's end", n)
+		}
+	}
+}

@@ -29,6 +29,22 @@ func MakeBitVec(n int) BitVec {
 	return BitVec{n: n, words: make([]uint64, (n+63)/64)}
 }
 
+// MakeBitVecs returns rows empty bit vectors over n lines each, carved
+// from one word slab: the rows of a crosspoint or credit-bus grid stay
+// contiguous and cost one allocation instead of one per row.
+func MakeBitVecs(rows, n int) []BitVec {
+	if n <= 0 {
+		panic("arb: bit vector size must be positive")
+	}
+	w := (n + 63) / 64
+	slab := make([]uint64, rows*w)
+	vs := make([]BitVec, rows)
+	for r := range vs {
+		vs[r] = BitVec{n: n, words: slab[r*w : (r+1)*w : (r+1)*w]}
+	}
+	return vs
+}
+
 // Len returns the number of lines.
 func (v *BitVec) Len() int { return v.n }
 
@@ -49,6 +65,22 @@ func (v *BitVec) Any() bool {
 		}
 	}
 	return false
+}
+
+// sole classifies the vector for the arbiters' one-hot fast path: the
+// only raised line, -1 when no line is raised, -2 when several are.
+func (v *BitVec) sole() int {
+	line := -1
+	for wi, w := range v.words {
+		if w == 0 {
+			continue
+		}
+		if line >= 0 || w&(w-1) != 0 {
+			return -2
+		}
+		line = wi<<6 + bits.TrailingZeros64(w)
+	}
+	return line
 }
 
 // Count returns the number of raised lines.

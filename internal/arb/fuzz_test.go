@@ -56,10 +56,28 @@ func checkRound(t *testing.T, a arb.Arbiter, bits arb.BitArbiter, v *arb.BitVec,
 	return w
 }
 
-// runFairness drives the arbiter with random vectors in which target
-// always requests, and fails if target is not granted within bound
-// invocations.
-func runFairness(t *testing.T, a arb.Arbiter, bits arb.BitArbiter, rng *sim.RNG, target, bound int) {
+// fillShaped draws one request vector. Shape 0 is the dense
+// Bernoulli(p) stream, 1 a single random line, 2 the empty vector and 3
+// one of those three per call — the sparse shapes steer the trees onto
+// their one-hot and empty fast paths, which a dense stream over more
+// than a few lines never produces.
+func fillShaped(rng *sim.RNG, req []bool, p float64, shape uint8) {
+	shape %= 4
+	if shape == 3 {
+		shape = uint8(rng.Intn(3))
+	}
+	for i := range req {
+		req[i] = shape == 0 && rng.Bernoulli(p)
+	}
+	if shape == 1 {
+		req[rng.Intn(len(req))] = true
+	}
+}
+
+// runFairness drives the arbiter with shaped random vectors in which
+// target always requests (so shape 2 is one-hot on target), and fails
+// if target is not granted within bound invocations.
+func runFairness(t *testing.T, a arb.Arbiter, bits arb.BitArbiter, rng *sim.RNG, target, bound int, shape uint8) {
 	t.Helper()
 	n := a.Size()
 	req := make([]bool, n)
@@ -72,9 +90,7 @@ func runFairness(t *testing.T, a arb.Arbiter, bits arb.BitArbiter, rng *sim.RNG,
 	for window := 0; window < 4; window++ {
 		granted := -1
 		for round := 0; round < bound; round++ {
-			for i := range req {
-				req[i] = rng.Bernoulli(0.5)
-			}
+			fillShaped(rng, req, 0.5, shape)
 			req[target] = true
 			if w := checkRound(t, a, bits, v, req); w == target {
 				granted = round
@@ -108,18 +124,21 @@ func FuzzLocalGlobal(f *testing.F) {
 		// most m commits) once per global win of its group (at most
 		// Groups() rounds each, since the group keeps requesting).
 		bound := m * a.Groups()
-		runFairness(t, a, arb.NewLocalGlobal(n, m), sim.NewRNG(seed^0x9e3779b97f4a7c15), target, bound)
+		runFairness(t, a, arb.NewLocalGlobal(n, m), sim.NewRNG(seed^0x9e3779b97f4a7c15), target, bound, 0)
 	})
 }
 
 func FuzzTree(f *testing.F) {
-	f.Add(uint64(1), uint8(64), uint8(8), uint8(0))
-	f.Add(uint64(2), uint8(64), uint8(2), uint8(63))
-	f.Add(uint64(3), uint8(27), uint8(3), uint8(13))
-	f.Add(uint64(0xabad1dea), uint8(5), uint8(9), uint8(4))
-	f.Add(uint64(7), uint8(255), uint8(6), uint8(200)) // three-stage tree over four words
-	f.Add(uint64(8), uint8(250), uint8(98), uint8(17)) // nodes wider than one word
-	f.Fuzz(func(t *testing.T, seed uint64, nRaw, mRaw, targetRaw uint8) {
+	f.Add(uint64(1), uint8(64), uint8(8), uint8(0), uint8(0))
+	f.Add(uint64(2), uint8(64), uint8(2), uint8(63), uint8(0))
+	f.Add(uint64(3), uint8(27), uint8(3), uint8(13), uint8(0))
+	f.Add(uint64(0xabad1dea), uint8(5), uint8(9), uint8(4), uint8(0))
+	f.Add(uint64(7), uint8(255), uint8(6), uint8(200), uint8(0)) // three-stage tree over four words
+	f.Add(uint64(8), uint8(250), uint8(98), uint8(17), uint8(0)) // nodes wider than one word
+	f.Add(uint64(9), uint8(255), uint8(6), uint8(255), uint8(2)) // one-hot on the ragged last line
+	f.Add(uint64(10), uint8(99), uint8(1), uint8(40), uint8(1))  // two-hot at most, seven stages
+	f.Add(uint64(11), uint8(255), uint8(6), uint8(77), uint8(3)) // one-hot, empty and dense interleaved
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw, mRaw, targetRaw, shape uint8) {
 		n := 1 + int(nRaw)     // up to 256: multi-word vectors included
 		m := 2 + int(mRaw)%126 // tree fan-in must be >= 2; > 64 takes the range path
 		a := arb.NewTree(n, m)
@@ -136,7 +155,7 @@ func FuzzTree(f *testing.F) {
 		if bound > 1<<20 {
 			bound = 1 << 20
 		}
-		runFairness(t, a, arb.NewTree(n, m), sim.NewRNG(seed^0x517cc1b727220a95), target, bound)
+		runFairness(t, a, arb.NewTree(n, m), sim.NewRNG(seed^0x517cc1b727220a95), target, bound, shape)
 	})
 }
 
@@ -145,11 +164,14 @@ func FuzzTree(f *testing.F) {
 // single-winner contract holds across the whole family exactly as the
 // routers construct them.
 func FuzzOutputArbiter(f *testing.F) {
-	f.Add(uint64(1), uint8(63), uint8(6))
-	f.Add(uint64(2), uint8(8), uint8(8))
-	f.Add(uint64(3), uint8(64), uint8(2))
-	f.Add(uint64(4), uint8(255), uint8(6)) // radix-256-sized tree selection
-	f.Fuzz(func(t *testing.T, seed uint64, nRaw, mRaw uint8) {
+	f.Add(uint64(1), uint8(63), uint8(6), uint8(0))
+	f.Add(uint64(2), uint8(8), uint8(8), uint8(0))
+	f.Add(uint64(3), uint8(64), uint8(2), uint8(0))
+	f.Add(uint64(4), uint8(255), uint8(6), uint8(0)) // radix-256-sized tree selection
+	f.Add(uint64(5), uint8(255), uint8(6), uint8(1)) // one-hot vectors: a credit-bus row's stream
+	f.Add(uint64(6), uint8(127), uint8(6), uint8(2)) // empty vectors only
+	f.Add(uint64(7), uint8(255), uint8(6), uint8(3)) // one-hot, empty and dense interleaved
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw, mRaw, shape uint8) {
 		n := 1 + int(nRaw)
 		m := 2 + int(mRaw)%126
 		a := arb.NewOutputArbiter(n, m)
@@ -158,9 +180,7 @@ func FuzzOutputArbiter(f *testing.F) {
 		req := make([]bool, n)
 		v := arb.NewBitVec(n)
 		for round := 0; round < 256; round++ {
-			for i := range req {
-				req[i] = rng.Bernoulli(0.3)
-			}
+			fillShaped(rng, req, 0.3, shape)
 			checkRound(t, a, bits, v, req)
 		}
 	})

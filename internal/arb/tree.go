@@ -8,21 +8,25 @@ package arb
 // extension; NewOutputArbiter picks the shallowest structure whose
 // every stage fits the fan-in budget.
 //
-// A node is just a rotation pointer: each level stores its nodes'
-// pointers in one flat array rather than as separate RoundRobin
-// objects, so a router holding hundreds of trees (one per output, one
-// per credit-bus row) keeps all arbitration state in a handful of
-// contiguous arrays instead of thousands of scattered heap objects.
+// A node is just a rotation pointer, and a whole tree keeps its nodes'
+// pointers in one flat array (level by level) rather than as separate
+// RoundRobin objects or per-level slices, so a router holding hundreds
+// of trees (one per output, one per credit-bus row) reads one small
+// contiguous block per arbitration instead of chasing scattered heap
+// objects.
 type Tree struct {
 	n      int
 	m      int
 	levels []treeLevel
+	// next holds every node's rotation pointer: node ni of level li is
+	// next[levels[li].off+ni].
+	next []int32
 
-	// scratch for the bitset path, one entry per level: the winners
-	// percolating up as next-level requests, and each node's peeked
-	// local winner for the downward commit.
-	bitUp      []*BitVec
-	bitWinners [][]int
+	// scratch for the bitset path: per level the winners percolating up
+	// as next-level requests, and each node's peeked local winner for the
+	// downward commit (laid out like next).
+	bitUp      []BitVec
+	bitWinners []int32
 
 	// scratch for the []bool reference path, lazily built on first use
 	// (the routers only ever drive the bitset path): per-level winner and
@@ -34,18 +38,19 @@ type Tree struct {
 }
 
 type treeLevel struct {
-	// width is the number of lines entering this level.
-	width int
-	// next holds each node's rotation pointer; len(next) is the node
-	// count. Node ni arbitrates lines [ni*m, ni*m+size) where size is m
-	// except possibly at the ragged last node.
-	next []int32
+	// width is the number of lines entering this level and nodes the
+	// number of arbiters reducing them; node ni arbitrates lines
+	// [ni*m, ni*m+size) where size is m except at the last node, whose
+	// fan-in is last.
+	width, nodes, last int
+	// off is the index of the level's first node in Tree.next.
+	off int
 }
 
 // nodeSize returns the fan-in of node ni at the given level.
 func (t *Tree) nodeSize(lvl *treeLevel, ni int) int {
-	if ni == len(lvl.next)-1 && lvl.width%t.m != 0 {
-		return lvl.width % t.m
+	if ni == lvl.nodes-1 {
+		return lvl.last
 	}
 	return t.m
 }
@@ -59,17 +64,18 @@ func NewTree(n, m int) *Tree {
 		panic("arb: tree fan-in must be at least 2")
 	}
 	t := &Tree{n: n, m: m}
-	width := n
-	for width > 1 {
+	off := 0
+	for width := n; width > 1; {
 		nodes := (width + m - 1) / m
-		t.levels = append(t.levels, treeLevel{width: width, next: make([]int32, nodes)})
+		t.levels = append(t.levels, treeLevel{width: width, nodes: nodes, last: width - (nodes-1)*m, off: off})
+		off += nodes
 		width = nodes
 	}
-	t.bitUp = make([]*BitVec, len(t.levels))
-	t.bitWinners = make([][]int, len(t.levels))
+	t.next = make([]int32, off)
+	t.bitWinners = make([]int32, off)
+	t.bitUp = make([]BitVec, len(t.levels))
 	for li, lvl := range t.levels {
-		t.bitUp[li] = NewBitVec(len(lvl.next))
-		t.bitWinners[li] = make([]int, len(lvl.next))
+		t.bitUp[li] = MakeBitVec(lvl.nodes)
 	}
 	return t
 }
@@ -115,8 +121,8 @@ func (t *Tree) Arbitrate(requests []bool) int {
 		t.boolNext = make([][]bool, len(t.levels))
 		t.boolWin = make([][]int, len(t.levels))
 		for li, lvl := range t.levels {
-			t.boolNext[li] = make([]bool, len(lvl.next))
-			t.boolWin[li] = make([]int, len(lvl.next))
+			t.boolNext[li] = make([]bool, lvl.nodes)
+			t.boolWin[li] = make([]int, lvl.nodes)
 		}
 		t.grpBuf = make([]bool, t.nodeSize(&t.levels[0], 0))
 	}
@@ -126,10 +132,10 @@ func (t *Tree) Arbitrate(requests []bool) int {
 	for li := range t.levels {
 		lvl := &t.levels[li]
 		next := t.boolNext[li]
-		for ni := range lvl.next {
+		for ni := 0; ni < lvl.nodes; ni++ {
 			base := ni * t.m
 			size := t.nodeSize(lvl, ni)
-			w := rotPeekBool(cur[base:base+size], int(lvl.next[ni]))
+			w := rotPeekBool(cur[base:base+size], int(t.next[lvl.off+ni]))
 			t.boolWin[li][ni] = w
 			next[ni] = w >= 0
 		}
@@ -153,12 +159,12 @@ func (t *Tree) Arbitrate(requests []bool) int {
 				grp[i] = t.boolWin[li-1][base+i] >= 0
 			}
 		}
-		w := rotPeekBool(grp, int(lvl.next[node]))
+		w := rotPeekBool(grp, int(t.next[lvl.off+node]))
 		p := w + 1
 		if p >= size {
 			p = 0
 		}
-		lvl.next[node] = int32(p)
+		t.next[lvl.off+node] = int32(p)
 		node = base + w
 	}
 	return node
@@ -172,53 +178,66 @@ func (t *Tree) Arbitrate(requests []bool) int {
 // the []bool path. Winner entries at idle nodes go stale rather than
 // being reset; that is safe because the downward pass descends set bits
 // of the reduced vectors only.
+//
+// A vector holding exactly one line — a credit-bus row almost always
+// does, and so does an output column at moderate load — skips both
+// passes: the line wins at every node on its path, so the grant commits
+// the same rotation pointers the downward pass would write, past the
+// line's position in each node, and nothing else is read.
 func (t *Tree) ArbitrateBits(v *BitVec) int {
 	if v.n != t.n {
 		panic("arb: request vector size mismatch")
 	}
-	if len(t.levels) == 0 {
-		// Single line: grant it if requesting.
-		if v.Get(0) {
-			return 0
+	switch line := v.sole(); {
+	case line == -1 || len(t.levels) == 0:
+		return line // empty, or the single line of a one-line tree
+	case line >= 0:
+		at := line
+		for li := range t.levels {
+			lvl := &t.levels[li]
+			node := at / t.m
+			p := at - node*t.m + 1
+			if p >= t.nodeSize(lvl, node) {
+				p = 0
+			}
+			t.next[lvl.off+node] = int32(p)
+			at = node
 		}
-		return -1
+		return line
 	}
 	// Upward pass: raise the next level's request line for every node
 	// with a requester, then peek those nodes' local winners.
 	cur := v
 	for li := range t.levels {
 		lvl := &t.levels[li]
-		next := t.bitUp[li]
+		next := &t.bitUp[li]
 		cur.GroupAny(next, t.m)
-		win := t.bitWinners[li]
+		win, ptr := t.bitWinners[lvl.off:], t.next[lvl.off:]
 		if t.m <= 64 {
 			for ni := next.Next(0); ni >= 0; ni = next.Next(ni + 1) {
-				win[ni] = rotFirst(cur.slice(ni*t.m, t.nodeSize(lvl, ni)), int(lvl.next[ni]))
+				win[ni] = int32(rotFirst(cur.slice(ni*t.m, t.nodeSize(lvl, ni)), int(ptr[ni])))
 			}
 		} else {
 			// A node wider than one word searches its line range of cur in
 			// place instead of slicing.
 			for ni := next.Next(0); ni >= 0; ni = next.Next(ni + 1) {
-				win[ni] = bitPeekRange(cur, ni*t.m, t.nodeSize(lvl, ni), int(lvl.next[ni]))
+				win[ni] = int32(bitPeekRange(cur, ni*t.m, t.nodeSize(lvl, ni), int(ptr[ni])))
 			}
 		}
 		cur = next
 	}
-	top := len(t.levels) - 1
-	if !t.bitUp[top].Get(0) {
-		return -1
-	}
-	// Downward pass: follow the winning path from the root, committing
-	// each node's pointer past its peeked winner.
+	// Downward pass: follow the winning path from the root (which holds
+	// a requester, the vector being non-empty), committing each node's
+	// pointer past its peeked winner.
 	node := 0
-	for li := top; li >= 0; li-- {
+	for li := len(t.levels) - 1; li >= 0; li-- {
 		lvl := &t.levels[li]
-		w := t.bitWinners[li][node]
+		w := int(t.bitWinners[lvl.off+node])
 		p := w + 1
 		if p >= t.nodeSize(lvl, node) {
 			p = 0
 		}
-		lvl.next[node] = int32(p)
+		t.next[lvl.off+node] = int32(p)
 		node = node*t.m + w
 	}
 	return node

@@ -142,3 +142,53 @@ func TestTreeMatchesLocalGlobalContract(t *testing.T) {
 		}
 	}
 }
+
+// TestTreeOneHot pins the one-hot fast path of ArbitrateBits to the
+// []bool oracle: over random sequences interleaving one-hot, empty and
+// dense request vectors, twin trees must agree on the grant and on every
+// level's rotation pointers after every call — the fast path commits the
+// pointers of its line's path without running either pass, so a pointer
+// it missed (or moved at a ragged last node) would only surface as a
+// wrong grant many calls later.
+func TestTreeOneHot(t *testing.T) {
+	for _, n := range []int{1, 9, 64, 65, 100, 256, 1000} {
+		for _, m := range []int{2, 8, 64, 128} {
+			oracle, fast := NewTree(n, m), NewTree(n, m)
+			req := make([]bool, n)
+			v := NewBitVec(n)
+			s := uint64(n*131 + m)
+			rnd := func() uint64 {
+				s = s*6364136223846793005 + 1442695040888963407
+				return s >> 33
+			}
+			for call := 0; call < 600; call++ {
+				for i := range req {
+					req[i] = false
+				}
+				switch kind := rnd() % 8; {
+				case kind < 4: // one-hot, the last line (ragged node) over-represented
+					line := int(rnd()) % n
+					if rnd()%4 == 0 {
+						line = n - 1
+					}
+					req[line] = true
+				case kind == 4: // empty
+				default: // dense
+					for i := range req {
+						req[i] = rnd()%3 == 0
+					}
+				}
+				v.SetBools(req)
+				want, got := oracle.Arbitrate(req), fast.ArbitrateBits(v)
+				if got != want {
+					t.Fatalf("n=%d m=%d call %d: ArbitrateBits granted %d, oracle %d", n, m, call, got, want)
+				}
+				for ni, p := range oracle.next {
+					if q := fast.next[ni]; q != p {
+						t.Fatalf("n=%d m=%d call %d: node %d pointer %d, oracle %d", n, m, call, ni, q, p)
+					}
+				}
+			}
+		}
+	}
+}

@@ -57,22 +57,23 @@ type buffered struct {
 	inFree   core.SerializerBank
 	inputArb []*arb.RoundRobin
 
-	credit  core.Ledger             // pools flat [(input*k+output)*v+vc]
-	xp      []sim.Queue[*flit.Flit] // flat [(input*k+output)*v+vc], same layout as the ledger
-	xpArb   *arb.RotorBank          // per crosspoint [input*k+output] over VCs
-	outLG   []arb.BitArbiter        // per output over crosspoints (inputs)
+	credit  core.Ledger      // pools flat [(input*k+output)*v+vc]
+	xp      core.FIFOBank    // flat [(input*k+output)*v+vc], same layout as the ledger
+	xpArb   *arb.RotorBank   // per crosspoint [input*k+output] over VCs
+	outLG   []arb.BitArbiter // per output over crosspoints (inputs)
 	outFree core.SerializerBank
 
 	toXp *sim.DelayLine[*flit.Flit]
-	bus  []*core.CreditBus // per input row
+	bus  core.CreditBus // one bus per input row; idle under IdealCredit
 
-	// Active sets: per output the crosspoints (inputs) with occupied
-	// buffers; outAct summarizes which outputs have any crosspoint
-	// occupancy at all. The output stage walks only occupied crosspoints
-	// instead of the full k x k grid every cycle. The input-side set
-	// lives in the input bank.
-	xpAct  []*core.ActiveSet // [output] over inputs
-	outAct *core.ActiveSet   // outputs with occupied crosspoints
+	// xpCol[o] is the bit row of crosspoints (inputs) of output column o
+	// holding flits, raised and lowered as a crosspoint's xpOcc word
+	// leaves and returns to zero; outAct summarizes which outputs have
+	// any crosspoint occupancy at all, weighted by flit count. The
+	// output stage walks only occupied crosspoints instead of the full
+	// k x k grid every cycle. The input-side set lives in the input bank.
+	xpCol  []arb.BitVec
+	outAct core.ActiveSet
 	// xpFlits counts flits across all crosspoint buffers, maintained as
 	// flits land and drain so InFlight never walks the grid.
 	xpFlits int
@@ -85,10 +86,6 @@ type buffered struct {
 	// VCs <= 64 (the paper's routers use at most a handful).
 	xpOcc  []uint64 // flat [input*k+output]
 	xpHead []uint64 // flat [input*k+output]
-	// busPending counts credits held by all row buses (queued or on the
-	// return wire), maintained at enqueue and delivery so Quiescent
-	// never walks the buses. Always zero under IdealCredit.
-	busPending int
 
 	candidates *arb.BitVec // sized k: output-stage crosspoint candidates
 	chosenVC   []int
@@ -103,27 +100,22 @@ func newBuffered(cfg Config) *buffered {
 		inFree:     core.NewSerializerBank(k),
 		inputArb:   make([]*arb.RoundRobin, k),
 		credit:     core.MakeLedger(obs, "xpoint", k*k*v, cfg.XpointBufDepth),
-		xp:         make([]sim.Queue[*flit.Flit], k*k*v),
+		xp:         core.MakeFIFOBank(k*k*v, cfg.XpointBufDepth),
 		xpArb:      arb.NewRotorBank(k*k, v),
 		outLG:      make([]arb.BitArbiter, k),
 		outFree:    core.NewSerializerBank(k),
 		toXp:       sim.NewDelayLine[*flit.Flit](cfg.STCycles),
-		bus:        make([]*core.CreditBus, k),
+		bus:        core.MakeCreditBus(k, k, cfg.LocalGroup, v*cfg.XpointBufDepth),
 		xpOcc:      make([]uint64, k*k),
 		xpHead:     make([]uint64, k*k),
-		xpAct:      make([]*core.ActiveSet, k),
-		outAct:     core.NewActiveSet(k),
+		xpCol:      arb.MakeBitVecs(k, k),
+		outAct:     core.MakeActiveSet(k),
 		candidates: arb.NewBitVec(k),
 		chosenVC:   make([]int, k),
 	}
-	for q := range r.xp {
-		r.xp[q] = sim.MakeQueue[*flit.Flit](cfg.XpointBufDepth)
-	}
 	for i := 0; i < k; i++ {
-		r.xpAct[i] = core.NewActiveSet(k)
 		r.inputArb[i] = arb.NewRoundRobin(v)
 		r.outLG[i] = arb.NewBitOutputArbiter(k, cfg.LocalGroup)
-		r.bus[i] = core.NewCreditBus(k, cfg.LocalGroup, v*cfg.XpointBufDepth)
 	}
 	return r
 }
@@ -143,14 +135,14 @@ func (r *buffered) InFlight() int {
 // crosspoint buffer.
 func (r *buffered) Quiescent() bool {
 	return r.In.Buffered() == 0 && r.Out.Len() == 0 &&
-		r.toXp.Len() == 0 && r.xpFlits == 0 && r.busPending == 0
+		r.toXp.Len() == 0 && r.xpFlits == 0 && r.bus.Pending() == 0
 }
 
 func (r *buffered) NextWake(now int64) int64 {
 	// Buffered flits drive allocation, and a bus credit resolves within
 	// two cycles (one arbitration, one wire hop); both pin the wake to
 	// the very next cycle.
-	if r.In.Buffered() > 0 || r.xpFlits > 0 || r.busPending > 0 {
+	if r.In.Buffered() > 0 || r.xpFlits > 0 || r.bus.Pending() > 0 {
 		return now + 1
 	}
 	w := r.Out.NextWake(now)
@@ -165,34 +157,25 @@ func (r *buffered) Step(now int64) {
 	// Flits land in their crosspoint buffers after traversing the row.
 	r.toXp.DrainReady(now, func(f *flit.Flit) {
 		xi := f.Src*r.cfg.Radix + f.Dst
-		q := &r.xp[xi*r.cfg.VCs+f.VC]
-		if q.Len() == 0 {
+		if r.xp.Push(xi*r.cfg.VCs+f.VC, f) == 1 {
 			// f becomes the queue's front: mirror it in the masks.
+			if r.xpOcc[xi] == 0 {
+				r.xpCol[f.Dst].Set(f.Src)
+			}
 			r.xpOcc[xi] |= 1 << uint(f.VC)
 			if f.Head {
 				r.xpHead[xi] |= 1 << uint(f.VC)
 			}
 		}
-		q.MustPush(f)
-		r.xpAct[f.Dst].Inc(f.Src)
 		r.outAct.Inc(f.Dst)
 		r.xpFlits++
 	})
 	r.outputStage(now)
 	r.inputStage(now)
-	if !r.cfg.IdealCredit {
-		for i := range r.bus {
-			if r.bus[i].Idle() {
-				// Most rows carry no credit on most cycles at high radix.
-				continue
-			}
-			i := i
-			r.bus[i].Step(now, func(output, vc int) {
-				r.busPending--
-				r.credit.Return(now, r.xpPool(i, output, vc), i, output, vc)
-			})
-		}
-	}
+	// A no-op under IdealCredit, whose credits never enter the buses.
+	r.bus.Step(now, func(i, output, vc int) {
+		r.credit.Return(now, r.xpPool(i, output, vc), i, output, vc)
+	})
 }
 
 // outputStage performs the two-stage output VC allocation and drains one
@@ -210,7 +193,8 @@ func (r *buffered) outputStage(now int64) {
 		// either body flits or head flits whose VC is free — three words
 		// of bit arithmetic in place of peeking every queue.
 		freeVC := r.Owner.FreeMask(o)
-		for i := r.xpAct[o].Next(0); i >= 0; i = r.xpAct[o].Next(i + 1) {
+		col := &r.xpCol[o]
+		for i := col.Next(0); i >= 0; i = col.Next(i + 1) {
 			xi := i*r.cfg.Radix + o
 			m := r.xpOcc[xi] & (^r.xpHead[xi] | freeVC)
 			if m == 0 {
@@ -227,19 +211,19 @@ func (r *buffered) outputStage(now int64) {
 		win := r.outLG[o].ArbitrateBits(r.candidates)
 		c := r.chosenVC[win]
 		xi := win*r.cfg.Radix + o
-		q := &r.xp[xi*r.cfg.VCs+c]
-		f := q.MustPop()
-		if nf, ok := q.Peek(); ok {
-			if nf.Head {
-				r.xpHead[xi] |= 1 << uint(c)
-			} else {
-				r.xpHead[xi] &^= 1 << uint(c)
-			}
-		} else {
+		f, nf := r.xp.Pop(xi*r.cfg.VCs + c)
+		switch {
+		case nf == nil:
 			r.xpOcc[xi] &^= 1 << uint(c)
 			r.xpHead[xi] &^= 1 << uint(c)
+			if r.xpOcc[xi] == 0 {
+				col.Clear(win)
+			}
+		case nf.Head:
+			r.xpHead[xi] |= 1 << uint(c)
+		default:
+			r.xpHead[xi] &^= 1 << uint(c)
 		}
-		r.xpAct[o].Dec(win)
 		r.outAct.Dec(o)
 		r.xpFlits--
 		if f.Head {
@@ -251,8 +235,7 @@ func (r *buffered) outputStage(now int64) {
 		if r.cfg.IdealCredit {
 			r.credit.Return(now, r.xpPool(win, o, c), win, o, c)
 		} else {
-			r.bus[win].Enqueue(o, c)
-			r.busPending++
+			r.bus.Enqueue(win, o, c)
 		}
 	}
 }

@@ -28,6 +28,8 @@ package router
 import (
 	"errors"
 	"fmt"
+
+	"highradix/internal/router/core"
 )
 
 // Arch selects a router microarchitecture. Architectures are pluggable:
@@ -260,6 +262,13 @@ func (c Config) Validate() error {
 	}
 	if c.InputBufDepth < 1 {
 		errs = append(errs, fmt.Errorf("input buffer depth %d < 1", c.InputBufDepth))
+	}
+	// Every buffer is a ring with 16-bit cursors (core.FIFOBank,
+	// core.CreditBus); the deepest any architecture builds from these
+	// fields are the dynamic-VC pool of VCs x InputBufDepth flits and the
+	// buffered crossbar's credit rings of VCs x XpointBufDepth credits.
+	if d := max(c.VCs*max(c.InputBufDepth, c.XpointBufDepth), c.SubInDepth, c.SubOutDepth); d > core.MaxFIFODepth {
+		errs = append(errs, fmt.Errorf("buffer depth %d > %d", d, core.MaxFIFODepth))
 	}
 	if c.STCycles < 1 {
 		errs = append(errs, fmt.Errorf("switch traversal %d < 1 cycles", c.STCycles))

@@ -22,6 +22,12 @@ func TestConfigValidationEdges(t *testing.T) {
 		{"negative vcs", func(c *router.Config) { c.VCs = -1 }, "vcs -1 < 1"},
 		{"vcs beyond word", func(c *router.Config) { c.VCs = 65 }, "vcs 65 > 64"},
 		{"negative input depth", func(c *router.Config) { c.InputBufDepth = -1 }, "input buffer depth -1 < 1"},
+		{"input depth beyond cursor", func(c *router.Config) { c.InputBufDepth = 1 << 14 }, "buffer depth 65536 > 65535"},
+		{
+			"xpoint depth beyond cursor",
+			func(c *router.Config) { c.Arch = router.ArchBuffered; c.XpointBufDepth = 20000 },
+			"buffer depth 80000 > 65535",
+		},
 		{"negative traversal", func(c *router.Config) { c.STCycles = -4 }, "switch traversal -4 < 1"},
 		{"negative local group", func(c *router.Config) { c.LocalGroup = -8 }, "local group -8 < 1"},
 		{

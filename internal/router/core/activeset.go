@@ -14,15 +14,21 @@ type ActiveSet struct {
 	bits  arb.BitVec // by value: one less dereference per operation
 }
 
-// NewActiveSet returns a heap-allocated set over n indices.
-func NewActiveSet(n int) *ActiveSet {
-	s := MakeActiveSet(n)
-	return &s
-}
+// MakeActiveSet returns an ActiveSet over n indices by value, for
+// embedding.
+func MakeActiveSet(n int) ActiveSet { return MakeActiveSets(1, n)[0] }
 
-// MakeActiveSet returns an ActiveSet by value for embedding.
-func MakeActiveSet(n int) ActiveSet {
-	return ActiveSet{count: make([]int32, n), bits: arb.MakeBitVec(n)}
+// MakeActiveSets returns rows sets over n indices each, their counters
+// and bit rows carved from two shared slabs so a grid's sets (one per
+// subswitch, one per output column) sit contiguously.
+func MakeActiveSets(rows, n int) []ActiveSet {
+	counts := make([]int32, rows*n)
+	bits := arb.MakeBitVecs(rows, n)
+	sets := make([]ActiveSet, rows)
+	for r := range sets {
+		sets[r] = ActiveSet{count: counts[r*n : (r+1)*n : (r+1)*n], bits: bits[r]}
+	}
+	return sets
 }
 
 // Inc records one more unit of work at index i.

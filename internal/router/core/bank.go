@@ -3,7 +3,6 @@ package core
 import (
 	"highradix/internal/arb"
 	"highradix/internal/flit"
-	"highradix/internal/sim"
 )
 
 // Front is the cached head-of-line state of one input VC, plus the VC's
@@ -46,11 +45,9 @@ const FrontNone = int64(1) << 62
 // every port. Architectures without request lines simply never mark an
 // input outstanding, making issuable identical to occupied.
 type InputBank struct {
-	vcs int
-	obs Obs
-	// q is stored flat by value so scans reach the ring buffers without
-	// a pointer dereference per VC.
-	q     []sim.Queue[*flit.Flit]
+	vcs   int
+	obs   Obs
+	q     FIFOBank
 	front []Front
 	// full[i] has bit c set while input buffer (i,c) is at capacity;
 	// CanAccept becomes one word test instead of a queue-struct load (VC
@@ -71,15 +68,14 @@ func MakeInputBank(obs Obs, inputs, vcs, depth int) InputBank {
 	b := InputBank{
 		vcs:      vcs,
 		obs:      obs,
-		q:        make([]sim.Queue[*flit.Flit], inputs*vcs),
+		q:        MakeFIFOBank(inputs*vcs, depth),
 		front:    make([]Front, inputs*vcs),
 		full:     make([]uint64, inputs),
 		occ:      MakeActiveSet(inputs),
 		outst:    arb.MakeBitVec(inputs),
 		issuable: arb.MakeBitVec(inputs),
 	}
-	for i := range b.q {
-		b.q[i] = *sim.NewQueue[*flit.Flit](depth)
+	for i := range b.front {
 		b.front[i].Inj = FrontNone
 		b.front[i].OutVC = -1
 	}
@@ -97,16 +93,16 @@ func (b *InputBank) CanAccept(input, vc int) bool {
 // EvAccept. Accepting into a full buffer is a flow-control violation.
 func (b *InputBank) Accept(now int64, f *flit.Flit) {
 	f.InjectedAt = now
-	idx := f.Src*b.vcs + f.VC
-	q := &b.q[idx]
-	if !q.Push(f) {
+	if !b.CanAccept(f.Src, f.VC) {
 		Violatef("input %d VC %d overflow: %v accepted beyond depth %d (credit accounting bug)",
-			f.Src, f.VC, f, q.Cap())
+			f.Src, f.VC, f, b.q.depth)
 	}
-	if q.Full() {
+	idx := f.Src*b.vcs + f.VC
+	n := b.q.Push(idx, f)
+	if n == b.q.depth {
 		b.full[f.Src] |= 1 << uint(f.VC)
 	}
-	if q.Len() == 1 {
+	if n == 1 {
 		fr := &b.front[idx]
 		fr.Inj, fr.Pkt, fr.Dst, fr.Head = now, f.PacketID, int32(f.Dst), f.Head
 	}
@@ -124,14 +120,13 @@ func (b *InputBank) Accept(now int64, f *flit.Flit) {
 // flow-control violation.
 func (b *InputBank) Pop(input, vc int) *flit.Flit {
 	idx := input*b.vcs + vc
-	q := &b.q[idx]
-	f, ok := q.Pop()
-	if !ok {
+	fr := &b.front[idx]
+	if fr.Inj == FrontNone {
 		Violatef("input %d VC %d popped while empty", input, vc)
 	}
+	f, nf := b.q.Pop(idx)
 	b.full[input] &^= 1 << uint(vc)
-	fr := &b.front[idx]
-	if nf, ok := q.Peek(); ok {
+	if nf != nil {
 		fr.Inj, fr.Pkt, fr.Dst, fr.Head = nf.InjectedAt, nf.PacketID, int32(nf.Dst), nf.Head
 	} else {
 		fr.Inj = FrontNone
@@ -148,10 +143,9 @@ func (b *InputBank) Pop(input, vc int) *flit.Flit {
 	return f
 }
 
-// Peek returns the front flit of (input, vc) without removing it.
-func (b *InputBank) Peek(input, vc int) (*flit.Flit, bool) {
-	return b.q[input*b.vcs+vc].Peek()
-}
+// Peek returns the front flit of (input, vc) without removing it, or
+// nil when the buffer is empty.
+func (b *InputBank) Peek(input, vc int) *flit.Flit { return b.q.Peek(input*b.vcs + vc) }
 
 // Front returns the cached head-of-line state of (input, vc). The
 // pointer stays valid for the life of the bank; allocators write OutVC
@@ -165,7 +159,7 @@ func (b *InputBank) Fronts(input int) []Front {
 }
 
 // Len returns the occupancy of buffer (input, vc).
-func (b *InputBank) Len(input, vc int) int { return b.q[input*b.vcs+vc].Len() }
+func (b *InputBank) Len(input, vc int) int { return b.q.Len(input*b.vcs + vc) }
 
 // Count returns the number of flits buffered across all VCs of input.
 func (b *InputBank) Count(input int) int { return b.occ.Count(input) }

@@ -7,6 +7,9 @@
 // ejection pipeline that models switch traversal time. This package
 // owns those primitives once:
 //
+//   - FIFOBank: n bounded flit FIFOs of one depth over one slot slab —
+//     the only flit storage of every buffer grid (input VCs, crosspoint
+//     buffers, subswitch buffers, virtual output queues).
 //   - InputBank: the input VC buffers of all ports, with the cached
 //     head-of-line state (Front) the allocators read every cycle, the
 //     per-input full bitsets behind CanAccept, and the occupied /
@@ -14,7 +17,8 @@
 //   - Ledger: a credit ledger owning every spend/return path of one
 //     family of credit-counted buffer pools; it maintains the counts
 //     and emits the EvCredit audit events itself.
-//   - CreditBus: the shared per-row credit-return bus of Section 5.2.
+//   - CreditBus: the shared per-row credit-return buses of Section 5.2,
+//     all rows in one bank stepped over its busy-row set.
 //   - EjectPipe: the fixed-delay ejection pipeline; it releases output
 //     VC ownership at tail flits, emits EvEject, and collects the
 //     cycle's ejected flits under the recycling contract documented on

@@ -6,6 +6,7 @@ import (
 
 	"highradix/internal/flit"
 	"highradix/internal/router/core"
+	"highradix/internal/sim"
 )
 
 func TestSerializer(t *testing.T) {
@@ -30,7 +31,7 @@ func TestSerializer(t *testing.T) {
 }
 
 func TestVCOwnerTable(t *testing.T) {
-	tab := core.NewVCOwnerTable(4, 2)
+	tab := core.MakeVCOwnerTable(4, 2)
 	if !tab.FreeVC(1, 0) {
 		t.Fatal("fresh table not free")
 	}
@@ -76,13 +77,13 @@ func mustPanic(t *testing.T, fragment string, fn func()) {
 }
 
 func TestVCOwnerDoubleAcquirePanics(t *testing.T) {
-	tab := core.NewVCOwnerTable(2, 1)
+	tab := core.MakeVCOwnerTable(2, 1)
 	tab.Acquire(0, 0, 1)
 	mustPanic(t, "port 0 VC 0", func() { tab.Acquire(0, 0, 2) })
 }
 
 func TestVCOwnerForeignReleasePanics(t *testing.T) {
-	tab := core.NewVCOwnerTable(2, 1)
+	tab := core.MakeVCOwnerTable(2, 1)
 	tab.Acquire(0, 0, 1)
 	mustPanic(t, "port 0 VC 0", func() { tab.Release(0, 0, 2) })
 }
@@ -142,36 +143,41 @@ func TestEjectPipeEmitsEject(t *testing.T) {
 }
 
 func TestCreditBusOneCreditPerCycle(t *testing.T) {
-	b := core.NewCreditBus(8, 4, 8)
-	// Queue three credits at different crosspoints in the same cycle.
-	b.Enqueue(0, 1)
-	b.Enqueue(3, 0)
-	b.Enqueue(7, 2)
-	delivered := 0
+	b := core.MakeCreditBus(2, 8, 4, 8)
+	// Queue three credits at different crosspoints of row 1 in the same
+	// cycle, and one on row 0: rows are independent buses.
+	b.Enqueue(1, 0, 1)
+	b.Enqueue(1, 3, 0)
+	b.Enqueue(1, 7, 2)
+	b.Enqueue(0, 5, 1)
+	var delivered [2]int
 	for now := int64(0); now < 10; now++ {
 		before := delivered
-		b.Step(now, func(output, vc int) { delivered++ })
-		if delivered-before > 1 {
-			t.Fatalf("cycle %d delivered %d credits; the shared bus carries one", now, delivered-before)
+		b.Step(now, func(row, output, vc int) { delivered[row]++ })
+		if delivered[1]-before[1] > 1 {
+			t.Fatalf("cycle %d delivered %d credits on one row; the shared bus carries one", now, delivered[1]-before[1])
+		}
+		if now == 1 && delivered != [2]int{1, 1} {
+			t.Fatalf("after the first wire hop delivered %v, want one credit per row", delivered)
 		}
 	}
-	if delivered != 3 {
-		t.Fatalf("delivered %d of 3 credits", delivered)
+	if delivered != [2]int{1, 3} {
+		t.Fatalf("delivered %v, want [1 3]", delivered)
 	}
-	if b.Backlog() != 0 {
-		t.Fatalf("backlog %d after drain", b.Backlog())
+	if b.Pending() != 0 {
+		t.Fatalf("%d credits pending after drain", b.Pending())
 	}
 }
 
 func TestCreditBusPreservesIdentity(t *testing.T) {
-	b := core.NewCreditBus(4, 2, 8)
-	b.Enqueue(2, 3)
-	type cred struct{ o, v int }
+	b := core.MakeCreditBus(3, 4, 2, 8)
+	b.Enqueue(1, 2, 3)
+	type cred struct{ row, o, v int }
 	var got []cred
 	for now := int64(0); now < 5; now++ {
-		b.Step(now, func(o, v int) { got = append(got, cred{o, v}) })
+		b.Step(now, func(row, o, v int) { got = append(got, cred{row, o, v}) })
 	}
-	if len(got) != 1 || got[0] != (cred{2, 3}) {
+	if len(got) != 1 || got[0] != (cred{1, 2, 3}) {
 		t.Fatalf("credit identity mangled: %v", got)
 	}
 }
@@ -345,4 +351,62 @@ func TestInputBankOverflowPanics(t *testing.T) {
 func TestInputBankEmptyPopPanics(t *testing.T) {
 	b := mkBank(2, 2, 1)
 	mustPanic(t, "input 1 VC 0", func() { b.Pop(1, 0) })
+}
+
+// TestFIFOBankMatchesQueue drives a FIFOBank and a bank of sim.Queue
+// oracles through the same random push/peek/pop stream: many FIFOs
+// sharing one slab must behave as independent bounded queues, at every
+// depth from 1 to 8 and long enough that every ring wraps many times.
+func TestFIFOBankMatchesQueue(t *testing.T) {
+	const fifos = 13
+	rng := sim.NewRNG(0xf1f0)
+	for depth := 1; depth <= 8; depth++ {
+		bank := core.MakeFIFOBank(fifos, depth)
+		oracle := make([]*sim.Queue[*flit.Flit], fifos)
+		for i := range oracle {
+			oracle[i] = sim.NewQueue[*flit.Flit](depth)
+		}
+		wraps := make([]int, fifos)
+		for op := 0; op < 4000; op++ {
+			i := rng.Intn(fifos)
+			if want, _ := oracle[i].Peek(); bank.Peek(i) != want {
+				t.Fatalf("depth %d op %d: Peek(%d) = %v, oracle %v", depth, op, i, bank.Peek(i), want)
+			}
+			if bank.Len(i) != oracle[i].Len() {
+				t.Fatalf("depth %d op %d: Len(%d) = %d, oracle %d", depth, op, i, bank.Len(i), oracle[i].Len())
+			}
+			if push := rng.Bernoulli(0.55); push && !oracle[i].Full() {
+				f := &flit.Flit{PacketID: uint64(op)}
+				oracle[i].MustPush(f)
+				if n := bank.Push(i, f); n != oracle[i].Len() {
+					t.Fatalf("depth %d op %d: Push(%d) reported occupancy %d, oracle %d", depth, op, i, n, oracle[i].Len())
+				}
+				wraps[i]++
+			} else if !push && oracle[i].Len() > 0 {
+				want := oracle[i].MustPop()
+				next, _ := oracle[i].Peek()
+				if f, nf := bank.Pop(i); f != want || nf != next {
+					t.Fatalf("depth %d op %d: Pop(%d) = (%v, %v), oracle (%v, %v)", depth, op, i, f, nf, want, next)
+				}
+			}
+		}
+		for i, n := range wraps {
+			if n < 4*depth {
+				t.Fatalf("depth %d: FIFO %d saw only %d pushes; the ring never wrapped", depth, i, n)
+			}
+		}
+	}
+}
+
+func TestFIFOBankViolationsPanic(t *testing.T) {
+	b := core.MakeFIFOBank(3, 2)
+	mustPanic(t, "FIFO 1 popped while empty", func() { b.Pop(1) })
+	b.Push(1, &flit.Flit{})
+	b.Push(1, &flit.Flit{})
+	mustPanic(t, "credit accounting bug", func() { b.Push(1, &flit.Flit{}) })
+	if b.Len(0) != 0 || b.Len(2) != 0 || b.Peek(0) != nil {
+		t.Fatal("a full FIFO leaked into its neighbours")
+	}
+	mustPanic(t, "FIFO depth 0", func() { core.MakeFIFOBank(1, 0) })
+	mustPanic(t, "FIFO depth 65536", func() { core.MakeFIFOBank(1, core.MaxFIFODepth+1) })
 }

@@ -25,13 +25,6 @@ func MakeVCOwnerTable(ports, vcs int) VCOwnerTable {
 	return t
 }
 
-// NewVCOwnerTable returns a heap-allocated table (subswitch grids keep
-// one per subswitch).
-func NewVCOwnerTable(ports, vcs int) *VCOwnerTable {
-	t := MakeVCOwnerTable(ports, vcs)
-	return &t
-}
-
 // FreeVC reports whether (port, vc) is unowned.
 func (t *VCOwnerTable) FreeVC(port, vc int) bool { return t.owner[port*t.vcs+vc] == 0 }
 

@@ -28,7 +28,7 @@ const NoWake = sim.NoWake
 // to NextWake(now) and replay nothing in between.
 //
 // All of this is O(1) in the radix: it reads the running counters
-// (InputBank.Buffered, EjectPipe.Len, CreditBus queue totals) that the
+// (InputBank.Buffered, EjectPipe.Len, CreditBus.Pending) that the
 // active-set stepping of the routers already maintains.
 
 // Quiescent reports that the base datapath holds no flits at all: no
@@ -67,24 +67,4 @@ func (p *EjectPipe) NextWake(now int64) int64 {
 		}
 	}
 	return best
-}
-
-// Idle reports that the bus holds no credits at all, neither queued at
-// crosspoints nor on the return wire.
-func (b *CreditBus) Idle() bool { return b.queued == 0 && b.wire.Len() == 0 }
-
-// NextWake returns the earliest future cycle at which the bus can act:
-// now+1 while credits are queued (arbitration runs every cycle),
-// otherwise the wire's next delivery, or NoWake when idle.
-func (b *CreditBus) NextWake(now int64) int64 {
-	if b.queued > 0 {
-		return now + 1
-	}
-	if at, ok := b.wire.NextAt(); ok {
-		if at <= now {
-			return now + 1
-		}
-		return at
-	}
-	return NoWake
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"highradix/internal/arb"
 	"highradix/internal/flit"
-	"highradix/internal/sim"
 )
 
 // VOQBank is the bank of virtual output queues of a VOQ router: one
@@ -28,7 +27,7 @@ import (
 //     instead of peeking queues.
 type VOQBank struct {
 	outputs int
-	q       []sim.Queue[*flit.Flit]
+	q       FIFOBank
 	srcVC   []int8
 	outVC   []int16
 	cols    []arb.BitVec // [output] over inputs: VOQ non-empty
@@ -42,21 +41,16 @@ type VOQBank struct {
 func MakeVOQBank(inputs, outputs, depth int) VOQBank {
 	b := VOQBank{
 		outputs: outputs,
-		q:       make([]sim.Queue[*flit.Flit], inputs*outputs),
+		q:       MakeFIFOBank(inputs*outputs, depth),
 		srcVC:   make([]int8, inputs*outputs),
 		outVC:   make([]int16, inputs*outputs),
-		cols:    make([]arb.BitVec, outputs),
-		needVC:  make([]arb.BitVec, outputs),
+		cols:    arb.MakeBitVecs(outputs, inputs),
+		needVC:  arb.MakeBitVecs(outputs, inputs),
 		outAct:  MakeActiveSet(outputs),
 	}
-	for i := range b.q {
-		b.q[i] = sim.MakeQueue[*flit.Flit](depth)
+	for i := range b.srcVC {
 		b.srcVC[i] = -1
 		b.outVC[i] = -1
-	}
-	for o := range b.cols {
-		b.cols[o] = arb.MakeBitVec(inputs)
-		b.needVC[o] = arb.MakeBitVec(inputs)
 	}
 	return b
 }
@@ -71,18 +65,14 @@ func (b *VOQBank) Lock(input, output int) int { return int(b.srcVC[input*b.outpu
 // is a flow-control violation (the credit ledger gates admission).
 func (b *VOQBank) Push(input, output int, f *flit.Flit) {
 	idx := input*b.outputs + output
-	q := &b.q[idx]
-	if !q.Push(f) {
-		Violatef("VOQ (%d,%d) overflow: %v pushed beyond depth %d (credit accounting bug)",
-			input, output, f, q.Cap())
-	}
+	n := b.q.Push(idx, f)
 	if f.Head {
 		b.srcVC[idx] = int8(f.VC)
 	}
 	if f.Tail {
 		b.srcVC[idx] = -1
 	}
-	if q.Len() == 1 {
+	if n == 1 {
 		b.cols[output].Set(input)
 		if f.Head && b.outVC[idx] < 0 {
 			b.needVC[output].Set(input)
@@ -95,8 +85,8 @@ func (b *VOQBank) Push(input, output int, f *flit.Flit) {
 // Front returns the front flit of VOQ (input, output); the queue must
 // be non-empty (the column bitsets gate the scheduler's reads).
 func (b *VOQBank) Front(input, output int) *flit.Flit {
-	f, ok := b.q[input*b.outputs+output].Peek()
-	if !ok {
+	f := b.q.Peek(input*b.outputs + output)
+	if f == nil {
 		Violatef("VOQ (%d,%d) peeked while empty", input, output)
 	}
 	return f
@@ -117,14 +107,11 @@ func (b *VOQBank) SetOutVC(input, output, vc int) {
 // tail and refreshing the column bitsets from the new front.
 func (b *VOQBank) Pop(input, output int) *flit.Flit {
 	idx := input*b.outputs + output
-	f, ok := b.q[idx].Pop()
-	if !ok {
-		Violatef("VOQ (%d,%d) popped while empty", input, output)
-	}
+	f, nf := b.q.Pop(idx)
 	if f.Tail {
 		b.outVC[idx] = -1
 	}
-	if nf, ok := b.q[idx].Peek(); ok {
+	if nf != nil {
 		if nf.Head && b.outVC[idx] < 0 {
 			b.needVC[output].Set(input)
 		}

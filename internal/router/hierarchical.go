@@ -60,42 +60,48 @@ type hierarchical struct {
 	cfg Config
 	p   int // subswitch size
 	g   int // groups per side = k/p
+	// grp and loc split a router port into its row or column group
+	// (port/p) and its local port inside the group (port%p), tabulated
+	// so no stage divides by the run-time p.
+	grp, loc []int32
 	core.Base
 
 	inFree   core.SerializerBank
 	inputArb []*arb.RoundRobin
 	creditIn core.Ledger // subIn pools flat [(input*g+column)*v+vc]
 
-	// Subswitch state, indexed [row][col].
-	subIn       [][][][]*sim.Queue[*flit.Flit] // [row][col][localIn][vc]
-	subOut      [][][][]*sim.Queue[*flit.Flit] // [row][col][localOut][vc]
-	subOutCred  core.Ledger                    // subOut pools flat [((row*g+col)*p+localOut)*v+vc]
-	subOutOwner [][]*core.VCOwnerTable         // [row][col] local VC allocation over (localOut, vc)
-	intInFree   [][]core.SerializerBank        // [row][col] over local inputs
-	intOutFree  [][]core.SerializerBank        // [row][col] over local outputs
-	subInArb    [][][]*arb.RoundRobin          // [row][col][localIn] over VCs
-	intArb      [][][]*arb.RoundRobin          // [row][col][localOut] over local inputs
+	// Subswitch state, one flat bank each. Subswitch (row, col) is
+	// s = row*g+col; its local port x (input q or output j) is s*p+x,
+	// and VC c of that port is (s*p+x)*v+c.
+	subIn       core.FIFOBank       // [(s*p+q)*v+c]
+	subOut      core.FIFOBank       // [(s*p+j)*v+c], same layout as subOutCred
+	subOutCred  core.Ledger         // subOut pools flat [(s*p+j)*v+c]
+	subOutOwner core.VCOwnerTable   // local VC allocation over (s*p+j, c)
+	intInFree   core.SerializerBank // [s*p+q]
+	intOutFree  core.SerializerBank // [s*p+j]
+	subInArb    *arb.RotorBank      // [s*p+q] over VCs
+	intArb      []arb.RoundRobin    // [s*p+j] over local inputs
 
 	outFree  core.SerializerBank
-	colArb   []arb.BitArbiter    // per output, over rows (subswitches in the column)
-	subOutVC [][]*arb.RoundRobin // [output][row] per subswitch-output VC pick for the column stage
+	colArb   []arb.BitArbiter // per output, over rows (subswitches in the column)
+	subOutVC *arb.RotorBank   // [output*g+row] subswitch-output VC pick for the column stage
 
 	toSubIn    *sim.DelayLine[*flit.Flit]
 	toSubOut   *sim.DelayLine[*flit.Flit]
 	creditWire *sim.DelayLine[flit.Credit] // subIn slot freed -> router input
 
 	// Active sets. The internal stage walks only subswitches holding
-	// flits (subAct, flat row*g+col), and within one only the occupied
-	// local inputs (subInAct) and the local outputs some queued flit is
-	// destined to (subDemand). The column stage walks only outputs whose
-	// column holds subOut occupancy (outAct) and within one only the
-	// rows contributing it (colRows). The router-input set lives in the
+	// flits (subAct), and within one only the occupied local inputs
+	// (subInAct) and the local outputs some queued flit is destined to
+	// (subDemand). The column stage walks only outputs whose column
+	// holds subOut occupancy (outAct) and within one only the rows
+	// contributing it (colRows). The router-input set lives in the
 	// input bank.
-	subAct    *core.ActiveSet     // over g*g subswitches, flat row*g+col
-	subInAct  [][]*core.ActiveSet // [row][col] over local inputs q
-	subDemand [][]*core.ActiveSet // [row][col] over local outputs j
-	outAct    *core.ActiveSet     // outputs with subOut occupancy in their column
-	colRows   []*core.ActiveSet   // [output] over rows
+	subAct    core.ActiveSet   // over g*g subswitches s
+	subInAct  []core.ActiveSet // [s] over local inputs q
+	subDemand []core.ActiveSet // [s] over local outputs j
+	outAct    core.ActiveSet   // outputs with subOut occupancy in their column
+	colRows   []core.ActiveSet // [output] over rows
 	// subInFlits/subOutFlits count flits across the subswitch input and
 	// output buffers, maintained as flits land and drain so InFlight
 	// never walks the grid.
@@ -104,24 +110,23 @@ type hierarchical struct {
 
 	rowCand *arb.BitVec // sized g: column-stage row candidates
 	rowVC   []int
-	vcReq   *arb.BitVec // sized v
 	cand    *arb.BitVec // sized p: internal-stage local-input candidates
 	candVC  []int       // sized p
-	// subHeads caches, per subswitch, the head flit of every (local
-	// input, VC) input queue — the only fields the internal stage's
-	// per-output candidate scan reads. A queue's front changes only
-	// where flits land (toSubIn drain) and leave (internal-stage grant),
-	// so the cache is patched at those two sites and the scan never
-	// peeks a queue, let alone once per demanded output.
-	subHeads [][]subHead // [row*g+col][q*v+c]
+	// subHeads caches the head flit of every subswitch input queue — the
+	// only fields the internal stage's per-output candidate scan reads.
+	// A queue's front changes only where flits land (toSubIn drain) and
+	// leave (internal-stage grant), so the cache is patched at those two
+	// sites and the scan never peeks a queue, let alone once per
+	// demanded output.
+	subHeads []subHead // [(s*p+q)*v+c], the layout of subIn
 	// subOutOcc and subOutHead pack one bit per VC for each subswitch
-	// output buffer: occ bit c is raised while queue (row,col,j,c)
-	// holds flits, head bit c mirrors whether its front flit is a head
-	// flit. Maintained at the toSubOut drain and the column-stage
-	// grant, they let the column scan build a row's VC request vector
-	// with word arithmetic. Requires VCs <= 64.
-	subOutOcc  [][]uint64 // [row][col*p+j]
-	subOutHead [][]uint64 // [row][col*p+j]
+	// output buffer: occ bit c is raised while queue (s,j,c) holds
+	// flits, head bit c mirrors whether its front flit is a head flit.
+	// Maintained at the toSubOut drain and the column-stage grant, they
+	// let the column scan build a row's VC request vector with word
+	// arithmetic. Requires VCs <= 64.
+	subOutOcc  []uint64 // [s*p+j]
+	subOutHead []uint64 // [s*p+j]
 }
 
 // subHead is one internalStage head-cache entry: the head flit's local
@@ -137,98 +142,52 @@ func newHierarchical(cfg Config) *hierarchical {
 	g := k / p
 	obs := core.Obs{O: cfg.Observer}
 	r := &hierarchical{
-		cfg:        cfg,
-		p:          p,
-		g:          g,
-		Base:       core.MakeBase(obs, k, v, cfg.InputBufDepth, cfg.STCycles),
-		inFree:     core.NewSerializerBank(k),
-		inputArb:   make([]*arb.RoundRobin, k),
-		creditIn:   core.MakeLedger(obs, "subin", k*g*v, cfg.SubInDepth),
-		subOutCred: core.MakeLedger(obs, "subout", g*g*p*v, cfg.SubOutDepth),
-		outFree:    core.NewSerializerBank(k),
-		colArb:     make([]arb.BitArbiter, k),
-		subOutVC:   make([][]*arb.RoundRobin, k),
-		toSubIn:    sim.NewDelayLine[*flit.Flit](cfg.STCycles),
-		toSubOut:   sim.NewDelayLine[*flit.Flit](cfg.STCycles),
-		creditWire: sim.NewDelayLine[flit.Credit](2),
-		subAct:     core.NewActiveSet(g * g),
-		subInAct:   make([][]*core.ActiveSet, g),
-		subDemand:  make([][]*core.ActiveSet, g),
-		outAct:     core.NewActiveSet(k),
-		colRows:    make([]*core.ActiveSet, k),
-		rowCand:    arb.NewBitVec(g),
-		rowVC:      make([]int, g),
-		vcReq:      arb.NewBitVec(v),
-		cand:       arb.NewBitVec(p),
-		candVC:     make([]int, p),
-		subHeads:   make([][]subHead, g*g),
-		subOutOcc:  make([][]uint64, g),
-		subOutHead: make([][]uint64, g),
+		cfg:         cfg,
+		p:           p,
+		g:           g,
+		grp:         make([]int32, k),
+		loc:         make([]int32, k),
+		Base:        core.MakeBase(obs, k, v, cfg.InputBufDepth, cfg.STCycles),
+		inFree:      core.NewSerializerBank(k),
+		inputArb:    make([]*arb.RoundRobin, k),
+		creditIn:    core.MakeLedger(obs, "subin", k*g*v, cfg.SubInDepth),
+		subIn:       core.MakeFIFOBank(k*g*v, cfg.SubInDepth),
+		subOut:      core.MakeFIFOBank(k*g*v, cfg.SubOutDepth),
+		subOutCred:  core.MakeLedger(obs, "subout", k*g*v, cfg.SubOutDepth),
+		subOutOwner: core.MakeVCOwnerTable(k*g, v),
+		intInFree:   core.NewSerializerBank(k * g),
+		intOutFree:  core.NewSerializerBank(k * g),
+		subInArb:    arb.NewRotorBank(k*g, v),
+		intArb:      make([]arb.RoundRobin, k*g),
+		outFree:     core.NewSerializerBank(k),
+		colArb:      make([]arb.BitArbiter, k),
+		subOutVC:    arb.NewRotorBank(k*g, v),
+		toSubIn:     sim.NewDelayLine[*flit.Flit](cfg.STCycles),
+		toSubOut:    sim.NewDelayLine[*flit.Flit](cfg.STCycles),
+		creditWire:  sim.NewDelayLine[flit.Credit](2),
+		subAct:      core.MakeActiveSet(g * g),
+		subInAct:    core.MakeActiveSets(g*g, p),
+		subDemand:   core.MakeActiveSets(g*g, p),
+		outAct:      core.MakeActiveSet(k),
+		colRows:     core.MakeActiveSets(k, g),
+		rowCand:     arb.NewBitVec(g),
+		rowVC:       make([]int, g),
+		cand:        arb.NewBitVec(p),
+		candVC:      make([]int, p),
+		subHeads:    make([]subHead, k*g*v),
+		subOutOcc:   make([]uint64, k*g),
+		subOutHead:  make([]uint64, k*g),
 	}
-	for row := 0; row < g; row++ {
-		r.subInAct[row] = make([]*core.ActiveSet, g)
-		r.subDemand[row] = make([]*core.ActiveSet, g)
-		r.subOutOcc[row] = make([]uint64, g*p)
-		r.subOutHead[row] = make([]uint64, g*p)
-		for col := 0; col < g; col++ {
-			r.subInAct[row][col] = core.NewActiveSet(p)
-			r.subDemand[row][col] = core.NewActiveSet(p)
-			hs := make([]subHead, p*v)
-			for i := range hs {
-				hs[i].dst = -1 // all queues start empty
-			}
-			r.subHeads[row*g+col] = hs
-		}
+	for i := range r.subHeads {
+		r.subHeads[i].dst = -1 // all queues start empty
+	}
+	for i := range r.intArb {
+		r.intArb[i] = arb.MakeRoundRobin(p)
 	}
 	for i := 0; i < k; i++ {
+		r.grp[i], r.loc[i] = int32(i/p), int32(i%p)
 		r.inputArb[i] = arb.NewRoundRobin(v)
 		r.colArb[i] = arb.NewBitOutputArbiter(g, cfg.LocalGroup)
-		r.colRows[i] = core.NewActiveSet(g)
-		r.subOutVC[i] = make([]*arb.RoundRobin, g)
-		for row := 0; row < g; row++ {
-			r.subOutVC[i][row] = arb.NewRoundRobin(v)
-		}
-	}
-	mk4 := func(depth int) [][][][]*sim.Queue[*flit.Flit] {
-		grid := make([][][][]*sim.Queue[*flit.Flit], g)
-		for row := range grid {
-			grid[row] = make([][][]*sim.Queue[*flit.Flit], g)
-			for col := range grid[row] {
-				grid[row][col] = make([][]*sim.Queue[*flit.Flit], p)
-				for q := range grid[row][col] {
-					grid[row][col][q] = make([]*sim.Queue[*flit.Flit], v)
-					for c := range grid[row][col][q] {
-						grid[row][col][q][c] = sim.NewQueue[*flit.Flit](depth)
-					}
-				}
-			}
-		}
-		return grid
-	}
-	r.subIn = mk4(cfg.SubInDepth)
-	r.subOut = mk4(cfg.SubOutDepth)
-	r.subOutOwner = make([][]*core.VCOwnerTable, g)
-	r.intInFree = make([][]core.SerializerBank, g)
-	r.intOutFree = make([][]core.SerializerBank, g)
-	r.subInArb = make([][][]*arb.RoundRobin, g)
-	r.intArb = make([][][]*arb.RoundRobin, g)
-	for row := 0; row < g; row++ {
-		r.subOutOwner[row] = make([]*core.VCOwnerTable, g)
-		r.intInFree[row] = make([]core.SerializerBank, g)
-		r.intOutFree[row] = make([]core.SerializerBank, g)
-		r.subInArb[row] = make([][]*arb.RoundRobin, g)
-		r.intArb[row] = make([][]*arb.RoundRobin, g)
-		for col := 0; col < g; col++ {
-			r.subOutOwner[row][col] = core.NewVCOwnerTable(p, v)
-			r.intInFree[row][col] = core.NewSerializerBank(p)
-			r.intOutFree[row][col] = core.NewSerializerBank(p)
-			r.subInArb[row][col] = make([]*arb.RoundRobin, p)
-			r.intArb[row][col] = make([]*arb.RoundRobin, p)
-			for q := 0; q < p; q++ {
-				r.subInArb[row][col][q] = arb.NewRoundRobin(v)
-				r.intArb[row][col][q] = arb.NewRoundRobin(p)
-			}
-		}
 	}
 	return r
 }
@@ -239,11 +198,9 @@ func (r *hierarchical) Config() Config { return r.cfg }
 // vc) coordinates into its credit-ledger pool index.
 func (r *hierarchical) subInPool(i, col, c int) int { return (i*r.g+col)*r.cfg.VCs + c }
 
-// subOutPool flattens a subswitch output buffer's (row, col, localOut,
-// vc) coordinates into its credit-ledger pool index.
-func (r *hierarchical) subOutPool(row, col, j, c int) int {
-	return ((row*r.g+col)*r.p+j)*r.cfg.VCs + c
-}
+// sub returns the subswitch s = row*g+col that a flit from router input
+// src to router output dst crosses.
+func (r *hierarchical) sub(src, dst int) int { return int(r.grp[src])*r.g + int(r.grp[dst]) }
 
 func (r *hierarchical) InFlight() int {
 	return r.In.Buffered() + r.Out.Len() + r.toSubIn.Len() + r.toSubOut.Len() +
@@ -277,34 +234,29 @@ func (r *hierarchical) NextWake(now int64) int64 {
 func (r *hierarchical) Step(now int64) {
 	r.BeginCycle(now)
 	r.toSubIn.DrainReady(now, func(f *flit.Flit) {
-		row, q := f.Src/r.p, f.Src%r.p
-		col := f.Dst / r.p
-		qq := r.subIn[row][col][q][f.VC]
-		if qq.Len() == 0 {
+		s, q, j := r.sub(f.Src, f.Dst), int(r.loc[f.Src]), r.loc[f.Dst]
+		qi := (s*r.p+q)*r.cfg.VCs + f.VC
+		if r.subIn.Push(qi, f) == 1 {
 			// f becomes the queue's front: mirror it in the head cache.
-			h := &r.subHeads[row*r.g+col][q*r.cfg.VCs+f.VC]
-			h.id, h.dst, h.head = f.PacketID, int32(f.Dst%r.p), f.Head
+			h := &r.subHeads[qi]
+			h.id, h.dst, h.head = f.PacketID, j, f.Head
 		}
-		qq.MustPush(f)
-		r.subAct.Inc(row*r.g + col)
-		r.subInAct[row][col].Inc(q)
-		r.subDemand[row][col].Inc(f.Dst % r.p)
+		r.subAct.Inc(s)
+		r.subInAct[s].Inc(q)
+		r.subDemand[s].Inc(int(j))
 		r.subInFlits++
 	})
 	r.toSubOut.DrainReady(now, func(f *flit.Flit) {
-		row := f.Src / r.p
-		col, j := f.Dst/r.p, f.Dst%r.p
-		qq := r.subOut[row][col][j][f.VC]
-		if qq.Len() == 0 {
+		pj := r.sub(f.Src, f.Dst)*r.p + int(r.loc[f.Dst])
+		if r.subOut.Push(pj*r.cfg.VCs+f.VC, f) == 1 {
 			// f becomes the queue's front: mirror it in the masks.
-			r.subOutOcc[row][col*r.p+j] |= 1 << uint(f.VC)
+			r.subOutOcc[pj] |= 1 << uint(f.VC)
 			if f.Head {
-				r.subOutHead[row][col*r.p+j] |= 1 << uint(f.VC)
+				r.subOutHead[pj] |= 1 << uint(f.VC)
 			}
 		}
-		qq.MustPush(f)
 		r.outAct.Inc(f.Dst)
-		r.colRows[f.Dst].Inc(row)
+		r.colRows[f.Dst].Inc(int(r.grp[f.Src]))
 		r.subOutFlits++
 	})
 	r.creditWire.DrainReady(now, func(c flit.Credit) {
@@ -320,35 +272,31 @@ func (r *hierarchical) Step(now int64) {
 // column, arbitrating among the k/p subswitches with the same
 // local-global scheme as the other architectures.
 func (r *hierarchical) columnStage(now int64) {
-	v := r.cfg.VCs
+	v, g, p := r.cfg.VCs, r.g, r.p
 	for o := r.outAct.Next(0); o >= 0; o = r.outAct.Next(o + 1) {
 		if !r.outFree.Free(o, now) {
 			continue
 		}
-		col, j := o/r.p, o%r.p
+		// Row row's subswitch output buffer feeding o is local port
+		// (row*g+col)*p+j = row*g*p + cj.
+		cj := int(r.grp[o])*p + int(r.loc[o])
 		r.rowCand.Reset()
 		any := false
-		rows := r.colRows[o]
-		// The VC-ownership test depends only on (o, c), so it is hoisted
-		// out of the row scan as a mask; a row's eligible VCs are then
-		// its occupied fronts that are either body flits or head flits
-		// whose VC is free — word arithmetic in place of peeking every
-		// subswitch output queue.
-		freeVC := uint64(0)
-		for c := 0; c < v; c++ {
-			if r.Owner.FreeVC(o, c) {
-				freeVC |= 1 << uint(c)
-			}
-		}
+		rows := &r.colRows[o]
+		// The VC-ownership test depends only on (o, c), so the owner
+		// table's maintained free mask is read once per output; a row's
+		// eligible VCs are then its occupied fronts that are either body
+		// flits or head flits whose VC is free — word arithmetic in place
+		// of peeking every subswitch output queue.
+		freeVC := r.Owner.FreeMask(o)
 		for row := rows.Next(0); row >= 0; row = rows.Next(row + 1) {
-			m := r.subOutOcc[row][col*r.p+j] & (^r.subOutHead[row][col*r.p+j] | freeVC)
+			pj := row*g*p + cj
+			m := r.subOutOcc[pj] & (^r.subOutHead[pj] | freeVC)
 			if m == 0 {
 				continue
 			}
-			r.vcReq.SetWord(m)
-			c := r.subOutVC[o][row].ArbitrateBits(r.vcReq)
 			r.rowCand.Set(row)
-			r.rowVC[row] = c
+			r.rowVC[row] = r.subOutVC.Arbitrate(o*g+row, m)
 			any = true
 		}
 		if !any {
@@ -356,16 +304,16 @@ func (r *hierarchical) columnStage(now int64) {
 		}
 		row := r.colArb[o].ArbitrateBits(r.rowCand)
 		c := r.rowVC[row]
-		f := r.subOut[row][col][j][c].MustPop()
-		if nf, ok := r.subOut[row][col][j][c].Peek(); ok {
-			if nf.Head {
-				r.subOutHead[row][col*r.p+j] |= 1 << uint(c)
-			} else {
-				r.subOutHead[row][col*r.p+j] &^= 1 << uint(c)
-			}
-		} else {
-			r.subOutOcc[row][col*r.p+j] &^= 1 << uint(c)
-			r.subOutHead[row][col*r.p+j] &^= 1 << uint(c)
+		pj := row*g*p + cj
+		f, nf := r.subOut.Pop(pj*v + c)
+		switch {
+		case nf == nil:
+			r.subOutOcc[pj] &^= 1 << uint(c)
+			r.subOutHead[pj] &^= 1 << uint(c)
+		case nf.Head:
+			r.subOutHead[pj] |= 1 << uint(c)
+		default:
+			r.subOutHead[pj] &^= 1 << uint(c)
 		}
 		r.outAct.Dec(o)
 		rows.Dec(row)
@@ -374,7 +322,7 @@ func (r *hierarchical) columnStage(now int64) {
 		if f.Head {
 			r.Owner.Acquire(o, c, f.PacketID)
 		}
-		r.subOutCred.Return(now, r.subOutPool(row, col, j, c), row, o, c)
+		r.subOutCred.Return(now, pj*v+c, row, o, c)
 		r.outFree.Reserve(o, now, r.cfg.STCycles)
 		r.Out.Push(now, o, f)
 	}
@@ -383,71 +331,69 @@ func (r *hierarchical) columnStage(now int64) {
 // internalStage moves flits across each p x p subswitch crossbar from
 // input buffers to output buffers, performing the local VC allocation.
 func (r *hierarchical) internalStage(now int64) {
-	v, p := r.cfg.VCs, r.p
+	v, p, g := r.cfg.VCs, r.p, r.g
 	for s := r.subAct.Next(0); s >= 0; s = r.subAct.Next(s + 1) {
-		row, col := s/r.g, s%r.g
-		ownerT := r.subOutOwner[row][col]
-		dem := r.subDemand[row][col]
-		occ := r.subInAct[row][col]
-		qs := r.subIn[row][col]
-		inFree := r.intInFree[row][col]
-		hs := r.subHeads[s]
+		row, col := s/g, s%g
+		sp := s * p
+		dem := &r.subDemand[s]
+		occ := &r.subInAct[s]
 		for j := dem.Next(0); j >= 0; j = dem.Next(j + 1) {
-			if !r.intOutFree[row][col].Free(j, now) {
+			pj := sp + j
+			if !r.intOutFree.Free(pj, now) {
 				continue
 			}
 			r.cand.Reset()
 			any := false
-			poolJ := r.subOutPool(row, col, j, 0)
+			// Output VC c of local port j can take a flit while its
+			// buffer has a credit; a head flit additionally needs the VC
+			// unowned, a body flit needs its own packet to own it.
+			freeVC := r.subOutOwner.FreeMask(pj)
 			for q := occ.Next(0); q >= 0; q = occ.Next(q + 1) {
-				if !inFree.Free(q, now) {
+				if !r.intInFree.Free(sp+q, now) {
 					continue
 				}
-				r.vcReq.Reset()
-				has := false
-				for c := 0; c < v; c++ {
-					h := &hs[q*v+c]
-					if int(h.dst) == j &&
-						r.subOutCred.Avail(poolJ+c) &&
-						(h.head && ownerT.FreeVC(j, c) || !h.head && ownerT.OwnedBy(j, c, h.id)) {
-						r.vcReq.Set(c)
-						has = true
+				var req uint64
+				hs := r.subHeads[(sp+q)*v : (sp+q+1)*v]
+				for c := range hs {
+					h := &hs[c]
+					if int(h.dst) == j && r.subOutCred.Avail(pj*v+c) &&
+						(h.head && freeVC>>uint(c)&1 != 0 || !h.head && r.subOutOwner.OwnedBy(pj, c, h.id)) {
+						req |= 1 << uint(c)
 					}
 				}
-				if !has {
+				if req == 0 {
 					continue
 				}
-				c := r.subInArb[row][col][q].ArbitrateBits(r.vcReq)
 				r.cand.Set(q)
-				r.candVC[q] = c
+				r.candVC[q] = r.subInArb.Arbitrate(sp+q, req)
 				any = true
 			}
 			if !any {
 				continue
 			}
-			q := r.intArb[row][col][j].ArbitrateBits(r.cand)
+			q := r.intArb[pj].ArbitrateBits(r.cand)
 			c := r.candVC[q]
-			f := qs[q][c].MustPop()
-			if nf, ok := qs[q][c].Peek(); ok {
-				h := &hs[q*v+c]
-				h.id, h.dst, h.head = nf.PacketID, int32(nf.Dst%p), nf.Head
+			qi := (sp+q)*v + c
+			f, nf := r.subIn.Pop(qi)
+			if h := &r.subHeads[qi]; nf != nil {
+				h.id, h.dst, h.head = nf.PacketID, r.loc[nf.Dst], nf.Head
 			} else {
-				hs[q*v+c].dst = -1
+				h.dst = -1
 			}
 			r.subAct.Dec(s)
 			occ.Dec(q)
-			dem.Dec(f.Dst % p)
+			dem.Dec(j)
 			r.subInFlits--
 			if f.Head {
-				ownerT.Acquire(j, c, f.PacketID)
+				r.subOutOwner.Acquire(pj, c, f.PacketID)
 			}
 			if f.Tail {
-				ownerT.Release(j, c, f.PacketID)
+				r.subOutOwner.Release(pj, c, f.PacketID)
 			}
-			r.subOutCred.Spend(now, r.subOutPool(row, col, j, c), row, col*p+j, c)
-			r.intInFree[row][col].Reserve(q, now, r.cfg.STCycles)
-			r.intOutFree[row][col].Reserve(j, now, r.cfg.STCycles)
-			r.Obs.Emit(Event{Cycle: now, Kind: EvGrant, Flit: f, Input: row*r.p + q, Output: f.Dst, VC: c, Note: "subswitch"})
+			r.subOutCred.Spend(now, pj*v+c, row, col*p+j, c)
+			r.intInFree.Reserve(sp+q, now, r.cfg.STCycles)
+			r.intOutFree.Reserve(pj, now, r.cfg.STCycles)
+			r.Obs.Emit(Event{Cycle: now, Kind: EvGrant, Flit: f, Input: row*p + q, Output: f.Dst, VC: c, Note: "subswitch"})
 			r.toSubOut.Push(now, f)
 			// Freed subswitch input slot: return a credit to the
 			// router input that feeds local port q of this row.
@@ -465,22 +411,21 @@ func (r *hierarchical) inputStage(now int64) {
 		if !r.inFree.Free(i, now) {
 			continue
 		}
-		r.vcReq.Reset()
-		any := false
+		var req uint64
 		fronts := r.In.Fronts(i)
 		for c := 0; c < v; c++ {
 			fr := &fronts[c]
-			if now > fr.Inj && r.creditIn.Avail(r.subInPool(i, int(fr.Dst)/r.p, c)) {
-				r.vcReq.Set(c)
-				any = true
+			if now > fr.Inj && r.creditIn.Avail(r.subInPool(i, int(r.grp[fr.Dst]), c)) {
+				req |= 1 << uint(c)
 			}
 		}
-		if !any {
+		if req == 0 {
 			continue
 		}
-		c := r.inputArb[i].ArbitrateBits(r.vcReq)
+		c := r.inputArb[i].ArbitrateWord(req)
 		f := r.In.Pop(i, c)
-		r.creditIn.Spend(now, r.subInPool(i, f.Dst/r.p, c), i, f.Dst/r.p, c)
+		col := int(r.grp[f.Dst])
+		r.creditIn.Spend(now, r.subInPool(i, col, c), i, col, c)
 		r.inFree.Reserve(i, now, r.cfg.STCycles)
 		r.Obs.Emit(Event{Cycle: now, Kind: EvGrant, Flit: f, Input: i, Output: f.Dst, VC: c, Note: "row-bus"})
 		r.toSubIn.Push(now, f)

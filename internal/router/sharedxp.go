@@ -42,41 +42,38 @@ type sharedXpoint struct {
 	cfg Config
 	core.Base
 
-	awaiting [][]bool // [input][vc]: sent speculatively, ACK/NACK pending
+	awaiting []uint64 // [input] bit vc: sent speculatively, ACK/NACK pending
 	inFree   core.SerializerBank
 	inputArb []*arb.RoundRobin
 
-	credit  core.Ledger             // shared-buffer pools flat [input*k+output]
-	xp      []sim.Queue[*flit.Flit] // flat [input*k+output] shared FIFO, same layout as the ledger
+	credit  core.Ledger   // shared-buffer pools flat [input*k+output]
+	xp      core.FIFOBank // flat [input*k+output] shared FIFO, same layout as the ledger
 	outLG   []arb.BitArbiter
 	outFree core.SerializerBank
 
 	toXp *sim.DelayLine[*flit.Flit]
 	ack  *sim.DelayLine[xpAck]
-	bus  []*core.CreditBus
+	bus  core.CreditBus // one bus per input row; idle under IdealCredit
 
 	// The crosspoint grid is walked in two orders — row-major by the
 	// NACK scan (input outer) and column-major by the output stage
-	// (output outer) — so occupancy is tracked in both views. rowAct[i]
-	// marks outputs with flits queued from input i, colAct[o] marks
-	// inputs with flits queued for output o; rowAny/outAct summarize
-	// which rows/columns are nonempty at all.
-	rowAct []*core.ActiveSet // [input] over outputs
-	rowAny *core.ActiveSet   // inputs with any crosspoint occupancy
-	colAct []*core.ActiveSet // [output] over inputs
-	outAct *core.ActiveSet   // outputs with any crosspoint occupancy
+	// (output outer) — so occupancy is tracked in both views, as bit
+	// rows raised and lowered when a crosspoint FIFO leaves and returns
+	// to empty: xpRow[i] marks outputs with flits queued from input i,
+	// xpCol[o] marks inputs with flits queued for output o.
+	// rowAny/outAct summarize which rows/columns are nonempty at all,
+	// weighted by flit count.
+	xpRow  []arb.BitVec
+	rowAny core.ActiveSet
+	xpCol  []arb.BitVec
+	outAct core.ActiveSet
 	// xpBody counts body and tail flits inside crosspoint buffers —
 	// the flits that live only there (heads are retained input-side
 	// until ACKed). Maintained as flits land and drain so InFlight
 	// never walks the grid.
 	xpBody int
-	// busPending counts credits held by all row buses (queued or on the
-	// return wire), maintained at enqueue and delivery so Quiescent
-	// never walks the buses. Always zero under IdealCredit.
-	busPending int
 
 	candidates *arb.BitVec // sized k
-	vcReq      *arb.BitVec // sized v
 }
 
 type xpAck struct {
@@ -90,50 +87,40 @@ func newSharedXpoint(cfg Config) *sharedXpoint {
 	r := &sharedXpoint{
 		cfg:        cfg,
 		Base:       core.MakeBase(obs, k, v, cfg.InputBufDepth, cfg.STCycles),
-		awaiting:   make([][]bool, k),
+		awaiting:   make([]uint64, k),
 		inFree:     core.NewSerializerBank(k),
 		inputArb:   make([]*arb.RoundRobin, k),
 		credit:     core.MakeLedger(obs, "xp-shared", k*k, cfg.XpointBufDepth),
-		xp:         make([]sim.Queue[*flit.Flit], k*k),
+		xp:         core.MakeFIFOBank(k*k, cfg.XpointBufDepth),
 		outLG:      make([]arb.BitArbiter, k),
 		outFree:    core.NewSerializerBank(k),
 		toXp:       sim.NewDelayLine[*flit.Flit](cfg.STCycles),
 		ack:        sim.NewDelayLine[xpAck](1),
-		bus:        make([]*core.CreditBus, k),
-		rowAct:     make([]*core.ActiveSet, k),
-		rowAny:     core.NewActiveSet(k),
-		colAct:     make([]*core.ActiveSet, k),
-		outAct:     core.NewActiveSet(k),
+		bus:        core.MakeCreditBus(k, k, cfg.LocalGroup, cfg.XpointBufDepth),
+		xpRow:      arb.MakeBitVecs(k, k),
+		rowAny:     core.MakeActiveSet(k),
+		xpCol:      arb.MakeBitVecs(k, k),
+		outAct:     core.MakeActiveSet(k),
 		candidates: arb.NewBitVec(k),
-		vcReq:      arb.NewBitVec(v),
-	}
-	for q := range r.xp {
-		r.xp[q] = sim.MakeQueue[*flit.Flit](cfg.XpointBufDepth)
 	}
 	for i := 0; i < k; i++ {
-		r.rowAct[i] = core.NewActiveSet(k)
-		r.colAct[i] = core.NewActiveSet(k)
-		r.awaiting[i] = make([]bool, v)
 		r.inputArb[i] = arb.NewRoundRobin(v)
 		r.outLG[i] = arb.NewBitOutputArbiter(k, cfg.LocalGroup)
-		r.bus[i] = core.NewCreditBus(k, cfg.LocalGroup, cfg.XpointBufDepth)
 	}
 	return r
 }
 
-// xpPushed/xpPopped keep the four crosspoint-occupancy views in sync.
-func (r *sharedXpoint) xpPushed(i, o int) {
-	r.rowAct[i].Inc(o)
-	r.rowAny.Inc(i)
-	r.colAct[o].Inc(i)
-	r.outAct.Inc(o)
-}
-
-func (r *sharedXpoint) xpPopped(i, o int) {
-	r.rowAct[i].Dec(o)
+// xpPop removes the front flit of crosspoint (i, o), keeping the four
+// crosspoint-occupancy views in sync.
+func (r *sharedXpoint) xpPop(i, o int) *flit.Flit {
+	f, nf := r.xp.Pop(i*r.cfg.Radix + o)
+	if nf == nil {
+		r.xpRow[i].Clear(o)
+		r.xpCol[o].Clear(i)
+	}
 	r.rowAny.Dec(i)
-	r.colAct[o].Dec(i)
 	r.outAct.Dec(o)
+	return f
 }
 
 func (r *sharedXpoint) Config() Config { return r.cfg }
@@ -158,11 +145,11 @@ func (r *sharedXpoint) InFlight() int {
 // xpBody covers the body/tail flits that live only crosspoint-side.
 func (r *sharedXpoint) Quiescent() bool {
 	return r.In.Buffered() == 0 && r.Out.Len() == 0 && r.toXp.Len() == 0 &&
-		r.ack.Len() == 0 && r.xpBody == 0 && r.busPending == 0
+		r.ack.Len() == 0 && r.xpBody == 0 && r.bus.Pending() == 0
 }
 
 func (r *sharedXpoint) NextWake(now int64) int64 {
-	if r.In.Buffered() > 0 || r.xpBody > 0 || r.busPending > 0 {
+	if r.In.Buffered() > 0 || r.xpBody > 0 || r.bus.Pending() > 0 {
 		return now + 1
 	}
 	w := r.Out.NextWake(now)
@@ -178,14 +165,18 @@ func (r *sharedXpoint) NextWake(now int64) int64 {
 func (r *sharedXpoint) Step(now int64) {
 	r.BeginCycle(now)
 	r.ack.DrainReady(now, func(a xpAck) {
-		r.awaiting[a.input][a.vc] = false
+		r.awaiting[a.input] &^= 1 << uint(a.vc)
 		if a.ack {
 			r.In.Pop(a.input, a.vc)
 		}
 	})
 	r.toXp.DrainReady(now, func(f *flit.Flit) {
-		r.xp[f.Src*r.cfg.Radix+f.Dst].MustPush(f)
-		r.xpPushed(f.Src, f.Dst)
+		if r.xp.Push(f.Src*r.cfg.Radix+f.Dst, f) == 1 {
+			r.xpRow[f.Src].Set(f.Dst)
+			r.xpCol[f.Dst].Set(f.Src)
+		}
+		r.rowAny.Inc(f.Src)
+		r.outAct.Inc(f.Dst)
 		if !f.Head {
 			// Body and tail flits cannot fail VC allocation; ACK on
 			// arrival so the input can proceed.
@@ -196,15 +187,10 @@ func (r *sharedXpoint) Step(now int64) {
 	r.nackBlockedHeads(now)
 	r.outputStage(now)
 	r.inputStage(now)
-	if !r.cfg.IdealCredit {
-		for i := range r.bus {
-			i := i
-			r.bus[i].Step(now, func(output, vc int) {
-				r.busPending--
-				r.credit.Return(now, r.xpPool(i, output), i, output, vc)
-			})
-		}
-	}
+	// A no-op under IdealCredit, whose credits never enter the buses.
+	r.bus.Step(now, func(i, output, vc int) {
+		r.credit.Return(now, r.xpPool(i, output), i, output, vc)
+	})
 }
 
 // nackBlockedHeads removes head flits that reached the front of a shared
@@ -214,15 +200,11 @@ func (r *sharedXpoint) nackBlockedHeads(now int64) {
 	// The row-major (input-outer) walk matches the original dense scan so
 	// NACK events keep their observed order.
 	for i := r.rowAny.Next(0); i >= 0; i = r.rowAny.Next(i + 1) {
-		row := r.rowAct[i]
+		row := &r.xpRow[i]
 		for o := row.Next(0); o >= 0; o = row.Next(o + 1) {
-			f, ok := r.xp[i*r.cfg.Radix+o].Peek()
-			if !ok || !f.Head {
-				continue
-			}
-			if !r.Owner.FreeVC(o, f.VC) {
-				r.xp[i*r.cfg.Radix+o].MustPop()
-				r.xpPopped(i, o)
+			f := r.xp.Peek(i*r.cfg.Radix + o)
+			if f.Head && !r.Owner.FreeVC(o, f.VC) {
+				r.xpPop(i, o)
 				r.Obs.Emit(Event{Cycle: now, Kind: EvNack, Flit: f, Input: i, Output: o, VC: f.VC, Note: "xpoint-vc-busy"})
 				r.ack.Push(now, xpAck{input: i, vc: f.VC, ack: false})
 				r.returnCredit(now, i, o)
@@ -235,8 +217,7 @@ func (r *sharedXpoint) returnCredit(now int64, i, o int) {
 	if r.cfg.IdealCredit {
 		r.credit.Return(now, r.xpPool(i, o), i, o, 0)
 	} else {
-		r.bus[i].Enqueue(o, 0)
-		r.busPending++
+		r.bus.Enqueue(i, o, 0)
 	}
 }
 
@@ -247,11 +228,11 @@ func (r *sharedXpoint) outputStage(now int64) {
 		}
 		r.candidates.Reset()
 		any := false
-		col := r.colAct[o]
+		col := &r.xpCol[o]
 		for i := col.Next(0); i >= 0; i = col.Next(i + 1) {
-			f, ok := r.xp[i*r.cfg.Radix+o].Peek()
-			if ok && (!f.Head && r.Owner.OwnedBy(o, f.VC, f.PacketID) ||
-				f.Head && r.Owner.FreeVC(o, f.VC)) {
+			f := r.xp.Peek(i*r.cfg.Radix + o)
+			if !f.Head && r.Owner.OwnedBy(o, f.VC, f.PacketID) ||
+				f.Head && r.Owner.FreeVC(o, f.VC) {
 				r.candidates.Set(i)
 				any = true
 			}
@@ -260,8 +241,7 @@ func (r *sharedXpoint) outputStage(now int64) {
 			continue
 		}
 		win := r.outLG[o].ArbitrateBits(r.candidates)
-		f := r.xp[win*r.cfg.Radix+o].MustPop()
-		r.xpPopped(win, o)
+		f := r.xpPop(win, o)
 		r.Obs.Emit(Event{Cycle: now, Kind: EvGrant, Flit: f, Input: win, Output: o, VC: f.VC, Note: "output"})
 		if f.Head {
 			r.Owner.Acquire(o, f.VC, f.PacketID)
@@ -283,21 +263,19 @@ func (r *sharedXpoint) inputStage(now int64) {
 		if !r.inFree.Free(i, now) {
 			continue
 		}
-		r.vcReq.Reset()
-		any := false
+		var req uint64
 		fronts := r.In.Fronts(i)
 		for c := 0; c < v; c++ {
 			fr := &fronts[c]
-			if !r.awaiting[i][c] && now > fr.Inj && r.credit.Avail(r.xpPool(i, int(fr.Dst))) {
-				r.vcReq.Set(c)
-				any = true
+			if r.awaiting[i]>>uint(c)&1 == 0 && now > fr.Inj && r.credit.Avail(r.xpPool(i, int(fr.Dst))) {
+				req |= 1 << uint(c)
 			}
 		}
-		if !any {
+		if req == 0 {
 			continue
 		}
-		c := r.inputArb[i].ArbitrateBits(r.vcReq)
-		f, _ := r.In.Peek(i, c)
+		c := r.inputArb[i].ArbitrateWord(req)
+		f := r.In.Peek(i, c)
 		r.credit.Spend(now, r.xpPool(i, f.Dst), i, f.Dst, 0)
 		r.inFree.Reserve(i, now, r.cfg.STCycles)
 		r.Obs.Emit(Event{Cycle: now, Kind: EvGrant, Flit: f, Input: i, Output: f.Dst, VC: c, Note: "input-row"})
@@ -305,7 +283,7 @@ func (r *sharedXpoint) inputStage(now int64) {
 		// ACKs: speculatively for heads (the ACK is the VC allocation),
 		// and to keep the same flit from being re-sent for bodies
 		// (their ACK is immediate on arrival).
-		r.awaiting[i][c] = true
+		r.awaiting[i] |= 1 << uint(c)
 		r.toXp.Push(now, f)
 	}
 }

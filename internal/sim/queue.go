@@ -20,10 +20,10 @@ func NewQueue[T any](capacity int) *Queue[T] {
 }
 
 // MakeQueue returns a queue by value, for storing banks of queues in
-// one flat slice: a radix-k crosspoint grid holds k*k (or k*k*v) tiny
-// queues, and laying their headers out contiguously replaces a pointer
-// dereference per access with an index — a large constant factor in the
-// routers' step loops at radix 256.
+// one flat slice (the network's per-terminal source queues): laying the
+// headers out contiguously replaces a pointer dereference per access
+// with an index. Banks of bounded flit FIFOs inside the routers use
+// core.FIFOBank, which also shares one ring slab.
 func MakeQueue[T any](capacity int) Queue[T] {
 	initial := capacity
 	if initial <= 0 {
@@ -38,9 +38,6 @@ func MakeQueue[T any](capacity int) Queue[T] {
 
 // Len reports the number of queued items.
 func (q *Queue[T]) Len() int { return q.size }
-
-// Cap reports the configured capacity (0 = unbounded).
-func (q *Queue[T]) Cap() int { return q.cap }
 
 // Empty reports whether the queue holds no items.
 func (q *Queue[T]) Empty() bool { return q.size == 0 }

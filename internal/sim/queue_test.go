@@ -142,12 +142,12 @@ func TestQueueModel(t *testing.T) {
 }
 
 func TestQueueCapAndNegativeCapacity(t *testing.T) {
-	if NewQueue[int](3).Cap() != 3 {
-		t.Fatal("Cap() wrong")
+	if NewQueue[int](3).Free() != 3 {
+		t.Fatal("capacity wrong")
 	}
 	q := NewQueue[int](-5) // negative means unbounded
-	if q.Cap() != 0 || q.Full() {
-		t.Fatalf("negative capacity not treated as unbounded: cap=%d full=%v", q.Cap(), q.Full())
+	if q.Full() {
+		t.Fatal("negative capacity not treated as unbounded")
 	}
 	for i := 0; i < 100; i++ {
 		q.MustPush(i)
