@@ -6,21 +6,20 @@ import (
 	"path/filepath"
 	"testing"
 
-	"highradix/internal/stats"
 	"highradix/internal/traffic"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/ with freshly generated tables")
 
-// golden compares a generated Quick-scale table against its recorded
-// rendering. The experiment generators are deterministic at every
-// worker count (see TestParallelSweepDeterminism), so these files pin
-// the numeric output of the whole simulation stack — any change to
-// routing, arbitration, RNG streams or statistics shows up as a diff
-// here, and intentional changes are recorded with -update.
-func golden(t *testing.T, name string, gen func() (*stats.Table, error)) {
+// golden compares a generated table against its recorded rendering.
+// The experiment generators are deterministic at every worker count
+// (see TestParallelSweepDeterminism), so these files pin the numeric
+// output of the whole simulation stack — any change to routing,
+// arbitration, RNG streams or statistics shows up as a diff here, and
+// intentional changes are recorded with -update.
+func golden(t *testing.T, name string, gen Generator, s Scale) {
 	t.Helper()
-	tab, err := gen()
+	tab, err := gen(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,14 +46,6 @@ func golden(t *testing.T, name string, gen func() (*stats.Table, error)) {
 	}
 }
 
-func TestGoldenFig9(t *testing.T) {
-	golden(t, "fig9", func() (*stats.Table, error) { return Fig9(Quick) })
-}
-
-func TestGoldenTableT1(t *testing.T) {
-	golden(t, "table1", func() (*stats.Table, error) { return TableT1(Quick) })
-}
-
 // gapScale is Quick with gap-sampled injection. Gap mode is
 // distribution-equivalent but not draw-identical to per-cycle
 // injection, so it pins its own goldens; divergence between a gap
@@ -67,54 +58,34 @@ func gapScale() Scale {
 	return s
 }
 
-func TestGoldenFig9Gap(t *testing.T) {
-	golden(t, "fig9_gap", func() (*stats.Table, error) { return Fig9(gapScale()) })
-}
-
-func TestGoldenFig19Gap(t *testing.T) {
-	golden(t, "fig19_gap", func() (*stats.Table, error) { return Fig19(gapScale()) })
-}
-
-// TestGoldenFig19 pins the per-cycle network figure. Quick runs it
-// through the sharded driver (NetWorkers 1); TestGoldenFig19Serial
-// regenerates the same table through the serial driver and requires the
-// identical bytes — the golden-level statement of the shard package's
-// equivalence claim.
-func TestGoldenFig19(t *testing.T) {
-	golden(t, "fig19", func() (*stats.Table, error) { return Fig19(Quick) })
-}
-
-func TestGoldenFig19Serial(t *testing.T) {
-	if *update {
-		t.Skip("fig19.golden is written by TestGoldenFig19 (sharded); this test only cross-checks the serial driver")
+// TestGolden pins every registered experiment at Quick scale, so a new
+// Registry entry is goldened by construction (its first run fails on
+// the missing file until -update records it). radixscale is the golden
+// that reaches the radix-256 hot paths (multi-word tree arbitration,
+// the flat crosspoint banks, the credit rings) and fig_alloc the one
+// that reaches the iSLIP matcher and the shared-pool admission rule.
+// The three figures with a <name>_gap file are pinned under gap
+// injection as well. Quick runs fig19 through the sharded driver
+// (NetWorkers 1); fig19_serial regenerates it through the serial driver
+// against the same file — the golden-level statement of the shard
+// package's equivalence claim.
+func TestGolden(t *testing.T) {
+	for _, e := range Registry {
+		t.Run(e.Name, func(t *testing.T) { golden(t, e.Name, e.Gen, Quick) })
 	}
-	s := Quick
-	s.NetWorkers = 0
-	golden(t, "fig19", func() (*stats.Table, error) { return Fig19(s) })
-}
-
-// TestGoldenRadixScale pins the radix-scaling extension figure —
-// latency-throughput for the buffered and hierarchical organizations at
-// radix 64, 128, and 256. Beyond recording the scaling claim, this is
-// the golden that exercises every radix-256 hot path (multi-word tree
-// arbitration, flat crosspoint banks, credit rings) end to end.
-func TestGoldenRadixScale(t *testing.T) {
-	golden(t, "radixscale", func() (*stats.Table, error) { return RadixScale(Quick) })
-}
-
-// TestGoldenFigAlloc pins the allocation-policy comparison figure —
-// baseline separable allocation vs VOQ/iSLIP (1 and 3 iterations) vs
-// dynamic VC allocation at radix 64. This is the golden that exercises
-// the iSLIP matcher and the shared-pool admission rule end to end.
-func TestGoldenFigAlloc(t *testing.T) {
-	golden(t, "fig_alloc", func() (*stats.Table, error) { return FigAlloc(Quick) })
-}
-
-// TestGoldenTopo pins the ring/torus extension figure's datapoints.
-func TestGoldenTopo(t *testing.T) {
-	golden(t, "topo", func() (*stats.Table, error) { return FigTopo(Quick) })
-}
-
-func TestGoldenTopoGap(t *testing.T) {
-	golden(t, "topo_gap", func() (*stats.Table, error) { return FigTopo(gapScale()) })
+	for _, name := range []string{"fig9", "fig19", "topo"} {
+		gen, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name+"_gap", func(t *testing.T) { golden(t, name+"_gap", gen, gapScale()) })
+	}
+	t.Run("fig19_serial", func(t *testing.T) {
+		if *update {
+			t.Skip("fig19.golden is written by the fig19 case (sharded); this case only cross-checks the serial driver")
+		}
+		s := Quick
+		s.NetWorkers = 0
+		golden(t, "fig19", Fig19, s)
+	})
 }
