@@ -56,33 +56,3 @@ func TestRadix256Checked(t *testing.T) {
 		})
 	}
 }
-
-// Step microbenchmarks at radix 256 — four times the paper's design
-// point. The bitset step loops scan radix/64 = 4 words per request
-// vector instead of 256 flags, so the per-cycle cost should scale with
-// the number of active inputs rather than the port count; compare with
-// the radix-64 BenchmarkStep* in the repository root and the committed
-// BENCH_sweep.json (cmd/hrbench sweeps both radices).
-func benchStep256(b *testing.B, arch router.Arch) {
-	b.Helper()
-	b.ReportAllocs()
-	_, err := testbench.Run(testbench.Options{
-		Router:         router.Config{Arch: arch, Radix: 256},
-		Load:           0.6,
-		WarmupCycles:   2000,
-		MeasureCycles:  int64(b.N) + 1,
-		DrainCycles:    1,
-		Seed:           1,
-		OnMeasureStart: b.ResetTimer,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkStep256Baseline(b *testing.B)     { benchStep256(b, router.ArchBaseline) }
-func BenchmarkStep256Buffered(b *testing.B)     { benchStep256(b, router.ArchBuffered) }
-func BenchmarkStep256SharedXpoint(b *testing.B) { benchStep256(b, router.ArchSharedXpoint) }
-func BenchmarkStep256Hierarchical(b *testing.B) { benchStep256(b, router.ArchHierarchical) }
-func BenchmarkStep256VOQ(b *testing.B)          { benchStep256(b, router.ArchVOQ) }
-func BenchmarkStep256DynVC(b *testing.B)        { benchStep256(b, router.ArchDynVC) }

@@ -60,11 +60,12 @@ type Descriptor struct {
 	// radix and VC count (zero vcs selects the default). Every returned
 	// config must validate.
 	Variants func(radix, vcs int) []Variant
-	// BenchRadices are the radices cmd/hrbench sweeps for this
-	// architecture. The registry-completeness test requires the paper's
-	// radix 64 everywhere and 128/256 for the high-radix architectures,
-	// so allocation regressions gate CI at scale; the low-radix
-	// comparison point alone stops at 64.
+	// BenchRadices are the radices the root package's BenchmarkStep and
+	// steady-state allocation gate run this architecture at. The
+	// registry-completeness test requires the paper's radix 64
+	// everywhere and 128/256 for the high-radix architectures, so
+	// allocation regressions gate CI at scale; the low-radix comparison
+	// point alone stops at 64.
 	BenchRadices []int
 }
 

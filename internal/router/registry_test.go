@@ -11,8 +11,8 @@ import (
 // architecture must meet for the cross-cutting layers to work: a full
 // descriptor, round-tripping names, constructible variants at the
 // conformance radix, and benchmark coverage at the paper's radix and —
-// for the high-radix architectures — at 128 and 256 so hrbench's
-// allocation gate holds at scale.
+// for the high-radix architectures — at 128 and 256 so the root
+// package's allocation gate (TestStepSteadyStateAllocs) holds at scale.
 func TestRegistryCompleteness(t *testing.T) {
 	archs := router.Registered()
 	if len(archs) < 7 {

@@ -225,7 +225,7 @@ func TestTimeout(t *testing.T) {
 
 // TestWarmThroughput is a smoke check on the perf budget: warm figure
 // requests through the full handler stack must comfortably exceed the
-// 1000 req/s floor (the dedicated hrbench measurement is the real
+// 1000 req/s floor (bench's serve_mix workload measures the real
 // number; this guards against an accidental O(simulation) warm path).
 func TestWarmThroughput(t *testing.T) {
 	s := testServer(t)
