@@ -15,24 +15,18 @@
 // requests" described in the paper.
 package arb
 
-// Arbiter selects at most one winner from a request vector. Arbitrate
-// returns the granted index, or -1 when no line is requesting. The
-// request slice length must equal Size().
-type Arbiter interface {
-	Arbitrate(requests []bool) int
-	Size() int
-}
-
-// BitArbiter is the bitset entry point of the same arbiters: requests
+// Arbiter selects at most one winner from a request vector: requests
 // arrive as a BitVec and the winner is found with word operations
-// instead of an O(n) scan. Every arbiter in this package implements
-// both interfaces over shared pointer state, so for any given instance
-// Arbitrate and ArbitrateBits are interchangeable grant for grant; the
-// routers drive the bitset path and the equivalence tests drive both.
-type BitArbiter interface {
+// instead of an O(n) scan. ArbitrateBits returns the granted line, or
+// -1 when no line is requesting. The vector's length must equal Size().
+type Arbiter interface {
 	ArbitrateBits(v *BitVec) int
 	Size() int
 }
+
+// BitArbiter is Arbiter under a second name, for the callers (the
+// frozen bench/layers.go) that spell the interface both ways.
+type BitArbiter = Arbiter
 
 // RoundRobin is a rotating-priority arbiter over n request lines. After
 // granting line g, the highest priority moves to line g+1 (mod n), which
@@ -61,40 +55,6 @@ func MakeRoundRobin(n int) RoundRobin {
 // Size returns the number of request lines.
 func (a *RoundRobin) Size() int { return a.n }
 
-// Arbitrate grants the requesting line closest to the priority pointer
-// and advances the pointer past it. It returns -1 when no line requests.
-func (a *RoundRobin) Arbitrate(requests []bool) int {
-	if len(requests) != a.n {
-		panic("arb: request vector size mismatch")
-	}
-	for i := 0; i < a.n; i++ {
-		idx := (a.next + i) % a.n
-		if requests[idx] {
-			a.next = (idx + 1) % a.n
-			return idx
-		}
-	}
-	return -1
-}
-
-// Peek returns the line that would win without updating the priority
-// pointer. It returns -1 when no line requests.
-func (a *RoundRobin) Peek(requests []bool) int {
-	if len(requests) != a.n {
-		panic("arb: request vector size mismatch")
-	}
-	for i := 0; i < a.n; i++ {
-		idx := (a.next + i) % a.n
-		if requests[idx] {
-			return idx
-		}
-	}
-	return -1
-}
-
-// Pointer exposes the current priority pointer (for tests).
-func (a *RoundRobin) Pointer() int { return a.next }
-
 // ArbitrateBits grants the requesting line cyclically closest to the
 // priority pointer using a rotate-aware find-first-set, and advances
 // the pointer past it. For n <= 64 this is three word operations.
@@ -114,18 +74,6 @@ func (a *RoundRobin) ArbitrateBits(v *BitVec) int {
 	return idx
 }
 
-// PeekBits returns the line ArbitrateBits would grant without updating
-// the priority pointer.
-func (a *RoundRobin) PeekBits(v *BitVec) int {
-	if v.n != a.n {
-		panic("arb: request vector size mismatch")
-	}
-	if a.n <= 64 {
-		return rotFirst(v.words[0], a.next)
-	}
-	return v.FirstFrom(a.next)
-}
-
 // ArbitrateWord grants from a request vector handed over as a single
 // word (line i at bit i), for callers that assemble tiny vectors — a
 // router input's per-VC requests, say — directly in a register. Only
@@ -138,11 +86,9 @@ func (a *RoundRobin) ArbitrateWord(w uint64) int {
 	return a.arbitrateWord(w)
 }
 
-// peekWord and arbitrateWord are the grouped-stage entry points: an
-// arbiter of size <= 64 whose request lines were sliced out of a larger
-// BitVec receives them as a single word.
-func (a *RoundRobin) peekWord(grp uint64) int { return rotFirst(grp, a.next) }
-
+// arbitrateWord is the grouped-stage entry point: an arbiter of size
+// <= 64 whose request lines were sliced out of a larger BitVec receives
+// them as a single word.
 func (a *RoundRobin) arbitrateWord(grp uint64) int {
 	w := rotFirst(grp, a.next)
 	if w >= 0 {
@@ -151,24 +97,13 @@ func (a *RoundRobin) arbitrateWord(grp uint64) int {
 	return w
 }
 
-// peekRange and arbitrateRange are the grouped-stage entry points for
-// nodes wider than one word: the arbiter's n request lines live at
-// [base, base+n) of a larger BitVec and are searched in place with the
-// bounded rotate-aware scan, so no per-group extraction or []bool
-// fallback is needed at any fan-in. Grant-for-grant identical to
-// peekWord/arbitrateWord on the sliced-out bits.
-func (a *RoundRobin) peekRange(v *BitVec, base int) int {
-	if idx := v.NextIn(base+a.next, base+a.n); idx >= 0 {
-		return idx - base
-	}
-	if idx := v.NextIn(base, base+a.next); idx >= 0 {
-		return idx - base
-	}
-	return -1
-}
-
+// arbitrateRange is the grouped-stage entry point for nodes wider than
+// one word: the arbiter's n request lines live at [base, base+n) of a
+// larger BitVec and are searched in place with the bounded rotate-aware
+// scan, so no per-group extraction is needed at any fan-in.
+// Grant-for-grant identical to arbitrateWord on the sliced-out bits.
 func (a *RoundRobin) arbitrateRange(v *BitVec, base int) int {
-	w := a.peekRange(v, base)
+	w := bitPeekRange(v, base, a.n, a.next)
 	if w >= 0 {
 		a.advancePast(w)
 	}
@@ -225,41 +160,4 @@ func (b *RotorBank) Arbitrate(i int, w uint64) int {
 		b.next[i] = uint8(p)
 	}
 	return win
-}
-
-// Fixed is a fixed-priority arbiter: lower indices always win. It exists
-// as a baseline for fairness property tests and for modeling paths where
-// the paper specifies static priority.
-type Fixed struct{ n int }
-
-// NewFixed returns a fixed-priority arbiter over n lines.
-func NewFixed(n int) *Fixed {
-	if n <= 0 {
-		panic("arb: arbiter size must be positive")
-	}
-	return &Fixed{n: n}
-}
-
-// Size returns the number of request lines.
-func (a *Fixed) Size() int { return a.n }
-
-// Arbitrate grants the lowest requesting index, or -1 if none.
-func (a *Fixed) Arbitrate(requests []bool) int {
-	if len(requests) != a.n {
-		panic("arb: request vector size mismatch")
-	}
-	for i, r := range requests {
-		if r {
-			return i
-		}
-	}
-	return -1
-}
-
-// ArbitrateBits grants the lowest requesting line, or -1 if none.
-func (a *Fixed) ArbitrateBits(v *BitVec) int {
-	if v.n != a.n {
-		panic("arb: request vector size mismatch")
-	}
-	return v.Next(0)
 }

@@ -97,19 +97,6 @@ func TestRoundRobinSizeMismatchPanics(t *testing.T) {
 	NewRoundRobin(4).Arbitrate(make([]bool, 5))
 }
 
-func TestFixedPriority(t *testing.T) {
-	a := NewFixed(4)
-	if w := a.Arbitrate(reqVec(4, 1, 3)); w != 1 {
-		t.Fatalf("granted %d, want 1", w)
-	}
-	if w := a.Arbitrate(reqVec(4, 1, 3)); w != 1 {
-		t.Fatalf("fixed arbiter rotated: %d", w)
-	}
-	if w := a.Arbitrate(reqVec(4)); w != -1 {
-		t.Fatalf("empty request granted %d", w)
-	}
-}
-
 // TestMakeBitVecsRowsIndependent: rows carved from one slab behave as
 // separate vectors — a row's last line never reads or writes its
 // neighbour's first word.

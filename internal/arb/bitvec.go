@@ -132,54 +132,6 @@ func (v *BitVec) CopyAndNot(a, b *BitVec) {
 	}
 }
 
-// SetBools re-initializes v from a []bool request vector of equal
-// length.
-func (v *BitVec) SetBools(req []bool) {
-	if len(req) != v.n {
-		panic("arb: request vector size mismatch")
-	}
-	v.Reset()
-	for i, r := range req {
-		if r {
-			v.Set(i)
-		}
-	}
-}
-
-// FillBools writes v out into a []bool request vector of equal length.
-func (v *BitVec) FillBools(dst []bool) {
-	if len(dst) != v.n {
-		panic("arb: request vector size mismatch")
-	}
-	for i := range dst {
-		dst[i] = v.Get(i)
-	}
-}
-
-// SetWord re-initializes a vector of at most 64 lines from a packed
-// word (bit i = line i). It is the bulk load behind the routers'
-// head-mask scans, where a request vector over the VCs of one buffer
-// is computed with word arithmetic instead of per-line Sets. Bits at
-// or above Len must be zero.
-func (v *BitVec) SetWord(w uint64) {
-	if v.n > 64 {
-		panic("arb: SetWord on a vector wider than one word")
-	}
-	v.words[0] = w
-}
-
-// SetWordAt stores w as word wi of the vector: lines [64*wi, 64*wi+64)
-// in one store. It is the multi-word generalization of SetWord for
-// head-mirror scans over vectors wider than 64 lines. Bits at or above
-// Len must be zero.
-func (v *BitVec) SetWordAt(wi int, w uint64) { v.words[wi] = w }
-
-// Word returns word wi of the vector (lines [64*wi, 64*wi+64)).
-func (v *BitVec) Word(wi int) uint64 { return v.words[wi] }
-
-// Words returns the number of 64-line words backing the vector.
-func (v *BitVec) Words() int { return len(v.words) }
-
 // Next returns the lowest raised line at or after i, or -1 when none
 // remains. Iterating `for i := v.Next(0); i >= 0; i = v.Next(i + 1)`
 // visits the raised lines in ascending order, skipping idle spans a

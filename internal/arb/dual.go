@@ -10,56 +10,30 @@ type Dual struct {
 	n       int
 	nonspec Arbiter
 	spec    Arbiter
-	// Bitset entry points of the same two arbiters (nil when the
-	// constructor supplied an arbiter without one).
-	nonspecB BitArbiter
-	specB    BitArbiter
 }
 
 // NewDual builds a prioritized dual arbiter over n lines. Both internal
 // arbiters use the supplied constructor so the dual arbiter can wrap
 // either flat round-robin or local-global stages.
 func NewDual(n int, mk func(n int) Arbiter) *Dual {
-	d := &Dual{n: n, nonspec: mk(n), spec: mk(n)}
-	d.nonspecB, _ = d.nonspec.(BitArbiter)
-	d.specB, _ = d.spec.(BitArbiter)
-	return d
+	return &Dual{n: n, nonspec: mk(n), spec: mk(n)}
 }
 
 // Size returns the number of request lines.
 func (a *Dual) Size() int { return a.n }
 
-// Arbitrate selects a winner given separate nonspeculative and
+// ArbitrateBits selects a winner given separate nonspeculative and
 // speculative request vectors. The returned index refers to the shared
 // line numbering; spec reports whether the granted request was
 // speculative. It returns (-1, false) when nothing requests.
-func (a *Dual) Arbitrate(nonspecReq, specReq []bool) (winner int, spec bool) {
-	if len(nonspecReq) != a.n || len(specReq) != a.n {
-		panic("arb: request vector size mismatch")
-	}
-	if w := a.nonspec.Arbitrate(nonspecReq); w >= 0 {
-		return w, false
-	}
-	if w := a.spec.Arbitrate(specReq); w >= 0 {
-		return w, true
-	}
-	return -1, false
-}
-
-// ArbitrateBits is the bitset twin of Arbitrate. It requires both
-// internal arbiters to implement BitArbiter, which every arbiter in
-// this package does.
 func (a *Dual) ArbitrateBits(nonspecReq, specReq *BitVec) (winner int, spec bool) {
 	if nonspecReq.n != a.n || specReq.n != a.n {
 		panic("arb: request vector size mismatch")
 	}
-	if a.nonspecB == nil || a.specB == nil {
-		panic("arb: dual arbiter built over arbiters without a bitset path")
-	}
-	if w := a.nonspecB.ArbitrateBits(nonspecReq); w >= 0 {
+	if w := a.nonspec.ArbitrateBits(nonspecReq); w >= 0 {
 		return w, false
 	}
-	if w := a.specB.ArbitrateBits(specReq); w >= 0 {
+	if w := a.spec.ArbitrateBits(specReq); w >= 0 {
 		return w, true
 	}
 	return -1, false

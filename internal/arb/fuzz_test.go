@@ -21,25 +21,23 @@ import (
 // invocation is granted within the structural bound of the arbiter
 // (size of the rotation at each stage, multiplied along the path).
 //
-// Every round is additionally cross-checked against a bitset twin: an
-// identically constructed arbiter driven through ArbitrateBits must
-// grant the same line, since the routers' step loops run entirely on
-// the bitset path.
+// The contract is checked on the []bool oracle (oracle_test.go), and
+// every round is cross-checked against a bitset twin: an identically
+// constructed arbiter driven through ArbitrateBits — the one
+// implementation the routers run — must grant the same line.
 
 // checkRound validates one arbitration against its request vector,
 // cross-checks the bitset twin, and returns the winner.
-func checkRound(t *testing.T, a arb.Arbiter, bits arb.BitArbiter, v *arb.BitVec, req []bool) int {
+func checkRound(t *testing.T, a arb.BoolArbiter, bits arb.Arbiter, v *arb.BitVec, req []bool) int {
 	t.Helper()
 	any := false
 	for _, r := range req {
 		any = any || r
 	}
 	w := a.Arbitrate(req)
-	if bits != nil {
-		v.SetBools(req)
-		if bw := bits.ArbitrateBits(v); bw != w {
-			t.Fatalf("bitset twin granted %d, bool arbiter granted %d (req %v)", bw, w, req)
-		}
+	v.SetBools(req)
+	if bw := bits.ArbitrateBits(v); bw != w {
+		t.Fatalf("bitset twin granted %d, bool arbiter granted %d (req %v)", bw, w, req)
 	}
 	if !any {
 		if w != -1 {
@@ -77,7 +75,7 @@ func fillShaped(rng *sim.RNG, req []bool, p float64, shape uint8) {
 // runFairness drives the arbiter with shaped random vectors in which
 // target always requests (so shape 2 is one-hot on target), and fails
 // if target is not granted within bound invocations.
-func runFairness(t *testing.T, a arb.Arbiter, bits arb.BitArbiter, rng *sim.RNG, target, bound int, shape uint8) {
+func runFairness(t *testing.T, a arb.BoolArbiter, bits arb.Arbiter, rng *sim.RNG, target, bound int, shape uint8) {
 	t.Helper()
 	n := a.Size()
 	req := make([]bool, n)
@@ -174,8 +172,8 @@ func FuzzOutputArbiter(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, nRaw, mRaw, shape uint8) {
 		n := 1 + int(nRaw)
 		m := 2 + int(mRaw)%126
-		a := arb.NewOutputArbiter(n, m)
-		bits := arb.NewBitOutputArbiter(n, m)
+		a := arb.NewOutputArbiter(n, m).(arb.BoolArbiter)
+		bits := arb.NewOutputArbiter(n, m)
 		rng := sim.NewRNG(seed ^ 0x2545f4914f6cdd1d)
 		req := make([]bool, n)
 		v := arb.NewBitVec(n)

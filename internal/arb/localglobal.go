@@ -15,13 +15,8 @@ type LocalGlobal struct {
 	locals []*RoundRobin
 	global *RoundRobin
 
-	// scratch buffers reused across invocations to avoid allocation in
-	// the simulation inner loop.
-	groupReq   []bool
-	winnerOf   []int
-	globalsReq []bool
-	globalsB   *BitVec  // bitset twin of globalsReq
-	grpMask    []uint64 // per-group request mask (group sizes <= 64)
+	globalsB *BitVec  // scratch: the group-presence lines of one arbitration
+	grpMask  []uint64 // per-group request mask (group sizes <= 64)
 }
 
 // NewLocalGlobal returns a two-stage arbiter over n lines with local
@@ -39,14 +34,11 @@ func NewLocalGlobal(n, m int) *LocalGlobal {
 	}
 	groups := (n + m - 1) / m
 	lg := &LocalGlobal{
-		n:          n,
-		m:          m,
-		locals:     make([]*RoundRobin, groups),
-		global:     NewRoundRobin(groups),
-		groupReq:   make([]bool, m),
-		winnerOf:   make([]int, groups),
-		globalsReq: make([]bool, groups),
-		globalsB:   NewBitVec(groups),
+		n:        n,
+		m:        m,
+		locals:   make([]*RoundRobin, groups),
+		global:   NewRoundRobin(groups),
+		globalsB: NewBitVec(groups),
 	}
 	for g := range lg.locals {
 		size := m
@@ -67,9 +59,6 @@ func NewLocalGlobal(n, m int) *LocalGlobal {
 // Size returns the number of request lines.
 func (a *LocalGlobal) Size() int { return a.n }
 
-// Groups returns the number of local groups.
-func (a *LocalGlobal) Groups() int { return len(a.locals) }
-
 // Stages returns the number of arbitration stages (2 for a local-global
 // arbiter, 1 when the group covers all inputs).
 func (a *LocalGlobal) Stages() int {
@@ -79,71 +68,21 @@ func (a *LocalGlobal) Stages() int {
 	return 2
 }
 
-// Arbitrate grants one of the requesting lines using local-then-global
-// round-robin selection. It returns -1 when no line requests.
+// ArbitrateBits grants one of the requesting lines using
+// local-then-global round-robin selection, or -1 when no line requests:
+// one GroupAny pass reduces the request vector to group-presence lines
+// (a SWAR movemask per word for the common sub-word group widths), the
+// global stage picks a group, and only that group's local pointer
+// commits. Every path is alloc-free and O(active): single-word vectors
+// stay entirely in registers, wider vectors reduce word-at-a-time, and a
+// local group wider than one word is searched in place over its line
+// range.
 //
-// Note a subtlety faithful to distributed hardware: a local winner that
-// subsequently loses the global stage has still consumed its local
-// arbiter's grant (the local pointer advanced). The paper's design
-// accepts this, and so do we; fairness is preserved in the long run
-// because both stages rotate.
-func (a *LocalGlobal) Arbitrate(requests []bool) int {
-	if len(requests) != a.n {
-		panic("arb: request vector size mismatch")
-	}
-	groups := len(a.locals)
-	anyReq := false
-	for g := 0; g < groups; g++ {
-		base := g * a.m
-		size := a.locals[g].Size()
-		req := a.groupReq[:size]
-		has := false
-		for i := 0; i < size; i++ {
-			req[i] = requests[base+i]
-			has = has || req[i]
-		}
-		if has {
-			// Peek locally; commit the local pointer only if the group
-			// wins globally. Real hardware commits unconditionally, but
-			// committing on global win gives the same long-run fairness
-			// and avoids starving a group member whose group loses
-			// repeatedly. The difference is not observable in any of the
-			// paper's experiments; tests pin the chosen behavior.
-			w := a.locals[g].Peek(req)
-			a.winnerOf[g] = base + w
-			a.globalsReq[g] = true
-			anyReq = true
-		} else {
-			a.globalsReq[g] = false
-			a.winnerOf[g] = -1
-		}
-	}
-	if !anyReq {
-		return -1
-	}
-	gw := a.global.Arbitrate(a.globalsReq)
-	if gw < 0 {
-		return -1
-	}
-	// Commit the winning group's local pointer.
-	base := gw * a.m
-	size := a.locals[gw].Size()
-	req := a.groupReq[:size]
-	for i := 0; i < size; i++ {
-		req[i] = requests[base+i]
-	}
-	w := a.locals[gw].Arbitrate(req)
-	return base + w
-}
-
-// ArbitrateBits is the bitset twin of Arbitrate: one GroupAny pass
-// reduces the request vector to group-presence lines (a SWAR movemask
-// per word for the common sub-word group widths), the global stage
-// picks a group, and only that group's local pointer commits —
-// identical grant for grant to the []bool path. Every path is
-// alloc-free and O(active): single-word vectors stay entirely in
-// registers, wider vectors reduce word-at-a-time, and a local group
-// wider than one word is searched in place over its line range.
+// Real hardware commits every local winner's pointer unconditionally;
+// committing only the group that wins globally gives the same long-run
+// fairness (both stages rotate) and avoids starving a member of a group
+// that loses repeatedly. The difference is not observable in any of the
+// paper's experiments; tests pin the chosen behavior.
 func (a *LocalGlobal) ArbitrateBits(v *BitVec) int {
 	if v.n != a.n {
 		panic("arb: request vector size mismatch")

@@ -139,7 +139,6 @@ func TestDualEmpty(t *testing.T) {
 func TestConstructorPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"roundrobin-0": func() { NewRoundRobin(0) },
-		"fixed-0":      func() { NewFixed(0) },
 		"lg-n0":        func() { NewLocalGlobal(0, 4) },
 		"lg-m0":        func() { NewLocalGlobal(4, 0) },
 	} {

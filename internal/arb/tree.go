@@ -22,19 +22,11 @@ type Tree struct {
 	// next[levels[li].off+ni].
 	next []int32
 
-	// scratch for the bitset path: per level the winners percolating up
-	// as next-level requests, and each node's peeked local winner for the
+	// scratch: per level the winners percolating up as next-level
+	// requests, and each node's peeked local winner for the
 	// downward commit (laid out like next).
 	bitUp      []BitVec
 	bitWinners []int32
-
-	// scratch for the []bool reference path, lazily built on first use
-	// (the routers only ever drive the bitset path): per-level winner and
-	// next-level request vectors, plus one group buffer for the downward
-	// commit.
-	boolNext [][]bool
-	boolWin  [][]int
-	grpBuf   []bool
 }
 
 type treeLevel struct {
@@ -86,98 +78,16 @@ func (t *Tree) Size() int { return t.n }
 // Stages returns the number of arbitration stages.
 func (t *Tree) Stages() int { return len(t.levels) }
 
-// rotPeekBool is the []bool twin of rotFirst: the requesting index
-// cyclically closest to ptr, or -1 if none requests.
-func rotPeekBool(grp []bool, ptr int) int {
-	n := len(grp)
-	for i := 0; i < n; i++ {
-		idx := ptr + i
-		if idx >= n {
-			idx -= n
-		}
-		if grp[idx] {
-			return idx
-		}
-	}
-	return -1
-}
-
-// Arbitrate selects a winner by percolating per-group winners up the
-// tree and committing the pointers along the winning path only, so a
-// group whose candidate loses higher up is not penalized (the same
-// convention as LocalGlobal).
-func (t *Tree) Arbitrate(requests []bool) int {
-	if len(requests) != t.n {
-		panic("arb: request vector size mismatch")
-	}
-	if len(t.levels) == 0 {
-		// Single line: grant it if requesting.
-		if requests[0] {
-			return 0
-		}
-		return -1
-	}
-	if t.boolNext == nil {
-		t.boolNext = make([][]bool, len(t.levels))
-		t.boolWin = make([][]int, len(t.levels))
-		for li, lvl := range t.levels {
-			t.boolNext[li] = make([]bool, lvl.nodes)
-			t.boolWin[li] = make([]int, lvl.nodes)
-		}
-		t.grpBuf = make([]bool, t.nodeSize(&t.levels[0], 0))
-	}
-	// Upward pass: per level, the winner index within each group and
-	// the request vector of the next level.
-	cur := requests
-	for li := range t.levels {
-		lvl := &t.levels[li]
-		next := t.boolNext[li]
-		for ni := 0; ni < lvl.nodes; ni++ {
-			base := ni * t.m
-			size := t.nodeSize(lvl, ni)
-			w := rotPeekBool(cur[base:base+size], int(t.next[lvl.off+ni]))
-			t.boolWin[li][ni] = w
-			next[ni] = w >= 0
-		}
-		cur = next
-	}
-	if !cur[0] {
-		return -1
-	}
-	// Downward pass: follow the winning path from the root, committing
-	// each node's pointer.
-	node := 0
-	for li := len(t.levels) - 1; li >= 0; li-- {
-		lvl := &t.levels[li]
-		base := node * t.m
-		size := t.nodeSize(lvl, node)
-		grp := t.grpBuf[:size]
-		if li == 0 {
-			copy(grp, requests[base:base+size])
-		} else {
-			for i := 0; i < size; i++ {
-				grp[i] = t.boolWin[li-1][base+i] >= 0
-			}
-		}
-		w := rotPeekBool(grp, int(t.next[lvl.off+node]))
-		p := w + 1
-		if p >= size {
-			p = 0
-		}
-		t.next[lvl.off+node] = int32(p)
-		node = base + w
-	}
-	return node
-}
-
-// ArbitrateBits is the bitset twin of Arbitrate: each level reduces its
-// request vector by groups with one GroupAny pass, then peeks a local
-// winner only at the nodes that actually hold a requester (found by
-// iterating the reduced vector's set bits), so the whole upward pass is
-// O(active) at any radix and any fan-in — identical grant for grant to
-// the []bool path. Winner entries at idle nodes go stale rather than
-// being reset; that is safe because the downward pass descends set bits
-// of the reduced vectors only.
+// ArbitrateBits selects a winner by percolating per-group winners up
+// the tree and committing the pointers along the winning path only, so
+// a group whose candidate loses higher up is not penalized (the same
+// convention as LocalGlobal). Each level reduces its request vector by
+// groups with one GroupAny pass, then peeks a local winner only at the
+// nodes that actually hold a requester (found by iterating the reduced
+// vector's set bits), so the whole upward pass is O(active) at any
+// radix and any fan-in. Winner entries at idle nodes go stale rather
+// than being reset; that is safe because the downward pass descends set
+// bits of the reduced vectors only.
 //
 // A vector holding exactly one line — a credit-bus row almost always
 // does, and so does an output column at moderate load — skips both
@@ -269,11 +179,4 @@ func NewOutputArbiter(n, m int) Arbiter {
 	default:
 		return NewTree(n, m)
 	}
-}
-
-// NewBitOutputArbiter returns the identical structure as NewOutputArbiter
-// through its bitset entry point (every output arbiter implements both
-// interfaces over the same pointer state).
-func NewBitOutputArbiter(n, m int) BitArbiter {
-	return NewOutputArbiter(n, m).(BitArbiter)
 }

@@ -69,7 +69,7 @@ type blResponse struct {
 // per-output-VC arbiters of Figure 8(a)).
 type blOutput struct {
 	pending []blRequest
-	lg      arb.BitArbiter
+	lg      arb.Arbiter
 	dual    *arb.Dual
 	vcPtr   []int // CVA per-output-VC rotating pointer over inputs
 	free    core.Serializer
@@ -198,7 +198,7 @@ func newBaseline(cfg Config) *baseline {
 		if cfg.Prioritized {
 			o.dual = arb.NewDual(k, func(n int) arb.Arbiter { return arb.NewOutputArbiter(n, cfg.LocalGroup) })
 		} else {
-			o.lg = arb.NewBitOutputArbiter(k, cfg.LocalGroup)
+			o.lg = arb.NewOutputArbiter(k, cfg.LocalGroup)
 		}
 	}
 	return r

@@ -57,10 +57,10 @@ type buffered struct {
 	inFree   core.SerializerBank
 	inputArb []*arb.RoundRobin
 
-	credit  core.Ledger      // pools flat [(input*k+output)*v+vc]
-	xp      core.FIFOBank    // flat [(input*k+output)*v+vc], same layout as the ledger
-	xpArb   *arb.RotorBank   // per crosspoint [input*k+output] over VCs
-	outLG   []arb.BitArbiter // per output over crosspoints (inputs)
+	credit  core.Ledger    // pools flat [(input*k+output)*v+vc]
+	xp      core.FIFOBank  // flat [(input*k+output)*v+vc], same layout as the ledger
+	xpArb   *arb.RotorBank // per crosspoint [input*k+output] over VCs
+	outLG   []arb.Arbiter  // per output over crosspoints (inputs)
 	outFree core.SerializerBank
 
 	toXp *sim.DelayLine[*flit.Flit]
@@ -102,7 +102,7 @@ func newBuffered(cfg Config) *buffered {
 		credit:     core.MakeLedger(obs, "xpoint", k*k*v, cfg.XpointBufDepth),
 		xp:         core.MakeFIFOBank(k*k*v, cfg.XpointBufDepth),
 		xpArb:      arb.NewRotorBank(k*k, v),
-		outLG:      make([]arb.BitArbiter, k),
+		outLG:      make([]arb.Arbiter, k),
 		outFree:    core.NewSerializerBank(k),
 		toXp:       sim.NewDelayLine[*flit.Flit](cfg.STCycles),
 		bus:        core.MakeCreditBus(k, k, cfg.LocalGroup, v*cfg.XpointBufDepth),
@@ -115,7 +115,7 @@ func newBuffered(cfg Config) *buffered {
 	}
 	for i := 0; i < k; i++ {
 		r.inputArb[i] = arb.NewRoundRobin(v)
-		r.outLG[i] = arb.NewBitOutputArbiter(k, cfg.LocalGroup)
+		r.outLG[i] = arb.NewOutputArbiter(k, cfg.LocalGroup)
 	}
 	return r
 }

@@ -27,9 +27,9 @@ type CreditBus struct {
 	ringCap int
 	vcs     []uint8
 	ring    []busRing
-	req     []arb.BitVec     // [row] over outputs: crosspoints with queued credits
-	busArb  []arb.BitArbiter // [row]
-	wire    []busCredit      // [row]
+	req     []arb.BitVec  // [row] over outputs: crosspoints with queued credits
+	busArb  []arb.Arbiter // [row]
+	wire    []busCredit   // [row]
 	busy    arb.BitVec
 	pending int
 }
@@ -59,12 +59,12 @@ func MakeCreditBus(rows, k, m, perXpCap int) CreditBus {
 		vcs:     make([]uint8, rows*k*perXpCap),
 		ring:    make([]busRing, rows*k),
 		req:     arb.MakeBitVecs(rows, k),
-		busArb:  make([]arb.BitArbiter, rows),
+		busArb:  make([]arb.Arbiter, rows),
 		wire:    make([]busCredit, rows),
 		busy:    arb.MakeBitVec(rows),
 	}
 	for i := range b.busArb {
-		b.busArb[i] = arb.NewBitOutputArbiter(k, m)
+		b.busArb[i] = arb.NewOutputArbiter(k, m)
 	}
 	return b
 }

@@ -83,8 +83,8 @@ type hierarchical struct {
 	intArb      []arb.RoundRobin    // [s*p+j] over local inputs
 
 	outFree  core.SerializerBank
-	colArb   []arb.BitArbiter // per output, over rows (subswitches in the column)
-	subOutVC *arb.RotorBank   // [output*g+row] subswitch-output VC pick for the column stage
+	colArb   []arb.Arbiter  // per output, over rows (subswitches in the column)
+	subOutVC *arb.RotorBank // [output*g+row] subswitch-output VC pick for the column stage
 
 	toSubIn    *sim.DelayLine[*flit.Flit]
 	toSubOut   *sim.DelayLine[*flit.Flit]
@@ -160,7 +160,7 @@ func newHierarchical(cfg Config) *hierarchical {
 		subInArb:    arb.NewRotorBank(k*g, v),
 		intArb:      make([]arb.RoundRobin, k*g),
 		outFree:     core.NewSerializerBank(k),
-		colArb:      make([]arb.BitArbiter, k),
+		colArb:      make([]arb.Arbiter, k),
 		subOutVC:    arb.NewRotorBank(k*g, v),
 		toSubIn:     sim.NewDelayLine[*flit.Flit](cfg.STCycles),
 		toSubOut:    sim.NewDelayLine[*flit.Flit](cfg.STCycles),
@@ -187,7 +187,7 @@ func newHierarchical(cfg Config) *hierarchical {
 	for i := 0; i < k; i++ {
 		r.grp[i], r.loc[i] = int32(i/p), int32(i%p)
 		r.inputArb[i] = arb.NewRoundRobin(v)
-		r.colArb[i] = arb.NewBitOutputArbiter(g, cfg.LocalGroup)
+		r.colArb[i] = arb.NewOutputArbiter(g, cfg.LocalGroup)
 	}
 	return r
 }

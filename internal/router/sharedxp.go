@@ -48,7 +48,7 @@ type sharedXpoint struct {
 
 	credit  core.Ledger   // shared-buffer pools flat [input*k+output]
 	xp      core.FIFOBank // flat [input*k+output] shared FIFO, same layout as the ledger
-	outLG   []arb.BitArbiter
+	outLG   []arb.Arbiter
 	outFree core.SerializerBank
 
 	toXp *sim.DelayLine[*flit.Flit]
@@ -92,7 +92,7 @@ func newSharedXpoint(cfg Config) *sharedXpoint {
 		inputArb:   make([]*arb.RoundRobin, k),
 		credit:     core.MakeLedger(obs, "xp-shared", k*k, cfg.XpointBufDepth),
 		xp:         core.MakeFIFOBank(k*k, cfg.XpointBufDepth),
-		outLG:      make([]arb.BitArbiter, k),
+		outLG:      make([]arb.Arbiter, k),
 		outFree:    core.NewSerializerBank(k),
 		toXp:       sim.NewDelayLine[*flit.Flit](cfg.STCycles),
 		ack:        sim.NewDelayLine[xpAck](1),
@@ -105,7 +105,7 @@ func newSharedXpoint(cfg Config) *sharedXpoint {
 	}
 	for i := 0; i < k; i++ {
 		r.inputArb[i] = arb.NewRoundRobin(v)
-		r.outLG[i] = arb.NewBitOutputArbiter(k, cfg.LocalGroup)
+		r.outLG[i] = arb.NewOutputArbiter(k, cfg.LocalGroup)
 	}
 	return r
 }
