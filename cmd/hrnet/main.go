@@ -53,7 +53,6 @@ func main() {
 		jobs     = flag.Int("j", 0, "sweep pool workers (0 = GOMAXPROCS, 1 = serial)")
 		profile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		chk      = flag.Bool("check", false, "arm the end-to-end network auditor (drains each run to empty and fails on any violation)")
-		noff     = flag.Bool("noff", false, "force dense per-cycle stepping (disable quiescence fast-forward; results are byte-identical)")
 		inj      = flag.String("inj", "percycle", "injection sampling: percycle|gap (gap is event-driven, O(events) at low load, distribution-equivalent)")
 	)
 	flag.Parse()
@@ -102,7 +101,6 @@ func main() {
 		WarmupCycles:  *warmup,
 		MeasureCycles: *measure,
 		Seed:          *seed,
-		NoFastForward: *noff,
 		Injection:     injMode,
 	}
 	fmt.Printf("%s: routers=%d terminals=%d vcs=%d hop-delay=%d ser=%d",

@@ -40,7 +40,6 @@ func main() {
 		trace   = flag.String("trace", "", "replay a trace file (cycle,src,dst[,len] lines) instead of synthetic traffic")
 		events  = flag.Int("events", 0, "print the first N microarchitectural events (accept/grant/nack/eject)")
 		chk     = flag.Bool("check", false, "arm the cycle-level invariant checker (drains the run to empty and fails on any violation)")
-		noff    = flag.Bool("noff", false, "force dense per-cycle stepping (disable quiescence fast-forward; results are byte-identical)")
 		inj     = flag.String("inj", "percycle", "injection sampling: percycle|gap (gap is event-driven, O(events) at low load, distribution-equivalent)")
 	)
 	flag.Parse()
@@ -105,7 +104,6 @@ func main() {
 		MeasureCycles: *measure,
 		Seed:          *seed,
 		Check:         *chk,
-		NoFastForward: *noff,
 		Injection:     injMode,
 	}
 	if *trace != "" {

@@ -41,7 +41,6 @@ func main() {
 		plot     = flag.Bool("plot", false, "append an ASCII plot of the series")
 		jobs     = flag.Int("j", 0, "sweep pool workers (0 = GOMAXPROCS, 1 = serial)")
 		profile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		noff     = flag.Bool("noff", false, "force dense per-cycle stepping (disable quiescence fast-forward; results are byte-identical)")
 		inj      = flag.String("inj", "percycle", "injection sampling: percycle|gap (gap is event-driven, O(events) at low load, distribution-equivalent)")
 		netw     = flag.Int("netw", -1, "network-run shard workers: 0 = serial driver, >= 1 = sharded (-1 keeps the scale default; results are byte-identical at every value)")
 		cacheDir = flag.String("cache", "", "content-addressed result cache directory: warm figures and points are served from it byte-identically instead of resimulated")
@@ -90,7 +89,6 @@ func main() {
 	}
 	scale.Seed = *seed
 	scale.Workers = *jobs
-	scale.NoFastForward = *noff
 	scale.Injection = injMode
 	if *netw >= 0 {
 		scale.NetWorkers = *netw

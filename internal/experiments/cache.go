@@ -15,10 +15,10 @@ const figureSchema = "figure/v1"
 
 // fingerprint is the canonical description of every Scale field that
 // can steer a generated table. Workers never appears (tables are
-// identical at every pool size), nor do NetWorkers and NoFastForward
-// (both proven byte-identical by the shard-equivalence and
-// fast-forward-twin suites) or Cache itself. Injection and the phase
-// lengths do: they change results, not just wall-clock.
+// identical at every pool size), nor does NetWorkers (proven
+// byte-identical by the shard-equivalence suite) or Cache itself.
+// Injection and the phase lengths do: they change results, not just
+// wall-clock.
 func (s Scale) fingerprint() string {
 	g := func(xs []float64) string {
 		parts := make([]string, len(xs))

@@ -138,7 +138,7 @@ func TestFigureKeySensitivity(t *testing.T) {
 	same := s
 	same.Workers = 8
 	same.NetWorkers = 4
-	same.NoFastForward = true
+	same.dense = true
 	same.Cache = nil
 	if k := figureKey("fig9", 1, same); k != base {
 		t.Fatal("wall-clock-only knobs changed the figure key")

@@ -28,8 +28,8 @@ type Scale struct {
 	NetLoads []float64
 	// NetWarmup and NetMeasure size the network runs.
 	NetWarmup, NetMeasure int64
-	// NetTerminals shrinks the Figure 19 network when nonzero is false;
-	// FullNetwork selects the paper's 4096-node configuration.
+	// FullNetwork selects the paper's 4096-node networks for Figure 19;
+	// when false the figure runs a reduced 256-node pair.
 	FullNetwork bool
 	// Seed drives all runs.
 	Seed uint64
@@ -45,11 +45,6 @@ type Scale struct {
 	// knob changes wall-clock only, never a table — the goldens pin that
 	// by running the default scales through the sharded path.
 	NetWorkers int
-	// NoFastForward forces dense per-cycle stepping in every run
-	// (testbench.Options.NoFastForward / network.Options.NoFastForward).
-	// Results are byte-identical either way; the flag exists for A/B
-	// verification of the fast-forward machinery.
-	NoFastForward bool
 	// Injection selects the synthetic source implementation for every
 	// run (testbench.Options.Injection / network.Options.Injection).
 	// The default per-cycle mode reproduces the historical goldens;
@@ -62,6 +57,10 @@ type Scale struct {
 	// run is deterministic in its options, serving from the cache is
 	// byte-identical to recomputing; nil disables caching entirely.
 	Cache *cache.Store
+	// dense forces per-cycle stepping in every run (NoFastForward of
+	// testbench.Options and network.Options). Tables are byte-identical
+	// either way; only this package's TestGoldenDense sets it.
+	dense bool
 }
 
 // Full is the publication-quality scale.
@@ -97,7 +96,7 @@ func (s Scale) opts(cfg router.Config) testbench.Options {
 		WarmupCycles:  s.Warmup,
 		MeasureCycles: s.Measure,
 		Seed:          s.Seed,
-		NoFastForward: s.NoFastForward,
+		NoFastForward: s.dense,
 		Injection:     s.Injection,
 	}
 }

@@ -89,3 +89,33 @@ func TestGolden(t *testing.T) {
 		golden(t, "fig19", Fig19, s)
 	})
 }
+
+// TestGoldenDense is the figure-level fast-forward twin: regenerated
+// with every run forced to dense per-cycle stepping, a figure must
+// reproduce the golden its fast-forwarding run recorded. fig9 covers the
+// single-router driver, fig19 the network driver (through the sharded
+// runner, as Quick selects), fig_alloc the VOQ and dynamic-VC routers;
+// under gap injection the dense twin also walks every cycle between two
+// wheel events.
+func TestGoldenDense(t *testing.T) {
+	if *update {
+		t.Skip("the goldens are written by TestGolden; this test only cross-checks dense stepping")
+	}
+	for _, c := range []struct {
+		exp, file string
+		scale     Scale
+	}{
+		{"fig9", "fig9", Quick},
+		{"fig19", "fig19", Quick},
+		{"fig_alloc", "fig_alloc", Quick},
+		{"fig9", "fig9_gap", gapScale()},
+		{"fig19", "fig19_gap", gapScale()},
+	} {
+		gen, err := ByName(c.exp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.scale.dense = true
+		t.Run(c.file, func(t *testing.T) { golden(t, c.file, gen, c.scale) })
+	}
+}

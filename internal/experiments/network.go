@@ -45,7 +45,7 @@ func (s Scale) netFigure(t *stats.Table, cases []netCase) error {
 	outs, err := sweep.Gather(cases, func(c netCase) (caseOut, error) {
 		base := c.o
 		base.WarmupCycles, base.MeasureCycles = s.NetWarmup, s.NetMeasure
-		base.Seed, base.NoFastForward, base.Injection = s.Seed, s.NoFastForward, s.Injection
+		base.Seed, base.NoFastForward, base.Injection = s.Seed, s.dense, s.Injection
 		series, err := sweep.Curve(p, c.name, s.NetLoads, func(load float64) (sweep.Point, error) {
 			o := base
 			o.Load = load
