@@ -31,7 +31,12 @@ import (
 	"highradix/internal/traffic"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main with an exit status instead of os.Exit, so that a failure
+// at any point still runs the deferred profile stop, file close and
+// cache counter line.
+func run() int {
 	var (
 		exp      = flag.String("exp", "", "experiment to run (see -list), or 'all'")
 		quick    = flag.Bool("quick", false, "reduced simulation windows")
@@ -47,26 +52,26 @@ func main() {
 	)
 	flag.Parse()
 
+	fail := func(status int, err error) int {
+		fmt.Fprintln(os.Stderr, "hrsweep:", err)
+		return status
+	}
 	injMode, err := traffic.InjModeByName(*inj)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hrsweep:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	if *netw < -1 {
-		fmt.Fprintf(os.Stderr, "hrsweep: -netw %d: want -1 (the scale default), 0 (the serial driver) or a worker count >= 1\n", *netw)
-		os.Exit(1)
+		return fail(1, fmt.Errorf("-netw %d: want -1 (the scale default), 0 (the serial driver) or a worker count >= 1", *netw))
 	}
 
 	if *profile != "" {
 		f, err := os.Create(*profile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hrsweep:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "hrsweep:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -78,9 +83,9 @@ func main() {
 		}
 		fmt.Println("  all        run everything")
 		if *exp == "" {
-			os.Exit(2)
+			return 2
 		}
-		return
+		return 0
 	}
 
 	scale := experiments.Full
@@ -96,8 +101,7 @@ func main() {
 	if *cacheDir != "" {
 		st, err := cache.Open(*cacheDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hrsweep:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		scale.Cache = st
 		// Stats go to stderr when the run finishes; stdout stays
@@ -109,7 +113,7 @@ func main() {
 		}()
 	}
 
-	run := func(name string, gen experiments.Generator) {
+	figure := func(name string, gen experiments.Generator) error {
 		t0 := time.Now()
 		var table *stats.Table
 		var err error
@@ -123,8 +127,7 @@ func main() {
 			table, err = gen(scale)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hrsweep: %s: %v\n", name, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", name, err)
 		}
 		if *csv {
 			fmt.Print(table.CSV())
@@ -139,18 +142,23 @@ func main() {
 		// of wall-clock (which is the point of -cache).
 		fmt.Fprintf(os.Stderr, "[%s completed in %.1fs]\n", name, time.Since(t0).Seconds())
 		fmt.Println()
+		return nil
 	}
 
 	if *exp == "all" {
 		for _, e := range experiments.Registry {
-			run(e.Name, e.Gen)
+			if err := figure(e.Name, e.Gen); err != nil {
+				return fail(1, err)
+			}
 		}
-		return
+		return 0
 	}
 	gen, err := experiments.ByName(*exp)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hrsweep:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
-	run(*exp, gen)
+	if err := figure(*exp, gen); err != nil {
+		return fail(1, err)
+	}
+	return 0
 }
