@@ -144,12 +144,9 @@ func NewRotorBank(count, n int) *RotorBank {
 	return &RotorBank{n: n, next: make([]uint8, count)}
 }
 
-// Size returns the number of request lines per arbiter.
-func (b *RotorBank) Size() int { return b.n }
-
 // Arbitrate grants from arbiter i's request word (line j at bit j) and
 // advances that arbiter's priority pointer past the winner. Bits at or
-// above Size must be zero.
+// above the n lines of NewRotorBank must be zero.
 func (b *RotorBank) Arbitrate(i int, w uint64) int {
 	win := rotFirst(w, int(b.next[i]))
 	if win >= 0 {

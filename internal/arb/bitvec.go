@@ -45,9 +45,6 @@ func MakeBitVecs(rows, n int) []BitVec {
 	return vs
 }
 
-// Len returns the number of lines.
-func (v *BitVec) Len() int { return v.n }
-
 // Set raises line i.
 func (v *BitVec) Set(i int) { v.words[i>>6] |= 1 << (uint(i) & 63) }
 
@@ -81,15 +78,6 @@ func (v *BitVec) sole() int {
 		line = wi<<6 + bits.TrailingZeros64(w)
 	}
 	return line
-}
-
-// Count returns the number of raised lines.
-func (v *BitVec) Count() int {
-	n := 0
-	for _, w := range v.words {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // Reset lowers every line.

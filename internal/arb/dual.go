@@ -19,9 +19,6 @@ func NewDual(n int, mk func(n int) Arbiter) *Dual {
 	return &Dual{n: n, nonspec: mk(n), spec: mk(n)}
 }
 
-// Size returns the number of request lines.
-func (a *Dual) Size() int { return a.n }
-
 // ArbitrateBits selects a winner given separate nonspeculative and
 // speculative request vectors. The returned index refers to the shared
 // line numbering; spec reports whether the granted request was

@@ -1,6 +1,7 @@
 package arb_test
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -53,8 +54,7 @@ func islipRound(t *testing.T, s *arb.ISLIP, n, iters int, reqs []arb.BitVec) [][
 func TestISLIPPermutation(t *testing.T) {
 	const n = 64
 	s := arb.NewISLIP(n)
-	rng := sim.NewRNG(7)
-	perm := rng.Perm(n)
+	perm := rand.New(rand.NewSource(7)).Perm(n)
 	reqs := make([]arb.BitVec, n)
 	for o := range reqs {
 		reqs[o] = arb.MakeBitVec(n)

@@ -7,8 +7,7 @@ package arb
 // the n/m local winners. Each stage arbitrates over a small number of
 // inputs (typically 16 or less) so that it fits in a clock cycle.
 //
-// For very high radix the structure extends to more stages; Stages
-// reports how many a configuration uses (relevant to pipeline depth).
+// For very high radix the structure extends to more stages (Tree).
 type LocalGlobal struct {
 	n      int
 	m      int
@@ -58,15 +57,6 @@ func NewLocalGlobal(n, m int) *LocalGlobal {
 
 // Size returns the number of request lines.
 func (a *LocalGlobal) Size() int { return a.n }
-
-// Stages returns the number of arbitration stages (2 for a local-global
-// arbiter, 1 when the group covers all inputs).
-func (a *LocalGlobal) Stages() int {
-	if len(a.locals) == 1 {
-		return 1
-	}
-	return 2
-}
 
 // ArbitrateBits grants one of the requesting lines using
 // local-then-global round-robin selection, or -1 when no line requests:

@@ -50,9 +50,6 @@ func (a *RoundRobin) Arbitrate(requests []bool) int {
 	return w
 }
 
-// Groups returns the number of local groups.
-func (a *LocalGlobal) Groups() int { return len(a.locals) }
-
 // Arbitrate grants one of the requesting lines using local-then-global
 // round-robin selection: every group with a requester peeks a local
 // winner, the global stage picks a group, and only that group's local

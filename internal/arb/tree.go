@@ -75,9 +75,6 @@ func NewTree(n, m int) *Tree {
 // Size returns the number of request lines.
 func (t *Tree) Size() int { return t.n }
 
-// Stages returns the number of arbitration stages.
-func (t *Tree) Stages() int { return len(t.levels) }
-
 // ArbitrateBits selects a winner by percolating per-group winners up
 // the tree and committing the pointers along the winning path only, so
 // a group whose candidate loses higher up is not penalized (the same

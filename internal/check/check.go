@@ -165,17 +165,6 @@ func (c *Checker) Err() error {
 	return c.err
 }
 
-// Stats returns event counters accumulated so far.
-func (c *Checker) Stats() Stats {
-	s := c.stats
-	s.Packets = c.fl.delivered
-	return s
-}
-
-// Live returns the number of flits currently in flight according to
-// the event stream.
-func (c *Checker) Live() int { return c.fl.liveCount }
-
 // Observe implements router.Observer.
 func (c *Checker) Observe(e router.Event) {
 	if c.err != nil {

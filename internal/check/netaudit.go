@@ -42,20 +42,6 @@ func NewNetAuditor(terminals, serCycles int, opt Options) *NetAuditor {
 	return a
 }
 
-// Err returns the first violation detected, or nil.
-func (a *NetAuditor) Err() error {
-	if a.err == nil {
-		return nil
-	}
-	return a.err
-}
-
-// Live returns the number of injected, not-yet-delivered flits.
-func (a *NetAuditor) Live() int { return a.fl.liveCount }
-
-// DeliveredPackets returns the number of fully delivered packets.
-func (a *NetAuditor) DeliveredPackets() uint64 { return a.fl.delivered }
-
 // Injected records a flit entering the network.
 func (a *NetAuditor) Injected(now int64, f *flit.Flit) {
 	if a.err != nil {

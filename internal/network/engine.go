@@ -229,19 +229,6 @@ type Network struct {
 	ejected  []*flit.Flit
 }
 
-// New builds a full serial network over the Clos topology described by
-// cfg (the historical constructor; routing draws from cfg.Seed).
-func New(cfg Config) (*Network, error) {
-	topo, err := NewClos(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := CheckLimits(topo); err != nil {
-		return nil, err
-	}
-	return NewNetwork(topo, topo.Config().Seed^0x632be59bd9b4e019), nil
-}
-
 // NewNetwork builds a full serial network over topo.
 func NewNetwork(topo Topology, seed uint64) *Network {
 	return NewNetworkRange(topo, seed, 0, topo.Routers())

@@ -33,9 +33,6 @@ func MakeLedger(obs Obs, note string, pools, depth int) Ledger {
 // Avail reports whether pool i has a credit to spend.
 func (l *Ledger) Avail(i int) bool { return l.credits[i] > 0 }
 
-// Credits returns the free credits of pool i.
-func (l *Ledger) Credits(i int) int { return int(l.credits[i]) }
-
 // Spend consumes one credit of pool i — a flit was committed toward the
 // pool's buffer — and emits the audit event labeled (input, output,
 // vc). Spending a credit the pool does not have is a flow-control

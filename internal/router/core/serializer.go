@@ -19,7 +19,7 @@ type SerializerBank []Serializer
 func NewSerializerBank(n int) SerializerBank { return make(SerializerBank, n) }
 
 // Free reports whether port i is idle at cycle now.
-func (b SerializerBank) Free(i int, now int64) bool { return b[i].FreeAt <= now }
+func (b SerializerBank) Free(i int, now int64) bool { return b[i].Free(now) }
 
 // Reserve occupies port i for cycles cycles starting at now.
-func (b SerializerBank) Reserve(i int, now int64, cycles int) { b[i].FreeAt = now + int64(cycles) }
+func (b SerializerBank) Reserve(i int, now int64, cycles int) { b[i].Reserve(now, cycles) }

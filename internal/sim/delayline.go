@@ -30,9 +30,6 @@ func NewDelayLine[T any](latency int) *DelayLine[T] {
 	return &DelayLine[T]{latency: int64(latency), items: NewQueue[timed[T]](0)}
 }
 
-// Latency reports the configured latency.
-func (d *DelayLine[T]) Latency() int { return int(d.latency) }
-
 // Len reports the number of items in flight.
 func (d *DelayLine[T]) Len() int { return d.items.Len() }
 
@@ -41,16 +38,10 @@ func (d *DelayLine[T]) Push(now int64, v T) {
 	d.items.MustPush(timed[T]{at: now + d.latency, v: v})
 }
 
-// PushAt inserts v to arrive at the explicit cycle at. It must not be
-// earlier than previously pushed arrivals (FIFO ordering is assumed).
-func (d *DelayLine[T]) PushAt(at int64, v T) {
-	d.items.MustPush(timed[T]{at: at, v: v})
-}
-
 // NextAt returns the arrival cycle of the earliest item in flight.
-// Arrivals are FIFO-ordered (Push adds a fixed latency, PushAt requires
-// nondecreasing arrival cycles), so the front item is the earliest. ok
-// is false when the line is empty.
+// Arrivals are FIFO-ordered (Push adds a fixed latency to a
+// nondecreasing now), so the front item is the earliest. ok is false
+// when the line is empty.
 func (d *DelayLine[T]) NextAt() (int64, bool) {
 	front, exists := d.items.Peek()
 	if !exists {

@@ -51,24 +51,3 @@ func TestDelayLineNegativePanics(t *testing.T) {
 	}()
 	NewDelayLine[int](-1)
 }
-
-func TestDelayLinePushAtAndLatency(t *testing.T) {
-	d := NewDelayLine[int](5)
-	if d.Latency() != 5 {
-		t.Fatalf("Latency() = %d", d.Latency())
-	}
-	d.PushAt(7, 1)
-	d.PushAt(9, 2)
-	if d.Len() != 2 {
-		t.Fatalf("Len = %d", d.Len())
-	}
-	if _, ok := d.PopReady(6); ok {
-		t.Fatal("item visible before PushAt time")
-	}
-	if v, ok := d.PopReady(7); !ok || v != 1 {
-		t.Fatalf("PopReady(7) = %v %v", v, ok)
-	}
-	if _, ok := d.PopReady(8); ok {
-		t.Fatal("second item leaked early")
-	}
-}

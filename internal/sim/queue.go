@@ -39,21 +39,9 @@ func MakeQueue[T any](capacity int) Queue[T] {
 // Len reports the number of queued items.
 func (q *Queue[T]) Len() int { return q.size }
 
-// Empty reports whether the queue holds no items.
-func (q *Queue[T]) Empty() bool { return q.size == 0 }
-
 // Full reports whether a bounded queue is at capacity. Unbounded queues
 // are never full.
 func (q *Queue[T]) Full() bool { return q.cap > 0 && q.size >= q.cap }
-
-// Free reports remaining slots in a bounded queue; for unbounded queues
-// it returns a large positive number.
-func (q *Queue[T]) Free() int {
-	if q.cap == 0 {
-		return int(^uint(0) >> 1)
-	}
-	return q.cap - q.size
-}
 
 // Push appends v. It returns false (and drops nothing) when the queue is
 // full — hardware models treat that as a flow-control violation and panic
@@ -91,15 +79,6 @@ func (q *Queue[T]) Peek() (v T, ok bool) {
 		return q.zeroT, false
 	}
 	return q.buf[q.head], true
-}
-
-// PeekAt returns the i-th item from the front (0 = front) without
-// removing it.
-func (q *Queue[T]) PeekAt(i int) (v T, ok bool) {
-	if i < 0 || i >= q.size {
-		return q.zeroT, false
-	}
-	return q.buf[(q.head+i)%len(q.buf)], true
 }
 
 // Pop removes and returns the front item. ok is false when empty.

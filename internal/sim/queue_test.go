@@ -61,12 +61,6 @@ func TestQueuePeek(t *testing.T) {
 	if v, _ := q.Peek(); v != "a" {
 		t.Fatalf("peek = %q, want a", v)
 	}
-	if v, _ := q.PeekAt(1); v != "b" {
-		t.Fatalf("PeekAt(1) = %q, want b", v)
-	}
-	if _, ok := q.PeekAt(2); ok {
-		t.Fatal("PeekAt beyond length succeeded")
-	}
 	if q.Len() != 2 {
 		t.Fatalf("peek consumed items: len %d", q.Len())
 	}
@@ -88,7 +82,7 @@ func TestQueueGrowthPreservesOrder(t *testing.T) {
 			expect++
 		}
 	}
-	for !q.Empty() {
+	for q.Len() > 0 {
 		if v := q.MustPop(); v != expect {
 			t.Fatalf("drain: got %d want %d", v, expect)
 		}

@@ -102,16 +102,3 @@ func (r *RNG) Float64() float64 {
 func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
-
-// Perm returns a uniformly random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

@@ -102,28 +102,6 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(11)
-	err := quick.Check(func(n uint8) bool {
-		size := int(n%50) + 1
-		p := r.Perm(size)
-		if len(p) != size {
-			return false
-		}
-		seen := make([]bool, size)
-		for _, v := range p {
-			if v < 0 || v >= size || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	parent := NewRNG(13)
 	c1 := parent.Split()

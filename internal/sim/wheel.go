@@ -58,9 +58,6 @@ func NewWheel(horizon int) *Wheel {
 	}
 }
 
-// Len reports the number of pending events.
-func (w *Wheel) Len() int { return w.inLap + len(w.over) }
-
 // Schedule adds an event for the given cycle. Scheduling before the
 // last popped cycle panics: the wheel's past is gone. Scheduling from
 // inside a PopDue callback is allowed for any cycle after the one being

@@ -28,21 +28,6 @@ func (s *Series) Add(x, y float64, saturated bool) {
 	s.Points = append(s.Points, Point{X: x, Y: y, Saturated: saturated})
 }
 
-// SaturationX returns the smallest x at which the series saturates, or
-// the largest x plus one step if it never does. It is the scalar the
-// paper quotes as "saturation throughput" when x is offered load.
-func (s *Series) SaturationX() float64 {
-	for _, p := range s.Points {
-		if p.Saturated {
-			return p.X
-		}
-	}
-	if len(s.Points) == 0 {
-		return 0
-	}
-	return s.Points[len(s.Points)-1].X
-}
-
 // Table renders one or more series that share x values as an aligned
 // text table, the format every figure-reproduction harness prints.
 type Table struct {

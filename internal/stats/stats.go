@@ -17,8 +17,6 @@ type Sample struct {
 	n      int64
 	sum    float64
 	sumSq  float64
-	min    float64
-	max    float64
 	values []float64 // retained for quantiles; bounded by Reservoir
 	// reservoir sampling bound; 0 means retain everything.
 	reservoirCap int
@@ -29,7 +27,7 @@ type Sample struct {
 // NewSample returns a sample retaining at most reservoirCap values for
 // quantile estimation (0 = retain all observations).
 func NewSample(reservoirCap int) *Sample {
-	return &Sample{reservoirCap: reservoirCap, min: math.Inf(1), max: math.Inf(-1), rngState: 0x9e3779b97f4a7c15}
+	return &Sample{reservoirCap: reservoirCap, rngState: 0x9e3779b97f4a7c15}
 }
 
 // Add records one observation.
@@ -37,12 +35,6 @@ func (s *Sample) Add(v float64) {
 	s.n++
 	s.sum += v
 	s.sumSq += v * v
-	if v < s.min {
-		s.min = v
-	}
-	if v > s.max {
-		s.max = v
-	}
 	s.seen++
 	if s.reservoirCap == 0 || len(s.values) < s.reservoirCap {
 		s.values = append(s.values, v)
@@ -57,9 +49,6 @@ func (s *Sample) Add(v float64) {
 		s.values[j] = v
 	}
 }
-
-// N returns the number of observations.
-func (s *Sample) N() int64 { return s.n }
 
 // Mean returns the sample mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 {
@@ -84,12 +73,6 @@ func (s *Sample) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (s *Sample) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// Min returns the smallest observation (or +Inf when empty).
-func (s *Sample) Min() float64 { return s.min }
-
-// Max returns the largest observation (or -Inf when empty).
-func (s *Sample) Max() float64 { return s.max }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of the retained values
 // using nearest-rank interpolation. It returns 0 for an empty sample.
@@ -134,10 +117,4 @@ func (s *Sample) RelativeError99() float64 {
 		return math.Inf(1)
 	}
 	return s.HalfWidth99() / m
-}
-
-// MeetsPaperAccuracy reports whether the sample satisfies the paper's
-// criterion: mean accurate to within 3% with 99% confidence.
-func (s *Sample) MeetsPaperAccuracy() bool {
-	return s.RelativeError99() <= 0.03
 }

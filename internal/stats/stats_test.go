@@ -12,18 +12,12 @@ func TestSampleMoments(t *testing.T) {
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		s.Add(v)
 	}
-	if s.N() != 8 {
-		t.Fatalf("N = %d", s.N())
-	}
 	if got := s.Mean(); got != 5 {
 		t.Fatalf("mean = %v, want 5", got)
 	}
 	// Unbiased variance of the classic dataset: sum sq dev = 32, /7.
 	if got := s.Variance(); math.Abs(got-32.0/7) > 1e-12 {
 		t.Fatalf("variance = %v, want %v", got, 32.0/7)
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
 	}
 }
 
@@ -66,8 +60,8 @@ func TestReservoirBoundsMemory(t *testing.T) {
 		t.Fatalf("reservoir median %v far from 499.5", m)
 	}
 	// Exact moments are unaffected by the reservoir.
-	if s.N() != 10000 {
-		t.Fatalf("N = %d", s.N())
+	if m := s.Mean(); m != 499.5 {
+		t.Fatalf("mean = %v, want 499.5", m)
 	}
 }
 
@@ -86,8 +80,8 @@ func TestConfidenceShrinks(t *testing.T) {
 	if small.HalfWidth99() <= large.HalfWidth99() {
 		t.Fatalf("CI did not shrink with samples: %v vs %v", small.HalfWidth99(), large.HalfWidth99())
 	}
-	if !large.MeetsPaperAccuracy() {
-		t.Fatalf("5000 low-variance samples fail the 3%%/99%% criterion (rel err %v)", large.RelativeError99())
+	if large.RelativeError99() > 0.03 {
+		t.Fatalf("5000 low-variance samples fail the paper's 3%%/99%% criterion (rel err %v)", large.RelativeError99())
 	}
 }
 
@@ -104,20 +98,6 @@ func TestVarianceNonNegativeProperty(t *testing.T) {
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSeriesSaturation(t *testing.T) {
-	s := &Series{Name: "x"}
-	s.Add(0.2, 10, false)
-	s.Add(0.4, 12, false)
-	s.Add(0.6, 500, true)
-	if got := s.SaturationX(); got != 0.6 {
-		t.Fatalf("SaturationX = %v, want 0.6", got)
-	}
-	empty := &Series{Name: "e"}
-	if empty.SaturationX() != 0 {
-		t.Fatal("empty series saturation not 0")
 	}
 }
 

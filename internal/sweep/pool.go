@@ -48,9 +48,6 @@ func New(workers int) *Pool {
 	return &Pool{workers: workers, sem: make(chan struct{}, workers)}
 }
 
-// Workers reports the pool size.
-func (p *Pool) Workers() int { return p.workers }
-
 // Map runs fn over every item on the pool's workers and returns the
 // results in item order. All jobs are attempted; if any fail, the
 // error of the lowest-index failing item is returned (the one serial

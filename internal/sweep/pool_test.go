@@ -215,10 +215,10 @@ func TestCurveSlowSaturationNoChurn(t *testing.T) {
 }
 
 func TestNewDefaultsToGOMAXPROCS(t *testing.T) {
-	if New(0).Workers() < 1 {
+	if New(0).workers < 1 {
 		t.Fatal("default pool has no workers")
 	}
-	if got := New(7).Workers(); got != 7 {
-		t.Fatalf("Workers() = %d, want 7", got)
+	if got := New(7).workers; got != 7 {
+		t.Fatalf("workers = %d, want 7", got)
 	}
 }
