@@ -30,15 +30,6 @@ func steadyWheel(pending int) (op func()) {
 	}
 }
 
-func benchWheelSteady(b *testing.B, pending int) {
-	b.ReportAllocs()
-	op := steadyWheel(pending)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		op()
-	}
-}
-
 // TestWheelSteadyStateAllocs gates the wheel's hot path: a schedule+pop
 // cycle is an append into a kept bucket and an in-place sort. AllocsPerRun
 // runs one batch of 20,000 cycles as warm-up and counts the next; what
@@ -64,7 +55,12 @@ func TestWheelSteadyStateAllocs(t *testing.T) {
 func BenchmarkWheelSteady(b *testing.B) {
 	for _, pending := range []int{1024, 8192, 65536} {
 		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
-			benchWheelSteady(b, pending)
+			b.ReportAllocs()
+			op := steadyWheel(pending)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
 		})
 	}
 }
