@@ -55,11 +55,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hrsim:", err)
 		os.Exit(2)
 	}
-	vaScheme := router.CVA
-	if *va == "OVA" {
-		vaScheme = router.OVA
-	} else if *va != "CVA" {
-		fmt.Fprintf(os.Stderr, "hrsim: unknown VA scheme %q\n", *va)
+	vaScheme, err := router.VAByName(*va)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hrsim:", err)
 		os.Exit(2)
 	}
 	pat, err := traffic.ByName(*pattern, *radix, *subsize, 8)

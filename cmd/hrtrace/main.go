@@ -46,9 +46,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hrtrace:", err)
 		os.Exit(2)
 	}
-	vaScheme := router.CVA
-	if *va == "OVA" {
-		vaScheme = router.OVA
+	vaScheme, err := router.VAByName(*va)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hrtrace:", err)
+		os.Exit(2)
 	}
 	pat, err := traffic.ByName(*pattern, *radix, *subsize, 8)
 	if err != nil {

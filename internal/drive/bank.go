@@ -1,0 +1,380 @@
+package drive
+
+import (
+	"highradix/internal/arb"
+	"highradix/internal/flit"
+	"highradix/internal/sim"
+	"highradix/internal/traffic"
+)
+
+// Device is the simulated system behind a bank of sources: a single
+// router (router.Router, *check.Checked), a whole network or one
+// shard's router range of one (*network.Network). Source s injects at
+// port s.
+type Device interface {
+	// CanAccept reports whether port can take a flit on vc this cycle.
+	CanAccept(port, vc int) bool
+	// Accept injects f at port f.Src on f.VC. The caller has checked
+	// CanAccept and spaces a port's flits a serialization time apart.
+	Accept(now int64, f *flit.Flit)
+	// Step advances the device one cycle.
+	Step(now int64)
+	// Ejected returns the flits delivered by the last Step, valid until
+	// the next one. The device holds no reference to a delivered flit:
+	// the caller may recycle it once it has read it.
+	Ejected() []*flit.Flit
+	// InFlight counts the flits accepted and not yet delivered; zero
+	// exactly when the device is empty.
+	InFlight() int
+	// Quiescent reports that Step is a no-op, delivering nothing, at
+	// every future cycle absent an Accept, and NextWake returns a lower
+	// bound, at least now+1, on the next cycle at which it is not
+	// (sim.NoWake when quiescent). Both must be exact — they license
+	// skipping Steps and jumping time — and cheap.
+	Quiescent() bool
+	NextWake(now int64) int64
+}
+
+// Workload is the traffic a bank offers; none of it depends on which
+// device the bank feeds.
+type Workload struct {
+	// Rate is each source's packet generation probability per cycle.
+	Rate float64
+	// PktLen is the packet length in flits.
+	PktLen int
+	// Pattern supplies destinations; nil means uniform over all sources.
+	// Banks of one run may share it, so it must hold no state of its own
+	// (every pattern in internal/traffic draws from the RNG it is given).
+	Pattern traffic.Pattern
+	// Bursty replaces Bernoulli generation by Markov ON/OFF bursts of
+	// BurstLen packets on average, each burst to one destination.
+	Bursty   bool
+	BurstLen float64
+	// Injection selects a draw per source per cycle, or gap sampling on
+	// a wheel of next-injection cycles (ignored by a trace replay).
+	Injection traffic.InjMode
+	// Trace, when non-nil, replaces synthetic generation: its packets are
+	// generated at their recorded cycles, whatever the phase. The bank
+	// must own every source it names.
+	Trace *traffic.Trace
+}
+
+// BankConfig sizes a Bank. Beyond the workload and the injection
+// channel's shape, a caller supplies only what its recorded results pin:
+// which sources the bank owns, their seeds and their packet ids.
+type BankConfig struct {
+	Workload
+	// Sources is the id space; VCs the virtual channels a packet may be
+	// injected on; Ser the cycles one flit occupies the injection channel.
+	Sources, VCs, Ser int
+	// Owns selects the sources this bank generates for; nil owns them
+	// all. Banks owning disjoint sets reproduce between them the traffic
+	// of one bank owning the union, because every per-source decision
+	// comes from that source's private stream.
+	Owns func(id int) bool
+	// Seed returns the stream seed of an owned source; it is called once
+	// per owned source, in ascending id order.
+	Seed func(id int) uint64
+	// PacketID names the seq'th packet (from 1) generated at src. Ids must
+	// be unique and nonzero.
+	PacketID func(src int, seq uint32) uint64
+}
+
+// srcFlit pairs a queued flit with its Head bit, so the injection scan
+// reads packet boundaries from the queue's own warm ring instead of a
+// possibly cold flit.
+type srcFlit struct {
+	f    *flit.Flit
+	head bool
+}
+
+// source is the injection machinery in front of one device port: an
+// unbounded generation queue, a flit-serialized injection channel and
+// per-packet VC assignment.
+type source struct {
+	q       sim.Queue[srcFlit]
+	injFree int64  // cycle the injection channel frees
+	curVC   int    // VC of the packet crossing the channel, -1 between packets
+	vcPtr   int    // rotating VC assignment pointer
+	seq     uint32 // packets generated
+}
+
+// Bank is the evaluation front end of the paper's Section 4.3 for the
+// sources it owns: Bernoulli or Markov ON/OFF generation into unbounded
+// source queues, and injection over flit-serialized channels with a VC
+// chosen per packet. It is single-threaded.
+type Bank struct {
+	c     BankConfig
+	owned []int // ascending
+	// The streams have a slice to themselves: per-cycle generation walks
+	// every owned one every cycle and touches nothing else.
+	rngs []sim.RNG
+	srcs []source
+	act  arb.BitVec // sources with a nonempty queue
+	fl   *flit.FreeList
+
+	procs []traffic.Process    // per-cycle Markov processes; nil for Bernoulli
+	gaps  []traffic.GapProcess // gap mode
+	wheel *sim.Wheel           // gap mode: the sources' next-injection cycles
+
+	genFlits, labeled, backlog int64
+}
+
+// NewBank builds the bank c describes.
+func NewBank(c BankConfig) *Bank {
+	n := c.Sources
+	b := &Bank{
+		c:    c,
+		rngs: make([]sim.RNG, n),
+		srcs: make([]source, n),
+		act:  arb.MakeBitVec(n),
+		fl:   flit.NewFreeList(),
+	}
+	if c.Pattern == nil {
+		b.c.Pattern = traffic.NewUniform(n)
+	}
+	gap := c.Injection == traffic.InjGap && c.Trace == nil
+	if gap {
+		b.wheel = traffic.NewGapWheel(c.Rate)
+		b.gaps = make([]traffic.GapProcess, n)
+	}
+	var bursters []traffic.Burster
+	if c.Bursty {
+		bursters = make([]traffic.Burster, n)
+		b.c.Pattern = traffic.NewBurstPattern(b.c.Pattern, bursters)
+		if !gap {
+			b.procs = make([]traffic.Process, n)
+		}
+	}
+	bernoulli := traffic.NewBernoulliGap(c.Rate) // stateless: one serves every gap source
+	for id := 0; id < n; id++ {
+		if c.Owns != nil && !c.Owns(id) {
+			continue
+		}
+		b.owned = append(b.owned, id)
+		b.rngs[id].Seed(c.Seed(id))
+		b.srcs[id] = source{q: sim.MakeQueue[srcFlit](0), curVC: -1}
+		switch {
+		case c.Bursty && gap:
+			m := traffic.NewMarkovOnOffGap(c.Rate, c.BurstLen)
+			b.gaps[id], bursters[id] = m, m
+		case c.Bursty:
+			m := traffic.NewMarkovOnOff(c.Rate, c.BurstLen)
+			b.procs[id], bursters[id] = m, m
+		case gap:
+			b.gaps[id] = bernoulli
+		}
+		if gap {
+			b.schedule(id, 0)
+		}
+	}
+	return b
+}
+
+// schedule puts gap source id's next injection at or after from, if it
+// has one, on the wheel.
+func (b *Bank) schedule(id int, from int64) {
+	if at := b.gaps[id].NextInject(from, &b.rngs[id]); at < sim.NoWake {
+		b.wheel.Schedule(at, int32(id))
+	}
+}
+
+// spawn queues one packet generated in cycle now at source src.
+func (b *Bank) spawn(now int64, src, dst, length int, measuring bool) {
+	s := &b.srcs[src]
+	s.seq++
+	for _, f := range b.fl.MakePacket(b.c.PacketID(src, s.seq), src, dst, 0, length, now, measuring) {
+		s.q.MustPush(srcFlit{f, f.Head}) // the flit is warm from creation
+	}
+	b.genFlits += int64(length)
+	b.backlog += int64(length)
+	b.act.Set(src)
+	if measuring {
+		b.labeled++
+	}
+}
+
+// Generate queues the packets of cycle now: the trace's entries due, the
+// wheel's due sources, or one draw at every owned source — which is why
+// a live per-cycle bank must be called every cycle. Sources are visited
+// in ascending order in every mode (the wheel pops a cycle's ids
+// ascending), so a gap run is draw-for-draw identical to its dense twin.
+func (b *Bank) Generate(now int64, measuring bool) {
+	switch {
+	case b.c.Trace != nil:
+		for _, e := range b.c.Trace.Due(now) {
+			b.spawn(now, e.Src, e.Dst, e.Len, measuring)
+		}
+	case b.wheel != nil:
+		b.wheel.PopDue(now, func(id int32) {
+			b.draw(now, int(id), measuring)
+			b.schedule(int(id), now+1)
+		})
+	case b.procs != nil:
+		for _, id := range b.owned {
+			if b.procs[id].Inject(&b.rngs[id]) {
+				b.draw(now, id, measuring)
+			}
+		}
+	default:
+		for _, id := range b.owned {
+			if b.rngs[id].Bernoulli(b.c.Rate) {
+				b.draw(now, id, measuring)
+			}
+		}
+	}
+}
+
+// draw spawns a synthetic packet at source id, to a destination drawn
+// from the source's own stream.
+func (b *Bank) draw(now int64, id int, measuring bool) {
+	b.spawn(now, id, b.c.Pattern.Dest(id, &b.rngs[id]), b.c.PktLen, measuring)
+}
+
+// InjectAll moves at most one queued flit per source into d, in
+// ascending source order over the sources that hold any: a channel
+// carries one flit per Ser cycles, a head takes the first acceptable VC
+// at or after the source's rotating pointer, and the rest of its packet
+// follows on that VC (wormhole), waiting on it when it is refused. The
+// pointer moves past a packet's VC at its tail. onInject, when non-nil,
+// sees every injected flit.
+func (b *Bank) InjectAll(now int64, d Device, onInject func(now int64, f *flit.Flit)) {
+	v := b.c.VCs
+	for id := b.act.Next(0); id >= 0; id = b.act.Next(id + 1) {
+		s := &b.srcs[id]
+		if s.injFree > now {
+			continue
+		}
+		sf, _ := s.q.Peek()
+		vc := s.curVC
+		if sf.head {
+			vc = -1
+			for j := 0; j < v; j++ {
+				c := s.vcPtr + j
+				if c >= v {
+					c -= v
+				}
+				if d.CanAccept(id, c) {
+					vc = c
+					break
+				}
+			}
+			if vc < 0 {
+				continue
+			}
+			s.curVC = vc
+		} else if !d.CanAccept(id, vc) {
+			continue
+		}
+		s.q.MustPop()
+		b.backlog--
+		if s.q.Len() == 0 {
+			b.act.Clear(id)
+		}
+		f := sf.f
+		f.VC = vc
+		d.Accept(now, f)
+		if onInject != nil {
+			onInject(now, f)
+		}
+		s.injFree = now + int64(b.c.Ser)
+		if f.Tail {
+			s.vcPtr = (vc + 1) % v
+			s.curVC = -1
+		}
+	}
+}
+
+// Recycle returns a delivered, fully read flit to the bank's free list.
+// Any bank may recycle any flit — identity is unobservable — but only
+// from the goroutine that owns the bank.
+func (b *Bank) Recycle(f *flit.Flit) { b.fl.Put(f) }
+
+// Backlog returns the flits generated and not yet injected.
+func (b *Bank) Backlog() int64 { return b.backlog }
+
+// GenFlits returns the flits generated so far.
+func (b *Bank) GenFlits() int64 { return b.genFlits }
+
+// InjectedLabeled returns the packets generated while measuring.
+func (b *Bank) InjectedLabeled() int64 { return b.labeled }
+
+// NextGen returns the first cycle after now in which Generate can queue
+// anything, sim.NoWake when there is none: a trace's next entry whatever
+// live says; otherwise nothing unless synthetic generation is live, and
+// then the wheel's next injection or, for a per-cycle bank, now+1.
+func (b *Bank) NextGen(now int64, live bool) int64 {
+	at, ok := now+1, live
+	switch {
+	case b.c.Trace != nil:
+		at, ok = b.c.Trace.NextDue()
+	case live && b.wheel != nil:
+		at, ok = b.wheel.NextAt()
+	}
+	if !ok {
+		return sim.NoWake
+	}
+	return at
+}
+
+// Plant is a Device behind the Bank that feeds it: the World that the
+// single-router testbench, the serial network run and each worker of
+// the sharded one advance.
+type Plant struct {
+	Dev Device
+	*Bank
+	// Dense steps the device every cycle, quiescent or not.
+	Dense bool
+	// OnInject and OnDeliver, when non-nil, see every flit entering and
+	// leaving the device; Audit, when non-nil, closes every simulated
+	// cycle and may end the run.
+	OnInject, OnDeliver func(now int64, f *flit.Flit)
+	Audit               func(now int64, inFlight int) error
+}
+
+// Advance simulates cycle now up to its deliveries — generate as ph
+// directs, inject, step — and returns the flits delivered in it (valid
+// until the next call). A quiescent device's step is a provable no-op
+// that delivers nothing, so it is skipped outright — exact at any time,
+// unlike a jump — and Ejected, which still holds the previous step's
+// recycled flits, is not read.
+func (p *Plant) Advance(now int64, ph Phase) []*flit.Flit {
+	if ph.Generating || p.c.Trace != nil {
+		p.Generate(now, ph.Measuring)
+	}
+	p.InjectAll(now, p.Dev, p.OnInject)
+	if !p.Dense && p.Dev.Quiescent() {
+		return nil
+	}
+	p.Dev.Step(now)
+	return p.Dev.Ejected()
+}
+
+// Cycle implements World.
+func (p *Plant) Cycle(now int64, ph Phase, t *Tally) error {
+	for _, f := range p.Advance(now, ph) {
+		t.Deliver(f.CreatedAt, f.Hops, f.Tail, f.Measured)
+		if p.OnDeliver != nil {
+			p.OnDeliver(now, f)
+		}
+		p.Recycle(f)
+	}
+	if p.Audit != nil {
+		return p.Audit(now, p.Dev.InFlight())
+	}
+	return nil
+}
+
+// NextWake implements Waker: the device's next internal event, brought
+// forward to the next cycle the bank can generate in. An audit is a
+// no-op on the cycles this skips: nothing happens in them.
+func (p *Plant) NextWake(now int64, live bool) int64 {
+	gen := p.NextGen(now, live)
+	if gen <= now+1 {
+		return now + 1 // no jump whatever the device holds: don't ask it
+	}
+	return min(gen, p.Dev.NextWake(now))
+}
+
+// InFlight implements World.
+func (p *Plant) InFlight() int { return p.Dev.InFlight() }

@@ -1,0 +1,338 @@
+package drive
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"highradix/internal/flit"
+	"highradix/internal/sim"
+	"highradix/internal/traffic"
+)
+
+// pipe is a scripted Device: every (port, VC) accepts unless the test has
+// blocked it, and a flit is delivered latency cycles after it was
+// accepted. It logs what the bank asked of it.
+type pipe struct {
+	latency int64
+	blocked map[[2]int]bool
+	flying  []*flit.Flit // in acceptance order; InjectedAt is the acceptance cycle
+	out     []*flit.Flit
+	asked   []int    // ports CanAccept was called for
+	took    []string // "cycle src/vc pkt.seq" per accepted flit
+	steps   int
+}
+
+func (d *pipe) CanAccept(port, vc int) bool {
+	d.asked = append(d.asked, port)
+	return !d.blocked[[2]int{port, vc}]
+}
+
+func (d *pipe) Accept(now int64, f *flit.Flit) {
+	if d.blocked[[2]int{f.Src, f.VC}] {
+		panic("accepted on a blocked VC")
+	}
+	f.InjectedAt = now
+	d.flying = append(d.flying, f)
+	d.took = append(d.took, fmt.Sprintf("%d %d/%d %d.%d", now, f.Src, f.VC, f.PacketID, f.Seq))
+}
+
+func (d *pipe) Step(now int64) {
+	d.steps++
+	d.out = d.out[:0]
+	d.flying = slices.DeleteFunc(d.flying, func(f *flit.Flit) bool {
+		if f.InjectedAt+d.latency > now {
+			return false
+		}
+		d.out = append(d.out, f)
+		return true
+	})
+}
+
+func (d *pipe) Ejected() []*flit.Flit { return d.out }
+func (d *pipe) InFlight() int         { return len(d.flying) }
+func (d *pipe) Quiescent() bool       { return len(d.flying) == 0 }
+
+func (d *pipe) NextWake(now int64) int64 {
+	if len(d.flying) == 0 {
+		return sim.NoWake
+	}
+	return max(now+1, d.flying[0].InjectedAt+d.latency)
+}
+
+// testIDs are the two caller-specific inputs of a bank, network style:
+// seeds and packet ids that depend on the source alone, so they commute
+// across a split.
+func testIDs(c BankConfig) BankConfig {
+	c.Seed = func(id int) uint64 { return 0x9e3779b97f4a7c15 * uint64(id+1) }
+	c.PacketID = func(src int, seq uint32) uint64 { return uint64(src+1)<<32 | uint64(seq) }
+	return c
+}
+
+// TestBankInjectionChannel walks one scripted scenario through the
+// injection scan: three sources' recorded packets, VCs blocked and freed
+// by the script, and the exact flits expected to cross each cycle.
+func TestBankInjectionChannel(t *testing.T) {
+	// Packet ids: 1 = three flits at source 0, 2 = one flit at source 0,
+	// 3 = two flits at source 1, 4 = one flit at source 2 in cycle 6.
+	trace := traffic.NewTrace([]traffic.TraceEntry{
+		{Cycle: 0, Src: 0, Dst: 1, Len: 3}, {Cycle: 0, Src: 0, Dst: 2, Len: 1},
+		{Cycle: 0, Src: 1, Dst: 0, Len: 2}, {Cycle: 6, Src: 2, Dst: 0, Len: 1},
+	})
+	var pktID uint64
+	b := NewBank(BankConfig{
+		Workload: Workload{Trace: trace},
+		Sources:  3, VCs: 3, Ser: 2,
+		Seed:     func(int) uint64 { return 1 },
+		PacketID: func(int, uint32) uint64 { pktID++; return pktID },
+	})
+	d := &pipe{latency: 1, blocked: map[[2]int]bool{}}
+	block := func(port int, vcs ...int) map[[2]int]bool {
+		m := map[[2]int]bool{}
+		for _, vc := range vcs {
+			m[[2]int{port, vc}] = true
+		}
+		return m
+	}
+	for now, step := range []struct {
+		blocked  map[[2]int]bool
+		took     []string
+		backlog  int64
+		gen, lab int64
+		curVC    [3]int // after the cycle
+		vcPtr    [3]int
+	}{
+		// Heads take the VC at their pointer; the pointer stays put.
+		0: {took: []string{"0 0/0 1.0", "0 1/0 3.0"}, backlog: 4, gen: 6, lab: 3, curVC: [3]int{0, 0, -1}},
+		// A channel carries one flit per Ser = 2 cycles.
+		1: {backlog: 4, gen: 6, lab: 3, curVC: [3]int{0, 0, -1}},
+		// Refused mid-body, packet 1 waits on VC 0 though 1 and 2 are free;
+		// packet 3's tail moves source 1's pointer past its VC.
+		2: {blocked: block(0, 0), took: []string{"2 1/0 3.1"}, backlog: 3, gen: 6, lab: 3, curVC: [3]int{0, -1, -1}, vcPtr: [3]int{0, 1, 0}},
+		// A refusal does not occupy the channel: the body crosses next cycle.
+		3: {took: []string{"3 0/0 1.1"}, backlog: 2, gen: 6, lab: 3, curVC: [3]int{0, -1, -1}, vcPtr: [3]int{0, 1, 0}},
+		4: {backlog: 2, gen: 6, lab: 3, curVC: [3]int{0, -1, -1}, vcPtr: [3]int{0, 1, 0}},
+		5: {took: []string{"5 0/0 1.2"}, backlog: 1, gen: 6, lab: 3, curVC: [3]int{-1, -1, -1}, vcPtr: [3]int{1, 1, 0}},
+		// Outside the window: generated, not labeled. Source 2 injects at once.
+		6: {took: []string{"6 2/0 4.0"}, backlog: 1, gen: 7, lab: 3, curVC: [3]int{-1, -1, -1}, vcPtr: [3]int{1, 1, 1}},
+		// A head that finds no VC leaves the source between packets.
+		7: {blocked: block(0, 0, 1, 2), backlog: 1, gen: 7, lab: 3, curVC: [3]int{-1, -1, -1}, vcPtr: [3]int{1, 1, 1}},
+		// The search starts at the pointer and wraps: 1, 2, then 0.
+		8: {blocked: block(0, 1, 2), took: []string{"8 0/0 2.0"}, backlog: 0, gen: 7, lab: 3, curVC: [3]int{-1, -1, -1}, vcPtr: [3]int{1, 1, 1}},
+		9: {gen: 7, lab: 3, curVC: [3]int{-1, -1, -1}, vcPtr: [3]int{1, 1, 1}},
+	} {
+		now := int64(now)
+		d.blocked, d.took = step.blocked, nil
+		b.Generate(now, now < 6)
+		b.InjectAll(now, d, nil)
+		if !slices.Equal(d.took, step.took) {
+			t.Errorf("cycle %d: injected %q, want %q", now, d.took, step.took)
+		}
+		if b.Backlog() != step.backlog || b.GenFlits() != step.gen || b.InjectedLabeled() != step.lab {
+			t.Errorf("cycle %d: backlog/generated/labeled = %d/%d/%d, want %d/%d/%d", now,
+				b.Backlog(), b.GenFlits(), b.InjectedLabeled(), step.backlog, step.gen, step.lab)
+		}
+		for id, s := range b.srcs {
+			if s.curVC != step.curVC[id] || s.vcPtr != step.vcPtr[id] {
+				t.Errorf("cycle %d source %d: curVC %d vcPtr %d, want %d and %d", now, id, s.curVC, s.vcPtr, step.curVC[id], step.vcPtr[id])
+			}
+		}
+	}
+	// A recorded source reports its next entry whether or not synthetic
+	// generation is live, and nothing once exhausted.
+	trace.Reset()
+	if at := b.NextGen(-1, false); at != 0 {
+		t.Errorf("NextGen before the trace's first entry = %d, want 0", at)
+	}
+	trace.Due(6)
+	if at := b.NextGen(6, true); at != sim.NoWake {
+		t.Errorf("NextGen of an exhausted trace = %d, want NoWake", at)
+	}
+}
+
+// workloads are the four synthetic generators.
+var workloads = map[string]Workload{
+	"percycle":        {Rate: 0.3, PktLen: 2},
+	"gap":             {Rate: 0.3, PktLen: 2, Injection: traffic.InjGap},
+	"percycle/bursty": {Rate: 0.3, PktLen: 2, Bursty: true, BurstLen: 4},
+	"gap/bursty":      {Rate: 0.3, PktLen: 2, Bursty: true, BurstLen: 4, Injection: traffic.InjGap},
+}
+
+// TestBankVisitOrder: generation and injection visit sources in ascending
+// order within a cycle, in every mode — the order the digests record and
+// the one that makes a wheel-driven run equal its dense twin.
+func TestBankVisitOrder(t *testing.T) {
+	for name, wl := range workloads {
+		t.Run(name, func(t *testing.T) {
+			var spawned []int
+			c := testIDs(BankConfig{Workload: wl, Sources: 70, VCs: 2, Ser: 1})
+			id := c.PacketID
+			c.PacketID = func(src int, seq uint32) uint64 {
+				spawned = append(spawned, src)
+				return id(src, seq)
+			}
+			b, d := NewBank(c), &pipe{latency: 1}
+			busy := 0
+			for now := int64(0); now < 200; now++ {
+				spawned, d.asked = spawned[:0], d.asked[:0]
+				b.Generate(now, false)
+				b.InjectAll(now, d, nil)
+				if !slices.IsSorted(spawned) || !slices.IsSorted(d.asked) {
+					t.Fatalf("cycle %d: generated at %v, injected at %v: not ascending", now, spawned, d.asked)
+				}
+				if len(spawned) > 1 && len(d.asked) > 1 {
+					busy++
+				}
+			}
+			if busy < 100 {
+				t.Fatalf("vacuous: only %d cycles with several sources generating and injecting", busy)
+			}
+		})
+	}
+}
+
+// packets runs banks side by side for cycles cycles, each feeding an
+// always-ready device, and returns every packet generated as
+// "cycle src id dst", in (cycle, src) order.
+func packets(cycles int64, banks ...*Bank) []string {
+	type rec struct {
+		at       int64
+		src, dst int
+		id       uint64
+	}
+	var recs []rec
+	d := &pipe{latency: 1}
+	for now := int64(0); now < cycles; now++ {
+		for _, b := range banks {
+			b.Generate(now, false)
+			b.InjectAll(now, d, func(_ int64, f *flit.Flit) {
+				if f.Head {
+					recs = append(recs, rec{f.CreatedAt, f.Src, f.Dst, f.PacketID})
+				}
+			})
+		}
+	}
+	slices.SortFunc(recs, func(a, b rec) int {
+		if a.at != b.at {
+			return int(a.at - b.at)
+		}
+		if a.src != b.src {
+			return a.src - b.src
+		}
+		return int(a.id - b.id)
+	})
+	var out []string
+	for _, r := range recs {
+		out = append(out, fmt.Sprintf("%d %d %#x %d", r.at, r.src, r.id, r.dst))
+	}
+	return out
+}
+
+// TestBankSplit: banks owning a partition of the sources generate between
+// them exactly the packets — ids, destinations, cycles — of one bank
+// owning them all, which is what lets shard workers each own a bank. An
+// owner of nothing generates nothing, and "all" means the same however it
+// is spelled.
+func TestBankSplit(t *testing.T) {
+	const n, cycles = 24, 300
+	for name, wl := range workloads {
+		t.Run(name, func(t *testing.T) {
+			bank := func(owns func(int) bool) *Bank {
+				c := testIDs(BankConfig{Workload: wl, Sources: n, VCs: 2, Ser: 1, Owns: owns})
+				return NewBank(c)
+			}
+			whole := packets(cycles, bank(nil))
+			if len(whole) < n {
+				t.Fatalf("vacuous: %d packets", len(whole))
+			}
+			if spelled := packets(cycles, bank(func(int) bool { return true })); !slices.Equal(spelled, whole) {
+				t.Errorf("a bank owning every source by predicate differs from one with a nil predicate")
+			}
+			split := packets(cycles,
+				bank(func(id int) bool { return id < 7 }),
+				bank(func(id int) bool { return id >= 7 && id < 8 }),
+				bank(func(int) bool { return false }),
+				bank(func(id int) bool { return id >= 8 }))
+			if !slices.Equal(split, whole) {
+				t.Errorf("split banks generated %d packets, one bank %d; first difference at %d",
+					len(split), len(whole), firstDiff(split, whole))
+			}
+
+			none := bank(func(int) bool { return false })
+			for now := int64(0); now < cycles; now++ {
+				none.Generate(now, true)
+			}
+			if none.GenFlits() != 0 || none.Backlog() != 0 || none.InjectedLabeled() != 0 || len(none.owned) != 0 {
+				t.Errorf("a bank owning no source generated %d flits", none.GenFlits())
+			}
+			if none.wheel != nil {
+				if at := none.NextGen(0, true); at != sim.NoWake {
+					t.Errorf("a gap bank owning no source expects to generate at %d", at)
+				}
+			}
+		})
+	}
+}
+
+func firstDiff(a, b []string) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+// TestPlantDenseTwin: a plant jumping idle stretches and skipping
+// quiescent steps under Run is event-for-event the plant stepped every
+// cycle — draw-for-draw in both injection modes, since one skipped or
+// extra draw would move every later packet.
+func TestPlantDenseTwin(t *testing.T) {
+	for name, wl := range workloads {
+		for _, audited := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/audited=%t", name, audited), func(t *testing.T) {
+				wl := wl
+				wl.Rate = 0.003
+				run := func(dense bool) (events []string, tally Tally, steps int) {
+					d := &pipe{latency: 9}
+					p := &Plant{Dev: d, Dense: dense,
+						Bank: NewBank(testIDs(BankConfig{Workload: wl, Sources: 6, VCs: 2, Ser: 3}))}
+					p.OnInject = func(now int64, f *flit.Flit) {
+						events = append(events, fmt.Sprintf("%d in %#x.%d vc%d", now, f.PacketID, f.Seq, f.VC))
+					}
+					p.OnDeliver = func(now int64, f *flit.Flit) {
+						events = append(events, fmt.Sprintf("%d out %#x.%d -> %d", now, f.PacketID, f.Seq, f.Dst))
+					}
+					if audited {
+						p.Audit = func(_ int64, inFlight int) error {
+							if inFlight != len(d.flying) {
+								t.Errorf("audit saw %d in flight, device holds %d", inFlight, len(d.flying))
+							}
+							return nil
+						}
+					}
+					tl, err := Run(Config{Warmup: 300, Measure: 4000, Drain: 400, Audited: audited, Dense: dense}, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					lat := fmt.Sprint(*tl.Lat)
+					tl.Lat, tl.now = nil, 0
+					return append(events, lat), *tl, d.steps
+				}
+				dense, denseTally, denseSteps := run(true)
+				got, tally, steps := run(false)
+				if !slices.Equal(got, dense) {
+					t.Fatalf("event %d differs from the dense run's (%d vs %d events)", firstDiff(got, dense), len(got), len(dense))
+				}
+				if tally != denseTally {
+					t.Errorf("measured %+v, dense run %+v", tally, denseTally)
+				}
+				if tally.Labeled < 20 {
+					t.Fatalf("vacuous: %d labeled packets", tally.Labeled)
+				}
+				if int64(denseSteps) != denseTally.Cycles || steps > denseSteps/2 {
+					t.Errorf("device stepped %d times in %d cycles, %d when dense: nothing was skipped", steps, tally.Cycles, denseSteps)
+				}
+			})
+		}
+	}
+}

@@ -1,11 +1,17 @@
-// Package drive is the one place that knows the measurement procedure
-// of the paper's Section 4.3: warm a system up, label the packets
-// generated during a measurement window, then drain until the labeled
-// sample has been delivered. The single-router testbench, the serial
-// network run and the sharded network run are three Worlds under this
-// one loop, so the phase arithmetic, the exit rules and the argument
-// for when simulated time may jump are written — and tested, against a
-// scripted world — once. DESIGN.md ("The driver") gives the argument.
+// Package drive is the one place that knows the evaluation method of
+// the paper's Section 4.3, both halves of it. The procedure (this file):
+// warm a system up, label the packets generated during a measurement
+// window, then drain until the labeled sample has been delivered — the
+// phase arithmetic, the exit rules and the argument for when simulated
+// time may jump, written and tested, against a scripted world, once.
+// And the front end (bank.go): Bernoulli or Markov ON/OFF sources,
+// unbounded source queues and flit-serialized injection channels with a
+// VC chosen per packet, as one Bank that feeds any Device — a single
+// router, a whole network, one shard's slice of one — and with it forms
+// the Plant that is the World the single-router testbench, the serial
+// network run and every worker of the sharded one advance; it is tested
+// against a scripted device. DESIGN.md ("The driver") gives the
+// arguments.
 package drive
 
 import (

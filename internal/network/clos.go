@@ -1,10 +1,13 @@
 // Package network implements the network-scale simulations of the
 // paper's Section 7 (Figure 19) and their generalization: a Topology
 // interface with folded-Clos, ring and 2D-torus families, a
-// topology-agnostic input-queued engine (Network), and the World that
-// internal/drive runs it as (Run). The sibling package network/shard
-// partitions the same engine across workers with byte-identical
-// results.
+// topology-agnostic input-queued engine (Network), and Run, which puts
+// the engine, a drive.Device, behind internal/drive's one source bank
+// and lets the one driver advance them (World). Generation, source
+// queues and injection channels are drive.Bank's; this package supplies
+// only which terminals a bank owns, their seeds and their packet ids
+// (NewSources). The sibling package network/shard partitions the same
+// engine and the same World across workers with byte-identical results.
 //
 // The flagship topology is the multistage Clos of Figure 19: 4096
 // nodes connected either by three stages of radix-64 routers (used as

@@ -119,11 +119,11 @@ func TestRoutingReachesDestination(t *testing.T) {
 		for dst := 0; dst < n; dst++ {
 			id++
 			f := flit.MakePacket(id, src, dst, 0, 1, now, false)[0]
-			for !nw.CanInject(src, 0) {
+			for !nw.CanAccept(src, 0) {
 				nw.Step(now)
 				now++
 			}
-			nw.Inject(now, f, 0)
+			nw.Accept(now, f)
 			delivered := false
 			for i := 0; i < 500 && !delivered; i++ {
 				nw.Step(now)
@@ -173,8 +173,9 @@ func TestConservationUnderLoad(t *testing.T) {
 		for _, p := range queue {
 			injected := false
 			for vc := 0; vc < cfg.VCs; vc++ {
-				if nw.CanInject(p.src, vc) {
-					nw.Inject(now, p.f, vc)
+				if nw.CanAccept(p.src, vc) {
+					p.f.VC = vc
+					nw.Accept(now, p.f)
 					injected = true
 					break
 				}
@@ -380,7 +381,7 @@ func TestWormholeOrdering(t *testing.T) {
 			if f.Head {
 				vc = -1
 				for c := 0; c < cfg.VCs; c++ {
-					if nw.CanInject(ti, c) {
+					if nw.CanAccept(ti, c) {
 						vc = c
 						break
 					}
@@ -389,11 +390,12 @@ func TestWormholeOrdering(t *testing.T) {
 					continue
 				}
 				s.curVC = vc
-			} else if !nw.CanInject(ti, vc) {
+			} else if !nw.CanAccept(ti, vc) {
 				continue
 			}
 			s.q = s.q[1:]
-			nw.Inject(now, f, vc)
+			f.VC = vc
+			nw.Accept(now, f)
 			if f.Tail {
 				s.curVC = -1
 			}

@@ -298,9 +298,10 @@ func (nw *Network) Terminals() int { return nw.n }
 // Owns reports whether router r lies in this engine's range.
 func (nw *Network) Owns(r int) bool { return r >= nw.lo && r < nw.hi }
 
-// CanInject reports whether terminal src can send a flit on vc. Only
-// valid for terminals whose entry router this engine owns.
-func (nw *Network) CanInject(src, vc int) bool { return nw.injCredit[src*nw.v+vc] > 0 }
+// CanAccept reports whether terminal src can send a flit on vc. Only
+// valid for terminals whose entry router this engine owns. With Accept
+// it makes the engine a drive.Device.
+func (nw *Network) CanAccept(src, vc int) bool { return nw.injCredit[src*nw.v+vc] > 0 }
 
 // flitArrival builds the in-flight record of f toward (router, port,
 // vc), reading the flit's header fields.
@@ -318,19 +319,18 @@ func flitArrival(f *flit.Flit, router, port, vc int) arrival {
 	return a
 }
 
-// Inject launches a flit from terminal f.Src on virtual channel vc.
+// Accept launches a flit from terminal f.Src on virtual channel f.VC.
 // The caller enforces the terminal channel's serialization rate. The
 // entry router is always local (sources live with their shard).
-func (nw *Network) Inject(now int64, f *flit.Flit, vc int) {
-	ic := &nw.injCredit[f.Src*nw.v+vc]
+func (nw *Network) Accept(now int64, f *flit.Flit) {
+	ic := &nw.injCredit[f.Src*nw.v+f.VC]
 	if *ic <= 0 {
 		panic("network: injection without credit")
 	}
 	*ic--
-	f.VC = vc
 	f.InjectedAt = now
 	r, p := nw.topo.Entry(f.Src)
-	nw.arrivals.Schedule(now+nw.hop+1, flitArrival(f, r, p, vc))
+	nw.arrivals.Schedule(now+nw.hop+1, flitArrival(f, r, p, f.VC))
 }
 
 // Ejected returns flits delivered to terminals during the last Step,

@@ -5,9 +5,14 @@ import (
 	"strings"
 	"testing"
 
+	"highradix/internal/drive"
 	"highradix/internal/network"
 	"highradix/internal/network/shard"
 )
+
+// The engine, whole or one shard's range of it, is what NewWorld puts
+// behind a source bank.
+var _ drive.Device = (*network.Network)(nil)
 
 // TestWiringTablesMatchTopology pins the engine's precomputed link and
 // feeder tables to the topology's own answers for every (router, port),

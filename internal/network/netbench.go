@@ -5,7 +5,6 @@ import (
 
 	"highradix/internal/drive"
 	"highradix/internal/flit"
-	"highradix/internal/sim"
 	"highradix/internal/stats"
 	"highradix/internal/traffic"
 )
@@ -112,17 +111,12 @@ func (o Options) RouteSeed() uint64 { return o.Seed ^ 0x632be59bd9b4e019 }
 // SourceOpts derives the terminal-source parameters for this run over
 // the given topology.
 func (o Options) SourceOpts(topo Topology) SourceOpts {
-	pattern := o.Pattern
-	if pattern == nil {
-		pattern = traffic.NewUniform(topo.Terminals())
-	}
-	return SourceOpts{
-		Seed:      o.Seed,
+	return SourceOpts{Seed: o.Seed, Workload: drive.Workload{
 		Rate:      o.Load / float64(topo.SerCycles()*o.PktLen),
 		PktLen:    o.PktLen,
-		Pattern:   pattern,
+		Pattern:   o.Pattern,
 		Injection: o.Injection,
-	}
+	}}
 }
 
 // Result mirrors testbench.Result at network scale.
@@ -141,89 +135,28 @@ type Result struct {
 	DrainUsed int64
 }
 
-// World is an engine with the source bank feeding it, the shape
-// internal/drive advances. Run drives one over the whole topology; each
-// worker of the sharded runner steps one over its router range.
+// World is the drive.Plant of an engine: the engine behind the source
+// bank feeding it. Run drives one over the whole topology; each worker
+// of the sharded runner advances one over its router range.
 type World struct {
+	drive.Plant
 	Net *Network
-	Src *Sources
-
-	hooks    Hooks
-	onInject func(*flit.Flit)
-	dense    bool
-	now      int64 // the cycle being simulated, for onInject
 }
 
 // NewWorld builds the engine and sources of o (already defaulted) for
-// routers [lo, hi) of topo.
+// routers [lo, hi) of topo, observed by o.Hooks if any. The auditor's
+// EndCycle is a no-op on the cycles a jump skips (no events, and the
+// watchdog only arms against a live set the engine's NextWake bounds).
 func NewWorld(o Options, topo Topology, lo, hi int) *World {
-	w := &World{
-		Net:   NewNetworkRange(topo, o.RouteSeed(), lo, hi),
-		Src:   NewSources(topo, o.SourceOpts(topo), lo, hi),
-		hooks: o.Hooks,
-		dense: o.NoFastForward,
-	}
-	if o.Hooks != nil {
-		w.onInject = func(f *flit.Flit) { w.hooks.Injected(w.now, f) }
+	nw := NewNetworkRange(topo, o.RouteSeed(), lo, hi)
+	w := &World{Net: nw, Plant: drive.Plant{
+		Dev: nw, Bank: NewSources(topo, o.SourceOpts(topo), lo, hi), Dense: o.NoFastForward,
+	}}
+	if h := o.Hooks; h != nil {
+		w.OnInject, w.OnDeliver, w.Audit = h.Injected, h.Delivered, h.EndCycle
 	}
 	return w
 }
-
-// Advance simulates cycle now up to its deliveries — generate as ph
-// directs, inject, step — and returns the flits delivered in it (valid
-// until the next call). A quiescent network's step is a provable no-op
-// that ejects nothing, so it is skipped outright — exact at any time,
-// unlike a jump — and Ejected(), which still holds the previous step's
-// recycled flits, is not read.
-func (w *World) Advance(now int64, ph drive.Phase, onInject func(*flit.Flit)) []*flit.Flit {
-	if ph.Generating {
-		w.Src.Generate(now, ph.Measuring)
-	}
-	w.Src.InjectAll(now, w.Net, onInject)
-	if !w.dense && w.Net.Quiescent() {
-		return nil
-	}
-	w.Net.Step(now)
-	return w.Net.Ejected()
-}
-
-// Cycle implements drive.World.
-func (w *World) Cycle(now int64, ph drive.Phase, t *drive.Tally) error {
-	w.now = now
-	for _, f := range w.Advance(now, ph, w.onInject) {
-		t.Deliver(f.CreatedAt, f.Hops, f.Tail, f.Measured)
-		if w.hooks != nil {
-			w.hooks.Delivered(now, f)
-		}
-		w.Src.Recycle(f)
-	}
-	if w.hooks != nil {
-		return w.hooks.EndCycle(now, w.Net.InFlight())
-	}
-	return nil
-}
-
-// NextWake implements drive.Waker: the engine's next internal event,
-// brought forward to the gap wheel's next injection while generation is
-// live. Per-cycle generation draws every terminal's stream every live
-// cycle, so while it is live no cycle may be skipped. The auditor's
-// EndCycle is a no-op on skipped cycles (no events, and the watchdog
-// only arms against a live set that the engine's NextWake bounds).
-func (w *World) NextWake(now int64, live bool) int64 {
-	gen := sim.NoWake
-	if live {
-		gen = w.Src.NextGen(now)
-	}
-	if gen <= now+1 {
-		return now + 1 // no jump whatever the engine holds: don't ask it
-	}
-	return min(gen, w.Net.NextWake(now))
-}
-
-func (w *World) Backlog() int64         { return w.Src.Backlog() }
-func (w *World) InFlight() int          { return w.Net.InFlight() }
-func (w *World) GenFlits() int64        { return w.Src.GenFlits() }
-func (w *World) InjectedLabeled() int64 { return w.Src.InjectedLabeled() }
 
 // Drive runs the world build returns for o under internal/drive and
 // summarizes what it measured: everything Run and the sharded runner

@@ -111,10 +111,10 @@ type injRec struct {
 	f   *flit.Flit
 }
 
-// worker owns one shard: the World (engine and source bank) of a
-// contiguous router range. Workers run epochs concurrently and never
-// touch each other's state; everything they produce for the
-// coordinator lands in their own record slices.
+// worker owns one shard: the World (the drive.Plant of an engine and
+// its source bank) of a contiguous router range. Workers run epochs
+// concurrently and never touch each other's state; everything they
+// produce for the coordinator lands in their own record slices.
 type worker struct {
 	*network.World
 	cfg  drive.Config // Audited: a hooked run, whose records keep their flits for the replay
@@ -148,15 +148,8 @@ func (w *worker) runEpoch(from, end int64) {
 	for i := range w.spent {
 		w.spent[i] = w.spent[i][:0]
 	}
-	now := from
-	var onInject func(*flit.Flit)
-	if w.cfg.Audited {
-		onInject = func(f *flit.Flit) {
-			w.injs = append(w.injs, injRec{at: now, src: f.Src, f: f})
-		}
-	}
-	for now < end {
-		for _, f := range w.Advance(now, w.cfg.At(now), onInject) {
+	for now := from; now < end; {
+		for _, f := range w.Advance(now, w.cfg.At(now)) {
 			rec := delivRec{
 				at: now, createdAt: f.CreatedAt, dst: f.Dst,
 				hops: f.Hops, tail: f.Tail, measured: f.Measured,
@@ -186,7 +179,7 @@ func (w *worker) pull(i int, all []*worker) {
 	for _, o := range all {
 		w.Net.PutRemote(o.mail)
 		for _, f := range o.spent[i] {
-			w.Src.Recycle(f)
+			w.Recycle(f)
 		}
 	}
 }
@@ -228,7 +221,14 @@ func newWorld(o network.Options, topo network.Topology, c drive.Config, workers 
 			inflight: make([]int, s.epochLen), backlog: make([]int64, s.epochLen),
 		}
 	}
-	s.each(func(i int, w *worker) { w.World = network.NewWorld(o, topo, parts[i][0], parts[i][1]) })
+	s.each(func(i int, w *worker) {
+		w.World = network.NewWorld(o, topo, parts[i][0], parts[i][1])
+		if c.Audited {
+			w.OnInject = func(now int64, f *flit.Flit) {
+				w.injs = append(w.injs, injRec{at: now, src: f.Src, f: f})
+			}
+		}
+	})
 	for t := range home {
 		er, _ := topo.Entry(t)
 		home[t] = slices.IndexFunc(s.workers, func(w *worker) bool { return w.Net.Owns(er) })
@@ -362,13 +362,8 @@ func (s *world) InFlight() int {
 // reads them only past the window, where both are final — generation
 // stops there in audited runs and labeling always does — so they are
 // exactly the values a serial run would have read.
-func (s *world) GenFlits() int64 {
-	return s.sum(func(w *worker) int64 { return w.Src.GenFlits() })
-}
-
-func (s *world) InjectedLabeled() int64 {
-	return s.sum(func(w *worker) int64 { return w.Src.InjectedLabeled() })
-}
+func (s *world) GenFlits() int64        { return s.sum((*worker).GenFlits) }
+func (s *world) InjectedLabeled() int64 { return s.sum((*worker).InjectedLabeled) }
 
 // Run executes one network simulation across o.Workers shards and
 // returns the byte-identical serial result. See the package comment for

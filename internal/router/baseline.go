@@ -11,7 +11,7 @@ func init() {
 		Summary:         "distributed separable allocation with speculative VC allocation (CVA/OVA)",
 		Section:         "Section 4 (Figures 6-8)",
 		Build:           func(cfg Config) Router { return newBaseline(cfg) },
-		Traits:          Traits{ExactInFlight: true, TerminalGrantNote: "switch", WakeExact: true},
+		Traits:          Traits{ExactInFlight: true, TerminalGrantNote: "switch"},
 		UsesPrioritized: true,
 		Variants: func(radix, vcs int) []Variant {
 			base := Config{Arch: ArchBaseline, Radix: radix, VCs: vcs}

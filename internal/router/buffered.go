@@ -15,7 +15,7 @@ func init() {
 		Summary: "fully buffered crossbar, per-input-VC crosspoint buffers with credit flow control",
 		Section: "Section 5 (Figure 12(b))",
 		Build:   func(cfg Config) Router { return newBuffered(cfg) },
-		Traits:  Traits{ExactInFlight: true, TerminalGrantNote: "output", WakeExact: true},
+		Traits:  Traits{ExactInFlight: true, TerminalGrantNote: "output"},
 		Validate: func(c Config) []error {
 			if c.XpointBufDepth < 1 {
 				return []error{fmt.Errorf("crosspoint buffer depth %d < 1", c.XpointBufDepth)}

@@ -90,6 +90,16 @@ func (s VAScheme) String() string {
 	return "CVA"
 }
 
+// VAByName parses a report name back into a VAScheme.
+func VAByName(name string) (VAScheme, error) {
+	for _, s := range []VAScheme{CVA, OVA} {
+		if name == s.String() {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("router: unknown VA scheme %q (want CVA or OVA)", name)
+}
+
 // SpecPolicy selects the output-VC bid of a speculative request.
 type SpecPolicy int
 
@@ -188,13 +198,6 @@ type Traits struct {
 	// output serializer in this architecture; grants carrying it (and
 	// all ejections) must respect the STCycles spacing per output.
 	TerminalGrantNote string
-	// WakeExact reports that Quiescent and NextWake account for every
-	// piece of per-cycle state the architecture owns, licensing
-	// drivers to skip quiescent Step calls and to fast-forward time to
-	// NextWake once injection has stopped, cycle-exactly. True for all
-	// built-in architectures; a future architecture with untracked
-	// per-cycle state must leave it false to keep dense stepping.
-	WakeExact bool
 }
 
 // Traits returns the cross-cutting properties of the configured
@@ -203,7 +206,7 @@ func (c Config) Traits() Traits {
 	if d, ok := Describe(c.Arch); ok {
 		return d.Traits
 	}
-	return Traits{ExactInFlight: true, WakeExact: true, TerminalGrantNote: "switch"}
+	return Traits{ExactInFlight: true, TerminalGrantNote: "switch"}
 }
 
 // WithDefaults returns a copy of c with unset fields replaced by the

@@ -166,5 +166,14 @@ func TestSpecPolicyNames(t *testing.T) {
 		if got := tc.s.String(); got != tc.want {
 			t.Errorf("VAScheme.String() = %q, want %q", got, tc.want)
 		}
+		if got, err := router.VAByName(tc.want); err != nil || got != tc.s {
+			t.Errorf("VAByName(%q) = %v, %v, want %v", tc.want, got, err, tc.s)
+		}
+	}
+	// The CLIs exit 2 on this error; hrtrace used to run CVA instead.
+	for _, bad := range []string{"", "ova", "XVA"} {
+		if _, err := router.VAByName(bad); err == nil {
+			t.Errorf("VAByName(%q) succeeded, want an error", bad)
+		}
 	}
 }

@@ -11,7 +11,7 @@ func init() {
 		Summary: "dynamic VC allocation: per-input shared buffer pool carved into VCs on demand",
 		Section: "Onsori & Safaei (dynamic virtual-channel allocation), over the Section 3 allocator",
 		Build:   func(cfg Config) Router { return newDynVC(cfg) },
-		Traits:  Traits{ExactInFlight: true, TerminalGrantNote: "switch", WakeExact: true},
+		Traits:  Traits{ExactInFlight: true, TerminalGrantNote: "switch"},
 		Variants: func(radix, vcs int) []Variant {
 			return []Variant{{"dynvc", Config{Arch: ArchDynVC, Radix: radix, VCs: vcs}}}
 		},

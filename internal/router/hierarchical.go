@@ -15,7 +15,7 @@ func init() {
 		Summary: "hierarchical crossbar of p x p subswitches with decoupled local/global VC allocation",
 		Section: "Section 6 (Figure 16)",
 		Build:   func(cfg Config) Router { return newHierarchical(cfg) },
-		Traits:  Traits{ExactInFlight: true, TerminalGrantNote: "column", WakeExact: true},
+		Traits:  Traits{ExactInFlight: true, TerminalGrantNote: "column"},
 		Validate: func(c Config) []error {
 			var errs []error
 			if c.SubSize < 1 || c.Radix%c.SubSize != 0 {

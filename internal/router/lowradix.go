@@ -10,7 +10,7 @@ func init() {
 		Summary: "conventional input-queued VC router, centralized single-cycle allocation",
 		Section: "Section 3 (the paper's radix-16 comparison point)",
 		Build:   func(cfg Config) Router { return newLowRadix(cfg) },
-		Traits:  Traits{ExactInFlight: true, TerminalGrantNote: "switch", WakeExact: true},
+		Traits:  Traits{ExactInFlight: true, TerminalGrantNote: "switch"},
 		Variants: func(radix, vcs int) []Variant {
 			return []Variant{{"lowradix", Config{Arch: ArchLowRadix, Radix: radix, VCs: vcs}}}
 		},

@@ -62,7 +62,11 @@ type Router interface {
 	// bound is now+1 whenever a buffer holds a flit (buffered flits
 	// drive arbitration every cycle); only purely timed residual state
 	// (ejection slots, traversal and credit wires) yields a jump. See
-	// the quiescence contract in router/core, and Traits.WakeExact for
-	// whether a driver may rely on it.
+	// the quiescence contract in router/core. Quiescent and NextWake must
+	// account for every piece of per-cycle state the architecture owns:
+	// drivers skip quiescent Steps and fast-forward to NextWake on their
+	// word (drive.Device), and the fast-forward twin suites, which run
+	// every registered architecture against its dense self, hold a new
+	// one to it.
 	NextWake(now int64) int64
 }

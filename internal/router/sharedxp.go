@@ -15,7 +15,7 @@ func init() {
 		Summary: "buffered crossbar with one shared buffer per crosspoint and ACK/NACK retention",
 		Section: "Section 5.4",
 		Build:   func(cfg Config) Router { return newSharedXpoint(cfg) },
-		Traits:  Traits{ExactInFlight: false, TerminalGrantNote: "output", WakeExact: true},
+		Traits:  Traits{ExactInFlight: false, TerminalGrantNote: "output"},
 		Validate: func(c Config) []error {
 			if c.XpointBufDepth < 1 {
 				return []error{fmt.Errorf("crosspoint buffer depth %d < 1", c.XpointBufDepth)}

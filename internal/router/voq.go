@@ -13,7 +13,7 @@ func init() {
 		Summary: "virtual output queues with centralized iterative iSLIP scheduling",
 		Section: "Tiny Tera (McKeown et al.), against the paper's Section 4 comparison",
 		Build:   func(cfg Config) Router { return newVOQ(cfg) },
-		Traits:  Traits{ExactInFlight: true, TerminalGrantNote: "switch", WakeExact: true},
+		Traits:  Traits{ExactInFlight: true, TerminalGrantNote: "switch"},
 		Validate: func(c Config) []error {
 			if c.XpointBufDepth < 1 {
 				return []error{fmt.Errorf("crosspoint buffer depth %d < 1", c.XpointBufDepth)}

@@ -34,6 +34,7 @@ import (
 	"highradix/internal/stats"
 	"highradix/internal/sweep"
 	"highradix/internal/testbench"
+	"highradix/internal/traffic"
 )
 
 // Config parameterizes the service.
@@ -237,8 +238,19 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "load must be a float in (0, 1]", http.StatusBadRequest)
 			return http.StatusBadRequest
 		}
+		// No pattern is the drivers' default (uniform), keyed as the figure
+		// generators key it; a named one resolves as in the CLIs, against
+		// the default radix-64 router this endpoint builds.
+		var pattern traffic.Pattern
+		if name := q.Get("pattern"); name != "" {
+			if pattern, err = traffic.ByName(name, 64, 8, 8); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return http.StatusBadRequest
+			}
+		}
 		o := testbench.Options{
 			Router:        router.Config{Arch: arch},
+			Pattern:       pattern,
 			Load:          load,
 			WarmupCycles:  s.cfg.Scale.Warmup,
 			MeasureCycles: s.cfg.Scale.Measure,

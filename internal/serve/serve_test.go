@@ -119,6 +119,21 @@ func TestPointEndpoint(t *testing.T) {
 	if computes != 1 {
 		t.Fatalf("%d computes for two identical point requests, want 1", computes)
 	}
+	// A named pattern is simulated and keyed as that pattern, not served
+	// the uniform point above.
+	code, hot, _ := get(t, s, "/points?arch=baseline&load=0.5&pattern=hotspot")
+	if code != 200 || hot == body {
+		t.Fatalf("hotspot point: code=%d, same body as uniform: %t", code, hot == body)
+	}
+	if code, again, _ := get(t, s, "/points?arch=baseline&load=0.5&pattern=hotspot"); code != 200 || again != hot {
+		t.Fatalf("warm hotspot point not byte-identical (code %d)", code)
+	}
+	if computes := s.cfg.Scale.Cache.Counters().Computes; computes != 2 {
+		t.Fatalf("%d computes after a uniform and a hotspot point, each asked twice, want 2", computes)
+	}
+	if code, _, _ := get(t, s, "/points?arch=baseline&load=0.5&pattern=nope"); code != 400 {
+		t.Fatalf("bad pattern: code=%d, want 400", code)
+	}
 	if code, _, _ := get(t, s, "/points?arch=nope&load=0.5"); code != 400 {
 		t.Fatalf("bad arch: code=%d, want 400", code)
 	}

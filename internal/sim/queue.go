@@ -20,7 +20,7 @@ func NewQueue[T any](capacity int) *Queue[T] {
 }
 
 // MakeQueue returns a queue by value, for storing banks of queues in
-// one flat slice (the network's per-terminal source queues): laying the
+// one flat slice (drive.Bank's per-source generation queues): laying the
 // headers out contiguously replaces a pointer dereference per access
 // with an index. Banks of bounded flit FIFOs inside the routers use
 // core.FIFOBank, which also shares one ring slab.

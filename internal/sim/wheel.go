@@ -15,10 +15,10 @@ import "math/bits"
 // dense per-index scan would visit them, which is what keeps
 // event-driven drivers draw-for-draw identical to their dense twins.
 //
-// The drivers in internal/testbench and internal/network use a Wheel to
-// merge per-source next-injection times; single-valued feeds (a
-// router's NextWake bound, a trace's next due entry) are cheaper to
-// consult directly and are min-merged by the driver at jump time.
+// The source bank in internal/drive uses a Wheel to merge per-source
+// next-injection times; single-valued feeds (a router's NextWake bound,
+// a trace's next due entry) are cheaper to consult directly and are
+// min-merged by the driver at jump time.
 //
 // A Wheel is not safe for concurrent use.
 type Wheel struct {

@@ -4,15 +4,19 @@
 // sample of packets injected during a measurement interval, and a drain
 // phase that runs until every labeled packet has been delivered. It
 // reports mean packet latency, accepted throughput and saturation.
+//
+// Both halves of that methodology live in internal/drive: the sources,
+// source queues and injection channels are a drive.Bank, the procedure
+// is drive.Run. This package builds the router (or its check.Wrap),
+// hands the bank its per-port seeds and run-wide packet ids, and turns
+// the driver's tally into a Result.
 package testbench
 
 import (
 	"fmt"
 
-	"highradix/internal/arb"
 	"highradix/internal/check"
 	"highradix/internal/drive"
-	"highradix/internal/flit"
 	"highradix/internal/router"
 	"highradix/internal/sim"
 	"highradix/internal/stats"
@@ -132,311 +136,68 @@ type Result struct {
 	Cycles int64
 }
 
-// source is the injection machinery in front of one router input: an
-// unbounded generation queue, a flit-serialized injection channel, and
-// per-packet VC assignment.
-// srcFlit pairs a queued flit with its Head bit so the per-cycle
-// injection scan tests packet boundaries from the queue's own (warm)
-// ring buffer instead of dereferencing a possibly cold flit.
-type srcFlit struct {
-	f    *flit.Flit
-	head bool
-}
-
-type source struct {
-	// q is embedded by value so the per-cycle injection scan peeks the
-	// ring buffer without an extra dereference.
-	q       sim.Queue[srcFlit]
-	injFree int64              // cycle the injection channel frees
-	curVC   int                // VC of the packet currently crossing the channel
-	vcPtr   int                // rotating VC assignment pointer
-	proc    traffic.Process    // per-cycle mode
-	gap     traffic.GapProcess // gap mode
-	rng     *sim.RNG
-}
-
-// world is the single-router system internal/drive advances: the router
-// under test behind its k sources.
-type world struct {
-	r   router.Router
-	chk *check.Checker
-	// Every packet's flits come from a per-run free list; ejected flits
-	// are recycled (see the contract on router.Router.Ejected), so the
-	// steady-state hot path allocates nothing.
-	fl *flit.FreeList
-	// Sources live in one value slice: the per-cycle scans walk them
-	// contiguously instead of chasing a pointer per source. srcAct tracks
-	// the ones with a nonempty generation queue so the injection scan
-	// walks only them; backlog is the total queued flits.
-	srcs    []source
-	srcAct  arb.BitVec
-	backlog int64
-	pattern traffic.Pattern
-	trace   *traffic.Trace
-	// Gap mode drives generation from a calendar queue of per-source
-	// next-injection cycles; onDue generates at one due source.
-	wheel *sim.Wheel
-	onDue func(id int32)
-
-	pktLen, vcs, st int
-	// wakeExact: the architecture vouches that Quiescent/NextWake cover
-	// all its per-cycle state (see the quiescence contract in
-	// router/core) and the run is not forced dense, so quiescent Steps
-	// may be skipped and NextWake relied on.
-	wakeExact bool
-
-	now       int64 // the cycle being simulated, for onDue
-	measuring bool
-	pktID     uint64
-	genFlits  int64
-	labeled   int64
-}
-
-// newWorld validates o (already defaulted) and builds its world.
-func newWorld(o Options) (*world, error) {
-	w := &world{fl: flit.NewFreeList(), pattern: o.Pattern, trace: o.Trace, pktLen: o.PktLen}
-	if o.Check {
-		c, err := check.Wrap(o.Router, check.Options{})
-		if err != nil {
-			return nil, err
-		}
-		w.r, w.chk = c, c.Checker()
-	} else {
-		r, err := router.New(o.Router)
-		if err != nil {
-			return nil, err
-		}
-		w.r = r
-	}
-	cfg := w.r.Config()
-	k := cfg.Radix
-	w.vcs, w.st = cfg.VCs, cfg.STCycles
-	w.wakeExact = cfg.Traits().WakeExact && !o.NoFastForward
-	if o.Trace == nil {
-		if err := drive.CheckLoad(o.Load, w.st, o.PktLen); err != nil {
-			return nil, fmt.Errorf("testbench: %w", err)
-		}
-	} else {
-		for _, e := range o.Trace.Entries() {
-			if e.Src < 0 || e.Src >= k || e.Dst < 0 || e.Dst >= k {
-				return nil, fmt.Errorf("testbench: trace entry %+v outside radix %d", e, k)
-			}
-		}
-		o.Trace.Reset()
-	}
-	pktRate := o.Load / float64(w.st*o.PktLen)
-
-	master := sim.NewRNG(o.Seed ^ 0x685a2d9cb9a5d1f3)
-	// Gap mode replaces the per-cycle Bernoulli/Markov processes with
-	// gap-sampled twins. Trace replays have their own event feed
-	// (Trace.NextDue) and ignore the mode.
-	gap := o.Injection == traffic.InjGap && o.Trace == nil
-	w.srcs = make([]source, k)
-	w.srcAct = arb.MakeBitVec(k)
-	var bursters []traffic.Burster
-	for i := range w.srcs {
-		s := &w.srcs[i]
-		s.q = *sim.NewQueue[srcFlit](0)
-		s.curVC = -1
-		s.rng = master.Split()
-		switch {
-		case o.Bursty && gap:
-			m := traffic.NewMarkovOnOffGap(pktRate, o.BurstLen)
-			bursters = append(bursters, m)
-			s.gap = m
-		case o.Bursty:
-			m := traffic.NewMarkovOnOff(pktRate, o.BurstLen)
-			bursters = append(bursters, m)
-			s.proc = m
-		case gap:
-			s.gap = traffic.NewBernoulliGap(pktRate)
-		default:
-			s.proc = traffic.NewBernoulli(pktRate)
-		}
-	}
-	if w.pattern == nil {
-		w.pattern = traffic.NewUniform(k)
-	}
-	if o.Bursty {
-		w.pattern = traffic.NewBurstPattern(w.pattern, bursters)
-	}
-	if gap {
-		w.wheel = traffic.NewGapWheel(pktRate)
-		for i := range w.srcs {
-			w.schedule(i, 0)
-		}
-		w.onDue = func(id int32) {
-			i := int(id)
-			w.spawn(i, w.pattern.Dest(i, w.srcs[i].rng), w.pktLen)
-			w.schedule(i, w.now+1)
-		}
-	}
-	return w, nil
-}
-
-// schedule puts gap source i's next injection at or after from, if it
-// has one, on the wheel.
-func (w *world) schedule(i int, from int64) {
-	s := &w.srcs[i]
-	if at := s.gap.NextInject(from, s.rng); at < sim.NoWake {
-		w.wheel.Schedule(at, int32(i))
-	}
-}
-
-// spawn queues one packet generated this cycle at source src.
-func (w *world) spawn(src, dst, length int) {
-	w.pktID++
-	s := &w.srcs[src]
-	for _, f := range w.fl.MakePacket(w.pktID, src, dst, 0, length, w.now, w.measuring) {
-		// Capture the Head bit while the flit is still warm from creation.
-		s.q.MustPush(srcFlit{f: f, head: f.Head})
-	}
-	w.genFlits += int64(length)
-	w.backlog += int64(length)
-	w.srcAct.Set(src)
-	if w.measuring {
-		w.labeled++
-	}
-}
-
-// Cycle implements drive.World.
-func (w *world) Cycle(now int64, ph drive.Phase, t *drive.Tally) error {
-	w.now, w.measuring = now, ph.Measuring
-	// Generate packets. A trace injects at its recorded cycles whatever
-	// the phase; a synthetic source only while generation is live.
-	switch {
-	case w.trace != nil:
-		for _, e := range w.trace.Due(now) {
-			w.spawn(e.Src, e.Dst, e.Len)
-		}
-	case !ph.Generating:
-	case w.wheel != nil:
-		// Event-driven generation: only sources whose scheduled
-		// injection cycle has arrived are visited, in ascending source
-		// order within a cycle — the order the dense scan visits them,
-		// so the dense twin is draw-for-draw identical.
-		w.wheel.PopDue(now, w.onDue)
-	default:
-		for i := range w.srcs {
-			s := &w.srcs[i]
-			if s.proc.Inject(s.rng) {
-				w.spawn(i, w.pattern.Dest(i, s.rng), w.pktLen)
-			}
-		}
-	}
-	// Move flits across the injection channels into input buffers.
-	// Only sources holding queued flits are visited; ascending bit
-	// order matches the dense scan exactly.
-	r, v := w.r, w.vcs
-	for i := w.srcAct.Next(0); i >= 0; i = w.srcAct.Next(i + 1) {
-		s := &w.srcs[i]
-		if s.injFree > now {
-			continue
-		}
-		sf, ok := s.q.Peek()
-		if !ok {
-			continue
-		}
-		if sf.head && s.curVC < 0 {
-			for j := 0; j < v; j++ {
-				vc := s.vcPtr + j
-				if vc >= v {
-					vc -= v
-				}
-				if r.CanAccept(i, vc) {
-					s.curVC = vc
-					break
-				}
-			}
-			if s.curVC < 0 {
-				continue
-			}
-		}
-		if !r.CanAccept(i, s.curVC) {
-			continue
-		}
-		s.q.MustPop()
-		w.backlog--
-		if s.q.Len() == 0 {
-			w.srcAct.Clear(i)
-		}
-		f := sf.f
-		f.VC = s.curVC
-		r.Accept(now, f)
-		s.injFree = now + int64(w.st)
-		if f.Tail {
-			s.vcPtr = (s.curVC + 1) % v
-			s.curVC = -1
-		}
-	}
-	// Advance the router and collect ejections. A quiescent router's
-	// step is a provable no-op (and ejects nothing), so it is skipped
-	// outright — exact at any time, unlike a jump; Ejected() must not be
-	// read on a skipped cycle, as it still holds the previous step's
-	// recycled flits.
-	if !w.wakeExact || !r.Quiescent() {
-		r.Step(now)
-		for _, f := range r.Ejected() {
-			t.Deliver(f.CreatedAt, 0, f.Tail, f.Measured)
-			w.fl.Put(f)
-		}
-	}
-	if w.chk != nil {
-		return w.chk.Err()
-	}
-	return nil
-}
-
-// NextWake implements drive.Waker: the router's next internal event,
-// brought forward to the next recorded or wheel-scheduled generation. A
-// per-cycle source draws randomness every live cycle, so while one is
-// live no cycle may be skipped.
-func (w *world) NextWake(now int64, live bool) int64 {
-	if !w.wakeExact {
-		return now + 1
-	}
-	gen, pending := int64(0), false
-	switch {
-	case w.trace != nil:
-		gen, pending = w.trace.NextDue()
-	case !live:
-	case w.wheel != nil:
-		gen, pending = w.wheel.NextAt()
-	default:
-		return now + 1
-	}
-	wake := w.r.NextWake(now)
-	if pending && gen < wake {
-		wake = gen
-	}
-	return wake
-}
-
-func (w *world) Backlog() int64         { return w.backlog }
-func (w *world) InFlight() int          { return w.r.InFlight() }
-func (w *world) GenFlits() int64        { return w.genFlits }
-func (w *world) InjectedLabeled() int64 { return w.labeled }
-
-// Run executes one simulation and returns its measurements.
+// Run executes one simulation and returns its measurements: the router
+// under test, behind a drive.Bank of one source per port, as the
+// drive.Plant internal/drive advances.
 func Run(o Options) (Result, error) {
 	o = o.withDefaults()
-	w, err := newWorld(o)
+	var (
+		r   router.Router
+		chk *check.Checker
+		err error
+	)
+	p := &drive.Plant{Dense: o.NoFastForward}
+	if o.Check {
+		var c *check.Checked
+		if c, err = check.Wrap(o.Router, check.Options{}); err == nil {
+			r, chk = c, c.Checker()
+			p.Audit = func(int64, int) error { return chk.Err() }
+		}
+	} else {
+		r, err = router.New(o.Router)
+	}
 	if err != nil {
 		return Result{}, err
 	}
+	p.Dev = r
+	cfg := r.Config()
+	k, st := cfg.Radix, cfg.STCycles
 	c := drive.Config{
 		Warmup: o.WarmupCycles, Measure: o.MeasureCycles, Drain: o.DrainCycles,
 		Audited: o.Check, Dense: o.NoFastForward, OnMeasureStart: o.OnMeasureStart,
 	}
-	if o.Trace != nil {
+	if o.Trace == nil {
+		if err := drive.CheckLoad(o.Load, st, o.PktLen); err != nil {
+			return Result{}, fmt.Errorf("testbench: %w", err)
+		}
+	} else {
+		for _, e := range o.Trace.Entries() {
+			if e.Src < 0 || e.Src >= k || e.Dst < 0 || e.Dst >= k {
+				return Result{}, fmt.Errorf("testbench: trace entry %+v outside radix %d", e, k)
+			}
+		}
+		o.Trace.Reset()
 		c.SourceEnd = o.Trace.Duration()
 	}
-	t, err := drive.Run(c, w)
+	// Every source's stream is split off one master in port order, and
+	// packet ids count up across the whole run (hrtrace orders by them).
+	master := sim.NewRNG(o.Seed ^ 0x685a2d9cb9a5d1f3)
+	var pktID uint64
+	p.Bank = drive.NewBank(drive.BankConfig{
+		Workload: drive.Workload{
+			Rate: o.Load / float64(st*o.PktLen), PktLen: o.PktLen, Pattern: o.Pattern,
+			Bursty: o.Bursty, BurstLen: o.BurstLen, Injection: o.Injection, Trace: o.Trace,
+		},
+		Sources: k, VCs: cfg.VCs, Ser: st,
+		Seed:     func(int) uint64 { return master.Uint64() },
+		PacketID: func(int, uint32) uint64 { pktID++; return pktID },
+	})
+	t, err := drive.Run(c, p)
 	if err != nil {
 		return Result{}, err
 	}
-	if w.chk != nil && t.Flits >= w.genFlits {
-		if err := w.chk.Final(t.Cycles); err != nil {
+	if chk != nil && t.Flits >= p.GenFlits() {
+		if err := chk.Final(t.Cycles); err != nil {
 			return Result{}, err
 		}
 	}
@@ -445,7 +206,7 @@ func Run(o Options) (Result, error) {
 		AvgLatency: t.Lat.Mean(),
 		P50:        t.Lat.Quantile(0.5),
 		P99:        t.Lat.Quantile(0.99),
-		Throughput: t.Throughput(len(w.srcs), w.st),
+		Throughput: t.Throughput(k, st),
 		Packets:    t.Labeled,
 		RelErr99:   t.Lat.RelativeError99(),
 		Cycles:     t.Cycles,

@@ -3,8 +3,16 @@ package testbench
 import (
 	"testing"
 
+	"highradix/internal/check"
+	"highradix/internal/drive"
 	"highradix/internal/router"
 	"highradix/internal/traffic"
+)
+
+// The two systems Run puts behind a source bank.
+var (
+	_ drive.Device = router.Router(nil)
+	_ drive.Device = (*check.Checked)(nil)
 )
 
 func quickOpts(cfg router.Config, load float64) Options {
