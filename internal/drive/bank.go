@@ -50,8 +50,9 @@ type Workload struct {
 	// BurstLen packets on average, each burst to one destination.
 	Bursty   bool
 	BurstLen float64
-	// Injection selects a draw per source per cycle, or gap sampling on
-	// a wheel of next-injection cycles (ignored by a trace replay).
+	// Injection selects the paper's draw per source per cycle, taken ahead
+	// of time in stream order, or gap sampling on a wheel of
+	// next-injection cycles (ignored by a trace replay).
 	Injection traffic.InjMode
 	// Trace, when non-nil, replaces synthetic generation: its packets are
 	// generated at their recorded cycles, whatever the phase. The bank
@@ -72,27 +73,30 @@ type BankConfig struct {
 	// of one bank owning the union, because every per-source decision
 	// comes from that source's private stream.
 	Owns func(id int) bool
-	// Seed returns the stream seed of an owned source; it is called once
-	// per owned source, in ascending id order.
+	// Seed returns the stream seed of an owned source.
 	Seed func(id int) uint64
 	// PacketID names the seq'th packet (from 1) generated at src. Ids must
 	// be unique and nonzero.
 	PacketID func(src int, seq uint32) uint64
 }
 
-// srcFlit pairs a queued flit with its Head bit, so the injection scan
-// reads packet boundaries from the queue's own warm ring instead of a
-// possibly cold flit.
-type srcFlit struct {
-	f    *flit.Flit
-	head bool
+// pkt is a queued packet: 32 bytes from which its flits are built one by
+// one as they inject, so a saturated run's backlog is neither flit-sized
+// nor cold by the time it crosses the channel.
+type pkt struct {
+	id        uint64
+	createdAt int64
+	dst       int
+	len       int32
+	measured  bool
 }
 
 // source is the injection machinery in front of one device port: an
 // unbounded generation queue, a flit-serialized injection channel and
 // per-packet VC assignment.
 type source struct {
-	q       sim.Queue[srcFlit]
+	q       sim.Queue[pkt]
+	sent    int    // flits of the front packet already injected
 	injFree int64  // cycle the injection channel frees
 	curVC   int    // VC of the packet crossing the channel, -1 between packets
 	vcPtr   int    // rotating VC assignment pointer
@@ -106,19 +110,41 @@ type source struct {
 type Bank struct {
 	c     BankConfig
 	owned []int // ascending
-	// The streams have a slice to themselves: per-cycle generation walks
-	// every owned one every cycle and touches nothing else.
-	rngs []sim.RNG
-	srcs []source
-	act  arb.BitVec // sources with a nonempty queue
-	fl   *flit.FreeList
+	rngs  []sim.RNG
+	srcs  []source
+	act   arb.BitVec // sources with a nonempty queue
+	fl    *flit.FreeList
 
-	procs []traffic.Process    // per-cycle Markov processes; nil for Bernoulli
 	gaps  []traffic.GapProcess // gap mode
 	wheel *sim.Wheel           // gap mode: the sources' next-injection cycles
 
+	// Per-cycle mode. A source's draws are private and none depends on the
+	// cycle it is consumed in, so each source takes its own ahead of time
+	// (ahead): arrival[i] is the cycle source owned[i] generates in next,
+	// every draw up to that cycle's taken — or, when parked[i], the cycle
+	// whose draw is its stream's next, horizon failures having got it
+	// there. The cycles have a slice to themselves, scanned on the cycles
+	// simulated at or past soonest, their minimum.
+	arrival []int64
+	parked  []bool
+	soonest int64
+	rate    uint64                 // Rate as a sim.BernoulliThreshold
+	markov  []*traffic.MarkovOnOff // the bursty sources' chains; nil for Bernoulli
+
 	genFlits, labeled, backlog int64
 }
+
+// horizon bounds one run-ahead, in draws: what a source that never
+// generates (rate 0, or 1e-9) draws past the end of its run, and how
+// often it makes the driver stop at a cycle nothing happens in. At 1024
+// a source of rate 0.00025 parks three times per packet, a few percent
+// on top of the draws themselves. A variable for the tests, which shrink
+// it until every arrival crosses a checkpoint.
+var horizon = 1024
+
+// testHookNewBank, when a test has set it (export_test.go), sees every
+// bank built.
+var testHookNewBank func(*Bank)
 
 // NewBank builds the bank c describes.
 func NewBank(c BankConfig) *Bank {
@@ -143,7 +169,7 @@ func NewBank(c BankConfig) *Bank {
 		bursters = make([]traffic.Burster, n)
 		b.c.Pattern = traffic.NewBurstPattern(b.c.Pattern, bursters)
 		if !gap {
-			b.procs = make([]traffic.Process, n)
+			b.markov = make([]*traffic.MarkovOnOff, n)
 		}
 	}
 	bernoulli := traffic.NewBernoulliGap(c.Rate) // stateless: one serves every gap source
@@ -153,20 +179,32 @@ func NewBank(c BankConfig) *Bank {
 		}
 		b.owned = append(b.owned, id)
 		b.rngs[id].Seed(c.Seed(id))
-		b.srcs[id] = source{q: sim.MakeQueue[srcFlit](0), curVC: -1}
+		b.srcs[id] = source{q: sim.MakeQueue[pkt](0), curVC: -1}
 		switch {
 		case c.Bursty && gap:
 			m := traffic.NewMarkovOnOffGap(c.Rate, c.BurstLen)
 			b.gaps[id], bursters[id] = m, m
 		case c.Bursty:
 			m := traffic.NewMarkovOnOff(c.Rate, c.BurstLen)
-			b.procs[id], bursters[id] = m, m
+			b.markov[id], bursters[id] = m, m
 		case gap:
 			b.gaps[id] = bernoulli
 		}
 		if gap {
 			b.schedule(id, 0)
 		}
+	}
+	if !gap && c.Trace == nil {
+		b.rate = sim.BernoulliThreshold(c.Rate)
+		b.arrival = make([]int64, len(b.owned))
+		b.parked = make([]bool, len(b.owned))
+		b.soonest = sim.NoWake
+		for i := range b.owned {
+			b.soonest = min(b.soonest, b.ahead(i, 0))
+		}
+	}
+	if testHookNewBank != nil {
+		testHookNewBank(b)
 	}
 	return b
 }
@@ -179,13 +217,32 @@ func (b *Bank) schedule(id int, from int64) {
 	}
 }
 
+// ahead takes the per-cycle draws of source owned[i] for cycle from and
+// the cycles after it, until one succeeds or horizon have failed, and
+// returns the cycle that leaves the source at: its next arrival, or the
+// checkpoint it parks at.
+func (b *Bank) ahead(i int, from int64) int64 {
+	id := b.owned[i]
+	var idle int
+	var hit bool
+	if b.markov != nil {
+		idle, hit = b.markov[id].InjectAhead(&b.rngs[id], horizon)
+	} else {
+		idle, hit = b.rngs[id].BernoulliAhead(b.rate, horizon)
+	}
+	b.parked[i] = !hit
+	b.arrival[i] = from + int64(idle)
+	return b.arrival[i]
+}
+
 // spawn queues one packet generated in cycle now at source src.
 func (b *Bank) spawn(now int64, src, dst, length int, measuring bool) {
+	if length < 1 {
+		panic("drive: packet length must be >= 1")
+	}
 	s := &b.srcs[src]
 	s.seq++
-	for _, f := range b.fl.MakePacket(b.c.PacketID(src, s.seq), src, dst, 0, length, now, measuring) {
-		s.q.MustPush(srcFlit{f, f.Head}) // the flit is warm from creation
-	}
+	s.q.MustPush(pkt{b.c.PacketID(src, s.seq), now, dst, int32(length), measuring})
 	b.genFlits += int64(length)
 	b.backlog += int64(length)
 	b.act.Set(src)
@@ -195,10 +252,19 @@ func (b *Bank) spawn(now int64, src, dst, length int, measuring bool) {
 }
 
 // Generate queues the packets of cycle now: the trace's entries due, the
-// wheel's due sources, or one draw at every owned source — which is why
-// a live per-cycle bank must be called every cycle. Sources are visited
-// in ascending order in every mode (the wheel pops a cycle's ids
-// ascending), so a gap run is draw-for-draw identical to its dense twin.
+// wheel's due sources, or the per-cycle sources whose arrival cycle it
+// is. A live bank must be called at every cycle NextGen names, and may be
+// at any other. Sources are visited in ascending order in every mode (the
+// wheel pops a cycle's ids ascending), so a run that jumps is
+// draw-for-draw identical to its dense twin.
+//
+// A per-cycle source draws its destination at its arrival cycle and only
+// then runs ahead again, so its stream is consumed in the order one draw
+// per cycle consumed it: failures, the success, the destination,
+// failures. A parked source resumes with the draw of the checkpoint cycle
+// itself, and generates in that very cycle if it succeeds. Draws taken
+// for cycles the run never reaches, or reaches when no longer generating,
+// decide nothing: measuring, like the call itself, applies at the arrival.
 func (b *Bank) Generate(now int64, measuring bool) {
 	switch {
 	case b.c.Trace != nil:
@@ -210,18 +276,20 @@ func (b *Bank) Generate(now int64, measuring bool) {
 			b.draw(now, int(id), measuring)
 			b.schedule(int(id), now+1)
 		})
-	case b.procs != nil:
-		for _, id := range b.owned {
-			if b.procs[id].Inject(&b.rngs[id]) {
-				b.draw(now, id, measuring)
+	case now >= b.soonest:
+		soonest := sim.NoWake
+		for i, at := range b.arrival {
+			for at <= now {
+				if b.parked[i] {
+					at = b.ahead(i, at)
+				} else {
+					b.draw(now, b.owned[i], measuring)
+					at = b.ahead(i, now+1)
+				}
 			}
+			soonest = min(soonest, at)
 		}
-	default:
-		for _, id := range b.owned {
-			if b.rngs[id].Bernoulli(b.c.Rate) {
-				b.draw(now, id, measuring)
-			}
-		}
+		b.soonest = soonest
 	}
 }
 
@@ -245,9 +313,9 @@ func (b *Bank) InjectAll(now int64, d Device, onInject func(now int64, f *flit.F
 		if s.injFree > now {
 			continue
 		}
-		sf, _ := s.q.Peek()
+		p, _ := s.q.Peek()
 		vc := s.curVC
-		if sf.head {
+		if s.sent == 0 {
 			vc = -1
 			for j := 0; j < v; j++ {
 				c := s.vcPtr + j
@@ -266,22 +334,24 @@ func (b *Bank) InjectAll(now int64, d Device, onInject func(now int64, f *flit.F
 		} else if !d.CanAccept(id, vc) {
 			continue
 		}
-		s.q.MustPop()
+		f := b.fl.Make(p.id, s.sent, id, p.dst, vc, int(p.len), p.createdAt, p.measured)
 		b.backlog--
-		if s.q.Len() == 0 {
-			b.act.Clear(id)
+		if f.Tail {
+			s.q.MustPop()
+			s.sent = 0
+			if s.q.Len() == 0 {
+				b.act.Clear(id)
+			}
+			s.vcPtr = (vc + 1) % v
+			s.curVC = -1
+		} else {
+			s.sent++
 		}
-		f := sf.f
-		f.VC = vc
 		d.Accept(now, f)
 		if onInject != nil {
 			onInject(now, f)
 		}
 		s.injFree = now + int64(b.c.Ser)
-		if f.Tail {
-			s.vcPtr = (vc + 1) % v
-			s.curVC = -1
-		}
 	}
 }
 
@@ -299,12 +369,13 @@ func (b *Bank) GenFlits() int64 { return b.genFlits }
 // InjectedLabeled returns the packets generated while measuring.
 func (b *Bank) InjectedLabeled() int64 { return b.labeled }
 
-// NextGen returns the first cycle after now in which Generate can queue
-// anything, sim.NoWake when there is none: a trace's next entry whatever
-// live says; otherwise nothing unless synthetic generation is live, and
-// then the wheel's next injection or, for a per-cycle bank, now+1.
+// NextGen returns a lower bound on the first cycle after now in which
+// Generate can queue anything, sim.NoWake when there is none: a trace's
+// next entry whatever live says; otherwise nothing unless synthetic
+// generation is live, and then the wheel's next injection or the soonest
+// cycle a per-cycle source arrives or resumes drawing in.
 func (b *Bank) NextGen(now int64, live bool) int64 {
-	at, ok := now+1, live
+	at, ok := b.soonest, live
 	switch {
 	case b.c.Trace != nil:
 		at, ok = b.c.Trace.NextDue()

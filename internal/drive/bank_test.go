@@ -223,9 +223,14 @@ func packets(cycles int64, banks ...*Bank) []string {
 	})
 	var out []string
 	for _, r := range recs {
-		out = append(out, fmt.Sprintf("%d %d %#x %d", r.at, r.src, r.id, r.dst))
+		out = append(out, packetLine(r.at, r.src, r.id, r.dst))
 	}
 	return out
+}
+
+// packetLine is how the tests below write a generated packet.
+func packetLine(at int64, src int, id uint64, dst int) string {
+	return fmt.Sprintf("%d %d %#x %d", at, src, id, dst)
 }
 
 // TestBankSplit: banks owning a partition of the sources generate between
@@ -274,6 +279,121 @@ func TestBankSplit(t *testing.T) {
 	}
 }
 
+// oracle is the generation loop that run-ahead replaced, kept as its
+// reference: one draw per owned source per cycle in ascending source
+// order, and a destination from the same stream on every success.
+type oracle struct {
+	c       BankConfig
+	owned   []int
+	rngs    []sim.RNG
+	markov  []*traffic.MarkovOnOff
+	pattern traffic.Pattern
+	seq     []uint32
+}
+
+func newOracle(c BankConfig) *oracle {
+	o := &oracle{c: c, rngs: make([]sim.RNG, c.Sources), seq: make([]uint32, c.Sources), pattern: traffic.NewUniform(c.Sources)}
+	bursters := make([]traffic.Burster, c.Sources)
+	for id := 0; id < c.Sources; id++ {
+		if c.Owns != nil && !c.Owns(id) {
+			continue
+		}
+		o.owned = append(o.owned, id)
+		o.rngs[id].Seed(c.Seed(id))
+		if c.Bursty {
+			m := traffic.NewMarkovOnOff(c.Rate, c.BurstLen)
+			o.markov, bursters[id] = append(o.markov, m), m
+		}
+	}
+	if c.Bursty {
+		o.pattern = traffic.NewBurstPattern(o.pattern, bursters)
+	}
+	return o
+}
+
+// generate returns cycle now's packets, a packetLine each.
+func (o *oracle) generate(now int64) (out []string) {
+	for i, id := range o.owned {
+		rng := &o.rngs[id]
+		hit := false
+		if o.c.Bursty {
+			// One cycle of the chain; traffic's own tests hold this to the
+			// cycle-by-cycle walk.
+			_, hit = o.markov[i].InjectAhead(rng, 1)
+		} else {
+			hit = rng.Bernoulli(o.c.Rate)
+		}
+		if !hit {
+			continue
+		}
+		o.seq[id]++
+		out = append(out, packetLine(now, id, o.c.PacketID(id, o.seq[id]), o.pattern.Dest(id, rng)))
+	}
+	return out
+}
+
+// TestBankMatchesPerCycleOracle: taking a source's draws ahead of time
+// changes none of them. With the horizon shrunk until nearly every
+// arrival crosses a checkpoint, the bank generates the oracle's packets —
+// cycle, source, id, destination — whether it is called every cycle or
+// only at the cycles NextGen names, which must lie after the one asked
+// about. Two traps are in here: a source resuming at a checkpoint draws
+// for the checkpoint cycle itself, and a success on that very draw
+// generates in that cycle.
+func TestBankMatchesPerCycleOracle(t *testing.T) {
+	defer func(h int) { horizon = h }(horizon)
+	const n = 12
+	for _, h := range []int{2, 3, 1024} {
+		horizon = h
+		for _, rate := range []float64{0, 1e-9, 0.001, 1 / float64(h), 0.5, 1} {
+			for _, bursty := range []bool{false, true} {
+				for part, owns := range map[string]func(int) bool{"all": nil, "some": func(id int) bool { return id%3 != 1 }} {
+					t.Run(fmt.Sprintf("horizon=%d/rate=%g/bursty=%t/%s", h, rate, bursty, part), func(t *testing.T) {
+						cycles := int64(12000)
+						if rate >= 0.5 {
+							cycles = 1500 // as many packets from fewer cycles
+						}
+						c := testIDs(BankConfig{
+							Workload: Workload{Rate: rate, PktLen: 1, Bursty: bursty, BurstLen: 3},
+							Sources:  n, VCs: 2, Ser: 1, Owns: owns,
+						})
+						var want []string
+						for o, now := newOracle(c), int64(0); now < cycles; now++ {
+							want = append(want, o.generate(now)...)
+						}
+						if (len(want) == 0) != (rate < 1e-6) {
+							t.Fatalf("vacuous: the oracle generated %d packets", len(want))
+						}
+						if got := packets(cycles, NewBank(c)); !slices.Equal(got, want) {
+							t.Fatalf("called every cycle: packet %d of %d differs from the oracle's %d", firstDiff(got, want), len(got), len(want))
+						}
+
+						var got []string
+						b, d, calls := NewBank(c), &pipe{latency: 1}, 0
+						for now := b.NextGen(-1, true); now < cycles; calls++ {
+							b.Generate(now, false)
+							b.InjectAll(now, d, func(_ int64, f *flit.Flit) {
+								got = append(got, packetLine(f.CreatedAt, f.Src, f.PacketID, f.Dst))
+							})
+							next := b.NextGen(now, true)
+							if next <= now {
+								t.Fatalf("NextGen at cycle %d names cycle %d", now, next)
+							}
+							now = next
+						}
+						if !slices.Equal(got, want) {
+							t.Fatalf("called when NextGen says: packet %d of %d differs from the oracle's %d", firstDiff(got, want), len(got), len(want))
+						}
+						if most := len(want) + n*(int(cycles)/h+1); calls > most {
+							t.Errorf("%d calls in %d cycles, for %d packets and at most %d checkpoints: NextGen is not skipping the idle ones", calls, cycles, len(want), most-len(want))
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
 func firstDiff(a, b []string) int {
 	i := 0
 	for i < len(a) && i < len(b) && a[i] == b[i] {
@@ -282,17 +402,30 @@ func firstDiff(a, b []string) int {
 	return i
 }
 
+// counted counts the cycles Run simulates of a plant.
+type counted struct {
+	*Plant
+	cycles int
+}
+
+func (c *counted) Cycle(now int64, ph Phase, t *Tally) error {
+	c.cycles++
+	return c.Plant.Cycle(now, ph, t)
+}
+
 // TestPlantDenseTwin: a plant jumping idle stretches and skipping
 // quiescent steps under Run is event-for-event the plant stepped every
 // cycle — draw-for-draw in both injection modes, since one skipped or
-// extra draw would move every later packet.
+// extra draw would move every later packet. At this load every mode,
+// per-cycle included, must jump most of the run: a twin that simulates
+// the dense run's cycles proves nothing.
 func TestPlantDenseTwin(t *testing.T) {
 	for name, wl := range workloads {
 		for _, audited := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/audited=%t", name, audited), func(t *testing.T) {
 				wl := wl
 				wl.Rate = 0.003
-				run := func(dense bool) (events []string, tally Tally, steps int) {
+				run := func(dense bool) (events []string, tally Tally, steps, cycles int) {
 					d := &pipe{latency: 9}
 					p := &Plant{Dev: d, Dense: dense,
 						Bank: NewBank(testIDs(BankConfig{Workload: wl, Sources: 6, VCs: 2, Ser: 3}))}
@@ -310,16 +443,17 @@ func TestPlantDenseTwin(t *testing.T) {
 							return nil
 						}
 					}
-					tl, err := Run(Config{Warmup: 300, Measure: 4000, Drain: 400, Audited: audited, Dense: dense}, p)
+					w := &counted{Plant: p}
+					tl, err := Run(Config{Warmup: 300, Measure: 4000, Drain: 400, Audited: audited, Dense: dense}, w)
 					if err != nil {
 						t.Fatal(err)
 					}
 					lat := fmt.Sprint(*tl.Lat)
 					tl.Lat, tl.now = nil, 0
-					return append(events, lat), *tl, d.steps
+					return append(events, lat), *tl, d.steps, w.cycles
 				}
-				dense, denseTally, denseSteps := run(true)
-				got, tally, steps := run(false)
+				dense, denseTally, denseSteps, denseCycles := run(true)
+				got, tally, steps, cycles := run(false)
 				if !slices.Equal(got, dense) {
 					t.Fatalf("event %d differs from the dense run's (%d vs %d events)", firstDiff(got, dense), len(got), len(dense))
 				}
@@ -331,6 +465,9 @@ func TestPlantDenseTwin(t *testing.T) {
 				}
 				if int64(denseSteps) != denseTally.Cycles || steps > denseSteps/2 {
 					t.Errorf("device stepped %d times in %d cycles, %d when dense: nothing was skipped", steps, tally.Cycles, denseSteps)
+				}
+				if int64(denseCycles) != denseTally.Cycles || cycles > denseCycles/2 {
+					t.Errorf("simulated %d of %d cycles, %d when dense: nothing was jumped", cycles, tally.Cycles, denseCycles)
 				}
 			})
 		}

@@ -72,9 +72,10 @@ type Waker interface {
 	// NextWake returns a lower bound, at least now+1, on the next cycle
 	// in which anything can happen given an empty backlog: the system's
 	// own next internal event or, while live says synthetic generation
-	// can still fire at now+1, the next cycle a source may generate —
-	// which is now+1 itself for a source that draws randomness every
-	// cycle. A recorded source is consulted whatever live says.
+	// can still fire at now+1, the next cycle a source may generate. A
+	// source that decides every cycle by a draw has taken its draws ahead
+	// and knows that cycle too (bank.go); one that cannot know answers
+	// now+1. A recorded source is consulted whatever live says.
 	NextWake(now int64, live bool) int64
 }
 
@@ -197,7 +198,8 @@ func (c Config) done(w World, t *Tally) bool {
 // flit, and then to the world's NextWake — which never passes over a
 // cycle in which a source could generate, and stops counting pending
 // generation once it can no longer fire. The skipped cycles are
-// identical to dense stepping: no randomness drawn, nothing injected or
+// identical to dense stepping: no draw skipped (the draws that decide
+// them were taken, in stream order, before them), nothing injected or
 // delivered, and no exit check that could read differently than it did
 // at now. A jump from inside the window stops at its end, so no cycle
 // whose phase differs from now's is crossed without being simulated;

@@ -147,6 +147,21 @@ func NewFreeList() *FreeList { return &FreeList{} }
 // Put returns a dead flit to the list for reuse.
 func (l *FreeList) Put(f *Flit) { l.free = append(l.free, f) }
 
+// Make returns flit seq of a length-flit packet, reborn from the free
+// list when it holds one: the single-flit constructor of a source that
+// queues packets as descriptors and builds each flit as it injects it.
+func (l *FreeList) Make(id uint64, seq, src, dst, vc, length int, createdAt int64, measured bool) *Flit {
+	var f *Flit
+	if n := len(l.free); n > 0 {
+		f = l.free[n-1]
+		l.free = l.free[:n-1]
+	} else {
+		f = &Flit{}
+	}
+	reset(f, id, seq, src, dst, vc, length, createdAt, measured)
+	return f
+}
+
 // MakePacket is the recycling counterpart of the package-level
 // MakePacket: flits come from the free list when available, and the
 // returned slice is internal scratch, valid only until the next
@@ -160,15 +175,7 @@ func (l *FreeList) MakePacket(id uint64, src, dst, vc, length int, createdAt int
 	}
 	l.scratch = l.scratch[:length]
 	for i := range l.scratch {
-		var f *Flit
-		if n := len(l.free); n > 0 {
-			f = l.free[n-1]
-			l.free = l.free[:n-1]
-		} else {
-			f = &Flit{}
-		}
-		reset(f, id, i, src, dst, vc, length, createdAt, measured)
-		l.scratch[i] = f
+		l.scratch[i] = l.Make(id, i, src, dst, vc, length, createdAt, measured)
 	}
 	return l.scratch
 }

@@ -6,6 +6,11 @@
 // experiment is reproducible from a single seed.
 package sim
 
+import (
+	"math"
+	"math/bits"
+)
+
 // RNG is a small, fast, deterministic pseudo-random number generator
 // (xoshiro256** by Blackman & Vigna). It is not safe for concurrent use;
 // each simulation owns its own instance, and independent streams are
@@ -65,32 +70,14 @@ func (r *RNG) Intn(n int) int {
 		panic("sim: Intn with n <= 0")
 	}
 	// Lemire's nearly-divisionless bounded generation.
-	v := r.Uint64()
-	hi, lo := mul64(v, uint64(n))
+	hi, lo := bits.Mul64(r.Uint64(), uint64(n))
 	if lo < uint64(n) {
 		thresh := uint64(-int64(n)) % uint64(n)
 		for lo < thresh {
-			v = r.Uint64()
-			hi, lo = mul64(v, uint64(n))
+			hi, lo = bits.Mul64(r.Uint64(), uint64(n))
 		}
 	}
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	aLo, aHi := a&mask32, a>>32
-	bLo, bHi := b&mask32, b>>32
-	t := aLo * bLo
-	carry := t >> 32
-	t = aHi*bLo + carry
-	w1 := t & mask32
-	w2 := t >> 32
-	t = aLo*bHi + w1
-	hi = aHi*bHi + w2 + t>>32
-	lo = a * b
-	return hi, lo
 }
 
 // Float64 returns a uniform float in [0, 1).
@@ -101,4 +88,45 @@ func (r *RNG) Float64() float64 {
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
+}
+
+// BernoulliThreshold returns the t for which Uint64()>>11 < t holds
+// exactly when Float64() < p would: Float64 is m/2^53 for the 53-bit
+// integer m = Uint64()>>11, both steps exact, so the comparison is
+// m < p*2^53 — also exact — and, m being an integer, m < ceil(p*2^53).
+func BernoulliThreshold(p float64) uint64 {
+	switch {
+	case !(p > 0): // NaN compares false, as it does in Bernoulli
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// BernoulliAhead takes the stream's next Bernoulli draws in one go, for
+// a caller that consumes one per cycle and only acts on a success: it
+// draws against threshold (see BernoulliThreshold) until a draw succeeds
+// or limit draws have failed, and returns how many failed first. The
+// draws are the ones that many Bernoulli calls would have taken, with the
+// generator's state held in registers across them.
+func (r *RNG) BernoulliAhead(threshold uint64, limit int) (failed int, hit bool) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for failed < limit {
+		m := rotl(s1*5, 7) * 9 >> 11
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		if m < threshold {
+			hit = true
+			break
+		}
+		failed++
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return failed, hit
 }

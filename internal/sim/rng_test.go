@@ -116,3 +116,79 @@ func TestSplitIndependence(t *testing.T) {
 		t.Fatalf("split streams overlapped in %d of 100 draws", same)
 	}
 }
+
+// thresholdRates are the rates whose thresholds the tests below pin:
+// both ends, their neighbours one ulp of Float64's grid away, and a rate
+// that is no probability at all.
+var thresholdRates = []float64{0, 1.0 / (1 << 53), 0.125, 0.5, 1 - 1.0/(1<<53), 1, 1.5}
+
+// TestBernoulliThreshold: the integer comparison is Bernoulli's float
+// comparison, on a million draws and on the three values of the 53-bit
+// draw around every threshold.
+func TestBernoulliThreshold(t *testing.T) {
+	float := func(m uint64) float64 { return float64(m) / (1 << 53) } // Float64 of a draw whose top 53 bits are m
+	for _, p := range append([]float64{0.001, 0.3, math.NaN()}, thresholdRates...) {
+		thr := BernoulliThreshold(p)
+		for _, m := range []uint64{thr - 1, thr, thr + 1} {
+			if m >= 1<<53 { // not a draw: below a zero threshold or above the grid
+				continue
+			}
+			if (m < thr) != (float(m) < p) {
+				t.Errorf("p=%v threshold %d: draw %d is %v by integer, %v by float", p, thr, m, m < thr, float(m) < p)
+			}
+		}
+		a, b := NewRNG(77), NewRNG(77)
+		for i := 0; i < 1000000; i++ {
+			if got, want := a.Uint64()>>11 < thr, b.Bernoulli(p); got != want {
+				t.Fatalf("p=%v draw %d: integer form %v, Bernoulli %v", p, i, got, want)
+			}
+		}
+	}
+}
+
+// TestBernoulliAhead: one call is the Bernoulli calls it stands for —
+// same outcomes, same number of draws consumed — whatever the limit,
+// including limits that end a call on a failure, on the success itself
+// and before any draw.
+func TestBernoulliAhead(t *testing.T) {
+	for _, p := range append([]float64{0.001, 0.3}, thresholdRates...) {
+		thr := BernoulliThreshold(p)
+		for _, limit := range []int{0, 1, 2, 3, 7, 500} {
+			a, b := NewRNG(31), NewRNG(31)
+			for call := 0; call < 2000; call++ {
+				wantFailed, wantHit := 0, false
+				for wantFailed < limit && !wantHit {
+					if wantHit = b.Bernoulli(p); !wantHit {
+						wantFailed++
+					}
+				}
+				if failed, hit := a.BernoulliAhead(thr, limit); failed != wantFailed || hit != wantHit {
+					t.Fatalf("p=%v limit %d call %d: %d failures, hit %v; per-draw loop %d, %v", p, limit, call, failed, hit, wantFailed, wantHit)
+				}
+				if *a != *b {
+					t.Fatalf("p=%v limit %d call %d: stream state differs from the per-draw loop's", p, limit, call)
+				}
+			}
+		}
+	}
+}
+
+// TestBernoulliAheadGeometric: the failures before a success are
+// geometric with mean (1-p)/p — the distribution test the per-cycle
+// Bernoulli process carried.
+func TestBernoulliAheadGeometric(t *testing.T) {
+	r := NewRNG(1)
+	const p, events = 0.2, 100000
+	thr := BernoulliThreshold(p)
+	total := 0
+	for i := 0; i < events; i++ {
+		failed, hit := r.BernoulliAhead(thr, 1<<20)
+		if !hit {
+			t.Fatalf("no success in %d draws at p=%v", failed, p)
+		}
+		total += failed
+	}
+	if got, want := float64(total)/events, (1-p)/p; math.Abs(got-want) > 0.05 {
+		t.Fatalf("mean failures before a success %v, want ~%v", got, want)
+	}
+}

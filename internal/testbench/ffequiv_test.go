@@ -127,6 +127,11 @@ func FuzzFastForwardEquivalence(f *testing.F) {
 	f.Add(uint8(0), uint8(100), uint64(1))
 	f.Add(uint8(2), uint8(240), uint64(42))
 	f.Add(uint8(4), uint8(30), uint64(7))
+	// Loads at which a per-cycle run is mostly jumps: none at all, and a
+	// packet per source every thousand and every few hundred cycles.
+	f.Add(uint8(1), uint8(0), uint64(3))
+	f.Add(uint8(3), uint8(1), uint64(11))
+	f.Add(uint8(0), uint8(3), uint64(5))
 	f.Fuzz(func(t *testing.T, archB, loadB uint8, seed uint64) {
 		archs := []router.Arch{
 			router.ArchLowRadix, router.ArchBaseline, router.ArchBuffered,

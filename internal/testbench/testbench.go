@@ -182,6 +182,10 @@ func Run(o Options) (Result, error) {
 	// Every source's stream is split off one master in port order, and
 	// packet ids count up across the whole run (hrtrace orders by them).
 	master := sim.NewRNG(o.Seed ^ 0x685a2d9cb9a5d1f3)
+	seeds := make([]uint64, k)
+	for i := range seeds {
+		seeds[i] = master.Uint64()
+	}
 	var pktID uint64
 	p.Bank = drive.NewBank(drive.BankConfig{
 		Workload: drive.Workload{
@@ -189,7 +193,7 @@ func Run(o Options) (Result, error) {
 			Bursty: o.Bursty, BurstLen: o.BurstLen, Injection: o.Injection, Trace: o.Trace,
 		},
 		Sources: k, VCs: cfg.VCs, Ser: st,
-		Seed:     func(int) uint64 { return master.Uint64() },
+		Seed:     func(id int) uint64 { return seeds[id] },
 		PacketID: func(int, uint32) uint64 { pktID++; return pktID },
 	})
 	t, err := drive.Run(c, p)

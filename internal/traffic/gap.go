@@ -8,15 +8,17 @@ import (
 )
 
 // InjMode selects between the two synthetic-source implementations a
-// driver can run: the per-cycle processes of process.go (one Bernoulli
-// draw per source per cycle, the historical default every golden file
-// was recorded under) and the gap-sampled processes of this file (one
-// draw per *event*, which is what lets an event-driven driver advance
-// time directly to the next injection instead of probing every cycle).
+// driver can run: the per-cycle processes (one Bernoulli draw per source
+// per cycle — sim.RNG.BernoulliAhead, or the MarkovOnOff chain of
+// process.go — the historical default every golden file was recorded
+// under; drive.Bank takes the draws ahead of time, so these runs jump to
+// the next injection too) and the gap-sampled processes of this file
+// (one draw per *event*, so the draws as well as the simulated cycles
+// scale with the packets, not with time).
 type InjMode int
 
 const (
-	// InjPerCycle draws the injection decision every cycle (Process).
+	// InjPerCycle draws the injection decision of every cycle.
 	InjPerCycle InjMode = iota
 	// InjGap samples the next injection cycle directly (GapProcess).
 	// This is a documented fast mode: the injection-cycle sets it
@@ -140,7 +142,7 @@ func (b *BernoulliGap) Name() string { return "bernoulli-gap" }
 // OFF dwell and the burst length directly instead of walking the
 // two-state chain cycle by cycle.
 //
-// Equivalence to the per-cycle chain (Inject in process.go, which
+// Equivalence to the per-cycle chain (InjectAhead in process.go, which
 // evaluates the state transition before the injection decision):
 //
 //   - Burst length. From an ON cycle, the chain stays ON with

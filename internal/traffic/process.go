@@ -2,30 +2,6 @@ package traffic
 
 import "highradix/internal/sim"
 
-// Process decides, cycle by cycle, whether a source injects a packet.
-// Rates are expressed in packets per cycle per source; the testbench
-// converts an offered load (fraction of port capacity) into that rate.
-type Process interface {
-	// Inject reports whether a packet is generated this cycle.
-	Inject(rng *sim.RNG) bool
-	// Name identifies the process in reports.
-	Name() string
-}
-
-// Bernoulli injects independently each cycle with probability Rate — the
-// paper's default injection process (Section 4.3).
-type Bernoulli struct{ Rate float64 }
-
-// NewBernoulli returns a Bernoulli process with the given packet rate
-// per cycle.
-func NewBernoulli(rate float64) *Bernoulli { return &Bernoulli{Rate: rate} }
-
-// Inject implements Process.
-func (b *Bernoulli) Inject(rng *sim.RNG) bool { return rng.Bernoulli(b.Rate) }
-
-// Name implements Process.
-func (b *Bernoulli) Name() string { return "bernoulli" }
-
 // MarkovOnOff is Table 1's bursty injection: a two-state Markov process.
 // In the ON state the source injects one packet per cycle; in the OFF
 // state it is silent. The ON->OFF probability beta = 1/avgBurst gives an
@@ -36,11 +12,10 @@ func (b *Bernoulli) Name() string { return "bernoulli" }
 //
 // Rates at or above 1 packet/cycle pin the process ON.
 type MarkovOnOff struct {
-	alpha, beta float64
-	on          bool
-	burst       int
-	avgBurst    float64
-	rate        float64
+	alpha uint64 // OFF->ON probability as a sim.BernoulliThreshold
+	beta  float64
+	on    bool
+	burst int
 }
 
 // markovRates solves the two-state chain's transition probabilities for
@@ -65,25 +40,34 @@ func markovRates(rate, avgBurst float64) (alpha, beta float64) {
 // rate per cycle and average burst length in packets (the paper uses 8).
 func NewMarkovOnOff(rate, avgBurst float64) *MarkovOnOff {
 	alpha, beta := markovRates(rate, avgBurst)
-	return &MarkovOnOff{alpha: alpha, beta: beta, avgBurst: avgBurst, rate: rate}
+	return &MarkovOnOff{alpha: sim.BernoulliThreshold(alpha), beta: beta}
 }
 
-// Inject implements Process. State transitions are evaluated before the
-// injection decision so a fresh ON state injects immediately.
-func (m *MarkovOnOff) Inject(rng *sim.RNG) bool {
+// InjectAhead walks the chain through its next cycles in one go, until
+// one injects or limit of them have not, and returns how many did not
+// first. Each cycle evaluates the state transition before the injection
+// decision, so a fresh ON state injects immediately: an ON cycle draws
+// the ON->OFF transition and injects unless it fires; the OFF cycles
+// after it are one run of OFF->ON draws. The draws are exactly those of
+// walking the chain a cycle at a time (export_test.go keeps that walk as
+// the tests' reference).
+func (m *MarkovOnOff) InjectAhead(rng *sim.RNG, limit int) (idle int, hit bool) {
+	if limit <= 0 {
+		return 0, false
+	}
 	if m.on {
-		if rng.Bernoulli(m.beta) {
-			m.on = false
-			m.burst = 0
+		if !rng.Bernoulli(m.beta) {
+			m.burst++
+			return 0, true
 		}
-	} else if rng.Bernoulli(m.alpha) {
-		m.on = true
+		m.on, m.burst = false, 0
+		idle = 1
 	}
-	if m.on {
-		m.burst++
-		return true
+	off, hit := rng.BernoulliAhead(m.alpha, limit-idle)
+	if hit {
+		m.on, m.burst = true, 1
 	}
-	return false
+	return idle + off, hit
 }
 
 // InBurst reports whether the process is currently in the ON state with
@@ -91,9 +75,6 @@ func (m *MarkovOnOff) Inject(rng *sim.RNG) bool {
 // keep a common destination for all packets of one burst, which is what
 // makes bursty traffic stress switch buffering.
 func (m *MarkovOnOff) InBurst() bool { return m.on && m.burst > 1 }
-
-// Name implements Process.
-func (m *MarkovOnOff) Name() string { return "markov" }
 
 // BurstPattern wraps a base pattern so that all packets of one burst
 // from a source share a destination, re-drawn at the start of each

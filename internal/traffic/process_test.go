@@ -7,19 +7,30 @@ import (
 	"highradix/internal/sim"
 )
 
-func TestBernoulliRate(t *testing.T) {
-	p := NewBernoulli(0.2)
-	rng := sim.NewRNG(1)
-	hits := 0
-	const draws = 100000
-	for i := 0; i < draws; i++ {
-		if p.Inject(rng) {
-			hits++
+// TestMarkovInjectAhead: a run-ahead is the Inject calls it stands for —
+// the same idle cycles, the same draws, the same burst state after — at
+// limits that cut a run short anywhere, and at the rates that pin the
+// chain OFF and ON.
+func TestMarkovInjectAhead(t *testing.T) {
+	for _, rate := range []float64{0, 1e-9, 0.05, 0.3, 0.9, 1} {
+		for _, limit := range []int{0, 1, 2, 3, 50} {
+			a, b := NewMarkovOnOff(rate, 4), NewMarkovOnOff(rate, 4)
+			ra, rb := sim.NewRNG(9), sim.NewRNG(9)
+			for call := 0; call < 3000; call++ {
+				wantIdle, wantHit := 0, false
+				for wantIdle < limit && !wantHit {
+					if wantHit = b.Inject(rb); !wantHit {
+						wantIdle++
+					}
+				}
+				if idle, hit := a.InjectAhead(ra, limit); idle != wantIdle || hit != wantHit {
+					t.Fatalf("rate %v limit %d call %d: %d idle cycles, hit %v; cycle by cycle %d, %v", rate, limit, call, idle, hit, wantIdle, wantHit)
+				}
+				if *a != *b || *ra != *rb {
+					t.Fatalf("rate %v limit %d call %d: chain or stream state differs from the cycle-by-cycle walk's", rate, limit, call)
+				}
+			}
 		}
-	}
-	got := float64(hits) / draws
-	if math.Abs(got-0.2) > 0.01 {
-		t.Fatalf("Bernoulli rate %v, want ~0.2", got)
 	}
 }
 
