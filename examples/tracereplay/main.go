@@ -33,7 +33,17 @@ func main() {
 	f.Close()
 	fmt.Printf("recorded %d packets over %d cycles to %s\n\n", trace.Len(), trace.Duration(), f.Name())
 
-	// Replay the same file through two architectures.
+	// Load it once and replay the same trace through two architectures:
+	// a Trace is immutable, so runs share it.
+	in, err := os.Open(f.Name())
+	if err != nil {
+		log.Fatal(err)
+	}
+	tr, err := highradix.LoadTrace(in)
+	in.Close()
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, c := range []struct {
 		name string
 		cfg  highradix.RouterConfig
@@ -41,15 +51,6 @@ func main() {
 		{"baseline (unbuffered, CVA)", highradix.RouterConfig{Arch: highradix.Baseline}},
 		{"hierarchical p=8", highradix.RouterConfig{Arch: highradix.Hierarchical, SubSize: 8}},
 	} {
-		in, err := os.Open(f.Name())
-		if err != nil {
-			log.Fatal(err)
-		}
-		tr, err := highradix.LoadTrace(in)
-		in.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
 		res, err := highradix.Simulate(highradix.SimOptions{
 			Router:        c.cfg,
 			Trace:         tr,

@@ -51,8 +51,8 @@ type Workload struct {
 	Bursty   bool
 	BurstLen float64
 	// Injection selects the paper's draw per source per cycle, taken ahead
-	// of time in stream order, or gap sampling on a wheel of
-	// next-injection cycles (ignored by a trace replay).
+	// of time in stream order, or gap sampling, one draw per packet
+	// (ignored by a trace replay).
 	Injection traffic.InjMode
 	// Trace, when non-nil, replaces synthetic generation: its packets are
 	// generated at their recorded cycles, whatever the phase. The bank
@@ -115,21 +115,23 @@ type Bank struct {
 	act   arb.BitVec // sources with a nonempty queue
 	fl    *flit.FreeList
 
-	gaps  []traffic.GapProcess // gap mode
-	wheel *sim.Wheel           // gap mode: the sources' next-injection cycles
-
-	// Per-cycle mode. A source's draws are private and none depends on the
-	// cycle it is consumed in, so each source takes its own ahead of time
-	// (ahead): arrival[i] is the cycle source owned[i] generates in next,
-	// every draw up to that cycle's taken — or, when parked[i], the cycle
-	// whose draw is its stream's next, horizon failures having got it
-	// there. The cycles have a slice to themselves, scanned on the cycles
-	// simulated at or past soonest, their minimum.
+	// The one schedule of synthetic generation. A source's draws are
+	// private and none depends on the cycle it is consumed in, so each
+	// source takes its own ahead of time (ahead): arrival[i] is the cycle
+	// source owned[i] generates in next, every draw up to that cycle's
+	// taken — or, when parked[i], the cycle whose draw is its stream's
+	// next, horizon failures having got a per-cycle source there (a gap
+	// source samples the cycle outright and never parks). The cycles have
+	// a slice to themselves, scanned on the cycles simulated at or past
+	// soonest, their minimum.
 	arrival []int64
 	parked  []bool
 	soonest int64
-	rate    uint64                 // Rate as a sim.BernoulliThreshold
-	markov  []*traffic.MarkovOnOff // the bursty sources' chains; nil for Bernoulli
+	gaps    []traffic.GapProcess   // gap mode: the sources' samplers
+	rate    uint64                 // per-cycle mode: Rate as a sim.BernoulliThreshold
+	markov  []*traffic.MarkovOnOff // per-cycle mode: the bursty sources' chains; nil for Bernoulli
+
+	next int // trace replay: the first entry of Trace.Entries() not yet generated
 
 	genFlits, labeled, backlog int64
 }
@@ -161,7 +163,6 @@ func NewBank(c BankConfig) *Bank {
 	}
 	gap := c.Injection == traffic.InjGap && c.Trace == nil
 	if gap {
-		b.wheel = traffic.NewGapWheel(c.Rate)
 		b.gaps = make([]traffic.GapProcess, n)
 	}
 	var bursters []traffic.Burster
@@ -190,11 +191,8 @@ func NewBank(c BankConfig) *Bank {
 		case gap:
 			b.gaps[id] = bernoulli
 		}
-		if gap {
-			b.schedule(id, 0)
-		}
 	}
-	if !gap && c.Trace == nil {
+	if c.Trace == nil {
 		b.rate = sim.BernoulliThreshold(c.Rate)
 		b.arrival = make([]int64, len(b.owned))
 		b.parked = make([]bool, len(b.owned))
@@ -209,20 +207,17 @@ func NewBank(c BankConfig) *Bank {
 	return b
 }
 
-// schedule puts gap source id's next injection at or after from, if it
-// has one, on the wheel.
-func (b *Bank) schedule(id int, from int64) {
-	if at := b.gaps[id].NextInject(from, &b.rngs[id]); at < sim.NoWake {
-		b.wheel.Schedule(at, int32(id))
-	}
-}
-
-// ahead takes the per-cycle draws of source owned[i] for cycle from and
-// the cycles after it, until one succeeds or horizon have failed, and
-// returns the cycle that leaves the source at: its next arrival, or the
-// checkpoint it parks at.
+// ahead takes the draws of source owned[i] for cycle from and the cycles
+// after it — a gap source's one sample, or a per-cycle source's draws
+// until one succeeds or horizon have failed — and returns the cycle that
+// leaves the source at: its next arrival (sim.NoWake if it has none), or
+// the checkpoint it parks at.
 func (b *Bank) ahead(i int, from int64) int64 {
 	id := b.owned[i]
+	if b.gaps != nil {
+		b.arrival[i] = b.gaps[id].NextInject(from, &b.rngs[id])
+		return b.arrival[i]
+	}
 	var idle int
 	var hit bool
 	if b.markov != nil {
@@ -251,31 +246,27 @@ func (b *Bank) spawn(now int64, src, dst, length int, measuring bool) {
 	}
 }
 
-// Generate queues the packets of cycle now: the trace's entries due, the
-// wheel's due sources, or the per-cycle sources whose arrival cycle it
-// is. A live bank must be called at every cycle NextGen names, and may be
-// at any other. Sources are visited in ascending order in every mode (the
-// wheel pops a cycle's ids ascending), so a run that jumps is
-// draw-for-draw identical to its dense twin.
+// Generate queues the packets of cycle now: the trace's entries due, or
+// the synthetic sources whose arrival cycle it is. A live bank must be
+// called at every cycle NextGen names, and may be at any other. Sources
+// are visited in ascending order in both injection modes, so a run that
+// jumps is draw-for-draw identical to its dense twin.
 //
-// A per-cycle source draws its destination at its arrival cycle and only
-// then runs ahead again, so its stream is consumed in the order one draw
-// per cycle consumed it: failures, the success, the destination,
-// failures. A parked source resumes with the draw of the checkpoint cycle
-// itself, and generates in that very cycle if it succeeds. Draws taken
-// for cycles the run never reaches, or reaches when no longer generating,
-// decide nothing: measuring, like the call itself, applies at the arrival.
+// A source draws its destination at its arrival cycle and only then runs
+// ahead again, from the cycle after, so a per-cycle stream is consumed in
+// the order one draw per cycle consumed it: failures, the success, the
+// destination, failures. A parked source resumes with the draw of the
+// checkpoint cycle itself, and generates in that very cycle if it
+// succeeds. Draws taken for cycles the run never reaches, or reaches when
+// no longer generating, decide nothing: measuring, like the call itself,
+// applies at the arrival.
 func (b *Bank) Generate(now int64, measuring bool) {
 	switch {
 	case b.c.Trace != nil:
-		for _, e := range b.c.Trace.Due(now) {
+		for es := b.c.Trace.Entries(); b.next < len(es) && es[b.next].Cycle <= now; b.next++ {
+			e := es[b.next]
 			b.spawn(now, e.Src, e.Dst, e.Len, measuring)
 		}
-	case b.wheel != nil:
-		b.wheel.PopDue(now, func(id int32) {
-			b.draw(now, int(id), measuring)
-			b.schedule(int(id), now+1)
-		})
 	case now >= b.soonest:
 		soonest := sim.NoWake
 		for i, at := range b.arrival {
@@ -283,7 +274,8 @@ func (b *Bank) Generate(now int64, measuring bool) {
 				if b.parked[i] {
 					at = b.ahead(i, at)
 				} else {
-					b.draw(now, b.owned[i], measuring)
+					id := b.owned[i]
+					b.spawn(now, id, b.c.Pattern.Dest(id, &b.rngs[id]), b.c.PktLen, measuring)
 					at = b.ahead(i, now+1)
 				}
 			}
@@ -291,12 +283,6 @@ func (b *Bank) Generate(now int64, measuring bool) {
 		}
 		b.soonest = soonest
 	}
-}
-
-// draw spawns a synthetic packet at source id, to a destination drawn
-// from the source's own stream.
-func (b *Bank) draw(now int64, id int, measuring bool) {
-	b.spawn(now, id, b.c.Pattern.Dest(id, &b.rngs[id]), b.c.PktLen, measuring)
 }
 
 // InjectAll moves at most one queued flit per source into d, in
@@ -372,20 +358,19 @@ func (b *Bank) InjectedLabeled() int64 { return b.labeled }
 // NextGen returns a lower bound on the first cycle after now in which
 // Generate can queue anything, sim.NoWake when there is none: a trace's
 // next entry whatever live says; otherwise nothing unless synthetic
-// generation is live, and then the wheel's next injection or the soonest
-// cycle a per-cycle source arrives or resumes drawing in.
+// generation is live, and then the soonest cycle a source arrives or
+// resumes drawing in.
 func (b *Bank) NextGen(now int64, live bool) int64 {
-	at, ok := b.soonest, live
-	switch {
-	case b.c.Trace != nil:
-		at, ok = b.c.Trace.NextDue()
-	case live && b.wheel != nil:
-		at, ok = b.wheel.NextAt()
-	}
-	if !ok {
+	if b.c.Trace != nil {
+		if es := b.c.Trace.Entries(); b.next < len(es) {
+			return es[b.next].Cycle
+		}
 		return sim.NoWake
 	}
-	return at
+	if !live {
+		return sim.NoWake
+	}
+	return b.soonest
 }
 
 // Plant is a Device behind the Bank that feeds it: the World that the

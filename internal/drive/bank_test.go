@@ -80,12 +80,13 @@ func TestBankInjectionChannel(t *testing.T) {
 		{Cycle: 0, Src: 1, Dst: 0, Len: 2}, {Cycle: 6, Src: 2, Dst: 0, Len: 1},
 	})
 	var pktID uint64
-	b := NewBank(BankConfig{
+	cfg := BankConfig{
 		Workload: Workload{Trace: trace},
 		Sources:  3, VCs: 3, Ser: 2,
 		Seed:     func(int) uint64 { return 1 },
 		PacketID: func(int, uint32) uint64 { pktID++; return pktID },
-	})
+	}
+	b := NewBank(cfg)
 	d := &pipe{latency: 1, blocked: map[[2]int]bool{}}
 	block := func(port int, vcs ...int) map[[2]int]bool {
 		m := map[[2]int]bool{}
@@ -139,14 +140,43 @@ func TestBankInjectionChannel(t *testing.T) {
 		}
 	}
 	// A recorded source reports its next entry whether or not synthetic
-	// generation is live, and nothing once exhausted.
-	trace.Reset()
-	if at := b.NextGen(-1, false); at != 0 {
+	// generation is live, and nothing once exhausted. The position is the
+	// bank's: a second bank over the same trace starts at its first entry.
+	if at := NewBank(cfg).NextGen(-1, false); at != 0 {
 		t.Errorf("NextGen before the trace's first entry = %d, want 0", at)
 	}
-	trace.Due(6)
 	if at := b.NextGen(6, true); at != sim.NoWake {
 		t.Errorf("NextGen of an exhausted trace = %d, want NoWake", at)
+	}
+}
+
+// TestBankTraceReplay: a bank walks the trace it is given with an index
+// of its own — a call generates the entries at or before its cycle and
+// not yet generated, an exhausted replay names no next cycle, and a
+// second bank over the same trace, which the first left untouched,
+// replays it from the start.
+func TestBankTraceReplay(t *testing.T) {
+	trace := traffic.NewTrace([]traffic.TraceEntry{
+		{Cycle: 2, Src: 0, Dst: 1, Len: 1},
+		{Cycle: 2, Src: 1, Dst: 0, Len: 1},
+		{Cycle: 5, Src: 0, Dst: 2, Len: 1},
+	})
+	cfg := testIDs(BankConfig{Workload: Workload{Trace: trace}, Sources: 3, VCs: 1, Ser: 1})
+	b := NewBank(cfg)
+	for _, step := range []struct{ now, gen, next int64 }{
+		{now: 1, gen: 0, next: 2},
+		{now: 2, gen: 2, next: 5},
+		{now: 4, gen: 2, next: 5},
+		{now: 9, gen: 3, next: sim.NoWake}, // the entry of cycle 5, late
+	} {
+		b.Generate(step.now, false)
+		if got, next := b.GenFlits(), b.NextGen(step.now, false); got != step.gen || next != step.next {
+			t.Fatalf("after Generate(%d): %d packets generated, next at %d; want %d and %d", step.now, got, next, step.gen, step.next)
+		}
+	}
+	again := NewBank(cfg)
+	if again.Generate(10, false); again.GenFlits() != 3 {
+		t.Fatalf("a second bank over the same trace generated %d of its 3 packets", again.GenFlits())
 	}
 }
 
@@ -160,7 +190,7 @@ var workloads = map[string]Workload{
 
 // TestBankVisitOrder: generation and injection visit sources in ascending
 // order within a cycle, in every mode — the order the digests record and
-// the one that makes a wheel-driven run equal its dense twin.
+// the one that makes a jumping run equal its dense twin.
 func TestBankVisitOrder(t *testing.T) {
 	for name, wl := range workloads {
 		t.Run(name, func(t *testing.T) {
@@ -270,7 +300,7 @@ func TestBankSplit(t *testing.T) {
 			if none.GenFlits() != 0 || none.Backlog() != 0 || none.InjectedLabeled() != 0 || len(none.owned) != 0 {
 				t.Errorf("a bank owning no source generated %d flits", none.GenFlits())
 			}
-			if none.wheel != nil {
+			if none.gaps != nil {
 				if at := none.NextGen(0, true); at != sim.NoWake {
 					t.Errorf("a gap bank owning no source expects to generate at %d", at)
 				}
@@ -279,14 +309,20 @@ func TestBankSplit(t *testing.T) {
 	}
 }
 
-// oracle is the generation loop that run-ahead replaced, kept as its
-// reference: one draw per owned source per cycle in ascending source
-// order, and a destination from the same stream on every success.
+// oracle is generation stated the slow way, the bank's reference. Per
+// cycle it is the loop that run-ahead replaced: one draw per owned source
+// per cycle in ascending source order, and a destination from the same
+// stream on every success. Gap it is each source asking its own sampler,
+// on its own stream, for the first injection from cycle 0 and then from
+// the cycle after each one, every cycle comparing every source's answer
+// with the clock in ascending source order.
 type oracle struct {
 	c       BankConfig
 	owned   []int
 	rngs    []sim.RNG
 	markov  []*traffic.MarkovOnOff
+	gaps    []traffic.GapProcess // gap mode, by owned position, with next
+	next    []int64              // the cycle each gap source injects in next
 	pattern traffic.Pattern
 	seq     []uint32
 }
@@ -294,15 +330,26 @@ type oracle struct {
 func newOracle(c BankConfig) *oracle {
 	o := &oracle{c: c, rngs: make([]sim.RNG, c.Sources), seq: make([]uint32, c.Sources), pattern: traffic.NewUniform(c.Sources)}
 	bursters := make([]traffic.Burster, c.Sources)
+	gap := c.Injection == traffic.InjGap
 	for id := 0; id < c.Sources; id++ {
 		if c.Owns != nil && !c.Owns(id) {
 			continue
 		}
 		o.owned = append(o.owned, id)
 		o.rngs[id].Seed(c.Seed(id))
-		if c.Bursty {
+		var g traffic.GapProcess
+		switch {
+		case gap && c.Bursty:
+			m := traffic.NewMarkovOnOffGap(c.Rate, c.BurstLen)
+			g, bursters[id] = m, m
+		case gap:
+			g = traffic.NewBernoulliGap(c.Rate)
+		case c.Bursty:
 			m := traffic.NewMarkovOnOff(c.Rate, c.BurstLen)
 			o.markov, bursters[id] = append(o.markov, m), m
+		}
+		if g != nil {
+			o.gaps, o.next = append(o.gaps, g), append(o.next, g.NextInject(0, &o.rngs[id]))
 		}
 	}
 	if c.Bursty {
@@ -316,11 +363,14 @@ func (o *oracle) generate(now int64) (out []string) {
 	for i, id := range o.owned {
 		rng := &o.rngs[id]
 		hit := false
-		if o.c.Bursty {
+		switch {
+		case o.gaps != nil:
+			hit = o.next[i] == now
+		case o.c.Bursty:
 			// One cycle of the chain; traffic's own tests hold this to the
 			// cycle-by-cycle walk.
 			_, hit = o.markov[i].InjectAhead(rng, 1)
-		} else {
+		default:
 			hit = rng.Bernoulli(o.c.Rate)
 		}
 		if !hit {
@@ -328,67 +378,92 @@ func (o *oracle) generate(now int64) (out []string) {
 		}
 		o.seq[id]++
 		out = append(out, packetLine(now, id, o.c.PacketID(id, o.seq[id]), o.pattern.Dest(id, rng)))
+		if o.gaps != nil {
+			o.next[i] = o.gaps[i].NextInject(now+1, rng)
+		}
 	}
 	return out
 }
 
-// TestBankMatchesPerCycleOracle: taking a source's draws ahead of time
-// changes none of them. With the horizon shrunk until nearly every
-// arrival crosses a checkpoint, the bank generates the oracle's packets —
-// cycle, source, id, destination — whether it is called every cycle or
+// TestBankMatchesPerCycleOracle: knowing a source's next generation cycle
+// ahead of time changes no draw. The bank generates the oracle's packets
+// — cycle, source, id, destination — whether it is called every cycle or
 // only at the cycles NextGen names, which must lie after the one asked
-// about. Two traps are in here: a source resuming at a checkpoint draws
-// for the checkpoint cycle itself, and a success on that very draw
-// generates in that cycle.
+// about. The per-cycle rows shrink the horizon until nearly every arrival
+// crosses a checkpoint, and two traps are in there: a source resuming at
+// a checkpoint draws for the checkpoint cycle itself, and a success on
+// that very draw generates in that cycle. The gap rows have no
+// checkpoints (one horizon serves), so NextGen may name only cycles a
+// packet is generated in; their traps are the cycle a source samples its
+// next gap from — the one after an injection, which a burst's next packet
+// lands in — and a minimum taken while sources are still moving.
 func TestBankMatchesPerCycleOracle(t *testing.T) {
 	defer func(h int) { horizon = h }(horizon)
 	const n = 12
+	type row struct {
+		name string
+		h    int
+		rate float64
+		inj  traffic.InjMode
+	}
+	var rows []row
 	for _, h := range []int{2, 3, 1024} {
-		horizon = h
 		for _, rate := range []float64{0, 1e-9, 0.001, 1 / float64(h), 0.5, 1} {
-			for _, bursty := range []bool{false, true} {
-				for part, owns := range map[string]func(int) bool{"all": nil, "some": func(id int) bool { return id%3 != 1 }} {
-					t.Run(fmt.Sprintf("horizon=%d/rate=%g/bursty=%t/%s", h, rate, bursty, part), func(t *testing.T) {
-						cycles := int64(12000)
-						if rate >= 0.5 {
-							cycles = 1500 // as many packets from fewer cycles
-						}
-						c := testIDs(BankConfig{
-							Workload: Workload{Rate: rate, PktLen: 1, Bursty: bursty, BurstLen: 3},
-							Sources:  n, VCs: 2, Ser: 1, Owns: owns,
-						})
-						var want []string
-						for o, now := newOracle(c), int64(0); now < cycles; now++ {
-							want = append(want, o.generate(now)...)
-						}
-						if (len(want) == 0) != (rate < 1e-6) {
-							t.Fatalf("vacuous: the oracle generated %d packets", len(want))
-						}
-						if got := packets(cycles, NewBank(c)); !slices.Equal(got, want) {
-							t.Fatalf("called every cycle: packet %d of %d differs from the oracle's %d", firstDiff(got, want), len(got), len(want))
-						}
-
-						var got []string
-						b, d, calls := NewBank(c), &pipe{latency: 1}, 0
-						for now := b.NextGen(-1, true); now < cycles; calls++ {
-							b.Generate(now, false)
-							b.InjectAll(now, d, func(_ int64, f *flit.Flit) {
-								got = append(got, packetLine(f.CreatedAt, f.Src, f.PacketID, f.Dst))
-							})
-							next := b.NextGen(now, true)
-							if next <= now {
-								t.Fatalf("NextGen at cycle %d names cycle %d", now, next)
-							}
-							now = next
-						}
-						if !slices.Equal(got, want) {
-							t.Fatalf("called when NextGen says: packet %d of %d differs from the oracle's %d", firstDiff(got, want), len(got), len(want))
-						}
-						if most := len(want) + n*(int(cycles)/h+1); calls > most {
-							t.Errorf("%d calls in %d cycles, for %d packets and at most %d checkpoints: NextGen is not skipping the idle ones", calls, cycles, len(want), most-len(want))
-						}
+			rows = append(rows, row{fmt.Sprintf("horizon=%d/rate=%g", h, rate), h, rate, traffic.InjPerCycle})
+		}
+	}
+	for _, rate := range []float64{0, 1e-9, 0.001, 0.5, 1} {
+		rows = append(rows, row{fmt.Sprintf("gap/rate=%g", rate), horizon, rate, traffic.InjGap})
+	}
+	for _, r := range rows {
+		h, rate := r.h, r.rate
+		for _, bursty := range []bool{false, true} {
+			for part, owns := range map[string]func(int) bool{"all": nil, "some": func(id int) bool { return id%3 != 1 }} {
+				t.Run(fmt.Sprintf("%s/bursty=%t/%s", r.name, bursty, part), func(t *testing.T) {
+					horizon = h
+					cycles := int64(12000)
+					if rate >= 0.5 {
+						cycles = 1500 // as many packets from fewer cycles
+					}
+					c := testIDs(BankConfig{
+						Workload: Workload{Rate: rate, PktLen: 1, Bursty: bursty, BurstLen: 3, Injection: r.inj},
+						Sources:  n, VCs: 2, Ser: 1, Owns: owns,
 					})
-				}
+					var want []string
+					for o, now := newOracle(c), int64(0); now < cycles; now++ {
+						want = append(want, o.generate(now)...)
+					}
+					if (len(want) == 0) != (rate < 1e-6) {
+						t.Fatalf("vacuous: the oracle generated %d packets", len(want))
+					}
+					if got := packets(cycles, NewBank(c)); !slices.Equal(got, want) {
+						t.Fatalf("called every cycle: packet %d of %d differs from the oracle's %d", firstDiff(got, want), len(got), len(want))
+					}
+
+					var got []string
+					b, d, calls := NewBank(c), &pipe{latency: 1}, 0
+					for now := b.NextGen(-1, true); now < cycles; calls++ {
+						b.Generate(now, false)
+						b.InjectAll(now, d, func(_ int64, f *flit.Flit) {
+							got = append(got, packetLine(f.CreatedAt, f.Src, f.PacketID, f.Dst))
+						})
+						next := b.NextGen(now, true)
+						if next <= now {
+							t.Fatalf("NextGen at cycle %d names cycle %d", now, next)
+						}
+						now = next
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("called when NextGen says: packet %d of %d differs from the oracle's %d", firstDiff(got, want), len(got), len(want))
+					}
+					checkpoints := n * (int(cycles)/h + 1)
+					if r.inj == traffic.InjGap {
+						checkpoints = 0
+					}
+					if calls > len(want)+checkpoints {
+						t.Errorf("%d calls in %d cycles, for %d packets and at most %d checkpoints: NextGen is not skipping the idle ones", calls, cycles, len(want), checkpoints)
+					}
+				})
 			}
 		}
 	}

@@ -96,7 +96,7 @@ func TestGolden(t *testing.T) {
 // single-router driver, fig19 the network driver (through the sharded
 // runner, as Quick selects), fig_alloc the VOQ and dynamic-VC routers;
 // under gap injection the dense twin also walks every cycle between two
-// wheel events.
+// injections.
 func TestGoldenDense(t *testing.T) {
 	if *update {
 		t.Skip("the goldens are written by TestGolden; this test only cross-checks dense stepping")

@@ -59,13 +59,13 @@ type Options struct {
 	NoFastForward bool
 	// Injection selects the terminal source implementation. The
 	// default, traffic.InjPerCycle, draws one Bernoulli per terminal
-	// per cycle, which forbids skipping any generation-live cycle.
-	// traffic.InjGap samples each terminal's next injection cycle
-	// directly and schedules terminals on a sim.Wheel, so the run
-	// advances straight to the next event across idle stretches:
-	// O(events) at low load. Gap runs are byte-identical to their own
-	// dense twins (TestNetGapFastForwardTwin) and
-	// distribution-equivalent, not byte-identical, to per-cycle runs.
+	// per cycle; traffic.InjGap samples each terminal's next injection
+	// cycle directly, one draw per packet. Either way drive.Bank knows
+	// every terminal's next generation cycle ahead of time, so the run
+	// advances straight to the next event across idle stretches. Gap
+	// runs are byte-identical to their own dense twins
+	// (TestNetGapFastForwardTwin) and distribution-equivalent, not
+	// byte-identical, to per-cycle runs.
 	Injection traffic.InjMode
 }
 

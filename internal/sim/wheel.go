@@ -15,10 +15,11 @@ import "math/bits"
 // dense per-index scan would visit them, which is what keeps
 // event-driven drivers draw-for-draw identical to their dense twins.
 //
-// The source bank in internal/drive uses a Wheel to merge per-source
-// next-injection times; single-valued feeds (a router's NextWake bound,
-// a trace's next due entry) are cheaper to consult directly and are
-// min-merged by the driver at jump time.
+// The benchmark's per-layer probe (bench/layers.go, sim.wheel_ns.p8192)
+// is the Wheel's only caller, and the type goes when that row does: the
+// source bank in internal/drive keeps every source's next-injection
+// cycle in a dense slice scanned in ascending source order, which gives
+// the order above for free.
 //
 // A Wheel is not safe for concurrent use.
 type Wheel struct {

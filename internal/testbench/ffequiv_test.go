@@ -53,9 +53,6 @@ func runTwins(t *testing.T, o Options) {
 		tw := o
 		tw.NoFastForward = noFF
 		tw.Router.Observer = recorder(&events)
-		if tw.Trace != nil {
-			tw.Trace.Reset()
-		}
 		res, err := Run(tw)
 		return events, res, err
 	}

@@ -11,10 +11,10 @@ import (
 // Gap-sampled injection has its own twin discipline: a gap run with
 // fast-forwarding and one forced dense (NoFastForward, same Injection)
 // must be byte-identical — same event stream, same Result, same
-// checker verdict. This is the executable form of the wheel's
-// determinism contract (same-cycle pops in ascending source order, the
-// order the dense scan visits sources) plus the jump-legality argument
-// in DESIGN.md. Equivalence to per-cycle injection is distributional,
+// checker verdict. This is the executable form of the source bank's
+// determinism contract (sources generating in the same cycle are
+// visited in ascending order, called every cycle or only at the cycles
+// NextGen names) plus the jump-legality argument in DESIGN.md. Equivalence to per-cycle injection is distributional,
 // not byte-level (the RNG draw counts differ by construction), and is
 // pinned separately: chi-square tests on the samplers in
 // internal/traffic and the throughput cross-check below.

@@ -71,13 +71,12 @@ type Options struct {
 	// Injection selects the synthetic source implementation (ignored
 	// for trace replays). The default, traffic.InjPerCycle, draws one
 	// Bernoulli per source per cycle — the discipline every historical
-	// golden was recorded under, which forbids skipping any cycle while
-	// injection is live. traffic.InjGap samples each source's next
-	// injection cycle directly (same arrival distribution, one draw per
-	// event — see traffic.InjGap) and schedules sources on a sim.Wheel,
-	// so the run advances straight to the next event across idle
-	// stretches: O(events) at low load instead of O(cycles). Gap runs
-	// are byte-identical to their own dense twins (NoFastForward with
+	// golden was recorded under. traffic.InjGap samples each source's
+	// next injection cycle directly (same arrival distribution, one draw
+	// per event — see traffic.InjGap). Either way drive.Bank knows every
+	// source's next generation cycle ahead of time, so the run advances
+	// straight to the next event across idle stretches. Gap runs are
+	// byte-identical to their own dense twins (NoFastForward with
 	// Injection still gap — TestGapFastForwardTwin) and
 	// distribution-equivalent, not byte-identical, to per-cycle runs.
 	Injection traffic.InjMode
@@ -172,11 +171,10 @@ func Run(o Options) (Result, error) {
 		}
 	} else {
 		for _, e := range o.Trace.Entries() {
-			if e.Src < 0 || e.Src >= k || e.Dst < 0 || e.Dst >= k {
-				return Result{}, fmt.Errorf("testbench: trace entry %+v outside radix %d", e, k)
+			if e.Src < 0 || e.Src >= k || e.Dst < 0 || e.Dst >= k || e.Len < 1 {
+				return Result{}, fmt.Errorf("testbench: trace entry %+v outside radix %d or shorter than one flit", e, k)
 			}
 		}
-		o.Trace.Reset()
 		c.SourceEnd = o.Trace.Duration()
 	}
 	// Every source's stream is split off one master in port order, and

@@ -1,6 +1,7 @@
 package testbench
 
 import (
+	"sync"
 	"testing"
 
 	"highradix/internal/router"
@@ -45,7 +46,6 @@ func TestTraceReplayDeterministic(t *testing.T) {
 	rng := sim.NewRNG(4)
 	tr := traffic.GenerateTrace(rng, 16, 1500, 0.05, 2, traffic.NewUniform(16))
 	run := func() Result {
-		tr.Reset()
 		res, err := Run(Options{
 			Router:        router.Config{Arch: router.ArchHierarchical, Radix: 16, VCs: 2, SubSize: 4},
 			Trace:         tr,
@@ -64,13 +64,65 @@ func TestTraceReplayDeterministic(t *testing.T) {
 	}
 }
 
+// TestTraceReplayValidatesPorts: NewTrace checks nothing (only LoadTrace
+// parses outside input), so Run rejects an entry no router port or packet
+// can carry with an error, not a panic inside the source bank.
 func TestTraceReplayValidatesPorts(t *testing.T) {
-	tr := traffic.NewTrace([]traffic.TraceEntry{{Cycle: 0, Src: 99, Dst: 0, Len: 1}})
-	_, err := Run(Options{
-		Router: router.Config{Arch: router.ArchBuffered, Radix: 16, VCs: 2},
-		Trace:  tr,
-	})
-	if err == nil {
-		t.Fatal("out-of-range trace source accepted")
+	for what, e := range map[string]traffic.TraceEntry{
+		"out-of-range source":      {Cycle: 0, Src: 99, Dst: 0, Len: 1},
+		"out-of-range destination": {Cycle: 0, Src: 0, Dst: -1, Len: 1},
+		"zero length":              {Cycle: 0, Src: 0, Dst: 1, Len: 0},
+		"negative length":          {Cycle: 0, Src: 0, Dst: 1, Len: -2},
+	} {
+		_, err := Run(Options{
+			Router: router.Config{Arch: router.ArchBuffered, Radix: 16, VCs: 2},
+			Trace:  traffic.NewTrace([]traffic.TraceEntry{e}),
+		})
+		if err == nil {
+			t.Errorf("trace entry with %s accepted", what)
+		}
+	}
+}
+
+// TestSharedTraceConcurrentRuns: a trace is immutable and a replay's
+// position is its bank's, so concurrent runs may share one trace and each
+// sees all of it. A cursor inside the trace would be raced on, and would
+// split the entries between the runs.
+func TestSharedTraceConcurrentRuns(t *testing.T) {
+	tr := traffic.GenerateTrace(sim.NewRNG(5), 16, 1500, 0.05, 2, traffic.NewUniform(16))
+	o := Options{
+		Router:        router.Config{Arch: router.ArchBuffered, Radix: 16, VCs: 2},
+		Trace:         tr,
+		WarmupCycles:  300,
+		MeasureCycles: 900,
+		Seed:          5,
+	}
+	want, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Packets < 500 {
+		t.Fatalf("vacuous: %d labeled packets", want.Packets)
+	}
+	var (
+		wg   sync.WaitGroup
+		res  [8]Result
+		errs [8]error
+	)
+	for i := range res {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[i], errs[i] = Run(o)
+		}()
+	}
+	wg.Wait()
+	for i := range res {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		if res[i] != want {
+			t.Errorf("run %d of 8 sharing the trace measured %+v, a run alone %+v", i, res[i], want)
+		}
 	}
 }

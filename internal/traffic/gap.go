@@ -62,25 +62,6 @@ type GapProcess interface {
 	// NextInject returns the first cycle >= from at which the source
 	// injects a packet, or sim.NoWake when it never injects again.
 	NextInject(from int64, rng *sim.RNG) int64
-	// Name identifies the process in reports.
-	Name() string
-}
-
-// NewGapWheel returns the calendar queue a gap-mode driver schedules
-// its sources on, for sources injecting rate packets per cycle each.
-// The horizon is a few mean inter-injection gaps: large enough that
-// overflow migration is rare, small enough that the bucket arrays stay
-// hot (a 4096-bucket wheel under dense events touches every bucket once
-// per lap, which is pure allocation churn when the run is shorter than
-// a lap).
-func NewGapWheel(rate float64) *sim.Wheel {
-	horizon := 4096
-	if rate > 0 {
-		if g := 4.0 / rate; g < 4096 {
-			horizon = int(g)
-		}
-	}
-	return sim.NewWheel(horizon)
 }
 
 // geometric samples the geometric distribution on {0, 1, 2, ...} with
@@ -135,9 +116,6 @@ func (b *BernoulliGap) NextInject(from int64, rng *sim.RNG) int64 {
 	return from + int64(g)
 }
 
-// Name implements GapProcess.
-func (b *BernoulliGap) Name() string { return "bernoulli-gap" }
-
 // MarkovOnOffGap is the gap-sampled form of MarkovOnOff: it samples the
 // OFF dwell and the burst length directly instead of walking the
 // two-state chain cycle by cycle.
@@ -168,7 +146,6 @@ type MarkovOnOffGap struct {
 	burstLeft   int64 // injections remaining in the current burst
 	burst       int64 // packets injected so far in the current burst
 	started     bool
-	rate        float64
 }
 
 // NewMarkovOnOffGap returns a gap-sampled bursty source with the given
@@ -178,7 +155,6 @@ func NewMarkovOnOffGap(rate, avgBurst float64) *MarkovOnOffGap {
 	return &MarkovOnOffGap{
 		alpha: alpha, beta: beta,
 		lnqA: math.Log1p(-alpha), lnqB: math.Log1p(-beta),
-		rate: rate,
 	}
 }
 
@@ -218,6 +194,3 @@ func (m *MarkovOnOffGap) NextInject(from int64, rng *sim.RNG) int64 {
 // recently returned by NextInject was a continuation packet of a burst
 // (not the first), which is when BurstPattern holds the destination.
 func (m *MarkovOnOffGap) InBurst() bool { return m.burst > 1 }
-
-// Name implements GapProcess.
-func (m *MarkovOnOffGap) Name() string { return "markov-gap" }

@@ -76,7 +76,7 @@ func TestBernoulliGapGeometric(t *testing.T) {
 			binTail(hist, next-at-1) // idle cycles between injections
 			at = next
 		}
-		checkChi(t, g.Name(), hist, geomProbs(tc.rate, tc.bins), n)
+		checkChi(t, "bernoulli-gap", hist, geomProbs(tc.rate, tc.bins), n)
 	}
 }
 

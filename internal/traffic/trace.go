@@ -23,10 +23,12 @@ type TraceEntry struct {
 
 // Trace is a replayable workload: a time-sorted list of packets. It
 // lets the testbench drive a router with recorded or externally
-// generated traffic instead of a synthetic process.
+// generated traffic instead of a synthetic process. A Trace is immutable
+// once built — a replay's position belongs to whoever replays it
+// (drive.Bank) — so any number of runs, concurrent ones included, may
+// share one.
 type Trace struct {
 	entries []TraceEntry
-	cursor  int
 }
 
 // NewTrace builds a trace from entries, sorting them by cycle (stable,
@@ -49,29 +51,6 @@ func (t *Trace) Duration() int64 {
 		return 0
 	}
 	return t.entries[len(t.entries)-1].Cycle
-}
-
-// Reset rewinds the replay cursor.
-func (t *Trace) Reset() { t.cursor = 0 }
-
-// Due returns the packets generated at exactly the given cycle and
-// advances the cursor. Calls must use nondecreasing cycles.
-func (t *Trace) Due(cycle int64) []TraceEntry {
-	start := t.cursor
-	for t.cursor < len(t.entries) && t.entries[t.cursor].Cycle <= cycle {
-		t.cursor++
-	}
-	return t.entries[start:t.cursor]
-}
-
-// NextDue returns the generation cycle of the next unreplayed entry,
-// letting a driver fast-forward over cycles in which the trace offers
-// nothing. ok is false when the trace is exhausted.
-func (t *Trace) NextDue() (int64, bool) {
-	if t.cursor >= len(t.entries) {
-		return 0, false
-	}
-	return t.entries[t.cursor].Cycle, true
 }
 
 // LoadTrace parses the text trace format: one packet per line as

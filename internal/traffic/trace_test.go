@@ -55,30 +55,6 @@ func TestLoadTraceErrors(t *testing.T) {
 	}
 }
 
-func TestTraceDue(t *testing.T) {
-	tr := NewTrace([]TraceEntry{
-		{Cycle: 2, Src: 0, Dst: 1, Len: 1},
-		{Cycle: 2, Src: 1, Dst: 0, Len: 1},
-		{Cycle: 5, Src: 0, Dst: 2, Len: 1},
-	})
-	if got := tr.Due(1); len(got) != 0 {
-		t.Fatalf("Due(1) = %v", got)
-	}
-	if got := tr.Due(2); len(got) != 2 {
-		t.Fatalf("Due(2) = %v", got)
-	}
-	if got := tr.Due(4); len(got) != 0 {
-		t.Fatalf("Due(4) = %v", got)
-	}
-	if got := tr.Due(9); len(got) != 1 || got[0].Cycle != 5 {
-		t.Fatalf("Due(9) = %v", got)
-	}
-	tr.Reset()
-	if got := tr.Due(10); len(got) != 3 {
-		t.Fatalf("after Reset Due(10) = %v", got)
-	}
-}
-
 func TestTraceRoundTrip(t *testing.T) {
 	rng := sim.NewRNG(1)
 	tr := GenerateTrace(rng, 8, 200, 0.1, 2, NewUniform(8))
