@@ -12,10 +12,10 @@
 //	hrnet -topo torus -dimx 4 -dimy 4 -load 0.4
 //	hrnet -radix 64 -workers 8 -load 0.6       # sharded run, 8 workers
 //
-// With -workers N (N >= 1) the run goes through the deterministic
+// -workers is a count: at N >= 2 the run goes through the deterministic
 // sharded runner (internal/network/shard), which is byte-identical to
-// the serial driver at every worker count; -workers 0 (the default)
-// runs serially. With -loads, the listed offered-load points run in
+// the serial driver at every worker count; 0 (the default) and 1 run
+// serially. With -loads, the listed offered-load points run in
 // parallel on a worker pool (-j workers, default GOMAXPROCS; each run
 // owns its RNG, so the table is identical at every -j) and the sweep
 // stops at the first saturated point, like the paper's curves.
@@ -49,7 +49,7 @@ func main() {
 		warmup   = flag.Int64("warmup", 1500, "warmup cycles")
 		measure  = flag.Int64("measure", 3000, "measurement cycles")
 		seed     = flag.Uint64("seed", 1, "random seed")
-		workers  = flag.Int("workers", 0, "shard the simulation across N workers (0 = serial driver; results are byte-identical at every count)")
+		workers  = flag.Int("workers", 0, "shard the simulation across N workers (0 and 1 run serially; results are byte-identical at every count)")
 		jobs     = flag.Int("j", 0, "sweep pool workers (0 = GOMAXPROCS, 1 = serial)")
 		profile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		chk      = flag.Bool("check", false, "arm the end-to-end network auditor (drains each run to empty and fails on any violation)")
@@ -63,7 +63,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "hrnet: -workers %d: want 0 (the serial driver) or a worker count >= 1\n", *workers)
+		fmt.Fprintf(os.Stderr, "hrnet: -workers %d: want a worker count >= 0\n", *workers)
 		os.Exit(1)
 	}
 
@@ -105,7 +105,7 @@ func main() {
 	}
 	fmt.Printf("%s: routers=%d terminals=%d vcs=%d hop-delay=%d ser=%d",
 		topo.Name(), topo.Routers(), topo.Terminals(), topo.VCs(), topo.HopDelay(), topo.SerCycles())
-	if *workers > 0 {
+	if *workers > 1 {
 		fmt.Printf(" shard-workers=%d lookahead=%d", *workers, network.Lookahead(topo))
 	}
 	fmt.Println()
@@ -148,9 +148,10 @@ func main() {
 	}
 }
 
-// runPoint dispatches one run to the serial or sharded driver.
+// runPoint dispatches one run to the serial driver or, given workers to
+// share it among, the sharded one.
 func runPoint(o network.Options, workers int) (network.Result, error) {
-	if workers > 0 {
+	if workers > 1 {
 		return shard.Run(shard.Options{Options: o, Workers: workers})
 	}
 	return network.Run(o)

@@ -47,7 +47,7 @@ func run() int {
 		jobs     = flag.Int("j", 0, "sweep pool workers (0 = GOMAXPROCS, 1 = serial)")
 		profile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		inj      = flag.String("inj", "percycle", "injection sampling: percycle|gap (gap is event-driven, O(events) at low load, distribution-equivalent)")
-		netw     = flag.Int("netw", -1, "network-run shard workers: 0 = serial driver, >= 1 = sharded (-1 keeps the scale default; results are byte-identical at every value)")
+		netw     = flag.Int("netw", 0, "workers sharing each network run: 0 and 1 run it serially, >= 2 sharded (results are byte-identical at every value)")
 		cacheDir = flag.String("cache", "", "content-addressed result cache directory: warm figures and points are served from it byte-identically instead of resimulated")
 	)
 	flag.Parse()
@@ -60,8 +60,8 @@ func run() int {
 	if err != nil {
 		return fail(2, err)
 	}
-	if *netw < -1 {
-		return fail(1, fmt.Errorf("-netw %d: want -1 (the scale default), 0 (the serial driver) or a worker count >= 1", *netw))
+	if *netw < 0 {
+		return fail(1, fmt.Errorf("-netw %d: want a worker count >= 0", *netw))
 	}
 
 	if *profile != "" {
@@ -95,9 +95,7 @@ func run() int {
 	scale.Seed = *seed
 	scale.Workers = *jobs
 	scale.Injection = injMode
-	if *netw >= 0 {
-		scale.NetWorkers = *netw
-	}
+	scale.NetWorkers = *netw
 	if *cacheDir != "" {
 		st, err := cache.Open(*cacheDir)
 		if err != nil {

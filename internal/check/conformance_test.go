@@ -125,7 +125,7 @@ func TestConformanceBursty(t *testing.T) {
 func TestClosConformance(t *testing.T) {
 	// radix 4, 2 digits: 16 terminals (a power of two with an even bit
 	// count, so every deterministic pattern is well formed).
-	cfg := network.Config{Radix: 4, Digits: 2, Seed: 3}
+	cfg := network.Config{Radix: 4, Digits: 2}
 	full := cfg.WithDefaults()
 	for _, pat := range conformancePatterns {
 		for _, pktLen := range []int{1, 3} {

@@ -38,12 +38,12 @@ type Scale struct {
 	// forces serial execution. Every run owns its RNG (seeded from
 	// Seed), so the produced tables are identical for every value.
 	Workers int
-	// NetWorkers selects the network-run driver: 0 is the serial
-	// network.Run, >= 1 runs every network point through the sharded
-	// runner (network/shard) with that many workers. The sharded runner
-	// is byte-identical to the serial one at every worker count, so this
+	// NetWorkers is how many workers share one network run: 0 and 1 run
+	// it serially (network.Run), >= 2 through the sharded runner
+	// (network/shard) with that many workers. The sharded runner is
+	// byte-identical to the serial one at every worker count, so this
 	// knob changes wall-clock only, never a table — the goldens pin that
-	// by running the default scales through the sharded path.
+	// by regenerating fig19 through the sharded path.
 	NetWorkers int
 	// Injection selects the synthetic source implementation for every
 	// run (testbench.Options.Injection / network.Options.Injection).
@@ -74,7 +74,6 @@ var Full = Scale{
 	NetMeasure:  3000,
 	FullNetwork: true,
 	Seed:        1,
-	NetWorkers:  1,
 }
 
 // Quick is the reduced scale for tests and benchmarks.
@@ -86,7 +85,6 @@ var Quick = Scale{
 	NetWarmup:  600,
 	NetMeasure: 1200,
 	Seed:       1,
-	NetWorkers: 1,
 }
 
 // opts builds testbench options for a router config at this scale.

@@ -65,8 +65,8 @@ func gapScale() Scale {
 // the flat crosspoint banks, the credit rings) and fig_alloc the one
 // that reaches the iSLIP matcher and the shared-pool admission rule.
 // The three figures with a <name>_gap file are pinned under gap
-// injection as well. Quick runs fig19 through the sharded driver
-// (NetWorkers 1); fig19_serial regenerates it through the serial driver
+// injection as well. Quick runs fig19 through the serial driver;
+// fig19_sharded regenerates it through the sharded one at 2 workers
 // against the same file — the golden-level statement of the shard
 // package's equivalence claim.
 func TestGolden(t *testing.T) {
@@ -80,12 +80,12 @@ func TestGolden(t *testing.T) {
 		}
 		t.Run(name+"_gap", func(t *testing.T) { golden(t, name+"_gap", gen, gapScale()) })
 	}
-	t.Run("fig19_serial", func(t *testing.T) {
+	t.Run("fig19_sharded", func(t *testing.T) {
 		if *update {
-			t.Skip("fig19.golden is written by the fig19 case (sharded); this case only cross-checks the serial driver")
+			t.Skip("fig19.golden is written by the fig19 case (serial); this case only cross-checks the sharded driver")
 		}
 		s := Quick
-		s.NetWorkers = 0
+		s.NetWorkers = 2
 		golden(t, "fig19", Fig19, s)
 	})
 }
@@ -93,10 +93,9 @@ func TestGolden(t *testing.T) {
 // TestGoldenDense is the figure-level fast-forward twin: regenerated
 // with every run forced to dense per-cycle stepping, a figure must
 // reproduce the golden its fast-forwarding run recorded. fig9 covers the
-// single-router driver, fig19 the network driver (through the sharded
-// runner, as Quick selects), fig_alloc the VOQ and dynamic-VC routers;
-// under gap injection the dense twin also walks every cycle between two
-// injections.
+// single-router driver, fig19 the network driver, fig_alloc the VOQ and
+// dynamic-VC routers; under gap injection the dense twin also walks
+// every cycle between two injections.
 func TestGoldenDense(t *testing.T) {
 	if *update {
 		t.Skip("the goldens are written by TestGolden; this test only cross-checks dense stepping")

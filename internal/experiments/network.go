@@ -8,15 +8,15 @@ import (
 )
 
 // runNet executes one network point behind the scale's cache, under a
-// pool slot, through the driver the scale selects: serial when
-// NetWorkers is 0, sharded otherwise. The two are byte-identical
+// pool slot, sharded when the scale gives it NetWorkers to share the
+// run among, serially otherwise. The two are byte-identical
 // (shard's determinism suite), so the cache key deliberately omits the
 // worker count and they share an entry.
 func (s Scale) runNet(p *sweep.Pool, o network.Options) (network.Result, error) {
 	key, ok := o.CacheKey()
 	return sweep.RunCached(p, s.Cache, key, ok, network.EncodeResult, network.DecodeResult,
 		func() (network.Result, error) {
-			if s.NetWorkers > 0 {
+			if s.NetWorkers > 1 {
 				return shard.Run(shard.Options{Options: o, Workers: s.NetWorkers})
 			}
 			return network.Run(o)

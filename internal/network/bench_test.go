@@ -18,7 +18,7 @@ func BenchmarkQuiescentNetworkCycle(b *testing.B) {
 		{Radix: 64, Digits: 2},
 	} {
 		cfg := cfg
-		nw, err := New(cfg)
+		nw, err := New(cfg, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

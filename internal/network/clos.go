@@ -54,10 +54,6 @@ type Config struct {
 	SerCycles int
 	// CreditDelay is the upstream credit return latency in cycles.
 	CreditDelay int
-	// Seed drives middle-stage selection for networks built through the
-	// direct New(cfg) constructor; the Run driver seeds routing from
-	// Options.Seed instead, so one Options.Seed fixes an entire run.
-	Seed uint64
 }
 
 // WithDefaults fills the paper's Figure 19 parameters.

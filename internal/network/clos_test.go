@@ -108,7 +108,7 @@ func mustTorus(t *testing.T, cfg TorusConfig) *Torus {
 // wiring.
 func TestRoutingReachesDestination(t *testing.T) {
 	cfg := Config{Radix: 4, Digits: 2, VCs: 2, BufDepth: 4}
-	nw, err := New(cfg)
+	nw, err := New(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,14 +148,14 @@ func TestRoutingReachesDestination(t *testing.T) {
 // verifies every one is delivered exactly once with the expected hop
 // count.
 func TestConservationUnderLoad(t *testing.T) {
-	cfg := Config{Radix: 4, Digits: 3, VCs: 2, BufDepth: 4, Seed: 9}
-	nw, err := New(cfg)
+	cfg := Config{Radix: 4, Digits: 3, VCs: 2, BufDepth: 4}
+	nw, err := New(cfg, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := nw.Terminals()
 	wantHops := cfg.WithDefaults().Stages()
-	rng := sim.NewRNG(cfg.Seed)
+	rng := sim.NewRNG(9)
 	const packets = 500
 	type pend struct {
 		src int
@@ -267,7 +267,7 @@ func TestRoutePortDescentDigits(t *testing.T) {
 
 func TestNetbenchRun(t *testing.T) {
 	res, err := Run(Options{
-		Net:           Config{Radix: 4, Digits: 2, Seed: 5},
+		Net:           Config{Radix: 4, Digits: 2},
 		Load:          0.3,
 		WarmupCycles:  300,
 		MeasureCycles: 600,
@@ -298,7 +298,7 @@ func TestRunRejectsBadLoads(t *testing.T) {
 
 func TestNetworkLatencyRisesWithLoad(t *testing.T) {
 	base := Options{
-		Net:           Config{Radix: 8, Digits: 2, Seed: 6},
+		Net:           Config{Radix: 8, Digits: 2},
 		WarmupCycles:  400,
 		MeasureCycles: 800,
 		Seed:          6,
@@ -326,7 +326,7 @@ func TestNetworkLatencyRisesWithLoad(t *testing.T) {
 // (terminal, packet) stream.
 func TestWormholeMultiFlit(t *testing.T) {
 	res, err := Run(Options{
-		Net:           Config{Radix: 4, Digits: 2, Seed: 11},
+		Net:           Config{Radix: 4, Digits: 2},
 		Load:          0.4,
 		PktLen:        5,
 		WarmupCycles:  400,
@@ -348,13 +348,13 @@ func TestWormholeMultiFlit(t *testing.T) {
 // TestWormholeOrdering drives explicit multi-flit packets and checks
 // sequence order per packet at ejection.
 func TestWormholeOrdering(t *testing.T) {
-	cfg := Config{Radix: 4, Digits: 2, VCs: 2, BufDepth: 4, Seed: 12}
-	nw, err := New(cfg)
+	cfg := Config{Radix: 4, Digits: 2, VCs: 2, BufDepth: 4}
+	nw, err := New(cfg, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := nw.Terminals()
-	rng := sim.NewRNG(cfg.Seed)
+	rng := sim.NewRNG(12)
 	const packets, pktLen = 120, 4
 	type src struct {
 		q     []*flit.Flit

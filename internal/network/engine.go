@@ -197,11 +197,11 @@ type Network struct {
 	// terminal t; nonzero only for terminals entering [lo, hi).
 	injCredit []int32
 
-	// arrivals and credits are calendars, not delay lines: the barrier
-	// merge inserts remote events out of order relative to local ones.
+	// The barrier merge schedules remote arrivals and credits out of
+	// order relative to local ones.
 	arrivals *sim.Calendar[arrival]
 	credits  *sim.Calendar[creditMsg]
-	toTerm   *sim.DelayLine[*flit.Flit]
+	toTerm   *sim.Calendar[*flit.Flit] // exit wires, ser cycles long
 
 	// The request matrix, maintained as queue fronts change so that Step
 	// visits only outputs somebody wants (O(active) per cycle): bit fi of
@@ -260,9 +260,9 @@ func NewNetworkRange(topo Topology, seed uint64, lo, hi int) *Network {
 		links:     make([]Link, routers*p),
 		feeders:   make([]Link, routers*p),
 		injCredit: make([]int32, topo.Terminals()*v),
-		arrivals:  sim.NewCalendar[arrival](span),
-		credits:   sim.NewCalendar[creditMsg](span),
-		toTerm:    sim.NewDelayLine[*flit.Flit](topo.SerCycles()),
+		arrivals:  sim.NewCalendar[arrival](span, 0),
+		credits:   sim.NewCalendar[creditMsg](span, 0),
+		toTerm:    sim.NewCalendar[*flit.Flit](topo.SerCycles(), 0),
 		// An empty range (a shard of zero routers, legal when workers
 		// exceed routers) still needs a nonempty activity vector: BitVecs
 		// reject zero sizes, and a one-bit vector that never sets is free.
@@ -365,20 +365,7 @@ func (nw *Network) NextWake(now int64) int64 {
 	if nw.buffered > 0 {
 		return now + 1
 	}
-	w := sim.NoWake
-	if at, ok := nw.arrivals.NextAt(); ok && at < w {
-		w = at
-	}
-	if at, ok := nw.toTerm.NextAt(); ok && at < w {
-		w = at
-	}
-	if at, ok := nw.credits.NextAt(); ok && at < w {
-		w = at
-	}
-	if w <= now {
-		return now + 1
-	}
-	return w
+	return max(now+1, min(nw.arrivals.NextAt(), nw.toTerm.NextAt(), nw.credits.NextAt()))
 }
 
 // TakeOutbox returns the cross-shard events produced since the last
@@ -475,13 +462,7 @@ func (nw *Network) Step(now int64) {
 	nw.ejected = nw.ejected[:0]
 	nw.credits.PopDue(now, nw.applyCredits)
 	nw.arrivals.PopDue(now, nw.land)
-	for {
-		f, ok := nw.toTerm.PopReady(now)
-		if !ok {
-			break
-		}
-		nw.ejected = append(nw.ejected, f)
-	}
+	nw.toTerm.PopDue(now, func(fs []*flit.Flit) { nw.ejected = append(nw.ejected, fs...) })
 	if len(nw.ejected) > 1 {
 		slices.SortFunc(nw.ejected, func(a, b *flit.Flit) int { return cmp.Compare(a.Dst, b.Dst) })
 	}
@@ -554,7 +535,7 @@ func (nw *Network) Step(now int64) {
 						panic("network: routing delivered flit to wrong terminal")
 					}
 					s.f.Hops, s.f.VC = int(s.hops), c
-					nw.toTerm.Push(now, s.f)
+					nw.toTerm.Schedule(now+nw.ser, s.f)
 					continue
 				}
 				ch.credit--

@@ -90,7 +90,7 @@ func TestOversizeTopologyIsAnError(t *testing.T) {
 			}
 		}
 	}
-	if _, err := network.New(network.Config{Radix: network.MaxPorts + 1, Digits: 1}); err == nil {
+	if _, err := network.New(network.Config{Radix: network.MaxPorts + 1, Digits: 1}, 0); err == nil {
 		t.Error("network.New accepted a Clos wider than MaxPorts")
 	}
 }

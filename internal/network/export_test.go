@@ -6,8 +6,8 @@ func (nw *Network) WiringTables() (links, feeders []Link) { return nw.links, nw.
 
 // New builds a full serial network over the Clos topology described by
 // cfg, for the tests that step an engine directly instead of through
-// Run; routing draws from cfg.Seed.
-func New(cfg Config) (*Network, error) {
+// Run; routing draws from seed.
+func New(cfg Config, seed uint64) (*Network, error) {
 	topo, err := NewClos(cfg)
 	if err != nil {
 		return nil, err
@@ -15,5 +15,5 @@ func New(cfg Config) (*Network, error) {
 	if err := CheckLimits(topo); err != nil {
 		return nil, err
 	}
-	return NewNetwork(topo, topo.Config().Seed^0x632be59bd9b4e019), nil
+	return NewNetwork(topo, seed^0x632be59bd9b4e019), nil
 }

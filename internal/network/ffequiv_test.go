@@ -50,13 +50,16 @@ func (h *recHooks) EndCycle(now int64, inFlight int) error {
 }
 
 func TestNetFastForwardTwin(t *testing.T) {
-	cases := []Config{
-		{Radix: 4, Digits: 2, Seed: 3},
-		{Radix: 4, Digits: 3, Seed: 5},
-		{Radix: 8, Digits: 2, Seed: 7},
+	cases := []struct {
+		cfg  Config
+		seed uint64
+	}{
+		{Config{Radix: 4, Digits: 2}, 3},
+		{Config{Radix: 4, Digits: 3}, 5},
+		{Config{Radix: 8, Digits: 2}, 7},
 	}
-	for _, cfg := range cases {
-		cfg := cfg
+	for _, c := range cases {
+		cfg := c.cfg
 		t.Run(fmt.Sprintf("k%dd%d", cfg.Radix, cfg.Digits), func(t *testing.T) {
 			run := func(noFF bool) ([]netEvent, Result, error) {
 				full := cfg.WithDefaults()
@@ -66,7 +69,7 @@ func TestNetFastForwardTwin(t *testing.T) {
 					Load:          0.4,
 					WarmupCycles:  300,
 					MeasureCycles: 600,
-					Seed:          cfg.Seed,
+					Seed:          c.seed,
 					Hooks:         rec,
 					NoFastForward: noFF,
 				})
@@ -99,7 +102,7 @@ func TestNetFastForwardTwin(t *testing.T) {
 func TestNetFastForwardTwinUnhooked(t *testing.T) {
 	run := func(noFF bool) (Result, error) {
 		return Run(Options{
-			Net:           Config{Radix: 4, Digits: 2, Seed: 11},
+			Net:           Config{Radix: 4, Digits: 2},
 			Load:          0.3,
 			WarmupCycles:  300,
 			MeasureCycles: 600,

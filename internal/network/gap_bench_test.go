@@ -19,7 +19,7 @@ func BenchmarkNetRunLowLoad(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					_, err := Run(Options{
-						Net:           Config{Radix: 16, Digits: 2, Seed: uint64(i) + 1},
+						Net:           Config{Radix: 16, Digits: 2},
 						Load:          load,
 						WarmupCycles:  600,
 						MeasureCycles: 1200,

@@ -3,9 +3,11 @@ package network
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"highradix/internal/check"
+	"highradix/internal/drive"
 	"highradix/internal/traffic"
 )
 
@@ -18,11 +20,12 @@ import (
 func TestNetGapFastForwardTwin(t *testing.T) {
 	cases := []struct {
 		cfg  Config
+		seed uint64
 		load float64
 	}{
-		{Config{Radix: 4, Digits: 2, Seed: 3}, 0.1},
-		{Config{Radix: 4, Digits: 3, Seed: 5}, 0.25},
-		{Config{Radix: 8, Digits: 2, Seed: 7}, 0.4},
+		{Config{Radix: 4, Digits: 2}, 3, 0.1},
+		{Config{Radix: 4, Digits: 3}, 5, 0.25},
+		{Config{Radix: 8, Digits: 2}, 7, 0.4},
 	}
 	for _, c := range cases {
 		c := c
@@ -35,7 +38,7 @@ func TestNetGapFastForwardTwin(t *testing.T) {
 					Load:          c.load,
 					WarmupCycles:  300,
 					MeasureCycles: 600,
-					Seed:          c.cfg.Seed,
+					Seed:          c.seed,
 					Hooks:         rec,
 					NoFastForward: noFF,
 					Injection:     traffic.InjGap,
@@ -74,7 +77,7 @@ func TestNetGapFastForwardTwin(t *testing.T) {
 // differ by construction).
 func TestNetGapMatchesPerCycle(t *testing.T) {
 	base := Options{
-		Net:           Config{Radix: 8, Digits: 2, Seed: 9},
+		Net:           Config{Radix: 8, Digits: 2},
 		Load:          0.2,
 		WarmupCycles:  500,
 		MeasureCycles: 2000,
@@ -98,5 +101,45 @@ func TestNetGapMatchesPerCycle(t *testing.T) {
 	}
 	if d := math.Abs(pc.AvgLatency - gr.AvgLatency); d > 0.15*pc.AvgLatency+1 {
 		t.Errorf("latency percycle %.2f vs gap %.2f", pc.AvgLatency, gr.AvgLatency)
+	}
+}
+
+// TestEngineCalendarsSurviveIdleGaps: a run whose packets lie millions
+// of cycles apart jumps every stretch between them, so each packet's
+// first event meets calendars whose windows still stand where the last
+// packet left them. They must slide, not grow to the length of the gap.
+func TestEngineCalendarsSurviveIdleGaps(t *testing.T) {
+	o := Options{
+		Net:       Config{Radix: 4, Digits: 2},
+		Load:      2e-8, // 16 terminals: a packet every ~3M cycles
+		PktLen:    1,
+		Seed:      1,
+		Injection: traffic.InjGap,
+	}.WithDefaults()
+	topo, err := o.Topology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorld(o, topo, 0, topo.Routers())
+	tally, err := drive.Run(drive.Config{Measure: 50_000_000}, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tally.Flits < 2 || tally.Flits > 40 {
+		t.Fatalf("%d flits delivered in %d cycles; the test wants a few, far apart", tally.Flits, tally.Cycles)
+	}
+	ring := func(cal any) int { return reflect.ValueOf(cal).Elem().FieldByName("buckets").Len() }
+	fresh := NewNetwork(topo, 0)
+	for _, c := range []struct {
+		name       string
+		ran, built any
+	}{
+		{"arrivals", w.Net.arrivals, fresh.arrivals},
+		{"credits", w.Net.credits, fresh.credits},
+		{"toTerm", w.Net.toTerm, fresh.toTerm},
+	} {
+		if got, want := ring(c.ran), ring(c.built); got != want {
+			t.Errorf("%s calendar ended the run with %d buckets, built with %d", c.name, got, want)
+		}
 	}
 }

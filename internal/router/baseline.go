@@ -3,6 +3,7 @@ package router
 import (
 	"highradix/internal/arb"
 	"highradix/internal/router/core"
+	"highradix/internal/sim"
 )
 
 func init() {
@@ -45,7 +46,7 @@ const (
 // input controller drives a single request at a time (Section 4.1); the
 // request persists at the output until granted, or until NACKed by the
 // speculative VC check. Fields are deliberately narrow: requests are
-// copied through the request-wire delay line and the per-output pending
+// copied through the request-wire calendar and the per-output pending
 // slices every cycle, so a compact struct keeps that traffic in few
 // cache lines (int32 still covers any radix or VC count the simulator
 // accepts).
@@ -130,28 +131,23 @@ type baseline struct {
 
 	outs []blOutput // by value: one contiguous block, no per-output pointer chase
 
-	// Request and grant wires as per-cycle slot rings: items pushed at
-	// cycle t land in slot t mod (delay+1) and are due when the ring
-	// wraps back, i.e. slot (now+1) mod (delay+1). Pushes and the drain
-	// of a given cycle always hit different slots, and like the ejection
-	// pipe the rings rely on Step advancing one cycle at a time.
-	reqSlots  [reqWireDelay + 1][]blRequest
-	respSlots [grantWireDelay + 1][]blResponse
+	reqWire  sim.Calendar[blRequest]  // due reqWireDelay after issue
+	respWire sim.Calendar[blResponse] // due grantWireDelay after the decision
 
 	// outPending tracks outputs holding pending requests; idle outputs
 	// cost zero work per cycle. The matching input-side sets (occupied,
 	// issuable) live in the input bank.
 	outPending arb.BitVec
-	// withdrawAt is a slot ring over input indices: an input issuing at
-	// cycle t is examined for timeout withdrawal exactly at
-	// t+reqTimeout. One examination suffices — while the request is
-	// outstanding the old dense scan also first saw age >= reqTimeout
-	// at exactly t+reqTimeout, and if the request has already left the
+	// withdrawAt holds input indices: an input issuing at cycle t is
+	// examined for timeout withdrawal exactly at t+reqTimeout. One
+	// examination suffices — while the request is outstanding the old
+	// dense scan also first saw age >= reqTimeout at exactly
+	// t+reqTimeout, and if the request has already left the
 	// output's pending set by then, the response doing so is at most a
 	// cycle away and clears outstanding before age reqTimeout+1 is ever
 	// scanned. Entries are validated against issuedAt so stale entries
 	// from a withdrawn-and-reissued request are ignored.
-	withdrawAt [reqTimeout + 1][]int32
+	withdrawAt sim.Calendar[int32]
 
 	anyReq arb.BitVec // scratch: nonspec|spec union for unprioritized arbitration
 	// perVCWinner[ov] is the input winning output VC ov's crosspoint
@@ -170,19 +166,13 @@ func newBaseline(cfg Config) *baseline {
 		outPending:  arb.MakeBitVec(k),
 		anyReq:      arb.MakeBitVec(k),
 		perVCWinner: make([]int, v),
-	}
-	// Each input drives at most one request line router-wide, so k
-	// bounds every per-cycle wire slot, pending set, and withdrawal
-	// slot; pre-sizing them here keeps the steady state free of
-	// append regrowth at any radix.
-	for s := range r.reqSlots {
-		r.reqSlots[s] = make([]blRequest, 0, k)
-	}
-	for s := range r.respSlots {
-		r.respSlots[s] = make([]blResponse, 0, k)
-	}
-	for s := range r.withdrawAt {
-		r.withdrawAt[s] = make([]int32, 0, k)
+		// Each input drives at most one request line router-wide, so k
+		// bounds every per-cycle wire bucket, pending set, and
+		// withdrawal bucket; pre-sizing them here keeps the steady
+		// state free of append regrowth at any radix.
+		reqWire:    *sim.NewCalendar[blRequest](reqWireDelay, k),
+		respWire:   *sim.NewCalendar[blResponse](grantWireDelay, k),
+		withdrawAt: *sim.NewCalendar[int32](reqTimeout, k),
 	}
 	for i := 0; i < k; i++ {
 		r.inputArb[i] = *arb.NewRoundRobin(v)
@@ -212,7 +202,7 @@ func (r *baseline) Config() Config { return r.cfg }
 // for stays in the input bank until the grant response is processed
 // (NACKs leave it there). So In.Buffered() == 0 implies empty request
 // and grant wires, empty pending sets and a clear outPending bitset;
-// stale withdraw-wheel entries are inert (they are validated against
+// stale withdrawAt entries are inert (they are validated against
 // issuedAt and only consulted while a request is outstanding).
 
 func (r *baseline) Step(now int64) {
@@ -224,8 +214,8 @@ func (r *baseline) Step(now int64) {
 			r.outs[f.Dst].vcDirty = true
 		}
 	}
-	r.processResponses(now)
-	r.deliverRequests(now)
+	r.respWire.PopDue(now, func(due []blResponse) { r.processResponses(now, due) })
+	r.reqWire.PopDue(now, r.deliverRequests)
 	r.arbitrateOutputs(now)
 	r.issueRequests(now)
 }
@@ -233,18 +223,11 @@ func (r *baseline) Step(now int64) {
 // pushResp sends a grant or NACK back toward an input; it arrives
 // grantWireDelay cycles later.
 func (r *baseline) pushResp(now int64, resp blResponse) {
-	s := int(now % int64(len(r.respSlots)))
-	r.respSlots[s] = append(r.respSlots[s], resp)
+	r.respWire.Schedule(now+grantWireDelay, resp)
 }
 
 // processResponses handles grants and NACKs arriving at the inputs.
-func (r *baseline) processResponses(now int64) {
-	slot := int((now + 1) % int64(len(r.respSlots)))
-	due := r.respSlots[slot]
-	if len(due) == 0 {
-		return
-	}
-	r.respSlots[slot] = due[:0]
+func (r *baseline) processResponses(now int64, due []blResponse) {
 	for _, resp := range due {
 		in, c := int(resp.input), int(resp.vc)
 		// The request resolved; the input re-enters the issuable set (it
@@ -278,13 +261,7 @@ func (r *baseline) processResponses(now int64) {
 
 // deliverRequests moves requests off the wires into the output pending
 // sets.
-func (r *baseline) deliverRequests(now int64) {
-	slot := int((now + 1) % int64(len(r.reqSlots)))
-	due := r.reqSlots[slot]
-	if len(due) == 0 {
-		return
-	}
-	r.reqSlots[slot] = due[:0]
+func (r *baseline) deliverRequests(due []blRequest) {
 	for _, req := range due {
 		ou := &r.outs[req.out]
 		in := int(req.input)
@@ -451,33 +428,31 @@ func (r *baseline) removePending(ou *blOutput, idx int) {
 func (r *baseline) issueRequests(now int64) {
 	v := r.cfg.VCs
 	horizon := now + reqWireDelay + grantWireDelay + stStartDelay
-	reqSlot := &r.reqSlots[now%int64(len(r.reqSlots))]
 	// Withdraw requests stuck at congested outputs so the input arbiter
 	// can serve another VC (the per-cycle re-selection real request
-	// wires get for free). The wheel slot holds the inputs that issued
+	// wires get for free). The due bucket holds the inputs that issued
 	// exactly reqTimeout cycles ago, in their original issue order; an
 	// entry whose request has since resolved (and possibly reissued) is
 	// recognized by its issuedAt and skipped. If the request just left
 	// the output's pending set this cycle, the withdrawal misses and
 	// the in-flight response resolves it instead.
-	wdrain := int((now + 1) % int64(len(r.withdrawAt)))
-	for _, i32 := range r.withdrawAt[wdrain] {
-		i := int(i32)
-		st := &r.ins[i]
-		if !r.In.Outstanding(i) || st.issuedAt != now-reqTimeout {
-			continue
+	r.withdrawAt.PopDue(now, func(due []int32) {
+		for _, i32 := range due {
+			i := int(i32)
+			st := &r.ins[i]
+			if !r.In.Outstanding(i) || st.issuedAt != now-reqTimeout {
+				continue
+			}
+			ou := &r.outs[st.reqOut]
+			if idx := int(st.reqAt); idx < len(ou.pending) && int(ou.pending[idx].input) == i {
+				r.removePending(ou, idx)
+				r.In.ClearOutstanding(i)
+			}
+			if len(ou.pending) == 0 {
+				r.outPending.Clear(int(st.reqOut))
+			}
 		}
-		ou := &r.outs[st.reqOut]
-		if idx := int(st.reqAt); idx < len(ou.pending) && int(ou.pending[idx].input) == i {
-			r.removePending(ou, idx)
-			r.In.ClearOutstanding(i)
-		}
-		if len(ou.pending) == 0 {
-			r.outPending.Clear(int(st.reqOut))
-		}
-	}
-	r.withdrawAt[wdrain] = r.withdrawAt[wdrain][:0]
-	wpush := &r.withdrawAt[now%int64(len(r.withdrawAt))]
+	})
 	for i := r.In.NextIssuable(0); i >= 0; i = r.In.NextIssuable(i + 1) {
 		st := &r.ins[i]
 		if st.freeAt > horizon {
@@ -512,7 +487,7 @@ func (r *baseline) issueRequests(now int64) {
 		r.In.MarkOutstanding(i)
 		st.issuedAt = now
 		st.reqOut = breq.out
-		*wpush = append(*wpush, int32(i))
-		*reqSlot = append(*reqSlot, breq)
+		r.withdrawAt.Schedule(now+reqTimeout, int32(i))
+		r.reqWire.Schedule(now+reqWireDelay, breq)
 	}
 }

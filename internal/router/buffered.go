@@ -63,8 +63,8 @@ type buffered struct {
 	outLG   []arb.Arbiter  // per output over crosspoints (inputs)
 	outFree core.SerializerBank
 
-	toXp *sim.DelayLine[*flit.Flit]
-	bus  core.CreditBus // one bus per input row; idle under IdealCredit
+	toXp *sim.Calendar[*flit.Flit] // row wires, STCycles long
+	bus  core.CreditBus            // one bus per input row; idle under IdealCredit
 
 	// xpCol[o] is the bit row of crosspoints (inputs) of output column o
 	// holding flits, raised and lowered as a crosspoint's xpOcc word
@@ -104,7 +104,7 @@ func newBuffered(cfg Config) *buffered {
 		xpArb:      arb.NewRotorBank(k*k, v),
 		outLG:      make([]arb.Arbiter, k),
 		outFree:    core.NewSerializerBank(k),
-		toXp:       sim.NewDelayLine[*flit.Flit](cfg.STCycles),
+		toXp:       sim.NewCalendar[*flit.Flit](cfg.STCycles, k),
 		bus:        core.MakeCreditBus(k, k, cfg.LocalGroup, v*cfg.XpointBufDepth),
 		xpOcc:      make([]uint64, k*k),
 		xpHead:     make([]uint64, k*k),
@@ -145,30 +145,28 @@ func (r *buffered) NextWake(now int64) int64 {
 	if r.In.Buffered() > 0 || r.xpFlits > 0 || r.bus.Pending() > 0 {
 		return now + 1
 	}
-	w := r.Out.NextWake(now)
-	if at, ok := r.toXp.NextAt(); ok && at < w {
-		w = at
-	}
-	return w
+	return min(r.Out.NextWake(), r.toXp.NextAt())
 }
 
 func (r *buffered) Step(now int64) {
 	r.BeginCycle(now)
 	// Flits land in their crosspoint buffers after traversing the row.
-	r.toXp.DrainReady(now, func(f *flit.Flit) {
-		xi := f.Src*r.cfg.Radix + f.Dst
-		if r.xp.Push(xi*r.cfg.VCs+f.VC, f) == 1 {
-			// f becomes the queue's front: mirror it in the masks.
-			if r.xpOcc[xi] == 0 {
-				r.xpCol[f.Dst].Set(f.Src)
+	r.toXp.PopDue(now, func(fs []*flit.Flit) {
+		for _, f := range fs {
+			xi := f.Src*r.cfg.Radix + f.Dst
+			if r.xp.Push(xi*r.cfg.VCs+f.VC, f) == 1 {
+				// f becomes the queue's front: mirror it in the masks.
+				if r.xpOcc[xi] == 0 {
+					r.xpCol[f.Dst].Set(f.Src)
+				}
+				r.xpOcc[xi] |= 1 << uint(f.VC)
+				if f.Head {
+					r.xpHead[xi] |= 1 << uint(f.VC)
+				}
 			}
-			r.xpOcc[xi] |= 1 << uint(f.VC)
-			if f.Head {
-				r.xpHead[xi] |= 1 << uint(f.VC)
-			}
+			r.outAct.Inc(f.Dst)
 		}
-		r.outAct.Inc(f.Dst)
-		r.xpFlits++
+		r.xpFlits += len(fs)
 	})
 	r.outputStage(now)
 	r.inputStage(now)
@@ -265,6 +263,6 @@ func (r *buffered) inputStage(now int64) {
 		r.credit.Spend(now, r.xpPool(i, f.Dst, c), i, f.Dst, c)
 		r.inFree.Reserve(i, now, r.cfg.STCycles)
 		r.Obs.Emit(Event{Cycle: now, Kind: EvGrant, Flit: f, Input: i, Output: f.Dst, VC: c, Note: "input-row"})
-		r.toXp.Push(now, f)
+		r.toXp.Schedule(now+int64(r.cfg.STCycles), f)
 	}
 }

@@ -15,16 +15,15 @@ import "fmt"
 //     change any result byte (the checker suites pin that a nil and a
 //     counting observer produce identical runs).
 //
-// Every other field is included — including Seed, which is semantic by
-// contract even while no architecture draws from it — so any change to
-// a semantically distinct field changes the string and therefore the
-// cache key. TestCanonicalCoversEveryField enforces with reflection
-// that a newly added Config field cannot be forgotten here silently.
+// Every other field is included, so any change to a semantically
+// distinct field changes the string and therefore the cache key.
+// TestCanonicalCoversEveryField enforces with reflection that a newly
+// added Config field cannot be forgotten here silently.
 func (c Config) Canonical() string {
 	c = c.WithDefaults()
 	return fmt.Sprintf(
-		"arch=%s radix=%d vcs=%d inbuf=%d xbuf=%d sub=%d subin=%d subout=%d st=%d m=%d iters=%d va=%s spec=%s prio=%t idealcredit=%t seed=%d",
+		"arch=%s radix=%d vcs=%d inbuf=%d xbuf=%d sub=%d subin=%d subout=%d st=%d m=%d iters=%d va=%s spec=%s prio=%t idealcredit=%t",
 		c.Arch, c.Radix, c.VCs, c.InputBufDepth, c.XpointBufDepth,
 		c.SubSize, c.SubInDepth, c.SubOutDepth, c.STCycles, c.LocalGroup,
-		c.AllocIters, c.VA, c.SpecPolicy, c.Prioritized, c.IdealCredit, c.Seed)
+		c.AllocIters, c.VA, c.SpecPolicy, c.Prioritized, c.IdealCredit)
 }

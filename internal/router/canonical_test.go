@@ -51,8 +51,6 @@ func TestCanonicalCoversEveryField(t *testing.T) {
 			switch mv.Kind() {
 			case reflect.Int:
 				mv.SetInt(mv.Int() + 1)
-			case reflect.Uint64:
-				mv.SetUint(mv.Uint() + 1)
 			case reflect.Bool:
 				mv.SetBool(!mv.Bool())
 			default:

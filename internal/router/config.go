@@ -175,9 +175,6 @@ type Config struct {
 	// credits instantly (the "ideal (but not realizable) switch" of
 	// Section 5.2, used as an ablation).
 	IdealCredit bool
-	// Seed seeds all arbitration tie-breaking randomness (none today;
-	// kept so configurations fully describe a deterministic run).
-	Seed uint64
 	// Observer, when non-nil, receives per-flit microarchitectural
 	// events (accepts, grants, NACKs, ejects). Purely diagnostic; nil
 	// costs nothing.

@@ -88,10 +88,9 @@ func BenchmarkQuiescent(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkEjectPipeNextWake measures the slot-ring due-time scan with
-// one flit in flight — the only NextWake component that is not a plain
-// counter or delay-line front read. The ring has delay+1 slots, so the
-// scan is O(eject delay), not O(radix).
+// BenchmarkEjectPipeNextWake measures the calendar's NextAt with one
+// flit in flight: a scan of at most the eject delay's buckets, not
+// O(radix).
 func BenchmarkEjectPipeNextWake(b *testing.B) {
 	p := core.MakeEjectPipe(4, 64)
 	f := flit.MakePacket(1, 0, 5, 1, 1, 0, false)[0]
@@ -100,7 +99,7 @@ func BenchmarkEjectPipeNextWake(b *testing.B) {
 	b.ResetTimer()
 	sink := int64(0)
 	for n := 0; n < b.N; n++ {
-		sink += p.NextWake(int64(n))
+		sink += p.NextWake()
 	}
 	_ = sink
 }

@@ -90,7 +90,7 @@ func TestVCOwnerForeignReleasePanics(t *testing.T) {
 
 func TestEjectPipeFixedDelay(t *testing.T) {
 	// Pushes at cycle t surface exactly delay cycles later, in push
-	// order, as the ring is drained once per consecutive cycle.
+	// order.
 	const delay = 3
 	p := core.MakeEjectPipe(delay, 8)
 	owner := core.MakeVCOwnerTable(3, 1)

@@ -1,6 +1,9 @@
 package core
 
-import "highradix/internal/flit"
+import (
+	"highradix/internal/flit"
+	"highradix/internal/sim"
+)
 
 // ejEntry is a flit scheduled to leave an output port at the end of its
 // switch traversal.
@@ -16,69 +19,58 @@ type ejEntry struct {
 // ejected flits into the slice behind router.Router.Ejected (whose
 // recycling contract the pipe upholds — once a flit appears there, the
 // router holds no reference to it).
-//
-// The pipe is a ring of delay+1 per-cycle slots: a push at cycle t
-// lands in slot t mod (delay+1) and is drained when the ring wraps back
-// around, with no per-entry queue rotation. The ring relies on
-// BeginCycle being invoked once per consecutive cycle, which is the
-// contract every driver in this repository follows.
 type EjectPipe struct {
-	slots [][]ejEntry
-	count int
+	delay int64
+	due   sim.Calendar[ejEntry]
 	out   []*flit.Flit
 }
 
 // MakeEjectPipe returns a pipe with the given traversal delay, by value
-// for embedding. ports sizes each per-cycle slot (and the ejected
+// for embedding. ports sizes each per-cycle bucket (and the ejected
 // slice): at most one flit per output port can be pushed per cycle, so
-// with that capacity preallocated the ring never regrows, keeping
+// with that capacity preallocated the pipe never regrows, keeping
 // steady-state stepping alloc-free even at radix 256.
 func MakeEjectPipe(delay, ports int) EjectPipe {
 	if delay < 1 {
 		Violatef("eject delay %d must be at least one cycle", delay)
 	}
-	p := EjectPipe{slots: make([][]ejEntry, delay+1), out: make([]*flit.Flit, 0, ports)}
-	for i := range p.slots {
-		p.slots[i] = make([]ejEntry, 0, ports)
+	return EjectPipe{
+		delay: int64(delay),
+		due:   *sim.NewCalendar[ejEntry](delay, ports),
+		out:   make([]*flit.Flit, 0, ports),
 	}
-	return p
 }
 
 // Push schedules f to leave output port exactly the pipe's delay after
 // cycle now.
 func (p *EjectPipe) Push(now int64, port int, f *flit.Flit) {
-	i := int(now % int64(len(p.slots)))
-	p.slots[i] = append(p.slots[i], ejEntry{f: f, port: int32(port)})
-	p.count++
+	p.due.Schedule(now+p.delay, ejEntry{f: f, port: int32(port)})
 }
 
 // Len reports the flits inside the pipe.
-func (p *EjectPipe) Len() int { return p.count }
+func (p *EjectPipe) Len() int { return p.due.Len() }
+
+// NextWake returns the cycle at which the pipe's earliest flit leaves,
+// or NoWake when the pipe is empty.
+func (p *EjectPipe) NextWake() int64 { return p.due.NextAt() }
 
 // Ejected returns the flits drained by the last BeginCycle. The slice
 // is reused across cycles; callers must not retain it.
 func (p *EjectPipe) Ejected() []*flit.Flit { return p.out }
 
 // BeginCycle opens cycle now: it resets the ejected slice and drains
-// the flits due this cycle in push order, releasing owner's (port, VC)
-// at each tail flit and emitting EvEject. With delay d and d+1 slots,
-// the due slot at cycle now is the one filled at now-d, i.e. (now+1)
-// mod (d+1).
+// the flits due by now in push order, releasing owner's (port, VC) at
+// each tail flit and emitting EvEject.
 func (p *EjectPipe) BeginCycle(now int64, owner *VCOwnerTable, obs Obs) {
 	p.out = p.out[:0]
-	i := int((now + 1) % int64(len(p.slots)))
-	due := p.slots[i]
-	if len(due) == 0 {
-		return
-	}
-	p.slots[i] = due[:0]
-	p.count -= len(due)
-	for _, en := range due {
-		f := en.f
-		if f.Tail {
-			owner.Release(int(en.port), f.VC, f.PacketID)
+	p.due.PopDue(now, func(due []ejEntry) {
+		for _, en := range due {
+			f := en.f
+			if f.Tail {
+				owner.Release(int(en.port), f.VC, f.PacketID)
+			}
+			obs.Emit(Event{Cycle: now, Kind: EvEject, Flit: f, Input: f.Src, Output: int(en.port), VC: f.VC})
+			p.out = append(p.out, f)
 		}
-		obs.Emit(Event{Cycle: now, Kind: EvEject, Flit: f, Input: f.Src, Output: int(en.port), VC: f.VC})
-		p.out = append(p.out, f)
-	}
+	})
 }

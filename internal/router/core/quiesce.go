@@ -19,9 +19,9 @@ const NoWake = sim.NoWake
 // NextWake(now) complements Quiescent for *timed* residual state. It
 // returns a lower bound, at least now+1, on the earliest future cycle
 // at which Step is not provably a no-op, or NoWake when no internal
-// event is ever due. The bound is exact for slot rings and delay lines
-// (their due cycles are known) and deliberately conservative (now+1)
-// whenever any buffer holds a flit, because buffered flits invoke
+// event is ever due. The bound is exact for calendars (NextAt names
+// their next due cycle) and deliberately conservative (now+1) whenever
+// any buffer holds a flit, because buffered flits invoke
 // arbiters whose rotation state advances even on fruitless rounds —
 // skipping such a cycle would not be state-preserving. A driver that
 // has stopped offering input may therefore jump time from now straight
@@ -39,32 +39,11 @@ func (b *Base) Quiescent() bool { return b.In.Buffered() == 0 && b.Out.Len() == 
 
 // NextWake returns the earliest future cycle at which the base datapath
 // can act: now+1 while any input VC holds a flit (buffered flits drive
-// allocation every cycle), otherwise the ejection pipe's next due slot,
+// allocation every cycle), otherwise the ejection pipe's next due cycle,
 // or NoWake when empty.
 func (b *Base) NextWake(now int64) int64 {
 	if b.In.Buffered() > 0 {
 		return now + 1
 	}
-	return b.Out.NextWake(now)
-}
-
-// NextWake returns the cycle at which the pipe's earliest occupied slot
-// drains, or NoWake when the pipe is empty. With delay d and L = d+1
-// slots, BeginCycle(t) drains slot (t+1) mod L, so slot s is next
-// drained at the cycle t >= now+1 with (t+1) mod L == s.
-func (p *EjectPipe) NextWake(now int64) int64 {
-	if p.count == 0 {
-		return NoWake
-	}
-	L := int64(len(p.slots))
-	best := NoWake
-	for s := int64(0); s < L; s++ {
-		if len(p.slots[s]) == 0 {
-			continue
-		}
-		if t := now + 1 + (s-(now+2)%L+L)%L; t < best {
-			best = t
-		}
-	}
-	return best
+	return b.Out.NextWake()
 }

@@ -36,6 +36,10 @@ func init() {
 	})
 }
 
+// creditWireDelay is how long a freed subswitch-input slot's credit
+// takes to reach the router input that feeds it.
+const creditWireDelay = 2
+
 // hierarchical is the paper's proposed architecture (Section 6,
 // Figure 16): the k x k crossbar is decomposed into a (k/p) x (k/p)
 // grid of p x p subswitches. Only subswitch inputs and outputs carry
@@ -86,9 +90,9 @@ type hierarchical struct {
 	colArb   []arb.Arbiter  // per output, over rows (subswitches in the column)
 	subOutVC *arb.RotorBank // [output*g+row] subswitch-output VC pick for the column stage
 
-	toSubIn    *sim.DelayLine[*flit.Flit]
-	toSubOut   *sim.DelayLine[*flit.Flit]
-	creditWire *sim.DelayLine[flit.Credit] // subIn slot freed -> router input
+	toSubIn    *sim.Calendar[*flit.Flit]  // STCycles long
+	toSubOut   *sim.Calendar[*flit.Flit]  // STCycles long
+	creditWire *sim.Calendar[flit.Credit] // subIn slot freed -> router input
 
 	// Active sets. The internal stage walks only subswitches holding
 	// flits (subAct), and within one only the occupied local inputs
@@ -162,9 +166,9 @@ func newHierarchical(cfg Config) *hierarchical {
 		outFree:     core.NewSerializerBank(k),
 		colArb:      make([]arb.Arbiter, k),
 		subOutVC:    arb.NewRotorBank(k*g, v),
-		toSubIn:     sim.NewDelayLine[*flit.Flit](cfg.STCycles),
-		toSubOut:    sim.NewDelayLine[*flit.Flit](cfg.STCycles),
-		creditWire:  sim.NewDelayLine[flit.Credit](2),
+		toSubIn:     sim.NewCalendar[*flit.Flit](cfg.STCycles, k),
+		toSubOut:    sim.NewCalendar[*flit.Flit](cfg.STCycles, k),
+		creditWire:  sim.NewCalendar[flit.Credit](creditWireDelay, k),
 		subAct:      core.MakeActiveSet(g * g),
 		subInAct:    core.MakeActiveSets(g*g, p),
 		subDemand:   core.MakeActiveSets(g*g, p),
@@ -218,49 +222,45 @@ func (r *hierarchical) NextWake(now int64) int64 {
 	if r.In.Buffered() > 0 || r.subInFlits > 0 || r.subOutFlits > 0 {
 		return now + 1
 	}
-	w := r.Out.NextWake(now)
-	if at, ok := r.toSubIn.NextAt(); ok && at < w {
-		w = at
-	}
-	if at, ok := r.toSubOut.NextAt(); ok && at < w {
-		w = at
-	}
-	if at, ok := r.creditWire.NextAt(); ok && at < w {
-		w = at
-	}
-	return w
+	return min(r.Out.NextWake(), r.toSubIn.NextAt(), r.toSubOut.NextAt(), r.creditWire.NextAt())
 }
 
 func (r *hierarchical) Step(now int64) {
 	r.BeginCycle(now)
-	r.toSubIn.DrainReady(now, func(f *flit.Flit) {
-		s, q, j := r.sub(f.Src, f.Dst), int(r.loc[f.Src]), r.loc[f.Dst]
-		qi := (s*r.p+q)*r.cfg.VCs + f.VC
-		if r.subIn.Push(qi, f) == 1 {
-			// f becomes the queue's front: mirror it in the head cache.
-			h := &r.subHeads[qi]
-			h.id, h.dst, h.head = f.PacketID, j, f.Head
-		}
-		r.subAct.Inc(s)
-		r.subInAct[s].Inc(q)
-		r.subDemand[s].Inc(int(j))
-		r.subInFlits++
-	})
-	r.toSubOut.DrainReady(now, func(f *flit.Flit) {
-		pj := r.sub(f.Src, f.Dst)*r.p + int(r.loc[f.Dst])
-		if r.subOut.Push(pj*r.cfg.VCs+f.VC, f) == 1 {
-			// f becomes the queue's front: mirror it in the masks.
-			r.subOutOcc[pj] |= 1 << uint(f.VC)
-			if f.Head {
-				r.subOutHead[pj] |= 1 << uint(f.VC)
+	r.toSubIn.PopDue(now, func(fs []*flit.Flit) {
+		for _, f := range fs {
+			s, q, j := r.sub(f.Src, f.Dst), int(r.loc[f.Src]), r.loc[f.Dst]
+			qi := (s*r.p+q)*r.cfg.VCs + f.VC
+			if r.subIn.Push(qi, f) == 1 {
+				// f becomes the queue's front: mirror it in the head cache.
+				h := &r.subHeads[qi]
+				h.id, h.dst, h.head = f.PacketID, j, f.Head
 			}
+			r.subAct.Inc(s)
+			r.subInAct[s].Inc(q)
+			r.subDemand[s].Inc(int(j))
 		}
-		r.outAct.Inc(f.Dst)
-		r.colRows[f.Dst].Inc(int(r.grp[f.Src]))
-		r.subOutFlits++
+		r.subInFlits += len(fs)
 	})
-	r.creditWire.DrainReady(now, func(c flit.Credit) {
-		r.creditIn.Return(now, r.subInPool(c.Input, c.Output, c.VC), c.Input, c.Output, c.VC)
+	r.toSubOut.PopDue(now, func(fs []*flit.Flit) {
+		for _, f := range fs {
+			pj := r.sub(f.Src, f.Dst)*r.p + int(r.loc[f.Dst])
+			if r.subOut.Push(pj*r.cfg.VCs+f.VC, f) == 1 {
+				// f becomes the queue's front: mirror it in the masks.
+				r.subOutOcc[pj] |= 1 << uint(f.VC)
+				if f.Head {
+					r.subOutHead[pj] |= 1 << uint(f.VC)
+				}
+			}
+			r.outAct.Inc(f.Dst)
+			r.colRows[f.Dst].Inc(int(r.grp[f.Src]))
+		}
+		r.subOutFlits += len(fs)
+	})
+	r.creditWire.PopDue(now, func(cs []flit.Credit) {
+		for _, c := range cs {
+			r.creditIn.Return(now, r.subInPool(c.Input, c.Output, c.VC), c.Input, c.Output, c.VC)
+		}
 	})
 	r.columnStage(now)
 	r.internalStage(now)
@@ -394,10 +394,10 @@ func (r *hierarchical) internalStage(now int64) {
 			r.intInFree.Reserve(sp+q, now, r.cfg.STCycles)
 			r.intOutFree.Reserve(pj, now, r.cfg.STCycles)
 			r.Obs.Emit(Event{Cycle: now, Kind: EvGrant, Flit: f, Input: row*p + q, Output: f.Dst, VC: c, Note: "subswitch"})
-			r.toSubOut.Push(now, f)
+			r.toSubOut.Schedule(now+int64(r.cfg.STCycles), f)
 			// Freed subswitch input slot: return a credit to the
 			// router input that feeds local port q of this row.
-			r.creditWire.Push(now, flit.Credit{Input: row*p + q, Output: col, VC: c})
+			r.creditWire.Schedule(now+creditWireDelay, flit.Credit{Input: row*p + q, Output: col, VC: c})
 		}
 	}
 }
@@ -428,6 +428,6 @@ func (r *hierarchical) inputStage(now int64) {
 		r.creditIn.Spend(now, r.subInPool(i, col, c), i, col, c)
 		r.inFree.Reserve(i, now, r.cfg.STCycles)
 		r.Obs.Emit(Event{Cycle: now, Kind: EvGrant, Flit: f, Input: i, Output: f.Dst, VC: c, Note: "row-bus"})
-		r.toSubIn.Push(now, f)
+		r.toSubIn.Schedule(now+int64(r.cfg.STCycles), f)
 	}
 }

@@ -51,9 +51,9 @@ type sharedXpoint struct {
 	outLG   []arb.Arbiter
 	outFree core.SerializerBank
 
-	toXp *sim.DelayLine[*flit.Flit]
-	ack  *sim.DelayLine[xpAck]
-	bus  core.CreditBus // one bus per input row; idle under IdealCredit
+	toXp *sim.Calendar[*flit.Flit] // row wires, STCycles long
+	ack  *sim.Calendar[xpAck]      // ackDelay back to the input
+	bus  core.CreditBus            // one bus per input row; idle under IdealCredit
 
 	// The crosspoint grid is walked in two orders — row-major by the
 	// NACK scan (input outer) and column-major by the output stage
@@ -76,6 +76,10 @@ type sharedXpoint struct {
 	candidates *arb.BitVec // sized k
 }
 
+// ackDelay is how long an ACK or NACK takes from the crosspoint back to
+// the input that sent the flit.
+const ackDelay = 1
+
 type xpAck struct {
 	input, vc int
 	ack       bool // false = NACK
@@ -94,8 +98,8 @@ func newSharedXpoint(cfg Config) *sharedXpoint {
 		xp:         core.MakeFIFOBank(k*k, cfg.XpointBufDepth),
 		outLG:      make([]arb.Arbiter, k),
 		outFree:    core.NewSerializerBank(k),
-		toXp:       sim.NewDelayLine[*flit.Flit](cfg.STCycles),
-		ack:        sim.NewDelayLine[xpAck](1),
+		toXp:       sim.NewCalendar[*flit.Flit](cfg.STCycles, k),
+		ack:        sim.NewCalendar[xpAck](ackDelay, k),
 		bus:        core.MakeCreditBus(k, k, cfg.LocalGroup, cfg.XpointBufDepth),
 		xpRow:      arb.MakeBitVecs(k, k),
 		rowAny:     core.MakeActiveSet(k),
@@ -152,36 +156,33 @@ func (r *sharedXpoint) NextWake(now int64) int64 {
 	if r.In.Buffered() > 0 || r.xpBody > 0 || r.bus.Pending() > 0 {
 		return now + 1
 	}
-	w := r.Out.NextWake(now)
-	if at, ok := r.toXp.NextAt(); ok && at < w {
-		w = at
-	}
-	if at, ok := r.ack.NextAt(); ok && at < w {
-		w = at
-	}
-	return w
+	return min(r.Out.NextWake(), r.toXp.NextAt(), r.ack.NextAt())
 }
 
 func (r *sharedXpoint) Step(now int64) {
 	r.BeginCycle(now)
-	r.ack.DrainReady(now, func(a xpAck) {
-		r.awaiting[a.input] &^= 1 << uint(a.vc)
-		if a.ack {
-			r.In.Pop(a.input, a.vc)
+	r.ack.PopDue(now, func(as []xpAck) {
+		for _, a := range as {
+			r.awaiting[a.input] &^= 1 << uint(a.vc)
+			if a.ack {
+				r.In.Pop(a.input, a.vc)
+			}
 		}
 	})
-	r.toXp.DrainReady(now, func(f *flit.Flit) {
-		if r.xp.Push(f.Src*r.cfg.Radix+f.Dst, f) == 1 {
-			r.xpRow[f.Src].Set(f.Dst)
-			r.xpCol[f.Dst].Set(f.Src)
-		}
-		r.rowAny.Inc(f.Src)
-		r.outAct.Inc(f.Dst)
-		if !f.Head {
-			// Body and tail flits cannot fail VC allocation; ACK on
-			// arrival so the input can proceed.
-			r.xpBody++
-			r.ack.Push(now, xpAck{input: f.Src, vc: f.VC, ack: true})
+	r.toXp.PopDue(now, func(fs []*flit.Flit) {
+		for _, f := range fs {
+			if r.xp.Push(f.Src*r.cfg.Radix+f.Dst, f) == 1 {
+				r.xpRow[f.Src].Set(f.Dst)
+				r.xpCol[f.Dst].Set(f.Src)
+			}
+			r.rowAny.Inc(f.Src)
+			r.outAct.Inc(f.Dst)
+			if !f.Head {
+				// Body and tail flits cannot fail VC allocation; ACK on
+				// arrival so the input can proceed.
+				r.xpBody++
+				r.ack.Schedule(now+ackDelay, xpAck{input: f.Src, vc: f.VC, ack: true})
+			}
 		}
 	})
 	r.nackBlockedHeads(now)
@@ -206,7 +207,7 @@ func (r *sharedXpoint) nackBlockedHeads(now int64) {
 			if f.Head && !r.Owner.FreeVC(o, f.VC) {
 				r.xpPop(i, o)
 				r.Obs.Emit(Event{Cycle: now, Kind: EvNack, Flit: f, Input: i, Output: o, VC: f.VC, Note: "xpoint-vc-busy"})
-				r.ack.Push(now, xpAck{input: i, vc: f.VC, ack: false})
+				r.ack.Schedule(now+ackDelay, xpAck{input: i, vc: f.VC, ack: false})
 				r.returnCredit(now, i, o)
 			}
 		}
@@ -247,7 +248,7 @@ func (r *sharedXpoint) outputStage(now int64) {
 			r.Owner.Acquire(o, f.VC, f.PacketID)
 			// Successful VC allocation: ACK so the input releases its
 			// retained copy.
-			r.ack.Push(now, xpAck{input: win, vc: f.VC, ack: true})
+			r.ack.Schedule(now+ackDelay, xpAck{input: win, vc: f.VC, ack: true})
 		} else {
 			r.xpBody--
 		}
@@ -284,6 +285,6 @@ func (r *sharedXpoint) inputStage(now int64) {
 		// and to keep the same flit from being re-sent for bodies
 		// (their ACK is immediate on arrival).
 		r.awaiting[i] |= 1 << uint(c)
-		r.toXp.Push(now, f)
+		r.toXp.Schedule(now+int64(r.cfg.STCycles), f)
 	}
 }

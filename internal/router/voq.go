@@ -121,7 +121,7 @@ func (r *voq) NextWake(now int64) int64 {
 	if r.In.Buffered() > 0 || r.voq.Buffered() > 0 {
 		return now + 1
 	}
-	return r.Out.NextWake(now)
+	return r.Out.NextWake()
 }
 
 func (r *voq) Step(now int64) {

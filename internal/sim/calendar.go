@@ -1,20 +1,33 @@
 package sim
 
-// Calendar is a bucketed calendar queue for events with bounded delay:
-// a power-of-two ring of buckets indexed by cycle. Unlike DelayLine it
-// accepts out-of-order Schedule calls (arrival cycles need not be
-// nondecreasing), which is what the sharded network runner requires —
-// at an epoch barrier, remote events merge into a calendar that already
-// holds locally scheduled ones with arbitrary relative order.
+// NoWake is the NextAt/NextWake sentinel for "no future event": far
+// enough ahead that it never compares below a real cycle, yet far from
+// int64 overflow when offsets are added to it.
+const NoWake = int64(1) << 62
+
+// Calendar is the simulator's one timed queue: a power-of-two ring of
+// per-cycle buckets. Every fixed-latency wire (request and grant wires,
+// row buses, switch traversal, credit return, network hops) is a
+// calendar scheduled at now+delay, and every NextWake rests on NextAt.
+// Schedule calls may come in any order — at an epoch barrier the
+// sharded network runner merges remote events into a calendar that
+// already holds locally scheduled ones.
+//
+// The contract fast-forward leans on: no due cycle is skipped. PopDue
+// delivers every event at or before now, cycle by cycle, however far
+// now has jumped since the last call, and NextAt names the earliest
+// pending cycle exactly.
 //
 // The window invariant is that every pending event lies in
-// [base, base+len(buckets)); Schedule grows the ring when an event
-// falls beyond it, so the capacity hint only sizes the common case.
-// A bucket therefore holds events of one cycle only, and entries carry
-// no timestamp: the bucket index is the cycle. Events scheduled before
-// base (possible only through a synchronizer bug; the shard mutation
-// tests seed exactly this) are clamped to base and apply at the next
-// drain rather than corrupting the ring.
+// [base, base+len(buckets)), so a bucket holds events of one cycle only
+// and entries carry no timestamp: the bucket index is the cycle.
+// Schedule keeps it by sliding the window forward over empty cycles and
+// growing the ring when a pending event is in the way; with every event
+// at most span cycles after the cycle it is scheduled in, the ring never
+// grows. Events
+// scheduled before base (possible only through a synchronizer bug; the
+// shard mutation tests seed exactly this) are clamped to base and apply
+// at the next drain rather than corrupting the ring.
 type Calendar[T any] struct {
 	buckets [][]T
 	mask    int64
@@ -23,13 +36,20 @@ type Calendar[T any] struct {
 }
 
 // NewCalendar returns a calendar able to hold events up to span cycles
-// in the future without growing.
-func NewCalendar[T any](span int) *Calendar[T] {
-	size := int64(8)
-	for size < int64(span)+1 {
+// in the future without growing its ring, and perCycle events in each
+// cycle without growing a bucket.
+func NewCalendar[T any](span, perCycle int) *Calendar[T] {
+	size := 2
+	for size <= span {
 		size <<= 1
 	}
-	return &Calendar[T]{buckets: make([][]T, size), mask: size - 1}
+	c := &Calendar[T]{buckets: make([][]T, size), mask: int64(size) - 1}
+	if perCycle > 0 {
+		for i := range c.buckets {
+			c.buckets[i] = make([]T, 0, perCycle)
+		}
+	}
+	return c
 }
 
 // Len returns the number of pending events.
@@ -41,8 +61,18 @@ func (c *Calendar[T]) Schedule(at int64, v T) {
 	if at < c.base {
 		at = c.base
 	}
-	for at-c.base >= int64(len(c.buckets)) {
-		c.grow()
+	if size := int64(len(c.buckets)); at-c.base >= size {
+		if c.NextAt() > at-size {
+			// Only empty cycles would leave the window (a quiescent
+			// stretch was jumped without a PopDue): slide it, and only
+			// as far as the event needs — a later out-of-order event up
+			// to size-1 cycles earlier must still land on its own cycle.
+			c.base = at - size + 1
+		} else {
+			for at-c.base >= int64(len(c.buckets)) {
+				c.grow()
+			}
+		}
 	}
 	b := at & c.mask
 	c.buckets[b] = append(c.buckets[b], v)
@@ -62,14 +92,15 @@ func (c *Calendar[T]) grow() {
 	}
 }
 
-// NextAt returns the earliest pending cycle.
-func (c *Calendar[T]) NextAt() (int64, bool) {
+// NextAt returns the earliest pending cycle, or NoWake when there is
+// none.
+func (c *Calendar[T]) NextAt() int64 {
 	if c.count == 0 {
-		return 0, false
+		return NoWake
 	}
 	for at := c.base; ; at++ {
 		if len(c.buckets[at&c.mask]) > 0 {
-			return at, true
+			return at
 		}
 	}
 }

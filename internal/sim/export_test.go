@@ -13,3 +13,6 @@ func (q *Queue[T]) Free() int {
 
 // Len reports the number of pending events.
 func (w *Wheel) Len() int { return w.inLap + len(w.over) }
+
+// Buckets reports the length of the calendar's ring.
+func (c *Calendar[T]) Buckets() int { return len(c.buckets) }

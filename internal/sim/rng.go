@@ -1,6 +1,7 @@
 // Package sim provides the small deterministic building blocks shared by
 // every simulator in this repository: a splittable pseudo-random number
-// generator, bounded FIFO queues, and fixed-latency delay lines.
+// generator, bounded FIFO queues, and the one timed queue every
+// fixed-latency wire is built from (Calendar).
 //
 // All randomness in the repository flows through RNG so that every
 // experiment is reproducible from a single seed.
