@@ -86,7 +86,7 @@ func main() {
 	case "clos":
 		topo, err = network.NewClos(network.Config{Radix: *radix, Digits: *digits})
 	case "ring":
-		topo, err = network.NewRing(network.RingConfig{Routers: *nodes})
+		topo, err = network.NewTorus(network.TorusConfig{X: *nodes, Y: 1})
 	case "torus":
 		topo, err = network.NewTorus(network.TorusConfig{X: *dimx, Y: *dimy})
 	default:

@@ -4,9 +4,11 @@
 // The paper's distributed switch allocator (Section 4.1) is built from
 // round-robin arbiters arranged hierarchically: a local output arbiter
 // selects among a co-located group of m inputs and forwards one request
-// to a global output arbiter that selects among the k/m local winners.
-// Section 4.4 adds a dual arbiter that prioritizes nonspeculative
-// requests over speculative ones. All of those are provided here.
+// to a global output arbiter that selects among the k/m local winners
+// — a two-level Tree, one structure at any depth. Section 4.4 adds a
+// dual arbiter that prioritizes nonspeculative requests over
+// speculative ones. Tiny arbiters kept by the thousand, such as a
+// router input's choice among its VCs, live as rows of a RotorBank.
 //
 // Arbiters are single-winner: given a request vector they grant at most
 // one requester per invocation. Fairness comes from a rotating priority
@@ -27,6 +29,10 @@ type Arbiter interface {
 // BitArbiter is Arbiter under a second name, for the callers (the
 // frozen bench/layers.go) that spell the interface both ways.
 type BitArbiter = Arbiter
+
+// NewLocalGlobal is NewTree under the paper's name for its two-stage
+// arbiter, kept for the same caller as BitArbiter.
+func NewLocalGlobal(n, m int) *Tree { return NewTree(n, m) }
 
 // RoundRobin is a rotating-priority arbiter over n request lines. After
 // granting line g, the highest priority moves to line g+1 (mod n), which
@@ -74,42 +80,6 @@ func (a *RoundRobin) ArbitrateBits(v *BitVec) int {
 	return idx
 }
 
-// ArbitrateWord grants from a request vector handed over as a single
-// word (line i at bit i), for callers that assemble tiny vectors — a
-// router input's per-VC requests, say — directly in a register. Only
-// valid for arbiters of at most 64 lines; grant-for-grant identical to
-// ArbitrateBits on the same bits.
-func (a *RoundRobin) ArbitrateWord(w uint64) int {
-	if a.n > 64 {
-		panic("arb: ArbitrateWord needs at most 64 lines")
-	}
-	return a.arbitrateWord(w)
-}
-
-// arbitrateWord is the grouped-stage entry point: an arbiter of size
-// <= 64 whose request lines were sliced out of a larger BitVec receives
-// them as a single word.
-func (a *RoundRobin) arbitrateWord(grp uint64) int {
-	w := rotFirst(grp, a.next)
-	if w >= 0 {
-		a.advancePast(w)
-	}
-	return w
-}
-
-// arbitrateRange is the grouped-stage entry point for nodes wider than
-// one word: the arbiter's n request lines live at [base, base+n) of a
-// larger BitVec and are searched in place with the bounded rotate-aware
-// scan, so no per-group extraction is needed at any fan-in.
-// Grant-for-grant identical to arbitrateWord on the sliced-out bits.
-func (a *RoundRobin) arbitrateRange(v *BitVec, base int) int {
-	w := bitPeekRange(v, base, a.n, a.next)
-	if w >= 0 {
-		a.advancePast(w)
-	}
-	return w
-}
-
 // advancePast commits a grant to line w: the highest priority moves to
 // w+1 (mod n).
 func (a *RoundRobin) advancePast(w int) {
@@ -121,12 +91,13 @@ func (a *RoundRobin) advancePast(w int) {
 
 // RotorBank packs the rotation pointers of count independent
 // round-robin arbiters, each over n <= 64 lines, into one flat byte
-// array. A radix-k crossbar holds a tiny arbiter per crosspoint (k*k of
-// them); as separate RoundRobin objects each arbitration chases a
-// pointer to its own heap allocation, while a bank keeps every pointer
-// in a contiguous 1-byte-per-arbiter table that stays cache-resident.
-// Arbitrate(i, w) is grant-for-grant identical to an i-th RoundRobin's
-// ArbitrateWord(w).
+// array. A radix-k router holds a tiny arbiter per input over its VCs,
+// and a buffered crossbar one per crosspoint (k*k of them); as separate
+// RoundRobin objects each arbitration chases a pointer to its own heap
+// allocation, while a bank keeps every pointer in a contiguous
+// 1-byte-per-arbiter table that stays cache-resident.
+// Arbitrate(i, w) is grant-for-grant identical to the i-th of count
+// RoundRobins over n lines handed the same requests.
 type RotorBank struct {
 	n    int
 	next []uint8

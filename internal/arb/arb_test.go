@@ -97,6 +97,25 @@ func TestRoundRobinSizeMismatchPanics(t *testing.T) {
 	NewRoundRobin(4).Arbitrate(make([]bool, 5))
 }
 
+func TestConstructorPanics(t *testing.T) {
+	for name, fn := range map[string]func(){
+		"roundrobin-0":  func() { NewRoundRobin(0) },
+		"rotorbank-0":   func() { NewRotorBank(0, 4) },
+		"rotorbank-n0":  func() { NewRotorBank(4, 0) },
+		"rotorbank-n65": func() { NewRotorBank(4, 65) },
+		"bitvec-0":      func() { MakeBitVec(0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
 // TestMakeBitVecsRowsIndependent: rows carved from one slab behave as
 // separate vectors — a row's last line never reads or writes its
 // neighbour's first word.

@@ -176,10 +176,11 @@ func (v *BitVec) NextIn(i, limit int) int {
 // may be smaller). dst must span exactly ceil(Len/m) lines; its previous
 // contents are overwritten. This is the upward "any requester in this
 // group?" pass of hierarchical arbitration, generalized from the old
-// hard-coded n=64/m=8 movemask: sub-word group widths of 8, 16 and 32
-// reduce each word by SWAR lanes, word-multiple widths reduce by
-// word-nonzero tests, and everything else falls back to visiting only
-// the raised lines — O(active) in every case.
+// hard-coded n=64/m=8 movemask: group widths dividing a word reduce
+// each word in registers (SWAR lanes for 8, 16 and 32, groupAnyWord for
+// 2 and 4), word-multiple widths reduce by word-nonzero tests, and
+// everything else falls back to visiting only the raised lines —
+// O(active) in every case.
 func (v *BitVec) GroupAny(dst *BitVec, m int) {
 	if m <= 0 {
 		panic("arb: group width must be positive")
@@ -188,7 +189,7 @@ func (v *BitVec) GroupAny(dst *BitVec, m int) {
 		panic("arb: group vector size mismatch")
 	}
 	switch {
-	case m == 8 || m == 16 || m == 32:
+	case m < 64 && 64%m == 0:
 		lanes := 64 / m
 		for i := range dst.words {
 			dst.words[i] = 0
@@ -197,8 +198,14 @@ func (v *BitVec) GroupAny(dst *BitVec, m int) {
 			if w == 0 {
 				continue
 			}
+			var g uint64
+			if m == 8 || m == 16 || m == 32 {
+				g = laneAny(w, m)
+			} else {
+				g = groupAnyWord(w, m)
+			}
 			base := wi * lanes
-			dst.words[base>>6] |= laneAny(w, m) << (uint(base) & 63)
+			dst.words[base>>6] |= g << (uint(base) & 63)
 		}
 	case m == 64:
 		for i := range dst.words {
@@ -246,6 +253,22 @@ func laneAny(w uint64, m int) uint64 {
 		return t>>31&1 | t>>62&2
 	}
 	panic("arb: unsupported lane width")
+}
+
+// groupAnyWord is GroupAny within one word, for group widths m < 64:
+// bit g of the result is raised iff any of w's bits [g*m, (g+1)*m) is.
+// For the lane widths 8, 16 and 32 laneAny gives the same word without
+// a loop; callers test for those first, so the movemask inlines.
+func groupAnyWord(w uint64, m int) uint64 {
+	mask := uint64(1)<<uint(m) - 1
+	var g uint64
+	for i := 0; w != 0; i++ {
+		if w&mask != 0 {
+			g |= 1 << uint(i)
+		}
+		w >>= uint(m)
+	}
+	return g
 }
 
 // slice extracts the size bits starting at line base as one word

@@ -102,30 +102,6 @@ func runFairness(t *testing.T, a arb.BoolArbiter, bits arb.Arbiter, rng *sim.RNG
 	}
 }
 
-func FuzzLocalGlobal(f *testing.F) {
-	f.Add(uint64(1), uint8(64), uint8(8), uint8(0))
-	f.Add(uint64(2), uint8(16), uint8(4), uint8(15))
-	f.Add(uint64(3), uint8(9), uint8(3), uint8(8))
-	f.Add(uint64(0xfeedface), uint8(7), uint8(16), uint8(3)) // m > n degenerates to flat
-	f.Add(uint64(42), uint8(1), uint8(1), uint8(0))
-	f.Add(uint64(5), uint8(255), uint8(7), uint8(100)) // multi-word vector, byte lanes
-	f.Add(uint64(6), uint8(199), uint8(71), uint8(50)) // local group wider than one word
-	f.Fuzz(func(t *testing.T, seed uint64, nRaw, mRaw, targetRaw uint8) {
-		n := 1 + int(nRaw) // up to 256: multi-word vectors included
-		m := 1 + int(mRaw)%96
-		a := arb.NewLocalGlobal(n, m)
-		if a.Size() != n {
-			t.Fatalf("Size() = %d, want %d", a.Size(), n)
-		}
-		target := int(targetRaw) % n
-		// A continuously requesting line wins its local rotation (at
-		// most m commits) once per global win of its group (at most
-		// Groups() rounds each, since the group keeps requesting).
-		bound := m * a.Groups()
-		runFairness(t, a, arb.NewLocalGlobal(n, m), sim.NewRNG(seed^0x9e3779b97f4a7c15), target, bound, 0)
-	})
-}
-
 func FuzzTree(f *testing.F) {
 	f.Add(uint64(1), uint8(64), uint8(8), uint8(0), uint8(0))
 	f.Add(uint64(2), uint8(64), uint8(2), uint8(63), uint8(0))
@@ -136,6 +112,11 @@ func FuzzTree(f *testing.F) {
 	f.Add(uint64(9), uint8(255), uint8(6), uint8(255), uint8(2)) // one-hot on the ragged last line
 	f.Add(uint64(10), uint8(99), uint8(1), uint8(40), uint8(1))  // two-hot at most, seven stages
 	f.Add(uint64(11), uint8(255), uint8(6), uint8(77), uint8(3)) // one-hot, empty and dense interleaved
+	f.Add(uint64(1), uint8(64), uint8(7), uint8(0), uint8(0))    // two levels over two words, groups of 9
+	f.Add(uint64(2), uint8(16), uint8(3), uint8(15), uint8(0))   // two levels, groups of 5
+	f.Add(uint64(3), uint8(9), uint8(2), uint8(8), uint8(0))     // two levels, groups of 4,4,2
+	f.Add(uint64(5), uint8(255), uint8(6), uint8(100), uint8(0)) // multi-word vector, byte lanes
+	f.Add(uint64(6), uint8(199), uint8(70), uint8(50), uint8(0)) // two levels, groups wider than one word
 	f.Fuzz(func(t *testing.T, seed uint64, nRaw, mRaw, targetRaw, shape uint8) {
 		n := 1 + int(nRaw)     // up to 256: multi-word vectors included
 		m := 2 + int(mRaw)%126 // tree fan-in must be >= 2; > 64 takes the range path
@@ -157,18 +138,20 @@ func FuzzTree(f *testing.F) {
 	})
 }
 
-// FuzzOutputArbiter covers the selection logic that picks flat,
-// local-global or tree structures depending on (n, m), ensuring the
+// FuzzOutputArbiter covers the selection logic that picks a flat
+// round-robin or a tree depending on (n, m), ensuring the
 // single-winner contract holds across the whole family exactly as the
 // routers construct them.
 func FuzzOutputArbiter(f *testing.F) {
 	f.Add(uint64(1), uint8(63), uint8(6), uint8(0))
 	f.Add(uint64(2), uint8(8), uint8(8), uint8(0))
 	f.Add(uint64(3), uint8(64), uint8(2), uint8(0))
-	f.Add(uint64(4), uint8(255), uint8(6), uint8(0)) // radix-256-sized tree selection
-	f.Add(uint64(5), uint8(255), uint8(6), uint8(1)) // one-hot vectors: a credit-bus row's stream
-	f.Add(uint64(6), uint8(127), uint8(6), uint8(2)) // empty vectors only
-	f.Add(uint64(7), uint8(255), uint8(6), uint8(3)) // one-hot, empty and dense interleaved
+	f.Add(uint64(4), uint8(255), uint8(6), uint8(0))         // radix-256-sized tree selection
+	f.Add(uint64(5), uint8(255), uint8(6), uint8(1))         // one-hot vectors: a credit-bus row's stream
+	f.Add(uint64(6), uint8(127), uint8(6), uint8(2))         // empty vectors only
+	f.Add(uint64(7), uint8(255), uint8(6), uint8(3))         // one-hot, empty and dense interleaved
+	f.Add(uint64(0xfeedface), uint8(7), uint8(15), uint8(0)) // m > n: flat round-robin
+	f.Add(uint64(42), uint8(1), uint8(0), uint8(0))          // two lines, m = 2
 	f.Fuzz(func(t *testing.T, seed uint64, nRaw, mRaw, shape uint8) {
 		n := 1 + int(nRaw)
 		m := 2 + int(mRaw)%126

@@ -5,11 +5,11 @@ package arb
 // the O(n) slice walks below are the oracle it is held to. They are
 // methods on the same types over the same rotation pointers, so a twin
 // instance driven through Arbitrate must agree with one driven through
-// ArbitrateBits grant for grant (and, in TestTreeOneHot, pointer for
-// pointer). Being test code they allocate their scratch per call.
+// ArbitrateBits grant for grant (and, for Tree, pointer for pointer:
+// treeTwins in tree_test.go). Being test code they allocate their
+// scratch per call.
 
-// BoolArbiter is the oracle entry point shared by RoundRobin,
-// LocalGlobal and Tree.
+// BoolArbiter is the oracle entry point shared by RoundRobin and Tree.
 type BoolArbiter interface {
 	Arbitrate(requests []bool) int
 	Size() int
@@ -50,38 +50,13 @@ func (a *RoundRobin) Arbitrate(requests []bool) int {
 	return w
 }
 
-// Arbitrate grants one of the requesting lines using local-then-global
-// round-robin selection: every group with a requester peeks a local
-// winner, the global stage picks a group, and only that group's local
-// pointer commits. It returns -1 when no line requests.
-func (a *LocalGlobal) Arbitrate(requests []bool) int {
-	if len(requests) != a.n {
-		panic("arb: request vector size mismatch")
-	}
-	group := func(g int) []bool { return requests[g*a.m : g*a.m+a.locals[g].n] }
-	globals := make([]bool, len(a.locals))
-	for g, local := range a.locals {
-		globals[g] = local.Peek(group(g)) >= 0
-	}
-	gw := a.global.Arbitrate(globals)
-	if gw < 0 {
-		return -1
-	}
-	return gw*a.m + a.locals[gw].Arbitrate(group(gw))
-}
-
 // Arbitrate selects a winner by percolating per-group winners up the
-// tree and committing the pointers along the winning path only.
+// tree and committing the pointers along the winning path only. It is
+// a different algorithm from ArbitrateBits's top-down descent — every
+// node peeks a winner, bottom-up — held to the same pointers.
 func (t *Tree) Arbitrate(requests []bool) int {
 	if len(requests) != t.n {
 		panic("arb: request vector size mismatch")
-	}
-	if len(t.levels) == 0 {
-		// Single line: grant it if requesting.
-		if requests[0] {
-			return 0
-		}
-		return -1
 	}
 	// Upward pass: per level, the winner index within each group; a
 	// group with a winner requests at the next level.
@@ -108,11 +83,7 @@ func (t *Tree) Arbitrate(requests []bool) int {
 	for li := len(t.levels) - 1; li >= 0; li-- {
 		lvl := &t.levels[li]
 		w := wins[li][node]
-		p := w + 1
-		if p >= t.nodeSize(lvl, node) {
-			p = 0
-		}
-		t.next[lvl.off+node] = int32(p)
+		t.grant(lvl.off+node, t.nodeSize(lvl, node), w)
 		node = node*t.m + w
 	}
 	return node

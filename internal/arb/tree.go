@@ -1,12 +1,14 @@
 package arb
 
-// Tree generalizes the local-global arbiter to an arbitrary number of
-// stages: request lines are grouped into fan-in m at every level, with
-// a round-robin arbiter per node, until a single root remains. The
-// paper notes that "for very high-radix routers, the two-stage output
-// arbiter can be extended to a larger number of stages" — Tree is that
-// extension; NewOutputArbiter picks the shallowest structure whose
-// every stage fits the fan-in budget.
+// Tree is the paper's distributed output arbiter (Figure 6) at any
+// depth: request lines are grouped into fan-in m at every level, with a
+// round-robin arbiter per node, until a single root remains. Two levels
+// are the paper's local-global arbiter — a local arbiter per group of m
+// co-located inputs, a global arbiter over the n/m local winners — and
+// the paper notes that "for very high-radix routers, the two-stage
+// output arbiter can be extended to a larger number of stages"; Tree is
+// both. NewOutputArbiter picks the shallowest tree whose every stage
+// fits the fan-in budget.
 //
 // A node is just a rotation pointer, and a whole tree keeps its nodes'
 // pointers in one flat array (level by level) rather than as separate
@@ -22,11 +24,9 @@ type Tree struct {
 	// next[levels[li].off+ni].
 	next []int32
 
-	// scratch: per level the winners percolating up as next-level
-	// requests, and each node's peeked local winner for the
-	// downward commit (laid out like next).
-	bitUp      []BitVec
-	bitWinners []int32
+	// scratch: up[li] holds the lines entering level li+1, bit ni
+	// raised iff node ni of level li has a requester.
+	up []BitVec
 }
 
 type treeLevel struct {
@@ -47,6 +47,17 @@ func (t *Tree) nodeSize(lvl *treeLevel, ni int) int {
 	return t.m
 }
 
+// grant commits a grant to line w of the node whose pointer is next[i]
+// and whose fan-in is size: the node's priority moves to w+1 (mod
+// size).
+func (t *Tree) grant(i, size, w int) {
+	p := w + 1
+	if p >= size {
+		p = 0
+	}
+	t.next[i] = int32(p)
+}
+
 // NewTree builds a tree arbiter over n lines with fan-in m per stage.
 func NewTree(n, m int) *Tree {
 	if n <= 0 {
@@ -57,17 +68,19 @@ func NewTree(n, m int) *Tree {
 	}
 	t := &Tree{n: n, m: m}
 	off := 0
-	for width := n; width > 1; {
+	for width := n; ; {
 		nodes := (width + m - 1) / m
 		t.levels = append(t.levels, treeLevel{width: width, nodes: nodes, last: width - (nodes-1)*m, off: off})
 		off += nodes
+		if nodes == 1 {
+			break // the root; a one-line tree is one node of fan-in one
+		}
 		width = nodes
 	}
 	t.next = make([]int32, off)
-	t.bitWinners = make([]int32, off)
-	t.bitUp = make([]BitVec, len(t.levels))
-	for li, lvl := range t.levels {
-		t.bitUp[li] = MakeBitVec(lvl.nodes)
+	t.up = make([]BitVec, len(t.levels)-1)
+	for li := range t.up {
+		t.up[li] = MakeBitVec(t.levels[li].nodes)
 	}
 	return t
 }
@@ -75,79 +88,104 @@ func NewTree(n, m int) *Tree {
 // Size returns the number of request lines.
 func (t *Tree) Size() int { return t.n }
 
-// ArbitrateBits selects a winner by percolating per-group winners up
-// the tree and committing the pointers along the winning path only, so
-// a group whose candidate loses higher up is not penalized (the same
-// convention as LocalGlobal). Each level reduces its request vector by
-// groups with one GroupAny pass, then peeks a local winner only at the
-// nodes that actually hold a requester (found by iterating the reduced
-// vector's set bits), so the whole upward pass is O(active) at any
-// radix and any fan-in. Winner entries at idle nodes go stale rather
-// than being reset; that is safe because the downward pass descends set
-// bits of the reduced vectors only.
+// ArbitrateBits grants one requesting line, or -1 when none requests,
+// committing the rotation pointers along the winning path only, so a
+// group whose candidate loses higher up is not penalized. (Hardware
+// commits every local winner's pointer; committing only the winning
+// path gives the same long-run fairness and is not observable in any of
+// the paper's experiments.)
 //
-// A vector holding exactly one line — a credit-bus row almost always
-// does, and so does an output column at moderate load — skips both
-// passes: the line wins at every node on its path, so the grant commits
-// the same rotation pointers the downward pass would write, past the
-// line's position in each node, and nothing else is read.
+// The descent is top-down: one GroupAny pass per level below the root
+// raises a line for every node holding a requester, then one
+// rotate-aware search per level — at the root, then at the one node on
+// the winning path — picks the child to descend into and commits that
+// node's pointer, so the cost is the reductions plus one search per
+// level, at any radix and any fan-in. The paper's local-global arbiter
+// over one word does it in registers (arbitrateWord).
+//
+// Off that path, a vector holding exactly one line — a credit-bus row
+// almost always does, and so does an output column at moderate load —
+// skips both: the line wins at every node on its path, so the grant
+// commits the pointers past the line's position in each node, and
+// nothing else is read.
 func (t *Tree) ArbitrateBits(v *BitVec) int {
 	if v.n != t.n {
 		panic("arb: request vector size mismatch")
 	}
+	if t.n <= 64 && len(t.levels) == 2 {
+		return t.arbitrateWord(v.words[0])
+	}
 	switch line := v.sole(); {
-	case line == -1 || len(t.levels) == 0:
-		return line // empty, or the single line of a one-line tree
+	case line == -1:
+		return -1
 	case line >= 0:
 		at := line
 		for li := range t.levels {
 			lvl := &t.levels[li]
 			node := at / t.m
-			p := at - node*t.m + 1
-			if p >= t.nodeSize(lvl, node) {
-				p = 0
-			}
-			t.next[lvl.off+node] = int32(p)
+			t.grant(lvl.off+node, t.nodeSize(lvl, node), at-node*t.m)
 			at = node
 		}
 		return line
 	}
-	// Upward pass: raise the next level's request line for every node
-	// with a requester, then peek those nodes' local winners.
 	cur := v
-	for li := range t.levels {
-		lvl := &t.levels[li]
-		next := &t.bitUp[li]
-		cur.GroupAny(next, t.m)
-		win, ptr := t.bitWinners[lvl.off:], t.next[lvl.off:]
-		if t.m <= 64 {
-			for ni := next.Next(0); ni >= 0; ni = next.Next(ni + 1) {
-				win[ni] = int32(rotFirst(cur.slice(ni*t.m, t.nodeSize(lvl, ni)), int(ptr[ni])))
-			}
-		} else {
-			// A node wider than one word searches its line range of cur in
-			// place instead of slicing.
-			for ni := next.Next(0); ni >= 0; ni = next.Next(ni + 1) {
-				win[ni] = int32(bitPeekRange(cur, ni*t.m, t.nodeSize(lvl, ni), int(ptr[ni])))
-			}
-		}
-		cur = next
+	for li := range t.up {
+		cur.GroupAny(&t.up[li], t.m)
+		cur = &t.up[li]
 	}
-	// Downward pass: follow the winning path from the root (which holds
-	// a requester, the vector being non-empty), committing each node's
-	// pointer past its peeked winner.
-	node := 0
-	for li := len(t.levels) - 1; li >= 0; li-- {
-		lvl := &t.levels[li]
-		w := int(t.bitWinners[lvl.off+node])
-		p := w + 1
-		if p >= t.nodeSize(lvl, node) {
-			p = 0
+	// The root is the one node over all of cur's lines.
+	top := len(t.levels) - 1
+	root := &t.levels[top]
+	var node int
+	if root.width <= 64 {
+		node = rotFirst(cur.words[0], int(t.next[root.off]))
+	} else {
+		node = bitPeekRange(cur, 0, root.width, int(t.next[root.off]))
+	}
+	t.grant(root.off, root.width, node)
+	for li := top - 1; li >= 0; li-- {
+		lines := v
+		if li > 0 {
+			lines = &t.up[li-1]
 		}
-		t.next[lvl.off+node] = int32(p)
-		node = node*t.m + w
+		lvl := &t.levels[li]
+		base, size, ptr := node*t.m, t.nodeSize(lvl, node), int(t.next[lvl.off+node])
+		var win int
+		if t.m <= 64 {
+			win = rotFirst(lines.slice(base, size), ptr)
+		} else {
+			win = bitPeekRange(lines, base, size, ptr)
+		}
+		t.grant(lvl.off+node, size, win)
+		node = base + win
 	}
 	return node
+}
+
+// arbitrateWord is ArbitrateBits for a two-level tree over at most 64
+// lines — the paper's local-global arbiter, and every output arbiter of
+// a radix-64 router — in registers: group presence (by the lane
+// movemask at the paper's m = 8), a global rotFirst over the groups, a
+// local one over the winning group's lines, bits [g*m, g*m+size) of w.
+// Written out rather than run through the descent loop, the two
+// searches branch-predict apart, about twice as fast.
+func (t *Tree) arbitrateWord(w uint64) int {
+	if w == 0 {
+		return -1
+	}
+	var groups uint64
+	if t.m == 8 || t.m == 16 || t.m == 32 {
+		groups = laneAny(w, t.m)
+	} else {
+		groups = groupAnyWord(w, t.m)
+	}
+	root, lvl := &t.levels[1], &t.levels[0]
+	g := rotFirst(groups, int(t.next[root.off]))
+	t.grant(root.off, root.width, g)
+	base, size := g*t.m, t.nodeSize(lvl, g)
+	win := rotFirst(w>>uint(base)&(1<<uint(size)-1), int(t.next[lvl.off+g]))
+	t.grant(lvl.off+g, size, win)
+	return base + win
 }
 
 // bitPeekRange finds the requesting line cyclically closest to ptr
@@ -164,16 +202,12 @@ func bitPeekRange(v *BitVec, base, size, ptr int) int {
 }
 
 // NewOutputArbiter returns the shallowest arbiter over n lines whose
-// every stage has fan-in at most m: a flat round-robin when n <= m, the
-// paper's two-stage local-global when n <= m^2, and a deeper tree
-// beyond that.
+// every stage has fan-in at most m: a flat round-robin when n <= m, and
+// otherwise a Tree — the paper's two-stage local-global arbiter when
+// n <= m^2, deeper beyond that.
 func NewOutputArbiter(n, m int) Arbiter {
-	switch {
-	case n <= m:
+	if n <= m {
 		return NewRoundRobin(n)
-	case n <= m*m:
-		return NewLocalGlobal(n, m)
-	default:
-		return NewTree(n, m)
 	}
+	return NewTree(n, m)
 }

@@ -171,7 +171,7 @@ func TestClosConformance(t *testing.T) {
 // pattern capacity (the diagonal is the ring's tornado, whose capacity
 // on 16 nodes is ~0.12).
 func TestTopologyConformance(t *testing.T) {
-	ring, err := network.NewRing(network.RingConfig{Routers: 16})
+	ring, err := network.NewTorus(network.TorusConfig{X: 16, Y: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

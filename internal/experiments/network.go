@@ -121,7 +121,7 @@ func FigTopo(s Scale) (*stats.Table, error) {
 		XLabel: "offered load",
 		YLabel: "latency (cycles)",
 	}
-	ring, err := network.NewRing(network.RingConfig{Routers: 16})
+	ring, err := network.NewTorus(network.TorusConfig{X: 16, Y: 1})
 	if err != nil {
 		return nil, err
 	}

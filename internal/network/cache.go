@@ -30,10 +30,8 @@ type CanonicalTopology interface {
 // NextHop exactly.
 func (c *Clos) Canonical() string { return fmt.Sprintf("clos%+v", c.cfg) }
 
-// Canonical returns the canonical cache description of the ring.
-func (g *Ring) Canonical() string { return fmt.Sprintf("ring%+v", g.cfg) }
-
-// Canonical returns the canonical cache description of the torus.
+// Canonical returns the canonical cache description of the torus (the
+// ring included: its Y = 1 is in the config).
 func (t *Torus) Canonical() string { return fmt.Sprintf("torus%+v", t.cfg) }
 
 // CacheKey returns the content address of this run's Result, or

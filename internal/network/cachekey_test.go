@@ -84,8 +84,8 @@ func TestTopologyCanonicalDistinct(t *testing.T) {
 	topos := []CanonicalTopology{
 		mk(func() (Topology, error) { return NewClos(Config{Radix: 4, Digits: 2}) }),
 		mk(func() (Topology, error) { return NewClos(Config{Radix: 4, Digits: 3}) }),
-		mk(func() (Topology, error) { return NewRing(RingConfig{Routers: 16}) }),
-		mk(func() (Topology, error) { return NewRing(RingConfig{Routers: 8}) }),
+		mk(func() (Topology, error) { return NewTorus(TorusConfig{X: 16, Y: 1}) }),
+		mk(func() (Topology, error) { return NewTorus(TorusConfig{X: 8, Y: 1}) }),
 		mk(func() (Topology, error) { return NewTorus(TorusConfig{X: 4, Y: 4}) }),
 		mk(func() (Topology, error) { return NewTorus(TorusConfig{X: 2, Y: 8}) }),
 	}

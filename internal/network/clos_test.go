@@ -46,7 +46,7 @@ func TestLinkFeederInverse(t *testing.T) {
 	for _, topo := range []Topology{
 		mustClos(t, Config{Radix: 4, Digits: 2}),
 		mustClos(t, Config{Radix: 4, Digits: 3}),
-		mustRing(t, RingConfig{Routers: 7}),
+		mustTorus(t, TorusConfig{X: 7, Y: 1}),
 		mustTorus(t, TorusConfig{X: 3, Y: 4}),
 	} {
 		for r := 0; r < topo.Routers(); r++ {
@@ -81,15 +81,6 @@ func mustClos(t *testing.T, cfg Config) *Clos {
 		t.Fatal(err)
 	}
 	return c
-}
-
-func mustRing(t *testing.T, cfg RingConfig) *Ring {
-	t.Helper()
-	r, err := NewRing(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
 }
 
 func mustTorus(t *testing.T, cfg TorusConfig) *Torus {

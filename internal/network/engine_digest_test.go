@@ -68,7 +68,7 @@ func digestTopologies(t *testing.T) []struct {
 	}{
 		{"clos-k4d2", must(network.NewClos(network.Config{Radix: 4, Digits: 2, VCs: 2, BufDepth: 4}))},
 		{"clos-k4d3", must(network.NewClos(network.Config{Radix: 4, Digits: 3, VCs: 2, BufDepth: 4}))},
-		{"ring", must(network.NewRing(network.RingConfig{Routers: 8, VCs: 4, BufDepth: 4}))},
+		{"ring", must(network.NewTorus(network.TorusConfig{X: 8, Y: 1, VCs: 4, BufDepth: 4}))},
 		{"torus", must(network.NewTorus(network.TorusConfig{X: 3, Y: 3, VCs: 4, BufDepth: 4}))},
 	}
 }

@@ -24,8 +24,8 @@ type Hooks interface {
 type Options struct {
 	// Net is the Clos configuration, used when Topo is nil.
 	Net Config
-	// Topo, when non-nil, selects the topology directly (NewRing,
-	// NewTorus, or a custom family) and Net is ignored.
+	// Topo, when non-nil, selects the topology directly (NewTorus,
+	// whose Y = 1 is the ring, or a custom family) and Net is ignored.
 	Topo Topology
 	// Load is offered load as a fraction of terminal channel capacity
 	// (one flit per SerCycles per terminal).

@@ -34,8 +34,8 @@ func FuzzShardEquivalence(f *testing.F) {
 				VCs: vcs, BufDepth: depth,
 			})
 		case 1:
-			topo, err = network.NewRing(network.RingConfig{
-				Routers: 2 + int(size)%8, VCs: vcs, BufDepth: depth,
+			topo, err = network.NewTorus(network.TorusConfig{
+				X: 2 + int(size)%8, Y: 1, VCs: vcs, BufDepth: depth,
 			})
 		default:
 			topo, err = network.NewTorus(network.TorusConfig{

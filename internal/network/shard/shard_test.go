@@ -40,7 +40,7 @@ func testTopologies(t testing.TB) map[string]network.Topology {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := network.NewRing(network.RingConfig{Routers: 8, VCs: 4, BufDepth: 4})
+	ring, err := network.NewTorus(network.TorusConfig{X: 8, Y: 1, VCs: 4, BufDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestMutationUnorderedMerge(t *testing.T) {
 // the critical path — the regime where synchronization bugs surface.
 func someWorkerDiverges(t *testing.T) bool {
 	t.Helper()
-	ring, err := network.NewRing(network.RingConfig{Routers: 8, VCs: 4, BufDepth: 2})
+	ring, err := network.NewTorus(network.TorusConfig{X: 8, Y: 1, VCs: 4, BufDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,8 @@ import (
 )
 
 // TorusConfig describes a 2D torus: X*Y routers, one terminal each,
-// with a bidirectional ring in each dimension.
+// with a bidirectional ring in each dimension. Y = 1 is the
+// one-dimensional torus, a bidirectional ring of X routers.
 type TorusConfig struct {
 	// X, Y are the dimension sizes; Terminals = X*Y.
 	X, Y int
@@ -51,8 +52,8 @@ func (c TorusConfig) WithDefaults() TorusConfig {
 
 // Validate reports configuration errors.
 func (c TorusConfig) Validate() error {
-	if c.X < 2 || c.Y < 2 {
-		return fmt.Errorf("network: torus needs each dimension >= 2, got %dx%d", c.X, c.Y)
+	if c.X < 2 || c.Y < 1 {
+		return fmt.Errorf("network: torus needs X >= 2 and Y >= 1 (Y = 1 is a ring), got %dx%d", c.X, c.Y)
 	}
 	if c.VCs < 2 || c.VCs%2 != 0 {
 		return fmt.Errorf("network: torus needs an even VC count >= 2 for dateline classes, got %d", c.VCs)
@@ -89,9 +90,23 @@ func NewTorus(cfg TorusConfig) (*Torus, error) {
 // Config returns the defaulted configuration.
 func (g *Torus) Config() TorusConfig { return g.cfg }
 
-func (g *Torus) Name() string     { return "torus" }
+// Name is "ring" for the one-dimensional torus.
+func (g *Torus) Name() string {
+	if g.cfg.Y == 1 {
+		return "ring"
+	}
+	return "torus"
+}
+
+// Ports leaves out the Y ports of a ring, which would only loop back.
+func (g *Torus) Ports() int {
+	if g.cfg.Y == 1 {
+		return 3
+	}
+	return 5
+}
+
 func (g *Torus) Routers() int     { return g.cfg.X * g.cfg.Y }
-func (g *Torus) Ports() int       { return 5 }
 func (g *Torus) VCs() int         { return g.cfg.VCs }
 func (g *Torus) Terminals() int   { return g.cfg.X * g.cfg.Y }
 func (g *Torus) BufDepth() int    { return g.cfg.BufDepth }

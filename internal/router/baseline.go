@@ -127,7 +127,7 @@ type baseline struct {
 	core.Base
 
 	ins      []blInput
-	inputArb []arb.RoundRobin // by value: SA1 reads no per-input pointer
+	inputArb *arb.RotorBank // per input, over VCs
 
 	outs []blOutput // by value: one contiguous block, no per-output pointer chase
 
@@ -161,7 +161,7 @@ func newBaseline(cfg Config) *baseline {
 		cfg:         cfg,
 		Base:        core.MakeBase(core.Obs{O: cfg.Observer}, k, v, cfg.InputBufDepth, stStartDelay+cfg.STCycles-1),
 		ins:         make([]blInput, k),
-		inputArb:    make([]arb.RoundRobin, k),
+		inputArb:    arb.NewRotorBank(k, v),
 		outs:        make([]blOutput, k),
 		outPending:  arb.MakeBitVec(k),
 		anyReq:      arb.MakeBitVec(k),
@@ -175,7 +175,6 @@ func newBaseline(cfg Config) *baseline {
 		withdrawAt: *sim.NewCalendar[int32](reqTimeout, k),
 	}
 	for i := 0; i < k; i++ {
-		r.inputArb[i] = *arb.NewRoundRobin(v)
 		o := &r.outs[i]
 		o.pending = make([]blRequest, 0, k)
 		o.vcPtr = make([]int, v)
@@ -468,7 +467,7 @@ func (r *baseline) issueRequests(now int64) {
 		if w == 0 {
 			continue
 		}
-		c := r.inputArb[i].ArbitrateWord(w)
+		c := r.inputArb.Arbitrate(i, w)
 		fm := &fronts[c]
 		breq := blRequest{input: int32(i), vc: int32(c), out: fm.Dst, pkt: fm.Pkt}
 		if fm.Head && fm.OutVC < 0 {

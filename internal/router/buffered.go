@@ -55,7 +55,7 @@ type buffered struct {
 	core.Base
 
 	inFree   core.SerializerBank
-	inputArb []*arb.RoundRobin
+	inputArb *arb.RotorBank // per input, over VCs
 
 	credit  core.Ledger    // pools flat [(input*k+output)*v+vc]
 	xp      core.FIFOBank  // flat [(input*k+output)*v+vc], same layout as the ledger
@@ -98,7 +98,7 @@ func newBuffered(cfg Config) *buffered {
 		cfg:        cfg,
 		Base:       core.MakeBase(obs, k, v, cfg.InputBufDepth, cfg.STCycles),
 		inFree:     core.NewSerializerBank(k),
-		inputArb:   make([]*arb.RoundRobin, k),
+		inputArb:   arb.NewRotorBank(k, v),
 		credit:     core.MakeLedger(obs, "xpoint", k*k*v, cfg.XpointBufDepth),
 		xp:         core.MakeFIFOBank(k*k*v, cfg.XpointBufDepth),
 		xpArb:      arb.NewRotorBank(k*k, v),
@@ -114,7 +114,6 @@ func newBuffered(cfg Config) *buffered {
 		chosenVC:   make([]int, k),
 	}
 	for i := 0; i < k; i++ {
-		r.inputArb[i] = arb.NewRoundRobin(v)
 		r.outLG[i] = arb.NewOutputArbiter(k, cfg.LocalGroup)
 	}
 	return r
@@ -258,7 +257,7 @@ func (r *buffered) inputStage(now int64) {
 		if req == 0 {
 			continue
 		}
-		c := r.inputArb[i].ArbitrateWord(req)
+		c := r.inputArb.Arbitrate(i, req)
 		f := r.In.Pop(i, c)
 		r.credit.Spend(now, r.xpPool(i, f.Dst, c), i, f.Dst, c)
 		r.inFree.Reserve(i, now, r.cfg.STCycles)

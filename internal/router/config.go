@@ -273,8 +273,10 @@ func (c Config) Validate() error {
 	if c.STCycles < 1 {
 		errs = append(errs, fmt.Errorf("switch traversal %d < 1 cycles", c.STCycles))
 	}
-	if c.LocalGroup < 1 {
-		errs = append(errs, fmt.Errorf("local group %d < 1", c.LocalGroup))
+	if c.LocalGroup < 2 {
+		// A group of one arbitrates nothing: an output arbiter's every
+		// stage must merge at least two lines (arb.NewTree).
+		errs = append(errs, fmt.Errorf("local group %d < 2", c.LocalGroup))
 	}
 	d, registered := Describe(c.Arch)
 	if !registered {

@@ -12,11 +12,12 @@ import (
 // value, so a bad sweep configuration fails with a message that says
 // what to fix.
 func TestConfigValidationEdges(t *testing.T) {
-	cases := []struct {
+	type edgeCase struct {
 		name     string
 		mutate   func(*router.Config)
 		fragment string
-	}{
+	}
+	cases := []edgeCase{
 		{"radix 1", func(c *router.Config) { c.Radix = 1 }, "radix 1 < 2"},
 		{"negative radix", func(c *router.Config) { c.Radix = -4 }, "radix -4 < 2"},
 		{"negative vcs", func(c *router.Config) { c.VCs = -1 }, "vcs -1 < 1"},
@@ -29,7 +30,7 @@ func TestConfigValidationEdges(t *testing.T) {
 			"buffer depth 80000 > 65535",
 		},
 		{"negative traversal", func(c *router.Config) { c.STCycles = -4 }, "switch traversal -4 < 1"},
-		{"negative local group", func(c *router.Config) { c.LocalGroup = -8 }, "local group -8 < 1"},
+		{"negative local group", func(c *router.Config) { c.LocalGroup = -8 }, "local group -8 < 2"},
 		{
 			"negative xpoint depth",
 			func(c *router.Config) { c.Arch = router.ArchBuffered; c.XpointBufDepth = -1 },
@@ -61,6 +62,11 @@ func TestConfigValidationEdges(t *testing.T) {
 			"prioritized allocation applies only to the baseline",
 		},
 		{"unknown arch", func(c *router.Config) { c.Arch = router.Arch(99) }, "unknown architecture 99"},
+	}
+	// A local group of one used to validate and then panic in the
+	// output-arbiter constructor; every architecture must reject it.
+	for _, a := range router.Registered() {
+		cases = append(cases, edgeCase{"local group 1 " + a.String(), func(c *router.Config) { c.Arch = a; c.LocalGroup = 1 }, "local group 1 < 2"})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

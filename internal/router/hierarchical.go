@@ -71,8 +71,8 @@ type hierarchical struct {
 	core.Base
 
 	inFree   core.SerializerBank
-	inputArb []*arb.RoundRobin
-	creditIn core.Ledger // subIn pools flat [(input*g+column)*v+vc]
+	inputArb *arb.RotorBank // per input, over VCs
+	creditIn core.Ledger    // subIn pools flat [(input*g+column)*v+vc]
 
 	// Subswitch state, one flat bank each. Subswitch (row, col) is
 	// s = row*g+col; its local port x (input q or output j) is s*p+x,
@@ -153,7 +153,7 @@ func newHierarchical(cfg Config) *hierarchical {
 		loc:         make([]int32, k),
 		Base:        core.MakeBase(obs, k, v, cfg.InputBufDepth, cfg.STCycles),
 		inFree:      core.NewSerializerBank(k),
-		inputArb:    make([]*arb.RoundRobin, k),
+		inputArb:    arb.NewRotorBank(k, v),
 		creditIn:    core.MakeLedger(obs, "subin", k*g*v, cfg.SubInDepth),
 		subIn:       core.MakeFIFOBank(k*g*v, cfg.SubInDepth),
 		subOut:      core.MakeFIFOBank(k*g*v, cfg.SubOutDepth),
@@ -190,7 +190,6 @@ func newHierarchical(cfg Config) *hierarchical {
 	}
 	for i := 0; i < k; i++ {
 		r.grp[i], r.loc[i] = int32(i/p), int32(i%p)
-		r.inputArb[i] = arb.NewRoundRobin(v)
 		r.colArb[i] = arb.NewOutputArbiter(g, cfg.LocalGroup)
 	}
 	return r
@@ -422,7 +421,7 @@ func (r *hierarchical) inputStage(now int64) {
 		if req == 0 {
 			continue
 		}
-		c := r.inputArb[i].ArbitrateWord(req)
+		c := r.inputArb.Arbitrate(i, req)
 		f := r.In.Pop(i, c)
 		col := int(r.grp[f.Dst])
 		r.creditIn.Spend(now, r.subInPool(i, col, c), i, col, c)

@@ -25,15 +25,14 @@ type sepAlloc struct {
 
 	inFree   core.SerializerBank
 	outFree  core.SerializerBank
-	inputArb []*arb.RoundRobin // per input, over VCs
-	outArb   []*arb.RoundRobin // per output, over inputs
-	vaPtr    [][]int           // [output][outVC] rotating pointer over input-VC flat index
+	inputArb *arb.RotorBank   // per input, over VCs
+	outArb   []arb.RoundRobin // per output, over inputs
+	vaPtr    [][]int          // [output][outVC] rotating pointer over input-VC flat index
 
 	// scratch
 	saReqVC      []int         // per input: requesting VC this iteration
 	outReqs      []*arb.BitVec // per output: requesting inputs this iteration
 	outActive    *arb.BitVec   // outputs with at least one request
-	vcReq        *arb.BitVec   // sized v: one input's eligible VCs
 	inputMatched *arb.BitVec   // inputs matched in an earlier iteration
 	vaReqs       [][]int32     // per output VC (flat o*v+ov): requesting input VCs
 	vaActive     *arb.BitVec   // output VCs with at least one request
@@ -50,21 +49,19 @@ func makeSepAlloc(cfg *Config, base *core.Base, onPop func(int64, int, int, *fli
 		onPop:        onPop,
 		inFree:       core.NewSerializerBank(k),
 		outFree:      core.NewSerializerBank(k),
-		inputArb:     make([]*arb.RoundRobin, k),
-		outArb:       make([]*arb.RoundRobin, k),
+		inputArb:     arb.NewRotorBank(k, v),
+		outArb:       make([]arb.RoundRobin, k),
 		vaPtr:        make([][]int, k),
 		saReqVC:      make([]int, k),
 		outReqs:      make([]*arb.BitVec, k),
 		outActive:    arb.NewBitVec(k),
-		vcReq:        arb.NewBitVec(v),
 		inputMatched: arb.NewBitVec(k),
 		vaReqs:       make([][]int32, k*v),
 		vaActive:     arb.NewBitVec(k * v),
 	}
 	for i := 0; i < k; i++ {
 		s.outReqs[i] = arb.NewBitVec(k)
-		s.inputArb[i] = arb.NewRoundRobin(v)
-		s.outArb[i] = arb.NewRoundRobin(k)
+		s.outArb[i] = arb.MakeRoundRobin(k)
 		s.vaPtr[i] = make([]int, v)
 	}
 	return s
@@ -151,8 +148,7 @@ func (s *sepAlloc) switchAllocate(now int64) {
 			if s.inputMatched.Get(i) || !s.inFree.Free(i, now) {
 				continue
 			}
-			s.vcReq.Reset()
-			any := false
+			var req uint64
 			fronts := in.Fronts(i)
 			for c := 0; c < v; c++ {
 				fr := &fronts[c]
@@ -167,14 +163,13 @@ func (s *sepAlloc) switchAllocate(now int64) {
 					eligible = false
 				}
 				if eligible {
-					s.vcReq.Set(c)
-					any = true
+					req |= 1 << uint(c)
 				}
 			}
-			if !any {
+			if req == 0 {
 				continue
 			}
-			c := s.inputArb[i].ArbitrateBits(s.vcReq)
+			c := s.inputArb.Arbitrate(i, req)
 			s.saReqVC[i] = c
 			o := int(fronts[c].Dst)
 			s.outReqs[o].Set(i)

@@ -44,7 +44,7 @@ type sharedXpoint struct {
 
 	awaiting []uint64 // [input] bit vc: sent speculatively, ACK/NACK pending
 	inFree   core.SerializerBank
-	inputArb []*arb.RoundRobin
+	inputArb *arb.RotorBank // per input, over VCs
 
 	credit  core.Ledger   // shared-buffer pools flat [input*k+output]
 	xp      core.FIFOBank // flat [input*k+output] shared FIFO, same layout as the ledger
@@ -93,7 +93,7 @@ func newSharedXpoint(cfg Config) *sharedXpoint {
 		Base:       core.MakeBase(obs, k, v, cfg.InputBufDepth, cfg.STCycles),
 		awaiting:   make([]uint64, k),
 		inFree:     core.NewSerializerBank(k),
-		inputArb:   make([]*arb.RoundRobin, k),
+		inputArb:   arb.NewRotorBank(k, v),
 		credit:     core.MakeLedger(obs, "xp-shared", k*k, cfg.XpointBufDepth),
 		xp:         core.MakeFIFOBank(k*k, cfg.XpointBufDepth),
 		outLG:      make([]arb.Arbiter, k),
@@ -108,7 +108,6 @@ func newSharedXpoint(cfg Config) *sharedXpoint {
 		candidates: arb.NewBitVec(k),
 	}
 	for i := 0; i < k; i++ {
-		r.inputArb[i] = arb.NewRoundRobin(v)
 		r.outLG[i] = arb.NewOutputArbiter(k, cfg.LocalGroup)
 	}
 	return r
@@ -275,7 +274,7 @@ func (r *sharedXpoint) inputStage(now int64) {
 		if req == 0 {
 			continue
 		}
-		c := r.inputArb[i].ArbitrateWord(req)
+		c := r.inputArb.Arbitrate(i, req)
 		f := r.In.Peek(i, c)
 		r.credit.Spend(now, r.xpPool(i, f.Dst), i, f.Dst, 0)
 		r.inFree.Reserve(i, now, r.cfg.STCycles)
