@@ -9,20 +9,20 @@
 // The soundness argument, spelled out once:
 //
 //	determinism  ⇒  equal canonical options  ⇒  equal result bytes
-//	key = H(canonical options)  ⇒  key equality ⇐ option equality
+//	key = H(Behaviour, canonical options)  ⇒  key equality ⇐ option equality
 //
 // The converse (a hash collision mapping distinct options to one key)
 // is guarded by SHA-256. What invalidates a key is therefore exactly a
-// semantic change: any differing option field, or a bump of the schema
-// version a layer passes to NewKey when its encoding or simulation
-// semantics change.
+// semantic change: any differing option field, or a change to the
+// repository's recorded behaviour (Behaviour, regenerated from the
+// digest oracles and figure goldens), which re-addresses every key at
+// once.
 //
 // Three layers compose:
 //
-//   - KeyBuilder canonicalizes an open set of (field, value) pairs into
-//     a Key: fields are sorted by name before hashing, so callers may
-//     add them in any order (defaulting order, map iteration order)
-//     without perturbing the key.
+//   - KeyOf walks an options struct into a Key (walk.go), through the
+//     one KeyBuilder: a canonical, name-sorted listing of (field, value)
+//     pairs under Behaviour, hashed.
 //   - Store maps Keys to payload bytes on disk, with an integrity
 //     checksum over every entry; a corrupted or truncated entry is
 //     detected on read and treated as a miss (and removed), never
@@ -51,18 +51,17 @@ type Key string
 // sorts by field name before hashing, which is what makes the key
 // invariant under config-defaulting order and Go map iteration order.
 type KeyBuilder struct {
-	schema string
-	fields []keyField
+	namespace string
+	fields    []keyField
 }
 
 type keyField struct{ name, value string }
 
-// NewKey starts a key under the given schema version (for example
-// "tbrun/v1"). The schema participates in the hash, so bumping it
-// invalidates every key minted under the old version — the escape
-// hatch when simulation semantics or payload encodings change.
-func NewKey(schema string) *KeyBuilder {
-	return &KeyBuilder{schema: schema}
+// NewKey starts a key in the given namespace (KeyOf uses the walked
+// type's name). The namespace participates in the hash, so two kinds of
+// result never share an address.
+func NewKey(namespace string) *KeyBuilder {
+	return &KeyBuilder{namespace: namespace}
 }
 
 // Field records one named component of the key. Field names must be
@@ -86,14 +85,15 @@ func (b *KeyBuilder) Fieldf(name, format string, args ...any) *KeyBuilder {
 	return b.Field(name, fmt.Sprintf(format, args...))
 }
 
-// Canonical renders the sorted field list — the exact bytes that are
-// hashed. Exposed for tests and debugging; production callers use Key.
+// Canonical renders Behaviour, the namespace and the sorted field list —
+// the exact bytes that are hashed. Exposed for tests and debugging;
+// production callers use Key.
 func (b *KeyBuilder) Canonical() string {
 	fields := append([]keyField(nil), b.fields...)
 	sort.Slice(fields, func(i, j int) bool { return fields[i].name < fields[j].name })
 	var sb strings.Builder
-	sb.WriteString("schema=")
-	sb.WriteString(b.schema)
+	sb.WriteString("behaviour=" + Behaviour + "\nnamespace=")
+	sb.WriteString(b.namespace)
 	sb.WriteByte('\n')
 	for _, f := range fields {
 		sb.WriteString(f.name)

@@ -1,45 +1,23 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"highradix/internal/cache"
 	"highradix/internal/stats"
 )
 
-// figureSchema versions the figure-level cache: the key canonical form
-// below plus the stats table encoding it stores. The per-experiment
-// Registry Version rides on top for targeted invalidation.
-const figureSchema = "figure/v1"
-
-// fingerprint is the canonical description of every Scale field that
-// can steer a generated table. Workers never appears (tables are
-// identical at every pool size), nor does NetWorkers (proven
-// byte-identical by the shard-equivalence suite) or Cache itself.
-// Injection and the phase lengths do: they change results, not just
-// wall-clock.
-func (s Scale) fingerprint() string {
-	g := func(xs []float64) string {
-		parts := make([]string, len(xs))
-		for i, x := range xs {
-			parts[i] = fmt.Sprintf("%g", x)
-		}
-		return strings.Join(parts, ",")
-	}
-	return fmt.Sprintf("warmup=%d measure=%d loads=%s netloads=%s netwarmup=%d netmeasure=%d fullnet=%t seed=%d inj=%s",
-		s.Warmup, s.Measure, g(s.Loads), g(s.NetLoads), s.NetWarmup, s.NetMeasure,
-		s.FullNetwork, s.Seed, s.Injection)
+// figure is what one stored table is a function of: the experiment and
+// the scale it ran at.
+type figure struct {
+	Exp   string
+	Scale Scale
 }
 
-// figureKey is the content address of one experiment's table at one
-// scale.
-func figureKey(name string, version int, s Scale) cache.Key {
-	b := cache.NewKey(figureSchema)
-	b.Field("exp", name)
-	b.Fieldf("version", "%d", version)
-	b.Field("scale", s.fingerprint())
-	return b.Key()
+// FigureKey is the content address of one experiment's table at one
+// scale (cache.KeyOf; every Scale is cacheable). The wall-clock knobs
+// Workers, NetWorkers, Cache and dense are tagged out of it.
+func FigureKey(name string, s Scale) cache.Key {
+	k, _ := cache.KeyOf(figure{name, s})
+	return k
 }
 
 // TableBytes generates the named experiment at this scale and returns
@@ -65,13 +43,13 @@ func TableBytes(name string, s Scale) (payload []byte, hit bool, err error) {
 		b, err := compute()
 		return b, false, err
 	}
-	return s.Cache.GetOrCompute(figureKey(name, entry.Version, s), compute)
+	return s.Cache.GetOrCompute(FigureKey(name, s), compute)
 }
 
 // Table generates the named experiment at this scale through the
 // figure-level cache and decodes it. A stored figure that no longer
-// decodes (stale layout under an unbumped schema) is never served: it
-// is regenerated and overwritten.
+// decodes (a table layout the current codec rejects) is never served:
+// it is regenerated and overwritten.
 func Table(name string, s Scale) (*stats.Table, bool, error) {
 	payload, hit, err := TableBytes(name, s)
 	if err != nil {
@@ -90,7 +68,7 @@ func Table(name string, s Scale) (*stats.Table, bool, error) {
 		return nil, false, err
 	}
 	if s.Cache != nil {
-		s.Cache.Put(figureKey(name, entry.Version, s), stats.EncodeTable(t))
+		s.Cache.Put(FigureKey(name, s), stats.EncodeTable(t))
 	}
 	return t, false, nil
 }

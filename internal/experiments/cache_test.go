@@ -118,20 +118,22 @@ func TestTableFigureCache(t *testing.T) {
 	}
 }
 
-// TestFigureKeySensitivity: distinct experiments, versions and scales
+// TestFigureKeySensitivity: distinct experiments, seeds and scales
 // address distinct figures.
 func TestFigureKeySensitivity(t *testing.T) {
 	s := cacheScale(t)
-	base := figureKey("fig9", 1, s)
-	if k := figureKey("fig19", 1, s); k == base {
+	base := FigureKey("fig9", s)
+	if k := FigureKey("fig19", s); k == base {
 		t.Fatal("different experiments share a figure key")
 	}
-	if k := figureKey("fig9", 2, s); k == base {
-		t.Fatal("different versions share a figure key")
+	reseeded := s
+	reseeded.Seed = 2
+	if k := FigureKey("fig9", reseeded); k == base {
+		t.Fatal("different seeds share a figure key")
 	}
 	changed := s
 	changed.Loads = []float64{0.2, 0.5, 0.95}
-	if k := figureKey("fig9", 1, changed); k == base {
+	if k := FigureKey("fig9", changed); k == base {
 		t.Fatal("different load lists share a figure key")
 	}
 	// Knobs proven byte-identical must NOT swing the key.
@@ -140,7 +142,7 @@ func TestFigureKeySensitivity(t *testing.T) {
 	same.NetWorkers = 4
 	same.dense = true
 	same.Cache = nil
-	if k := figureKey("fig9", 1, same); k != base {
+	if k := FigureKey("fig9", same); k != base {
 		t.Fatal("wall-clock-only knobs changed the figure key")
 	}
 }

@@ -37,14 +37,14 @@ type Scale struct {
 	// (arch, load, pattern) points out on. 0 selects GOMAXPROCS; 1
 	// forces serial execution. Every run owns its RNG (seeded from
 	// Seed), so the produced tables are identical for every value.
-	Workers int
+	Workers int `key:"-"`
 	// NetWorkers is how many workers share one network run: 0 and 1 run
 	// it serially (network.Run), >= 2 through the sharded runner
 	// (network/shard) with that many workers. The sharded runner is
 	// byte-identical to the serial one at every worker count, so this
 	// knob changes wall-clock only, never a table — the goldens pin that
 	// by regenerating fig19 through the sharded path.
-	NetWorkers int
+	NetWorkers int `key:"-"`
 	// Injection selects the synthetic source implementation for every
 	// run (testbench.Options.Injection / network.Options.Injection).
 	// The default per-cycle mode reproduces the historical goldens;
@@ -56,11 +56,11 @@ type Scale struct {
 	// Table consults before running a generator at all. Because every
 	// run is deterministic in its options, serving from the cache is
 	// byte-identical to recomputing; nil disables caching entirely.
-	Cache *cache.Store
+	Cache *cache.Store `key:"-"`
 	// dense forces per-cycle stepping in every run (NoFastForward of
 	// testbench.Options and network.Options). Tables are byte-identical
 	// either way; only this package's TestGoldenDense sets it.
-	dense bool
+	dense bool `key:"-"`
 }
 
 // Full is the publication-quality scale.
@@ -109,8 +109,9 @@ func (s Scale) pool() *sweep.Pool { return sweep.New(s.Workers) }
 // is exactly sweep.Do(p, testbench.Run).
 func (s Scale) runTB(p *sweep.Pool, o testbench.Options) (testbench.Result, error) {
 	key, ok := o.CacheKey()
-	return sweep.RunCached(p, s.Cache, key, ok, testbench.EncodeResult, testbench.DecodeResult,
+	res, _, err := sweep.RunCached(p, s.Cache, key, ok, testbench.EncodeResult, testbench.DecodeResult,
 		func() (testbench.Result, error) { return testbench.Run(o) })
+	return res, err
 }
 
 // satThroughput measures accepted throughput at offered load 1.0. It is
@@ -187,45 +188,39 @@ func (s Scale) latencyFigure(t *stats.Table, cases []latencyCase) error {
 // their generator functions.
 type Generator func(Scale) (*stats.Table, error)
 
-// Entry is one registered experiment. Version is the figure-level
-// cache version: it participates in the figure cache key, so bumping
-// it when a generator's declared cases change (new series, reordered
-// scalars, different configs) invalidates that experiment's stored
-// tables without touching any other entry. Point-level results are
-// keyed independently and survive a Version bump.
+// Entry is one registered experiment.
 type Entry struct {
-	Name    string
-	Desc    string
-	Version int
-	Gen     Generator
+	Name string
+	Desc string
+	Gen  Generator
 }
 
 // Registry lists every reproducible experiment.
 var Registry = []Entry{
-	{"fig1", "router pin-bandwidth scaling 1985-2010 (historical data + trend fits)", 1, Fig1},
-	{"fig2", "latency-optimal radix vs router aspect ratio", 1, Fig2},
-	{"fig3", "network latency and cost vs radix for 2003/2010 technologies", 1, Fig3},
-	{"fig9", "latency vs offered load, baseline high-radix (CVA/OVA) vs low-radix", 1, Fig9},
-	{"fig11", "prioritized (dual-arbiter) vs single-arbiter speculation, 1 VC and 4 VC", 1, Fig11},
-	{"fig13", "fully buffered crossbar vs baseline vs low-radix", 1, Fig13},
-	{"fig14", "crosspoint buffer size sweep, short and long packets", 1, Fig14},
-	{"fig15", "storage area vs wire area of the fully buffered crossbar", 1, Fig15},
-	{"fig17a", "hierarchical crossbar, uniform random traffic, subswitch sizes", 1, Fig17a},
-	{"fig17b", "hierarchical crossbar, worst-case traffic", 1, Fig17b},
-	{"fig17c", "long packets at equal total buffer storage", 1, Fig17c},
-	{"fig17d", "storage bits vs radix, hierarchical vs fully buffered", 1, Fig17d},
-	{"fig18", "nonuniform traffic: diagonal, hotspot, bursty (Table 1)", 1, Fig18},
-	{"fig19", "4096-node Clos network: radix-64 (3 stages) vs radix-16 (5 stages)", 1, Fig19},
-	{"topo", "extension: ring and 2D-torus topologies, latency vs offered load", 1, FigTopo},
-	{"table1", "saturation throughput of every architecture on every Table 1 pattern", 1, TableT1},
-	{"creditbus", "ablation: shared credit-return bus vs ideal credit return", 1, AblCreditBus},
-	{"sharedxp", "ablation: shared-buffer (ACK/NACK) crosspoints vs per-VC buffers", 1, AblSharedXpoint},
-	{"localgroup", "ablation: local arbitration group size m", 1, AblLocalGroup},
-	{"specpolicy", "ablation: speculative output-VC bid policy (Section 4.4 re-bidding)", 1, AblSpecPolicy},
-	{"allociters", "ablation: allocation iterations of the centralized low-radix router", 1, AblAllocIters},
-	{"radixsweep", "extension: saturation throughput vs radix for the main organizations", 1, RadixSweep},
-	{"radixscale", "extension: latency-throughput at radix 64/128/256, buffered and hierarchical", 1, RadixScale},
-	{"fig_alloc", "extension: allocation-policy families head to head — baseline vs VOQ/iSLIP vs dynamic VC", 1, FigAlloc},
+	{"fig1", "router pin-bandwidth scaling 1985-2010 (historical data + trend fits)", Fig1},
+	{"fig2", "latency-optimal radix vs router aspect ratio", Fig2},
+	{"fig3", "network latency and cost vs radix for 2003/2010 technologies", Fig3},
+	{"fig9", "latency vs offered load, baseline high-radix (CVA/OVA) vs low-radix", Fig9},
+	{"fig11", "prioritized (dual-arbiter) vs single-arbiter speculation, 1 VC and 4 VC", Fig11},
+	{"fig13", "fully buffered crossbar vs baseline vs low-radix", Fig13},
+	{"fig14", "crosspoint buffer size sweep, short and long packets", Fig14},
+	{"fig15", "storage area vs wire area of the fully buffered crossbar", Fig15},
+	{"fig17a", "hierarchical crossbar, uniform random traffic, subswitch sizes", Fig17a},
+	{"fig17b", "hierarchical crossbar, worst-case traffic", Fig17b},
+	{"fig17c", "long packets at equal total buffer storage", Fig17c},
+	{"fig17d", "storage bits vs radix, hierarchical vs fully buffered", Fig17d},
+	{"fig18", "nonuniform traffic: diagonal, hotspot, bursty (Table 1)", Fig18},
+	{"fig19", "4096-node Clos network: radix-64 (3 stages) vs radix-16 (5 stages)", Fig19},
+	{"topo", "extension: ring and 2D-torus topologies, latency vs offered load", FigTopo},
+	{"table1", "saturation throughput of every architecture on every Table 1 pattern", TableT1},
+	{"creditbus", "ablation: shared credit-return bus vs ideal credit return", AblCreditBus},
+	{"sharedxp", "ablation: shared-buffer (ACK/NACK) crosspoints vs per-VC buffers", AblSharedXpoint},
+	{"localgroup", "ablation: local arbitration group size m", AblLocalGroup},
+	{"specpolicy", "ablation: speculative output-VC bid policy (Section 4.4 re-bidding)", AblSpecPolicy},
+	{"allociters", "ablation: allocation iterations of the centralized low-radix router", AblAllocIters},
+	{"radixsweep", "extension: saturation throughput vs radix for the main organizations", RadixSweep},
+	{"radixscale", "extension: latency-throughput at radix 64/128/256, buffered and hierarchical", RadixScale},
+	{"fig_alloc", "extension: allocation-policy families head to head — baseline vs VOQ/iSLIP vs dynamic VC", FigAlloc},
 }
 
 // ByName finds a registered experiment's generator.

@@ -14,13 +14,14 @@ import (
 // worker count and they share an entry.
 func (s Scale) runNet(p *sweep.Pool, o network.Options) (network.Result, error) {
 	key, ok := o.CacheKey()
-	return sweep.RunCached(p, s.Cache, key, ok, network.EncodeResult, network.DecodeResult,
+	res, _, err := sweep.RunCached(p, s.Cache, key, ok, network.EncodeResult, network.DecodeResult,
 		func() (network.Result, error) {
 			if s.NetWorkers > 1 {
 				return shard.Run(shard.Options{Options: o, Workers: s.NetWorkers})
 			}
 			return network.Run(o)
 		})
+	return res, err
 }
 
 // netCase declares one line of a network latency-versus-load figure: a

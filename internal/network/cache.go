@@ -6,73 +6,25 @@ import (
 	"math"
 
 	"highradix/internal/cache"
-	"highradix/internal/traffic"
 )
 
-// netResultSchema versions the network CacheKey canonical form and the
-// EncodeResult payload together; bump on any change to either, or to
-// the network engine's cycle structure (which would change results for
-// unchanged options).
-const netResultSchema = "netrun/v1"
-
-// CanonicalTopology is implemented by topologies that can describe
-// themselves exactly for result caching. The three built-in families
-// implement it from their defaulted config structs; a custom Topology
-// without it makes the run uncacheable (its wiring and NextHop are
-// arbitrary code, so no generic description is sound).
-type CanonicalTopology interface {
-	Canonical() string
-}
-
-// Canonical returns the canonical cache description of the Clos. The
-// defaulted config pins radix, digits, VCs, buffering, all delays and
-// the construction seed, which together determine the wiring and
-// NextHop exactly.
-func (c *Clos) Canonical() string { return fmt.Sprintf("clos%+v", c.cfg) }
-
-// Canonical returns the canonical cache description of the torus (the
-// ring included: its Y = 1 is in the config).
-func (t *Torus) Canonical() string { return fmt.Sprintf("torus%+v", t.cfg) }
-
-// CacheKey returns the content address of this run's Result, or
-// ok=false when the run cannot be cached: hooked runs (the hooks
-// observe every injection and delivery; serving from cache would skip
-// them), topologies outside CanonicalTopology, and custom traffic
-// patterns. Defaults are applied before keying. NoFastForward is
-// excluded for the same reason as in testbench: fast-forward is
-// byte-identical by contract, so both modes share one entry. The
-// worker count of the sharded runner never appears at all — shard
-// equivalence is byte-exact at every count, so serial and sharded runs
-// of one configuration are the same cache entry.
+// CacheKey returns the content address of this run's Result
+// (cache.KeyOf over the defaulted options), or ok=false when the run
+// cannot be cached: a hooked run (the hooks observe every injection and
+// delivery; serving from the cache would skip them), a topology or
+// pattern declared outside this package or internal/traffic, or one the
+// engine rejects. The topology is resolved first, so Net: cfg and
+// Topo: NewClos(cfg) share a key. NoFastForward is tagged out of the key
+// for the same reason as in testbench, and the sharded runner's worker
+// count never reaches it: shard equivalence is byte-exact at every count.
 func (o Options) CacheKey() (key cache.Key, ok bool) {
 	o = o.WithDefaults()
-	if o.Hooks != nil {
-		return "", false
-	}
 	topo, err := o.Topology()
 	if err != nil {
 		return "", false
 	}
-	ct, ok := topo.(CanonicalTopology)
-	if !ok {
-		return "", false
-	}
-	pat, ok := traffic.Canonical(o.Pattern)
-	if !ok {
-		return "", false
-	}
-	b := cache.NewKey(netResultSchema)
-	b.Field("topo", ct.Canonical())
-	b.Field("pattern", pat)
-	b.Fieldf("load", "%g", o.Load)
-	b.Fieldf("pktlen", "%d", o.PktLen)
-	b.Fieldf("warmup", "%d", o.WarmupCycles)
-	b.Fieldf("measure", "%d", o.MeasureCycles)
-	b.Fieldf("drain", "%d", o.DrainCycles)
-	b.Fieldf("satlatency", "%g", o.SatLatency)
-	b.Fieldf("seed", "%d", o.Seed)
-	b.Fieldf("inj", "%s", o.Injection)
-	return b.Key(), true
+	o.Net, o.Topo = Config{}, topo
+	return cache.KeyOf(o)
 }
 
 // encodedResultLen is the fixed EncodeResult payload size: a version

@@ -4,6 +4,7 @@ import (
 	"highradix/internal/flit"
 	"testing"
 
+	"highradix/internal/cache"
 	"highradix/internal/traffic"
 )
 
@@ -68,20 +69,16 @@ func TestNetCacheKeySensitivity(t *testing.T) {
 }
 
 // TestTopologyCanonicalDistinct pins that the three families and their
-// parameter variations canonicalize to distinct strings.
+// parameter variations key distinctly as the topology of a run.
 func TestTopologyCanonicalDistinct(t *testing.T) {
-	mk := func(fn func() (Topology, error)) CanonicalTopology {
+	mk := func(fn func() (Topology, error)) Topology {
 		topo, err := fn()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ct, ok := topo.(CanonicalTopology)
-		if !ok {
-			t.Fatalf("%T does not implement CanonicalTopology", topo)
-		}
-		return ct
+		return topo
 	}
-	topos := []CanonicalTopology{
+	topos := []Topology{
 		mk(func() (Topology, error) { return NewClos(Config{Radix: 4, Digits: 2}) }),
 		mk(func() (Topology, error) { return NewClos(Config{Radix: 4, Digits: 3}) }),
 		mk(func() (Topology, error) { return NewTorus(TorusConfig{X: 16, Y: 1}) }),
@@ -89,13 +86,16 @@ func TestTopologyCanonicalDistinct(t *testing.T) {
 		mk(func() (Topology, error) { return NewTorus(TorusConfig{X: 4, Y: 4}) }),
 		mk(func() (Topology, error) { return NewTorus(TorusConfig{X: 2, Y: 8}) }),
 	}
-	seen := map[string]bool{}
-	for _, ct := range topos {
-		c := ct.Canonical()
-		if seen[c] {
-			t.Errorf("duplicate topology canonical form: %s", c)
+	seen := map[cache.Key]bool{}
+	for _, topo := range topos {
+		k, ok := Options{Topo: topo, Load: 0.5}.CacheKey()
+		if !ok {
+			t.Fatalf("%s/%d: uncacheable", topo.Name(), topo.Routers())
 		}
-		seen[c] = true
+		if seen[k] {
+			t.Errorf("duplicate topology key: %s/%d", topo.Name(), topo.Routers())
+		}
+		seen[k] = true
 	}
 }
 

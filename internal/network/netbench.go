@@ -50,13 +50,13 @@ type Options struct {
 	// of the measurement window and extends the run until every
 	// generated flit has drained, so end-to-end conservation can be
 	// verified; a non-nil EndCycle error aborts the run.
-	Hooks Hooks
+	Hooks Hooks `key:"nil"`
 	// NoFastForward forces dense per-cycle stepping: the run neither
 	// skips quiescent network steps nor jumps time across provably idle
 	// stretches of a hooked drain. Fast-forwarding is cycle-exact
 	// (TestNetFastForwardTwin asserts byte-identical results), so this
 	// exists for A/B verification, not correctness.
-	NoFastForward bool
+	NoFastForward bool `key:"-"`
 	// Injection selects the terminal source implementation. The
 	// default, traffic.InjPerCycle, draws one Bernoulli per terminal
 	// per cycle; traffic.InjGap samples each terminal's next injection

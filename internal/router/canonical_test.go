@@ -1,21 +1,36 @@
-package router
+package router_test
 
 import (
 	"reflect"
 	"testing"
+
+	"highradix/internal/cache"
+	"highradix/internal/router"
+	"highradix/internal/testbench"
 )
 
+// routerKey is the cache key of a single-router point over cfg: the
+// router configuration reaches a key only through the run it configures.
+func routerKey(t *testing.T, cfg router.Config) cache.Key {
+	t.Helper()
+	k, ok := testbench.Options{Router: cfg, Load: 0.5}.CacheKey()
+	if !ok {
+		t.Fatalf("%+v: uncacheable", cfg)
+	}
+	return k
+}
+
 // TestCanonicalDefaultingInvariance pins that a sparse configuration
-// and its fully-defaulted form canonicalize identically: cache keys
-// must not depend on whether the caller spelled the defaults out.
+// and its fully-defaulted form key identically: cache keys must not
+// depend on whether the caller spelled the defaults out.
 func TestCanonicalDefaultingInvariance(t *testing.T) {
-	for _, a := range Registered() {
-		d, _ := Describe(a)
+	for _, a := range router.Registered() {
+		d, _ := router.Describe(a)
 		for _, v := range d.Variants(64, 0) {
 			sparse := v.Config
 			full := v.Config.WithDefaults()
-			if got, want := sparse.Canonical(), full.Canonical(); got != want {
-				t.Errorf("%s/%s: sparse and defaulted configs canonicalize differently:\n%s\n%s",
+			if got, want := routerKey(t, sparse), routerKey(t, full); got != want {
+				t.Errorf("%s/%s: sparse and defaulted configs key differently:\n%s\n%s",
 					d.Name, v.Name, got, want)
 			}
 		}
@@ -23,27 +38,25 @@ func TestCanonicalDefaultingInvariance(t *testing.T) {
 }
 
 // TestCanonicalCoversEveryField walks Config with reflection and
-// asserts that mutating any semantically distinct field changes the
-// canonical form, for a representative variant of every registered
-// architecture. A field added to Config without a Canonical entry (or
-// an explicit exclusion below) fails this test.
+// asserts that mutating any field the key walker reaches changes the
+// key, for a representative variant of every registered architecture.
+// A field added to Config with a kind the walker or this test has no
+// rule for fails here.
 func TestCanonicalCoversEveryField(t *testing.T) {
-	// Observer is diagnostic-only: it cannot change a result byte, so
-	// it is deliberately excluded from the canonical form.
-	excluded := map[string]bool{"Observer": true}
-
-	for _, a := range Registered() {
-		d, _ := Describe(a)
+	for _, a := range router.Registered() {
+		d, _ := router.Describe(a)
 		vs := d.Variants(64, 0)
 		if len(vs) == 0 {
 			t.Fatalf("%s: no variants", d.Name)
 		}
 		base := vs[0].Config.WithDefaults()
-		baseCanon := base.Canonical()
+		baseKey := routerKey(t, base)
 		rt := reflect.TypeOf(base)
 		for i := 0; i < rt.NumField(); i++ {
 			f := rt.Field(i)
-			if excluded[f.Name] {
+			// Observer must be nil for a run to be cacheable at all;
+			// the uncacheable tests cover it.
+			if f.Tag.Get("key") == "nil" {
 				continue
 			}
 			mutated := base
@@ -54,27 +67,27 @@ func TestCanonicalCoversEveryField(t *testing.T) {
 			case reflect.Bool:
 				mv.SetBool(!mv.Bool())
 			default:
-				t.Fatalf("%s: field %s has kind %s with no mutation rule — add one (and a Canonical entry)",
+				t.Fatalf("%s: field %s has kind %s with no mutation rule — add one",
 					d.Name, f.Name, mv.Kind())
 			}
-			if mutated.Canonical() == baseCanon {
-				t.Errorf("%s: mutating field %s did not change Canonical()", d.Name, f.Name)
+			if routerKey(t, mutated) == baseKey {
+				t.Errorf("%s: mutating field %s did not change the key", d.Name, f.Name)
 			}
 		}
 	}
 }
 
 // TestCanonicalDistinctAcrossArchitectures is the cross-descriptor
-// sanity check: every registered architecture's default variant
-// canonicalizes to a distinct string.
+// sanity check: every registered architecture's default variant keys
+// distinctly.
 func TestCanonicalDistinctAcrossArchitectures(t *testing.T) {
-	seen := map[string]string{}
-	for _, a := range Registered() {
-		d, _ := Describe(a)
-		c := Config{Arch: a}.Canonical()
-		if prev, dup := seen[c]; dup {
-			t.Errorf("%s and %s share a canonical form: %s", prev, d.Name, c)
+	seen := map[cache.Key]string{}
+	for _, a := range router.Registered() {
+		d, _ := router.Describe(a)
+		k := routerKey(t, router.Config{Arch: a})
+		if prev, dup := seen[k]; dup {
+			t.Errorf("%s and %s share a key: %s", prev, d.Name, k)
 		}
-		seen[c] = d.Name
+		seen[k] = d.Name
 	}
 }

@@ -178,7 +178,7 @@ type Config struct {
 	// Observer, when non-nil, receives per-flit microarchitectural
 	// events (accepts, grants, NACKs, ejects). Purely diagnostic; nil
 	// costs nothing.
-	Observer Observer
+	Observer Observer `key:"nil"`
 }
 
 // Traits describes architecture properties that cross-cutting tools

@@ -258,29 +258,20 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 			Injection:     s.cfg.Scale.Injection,
 		}
 		key, cacheable := o.CacheKey()
-		st := s.cfg.Scale.Cache
-		// Warm probe without counting a store miss twice: the compute
-		// path below re-resolves it.
-		warm := false
-		if st != nil && cacheable {
-			if _, ok := st.Get(key); ok {
-				warm = true
-			}
-		}
-		body, _, status := s.compute(r.Context(), func() ([]byte, bool, error) {
-			res, err := sweep.RunCached(s.pool, st, key, cacheable,
+		body, hit, status := s.compute(r.Context(), func() ([]byte, bool, error) {
+			res, hit, err := sweep.RunCached(s.pool, s.cfg.Scale.Cache, key, cacheable,
 				testbench.EncodeResult, testbench.DecodeResult,
 				func() (testbench.Result, error) { return testbench.Run(o) })
 			if err != nil {
 				return nil, false, err
 			}
-			return pointBody(res), warm, nil
+			return pointBody(res), hit, nil
 		})
 		if status != http.StatusOK {
 			http.Error(w, http.StatusText(status), status)
 			return status
 		}
-		if warm {
+		if hit {
 			s.hits.Add(1)
 		} else {
 			s.misses.Add(1)

@@ -145,6 +145,25 @@ func TestPointEndpoint(t *testing.T) {
 	}
 }
 
+// TestPointStoreLookups pins one store lookup per /points request: a
+// cold point is one miss and one compute, a warm one is one hit.
+func TestPointStoreLookups(t *testing.T) {
+	s := testServer(t)
+	st := s.cfg.Scale.Cache
+	for _, want := range []cache.Counters{{Misses: 1, Computes: 1, Puts: 1}, {Hits: 1}} {
+		before := st.Counters()
+		if code, _, _ := get(t, s, "/points?arch=baseline&load=0.5"); code != 200 {
+			t.Fatalf("code %d", code)
+		}
+		after := st.Counters()
+		got := cache.Counters{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses,
+			Computes: after.Computes - before.Computes, Puts: after.Puts - before.Puts}
+		if got != want {
+			t.Errorf("store counters moved by %+v, want %+v", got, want)
+		}
+	}
+}
+
 // TestMetricsMatchRequestLog replays a request log and checks the
 // exported counters agree with it exactly.
 func TestMetricsMatchRequestLog(t *testing.T) {

@@ -6,7 +6,9 @@ import "highradix/internal/cache"
 // store consulted first. A warm key returns the decoded stored value
 // without touching the pool; a cold key runs compute under a pool slot
 // inside the store's single-flight (so N concurrent requests for one
-// cold key run one simulation) and stores the encoded bytes.
+// cold key run one simulation) and stores the encoded bytes. hit
+// reports whether the value came from the store (GetOrCompute's hit), so
+// callers count outcomes without a second lookup.
 //
 // Lock ordering matters here: the flight is acquired BEFORE the pool
 // slot, never the reverse. A leaf that held a slot while waiting on a
@@ -19,11 +21,12 @@ func RunCached[T any](p *Pool, st *cache.Store, key cache.Key, cacheable bool,
 	encode func(T) []byte,
 	decode func([]byte) (T, error),
 	compute func() (T, error),
-) (T, error) {
+) (v T, hit bool, err error) {
 	if st == nil || !cacheable {
-		return Do(p, compute)
+		v, err = Do(p, compute)
+		return v, false, err
 	}
-	payload, _, err := st.GetOrCompute(key, func() ([]byte, error) {
+	payload, hit, err := st.GetOrCompute(key, func() ([]byte, error) {
 		v, err := Do(p, compute)
 		if err != nil {
 			return nil, err
@@ -31,20 +34,18 @@ func RunCached[T any](p *Pool, st *cache.Store, key cache.Key, cacheable bool,
 		return encode(v), nil
 	})
 	if err != nil {
-		var zero T
-		return zero, err
+		return v, false, err
 	}
 	if v, err := decode(payload); err == nil {
-		return v, nil
+		return v, hit, nil
 	}
 	// The entry's checksum passed but the payload does not decode: a
-	// stale layout stored under an unbumped schema version. Never serve
-	// it — recompute and overwrite so the store self-heals.
-	v, err := Do(p, compute)
-	if err != nil {
-		var zero T
-		return zero, err
+	// layout the current decoder rejects (EncodeResult's version byte
+	// moved). Never serve it — recompute and overwrite so the store
+	// self-heals.
+	if v, err = Do(p, compute); err != nil {
+		return v, false, err
 	}
 	st.Put(key, encode(v))
-	return v, nil
+	return v, false, nil
 }

@@ -35,19 +35,19 @@ func TestRunCachedHitSkipsCompute(t *testing.T) {
 		return 42, nil
 	}
 	for i := 0; i < 3; i++ {
-		v, err := RunCached(p, st, key, true, encInt, decInt, compute)
-		if err != nil || v != 42 {
-			t.Fatalf("run %d: %d, %v", i, v, err)
+		v, hit, err := RunCached(p, st, key, true, encInt, decInt, compute)
+		if err != nil || v != 42 || hit != (i > 0) {
+			t.Fatalf("run %d: %d, hit=%v, %v", i, v, hit, err)
 		}
 	}
 	if got := computes.Load(); got != 1 {
 		t.Fatalf("%d computes, want 1 (warm runs must hit the store)", got)
 	}
 	// Uncacheable and storeless runs always compute.
-	if _, err := RunCached(p, st, key, false, encInt, decInt, compute); err != nil {
+	if _, _, err := RunCached(p, st, key, false, encInt, decInt, compute); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunCached[int64](p, nil, key, true, encInt, decInt, compute); err != nil {
+	if _, _, err := RunCached[int64](p, nil, key, true, encInt, decInt, compute); err != nil {
 		t.Fatal(err)
 	}
 	if got := computes.Load(); got != 3 {
@@ -74,7 +74,7 @@ func TestRunCachedSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			vals[g], errs[g] = RunCached(p, st, key, true, encInt, decInt, func() (int64, error) {
+			vals[g], _, errs[g] = RunCached(p, st, key, true, encInt, decInt, func() (int64, error) {
 				computes.Add(1)
 				return 7, nil
 			})
@@ -92,8 +92,8 @@ func TestRunCachedSingleFlight(t *testing.T) {
 }
 
 // TestRunCachedSelfHeals: a checksum-valid entry whose payload no
-// longer decodes (stale layout under an unbumped schema) is never
-// served — it is recomputed and overwritten.
+// longer decodes (a layout the decoder rejects) is never served — it
+// is recomputed and overwritten.
 func TestRunCachedSelfHeals(t *testing.T) {
 	st, err := cache.Open(t.TempDir())
 	if err != nil {
@@ -109,14 +109,14 @@ func TestRunCachedSelfHeals(t *testing.T) {
 		computes.Add(1)
 		return 9, nil
 	}
-	if v, err := RunCached(p, st, key, true, encInt, decInt, compute); err != nil || v != 9 {
+	if v, _, err := RunCached(p, st, key, true, encInt, decInt, compute); err != nil || v != 9 {
 		t.Fatalf("self-heal run: %d, %v", v, err)
 	}
 	if computes.Load() != 1 {
 		t.Fatalf("stale entry served without recompute")
 	}
 	// The overwrite stuck: a second run hits the healed entry.
-	if v, err := RunCached(p, st, key, true, encInt, decInt, compute); err != nil || v != 9 {
+	if v, _, err := RunCached(p, st, key, true, encInt, decInt, compute); err != nil || v != 9 {
 		t.Fatalf("post-heal run: %d, %v", v, err)
 	}
 	if got := computes.Load(); got != 1 {
@@ -132,11 +132,11 @@ func TestRunCachedErrorPropagates(t *testing.T) {
 	p := New(1)
 	key := cache.NewKey("test/v1").Key()
 	boom := fmt.Errorf("boom")
-	if _, err := RunCached(p, st, key, true, encInt, decInt, func() (int64, error) { return 0, boom }); !errors.Is(err, boom) {
+	if _, _, err := RunCached(p, st, key, true, encInt, decInt, func() (int64, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("error = %v, want boom", err)
 	}
 	// A failed compute must not poison the key.
-	if v, err := RunCached(p, st, key, true, encInt, decInt, func() (int64, error) { return 5, nil }); err != nil || v != 5 {
+	if v, _, err := RunCached(p, st, key, true, encInt, decInt, func() (int64, error) { return 5, nil }); err != nil || v != 5 {
 		t.Fatalf("retry after error: %d, %v", v, err)
 	}
 }

@@ -6,57 +6,20 @@ import (
 	"math"
 
 	"highradix/internal/cache"
-	"highradix/internal/traffic"
 )
 
-// resultSchema versions the CacheKey canonical form and the
-// EncodeResult payload layout together: a change to either — a new
-// Options field that affects results, a Result field, or any
-// simulation-semantics change that alters outputs for unchanged
-// options — must bump it, which invalidates every previously stored
-// single-router point at once.
-const resultSchema = "tbrun/v1"
-
-// CacheKey returns the content address of this run's Result, or
-// ok=false when the run cannot be cached:
-//
-//   - trace replays (the trace itself would need canonicalizing);
-//   - runs with an Observer or an OnMeasureStart hook (callbacks fire
-//     during simulation; serving from cache would silently skip them);
-//   - custom traffic patterns outside traffic.Canonical's set.
-//
-// Defaults are applied before keying, so sparse and spelled-out
-// defaulted options share an entry. NoFastForward is deliberately
-// excluded: fast-forward is byte-identical by contract (the twin and
-// fuzz equivalence suites), so both stepping modes share one entry —
-// the cache leans on exactly the determinism the repository already
-// enforces. Everything else that can steer a result byte — router
-// config, pattern, burstiness, load, packet length, phase lengths,
-// saturation threshold, seed, checker arming, injection mode — is a
-// key field.
+// CacheKey returns the content address of this run's Result
+// (cache.KeyOf over the defaulted options, router included), or ok=false
+// when the run cannot be cached: a trace replay, an Observer or
+// OnMeasureStart hook (callbacks fire during simulation; serving from
+// the cache would silently skip them), or a pattern declared outside
+// internal/traffic. NoFastForward is tagged out of the key: fast-forward
+// is byte-identical by contract (the twin and fuzz equivalence suites),
+// so both stepping modes share one entry.
 func (o Options) CacheKey() (key cache.Key, ok bool) {
 	o = o.withDefaults()
-	if o.Trace != nil || o.OnMeasureStart != nil || o.Router.Observer != nil {
-		return "", false
-	}
-	pat, ok := traffic.Canonical(o.Pattern)
-	if !ok {
-		return "", false
-	}
-	b := cache.NewKey(resultSchema)
-	b.Field("router", o.Router.Canonical())
-	b.Field("pattern", pat)
-	b.Fieldf("bursty", "%t/%g", o.Bursty, o.BurstLen)
-	b.Fieldf("load", "%g", o.Load)
-	b.Fieldf("pktlen", "%d", o.PktLen)
-	b.Fieldf("warmup", "%d", o.WarmupCycles)
-	b.Fieldf("measure", "%d", o.MeasureCycles)
-	b.Fieldf("drain", "%d", o.DrainCycles)
-	b.Fieldf("satlatency", "%g", o.SatLatency)
-	b.Fieldf("seed", "%d", o.Seed)
-	b.Fieldf("check", "%t", o.Check)
-	b.Fieldf("inj", "%s", o.Injection)
-	return b.Key(), true
+	o.Router = o.Router.WithDefaults()
+	return cache.KeyOf(o)
 }
 
 // encodedResultLen is the fixed EncodeResult payload size: a version

@@ -33,7 +33,7 @@ type Options struct {
 	// recorded packets are injected at their recorded cycles (Load,
 	// PktLen, Pattern and Bursty are ignored). Entries must fit the
 	// router's port range.
-	Trace *traffic.Trace
+	Trace *traffic.Trace `key:"nil"`
 	// Bursty switches injection from Bernoulli to Markov ON/OFF with
 	// BurstLen average packets per burst; burst packets share a
 	// destination (Table 1).
@@ -67,7 +67,7 @@ type Options struct {
 	// provably idle stretches. Fast-forwarding is cycle-exact (results
 	// are byte-identical either way — TestFastForwardTwin asserts it),
 	// so this exists for A/B verification, not correctness.
-	NoFastForward bool
+	NoFastForward bool `key:"-"`
 	// Injection selects the synthetic source implementation (ignored
 	// for trace replays). The default, traffic.InjPerCycle, draws one
 	// Bernoulli per source per cycle — the discipline every historical
@@ -86,7 +86,7 @@ type Options struct {
 	// measure steady-state stepping only — at radix 256 the one-time
 	// construction of O(k^2) crosspoint state would otherwise dominate
 	// the per-op numbers and hide (or fake) steady-state allocations.
-	OnMeasureStart func()
+	OnMeasureStart func() `key:"nil"`
 }
 
 func (o Options) withDefaults() Options {
