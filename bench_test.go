@@ -121,18 +121,16 @@ func mallocsPerCycle(t *testing.T, o highradix.SimOptions) float64 {
 // TestStepSteadyStateAllocs is the allocation gate: Step and the
 // driver's hot path allocate nothing, at every step point. What a
 // warmed run still allocates is slices reaching a new high-water mark —
-// latency samples, the free list, and sepAlloc's per-output-VC request
-// lists, which lowradix and dynvc fill lazily — 20 to 102 allocations
-// in 20,000 cycles, 327 for dynvc at radix 256: at most 0.017 per
-// cycle, against a bound of 0.05. One make in one router's Step is 1.0.
+// latency samples and the free list — 19 to 43 allocations in 20,000
+// cycles (lowradix 21 / 19 at radix 16 / 64, dynvc 19 / 21 / 29 at
+// 64 / 128 / 256): at most 0.0022 per cycle, against a bound of 0.05.
+// One make in one router's Step is 1.0.
 //
 // The load is 0.4, not the 0.6 BenchmarkStep times, because the count
-// has to mean the same thing at every point and 0.6 is too close to
-// three of them: it is past baseline's saturation (0.59), where the
-// source queues grow without bound (3,759 / 9,061 / 18,335 allocations
-// at radix 64 / 128 / 256, none of them in Step), and near enough to
-// lowradix's at radix 64 and dynvc's that their request lists keep
-// finding longer contention bursts (338 and 339 / 665 / 1,286).
+// has to mean the same thing at every point and 0.6 is past baseline's
+// saturation (0.59), where the source queues grow without bound (2,268 /
+// 5,199 / 10,372 allocations at radix 64 / 128 / 256, none of them in
+// Step). At 0.6 lowradix makes 30 / 46 and dynvc 46 / 90 / 130.
 func TestStepSteadyStateAllocs(t *testing.T) {
 	for _, cfg := range stepPoints() {
 		if got := mallocsPerCycle(t, stepOptions(cfg, 0.4, gateCycles)); got > gateBound {

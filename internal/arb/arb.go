@@ -70,7 +70,7 @@ func (a *RoundRobin) ArbitrateBits(v *BitVec) int {
 	}
 	var idx int
 	if a.n <= 64 {
-		idx = rotFirst(v.words[0], a.next)
+		idx = RotFirst(v.words[0], a.next)
 	} else {
 		idx = v.FirstFrom(a.next)
 	}
@@ -119,7 +119,7 @@ func NewRotorBank(count, n int) *RotorBank {
 // advances that arbiter's priority pointer past the winner. Bits at or
 // above the n lines of NewRotorBank must be zero.
 func (b *RotorBank) Arbitrate(i int, w uint64) int {
-	win := rotFirst(w, int(b.next[i]))
+	win := RotFirst(w, int(b.next[i]))
 	if win >= 0 {
 		p := win + 1
 		if p >= b.n {

@@ -80,6 +80,10 @@ func (v *BitVec) sole() int {
 	return line
 }
 
+// Words returns the packed words, read-only, for loops that visit the
+// raised lines a word at a time: line wi<<6 | bit b of word wi.
+func (v *BitVec) Words() []uint64 { return v.words }
+
 // Reset lowers every line.
 func (v *BitVec) Reset() {
 	for i := range v.words {
@@ -286,10 +290,10 @@ func (v *BitVec) slice(base, size int) uint64 {
 	return word
 }
 
-// rotFirst returns the lowest set bit of grp at or cyclically after
+// RotFirst returns the lowest set bit of grp at or cyclically after
 // priority pointer p (0 <= p <= 63): bits >= p win first; if none is
 // set there, wrapping means the overall lowest set bit wins.
-func rotFirst(grp uint64, p int) int {
+func RotFirst(grp uint64, p int) int {
 	if hi := grp &^ (1<<uint(p) - 1); hi != 0 {
 		return bits.TrailingZeros64(hi)
 	}

@@ -15,7 +15,7 @@ type BoolArbiter interface {
 	Size() int
 }
 
-// rotPeekBool is the []bool twin of rotFirst: the requesting index
+// rotPeekBool is the []bool twin of RotFirst: the requesting index
 // cyclically closest to ptr, or -1 if none requests.
 func rotPeekBool(grp []bool, ptr int) int {
 	n := len(grp)

@@ -138,7 +138,7 @@ func (t *Tree) ArbitrateBits(v *BitVec) int {
 	root := &t.levels[top]
 	var node int
 	if root.width <= 64 {
-		node = rotFirst(cur.words[0], int(t.next[root.off]))
+		node = RotFirst(cur.words[0], int(t.next[root.off]))
 	} else {
 		node = bitPeekRange(cur, 0, root.width, int(t.next[root.off]))
 	}
@@ -152,7 +152,7 @@ func (t *Tree) ArbitrateBits(v *BitVec) int {
 		base, size, ptr := node*t.m, t.nodeSize(lvl, node), int(t.next[lvl.off+node])
 		var win int
 		if t.m <= 64 {
-			win = rotFirst(lines.slice(base, size), ptr)
+			win = RotFirst(lines.slice(base, size), ptr)
 		} else {
 			win = bitPeekRange(lines, base, size, ptr)
 		}
@@ -165,7 +165,7 @@ func (t *Tree) ArbitrateBits(v *BitVec) int {
 // arbitrateWord is ArbitrateBits for a two-level tree over at most 64
 // lines — the paper's local-global arbiter, and every output arbiter of
 // a radix-64 router — in registers: group presence (by the lane
-// movemask at the paper's m = 8), a global rotFirst over the groups, a
+// movemask at the paper's m = 8), a global RotFirst over the groups, a
 // local one over the winning group's lines, bits [g*m, g*m+size) of w.
 // Written out rather than run through the descent loop, the two
 // searches branch-predict apart, about twice as fast.
@@ -180,17 +180,17 @@ func (t *Tree) arbitrateWord(w uint64) int {
 		groups = groupAnyWord(w, t.m)
 	}
 	root, lvl := &t.levels[1], &t.levels[0]
-	g := rotFirst(groups, int(t.next[root.off]))
+	g := RotFirst(groups, int(t.next[root.off]))
 	t.grant(root.off, root.width, g)
 	base, size := g*t.m, t.nodeSize(lvl, g)
-	win := rotFirst(w>>uint(base)&(1<<uint(size)-1), int(t.next[lvl.off+g]))
+	win := RotFirst(w>>uint(base)&(1<<uint(size)-1), int(t.next[lvl.off+g]))
 	t.grant(lvl.off+g, size, win)
 	return base + win
 }
 
 // bitPeekRange finds the requesting line cyclically closest to ptr
 // among lines [base, base+size) of v, returned relative to base. It is
-// the multi-word twin of rotFirst for nodes wider than 64 lines.
+// the multi-word twin of RotFirst for nodes wider than 64 lines.
 func bitPeekRange(v *BitVec, base, size, ptr int) int {
 	if idx := v.NextIn(base+ptr, base+size); idx >= 0 {
 		return idx - base

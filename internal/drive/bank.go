@@ -112,8 +112,17 @@ type Bank struct {
 	owned []int // ascending
 	rngs  []sim.RNG
 	srcs  []source
-	act   arb.BitVec // sources with a nonempty queue
 	fl    *flit.FreeList
+
+	// The sources InjectAll visits. A source with a nonempty queue is in
+	// ready while its channel is free, and otherwise waits in ring slot
+	// injFree % Ser until the call that reaches cycle injFree moves it to
+	// ready, so a cycle touches no source whose channel is serializing.
+	// swept is the last cycle InjectAll ran, wake the last cycle a source
+	// waits for: the ring is empty while wake <= swept.
+	ready       arb.BitVec
+	ring        []arb.BitVec
+	swept, wake int64
 
 	// The one schedule of synthetic generation. A source's draws are
 	// private and none depends on the cycle it is consumed in, so each
@@ -152,11 +161,14 @@ var testHookNewBank func(*Bank)
 func NewBank(c BankConfig) *Bank {
 	n := c.Sources
 	b := &Bank{
-		c:    c,
-		rngs: make([]sim.RNG, n),
-		srcs: make([]source, n),
-		act:  arb.MakeBitVec(n),
-		fl:   flit.NewFreeList(),
+		c:     c,
+		rngs:  make([]sim.RNG, n),
+		srcs:  make([]source, n),
+		fl:    flit.NewFreeList(),
+		ready: arb.MakeBitVec(n),
+		ring:  arb.MakeBitVecs(max(c.Ser, 1), n),
+		swept: -1,
+		wake:  -1,
 	}
 	if c.Pattern == nil {
 		b.c.Pattern = traffic.NewUniform(n)
@@ -236,11 +248,18 @@ func (b *Bank) spawn(now int64, src, dst, length int, measuring bool) {
 		panic("drive: packet length must be >= 1")
 	}
 	s := &b.srcs[src]
+	switch {
+	case s.q.Len() > 0: // InjectAll already finds it
+	case s.injFree <= now:
+		b.ready.Set(src)
+	default:
+		b.ring[s.injFree%int64(len(b.ring))].Set(src)
+		b.wake = max(b.wake, s.injFree)
+	}
 	s.seq++
 	s.q.MustPush(pkt{b.c.PacketID(src, s.seq), now, dst, int32(length), measuring})
 	b.genFlits += int64(length)
 	b.backlog += int64(length)
-	b.act.Set(src)
 	if measuring {
 		b.labeled++
 	}
@@ -286,20 +305,33 @@ func (b *Bank) Generate(now int64, measuring bool) {
 }
 
 // InjectAll moves at most one queued flit per source into d, in
-// ascending source order over the sources that hold any: a channel
-// carries one flit per Ser cycles, a head takes the first acceptable VC
-// at or after the source's rotating pointer, and the rest of its packet
-// follows on that VC (wormhole), waiting on it when it is refused. The
-// pointer moves past a packet's VC at its tail. onInject, when non-nil,
-// sees every injected flit.
+// ascending source order over the sources that hold any and whose
+// channel is free: a channel carries one flit per Ser cycles, a head
+// takes the first acceptable VC at or after the source's rotating
+// pointer, and the rest of its packet follows on that VC (wormhole),
+// waiting on it when it is refused. The pointer moves past a packet's VC
+// at its tail. onInject, when non-nil, sees every injected flit.
+//
+// Cycles must not decrease from call to call. A call first wakes the
+// sources waiting on every cycle since the last one; the driver calls it
+// every cycle while Backlog is nonzero and jumps only when the ring is
+// empty, so that is one slot.
 func (b *Bank) InjectAll(now int64, d Device, onInject func(now int64, f *flit.Flit)) {
-	v := b.c.VCs
-	for id := b.act.Next(0); id >= 0; id = b.act.Next(id + 1) {
-		s := &b.srcs[id]
-		if s.injFree > now {
-			continue
+	n := int64(len(b.ring))
+	if b.wake > b.swept {
+		for t := max(b.swept+1, now-n+1); t <= now; t++ {
+			slot := &b.ring[t%n]
+			b.ready.CopyOr(&b.ready, slot)
+			slot.Reset()
 		}
-		p, _ := s.q.Peek()
+	}
+	b.swept = now
+	// A source that injects now and keeps a backlog waits in now's slot,
+	// next swept at now+Ser.
+	var slot *arb.BitVec
+	v := b.c.VCs
+	for id := b.ready.Next(0); id >= 0; id = b.ready.Next(id + 1) {
+		s := &b.srcs[id]
 		vc := s.curVC
 		if s.sent == 0 {
 			vc = -1
@@ -320,15 +352,15 @@ func (b *Bank) InjectAll(now int64, d Device, onInject func(now int64, f *flit.F
 		} else if !d.CanAccept(id, vc) {
 			continue
 		}
+		p, _ := s.q.Peek()
 		f := b.fl.Make(p.id, s.sent, id, p.dst, vc, int(p.len), p.createdAt, p.measured)
 		b.backlog--
 		if f.Tail {
 			s.q.MustPop()
 			s.sent = 0
-			if s.q.Len() == 0 {
-				b.act.Clear(id)
+			if s.vcPtr = vc + 1; s.vcPtr == v {
+				s.vcPtr = 0
 			}
-			s.vcPtr = (vc + 1) % v
 			s.curVC = -1
 		} else {
 			s.sent++
@@ -338,6 +370,13 @@ func (b *Bank) InjectAll(now int64, d Device, onInject func(now int64, f *flit.F
 			onInject(now, f)
 		}
 		s.injFree = now + int64(b.c.Ser)
+		b.ready.Clear(id)
+		if s.q.Len() > 0 {
+			if slot == nil {
+				slot, b.wake = &b.ring[now%n], now+n
+			}
+			slot.Set(id)
+		}
 	}
 }
 

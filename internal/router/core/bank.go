@@ -53,6 +53,9 @@ type InputBank struct {
 	// CanAccept becomes one word test instead of a queue-struct load (VC
 	// counts above 64 are rejected by the router configuration layer).
 	full []uint64
+	// held[i] has bit c set while input buffer (i,c) holds a flit, so
+	// allocators iterate an input's occupied VCs instead of testing all.
+	held []uint64
 	occ  ActiveSet
 	// outst[i] is set while input i drives an outstanding request line;
 	// issuable = occupied AND NOT outstanding, maintained at every
@@ -71,6 +74,7 @@ func MakeInputBank(obs Obs, inputs, vcs, depth int) InputBank {
 		q:        MakeFIFOBank(inputs*vcs, depth),
 		front:    make([]Front, inputs*vcs),
 		full:     make([]uint64, inputs),
+		held:     make([]uint64, inputs),
 		occ:      MakeActiveSet(inputs),
 		outst:    arb.MakeBitVec(inputs),
 		issuable: arb.MakeBitVec(inputs),
@@ -105,6 +109,7 @@ func (b *InputBank) Accept(now int64, f *flit.Flit) {
 	if n == 1 {
 		fr := &b.front[idx]
 		fr.Inj, fr.Pkt, fr.Dst, fr.Head = now, f.PacketID, int32(f.Dst), f.Head
+		b.held[f.Src] |= 1 << uint(f.VC)
 	}
 	b.occ.Inc(f.Src)
 	b.buffered++
@@ -130,6 +135,7 @@ func (b *InputBank) Pop(input, vc int) *flit.Flit {
 		fr.Inj, fr.Pkt, fr.Dst, fr.Head = nf.InjectedAt, nf.PacketID, int32(nf.Dst), nf.Head
 	} else {
 		fr.Inj = FrontNone
+		b.held[input] &^= 1 << uint(vc)
 	}
 	b.occ.Dec(input)
 	b.buffered--
@@ -158,6 +164,10 @@ func (b *InputBank) Fronts(input int) []Front {
 	return b.front[i : i+b.vcs]
 }
 
+// HeldVCs returns input's nonempty buffers as a packed word: bit vc is
+// raised iff (input, vc) holds a flit.
+func (b *InputBank) HeldVCs(input int) uint64 { return b.held[input] }
+
 // Len returns the occupancy of buffer (input, vc).
 func (b *InputBank) Len(input, vc int) int { return b.q.Len(input*b.vcs + vc) }
 
@@ -171,6 +181,9 @@ func (b *InputBank) Buffered() int { return b.buffered }
 // NextOccupied returns the lowest input holding any flit at or after i,
 // or -1.
 func (b *InputBank) NextOccupied(i int) int { return b.occ.Next(i) }
+
+// Occupied returns the set of inputs holding any flit, read-only.
+func (b *InputBank) Occupied() *arb.BitVec { return &b.occ.bits }
 
 // NextIssuable returns the lowest input that is occupied with no
 // outstanding request line at or after i, or -1.

@@ -1,6 +1,8 @@
 package router
 
 import (
+	"math/bits"
+
 	"highradix/internal/arb"
 	"highradix/internal/flit"
 	"highradix/internal/router/core"
@@ -18,6 +20,12 @@ import (
 //
 // The allocation behavior is exactly the low-radix router's: moving the
 // code here changed no arbitration order or state.
+//
+// Both stages visit only input VCs that can bid. An occupied input VC
+// (core.InputBank.HeldVCs) whose head packet holds no output VC waits
+// for VA; one whose packet holds one is SA-ready. routed is the word
+// that splits the two, kept where OutVC changes: a VA grant sets the
+// bit, a departing tail clears it.
 type sepAlloc struct {
 	cfg   *Config
 	base  *core.Base
@@ -27,15 +35,25 @@ type sepAlloc struct {
 	outFree  core.SerializerBank
 	inputArb *arb.RotorBank   // per input, over VCs
 	outArb   []arb.RoundRobin // per output, over inputs
-	vaPtr    [][]int          // [output][outVC] rotating pointer over input-VC flat index
+	va       []vaKey          // per output VC (flat o*v+ov)
+	routed   []uint64         // per input: bit c raised iff Front(i, c).OutVC >= 0
 
 	// scratch
-	saReqVC      []int         // per input: requesting VC this iteration
-	outReqs      []*arb.BitVec // per output: requesting inputs this iteration
-	outActive    *arb.BitVec   // outputs with at least one request
-	inputMatched *arb.BitVec   // inputs matched in an earlier iteration
-	vaReqs       [][]int32     // per output VC (flat o*v+ov): requesting input VCs
-	vaActive     *arb.BitVec   // output VCs with at least one request
+	saReqVC      []int        // per input: requesting VC this iteration
+	outReqs      []arb.BitVec // per output: requesting inputs this iteration
+	outActive    arb.BitVec   // outputs with at least one request
+	inputMatched arb.BitVec   // inputs matched in an earlier iteration
+	vaActive     arb.BitVec   // output VCs with at least one request
+}
+
+// vaKey is one output VC's grant arbiter: a rotating pointer over the
+// flat input-VC index, and this cycle's two candidates for the grant.
+// Requests arrive in ascending flat index, so the first requester at or
+// after ptr wins, or failing one the first requester overall — the
+// requester of least rank (fi - ptr) mod k*v.
+type vaKey struct {
+	ptr            int32
+	first, fromPtr int32 // -1 when none
 }
 
 // makeSepAlloc returns an allocator bound to the embedding router's
@@ -51,18 +69,19 @@ func makeSepAlloc(cfg *Config, base *core.Base, onPop func(int64, int, int, *fli
 		outFree:      core.NewSerializerBank(k),
 		inputArb:     arb.NewRotorBank(k, v),
 		outArb:       make([]arb.RoundRobin, k),
-		vaPtr:        make([][]int, k),
+		va:           make([]vaKey, k*v),
+		routed:       make([]uint64, k),
 		saReqVC:      make([]int, k),
-		outReqs:      make([]*arb.BitVec, k),
-		outActive:    arb.NewBitVec(k),
-		inputMatched: arb.NewBitVec(k),
-		vaReqs:       make([][]int32, k*v),
-		vaActive:     arb.NewBitVec(k * v),
+		outReqs:      arb.MakeBitVecs(k, k),
+		outActive:    arb.MakeBitVec(k),
+		inputMatched: arb.MakeBitVec(k),
+		vaActive:     arb.MakeBitVec(k * v),
 	}
 	for i := 0; i < k; i++ {
-		s.outReqs[i] = arb.NewBitVec(k)
 		s.outArb[i] = arb.MakeRoundRobin(k)
-		s.vaPtr[i] = make([]int, v)
+	}
+	for key := range s.va {
+		s.va[key].first, s.va[key].fromPtr = -1, -1
 	}
 	return s
 }
@@ -74,62 +93,71 @@ func makeSepAlloc(cfg *Config, base *core.Base, onPop func(int64, int, int, *fli
 // allocated packet first traverses in the next cycle (VA and SA are
 // distinct pipeline stages, Figure 5(b)).
 func (s *sepAlloc) vcAllocate(now int64) {
-	k, v := s.cfg.Radix, s.cfg.VCs
+	v := s.cfg.VCs
 	in, owner := &s.base.In, &s.base.Owner
-	// vaReqs[o*v+ov] collects flat input-VC indices; slices keep their
-	// capacity across cycles, so the steady state allocates nothing.
-	for i := in.NextOccupied(0); i >= 0; i = in.NextOccupied(i + 1) {
-		fronts := in.Fronts(i)
-		for c := 0; c < v; c++ {
-			fr := &fronts[c]
-			// now <= Inj also rejects empty buffers (FrontNone).
-			if !fr.Head || fr.OutVC >= 0 || now <= fr.Inj {
-				continue
-			}
-			o := int(fr.Dst)
-			// Rotating scan for a free output VC; the centralized
-			// allocator sees VC status, so only free VCs are requested.
-			cand := -1
-			for sc := 0; sc < v; sc++ {
-				ov := (int(fr.Rot) + sc) % v
-				if owner.FreeVC(o, ov) {
-					cand = ov
-					break
+	for wi, iw := range in.Occupied().Words() {
+		for ; iw != 0; iw &= iw - 1 {
+			i := wi<<6 | bits.TrailingZeros64(iw)
+			fronts := in.Fronts(i)
+			for w := in.HeldVCs(i) &^ s.routed[i]; w != 0; w &= w - 1 {
+				c := bits.TrailingZeros64(w)
+				fr := &fronts[c]
+				// A flit accepted this cycle does not bid until the next.
+				if !fr.Head || now <= fr.Inj {
+					continue
+				}
+				o := int(fr.Dst)
+				// Rotating choice of a free output VC; the centralized
+				// allocator sees VC status, so only free VCs are requested.
+				cand := arb.RotFirst(owner.FreeMask(o), int(fr.Rot))
+				if cand < 0 {
+					if fr.Rot++; int(fr.Rot) == v {
+						fr.Rot = 0
+					}
+					continue
+				}
+				key := o*v + cand
+				a, fi := &s.va[key], int32(i*v+c)
+				if a.first < 0 {
+					a.first = fi
+					s.vaActive.Set(key)
+				}
+				if a.fromPtr < 0 && fi >= a.ptr {
+					a.fromPtr = fi
 				}
 			}
-			if cand < 0 {
-				fr.Rot = uint8((int(fr.Rot) + 1) % v)
-				continue
-			}
-			key := o*v + cand
-			s.vaReqs[key] = append(s.vaReqs[key], int32(i*v+c))
-			s.vaActive.Set(key)
 		}
 	}
 	// Grants on distinct output VCs are independent (each input VC
-	// requests exactly one key), so the ascending-key order here and the
-	// old map's random order produce identical state.
-	for key := s.vaActive.Next(0); key >= 0; key = s.vaActive.Next(key + 1) {
-		l := s.vaReqs[key]
-		o, ov := key/v, key%v
-		// Rotating-priority grant over flat input-VC index.
-		ptr := s.vaPtr[o][ov]
-		best, bestRank := -1, 1<<62
-		for _, fi32 := range l {
-			fi := int(fi32)
-			rank := (fi - ptr + k*v) % (k * v)
-			if rank < bestRank {
-				bestRank, best = rank, fi
-			}
+	// requests exactly one key), so granting them in ascending key order
+	// leaves the same state as any other order.
+	for kw, w := range s.vaActive.Words() {
+		for ; w != 0; w &= w - 1 {
+			s.grantVC(kw<<6 | bits.TrailingZeros64(w))
 		}
-		s.vaPtr[o][ov] = (best + 1) % (k * v)
-		i, c := best/v, best%v
-		fr := in.Front(i, c)
-		owner.Acquire(o, ov, fr.Pkt)
-		fr.OutVC = int16(ov)
-		s.vaReqs[key] = l[:0]
 	}
 	s.vaActive.Reset()
+}
+
+// grantVC grants output VC key (flat o*v+ov) to its winning requester
+// and moves the key's pointer one past it.
+func (s *sepAlloc) grantVC(key int) {
+	v := s.cfg.VCs
+	a := &s.va[key]
+	best := a.fromPtr
+	if best < 0 {
+		best = a.first
+	}
+	if a.ptr = best + 1; int(a.ptr) == len(s.va) {
+		a.ptr = 0
+	}
+	a.first, a.fromPtr = -1, -1
+	o, ov := key/v, key%v
+	i, c := int(best)/v, int(best)%v
+	fr := s.base.In.Front(i, c)
+	s.base.Owner.Acquire(o, ov, fr.Pkt)
+	fr.OutVC = int16(ov)
+	s.routed[i] |= 1 << uint(c)
 }
 
 // switchAllocate is the single-cycle separable input-first switch
@@ -139,48 +167,48 @@ func (s *sepAlloc) vcAllocate(now int64) {
 // already matched — the centralized luxury the paper's reference design
 // enjoys and the distributed design cannot afford.
 func (s *sepAlloc) switchAllocate(now int64) {
-	v := s.cfg.VCs
 	st := s.cfg.STCycles
 	in := &s.base.In
 	for iter := 0; iter < s.cfg.AllocIters; iter++ {
 		anyReq := false
-		for i := in.NextOccupied(0); i >= 0; i = in.NextOccupied(i + 1) {
-			if s.inputMatched.Get(i) || !s.inFree.Free(i, now) {
-				continue
-			}
-			var req uint64
-			fronts := in.Fronts(i)
-			for c := 0; c < v; c++ {
-				fr := &fronts[c]
-				// On the first iteration the input stage is blind to
-				// output status (a busy-output bid wastes the input's
-				// cycle — the head-of-line behavior that caps
-				// input-queued switches near 60%, Section 4.3). Later
-				// iterations only re-bid toward outputs that can still
-				// be granted, which is what the refinement is for.
-				eligible := now > fr.Inj && fr.OutVC >= 0
-				if eligible && iter > 0 && !s.outFree.Free(int(fr.Dst), now) {
-					eligible = false
+		for wi, iw := range in.Occupied().Words() {
+			for ; iw != 0; iw &= iw - 1 {
+				i := wi<<6 | bits.TrailingZeros64(iw)
+				if s.inputMatched.Get(i) || !s.inFree.Free(i, now) {
+					continue
 				}
-				if eligible {
+				var req uint64
+				fronts := in.Fronts(i)
+				for w := in.HeldVCs(i) & s.routed[i]; w != 0; w &= w - 1 {
+					c := bits.TrailingZeros64(w)
+					fr := &fronts[c]
+					// On the first iteration the input stage is blind to
+					// output status (a busy-output bid wastes the input's
+					// cycle — the head-of-line behavior that caps
+					// input-queued switches near 60%, Section 4.3). Later
+					// iterations only re-bid toward outputs that can still
+					// be granted, which is what the refinement is for.
+					if now <= fr.Inj || iter > 0 && !s.outFree.Free(int(fr.Dst), now) {
+						continue
+					}
 					req |= 1 << uint(c)
 				}
+				if req == 0 {
+					continue
+				}
+				c := s.inputArb.Arbitrate(i, req)
+				s.saReqVC[i] = c
+				o := int(fronts[c].Dst)
+				s.outReqs[o].Set(i)
+				s.outActive.Set(o)
+				anyReq = true
 			}
-			if req == 0 {
-				continue
-			}
-			c := s.inputArb.Arbitrate(i, req)
-			s.saReqVC[i] = c
-			o := int(fronts[c].Dst)
-			s.outReqs[o].Set(i)
-			s.outActive.Set(o)
-			anyReq = true
 		}
 		if !anyReq {
 			break
 		}
 		for o := s.outActive.Next(0); o >= 0; o = s.outActive.Next(o + 1) {
-			reqs := s.outReqs[o]
+			reqs := &s.outReqs[o]
 			if s.outFree.Free(o, now) {
 				win := s.outArb[o].ArbitrateBits(reqs)
 				c := s.saReqVC[win]
@@ -192,6 +220,7 @@ func (s *sepAlloc) switchAllocate(now int64) {
 				f.VC = int(fr.OutVC)
 				if f.Tail {
 					fr.OutVC = -1
+					s.routed[win] &^= 1 << uint(c)
 				}
 				// Traversal occupies cycles now+1 .. now+STCycles; the flit
 				// ejects on the final traversal cycle.

@@ -5,11 +5,10 @@ package sim
 // buffers always use a positive capacity while source queues are
 // unbounded.
 type Queue[T any] struct {
-	buf   []T
-	head  int
-	size  int
-	cap   int // 0 = unbounded
-	zeroT T
+	buf  []T
+	head int
+	size int
+	cap  int // 0 = unbounded
 }
 
 // NewQueue returns a queue with the given capacity. capacity <= 0 makes
@@ -76,7 +75,7 @@ func (q *Queue[T]) MustPush(v T) {
 // when the queue is empty.
 func (q *Queue[T]) Peek() (v T, ok bool) {
 	if q.size == 0 {
-		return q.zeroT, false
+		return v, false
 	}
 	return q.buf[q.head], true
 }
@@ -84,10 +83,11 @@ func (q *Queue[T]) Peek() (v T, ok bool) {
 // Pop removes and returns the front item. ok is false when empty.
 func (q *Queue[T]) Pop() (v T, ok bool) {
 	if q.size == 0 {
-		return q.zeroT, false
+		return v, false
 	}
 	v = q.buf[q.head]
-	q.buf[q.head] = q.zeroT
+	var zero T
+	q.buf[q.head] = zero
 	q.head++
 	if q.head == len(q.buf) {
 		q.head = 0

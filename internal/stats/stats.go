@@ -18,6 +18,7 @@ type Sample struct {
 	sum    float64
 	sumSq  float64
 	values []float64 // retained for quantiles; bounded by Reservoir
+	sorted []float64 // values in ascending order; stale while shorter than values
 	// reservoir sampling bound; 0 means retain everything.
 	reservoirCap int
 	seen         int64
@@ -36,6 +37,7 @@ func (s *Sample) Add(v float64) {
 	s.sum += v
 	s.sumSq += v * v
 	s.seen++
+	s.sorted = s.sorted[:0]
 	if s.reservoirCap == 0 || len(s.values) < s.reservoirCap {
 		s.values = append(s.values, v)
 		return
@@ -76,12 +78,17 @@ func (s *Sample) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of the retained values
 // using nearest-rank interpolation. It returns 0 for an empty sample.
+// The first call after an Add sorts the retained values and later calls
+// reuse that order, so Quantile writes to s as Add does.
 func (s *Sample) Quantile(q float64) float64 {
 	if len(s.values) == 0 {
 		return 0
 	}
-	vals := append([]float64(nil), s.values...)
-	sort.Float64s(vals)
+	if len(s.sorted) != len(s.values) {
+		s.sorted = append(s.sorted[:0], s.values...)
+		sort.Float64s(s.sorted)
+	}
+	vals := s.sorted
 	if q <= 0 {
 		return vals[0]
 	}

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -44,6 +45,31 @@ func TestQuantiles(t *testing.T) {
 	}
 	if p99 := s.Quantile(0.99); p99 < 98 || p99 > 100 {
 		t.Errorf("p99 = %v", p99)
+	}
+}
+
+// TestQuantileInterleavedWithAdd: Quantile keeps its sorted order across
+// calls, and every Add — one growing the reservoir or one replacing a
+// value in a full one — makes the next call see the new values.
+func TestQuantileInterleavedWithAdd(t *testing.T) {
+	s := NewSample(16)
+	x := 0.5
+	for i := 0; i < 400; i++ {
+		x = math.Mod(x*3.7+0.13, 1)
+		s.Add(float64(i%7) + x)
+		ref := append([]float64(nil), s.values...)
+		sort.Float64s(ref)
+		for _, q := range []float64{0, 0.25, 0.5, 0.99, 1} {
+			pos := q * float64(len(ref)-1)
+			lo, hi := int(math.Floor(pos)), int(math.Ceil(pos))
+			want := ref[lo]*(1-(pos-float64(lo))) + ref[hi]*(pos-float64(lo))
+			if got := s.Quantile(q); got != want {
+				t.Fatalf("after %d adds: quantile %v = %v, want %v", i+1, q, got, want)
+			}
+		}
+	}
+	if s.seen <= int64(len(s.values)) {
+		t.Fatal("vacuous: the reservoir never replaced a value")
 	}
 }
 
