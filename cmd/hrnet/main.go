@@ -14,7 +14,8 @@
 //
 // -workers is a count: at N >= 2 the run goes through the deterministic
 // sharded runner (internal/network/shard), which is byte-identical to
-// the serial driver at every worker count; 0 (the default) and 1 run
+// the serial driver at every worker count, and prints each worker's
+// busy and wait seconds on stderr; 0 (the default) and 1 run
 // serially. With -loads, the listed offered-load points run in
 // parallel on a worker pool (-j workers, default GOMAXPROCS; each run
 // owns its RNG, so the table is identical at every -j) and the sweep
@@ -149,12 +150,21 @@ func main() {
 }
 
 // runPoint dispatches one run to the serial driver or, given workers to
-// share it among, the sharded one.
+// share it among, the sharded one, whose per-worker busy and wait
+// seconds go to stderr so stdout stays the serial run's.
 func runPoint(o network.Options, workers int) (network.Result, error) {
-	if workers > 1 {
-		return shard.Run(shard.Options{Options: o, Workers: workers})
+	if workers <= 1 {
+		return network.Run(o)
 	}
-	return network.Run(o)
+	res, rep, err := shard.RunReport(shard.Options{Options: o, Workers: workers})
+	if err == nil {
+		line := []string{fmt.Sprintf("hrnet: load %.3f: %d epochs", o.Load, rep.Epochs)}
+		for i := range rep.Busy {
+			line = append(line, fmt.Sprintf("worker %d busy %.3fs wait %.3fs", i, rep.Busy[i].Seconds(), rep.Wait[i].Seconds()))
+		}
+		fmt.Fprintln(os.Stderr, strings.Join(line, "; "))
+	}
+	return res, err
 }
 
 // sweepLoads fans the listed offered-load points out on the worker pool

@@ -157,6 +157,9 @@ func (c *Clos) CreditDelay() int { return c.cfg.CreditDelay }
 func (c *Clos) HopDelay() int    { return c.cfg.RouterDelay() }
 func (c *Clos) InjectVCs() int   { return c.cfg.VCs }
 
+// Diameter is the stage count: every route crosses each stage once.
+func (c *Clos) Diameter() int { return c.s }
+
 // shuffle applies the k-ary perfect shuffle to a wire position: the
 // base-k digits of w rotate left by one, which is the inter-stage
 // wiring of the k-ary Clos.

@@ -12,11 +12,15 @@ import (
 	"highradix/internal/sim"
 )
 
-// Engine index widths. Buffered and in-flight flits are 32-byte records
-// with narrow port, VC and terminal fields, and credits are 4-byte queue
-// indices, which bounds what a topology may ask of one engine;
-// CheckLimits turns an oversize topology into an error before any
-// engine is built.
+// hopBits is the width of a flit's hop count, the low bits of the word
+// whose upper bits hold its destination terminal (slot.dh, Arrival.dh).
+const hopBits = 8
+
+// Engine index widths. A buffered flit is a 24-byte record and a flit on
+// a wire a 32-byte one, with narrow port, VC, terminal and hop fields;
+// credits are 4-byte queue indices. That bounds what a topology may ask
+// of one engine; CheckLimits turns an oversize topology into an error
+// before any engine is built.
 const (
 	// MaxPorts bounds ports per router (slot.route is 16 bits).
 	MaxPorts = 1 << 16
@@ -28,6 +32,12 @@ const (
 	// MaxQueues bounds Routers*Ports*VCs and Terminals*VCs (queue,
 	// credit and terminal indices are 32 bits).
 	MaxQueues = math.MaxInt32
+	// MaxTerminals bounds the terminal count (a flit's destination is
+	// the upper 24 bits of its dh word).
+	MaxTerminals = 1 << (32 - hopBits)
+	// MaxHops bounds Topology.Diameter, the routers one route crosses (a
+	// flit's hop count is the low 8 bits of its dh word).
+	MaxHops = 1<<hopBits - 1
 )
 
 // CheckLimits reports whether topo fits the engine's index widths.
@@ -42,6 +52,8 @@ func CheckLimits(topo Topology) error {
 		{"flits of buffer depth", int64(topo.BufDepth()), MaxBufDepth},
 		{"input queues (routers x ports x VCs)", int64(topo.Routers()) * p * v, MaxQueues},
 		{"injection channels (terminals x VCs)", int64(topo.Terminals()) * v, MaxQueues},
+		{"terminals", int64(topo.Terminals()), MaxTerminals},
+		{"routers on its longest route", int64(topo.Diameter()), MaxHops},
 	} {
 		if l.got > l.max {
 			return fmt.Errorf("network: %s topology has %d %s; the engine supports at most %d",
@@ -58,28 +70,88 @@ const (
 	kindTail
 )
 
-// hdr is a flit as the engine carries it between injection and
-// ejection: the pointer it will hand back, plus the fields routing and
-// allocation read, copied out once at Inject so that no hop ever
-// dereferences the flit (PacketID and Dst are immutable in flight; the
-// hop count is written back on ejection).
-type hdr struct {
-	f    *flit.Flit
-	pkt  uint64
-	dst  int32
-	hops uint32
-}
+// A flit travels as a header copied out of it once, at Accept: the
+// pointer the engine will hand back, plus the fields routing reads —
+// its packet id and, in one word dh, its destination terminal above its
+// hop count — so that no hop ever dereferences the flit (PacketID and
+// Dst are immutable in flight; the hop count is written back on
+// ejection). The header's fields open both records below.
 
-// slot is one buffered flit: its header, the input port it sits at, the
-// output port and downstream VC stamped when it landed, and its
-// head/tail bits.
+// slot is one buffered flit (24 bytes): its header, the output port and
+// downstream VC stamped when it landed, and its head/tail bits. The
+// input port it sits at is its queue index's, fi/VCs.
 type slot struct {
-	hdr
-	port    uint16
+	f       *flit.Flit
+	pkt     uint64
+	dh      uint32
 	route   uint16
 	routeVC uint8
 	kind    uint8
 }
+
+// Arrival is a flit on a wire toward input buffer (Router, Port, VC), 32
+// bytes: what an engine's arrival calendar holds and, with At set, the
+// mail that carries the flit to the engine owning that buffer.
+type Arrival struct {
+	f      *flit.Flit
+	pkt    uint64
+	dh     uint32
+	Router int32
+	Port   uint16
+	VC     uint8
+	kind   uint8
+	// At is the low 32 bits of the cycle the flit lands in; set on mail
+	// only (a calendar entry's bucket is its cycle).
+	At uint32
+}
+
+// CreditMail is a freed buffer slot's credit crossing to the engine
+// that owns the outgoing channel VC it replenishes, or that hosts the
+// terminal it returns to (8 bytes).
+type CreditMail struct {
+	// Q is the channel VC's global index (router*Ports+port)*VCs+vc, or
+	// the complement of the injection-credit index terminal*VCs+vc.
+	Q int32
+	// At is the low 32 bits of the cycle the credit applies in.
+	At uint32
+}
+
+// Outbox is the mail one engine sends one other engine between two
+// exchanges: the flits its terminals injected toward the other's
+// routers, the flits its routers granted toward them, and credits. A
+// message carries no sort key: sources inject in ascending terminal
+// order and Step grants a cycle's flits by ascending router and output
+// port, so outboxes read in ascending engine order — every Injected
+// stream, then every Flits stream — list each arrival cycle's flits in
+// the order a serial run schedules them in; credits are counter
+// increments, which commute.
+type Outbox struct {
+	Injected, Flits []Arrival
+	Credits         []CreditMail
+}
+
+// Layout places a network on engines: engine i owns the routers of
+// Routers[i] and hosts the sources of the terminals of Terminals[i].
+// Both are partitions of their index space into contiguous ranges in
+// ascending order, one range per engine; a terminal's sources need not
+// live with its entry router.
+type Layout struct {
+	Routers, Terminals [][2]int
+}
+
+// whole is the layout of a single engine.
+func whole(topo Topology) Layout {
+	return Layout{[][2]int{{0, topo.Routers()}}, [][2]int{{0, topo.Terminals()}}}
+}
+
+// part returns the index of the range of parts holding x.
+func part(parts [][2]int, x int) int32 {
+	return int32(slices.IndexFunc(parts, func(rg [2]int) bool { return x >= rg[0] && x < rg[1] }))
+}
+
+// widen recovers the cycle whose low 32 bits are at from a reference
+// cycle within 2^31 of it.
+func widen(at uint32, ref int64) int64 { return ref + int64(int32(at-uint32(ref))) }
 
 // inQueue is the fill of one input buffer plus the routing choice of
 // the packet currently arriving in it: a head's choice is relayed to
@@ -92,87 +164,84 @@ type inQueue struct {
 	vc    uint8
 }
 
-// outVC is the state of one outgoing channel VC.
+// outVC is the state of one outgoing channel VC (8 bytes).
 type outVC struct {
-	// owner is the packet holding the channel VC between head and tail
-	// (wormhole flow control: flits of different packets must not
-	// interleave on one link VC); 0 is free.
-	owner uint64
+	// owner is 1 + the local input queue whose packet holds the channel
+	// VC between head and tail (wormhole flow control: flits of different
+	// packets must not interleave on one link VC); 0 is free. A queue
+	// stands in for its packet because a packet's flits are contiguous
+	// in one input queue: a body flit at the front of the queue that owns
+	// the channel is a flit of the packet that does.
+	owner int32
 	// credit counts free slots in the downstream buffer; ejection
 	// channels are uncounted.
 	credit int32
 }
 
-// arrival is a flit in flight toward input buffer (router, port, vc).
-type arrival struct {
-	hdr
-	router int32 // global router id
+// output is the state and wiring of one output port (24 bytes).
+type output struct {
+	// free is the cycle the channel finishes serializing.
+	free int64
+	// ptr is the rotating allocation pointer over flat (port*VCs+vc)
+	// requester indices.
+	ptr int32
+	// to is the downstream router, or ^terminal for an ejection channel.
+	to int32
+	// box is the outbox of the engine owning router to, -1 when local.
+	box int32
+	// port is the downstream input port.
+	port uint16
+}
+
+// feeder says where the credits of one input port's freed slots go
+// (8 bytes): channel VC ch+vc of an upstream output (a local out index
+// when box < 0, else a global one), or, for a terminal's entry port,
+// injection credit ^(ch-vc) of ch = ^(t*VCs); box is the outbox of the
+// engine owning the output or hosting the terminal, -1 when local.
+type feeder struct {
+	ch  int32
+	box int32
+}
+
+// entry is where a hosted terminal's flits enter the network: its entry
+// router and port, and the outbox of the engine owning that router, -1
+// when local.
+type entry struct {
+	router int32
+	box    int32
 	port   uint16
-	vc     uint8
-	kind   uint8
 }
-
-// creditMsg returns a buffer slot upstream: a value >= 0 is the local
-// outVC index it replenishes, a value < 0 is the complement of the
-// injection-credit index terminal*VCs+vc.
-type creditMsg int32
-
-// XKind tags a cross-shard message.
-type XKind uint8
-
-const (
-	// XFlit is a flit crossing a shard boundary toward a remote input
-	// buffer.
-	XFlit XKind = iota
-	// XCredit is a freed-slot credit returning to a remote output.
-	XCredit
-)
-
-// Xmsg is one cross-shard event, produced into a shard's outbox during
-// an epoch and pulled into the owning shard's calendars at the barrier:
-// an XFlit is the arrival record itself, header included, so a flit in
-// transit is never dereferenced; an XCredit replenishes outgoing channel
-// VC (router, port, vc). A message carries no sort key: Step emits a
-// cycle's flits by ascending router and output port, so outboxes read in
-// ascending shard order already list every arrival cycle's flits in the
-// order a serial run schedules them in, and credits are counter
-// increments, which commute.
-type Xmsg struct {
-	At   int64
-	Kind XKind
-	arrival
-}
-
-// Dst returns the input buffer (XFlit) or outgoing channel VC (XCredit)
-// the message is addressed to.
-func (m *Xmsg) Dst() (router, port, vc int) { return int(m.router), int(m.port), int(m.vc) }
 
 // Network is the topology-agnostic input-queued engine: per-VC input
 // buffers, credit-based flow control, wormhole link-VC ownership, and
 // a single-iteration rotating-priority output allocation per router —
 // the simplified network-scale router model of the paper's Section 7.
 //
-// A Network owns the contiguous router range [lo, hi). The serial
-// driver owns [0, Routers()); shard workers each own a slice of it.
-// Events bound for routers outside the range accumulate in an outbox
-// (TakeOutbox) instead of a local calendar, and remote events enter
-// through PutRemote.
+// A Network is one engine of a Layout: it owns a range of the routers
+// and hosts the sources of a range of the terminals. The serial
+// driver's engine owns and hosts everything; shard workers each own one
+// range of several. Events bound for another engine's routers or
+// terminals go to its Outbox (SetOutbox) instead of a local calendar,
+// and remote events enter through PutFlits and PutCredits.
 //
 // All state lives in flat banks over the owned routers (DESIGN.md,
 // "Network engine memory layout"). With lr = r-lo the local router id:
 //
 //	q = (lr*ports+port)*VCs+vc   input queues and outgoing channel VCs
-//	o = lr*ports+port            output ports
+//	o = lr*ports+port            output ports and input-port feeders
 //	t*VCs+vc                     injection credits of terminal t
+//	t-tlo                        entry ports of hosted terminal t
 type Network struct {
 	topo Topology
 	seed uint64
 	lo   int
 	hi   int
+	qlo  int // lo*ports*VCs: the global index of local queue 0
 
 	n     int // terminals
 	v     int // VCs
 	ports int
+	flat  int // ports*VCs
 	depth int
 	ser   int64
 	hop   int64
@@ -184,22 +253,22 @@ type Network struct {
 	front []slot
 	rest  []slot
 	inq   []inQueue
-	// out[q] is outgoing channel VC (output port, vc) of a router.
-	out []outVC
-	// outFree[o] is the cycle output o's channel finishes serializing.
-	outFree []int64
-	// outPtr[o] is the rotating allocation pointer of output o over
-	// flat (port*VCs+vc) requester indices.
-	outPtr []int32
-	// links[o] and feeders[o] cache topo.Link and topo.Feeder.
-	links, feeders []Link
+	// out[q] is outgoing channel VC (output port, vc) of a router,
+	// outs[o] output port o and feeders[o] where input port o's credits
+	// go.
+	out     []outVC
+	outs    []output
+	feeders []feeder
 	// injCredit[t*VCs+vc] counts free slots in the entry buffer fed by
-	// terminal t; nonzero only for terminals entering [lo, hi).
+	// terminal t; nonzero only for hosted terminals, [tlo, tlo+len(entry)),
+	// whose flits enter at entry[t-tlo].
 	injCredit []int32
+	tlo       int
+	entry     []entry
 
-	// The barrier merge schedules remote arrivals and credits out of
-	// order relative to local ones.
-	arrivals *sim.Calendar[arrival]
+	// PutFlits and PutCredits schedule remote arrivals and credits out
+	// of order relative to local ones.
+	arrivals *sim.Calendar[Arrival]
 	credits  *sim.Calendar[creditMsg]
 	toTerm   *sim.Calendar[*flit.Flit] // exit wires, ser cycles long
 
@@ -219,74 +288,102 @@ type Network struct {
 	// during a router's grants; they join the matrix after them.
 	exposed []int32
 
-	outbox []Xmsg
-	// outFlits counts XFlit entries in the outbox: flits that have left
-	// this shard but are not yet in any calendar. They are in flight from
-	// the whole run's point of view, so InFlight must include them or the
-	// sharded drain-exit checks would see an emptier network than the
-	// serial run does.
+	// outbox[b] receives the mail for engine b of the layout.
+	outbox []Outbox
+	// outFlits counts the flits mailed since SetOutbox: flits that have
+	// left this engine but are not yet in any calendar. They are in
+	// flight from the whole run's point of view, so InFlight must include
+	// them or the sharded drain-exit checks would see an emptier network
+	// than the serial run does. mailAt is the earliest cycle any mail
+	// since SetOutbox takes effect in.
 	outFlits int
+	mailAt   int64
 	ejected  []*flit.Flit
 }
 
+// creditMsg returns a buffer slot upstream: a value >= 0 is the local
+// outVC index it replenishes, a value < 0 is the complement of the
+// injection-credit index terminal*VCs+vc.
+type creditMsg int32
+
 // NewNetwork builds a full serial network over topo.
 func NewNetwork(topo Topology, seed uint64) *Network {
-	return NewNetworkRange(topo, seed, 0, topo.Routers())
+	return NewNetworkRange(topo, seed, whole(topo), 0)
 }
 
-// NewNetworkRange builds an engine owning routers [lo, hi) of topo.
-// seed drives routing; every shard of one run must use the same value.
-// The topology must satisfy CheckLimits (Options.Topology checks it for
-// both drivers); building an engine over one that does not is a caller
-// bug and panics.
-func NewNetworkRange(topo Topology, seed uint64, lo, hi int) *Network {
+// NewNetworkRange builds engine i of layout l over topo; its mail for
+// engine b goes to outbox b. seed drives routing; every engine of one
+// run must use the same value. The topology must satisfy CheckLimits
+// (Options.Topology checks it for both drivers); building an engine
+// over one that does not is a caller bug and panics.
+func NewNetworkRange(topo Topology, seed uint64, l Layout, i int) *Network {
 	if err := CheckLimits(topo); err != nil {
 		panic(err)
 	}
+	lo, hi := l.Routers[i][0], l.Routers[i][1]
+	tlo, thi := l.Terminals[i][0], l.Terminals[i][1]
 	p, v, depth := topo.Ports(), topo.VCs(), topo.BufDepth()
 	routers := hi - lo
 	span := max(topo.HopDelay()+2, topo.CreditDelay()+1)
 	nq := routers * p * v
 	nw := &Network{
-		topo: topo, seed: seed, lo: lo, hi: hi,
-		n: topo.Terminals(), v: v, ports: p, depth: depth,
+		topo: topo, seed: seed, lo: lo, hi: hi, qlo: lo * p * v,
+		n: topo.Terminals(), v: v, ports: p, flat: p * v, depth: depth,
 		ser: int64(topo.SerCycles()), hop: int64(topo.HopDelay()), cd: int64(topo.CreditDelay()),
 		front:     make([]slot, nq),
 		rest:      make([]slot, nq*(depth-1)),
 		inq:       make([]inQueue, nq),
 		out:       make([]outVC, nq),
-		outFree:   make([]int64, routers*p),
-		outPtr:    make([]int32, routers*p),
-		links:     make([]Link, routers*p),
-		feeders:   make([]Link, routers*p),
+		outs:      make([]output, routers*p),
+		feeders:   make([]feeder, routers*p),
 		injCredit: make([]int32, topo.Terminals()*v),
-		arrivals:  sim.NewCalendar[arrival](span, 0),
+		tlo:       tlo,
+		entry:     make([]entry, thi-tlo),
+		arrivals:  sim.NewCalendar[Arrival](span, 0),
 		credits:   sim.NewCalendar[creditMsg](span, 0),
 		toTerm:    sim.NewCalendar[*flit.Flit](topo.SerCycles(), 0),
 		// An empty range (a shard of zero routers, legal when workers
 		// exceed routers) still needs a nonempty activity vector: BitVecs
 		// reject zero sizes, and a one-bit vector that never sets is free.
-		act:  arb.MakeBitVec(max(routers, 1)),
-		reqW: (p*v + 63) / 64,
-		outW: (p + 63) / 64,
+		act:    arb.MakeBitVec(max(routers, 1)),
+		reqW:   (p*v + 63) / 64,
+		outW:   (p + 63) / 64,
+		mailAt: sim.NoWake,
 	}
 	nw.want = make([]uint64, routers*p*nw.reqW)
 	nw.wanted = make([]uint64, routers*nw.outW)
-	for o := range nw.links {
+	// box names the outbox for a partition index: -1 for this engine.
+	box := func(b int32) int32 {
+		if b == int32(i) {
+			return -1
+		}
+		return b
+	}
+	for o := range nw.outs {
 		r, pt := lo+o/p, o%p
-		nw.links[o] = topo.Link(r, pt)
-		nw.feeders[o] = topo.Feeder(r, pt)
-		if nw.links[o].Router >= 0 {
+		switch ln := topo.Link(r, pt); {
+		case ln.Router < 0:
+			nw.outs[o] = output{to: ^int32(ln.Terminal), box: -1}
+		default:
+			nw.outs[o] = output{to: int32(ln.Router), port: uint16(ln.Port), box: box(part(l.Routers, ln.Router))}
 			for c := 0; c < v; c++ {
 				nw.out[o*v+c].credit = int32(depth)
 			}
 		}
+		switch fd := topo.Feeder(r, pt); {
+		case fd.Router < 0:
+			nw.feeders[o] = feeder{ch: ^int32(fd.Terminal * v), box: box(part(l.Terminals, fd.Terminal))}
+		case nw.Owns(fd.Router):
+			nw.feeders[o] = feeder{ch: int32(nw.queue(fd.Router, fd.Port, 0)), box: -1}
+		default:
+			nw.feeders[o] = feeder{ch: int32((fd.Router*p + fd.Port) * v), box: box(part(l.Routers, fd.Router))}
+		}
 	}
-	for t := 0; t < nw.n; t++ {
-		if er, _ := topo.Entry(t); nw.Owns(er) {
-			for c := 0; c < v; c++ {
-				nw.injCredit[t*v+c] = int32(depth)
-			}
+	for t := tlo; t < thi; t++ {
+		er, ep := topo.Entry(t)
+		nw.entry[t-tlo] = entry{router: int32(er), port: uint16(ep), box: box(part(l.Routers, er))}
+		for c := 0; c < v; c++ {
+			nw.injCredit[t*v+c] = int32(depth)
 		}
 	}
 	return nw
@@ -299,29 +396,14 @@ func (nw *Network) Terminals() int { return nw.n }
 func (nw *Network) Owns(r int) bool { return r >= nw.lo && r < nw.hi }
 
 // CanAccept reports whether terminal src can send a flit on vc. Only
-// valid for terminals whose entry router this engine owns. With Accept
-// it makes the engine a drive.Device.
+// valid for terminals this engine hosts. With Accept it makes the
+// engine a drive.Device.
 func (nw *Network) CanAccept(src, vc int) bool { return nw.injCredit[src*nw.v+vc] > 0 }
 
-// flitArrival builds the in-flight record of f toward (router, port,
-// vc), reading the flit's header fields.
-func flitArrival(f *flit.Flit, router, port, vc int) arrival {
-	a := arrival{
-		hdr:    hdr{f: f, pkt: f.PacketID, dst: int32(f.Dst), hops: uint32(f.Hops)},
-		router: int32(router), port: uint16(port), vc: uint8(vc),
-	}
-	if f.Head {
-		a.kind |= kindHead
-	}
-	if f.Tail {
-		a.kind |= kindTail
-	}
-	return a
-}
-
-// Accept launches a flit from terminal f.Src on virtual channel f.VC.
-// The caller enforces the terminal channel's serialization rate. The
-// entry router is always local (sources live with their shard).
+// Accept launches a flit from hosted terminal f.Src on virtual channel
+// f.VC toward its entry router, which another engine may own. The
+// caller enforces the terminal channel's serialization rate. The flit's
+// hop count starts from zero.
 func (nw *Network) Accept(now int64, f *flit.Flit) {
 	ic := &nw.injCredit[f.Src*nw.v+f.VC]
 	if *ic <= 0 {
@@ -329,8 +411,24 @@ func (nw *Network) Accept(now int64, f *flit.Flit) {
 	}
 	*ic--
 	f.InjectedAt = now
-	r, p := nw.topo.Entry(f.Src)
-	nw.arrivals.Schedule(now+nw.hop+1, flitArrival(f, r, p, f.VC))
+	e := nw.entry[f.Src-nw.tlo]
+	a := Arrival{f: f, pkt: f.PacketID, dh: uint32(f.Dst) << hopBits, Router: e.router, Port: e.port, VC: uint8(f.VC)}
+	if f.Head {
+		a.kind |= kindHead
+	}
+	if f.Tail {
+		a.kind |= kindTail
+	}
+	at := now + nw.hop + 1
+	if e.box < 0 {
+		nw.arrivals.Schedule(at, a)
+		return
+	}
+	a.At = uint32(at)
+	box := &nw.outbox[e.box]
+	box.Injected = append(box.Injected, a)
+	nw.outFlits++
+	nw.mail(at)
 }
 
 // Ejected returns flits delivered to terminals during the last Step,
@@ -360,7 +458,8 @@ func (nw *Network) Quiescent() bool {
 // NextWake returns a lower bound (>= now+1) on the next cycle at which
 // Step can change state absent new injections, or sim.NoWake when the
 // engine is empty forever. Buffered flits drive allocation every
-// cycle; otherwise the earliest calendar event is exact.
+// cycle; otherwise the earliest calendar event is exact. Mail sent
+// since SetOutbox is not counted (MailAt is).
 func (nw *Network) NextWake(now int64) int64 {
 	if nw.buffered > 0 {
 		return now + 1
@@ -368,15 +467,20 @@ func (nw *Network) NextWake(now int64) int64 {
 	return max(now+1, min(nw.arrivals.NextAt(), nw.toTerm.NextAt(), nw.credits.NextAt()))
 }
 
-// TakeOutbox returns the cross-shard events produced since the last
-// call and resets the outbox. The caller must finish with the slice
-// before the next Step on this engine.
-func (nw *Network) TakeOutbox() []Xmsg {
-	out := nw.outbox
-	nw.outbox = nw.outbox[:0]
-	nw.outFlits = 0
-	return out
+// SetOutbox empties boxes, one per engine of the layout, and directs
+// into them the mail of the Accepts and Steps that follow. The caller
+// must not read boxes while this engine runs.
+func (nw *Network) SetOutbox(boxes []Outbox) {
+	for b := range boxes {
+		bx := &boxes[b]
+		bx.Injected, bx.Flits, bx.Credits = bx.Injected[:0], bx.Flits[:0], bx.Credits[:0]
+	}
+	nw.outbox, nw.outFlits, nw.mailAt = boxes, 0, sim.NoWake
 }
+
+// MailAt returns the earliest cycle any mail sent since SetOutbox takes
+// effect in, sim.NoWake when there is none.
+func (nw *Network) MailAt() int64 { return nw.mailAt }
 
 // queue returns the flat index of (router, port, vc) for an owned
 // router.
@@ -384,18 +488,23 @@ func (nw *Network) queue(router, port, vc int) int {
 	return ((router-nw.lo)*nw.ports+port)*nw.v + vc
 }
 
-// PutRemote schedules, in order, the messages of another engine's outbox
-// that are addressed to routers this engine owns. Called between epochs
-// only (never concurrently with either engine's Step).
-func (nw *Network) PutRemote(ms []Xmsg) {
-	for i := range ms {
-		switch m := &ms[i]; {
-		case !nw.Owns(int(m.router)):
-		case m.Kind == XFlit:
-			nw.arrivals.Schedule(m.At, m.arrival)
-		default:
-			nw.credits.Schedule(m.At, creditMsg(nw.queue(m.Dst())))
+// PutFlits and PutCredits schedule, in order, flits and credits another
+// engine mailed this one. now is a cycle within 2^31 of every message's
+// (the exchange's). Called between epochs only (never concurrently with
+// this engine running or the sender's).
+func (nw *Network) PutFlits(as []Arrival, now int64) {
+	for _, a := range as {
+		nw.arrivals.Schedule(widen(a.At, now), a)
+	}
+}
+
+func (nw *Network) PutCredits(cs []CreditMail, now int64) {
+	for _, c := range cs {
+		q := int(c.Q)
+		if q >= 0 {
+			q -= nw.qlo
 		}
+		nw.credits.Schedule(widen(c.At, now), creditMsg(q))
 	}
 }
 
@@ -403,19 +512,19 @@ func (nw *Network) PutRemote(ms []Xmsg) {
 // packet's next hop when the flit is a head. The route key is a pure
 // hash of (seed, packet, router), so the choice is identical whichever
 // shard evaluates it.
-func (nw *Network) land(as []arrival) {
+func (nw *Network) land(as []Arrival) {
 	for i := range as {
 		a := &as[i]
-		r, port, vc := int(a.router), int(a.port), int(a.vc)
+		r, port, vc := int(a.Router), int(a.Port), int(a.VC)
 		lr := r - nw.lo
 		fi := port*nw.v + vc
-		q := lr*nw.ports*nw.v + fi
+		q := lr*nw.flat + fi
 		in := &nw.inq[q]
 		if a.kind&kindHead != 0 {
-			np, nvc := nw.topo.NextHop(r, port, int(a.dst), vc, routeKey(nw.seed, a.pkt, r))
+			np, nvc := nw.topo.NextHop(r, port, int(a.dh>>hopBits), vc, routeKey(nw.seed, a.pkt, r))
 			in.route, in.vc = uint16(np), uint8(nvc)
 		}
-		s := slot{hdr: a.hdr, port: a.port, route: in.route, routeVC: in.vc, kind: a.kind}
+		s := slot{f: a.f, pkt: a.pkt, dh: a.dh, route: in.route, routeVC: in.vc, kind: a.kind}
 		switch n := int(in.n); {
 		case n == 0:
 			nw.front[q] = s
@@ -457,6 +566,9 @@ func (nw *Network) applyCredits(cs []creditMsg) {
 	}
 }
 
+// mail notes a message taking effect at cycle at.
+func (nw *Network) mail(at int64) { nw.mailAt = min(nw.mailAt, at) }
+
 // Step advances the owned routers one cycle.
 func (nw *Network) Step(now int64) {
 	nw.ejected = nw.ejected[:0]
@@ -467,8 +579,7 @@ func (nw *Network) Step(now int64) {
 		slices.SortFunc(nw.ejected, func(a, b *flit.Flit) int { return cmp.Compare(a.Dst, b.Dst) })
 	}
 
-	v, ports, reqW := nw.v, nw.ports, nw.reqW
-	flat := ports * v
+	v, ports, reqW, flat := nw.v, nw.ports, nw.reqW, nw.flat
 	for lr := nw.act.Next(0); lr >= 0; lr = nw.act.Next(lr + 1) {
 		obase, qbase := lr*ports, lr*flat
 		wanted := nw.wanted[lr*nw.outW:][:nw.outW]
@@ -480,13 +591,13 @@ func (nw *Network) Step(now int64) {
 			for ; w != 0; w &= w - 1 {
 				out := wi<<6 + bits.TrailingZeros64(w)
 				o := obase + out
-				if nw.outFree[o] > now {
+				op := &nw.outs[o]
+				if op.free > now {
 					continue
 				}
-				link := nw.links[o]
-				eject := link.Router < 0
+				eject := op.to < 0
 				row := nw.want[o*reqW:][:reqW]
-				best := nw.arbitrate(row, int(nw.outPtr[o]), qbase, o*v, eject)
+				best := nw.arbitrate(row, int(op.ptr), qbase, o*v, eject)
 				if best < 0 {
 					continue
 				}
@@ -509,43 +620,46 @@ func (nw *Network) Step(now int64) {
 				}
 				nw.buffered--
 				if best+1 == flat {
-					nw.outPtr[o] = 0
+					op.ptr = 0
 				} else {
-					nw.outPtr[o] = int32(best + 1)
+					op.ptr = int32(best + 1)
 				}
-				nw.outFree[o] = now + nw.ser
-				p := int(s.port)
+				op.free = now + nw.ser
+				p := int(uint32(best) / uint32(v))
 				c := best - p*v
-				nw.sendCreditUpstream(now, lr, p, c)
+				nw.sendCreditUpstream(now, lr*ports+p, c)
 				ovc := int(s.routeVC)
 				ch := &nw.out[o*v+ovc]
 				switch s.kind {
 				case kindHead:
-					ch.owner = s.pkt
+					ch.owner = int32(q + 1)
 				case kindTail:
 					ch.owner = 0
 				}
-				s.hops++
+				s.dh++
 				if eject {
 					// The exit wire must be the destination terminal
 					// (routing invariant); the packet pays serialization
 					// once (Eq. 1). The flit gets back what it would
 					// have accumulated hop by hop: its count and last VC.
-					if link.Terminal != int(s.dst) {
+					if ^op.to != int32(s.dh>>hopBits) {
 						panic("network: routing delivered flit to wrong terminal")
 					}
-					s.f.Hops, s.f.VC = int(s.hops), c
+					s.f.Hops, s.f.VC = int(s.dh&MaxHops), c
 					nw.toTerm.Schedule(now+nw.ser, s.f)
 					continue
 				}
 				ch.credit--
 				at := now + nw.hop + 1
-				a := arrival{hdr: s.hdr, router: int32(link.Router), port: uint16(link.Port), vc: uint8(ovc), kind: s.kind}
-				if nw.Owns(link.Router) {
+				a := Arrival{f: s.f, pkt: s.pkt, dh: s.dh, Router: op.to, Port: op.port, VC: uint8(ovc), kind: s.kind}
+				if op.box < 0 {
 					nw.arrivals.Schedule(at, a)
 				} else {
-					nw.outbox = append(nw.outbox, Xmsg{At: at, Kind: XFlit, arrival: a})
+					a.At = uint32(at)
+					box := &nw.outbox[op.box]
+					box.Flits = append(box.Flits, a)
 					nw.outFlits++
+					nw.mail(at)
 				}
 			}
 		}
@@ -581,13 +695,13 @@ func (nw *Network) arbitrate(row []uint64, ptr, qbase, chbase int, eject bool) i
 				continue
 			}
 			// Wormhole link-VC ownership: a head flit needs the channel
-			// VC free; body flits must own it. This is what keeps
-			// packets from interleaving on a link.
+			// VC free; body flits must own it, through their queue. This
+			// is what keeps packets from interleaving on a link.
 			if s.kind&kindHead != 0 {
 				if ch.owner != 0 {
 					continue
 				}
-			} else if ch.owner != s.pkt {
+			} else if ch.owner != int32(qbase+fi+1) {
 				continue
 			}
 			return fi
@@ -599,22 +713,21 @@ func (nw *Network) arbitrate(row []uint64, ptr, qbase, chbase int, eject bool) i
 	return -1
 }
 
-// sendCreditUpstream routes the freed slot of input buffer (lr, p, c)
-// back to the output (or terminal) that feeds it. Terminal feeders are
-// always local (the terminal's entry router is this router); remote
-// router feeders go through the outbox.
-func (nw *Network) sendCreditUpstream(now int64, lr, p, c int) {
-	fd := nw.feeders[lr*nw.ports+p]
+// sendCreditUpstream routes the freed slot of VC c of input port o back
+// to the output (or terminal) that feeds it, through the outbox when
+// another engine owns the output or hosts the terminal.
+func (nw *Network) sendCreditUpstream(now int64, o, c int) {
+	fd := nw.feeders[o]
 	at := now + nw.cd
-	switch {
-	case fd.Router < 0:
-		nw.credits.Schedule(at, ^creditMsg(fd.Terminal*nw.v+c))
-	case nw.Owns(fd.Router):
-		nw.credits.Schedule(at, creditMsg(nw.queue(fd.Router, fd.Port, c)))
-	default:
-		nw.outbox = append(nw.outbox, Xmsg{
-			At: at, Kind: XCredit,
-			arrival: arrival{router: int32(fd.Router), port: uint16(fd.Port), vc: uint8(c)},
-		})
+	ch := fd.ch + int32(c)
+	if fd.ch < 0 {
+		ch = fd.ch - int32(c)
 	}
+	if fd.box < 0 {
+		nw.credits.Schedule(at, creditMsg(ch))
+		return
+	}
+	box := &nw.outbox[fd.box]
+	box.Credits = append(box.Credits, CreditMail{Q: ch, At: uint32(at)})
+	nw.mail(at)
 }

@@ -17,12 +17,16 @@ var _ drive.Device = (*network.Network)(nil)
 // TestWiringTablesMatchTopology pins the engine's precomputed link and
 // feeder tables to the topology's own answers for every (router, port),
 // over a full engine and over a shard-style sub-range (whose tables are
-// offset by lo).
+// offset by lo, and whose remote ends are mailed).
 func TestWiringTablesMatchTopology(t *testing.T) {
 	for _, tc := range digestTopologies(t) {
 		n, ports := tc.topo.Routers(), tc.topo.Ports()
 		for _, rg := range [][2]int{{0, n}, {n / 3, n - 1}} {
-			links, feeders := network.NewNetworkRange(tc.topo, 1, rg[0], rg[1]).WiringTables()
+			l := network.Layout{
+				Routers:   [][2]int{{0, rg[0]}, rg, {rg[1], n}},
+				Terminals: [][2]int{{0, 0}, {0, tc.topo.Terminals()}, {tc.topo.Terminals(), tc.topo.Terminals()}},
+			}
+			links, feeders := network.NewNetworkRange(tc.topo, 1, l, 1).WiringTables()
 			if got, want := len(links), (rg[1]-rg[0])*ports; got != want {
 				t.Fatalf("%s [%d,%d): %d link entries, want %d", tc.name, rg[0], rg[1], got, want)
 			}
@@ -45,7 +49,7 @@ func TestWiringTablesMatchTopology(t *testing.T) {
 // to present the engine with one it cannot index.
 type oversize struct {
 	network.Topology
-	ports, vcs, depth, routers, terminals int
+	ports, vcs, depth, routers, terminals, diameter int
 }
 
 func pick(override, base int) int {
@@ -60,6 +64,7 @@ func (o oversize) VCs() int       { return pick(o.vcs, o.Topology.VCs()) }
 func (o oversize) BufDepth() int  { return pick(o.depth, o.Topology.BufDepth()) }
 func (o oversize) Routers() int   { return pick(o.routers, o.Topology.Routers()) }
 func (o oversize) Terminals() int { return pick(o.terminals, o.Topology.Terminals()) }
+func (o oversize) Diameter() int  { return pick(o.diameter, o.Topology.Diameter()) }
 
 // TestOversizeTopologyIsAnError checks that both drivers turn a topology
 // beyond the engine's index widths into an error naming the limit —
@@ -78,6 +83,8 @@ func TestOversizeTopologyIsAnError(t *testing.T) {
 		{"depth", oversize{Topology: base, depth: network.MaxBufDepth + 1}, network.MaxBufDepth},
 		{"queues", oversize{Topology: base, routers: 1 << 20, ports: 1 << 10, vcs: 4}, network.MaxQueues},
 		{"injection", oversize{Topology: base, terminals: 1 << 30, vcs: 4}, network.MaxQueues},
+		{"terminals", oversize{Topology: base, terminals: network.MaxTerminals + 1}, network.MaxTerminals},
+		{"hops", oversize{Topology: base, diameter: network.MaxHops + 1}, network.MaxHops},
 	} {
 		o := network.Options{Topo: tc.topo, Load: 0.1, WarmupCycles: 10, MeasureCycles: 10}
 		for driver, run := range map[string]func() (network.Result, error){
@@ -100,7 +107,10 @@ func TestOversizeTopologyIsAnError(t *testing.T) {
 // routers) builds and steps, and such a run still equals the serial one.
 func TestEmptyRangeConstructs(t *testing.T) {
 	ring := digestTopologies(t)[2].topo
-	network.NewNetworkRange(ring, 1, 3, 3).Step(0)
+	network.NewNetworkRange(ring, 1, network.Layout{
+		Routers:   [][2]int{{0, 3}, {3, 3}, {3, ring.Routers()}},
+		Terminals: [][2]int{{0, 3}, {3, 3}, {3, ring.Terminals()}},
+	}, 1).Step(0)
 	o := network.Options{Topo: ring, Load: 0.4, WarmupCycles: 50, MeasureCycles: 100, Seed: 5}
 	want, err := network.Run(o)
 	if err != nil {

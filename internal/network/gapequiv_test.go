@@ -120,7 +120,7 @@ func TestEngineCalendarsSurviveIdleGaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWorld(o, topo, 0, topo.Routers())
+	w := NewWorld(o, topo, whole(topo), 0)
 	tally, err := drive.Run(drive.Config{Measure: 50_000_000}, w)
 	if err != nil {
 		t.Fatal(err)

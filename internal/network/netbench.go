@@ -143,15 +143,16 @@ type World struct {
 	Net *Network
 }
 
-// NewWorld builds the engine and sources of o (already defaulted) for
-// routers [lo, hi) of topo, observed by o.Hooks if any. The auditor's
-// EndCycle is a no-op on the cycles a jump skips (no events, and the
-// watchdog only arms against a live set the engine's NextWake bounds).
-func NewWorld(o Options, topo Topology, lo, hi int) *World {
-	nw := NewNetworkRange(topo, o.RouteSeed(), lo, hi)
-	w := &World{Net: nw, Plant: drive.Plant{
-		Dev: nw, Bank: NewSources(topo, o.SourceOpts(topo), lo, hi), Dense: o.NoFastForward,
-	}}
+// NewWorld builds engine i of layout l over topo, with the sources it
+// hosts, for o (already defaulted), observed by o.Hooks if any. The
+// auditor's EndCycle is a no-op on the cycles a jump skips (no events,
+// and the watchdog only arms against a live set the engine's NextWake
+// bounds).
+func NewWorld(o Options, topo Topology, l Layout, i int) *World {
+	nw := NewNetworkRange(topo, o.RouteSeed(), l, i)
+	lo, hi := l.Terminals[i][0], l.Terminals[i][1]
+	bank := newSources(topo, o.SourceOpts(topo), func(t int) bool { return t >= lo && t < hi })
+	w := &World{Net: nw, Plant: drive.Plant{Dev: nw, Bank: bank, Dense: o.NoFastForward}}
 	if h := o.Hooks; h != nil {
 		w.OnInject, w.OnDeliver, w.Audit = h.Injected, h.Delivered, h.EndCycle
 	}
@@ -197,7 +198,7 @@ func Drive(o Options, build func(o Options, topo Topology, c drive.Config) drive
 // every worker count (TestShardDeterminism pins the equivalence).
 func Run(o Options) (Result, error) {
 	return Drive(o, func(o Options, topo Topology, _ drive.Config) drive.World {
-		return NewWorld(o, topo, 0, topo.Routers())
+		return NewWorld(o, topo, whole(topo), 0)
 	})
 }
 

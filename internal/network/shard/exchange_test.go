@@ -14,29 +14,22 @@ import (
 )
 
 // canonicalCmp is the comparator the epoch exchange used to sort every
-// mailbox by (network.SortXmsgs, deleted with the sort): the canonical
-// (At, SrcRouter, SrcPort, VC, Kind) key. A message no longer carries its
-// source; the wiring gives it back — a flit left the output feeding its
-// destination input, a credit left the input buffer its destination
-// output leads to.
-func canonicalCmp(topo network.Topology) func(a, b network.Xmsg) int {
-	src := func(m *network.Xmsg) (router, port, vc int) {
-		r, p, vc := m.Dst()
-		l := topo.Feeder(r, p)
-		if m.Kind == network.XCredit {
-			l = topo.Link(r, p)
-		}
-		return l.Router, l.Port, vc
-	}
-	return func(a, b network.Xmsg) int {
-		ar, ap, avc := src(&a)
-		br, bp, bvc := src(&b)
+// mailbox by (network.SortXmsgs, deleted with the sort), over flits: the
+// canonical (At, SrcRouter, SrcPort, VC) key, with a terminal's flits
+// (source router -1) ahead of every router's and ordered by terminal,
+// as a serial run injects before it steps. A message does not carry its
+// source; the wiring gives it back — a flit left the output or terminal
+// feeding its destination input.
+func canonicalCmp(topo network.Topology) func(a, b network.Arrival) int {
+	src := func(m *network.Arrival) network.Link { return topo.Feeder(int(m.Router), int(m.Port)) }
+	return func(a, b network.Arrival) int {
+		as, bs := src(&a), src(&b)
 		return cmp.Or(
 			cmp.Compare(a.At, b.At),
-			cmp.Compare(ar, br),
-			cmp.Compare(ap, bp),
-			cmp.Compare(avc, bvc),
-			cmp.Compare(a.Kind, b.Kind),
+			cmp.Compare(as.Router, bs.Router),
+			cmp.Compare(as.Terminal, bs.Terminal),
+			cmp.Compare(as.Port, bs.Port),
+			cmp.Compare(a.VC, b.VC),
 		)
 	}
 }
@@ -57,17 +50,20 @@ func creditBanks(nw *network.Network) []int64 {
 }
 
 // TestOutboxCanonicalByConstruction tests the argument the exchange
-// rests on instead of trusting it. Nothing sorts the mailboxes any more,
-// so over the determinism matrix, after every epoch: the flits a worker
-// pulls (outboxes in ascending worker order, filtered to its routers)
-// must already be in strictly ascending canonical order within each
-// arrival cycle, which is all a calendar bucket can observe; and the
-// credits it pulls must leave the same counters behind applied forward
-// and reversed, through the engine's own PutRemote and Step.
+// rests on instead of trusting it. Nothing sorts the mailboxes, so over
+// the determinism matrix, after every epoch: the flits a worker will
+// take, in the order it takes them (inbox), must be addressed to its
+// routers and already
+// be in strictly ascending canonical order within each arrival cycle,
+// which is all a calendar bucket can observe; and the credits it will
+// take must be addressed to its routers or terminals and leave the same
+// counters behind applied forward and reversed, through the engine's
+// own PutCredits and Step.
 func TestOutboxCanonicalByConstruction(t *testing.T) {
 	modes := map[string]traffic.InjMode{"percycle": traffic.InjPerCycle, "gap": traffic.InjGap}
 	for name, topo := range testTopologies(t) {
 		order := canonicalCmp(topo)
+		flat := topo.Ports() * topo.VCs()
 		for modeName, mode := range modes {
 			for _, pktLen := range []int{1, 4} {
 				for _, p := range []int{1, 2, 3, 7} {
@@ -76,14 +72,16 @@ func TestOutboxCanonicalByConstruction(t *testing.T) {
 						o.PktLen = pktLen
 						o = o.WithDefaults()
 						c := drive.Config{Warmup: o.WarmupCycles, Measure: o.MeasureCycles, Drain: o.DrainCycles}
-						s := newWorld(o, topo, c, p)
+						s := &world{}
+						s.start(o, topo, c, p)
+						defer s.stop()
 						// Two idle engines per shard take the credits only, one
 						// forward and one reversed; clock is the next cycle to step.
-						parts := Partition(topo.Routers(), p)
+						l := network.Layout{Routers: Partition(topo.Routers(), p), Terminals: Partition(topo.Terminals(), p)}
 						var fwd, rev []*network.Network
-						for _, rg := range parts {
-							fwd = append(fwd, network.NewNetworkRange(topo, o.RouteSeed(), rg[0], rg[1]))
-							rev = append(rev, network.NewNetworkRange(topo, o.RouteSeed(), rg[0], rg[1]))
+						for i := range p {
+							fwd = append(fwd, network.NewNetworkRange(topo, o.RouteSeed(), l, i))
+							rev = append(rev, network.NewNetworkRange(topo, o.RouteSeed(), l, i))
 						}
 						clock := int64(0)
 						var nFlits, nCredits int
@@ -91,32 +89,36 @@ func TestOutboxCanonicalByConstruction(t *testing.T) {
 							s.epoch(from)
 							last := clock
 							for i, w := range s.workers {
-								byCycle := map[int64][]network.Xmsg{}
-								var credits []network.Xmsg
+								byCycle := map[uint32][]network.Arrival{}
+								var credits []network.CreditMail
+								for _, ms := range s.inbox(w, s.n) {
+									for _, m := range ms {
+										if !w.Net.Owns(int(m.Router)) {
+											t.Fatalf("epoch %d: worker %d was mailed a flit for router %d", from, i, m.Router)
+										}
+										byCycle[m.At] = append(byCycle[m.At], m)
+									}
+								}
 								for _, other := range s.workers {
-									for _, m := range other.mail {
-										if r, _, _ := m.Dst(); !w.Net.Owns(r) {
-											continue
+									for _, m := range other.out[s.n&1][i].Credits {
+										if q := int(m.Q); q >= 0 && !w.Net.Owns(q/flat) || q < 0 && w.home[^q/topo.VCs()] != i {
+											t.Fatalf("epoch %d: worker %d was mailed a credit it has no use for: %d", from, i, q)
 										}
-										if m.Kind == network.XFlit {
-											byCycle[m.At] = append(byCycle[m.At], m)
-										} else {
-											credits = append(credits, m)
-											last = max(last, m.At)
-										}
+										credits = append(credits, m)
+										last = max(last, int64(m.At))
 									}
 								}
 								for at, ms := range byCycle {
 									nFlits += len(ms)
 									// Sorted, and strictly: the key is unique per message.
-									if !slices.IsSortedFunc(ms, order) || len(slices.CompactFunc(ms, func(a, b network.Xmsg) bool { return order(a, b) == 0 })) != len(ms) {
+									if !slices.IsSortedFunc(ms, order) || len(slices.CompactFunc(ms, func(a, b network.Arrival) bool { return order(a, b) == 0 })) != len(ms) {
 										t.Fatalf("epoch %d: worker %d pulled cycle %d's flits out of canonical order", from, i, at)
 									}
 								}
 								nCredits += len(credits)
-								fwd[i].PutRemote(credits)
+								fwd[i].PutCredits(credits, clock)
 								slices.Reverse(credits)
-								rev[i].PutRemote(credits)
+								rev[i].PutCredits(credits, clock)
 							}
 							for ; clock <= last; clock++ {
 								for i := range fwd {
@@ -141,11 +143,14 @@ func TestOutboxCanonicalByConstruction(t *testing.T) {
 }
 
 // TestShardEpochSteadyStateAllocs gates the sharded hot path: once the
-// free lists, calendars and record slices have warmed up, an epoch
-// allocates nothing per flit — what is left is the goroutine starts of
-// the two barrier phases. It fails when a shard recycles the flits it
-// delivers instead of sending them home: in a Clos the sources' shard
-// then allocates every flit it generates, ~3 KB per cycle here.
+// free lists, calendars, outboxes and record slices have warmed up, an
+// epoch allocates nothing — the workers are started once per run and
+// handed each epoch through their gates, so what is left is slice growth
+// at a new high-water mark. It fails when a shard recycles the flits it
+// delivers instead of sending them home (in a Clos the sources' shard
+// then allocates every flit it generates, ~3 KB per cycle here), and
+// when an epoch starts goroutines (the per-phase goroutines this gate
+// replaced cost 0.1–0.3 KB per cycle).
 func TestShardEpochSteadyStateAllocs(t *testing.T) {
 	topo, err := network.NewClos(network.Config{Radix: 8, Digits: 2})
 	if err != nil {
@@ -156,7 +161,9 @@ func TestShardEpochSteadyStateAllocs(t *testing.T) {
 		// The window never opens, so the bare Tally is never asked for a
 		// latency sample.
 		c := drive.Config{Warmup: 1 << 40}
-		s := newWorld(o, topo, c, p)
+		s := &world{}
+		s.start(o, topo, c, p)
+		defer s.stop()
 		tally := &drive.Tally{}
 		run := func(from, to int64) {
 			for now := from; now < to; now++ {
@@ -165,7 +172,7 @@ func TestShardEpochSteadyStateAllocs(t *testing.T) {
 				}
 			}
 		}
-		const cycles = 200
+		const cycles = 1000
 		run(0, cycles)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -174,8 +181,8 @@ func TestShardEpochSteadyStateAllocs(t *testing.T) {
 		if tally.Flits == 0 {
 			t.Fatal("vacuous: nothing was delivered")
 		}
-		if perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles; perCycle >= 1024 {
-			t.Errorf("workers=%d: %d bytes allocated per cycle in steady state, want < 1024", p, perCycle)
+		if perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles; perCycle >= 64 {
+			t.Errorf("workers=%d: %d bytes allocated per cycle in steady state, want < 64", p, perCycle)
 		}
 	}
 }

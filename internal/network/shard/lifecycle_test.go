@@ -1,0 +1,143 @@
+package shard
+
+import (
+	"errors"
+	"runtime"
+	"testing"
+	"time"
+
+	"highradix/internal/flit"
+	"highradix/internal/network"
+	"highradix/internal/traffic"
+)
+
+// stopAt is a hook that ends the run at cycle at, by an audit error or,
+// when panics is set, by a panic.
+type stopAt struct {
+	at     int64
+	panics bool
+}
+
+var errStop = errors.New("audit stop")
+
+func (h *stopAt) Injected(int64, *flit.Flit)  {}
+func (h *stopAt) Delivered(int64, *flit.Flit) {}
+func (h *stopAt) EndCycle(now int64, _ int) error {
+	switch {
+	case now < h.at:
+		return nil
+	case h.panics:
+		panic(errStop)
+	}
+	return errStop
+}
+
+// TestShardWorkersExit: the workers live exactly as long as their run.
+// After a run that ends normally, one whose audit fails mid-run, one
+// whose hook panics mid-run, and one whose options are refused before
+// any worker starts, the goroutine count is back where it was.
+func TestShardWorkersExit(t *testing.T) {
+	base := runtime.NumGoroutine()
+	settled := func(what string) {
+		t.Helper()
+		// stop returns once every worker has signalled its exit; the
+		// goroutines themselves end a moment later.
+		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("after %s: %d goroutines, %d before", what, runtime.NumGoroutine(), base)
+			}
+		}
+	}
+	o := baseOpts(testTopologies(t)["clos"], 1, traffic.InjPerCycle)
+	if _, err := Run(Options{Options: o, Workers: 3}); err != nil {
+		t.Fatal(err)
+	}
+	settled("a normal run")
+
+	failing := o
+	failing.Hooks = &stopAt{at: 100}
+	if _, err := Run(Options{Options: failing, Workers: 3}); !errors.Is(err, errStop) {
+		t.Fatalf("audit error %v, want %v", err, errStop)
+	}
+	settled("a failed audit")
+
+	panicking := o
+	panicking.Hooks = &stopAt{at: 100, panics: true}
+	func() {
+		defer func() {
+			if r := recover(); r != errStop {
+				t.Fatalf("recovered %v, want the hook's panic", r)
+			}
+		}()
+		Run(Options{Options: panicking, Workers: 3})
+	}()
+	settled("a panic")
+
+	refused := o
+	refused.Load = 8
+	if _, err := Run(Options{Options: refused, Workers: 3}); err == nil {
+		t.Fatal("load 8 accepted")
+	}
+	settled("refused options")
+}
+
+// TestGateHandsOff ping-pongs a counter between two goroutines through
+// a pair of gates, as the coordinator and a worker do each epoch, and
+// checks every read sees the write posted before it — with the spin
+// the workers use and with none, so that every wait parks. Under the
+// race detector it fails if a wake-up meant for an earlier count
+// releases a later wait.
+func TestGateHandsOff(t *testing.T) {
+	for _, sp := range []int{spins, 0} {
+		handOff(t, sp)
+	}
+}
+
+func handOff(t *testing.T, budget int) {
+	const rounds = 20000
+	var start, done gate
+	start.init(budget)
+	done.init(budget)
+	var shared int64
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		for n := int64(1); n <= rounds; n++ {
+			start.wait(n)
+			shared = n
+			done.post(n)
+		}
+	}()
+	for n := int64(1); n <= rounds; n++ {
+		start.post(n)
+		done.wait(n)
+		if shared != n {
+			t.Errorf("spins %d: round %d read %d", budget, n, shared)
+			start.post(rounds) // let the other side run out
+			break
+		}
+	}
+	<-exited
+}
+
+// TestShardOversubscribed runs more workers than processors: with one
+// processor for three workers, every determinism topology must still
+// equal the serial run, so the gate can neither livelock nor lose a
+// wake-up.
+func TestShardOversubscribed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for name, topo := range testTopologies(t) {
+		o := baseOpts(topo, 2, traffic.InjPerCycle)
+		want, err := network.Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(Options{Options: o, Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s at GOMAXPROCS 1: sharded result diverged:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+}

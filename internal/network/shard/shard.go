@@ -8,15 +8,26 @@
 // grant, a credit returns after CreditDelay). Every event produced
 // during an epoch therefore takes effect at or after the next epoch's
 // start, so workers can simulate a whole epoch without hearing from
-// each other, then exchange at a barrier. The exchange is itself
-// parallel: each worker pulls the events addressed to its routers out
-// of the other workers' outboxes, walking them in ascending worker
-// order. That order is the canonical (cycle, source router, source
-// port) order by construction — shards are contiguous router ranges in
-// worker order, and an engine emits one cycle's flits by ascending
-// router and output port — so the event sequence each calendar sees,
-// and with it every downstream allocation decision, is independent of
-// worker count and scheduling without anything being sorted
+// each other. Each worker is one goroutine for the whole run (the
+// coordinator's own goroutine is worker 0), handed one task per epoch
+// through a spin-then-park gate: first schedule the mail the previous
+// epoch addressed to it, then simulate this one. The mail is
+// double-buffered — an engine writes epoch e's into one set of outboxes
+// while the others read epoch e-1's from the other set — and bucketed
+// by receiving worker, so the handoff is the only synchronization per
+// epoch and nobody reads mail that is not theirs. A worker's shard is a
+// contiguous range of the routers and one of the terminals, whose
+// sources it hosts wherever their entry routers are: in a Clos every
+// entry router is in the first stage, so the sources would otherwise
+// all load shard 0. A worker reads its mail in ascending worker order,
+// every sender's injected flits before every sender's granted ones.
+// That is the canonical order a serial run schedules a cycle's flits in
+// — terminals ascending, then (router, output port) ascending — by
+// construction: the ranges are contiguous in worker order, sources
+// inject by ascending terminal and an engine grants by ascending router
+// and port. So the event sequence each calendar sees, and with it every
+// downstream allocation decision, is independent of worker count and
+// scheduling without anything being sorted
 // (TestOutboxCanonicalByConstruction).
 //
 // The run itself is internal/drive's, as it is for network.Run: the
@@ -32,8 +43,10 @@
 package shard
 
 import (
-	"slices"
+	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"highradix/internal/drive"
 	"highradix/internal/flit"
@@ -89,6 +102,59 @@ func Partition(n, p int) [][2]int {
 	return parts
 }
 
+// spins is how many times a waiting goroutine checks its gate, yielding
+// its processor in between (about 0.1 ms on an idle one), before it
+// parks: long enough to cover the usual gap between two workers
+// finishing an epoch — a parked worker's wake-up costs the epoch tens of
+// microseconds — and short enough that a run with fewer free CPUs than
+// workers loses a wake-up per epoch, not a core.
+const spins = 1024
+
+// gate hands an increasing count from one goroutine to another.
+type gate struct {
+	n      atomic.Int64
+	parked atomic.Bool
+	wake   chan struct{} // one token per park the poster interrupts
+	spins  int
+}
+
+// init readies a gate whose waiter checks it spins times before it
+// parks.
+func (g *gate) init(spins int) { g.wake, g.spins = make(chan struct{}, 1), spins }
+
+// post raises the count to n and wakes the waiter if it parked.
+func (g *gate) post(n int64) {
+	g.n.Store(n)
+	if g.parked.Load() && g.parked.CompareAndSwap(true, false) {
+		g.wake <- struct{}{}
+	}
+}
+
+// wait returns once the count reaches n. Whichever side clears parked
+// owns the wake-up: the poster sends a token, or the waiter, having
+// seen the count after all, takes none. A token does not prove the
+// count reached n — a poster of an earlier count, delayed between
+// seeing parked set and clearing it, can claim this park — so the
+// waiter checks again after every one.
+func (g *gate) wait(n int64) {
+	for range g.spins {
+		if g.n.Load() >= n {
+			return
+		}
+		runtime.Gosched()
+	}
+	for {
+		g.parked.Store(true)
+		if g.n.Load() >= n {
+			if !g.parked.CompareAndSwap(true, false) {
+				<-g.wake
+			}
+			return
+		}
+		<-g.wake
+	}
+}
+
 // delivRec is one delivered flit, recorded by the worker at delivery
 // and replayed by the coordinator in canonical order. Unhooked runs
 // copy the fields the statistics need and send the flit home (spent);
@@ -112,23 +178,29 @@ type injRec struct {
 }
 
 // worker owns one shard: the World (the drive.Plant of an engine and
-// its source bank) of a contiguous router range. Workers run epochs
+// its source bank) of a contiguous router range and a contiguous range
+// of terminals, whose sources it hosts. Workers run epochs
 // concurrently and never touch each other's state; everything they
-// produce for the coordinator lands in their own record slices.
+// produce for the coordinator lands in their own record slices, and
+// everything for another worker in their own outboxes.
 type worker struct {
 	*network.World
+	id   int
 	cfg  drive.Config // Audited: a hooked run, whose records keep their flits for the replay
 	home []int        // terminal -> the worker its sources live with
 
 	deliv []delivRec
 	injs  []injRec
-	// mail is the epoch's outbox, left for the other workers to pull.
-	mail []network.Xmsg
-	// spent[i] lists the flits delivered here this epoch that worker i
-	// generated. Sinks and sources of one flow rarely share a shard (in a
-	// Clos never), so a flit recycled where it died would feed a free list
-	// nobody draws from while its source allocates a fresh one per packet.
-	spent [][]*flit.Flit
+	// in is scratch for inbox.
+	in [][]network.Arrival
+	// out[n&1][j] is the mail epoch n sends worker j, and spent[n&1][j]
+	// the flits delivered here in it that worker j generated; j takes
+	// both at the start of epoch n+1. Sinks and sources of one flow
+	// rarely share a shard, so a flit recycled where it died would feed
+	// a free list nobody draws from while its source allocates a fresh
+	// one per packet.
+	out   [2][]network.Outbox
+	spent [2][][]*flit.Flit
 	// inflight and backlog snapshot the post-cycle state of every epoch
 	// cycle, one slot per cycle of the longest epoch (frozen values
 	// replicated across locally fast-forwarded stretches), so the
@@ -136,52 +208,12 @@ type worker struct {
 	// checks and the EndCycle hook read.
 	inflight []int
 	backlog  []int64
-}
 
-// runEpoch simulates cycles [from, end), recording each cycle's
-// deliveries instead of accounting them, and jumps across provably idle
-// local stretches by the driver's own rule with the epoch's end as the
-// bound.
-func (w *worker) runEpoch(from, end int64) {
-	w.deliv = w.deliv[:0]
-	w.injs = w.injs[:0]
-	for i := range w.spent {
-		w.spent[i] = w.spent[i][:0]
-	}
-	for now := from; now < end; {
-		for _, f := range w.Advance(now, w.cfg.At(now)) {
-			rec := delivRec{
-				at: now, createdAt: f.CreatedAt, dst: f.Dst,
-				hops: f.Hops, tail: f.Tail, measured: f.Measured,
-			}
-			if w.cfg.Audited {
-				rec.f = f
-			} else {
-				h := w.home[f.Src]
-				w.spent[h] = append(w.spent[h], f)
-			}
-			w.deliv = append(w.deliv, rec)
-		}
-		inflight, backlog := w.InFlight(), w.Backlog()
-		for wake := w.cfg.Wake(w, now, end); now < wake; now++ {
-			w.inflight[now-from] = inflight
-			w.backlog[now-from] = backlog
-		}
-	}
-	w.mail = w.Net.TakeOutbox()
-}
-
-// pull completes the epoch for worker i, concurrently with the other
-// workers' pulls: it schedules the events the epoch sent to its routers,
-// reading the outboxes in ascending worker order (the canonical order;
-// see the package comment), and takes back its terminals' spent flits.
-func (w *worker) pull(i int, all []*worker) {
-	for _, o := range all {
-		w.Net.PutRemote(o.mail)
-		for _, f := range o.spent[i] {
-			w.Recycle(f)
-		}
-	}
+	// start carries the coordinator's handoffs, done the worker's
+	// replies; busy and wait are the time spent in epochs and in the
+	// gate (for worker 0, the coordinator, waiting on the others).
+	start, done gate
+	busy, wait  time.Duration
 }
 
 // world is the sharded network as internal/drive sees it. The workers
@@ -194,8 +226,15 @@ type world struct {
 	hooks    network.Hooks
 	workers  []*worker
 	epochLen int64
+	wg       sync.WaitGroup
 
-	// [from, end) is the simulated epoch; cur the cycle last replayed.
+	// n counts the handoffs: the first builds the shards, the n-th
+	// simulates epoch n, [from, end). quit, set with the last, tells the
+	// workers to exit instead.
+	n    int64
+	quit bool
+
+	// cur is the cycle last replayed.
 	from, end, cur int64
 	recs           []delivRec
 	injs           []injRec
@@ -203,54 +242,167 @@ type world struct {
 	// Scratch for merge: the workers' record streams.
 	recSrc [][]delivRec
 	injSrc [][]injRec
+	// build constructs a worker's shard: the task of the first handoff.
+	build func(w *worker)
 }
 
-func newWorld(o network.Options, topo network.Topology, c drive.Config, workers int) *world {
-	parts := Partition(topo.Routers(), max(workers, 1))
-	s := &world{
-		cfg: c, hooks: o.Hooks,
-		workers:  make([]*worker, len(parts)),
-		epochLen: max(int64(network.Lookahead(topo)+testLookaheadSkew), 1),
+// start builds the shards of a run and starts their workers, which run
+// until stop. o is defaulted; c is the driver configuration.
+func (s *world) start(o network.Options, topo network.Topology, c drive.Config, workers int) {
+	p := max(workers, 1)
+	l := network.Layout{Routers: Partition(topo.Routers(), p), Terminals: Partition(topo.Terminals(), p)}
+	s.cfg, s.hooks = c, o.Hooks
+	s.epochLen = max(int64(network.Lookahead(topo)+testLookaheadSkew), 1)
+	s.workers = make([]*worker, p)
+	home := make([]int, topo.Terminals())
+	for i := range s.workers {
+		w := &worker{
+			id: i, cfg: c, home: home,
+			inflight: make([]int, s.epochLen), backlog: make([]int64, s.epochLen),
+		}
+		w.start.init(spins)
+		w.done.init(spins)
+		for e := range w.out {
+			w.out[e] = make([]network.Outbox, p)
+			w.spent[e] = make([][]*flit.Flit, p)
+		}
+		for t := l.Terminals[i][0]; t < l.Terminals[i][1]; t++ {
+			home[t] = i
+		}
+		s.workers[i] = w
 	}
 	// The coordinator owns the hooks; workers record for its replay.
 	o.Hooks = nil
-	home := make([]int, topo.Terminals())
-	for i := range s.workers {
-		s.workers[i] = &worker{
-			cfg: c, home: home, spent: make([][]*flit.Flit, len(parts)),
-			inflight: make([]int, s.epochLen), backlog: make([]int64, s.epochLen),
-		}
-	}
-	s.each(func(i int, w *worker) {
-		w.World = network.NewWorld(o, topo, parts[i][0], parts[i][1])
+	s.build = func(w *worker) {
+		w.World = network.NewWorld(o, topo, l, w.id)
 		if c.Audited {
 			w.OnInject = func(now int64, f *flit.Flit) {
 				w.injs = append(w.injs, injRec{at: now, src: f.Src, f: f})
 			}
 		}
-	})
-	for t := range home {
-		er, _ := topo.Entry(t)
-		home[t] = slices.IndexFunc(s.workers, func(w *worker) bool { return w.Net.Owns(er) })
 	}
-	return s
+	s.wg.Add(len(s.workers) - 1)
+	for _, w := range s.workers[1:] {
+		go s.serve(w)
+	}
+	s.handoff()
 }
 
-// each runs f once per worker, concurrently, and returns when all have
-// finished. The caller's goroutine takes the first worker itself: it
-// starts at once, the others a thread wake-up later, and in a Clos the
-// first shard (every source) is the slowest.
-func (s *world) each(f func(i int, w *worker)) {
-	var wg sync.WaitGroup
-	wg.Add(len(s.workers) - 1)
-	for i, w := range s.workers[1:] {
-		go func() {
-			defer wg.Done()
-			f(i+1, w)
-		}()
+// stop makes the workers exit and returns once they have. Safe on a
+// world never started, and whatever the handoff in progress.
+func (s *world) stop() {
+	if len(s.workers) == 0 {
+		return
 	}
-	f(0, s.workers[0])
-	wg.Wait()
+	s.quit = true
+	s.n++
+	for _, w := range s.workers[1:] {
+		w.start.post(s.n)
+	}
+	s.wg.Wait()
+}
+
+// serve is the loop of worker w's goroutine: wait for a handoff, do it,
+// reply, until told to quit.
+func (s *world) serve(w *worker) {
+	defer s.wg.Done()
+	for n := int64(1); ; n++ {
+		t := time.Now()
+		w.start.wait(n)
+		w.wait += time.Since(t)
+		if s.quit {
+			return
+		}
+		s.do(w)
+		w.done.post(n)
+	}
+}
+
+// handoff has every worker do the next task — the coordinator's own
+// goroutine does worker 0's — and returns when all have.
+func (s *world) handoff() {
+	s.n++
+	for _, w := range s.workers[1:] {
+		w.start.post(s.n)
+	}
+	w0 := s.workers[0]
+	s.do(w0)
+	t := time.Now()
+	for _, w := range s.workers[1:] {
+		w.done.wait(s.n)
+	}
+	w0.wait += time.Since(t)
+}
+
+// do is worker w's part of handoff n: building its shard for the first,
+// epoch n after it.
+func (s *world) do(w *worker) {
+	if s.n == 1 {
+		s.build(w)
+		return
+	}
+	t := time.Now()
+	s.runEpoch(w)
+	w.busy += time.Since(t)
+}
+
+// inbox lists the flits epoch e mailed worker w in the order w takes
+// them: every sender's injected flits, then every sender's granted ones,
+// the senders in ascending worker order (the canonical order; see the
+// package comment).
+func (s *world) inbox(w *worker, e int64) [][]network.Arrival {
+	w.in = w.in[:0]
+	for _, o := range s.workers {
+		w.in = append(w.in, o.out[e&1][w.id].Injected)
+	}
+	for _, o := range s.workers {
+		w.in = append(w.in, o.out[e&1][w.id].Flits)
+	}
+	return w.in
+}
+
+// runEpoch takes the mail and spent flits the previous epoch addressed
+// to w, then simulates cycles [from, end): it records each cycle's
+// deliveries instead of accounting them, and jumps across provably idle
+// local stretches by the driver's own rule with the epoch's end as the
+// bound.
+func (s *world) runEpoch(w *worker) {
+	prev, cur := (s.n-1)&1, s.n&1
+	for _, as := range s.inbox(w, s.n-1) {
+		w.Net.PutFlits(as, s.from)
+	}
+	for _, o := range s.workers {
+		w.Net.PutCredits(o.out[prev][w.id].Credits, s.from)
+		for _, f := range o.spent[prev][w.id] {
+			w.Recycle(f)
+		}
+	}
+	w.Net.SetOutbox(w.out[cur])
+	spent := w.spent[cur]
+	for i := range spent {
+		spent[i] = spent[i][:0]
+	}
+	w.deliv, w.injs = w.deliv[:0], w.injs[:0]
+	for now := s.from; now < s.end; {
+		for _, f := range w.Advance(now, w.cfg.At(now)) {
+			rec := delivRec{
+				at: now, createdAt: f.CreatedAt, dst: f.Dst,
+				hops: f.Hops, tail: f.Tail, measured: f.Measured,
+			}
+			if w.cfg.Audited {
+				rec.f = f
+			} else {
+				h := w.home[f.Src]
+				spent[h] = append(spent[h], f)
+			}
+			w.deliv = append(w.deliv, rec)
+		}
+		inflight, backlog := w.InFlight(), w.Backlog()
+		for wake := w.cfg.Wake(w, now, s.end); now < wake; now++ {
+			w.inflight[now-s.from] = inflight
+			w.backlog[now-s.from] = backlog
+		}
+	}
 }
 
 // merge appends the streams, each already in less order, to dst in less
@@ -277,12 +429,11 @@ func merge[T any](dst []T, streams [][]T, less func(a, b *T) bool) []T {
 	}
 }
 
-// epoch simulates [from, from+epochLen) on the workers, exchanges what
-// they sent each other, and prepares the epoch's replay.
+// epoch simulates [from, from+epochLen) on the workers and prepares the
+// epoch's replay.
 func (s *world) epoch(from int64) {
-	end := min(from+s.epochLen, s.cfg.Bound())
-	s.each(func(_ int, w *worker) { w.runEpoch(from, end) })
-	s.each(func(i int, w *worker) { w.pull(i, s.workers) })
+	s.from, s.end = from, min(from+s.epochLen, s.cfg.Bound())
+	s.handoff()
 
 	// Merge the per-worker records into the serial world's accumulation
 	// order: deliveries by (cycle, destination), injections by (cycle,
@@ -298,7 +449,7 @@ func (s *world) epoch(from int64) {
 	s.injs = merge(s.injs[:0], s.injSrc, func(a, b *injRec) bool {
 		return a.at < b.at || a.at == b.at && a.src < b.src
 	})
-	s.from, s.end, s.ri, s.ii = from, end, 0, 0
+	s.ri, s.ii = 0, 0
 }
 
 // Cycle implements drive.World: simulate the epoch now opens, if it has
@@ -326,15 +477,16 @@ func (s *world) Cycle(now int64, _ drive.Phase, t *drive.Tally) error {
 
 // NextWake implements drive.Waker. Inside an epoch the next cycle is
 // already simulated and must be replayed; at its edge the earliest
-// event over the workers (read after the mailbox exchange, so remote
-// arrivals count) says where the next epoch may start.
+// event over the workers says where the next epoch may start — the
+// engines' own, and the mail the epoch sent, which the receivers take
+// only when the next epoch starts.
 func (s *world) NextWake(now int64, live bool) int64 {
 	if now+1 < s.end {
 		return now + 1
 	}
 	wake := sim.NoWake
 	for _, w := range s.workers {
-		wake = min(wake, w.NextWake(now, live))
+		wake = min(wake, w.NextWake(now, live), w.Net.MailAt())
 	}
 	return wake
 }
@@ -365,11 +517,37 @@ func (s *world) InFlight() int {
 func (s *world) GenFlits() int64        { return s.sum((*worker).GenFlits) }
 func (s *world) InjectedLabeled() int64 { return s.sum((*worker).InjectedLabeled) }
 
+// Report is where a sharded run's workers spent their wall-clock time.
+type Report struct {
+	// Epochs is the number of epochs simulated.
+	Epochs int64
+	// Busy[i] is the time worker i spent simulating epochs and Wait[i]
+	// the time it waited: worker 0, which is the coordinator, for the
+	// others to finish an epoch; the others for the next one to start,
+	// the coordinator's merge and replay included.
+	Busy, Wait []time.Duration
+}
+
 // Run executes one network simulation across o.Workers shards and
 // returns the byte-identical serial result. See the package comment for
 // the synchronization scheme.
 func Run(o Options) (network.Result, error) {
-	return network.Drive(o.Options, func(no network.Options, topo network.Topology, c drive.Config) drive.World {
-		return newWorld(no, topo, c, o.Workers)
+	res, _, err := RunReport(o)
+	return res, err
+}
+
+// RunReport is Run, also reporting where the workers' time went. Every
+// way out of the run — its end, an error, a panic — stops the workers.
+func RunReport(o Options) (res network.Result, rep Report, err error) {
+	s := &world{}
+	defer s.stop()
+	res, err = network.Drive(o.Options, func(no network.Options, topo network.Topology, c drive.Config) drive.World {
+		s.start(no, topo, c, o.Workers)
+		return s
 	})
+	rep.Epochs = max(s.n-1, 0)
+	for _, w := range s.workers {
+		rep.Busy, rep.Wait = append(rep.Busy, w.busy), append(rep.Wait, w.wait)
+	}
+	return res, rep, err
 }

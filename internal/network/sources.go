@@ -12,21 +12,26 @@ type SourceOpts struct {
 	drive.Workload
 }
 
-// Sources is the drive.Bank of the terminals whose entry router lies in
-// one engine's range. The serial run uses a single bank over all
-// terminals; each shard worker owns the bank for its routers, and the
-// partitioned banks reproduce the serial bank's traffic exactly.
+// Sources is the drive.Bank of the terminals one engine hosts. The
+// serial run uses a single bank over all terminals; each shard worker
+// owns the bank for its range of them, and the partitioned banks
+// reproduce the serial bank's traffic exactly.
 type Sources = drive.Bank
 
 // NewSources builds the bank for terminals entering routers [lo, hi).
 func NewSources(topo Topology, o SourceOpts, lo, hi int) *Sources {
+	return newSources(topo, o, func(t int) bool {
+		er, _ := topo.Entry(t)
+		return er >= lo && er < hi
+	})
+}
+
+// newSources builds the bank for the terminals owns selects.
+func newSources(topo Topology, o SourceOpts, owns func(t int) bool) *Sources {
 	return drive.NewBank(drive.BankConfig{
 		Workload: o.Workload,
 		Sources:  topo.Terminals(), VCs: topo.InjectVCs(), Ser: topo.SerCycles(),
-		Owns: func(t int) bool {
-			er, _ := topo.Entry(t)
-			return er >= lo && er < hi
-		},
+		Owns: owns,
 		Seed: func(t int) uint64 { return termSeed(o.Seed, t) },
 		// Structured ids — terminal in the high word, per-terminal sequence
 		// below — are unique and assigned without any shared counter, so id

@@ -45,6 +45,9 @@ type Topology interface {
 	// classes [0, InjectVCs). Dateline schemes reserve the upper
 	// classes for packets that crossed the dateline.
 	InjectVCs() int
+	// Diameter is the most routers any route crosses: the largest hop
+	// count a delivered flit can carry.
+	Diameter() int
 	// Link returns where output port p of router r leads.
 	Link(r, p int) Link
 	// Feeder returns the upstream output port (or terminal) feeding

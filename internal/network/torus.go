@@ -115,6 +115,10 @@ func (g *Torus) CreditDelay() int { return g.cfg.CreditDelay }
 func (g *Torus) HopDelay() int    { return g.cfg.HopDelay }
 func (g *Torus) InjectVCs() int   { return g.cfg.VCs / 2 }
 
+// Diameter counts the routers of the longest minimal dimension-order
+// route: half of each ring, plus the router the route starts at.
+func (g *Torus) Diameter() int { return g.cfg.X/2 + g.cfg.Y/2 + 1 }
+
 // Link wires port 0 to the local terminal and the four direction ports
 // to the neighboring router's matching input port.
 func (g *Torus) Link(r, p int) Link {
