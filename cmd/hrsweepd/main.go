@@ -15,17 +15,26 @@
 //	GET /healthz                                liveness probe
 //	GET /metrics                                service + store counters (Prometheus text)
 //
+// SIGINT or SIGTERM stops accepting connections and drains for at most
+// -timeout, then exits 0: requests still open are answered, and every
+// cold computation still running — a client's, or one whose client gave
+// up — finishes and lands in the store first.
+//
 // Determinism makes the service sound: a figure served from cache is
 // byte-identical to one regenerated from scratch, so clients cannot
 // tell whether their request was warm — except by its latency.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"highradix/internal/cache"
@@ -76,8 +85,36 @@ func main() {
 		MaxInflight: *inflight,
 		Timeout:     *timeout,
 	})
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	served := make(chan error, 1)
+	go func() { served <- hs.ListenAndServe() }()
 	log.Printf("hrsweepd: serving %d experiments on %s (cache %s)", len(experiments.Registry), *addr, st.Dir())
-	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
+	select {
+	case err := <-served:
+		log.Fatalf("hrsweepd: %v", err)
+	case <-ctx.Done():
+	}
+	stop() // a second signal kills at once
+	log.Printf("hrsweepd: draining in-flight requests (at most %s)", *timeout)
+	drain, cancel := context.WithTimeout(context.Background(), *timeout)
+	defer cancel()
+	if err := hs.Shutdown(drain); err != nil {
+		log.Fatalf("hrsweepd: shutdown: %v", err)
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("hrsweepd: %v", err)
 	}
+	// Shutdown waits for open connections only; a computation whose
+	// client gave up (504 or disconnect) runs on and may be writing the
+	// store, so wait for those too, within the same budget.
+	for srv.Metrics().Inflight > 0 {
+		select {
+		case <-drain.Done():
+			log.Fatalf("hrsweepd: shutdown: %v", drain.Err())
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	log.Printf("hrsweepd: drained")
 }

@@ -39,8 +39,12 @@
 // unchanged.
 //
 // Everything in this package is allocation-free on the per-cycle hot
-// path and deliberately policy-free: nothing here arbitrates, NACKs,
-// or speculates. Architectures differ only in the allocation logic
-// they layer on top, which is what keeps a new variant an
-// allocation-policy diff rather than a datapath fork.
+// path and deliberately free of switch allocation policy: nothing here
+// allocates a switch port or an output VC, NACKs, or speculates. The
+// one arbitration it does is CreditBus's, among the crosspoints of a
+// row for the row's credit-return bus — part of the flow-control
+// datapath of Section 5.2, not an allocation policy. Architectures
+// differ only in the allocation logic they layer on top, which is what
+// keeps a new variant an allocation-policy diff rather than a datapath
+// fork.
 package core

@@ -70,67 +70,46 @@ type hierarchical struct {
 	grp, loc []int32
 	core.Base
 
-	inFree   core.SerializerBank
-	inputArb *arb.RotorBank // per input, over VCs
-	creditIn core.Ledger    // subIn pools flat [(input*g+column)*v+vc]
+	// row feeds the subswitch inputs, one column per column group; col
+	// is the subswitch outputs, one row per row group.
+	row      rowStage
+	col      columnStage
+	creditIn core.Ledger // subIn pools flat [(input*g+column)*v+vc]
 
 	// Subswitch state, one flat bank each. Subswitch (row, col) is
 	// s = row*g+col; its local port x (input q or output j) is s*p+x,
-	// and VC c of that port is (s*p+x)*v+c.
+	// and VC c of that port is (s*p+x)*v+c. Local output s*p+j is
+	// column-stage buffer row*k+o, so its credits are col's.
 	subIn       core.FIFOBank       // [(s*p+q)*v+c]
-	subOut      core.FIFOBank       // [(s*p+j)*v+c], same layout as subOutCred
-	subOutCred  core.Ledger         // subOut pools flat [(s*p+j)*v+c]
 	subOutOwner core.VCOwnerTable   // local VC allocation over (s*p+j, c)
 	intInFree   core.SerializerBank // [s*p+q]
 	intOutFree  core.SerializerBank // [s*p+j]
 	subInArb    *arb.RotorBank      // [s*p+q] over VCs
 	intArb      []arb.RoundRobin    // [s*p+j] over local inputs
 
-	outFree  core.SerializerBank
-	colArb   []arb.Arbiter  // per output, over rows (subswitches in the column)
-	subOutVC *arb.RotorBank // [output*g+row] subswitch-output VC pick for the column stage
-
-	toSubIn    *sim.Calendar[*flit.Flit]  // STCycles long
 	toSubOut   *sim.Calendar[*flit.Flit]  // STCycles long
 	creditWire *sim.Calendar[flit.Credit] // subIn slot freed -> router input
 
 	// Active sets. The internal stage walks only subswitches holding
 	// flits (subAct), and within one only the occupied local inputs
 	// (subInAct) and the local outputs some queued flit is destined to
-	// (subDemand). The column stage walks only outputs whose column
-	// holds subOut occupancy (outAct) and within one only the rows
-	// contributing it (colRows). The router-input set lives in the
-	// input bank.
+	// (subDemand).
 	subAct    core.ActiveSet   // over g*g subswitches s
 	subInAct  []core.ActiveSet // [s] over local inputs q
 	subDemand []core.ActiveSet // [s] over local outputs j
-	outAct    core.ActiveSet   // outputs with subOut occupancy in their column
-	colRows   []core.ActiveSet // [output] over rows
-	// subInFlits/subOutFlits count flits across the subswitch input and
-	// output buffers, maintained as flits land and drain so InFlight
-	// never walks the grid.
-	subInFlits  int
-	subOutFlits int
+	// subInFlits counts flits across the subswitch input buffers,
+	// maintained as flits land and drain so InFlight never walks the grid.
+	subInFlits int
 
-	rowCand *arb.BitVec // sized g: column-stage row candidates
-	rowVC   []int
-	cand    *arb.BitVec // sized p: internal-stage local-input candidates
-	candVC  []int       // sized p
+	cand   *arb.BitVec // sized p: internal-stage local-input candidates
+	candVC []int       // sized p
 	// subHeads caches the head flit of every subswitch input queue — the
 	// only fields the internal stage's per-output candidate scan reads.
-	// A queue's front changes only where flits land (toSubIn drain) and
+	// A queue's front changes only where flits land (row-wire drain) and
 	// leave (internal-stage grant), so the cache is patched at those two
 	// sites and the scan never peeks a queue, let alone once per
 	// demanded output.
 	subHeads []subHead // [(s*p+q)*v+c], the layout of subIn
-	// subOutOcc and subOutHead pack one bit per VC for each subswitch
-	// output buffer: occ bit c is raised while queue (s,j,c) holds
-	// flits, head bit c mirrors whether its front flit is a head flit.
-	// Maintained at the toSubOut drain and the column-stage grant, they
-	// let the column scan build a row's VC request vector with word
-	// arithmetic. Requires VCs <= 64.
-	subOutOcc  []uint64 // [s*p+j]
-	subOutHead []uint64 // [s*p+j]
 }
 
 // subHead is one internalStage head-cache entry: the head flit's local
@@ -152,35 +131,21 @@ func newHierarchical(cfg Config) *hierarchical {
 		grp:         make([]int32, k),
 		loc:         make([]int32, k),
 		Base:        core.MakeBase(obs, k, v, cfg.InputBufDepth, cfg.STCycles),
-		inFree:      core.NewSerializerBank(k),
-		inputArb:    arb.NewRotorBank(k, v),
 		creditIn:    core.MakeLedger(obs, "subin", k*g*v, cfg.SubInDepth),
 		subIn:       core.MakeFIFOBank(k*g*v, cfg.SubInDepth),
-		subOut:      core.MakeFIFOBank(k*g*v, cfg.SubOutDepth),
-		subOutCred:  core.MakeLedger(obs, "subout", k*g*v, cfg.SubOutDepth),
 		subOutOwner: core.MakeVCOwnerTable(k*g, v),
 		intInFree:   core.NewSerializerBank(k * g),
 		intOutFree:  core.NewSerializerBank(k * g),
 		subInArb:    arb.NewRotorBank(k*g, v),
 		intArb:      make([]arb.RoundRobin, k*g),
-		outFree:     core.NewSerializerBank(k),
-		colArb:      make([]arb.Arbiter, k),
-		subOutVC:    arb.NewRotorBank(k*g, v),
-		toSubIn:     sim.NewCalendar[*flit.Flit](cfg.STCycles, k),
 		toSubOut:    sim.NewCalendar[*flit.Flit](cfg.STCycles, k),
 		creditWire:  sim.NewCalendar[flit.Credit](creditWireDelay, k),
 		subAct:      core.MakeActiveSet(g * g),
 		subInAct:    core.MakeActiveSets(g*g, p),
 		subDemand:   core.MakeActiveSets(g*g, p),
-		outAct:      core.MakeActiveSet(k),
-		colRows:     core.MakeActiveSets(k, g),
-		rowCand:     arb.NewBitVec(g),
-		rowVC:       make([]int, g),
 		cand:        arb.NewBitVec(p),
 		candVC:      make([]int, p),
 		subHeads:    make([]subHead, k*g*v),
-		subOutOcc:   make([]uint64, k*g),
-		subOutHead:  make([]uint64, k*g),
 	}
 	for i := range r.subHeads {
 		r.subHeads[i].dst = -1 // all queues start empty
@@ -190,24 +155,21 @@ func newHierarchical(cfg Config) *hierarchical {
 	}
 	for i := 0; i < k; i++ {
 		r.grp[i], r.loc[i] = int32(i/p), int32(i%p)
-		r.colArb[i] = arb.NewOutputArbiter(g, cfg.LocalGroup)
 	}
+	r.row = makeRowStage(&r.cfg, &r.Base, r.grp, g, &r.creditIn, "row-bus")
+	r.col = makeColumnStage(&r.cfg, &r.Base, g, cfg.SubOutDepth, "subout", "column")
 	return r
 }
 
 func (r *hierarchical) Config() Config { return r.cfg }
-
-// subInPool flattens a subswitch input buffer's (router input, column,
-// vc) coordinates into its credit-ledger pool index.
-func (r *hierarchical) subInPool(i, col, c int) int { return (i*r.g+col)*r.cfg.VCs + c }
 
 // sub returns the subswitch s = row*g+col that a flit from router input
 // src to router output dst crosses.
 func (r *hierarchical) sub(src, dst int) int { return int(r.grp[src])*r.g + int(r.grp[dst]) }
 
 func (r *hierarchical) InFlight() int {
-	return r.In.Buffered() + r.Out.Len() + r.toSubIn.Len() + r.toSubOut.Len() +
-		r.subInFlits + r.subOutFlits
+	return r.In.Buffered() + r.Out.Len() + r.row.wire.Len() + r.toSubOut.Len() +
+		r.subInFlits + r.col.flits
 }
 
 // Quiescent adds the subswitch side to the base test: no flit may sit
@@ -218,15 +180,15 @@ func (r *hierarchical) Quiescent() bool {
 }
 
 func (r *hierarchical) NextWake(now int64) int64 {
-	if r.In.Buffered() > 0 || r.subInFlits > 0 || r.subOutFlits > 0 {
+	if r.In.Buffered() > 0 || r.subInFlits > 0 || r.col.flits > 0 {
 		return now + 1
 	}
-	return min(r.Out.NextWake(), r.toSubIn.NextAt(), r.toSubOut.NextAt(), r.creditWire.NextAt())
+	return min(r.Out.NextWake(), r.row.wire.NextAt(), r.toSubOut.NextAt(), r.creditWire.NextAt())
 }
 
 func (r *hierarchical) Step(now int64) {
 	r.BeginCycle(now)
-	r.toSubIn.PopDue(now, func(fs []*flit.Flit) {
+	r.row.wire.PopDue(now, func(fs []*flit.Flit) {
 		for _, f := range fs {
 			s, q, j := r.sub(f.Src, f.Dst), int(r.loc[f.Src]), r.loc[f.Dst]
 			qi := (s*r.p+q)*r.cfg.VCs + f.VC
@@ -243,88 +205,17 @@ func (r *hierarchical) Step(now int64) {
 	})
 	r.toSubOut.PopDue(now, func(fs []*flit.Flit) {
 		for _, f := range fs {
-			pj := r.sub(f.Src, f.Dst)*r.p + int(r.loc[f.Dst])
-			if r.subOut.Push(pj*r.cfg.VCs+f.VC, f) == 1 {
-				// f becomes the queue's front: mirror it in the masks.
-				r.subOutOcc[pj] |= 1 << uint(f.VC)
-				if f.Head {
-					r.subOutHead[pj] |= 1 << uint(f.VC)
-				}
-			}
-			r.outAct.Inc(f.Dst)
-			r.colRows[f.Dst].Inc(int(r.grp[f.Src]))
+			r.col.land(int(r.grp[f.Src]), f)
 		}
-		r.subOutFlits += len(fs)
 	})
 	r.creditWire.PopDue(now, func(cs []flit.Credit) {
 		for _, c := range cs {
-			r.creditIn.Return(now, r.subInPool(c.Input, c.Output, c.VC), c.Input, c.Output, c.VC)
+			r.creditIn.Return(now, r.row.pool(c.Input, c.Output, c.VC), c.Input, c.Output, c.VC)
 		}
 	})
-	r.columnStage(now)
+	r.col.step(now)
 	r.internalStage(now)
-	r.inputStage(now)
-}
-
-// columnStage performs global output VC allocation and drains one flit
-// per free output per round from the subswitch output buffers of its
-// column, arbitrating among the k/p subswitches with the same
-// local-global scheme as the other architectures.
-func (r *hierarchical) columnStage(now int64) {
-	v, g, p := r.cfg.VCs, r.g, r.p
-	for o := r.outAct.Next(0); o >= 0; o = r.outAct.Next(o + 1) {
-		if !r.outFree.Free(o, now) {
-			continue
-		}
-		// Row row's subswitch output buffer feeding o is local port
-		// (row*g+col)*p+j = row*g*p + cj.
-		cj := int(r.grp[o])*p + int(r.loc[o])
-		r.rowCand.Reset()
-		any := false
-		rows := &r.colRows[o]
-		// The VC-ownership test depends only on (o, c), so the owner
-		// table's maintained free mask is read once per output; a row's
-		// eligible VCs are then its occupied fronts that are either body
-		// flits or head flits whose VC is free — word arithmetic in place
-		// of peeking every subswitch output queue.
-		freeVC := r.Owner.FreeMask(o)
-		for row := rows.Next(0); row >= 0; row = rows.Next(row + 1) {
-			pj := row*g*p + cj
-			m := r.subOutOcc[pj] & (^r.subOutHead[pj] | freeVC)
-			if m == 0 {
-				continue
-			}
-			r.rowCand.Set(row)
-			r.rowVC[row] = r.subOutVC.Arbitrate(o*g+row, m)
-			any = true
-		}
-		if !any {
-			continue
-		}
-		row := r.colArb[o].ArbitrateBits(r.rowCand)
-		c := r.rowVC[row]
-		pj := row*g*p + cj
-		f, nf := r.subOut.Pop(pj*v + c)
-		switch {
-		case nf == nil:
-			r.subOutOcc[pj] &^= 1 << uint(c)
-			r.subOutHead[pj] &^= 1 << uint(c)
-		case nf.Head:
-			r.subOutHead[pj] |= 1 << uint(c)
-		default:
-			r.subOutHead[pj] &^= 1 << uint(c)
-		}
-		r.outAct.Dec(o)
-		rows.Dec(row)
-		r.subOutFlits--
-		r.Obs.Emit(Event{Cycle: now, Kind: EvGrant, Flit: f, Input: f.Src, Output: o, VC: c, Note: "column"})
-		if f.Head {
-			r.Owner.Acquire(o, c, f.PacketID)
-		}
-		r.subOutCred.Return(now, pj*v+c, row, o, c)
-		r.outFree.Reserve(o, now, r.cfg.STCycles)
-		r.Out.Push(now, o, f)
-	}
+	r.row.step(now)
 }
 
 // internalStage moves flits across each p x p subswitch crossbar from
@@ -355,7 +246,7 @@ func (r *hierarchical) internalStage(now int64) {
 				hs := r.subHeads[(sp+q)*v : (sp+q+1)*v]
 				for c := range hs {
 					h := &hs[c]
-					if int(h.dst) == j && r.subOutCred.Avail(pj*v+c) &&
+					if int(h.dst) == j && r.col.credit.Avail(pj*v+c) &&
 						(h.head && freeVC>>uint(c)&1 != 0 || !h.head && r.subOutOwner.OwnedBy(pj, c, h.id)) {
 						req |= 1 << uint(c)
 					}
@@ -389,7 +280,7 @@ func (r *hierarchical) internalStage(now int64) {
 			if f.Tail {
 				r.subOutOwner.Release(pj, c, f.PacketID)
 			}
-			r.subOutCred.Spend(now, pj*v+c, row, col*p+j, c)
+			r.col.credit.Spend(now, pj*v+c, row, col*p+j, c)
 			r.intInFree.Reserve(sp+q, now, r.cfg.STCycles)
 			r.intOutFree.Reserve(pj, now, r.cfg.STCycles)
 			r.Obs.Emit(Event{Cycle: now, Kind: EvGrant, Flit: f, Input: row*p + q, Output: f.Dst, VC: c, Note: "subswitch"})
@@ -398,35 +289,5 @@ func (r *hierarchical) internalStage(now int64) {
 			// router input that feeds local port q of this row.
 			r.creditWire.Schedule(now+creditWireDelay, flit.Credit{Input: row*p + q, Output: col, VC: c})
 		}
-	}
-}
-
-// inputStage forwards at most one flit per router input onto its row
-// bus, towards the subswitch serving the flit's destination column,
-// subject to subswitch input buffer credits.
-func (r *hierarchical) inputStage(now int64) {
-	v := r.cfg.VCs
-	for i := r.In.NextOccupied(0); i >= 0; i = r.In.NextOccupied(i + 1) {
-		if !r.inFree.Free(i, now) {
-			continue
-		}
-		var req uint64
-		fronts := r.In.Fronts(i)
-		for c := 0; c < v; c++ {
-			fr := &fronts[c]
-			if now > fr.Inj && r.creditIn.Avail(r.subInPool(i, int(r.grp[fr.Dst]), c)) {
-				req |= 1 << uint(c)
-			}
-		}
-		if req == 0 {
-			continue
-		}
-		c := r.inputArb.Arbitrate(i, req)
-		f := r.In.Pop(i, c)
-		col := int(r.grp[f.Dst])
-		r.creditIn.Spend(now, r.subInPool(i, col, c), i, col, c)
-		r.inFree.Reserve(i, now, r.cfg.STCycles)
-		r.Obs.Emit(Event{Cycle: now, Kind: EvGrant, Flit: f, Input: i, Output: f.Dst, VC: c, Note: "row-bus"})
-		r.toSubIn.Schedule(now+int64(r.cfg.STCycles), f)
 	}
 }

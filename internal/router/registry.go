@@ -1,6 +1,7 @@
 package router
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 )
@@ -142,6 +143,15 @@ func variantLocalGroup(radix int) int {
 		return 4
 	}
 	return 8
+}
+
+// validateXpointDepth is the Validate hook of every architecture that
+// buffers flits per crosspoint (buffered, sharedxp, voq).
+func validateXpointDepth(c Config) []error {
+	if c.XpointBufDepth < 1 {
+		return []error{fmt.Errorf("crosspoint buffer depth %d < 1", c.XpointBufDepth)}
+	}
+	return nil
 }
 
 // variantSubSize picks the hierarchical subswitch size p for a test

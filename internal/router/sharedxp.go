@@ -1,8 +1,6 @@
 package router
 
 import (
-	"fmt"
-
 	"highradix/internal/arb"
 	"highradix/internal/flit"
 	"highradix/internal/router/core"
@@ -11,17 +9,12 @@ import (
 
 func init() {
 	Register(ArchSharedXpoint, Descriptor{
-		Name:    "sharedxp",
-		Summary: "buffered crossbar with one shared buffer per crosspoint and ACK/NACK retention",
-		Section: "Section 5.4",
-		Build:   func(cfg Config) Router { return newSharedXpoint(cfg) },
-		Traits:  Traits{ExactInFlight: false, TerminalGrantNote: "output"},
-		Validate: func(c Config) []error {
-			if c.XpointBufDepth < 1 {
-				return []error{fmt.Errorf("crosspoint buffer depth %d < 1", c.XpointBufDepth)}
-			}
-			return nil
-		},
+		Name:     "sharedxp",
+		Summary:  "buffered crossbar with one shared buffer per crosspoint and ACK/NACK retention",
+		Section:  "Section 5.4",
+		Build:    func(cfg Config) Router { return newSharedXpoint(cfg) },
+		Traits:   Traits{ExactInFlight: false, TerminalGrantNote: "output"},
+		Validate: validateXpointDepth,
 		Variants: func(radix, vcs int) []Variant {
 			return []Variant{{"sharedxp", Config{Arch: ArchSharedXpoint, Radix: radix, VCs: vcs, LocalGroup: variantLocalGroup(radix)}}}
 		},

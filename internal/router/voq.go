@@ -1,25 +1,18 @@
 package router
 
 import (
-	"fmt"
-
 	"highradix/internal/arb"
 	"highradix/internal/router/core"
 )
 
 func init() {
 	Register(ArchVOQ, Descriptor{
-		Name:    "voq",
-		Summary: "virtual output queues with centralized iterative iSLIP scheduling",
-		Section: "Tiny Tera (McKeown et al.), against the paper's Section 4 comparison",
-		Build:   func(cfg Config) Router { return newVOQ(cfg) },
-		Traits:  Traits{ExactInFlight: true, TerminalGrantNote: "switch"},
-		Validate: func(c Config) []error {
-			if c.XpointBufDepth < 1 {
-				return []error{fmt.Errorf("crosspoint buffer depth %d < 1", c.XpointBufDepth)}
-			}
-			return nil
-		},
+		Name:     "voq",
+		Summary:  "virtual output queues with centralized iterative iSLIP scheduling",
+		Section:  "Tiny Tera (McKeown et al.), against the paper's Section 4 comparison",
+		Build:    func(cfg Config) Router { return newVOQ(cfg) },
+		Traits:   Traits{ExactInFlight: true, TerminalGrantNote: "switch"},
+		Validate: validateXpointDepth,
 		Variants: func(radix, vcs int) []Variant {
 			base := Config{Arch: ArchVOQ, Radix: radix, VCs: vcs}
 			iter2 := base
