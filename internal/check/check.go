@@ -104,11 +104,6 @@ type Checker struct {
 	stats Stats
 	err   *Violation
 
-	// exact is false for the shared-crosspoint router, whose InFlight
-	// is documented as an upper bound (retained input copies double-
-	// count); there the per-cycle conservation check degrades to
-	// inFlight >= live, plus the exact empty <=> empty equivalence.
-	exact bool
 	// termNote is the Note of the grant stage that seizes the output
 	// serializer in this architecture; those grants (and all ejects)
 	// must respect the STCycles spacing per output.
@@ -134,13 +129,12 @@ func New(cfg router.Config, opt Options) *Checker {
 	if opt.WatchdogCycles <= 0 {
 		opt.WatchdogCycles = defaultWatchdog
 	}
-	tr := cfg.Traits()
+	d, _ := router.Describe(cfg.Arch)
 	c := &Checker{
 		cfg:       cfg,
 		opt:       opt,
 		fl:        newFlow(),
-		exact:     tr.ExactInFlight,
-		termNote:  tr.TerminalGrantNote,
+		termNote:  d.GrantNote,
 		liveIn:    make([]int, cfg.Radix),
 		vcOwner:   make([]uint64, cfg.Radix*cfg.VCs),
 		lastEject: make([]int64, cfg.Radix),
@@ -336,24 +330,9 @@ func (c *Checker) EndCycle(now int64, inFlight int) error {
 		return c.err
 	}
 	live := c.fl.liveCount
-	if c.exact {
-		if inFlight != live {
-			c.err = vio(now, "conservation.count",
-				"router reports %d flits in flight, events account for %d", inFlight, live)
-		}
-	} else {
-		// Shared-crosspoint InFlight double-counts flits retained at
-		// the input while awaiting ACK, so it is an upper bound — but
-		// it is exactly zero iff the router is empty.
-		if inFlight < live {
-			c.err = vio(now, "conservation.count",
-				"router reports %d flits in flight, fewer than the %d events account for", inFlight, live)
-		} else if live == 0 && inFlight != 0 {
-			c.err = vio(now, "conservation.count",
-				"router reports %d flits in flight while events account for none", inFlight)
-		}
-	}
-	if c.err != nil {
+	if inFlight != live {
+		c.err = vio(now, "conservation.count",
+			"router reports %d flits in flight, events account for %d", inFlight, live)
 		return c.err
 	}
 	if live > 0 && now-c.lastProgress > c.opt.WatchdogCycles {

@@ -245,6 +245,26 @@ func TestConservationCount(t *testing.T) {
 	wantRule(t, c, "conservation.count")
 }
 
+// TestCountCheckExact: every architecture's occupancy is held to the
+// event stream exactly, so a router reporting one flit more than it was
+// handed fails the count — an over-count hides a flit counted twice
+// exactly as an under-count hides one lost.
+func TestCountCheckExact(t *testing.T) {
+	for _, a := range router.Registered() {
+		t.Run(a.String(), func(t *testing.T) {
+			c := check.New(router.Config{Arch: a, Radix: 4, VCs: 2}, check.Options{})
+			accept(c, 0, mkflit(1, 0, 1, 0, 1, 0))
+			if err := c.EndCycle(0, 1); err != nil {
+				t.Fatalf("the true count fails: %v", err)
+			}
+			if err := c.EndCycle(1, 2); err == nil {
+				t.Fatal("an over-count of one passes the conservation check")
+			}
+			wantRule(t, c, "conservation.count")
+		})
+	}
+}
+
 func TestUndrainedFinal(t *testing.T) {
 	c := newChecker(t)
 	accept(c, 0, mkflit(1, 0, 1, 0, 1, 0))

@@ -23,15 +23,13 @@ type Device interface {
 	// the next one. The device holds no reference to a delivered flit:
 	// the caller may recycle it once it has read it.
 	Ejected() []*flit.Flit
-	// InFlight counts the flits accepted and not yet delivered; zero
-	// exactly when the device is empty.
+	// InFlight counts the flits accepted and not yet delivered, exactly.
 	InFlight() int
-	// Quiescent reports that Step is a no-op, delivering nothing, at
-	// every future cycle absent an Accept, and NextWake returns a lower
-	// bound, at least now+1, on the next cycle at which it is not
-	// (sim.NoWake when quiescent). Both must be exact — they license
-	// skipping Steps and jumping time — and cheap.
-	Quiescent() bool
+	// NextWake returns a lower bound, at least now+1, on the next cycle
+	// at which Step is not a no-op absent an Accept, or sim.NoWake when
+	// Step is a no-op, delivering nothing, at every future cycle. It
+	// licenses skipping Steps and jumping time, so it must be exact in
+	// that sense — and cheap.
 	NextWake(now int64) int64
 }
 
@@ -418,8 +416,6 @@ func (b *Bank) NextGen(now int64, live bool) int64 {
 type Plant struct {
 	Dev Device
 	*Bank
-	// Dense steps the device every cycle, quiescent or not.
-	Dense bool
 	// OnInject and OnDeliver, when non-nil, see every flit entering and
 	// leaving the device; Audit, when non-nil, closes every simulated
 	// cycle and may end the run.
@@ -429,16 +425,17 @@ type Plant struct {
 
 // Advance simulates cycle now up to its deliveries — generate as ph
 // directs, inject, step — and returns the flits delivered in it (valid
-// until the next call). A quiescent device's step is a provable no-op
-// that delivers nothing, so it is skipped outright — exact at any time,
-// unlike a jump — and Ejected, which still holds the previous step's
-// recycled flits, is not read.
+// until the next call). Unless ph is dense, a device with no wake-up
+// (NextWake is sim.NoWake) is not stepped: its step is a provable no-op
+// that delivers nothing, so skipping it is exact at any time, unlike a
+// jump, and Ejected, which still holds the previous step's recycled
+// flits, is not read.
 func (p *Plant) Advance(now int64, ph Phase) []*flit.Flit {
 	if ph.Generating || p.c.Trace != nil {
 		p.Generate(now, ph.Measuring)
 	}
 	p.InjectAll(now, p.Dev, p.OnInject)
-	if !p.Dense && p.Dev.Quiescent() {
+	if !ph.Dense && p.Dev.NextWake(now) == sim.NoWake {
 		return nil
 	}
 	p.Dev.Step(now)

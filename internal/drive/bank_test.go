@@ -51,7 +51,6 @@ func (d *pipe) Step(now int64) {
 
 func (d *pipe) Ejected() []*flit.Flit { return d.out }
 func (d *pipe) InFlight() int         { return len(d.flying) }
-func (d *pipe) Quiescent() bool       { return len(d.flying) == 0 }
 
 func (d *pipe) NextWake(now int64) int64 {
 	if len(d.flying) == 0 {
@@ -502,8 +501,7 @@ func TestPlantDenseTwin(t *testing.T) {
 				wl.Rate = 0.003
 				run := func(dense bool) (events []string, tally Tally, steps, cycles int) {
 					d := &pipe{latency: 9}
-					p := &Plant{Dev: d, Dense: dense,
-						Bank: NewBank(testIDs(BankConfig{Workload: wl, Sources: 6, VCs: 2, Ser: 3}))}
+					p := &Plant{Dev: d, Bank: NewBank(testIDs(BankConfig{Workload: wl, Sources: 6, VCs: 2, Ser: 3}))}
 					p.OnInject = func(now int64, f *flit.Flit) {
 						events = append(events, fmt.Sprintf("%d in %#x.%d vc%d", now, f.PacketID, f.Seq, f.VC))
 					}

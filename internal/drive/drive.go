@@ -34,8 +34,9 @@ type Config struct {
 	// until every generated flit — not just the labeled sample — has been
 	// delivered, so an auditor can verify conservation end to end.
 	Audited bool
-	// Dense forbids time jumps: every cycle up to the exit is simulated.
-	// Jumps are exact, so this exists for A/B verification.
+	// Dense forbids time jumps and skipped Steps: every cycle up to the
+	// exit is simulated, and the device stepped in each (Phase.Dense).
+	// Both are exact, so this exists for A/B verification.
 	Dense bool
 	// OnMeasureStart, when non-nil, is called once, before the first
 	// simulated cycle at or past the start of the window.
@@ -49,6 +50,9 @@ type Phase struct {
 	// Generating: synthetic sources are live this cycle. False only past
 	// the window of an audited run, and then for good.
 	Generating bool
+	// Dense: the device is stepped this cycle even with no wake-up due
+	// (Config.Dense).
+	Dense bool
 }
 
 func (c Config) measEnd() int64 { return c.Warmup + c.Measure }
@@ -61,6 +65,7 @@ func (c Config) At(now int64) Phase {
 	return Phase{
 		Measuring:  now >= c.Warmup && now < c.measEnd(),
 		Generating: !c.Audited || now < c.measEnd(),
+		Dense:      c.Dense,
 	}
 }
 

@@ -104,14 +104,22 @@ func (s Scale) pool() *sweep.Pool { return sweep.New(s.Workers) }
 
 // runTB runs one single-router point, consulting the scale's cache
 // when configured: a warm key decodes the stored Result without
-// touching the pool; a cold one simulates under a pool slot (inside
-// the store's single-flight) and stores the bytes. With Cache nil this
-// is exactly sweep.Do(p, testbench.Run).
-func (s Scale) runTB(p *sweep.Pool, o testbench.Options) (testbench.Result, error) {
+// touching the pool (hit); a cold one simulates under a pool slot
+// (inside the store's single-flight) and stores the bytes. With Cache
+// nil this is exactly sweep.Do(p, testbench.Run).
+func (s Scale) runTB(p *sweep.Pool, o testbench.Options) (res testbench.Result, hit bool, err error) {
 	key, ok := o.CacheKey()
-	res, _, err := sweep.RunCached(p, s.Cache, key, ok, testbench.EncodeResult, testbench.DecodeResult,
+	return sweep.RunCached(p, s.Cache, key, ok, testbench.EncodeResult, testbench.DecodeResult,
 		func() (testbench.Result, error) { return testbench.Run(o) })
-	return res, err
+}
+
+// Point runs the single-router point the latency figures run for cfg at
+// load under pattern (nil: uniform), through the same options and cache
+// keys, so a point any figure computed is a hit here and vice versa.
+func (s Scale) Point(p *sweep.Pool, cfg router.Config, pattern traffic.Pattern, load float64) (testbench.Result, bool, error) {
+	o := s.opts(cfg)
+	o.Pattern, o.Load = pattern, load
+	return s.runTB(p, o)
 }
 
 // satThroughput measures accepted throughput at offered load 1.0. It is
@@ -124,7 +132,7 @@ func (s Scale) satThroughput(p *sweep.Pool, cfg router.Config, mutate func(*test
 		mutate(&o)
 	}
 	o.Load = 1.0
-	res, err := s.runTB(p, o)
+	res, _, err := s.runTB(p, o)
 	if err != nil {
 		return 0, err
 	}
@@ -159,7 +167,7 @@ func (s Scale) latencyFigure(t *stats.Table, cases []latencyCase) error {
 		series, err := sweep.Curve(p, c.name, s.Loads, func(load float64) (sweep.Point, error) {
 			o := base
 			o.Load = load
-			res, err := s.runTB(p, o)
+			res, _, err := s.runTB(p, o)
 			if err != nil {
 				return sweep.Point{}, err
 			}

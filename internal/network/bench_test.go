@@ -5,14 +5,14 @@ import (
 	"testing"
 )
 
-// BenchmarkQuiescentNetworkCycle measures one cycle of an empty Clos
-// network: the Quiescent test a fast-forwarding driver pays, and the
+// BenchmarkIdleNetworkCycle measures one cycle of an empty Clos
+// network: the NextWake test a fast-forwarding driver pays, and the
 // full Step a dense one pays. With the active-router bitsets, the empty
 // Step visits no router at all — its cost is a handful of empty bitset
 // words per stage — so both numbers stay flat as the network grows from
 // 256 routers (k16 d2) to 4096 terminals' worth of radix-64 hardware,
 // demonstrating O(active) rather than O(routers) idle advance.
-func BenchmarkQuiescentNetworkCycle(b *testing.B) {
+func BenchmarkIdleNetworkCycle(b *testing.B) {
 	for _, cfg := range []Config{
 		{Radix: 16, Digits: 2},
 		{Radix: 64, Digits: 2},
@@ -22,11 +22,11 @@ func BenchmarkQuiescentNetworkCycle(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("quiescent/k%dd%d", cfg.Radix, cfg.Digits), func(b *testing.B) {
+		b.Run(fmt.Sprintf("nextwake/k%dd%d", cfg.Radix, cfg.Digits), func(b *testing.B) {
 			b.ReportAllocs()
-			sink := false
+			sink := int64(0)
 			for n := 0; n < b.N; n++ {
-				sink = nw.Quiescent()
+				sink += nw.NextWake(int64(n))
 			}
 			_ = sink
 		})

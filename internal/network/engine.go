@@ -445,21 +445,13 @@ func (nw *Network) InFlight() int {
 	return nw.arrivals.Len() + nw.toTerm.Len() + nw.buffered + nw.outFlits
 }
 
-// Quiescent reports that Step is a provable no-op until new traffic is
-// injected or merged in: no flit is buffered, on a wire, or
-// serializing toward a terminal, and no credit is in flight (a
-// draining credit mutates counters, so a cycle with pending credits
-// may not be skipped).
-func (nw *Network) Quiescent() bool {
-	return nw.buffered == 0 && nw.arrivals.Len() == 0 &&
-		nw.toTerm.Len() == 0 && nw.credits.Len() == 0
-}
-
 // NextWake returns a lower bound (>= now+1) on the next cycle at which
-// Step can change state absent new injections, or sim.NoWake when the
-// engine is empty forever. Buffered flits drive allocation every
-// cycle; otherwise the earliest calendar event is exact. Mail sent
-// since SetOutbox is not counted (MailAt is).
+// Step can change state absent new injections, or sim.NoWake when Step
+// is a provable no-op until new traffic is injected or merged in: no
+// flit is buffered, on a wire, or serializing toward a terminal, and no
+// credit is in flight (a draining credit mutates counters). Buffered
+// flits drive allocation every cycle; otherwise the earliest calendar
+// event is exact. Mail sent since SetOutbox is not counted (MailAt is).
 func (nw *Network) NextWake(now int64) int64 {
 	if nw.buffered > 0 {
 		return now + 1

@@ -152,7 +152,7 @@ func NewWorld(o Options, topo Topology, l Layout, i int) *World {
 	nw := NewNetworkRange(topo, o.RouteSeed(), l, i)
 	lo, hi := l.Terminals[i][0], l.Terminals[i][1]
 	bank := newSources(topo, o.SourceOpts(topo), func(t int) bool { return t >= lo && t < hi })
-	w := &World{Net: nw, Plant: drive.Plant{Dev: nw, Bank: bank, Dense: o.NoFastForward}}
+	w := &World{Net: nw, Plant: drive.Plant{Dev: nw, Bank: bank}}
 	if h := o.Hooks; h != nil {
 		w.OnInject, w.OnDeliver, w.Audit = h.Injected, h.Delivered, h.EndCycle
 	}

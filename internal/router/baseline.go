@@ -12,7 +12,7 @@ func init() {
 		Summary:         "distributed separable allocation with speculative VC allocation (CVA/OVA)",
 		Section:         "Section 4 (Figures 6-8)",
 		Build:           func(cfg Config) Router { return newBaseline(cfg) },
-		Traits:          Traits{ExactInFlight: true, TerminalGrantNote: "switch"},
+		GrantNote:       "switch",
 		UsesPrioritized: true,
 		Variants: func(radix, vcs int) []Variant {
 			base := Config{Arch: ArchBaseline, Radix: radix, VCs: vcs}
@@ -195,7 +195,7 @@ func newBaseline(cfg Config) *baseline {
 
 func (r *baseline) Config() Config { return r.cfg }
 
-// Quiescent and NextWake are inherited from core.Base, which is sound
+// NextWake is inherited from core.Base, which is sound
 // because every request or response in flight implies input occupancy:
 // a request issues only from an occupied input VC, and the flit it bid
 // for stays in the input bank until the grant response is processed

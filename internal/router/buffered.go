@@ -7,12 +7,12 @@ import (
 
 func init() {
 	Register(ArchBuffered, Descriptor{
-		Name:     "buffered",
-		Summary:  "fully buffered crossbar, per-input-VC crosspoint buffers with credit flow control",
-		Section:  "Section 5 (Figure 12(b))",
-		Build:    func(cfg Config) Router { return newBuffered(cfg) },
-		Traits:   Traits{ExactInFlight: true, TerminalGrantNote: "output"},
-		Validate: validateXpointDepth,
+		Name:      "buffered",
+		Summary:   "fully buffered crossbar, per-input-VC crosspoint buffers with credit flow control",
+		Section:   "Section 5 (Figure 12(b))",
+		Build:     func(cfg Config) Router { return newBuffered(cfg) },
+		GrantNote: "output",
+		Validate:  validateXpointDepth,
 		Variants: func(radix, vcs int) []Variant {
 			lg := variantLocalGroup(radix)
 			base := Config{Arch: ArchBuffered, Radix: radix, VCs: vcs, LocalGroup: lg}
@@ -76,13 +76,8 @@ func (r *buffered) InFlight() int {
 	return r.In.Buffered() + r.Out.Len() + r.row.wire.Len() + r.col.flits
 }
 
-// Quiescent adds the crosspoint side to the base test: the row buses
-// must hold no credits and no flit may sit in or be in flight to a
-// crosspoint buffer.
-func (r *buffered) Quiescent() bool {
-	return r.InFlight() == 0 && r.bus.Pending() == 0
-}
-
+// NextWake adds the crosspoint side to the base answer: the row buses'
+// credits, the crosspoint buffers and the row wires to them.
 func (r *buffered) NextWake(now int64) int64 {
 	// Buffered flits drive allocation, and a bus credit resolves within
 	// two cycles (one arbitration, one wire hop); both pin the wake to

@@ -181,31 +181,6 @@ type Config struct {
 	Observer Observer `key:"nil"`
 }
 
-// Traits describes architecture properties that cross-cutting tools
-// (the invariant checker, testbenches) need, so they can stay free of
-// per-architecture switches and read router state only through the
-// shared contract.
-type Traits struct {
-	// ExactInFlight reports whether InFlight is an exact occupancy
-	// count. The shared-crosspoint router retains a copy of each head
-	// flit at the input while the crosspoint decides ACK/NACK, so its
-	// count is only an upper bound (still exactly zero iff empty).
-	ExactInFlight bool
-	// TerminalGrantNote is the Note of the grant stage that seizes the
-	// output serializer in this architecture; grants carrying it (and
-	// all ejections) must respect the STCycles spacing per output.
-	TerminalGrantNote string
-}
-
-// Traits returns the cross-cutting properties of the configured
-// architecture, from its registered descriptor.
-func (c Config) Traits() Traits {
-	if d, ok := Describe(c.Arch); ok {
-		return d.Traits
-	}
-	return Traits{ExactInFlight: true, TerminalGrantNote: "switch"}
-}
-
 // WithDefaults returns a copy of c with unset fields replaced by the
 // paper's evaluation defaults.
 func (c Config) WithDefaults() Config {

@@ -126,24 +126,21 @@ func TestWithDefaultsPreservesExplicit(t *testing.T) {
 	}
 }
 
-// TestTraits checks the cross-cutting traits the invariant checker keys
-// on: which architectures report exact in-flight counts and which grant
-// stage seizes the output serializer.
-func TestTraits(t *testing.T) {
+// TestGrantNote checks the one architecture fact the invariant checker
+// keys on: which grant stage seizes the output serializer.
+func TestGrantNote(t *testing.T) {
 	for _, tc := range []struct {
-		arch  router.Arch
-		exact bool
-		note  string
+		arch router.Arch
+		note string
 	}{
-		{router.ArchLowRadix, true, "switch"},
-		{router.ArchBaseline, true, "switch"},
-		{router.ArchBuffered, true, "output"},
-		{router.ArchSharedXpoint, false, "output"},
-		{router.ArchHierarchical, true, "column"},
+		{router.ArchLowRadix, "switch"},
+		{router.ArchBaseline, "switch"},
+		{router.ArchBuffered, "output"},
+		{router.ArchSharedXpoint, "output"},
+		{router.ArchHierarchical, "column"},
 	} {
-		tr := router.Config{Arch: tc.arch}.Traits()
-		if tr.ExactInFlight != tc.exact || tr.TerminalGrantNote != tc.note {
-			t.Errorf("%v traits = %+v, want exact=%v note=%q", tc.arch, tr, tc.exact, tc.note)
+		if d, _ := router.Describe(tc.arch); d.GrantNote != tc.note {
+			t.Errorf("%v grant note = %q, want %q", tc.arch, d.GrantNote, tc.note)
 		}
 	}
 }

@@ -74,16 +74,17 @@ func BenchmarkEjectPipe(b *testing.B) {
 	}
 }
 
-// BenchmarkQuiescent measures the O(1) quiescence test drivers run
-// every cycle to decide whether a router's Step can be skipped. It must
-// stay a pair of counter reads — independent of radix.
-func BenchmarkQuiescent(b *testing.B) {
+// BenchmarkIdleNextWake measures the O(1) quiescence test drivers run
+// every cycle to decide whether a router's Step can be skipped: NextWake
+// of an empty base. It must stay a pair of counter reads — independent
+// of radix.
+func BenchmarkIdleNextWake(b *testing.B) {
 	base := core.MakeBase(core.Obs{}, 64, 4, 16, 4)
 	b.ReportAllocs()
 	b.ResetTimer()
-	sink := false
+	sink := int64(0)
 	for n := 0; n < b.N; n++ {
-		sink = base.Quiescent()
+		sink += base.NextWake(int64(n))
 	}
 	_ = sink
 }

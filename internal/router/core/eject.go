@@ -51,7 +51,7 @@ func (p *EjectPipe) Push(now int64, port int, f *flit.Flit) {
 func (p *EjectPipe) Len() int { return p.due.Len() }
 
 // NextWake returns the cycle at which the pipe's earliest flit leaves,
-// or NoWake when the pipe is empty.
+// or sim.NoWake when the pipe is empty.
 func (p *EjectPipe) NextWake() int64 { return p.due.NextAt() }
 
 // Ejected returns the flits drained by the last BeginCycle. The slice

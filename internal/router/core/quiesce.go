@@ -1,46 +1,36 @@
 package core
 
-import "highradix/internal/sim"
-
-// NoWake is the NextWake sentinel for "no future internal event": a
-// quiescent component will do nothing until new input arrives.
-const NoWake = sim.NoWake
-
 // Quiescence contract
 //
 // A router (or a component of one) is *quiescent* when its Step is
 // provably a no-op at every future cycle absent new input: no flits in
 // any buffer or traversal pipeline, no requests, grants or credits in
-// flight. Quiescence licenses a driver to skip the Step call outright —
-// cycle-exactly, because a quiescent step touches no arbitration state
+// flight. NextWake(now) is the one answer a driver asks for: a lower
+// bound, at least now+1, on the earliest future cycle at which Step is
+// not provably a no-op, or sim.NoWake exactly when the router is
+// quiescent. sim.NoWake licenses a driver to skip the Step call outright
+// — cycle-exactly, because a quiescent step touches no arbitration state
 // (every arbiter entry point runs behind an occupancy-gated active set,
 // and rotation pointers only move on grants).
 //
-// NextWake(now) complements Quiescent for *timed* residual state. It
-// returns a lower bound, at least now+1, on the earliest future cycle
-// at which Step is not provably a no-op, or NoWake when no internal
-// event is ever due. The bound is exact for calendars (NextAt names
-// their next due cycle) and deliberately conservative (now+1) whenever
-// any buffer holds a flit, because buffered flits invoke
-// arbiters whose rotation state advances even on fruitless rounds —
-// skipping such a cycle would not be state-preserving. A driver that
-// has stopped offering input may therefore jump time from now straight
-// to NextWake(now) and replay nothing in between.
+// For *timed* residual state the bound is exact: calendars' NextAt names
+// their next due cycle. It is deliberately conservative (now+1) whenever
+// any buffer holds a flit, because buffered flits invoke arbiters whose
+// rotation state advances even on fruitless rounds — skipping such a
+// cycle would not be state-preserving. A driver that has stopped
+// offering input may therefore jump time from now straight to
+// NextWake(now) and replay nothing in between.
 //
 // All of this is O(1) in the radix: it reads the running counters
 // (InputBank.Buffered, EjectPipe.Len, CreditBus.Pending) that the
 // active-set stepping of the routers already maintains.
 
-// Quiescent reports that the base datapath holds no flits at all: no
-// occupied input VCs and an empty ejection pipe. For architectures
-// whose only extra state is timestamps (serializers) and request wires
-// that imply input occupancy, this is the whole router-level test.
-func (b *Base) Quiescent() bool { return b.In.Buffered() == 0 && b.Out.Len() == 0 }
-
 // NextWake returns the earliest future cycle at which the base datapath
 // can act: now+1 while any input VC holds a flit (buffered flits drive
 // allocation every cycle), otherwise the ejection pipe's next due cycle,
-// or NoWake when empty.
+// or sim.NoWake when both are empty. For architectures whose only extra
+// state is timestamps (serializers) and request wires that imply input
+// occupancy, this is the whole router-level answer.
 func (b *Base) NextWake(now int64) int64 {
 	if b.In.Buffered() > 0 {
 		return now + 1

@@ -7,11 +7,11 @@ import (
 
 func init() {
 	Register(ArchDynVC, Descriptor{
-		Name:    "dynvc",
-		Summary: "dynamic VC allocation: per-input shared buffer pool carved into VCs on demand",
-		Section: "Onsori & Safaei (dynamic virtual-channel allocation), over the Section 3 allocator",
-		Build:   func(cfg Config) Router { return newDynVC(cfg) },
-		Traits:  Traits{ExactInFlight: true, TerminalGrantNote: "switch"},
+		Name:      "dynvc",
+		Summary:   "dynamic VC allocation: per-input shared buffer pool carved into VCs on demand",
+		Section:   "Onsori & Safaei (dynamic virtual-channel allocation), over the Section 3 allocator",
+		Build:     func(cfg Config) Router { return newDynVC(cfg) },
+		GrantNote: "switch",
 		Variants: func(radix, vcs int) []Variant {
 			return []Variant{{"dynvc", Config{Arch: ArchDynVC, Radix: radix, VCs: vcs}}}
 		},
@@ -103,7 +103,7 @@ func (r *dynVC) onPop(now int64, input, vc int, f *flit.Flit) {
 	}
 }
 
-// Quiescent and NextWake are inherited from core.Base, exactly as for
+// NextWake is inherited from core.Base, exactly as for
 // the low-radix router: the pool ledger and active-VC counters shadow
 // input-bank occupancy and hold no independent timed state.
 

@@ -11,11 +11,11 @@ import (
 
 func init() {
 	Register(ArchHierarchical, Descriptor{
-		Name:    "hierarchical",
-		Summary: "hierarchical crossbar of p x p subswitches with decoupled local/global VC allocation",
-		Section: "Section 6 (Figure 16)",
-		Build:   func(cfg Config) Router { return newHierarchical(cfg) },
-		Traits:  Traits{ExactInFlight: true, TerminalGrantNote: "column"},
+		Name:      "hierarchical",
+		Summary:   "hierarchical crossbar of p x p subswitches with decoupled local/global VC allocation",
+		Section:   "Section 6 (Figure 16)",
+		Build:     func(cfg Config) Router { return newHierarchical(cfg) },
+		GrantNote: "column",
 		Validate: func(c Config) []error {
 			var errs []error
 			if c.SubSize < 1 || c.Radix%c.SubSize != 0 {
@@ -172,13 +172,9 @@ func (r *hierarchical) InFlight() int {
 		r.subInFlits + r.col.flits
 }
 
-// Quiescent adds the subswitch side to the base test: no flit may sit
-// in (or be in flight to) a subswitch buffer and no subswitch-input
-// credit may be on the return wire.
-func (r *hierarchical) Quiescent() bool {
-	return r.InFlight() == 0 && r.creditWire.Len() == 0
-}
-
+// NextWake adds the subswitch side to the base answer: the subswitch
+// buffers, the wires to them and the subswitch-input credits on the
+// return wire.
 func (r *hierarchical) NextWake(now int64) int64 {
 	if r.In.Buffered() > 0 || r.subInFlits > 0 || r.col.flits > 0 {
 		return now + 1

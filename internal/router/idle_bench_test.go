@@ -10,9 +10,9 @@ import (
 // Idle-router microbenchmarks: the cost a driver pays per cycle for a
 // router that holds no flits. Dense stepping pays BenchmarkIdleStep
 // (the full stage scan, O(radix) even when nothing happens); a
-// quiescence-aware driver pays only BenchmarkIdleQuiescent (two counter
+// quiescence-aware driver pays only BenchmarkIdleNextWake (a few counter
 // reads, O(1)). The radix-64 vs radix-256 pairs make the asymptotic
-// difference visible: the Step cost grows with radix, the Quiescent
+// difference visible: the Step cost grows with radix, the NextWake
 // cost does not.
 func benchIdle(b *testing.B, arch router.Arch, radix int, step bool) {
 	b.Helper()
@@ -37,9 +37,9 @@ func benchIdle(b *testing.B, arch router.Arch, radix int, step bool) {
 		}
 		return
 	}
-	sink := false
+	sink := int64(0)
 	for n := 0; n < b.N; n++ {
-		sink = r.Quiescent()
+		sink += r.NextWake(int64(n))
 	}
 	_ = sink
 }
@@ -54,7 +54,7 @@ func BenchmarkIdleStep(b *testing.B) {
 	}
 }
 
-func BenchmarkIdleQuiescent(b *testing.B) {
+func BenchmarkIdleNextWake(b *testing.B) {
 	for _, arch := range router.Registered() {
 		for _, radix := range []int{64, 256} {
 			b.Run(fmt.Sprintf("%s/k%d", arch, radix), func(b *testing.B) {

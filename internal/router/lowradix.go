@@ -6,11 +6,11 @@ import (
 
 func init() {
 	Register(ArchLowRadix, Descriptor{
-		Name:    "lowradix",
-		Summary: "conventional input-queued VC router, centralized single-cycle allocation",
-		Section: "Section 3 (the paper's radix-16 comparison point)",
-		Build:   func(cfg Config) Router { return newLowRadix(cfg) },
-		Traits:  Traits{ExactInFlight: true, TerminalGrantNote: "switch"},
+		Name:      "lowradix",
+		Summary:   "conventional input-queued VC router, centralized single-cycle allocation",
+		Section:   "Section 3 (the paper's radix-16 comparison point)",
+		Build:     func(cfg Config) Router { return newLowRadix(cfg) },
+		GrantNote: "switch",
 		Variants: func(radix, vcs int) []Variant {
 			return []Variant{{"lowradix", Config{Arch: ArchLowRadix, Radix: radix, VCs: vcs}}}
 		},
@@ -45,7 +45,7 @@ func newLowRadix(cfg Config) *lowRadix {
 
 func (r *lowRadix) Config() Config { return r.cfg }
 
-// Quiescent and NextWake are inherited from core.Base: beyond the input
+// NextWake is inherited from core.Base: beyond the input
 // bank and ejection pipe the low-radix router holds only serializer
 // timestamps, arbiter rotation state (which moves only on grants) and
 // per-cycle scratch, so an empty base datapath means Step is a no-op.

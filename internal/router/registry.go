@@ -13,10 +13,10 @@ import (
 // repeated by hand in every test harness, benchmark and CLI. The
 // registry inverts that: each architecture file registers a Descriptor
 // carrying everything the cross-cutting layers need — the constructor,
-// the checker Traits, config validation and defaulting hooks, the
+// the checker's grant note, config validation and defaulting hooks, the
 // paper-section provenance, representative test configurations and the
-// benchmark radices — and config.go's String/ArchByName/Traits/
-// Validate/New plus every enumeration site dispatch through it. A newly
+// benchmark radices — and config.go's String/ArchByName/Validate/New
+// plus every enumeration site dispatch through it. A newly
 // registered architecture is therefore automatically conformance-
 // checked, torture-tested, differentially compared, benchmarked and
 // reachable from the CLIs, with no list to update anywhere.
@@ -44,9 +44,10 @@ type Descriptor struct {
 	Section string
 	// Build constructs the router from a defaulted, validated config.
 	Build func(Config) Router
-	// Traits are the cross-cutting properties the invariant checker and
-	// the drivers key on.
-	Traits Traits
+	// GrantNote is the Note of the grant stage that seizes the output
+	// serializer in this architecture; the invariant checker holds grants
+	// carrying it (and all ejections) to the STCycles spacing per output.
+	GrantNote string
 	// Defaults, when non-nil, fills architecture-specific zero fields
 	// after the shared WithDefaults pass. It must be idempotent.
 	Defaults func(*Config)

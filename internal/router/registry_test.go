@@ -27,7 +27,7 @@ func TestRegistryCompleteness(t *testing.T) {
 			if d.Summary == "" || d.Section == "" {
 				t.Error("descriptor missing Summary or Section")
 			}
-			if d.Traits.TerminalGrantNote == "" {
+			if d.GrantNote == "" {
 				t.Error("descriptor has no terminal grant note; the checker cannot audit switch-traversal spacing")
 			}
 			// Name round-trips: String -> ArchByName -> same Arch.

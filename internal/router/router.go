@@ -1,13 +1,6 @@
 package router
 
-import (
-	"highradix/internal/flit"
-	"highradix/internal/router/core"
-)
-
-// NoWake is the NextWake sentinel for "no future internal event"; see
-// the quiescence contract in router/core.
-const NoWake = core.NoWake
+import "highradix/internal/flit"
 
 // Router is the external contract shared by every architecture. A
 // router is advanced one cycle at a time; the caller injects flits into
@@ -46,27 +39,25 @@ type Router interface {
 	// their events and must not retain them past the Step that emitted
 	// the event, for the same reason.
 	Ejected() []*flit.Flit
-	// InFlight reports the number of flits inside the router (input
-	// buffers, intermediate buffers and traversal pipelines). Draining
-	// testbenches run until this reaches zero.
+	// InFlight reports the exact number of flits inside the router
+	// (input buffers, intermediate buffers and traversal pipelines), each
+	// counted once however many copies of it the datapath holds. Draining
+	// testbenches run until this reaches zero, and the invariant checker
+	// holds it to the event stream every cycle.
 	InFlight() int
-	// Quiescent reports that Step is provably a no-op at every future
-	// cycle absent a new Accept: no flits anywhere, no requests, ACKs
-	// or credits in flight. A driver may skip the Step call of a
-	// quiescent router cycle-exactly (a quiescent step invokes no
-	// arbiter, so no rotation state would have advanced). O(1).
-	Quiescent() bool
 	// NextWake returns a lower bound, at least now+1, on the earliest
 	// future cycle at which Step is not provably a no-op assuming no
-	// further Accepts, or NoWake when the router is quiescent. The
-	// bound is now+1 whenever a buffer holds a flit (buffered flits
+	// further Accepts, or sim.NoWake when the router is quiescent: no
+	// flits anywhere, no requests, ACKs or credits in flight. A driver
+	// skips the Step call of a quiescent router cycle-exactly (a quiescent
+	// step invokes no arbiter, so no rotation state would have advanced).
+	// The bound is now+1 whenever a buffer holds a flit (buffered flits
 	// drive arbitration every cycle); only purely timed residual state
-	// (ejection slots, traversal and credit wires) yields a jump. See
-	// the quiescence contract in router/core. Quiescent and NextWake must
-	// account for every piece of per-cycle state the architecture owns:
-	// drivers skip quiescent Steps and fast-forward to NextWake on their
-	// word (drive.Device), and the fast-forward twin suites, which run
-	// every registered architecture against its dense self, hold a new
-	// one to it.
+	// (ejection slots, traversal and credit wires) yields a jump. See the
+	// quiescence contract in router/core. NextWake must account for every
+	// piece of per-cycle state the architecture owns: drivers skip Steps
+	// and fast-forward to NextWake on its word (drive.Device), and the
+	// fast-forward twin suites, which run every registered architecture
+	// against its dense self, hold a new one to it. O(1).
 	NextWake(now int64) int64
 }

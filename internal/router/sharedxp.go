@@ -9,12 +9,12 @@ import (
 
 func init() {
 	Register(ArchSharedXpoint, Descriptor{
-		Name:     "sharedxp",
-		Summary:  "buffered crossbar with one shared buffer per crosspoint and ACK/NACK retention",
-		Section:  "Section 5.4",
-		Build:    func(cfg Config) Router { return newSharedXpoint(cfg) },
-		Traits:   Traits{ExactInFlight: false, TerminalGrantNote: "output"},
-		Validate: validateXpointDepth,
+		Name:      "sharedxp",
+		Summary:   "buffered crossbar with one shared buffer per crosspoint and ACK/NACK retention",
+		Section:   "Section 5.4",
+		Build:     func(cfg Config) Router { return newSharedXpoint(cfg) },
+		GrantNote: "output",
+		Validate:  validateXpointDepth,
 		Variants: func(radix, vcs int) []Variant {
 			return []Variant{{"sharedxp", Config{Arch: ArchSharedXpoint, Radix: radix, VCs: vcs, LocalGroup: variantLocalGroup(radix)}}}
 		},
@@ -65,6 +65,11 @@ type sharedXpoint struct {
 	// until ACKed). Maintained as flits land and drain so InFlight
 	// never walks the grid.
 	xpBody int
+	// acking counts the ACKs in flight. Each belongs to a flit that has
+	// moved on (a body into its crosspoint buffer, a head into the
+	// ejection pipe) while its input copy waits for the ACK to pop it, so
+	// InFlight would count it twice without subtracting acking.
+	acking int
 
 	candidates *arb.BitVec // sized k
 }
@@ -125,25 +130,20 @@ func (r *sharedXpoint) Config() Config { return r.cfg }
 // coordinates into its credit-ledger pool index.
 func (r *sharedXpoint) xpPool(i, o int) int { return i*r.cfg.Radix + o }
 
+// InFlight counts every flit once. Flits on the row wires, head flits in
+// crosspoint buffers and flits awaiting a NACK keep their retained input
+// copy (they are Peeked, not Popped, when sent), so the input side
+// already counts them; xpBody adds the body/tail flits in crosspoint
+// buffers and Out the flits in the ejection pipe, and acking takes back
+// the ones of those whose input copy an ACK in flight has yet to pop.
 func (r *sharedXpoint) InFlight() int {
-	// A head flit awaiting ACK exists both input-side (retained copy)
-	// and crosspoint-side, so this is an upper bound rather than an
-	// exact occupancy; it is zero exactly when the router is empty,
-	// which is the property drain loops rely on. xpBody covers the
-	// flits living only in crosspoint buffers.
-	return r.In.Buffered() + r.Out.Len() + r.toXp.Len() + r.xpBody
+	return r.In.Buffered() + r.Out.Len() + r.xpBody - r.acking
 }
 
-// Quiescent adds the crosspoint side to the base test. Head flits
-// inside crosspoint buffers always have a retained copy input-side
-// (they are Peeked, not Popped, when sent), and so do flits on the row
-// wires or with an ACK in flight — In.Buffered() == 0 rules those out;
-// xpBody covers the body/tail flits that live only crosspoint-side.
-func (r *sharedXpoint) Quiescent() bool {
-	return r.In.Buffered() == 0 && r.Out.Len() == 0 && r.toXp.Len() == 0 &&
-		r.ack.Len() == 0 && r.xpBody == 0 && r.bus.Pending() == 0
-}
-
+// NextWake adds the crosspoint side to the base answer: the row wires,
+// the ACKs in flight, the body/tail flits that live only crosspoint-side
+// and the credit buses. Every other crosspoint flit has a retained input
+// copy, which In.Buffered() already sees.
 func (r *sharedXpoint) NextWake(now int64) int64 {
 	if r.In.Buffered() > 0 || r.xpBody > 0 || r.bus.Pending() > 0 {
 		return now + 1
@@ -158,6 +158,7 @@ func (r *sharedXpoint) Step(now int64) {
 			r.awaiting[a.input] &^= 1 << uint(a.vc)
 			if a.ack {
 				r.In.Pop(a.input, a.vc)
+				r.acking--
 			}
 		}
 	})
@@ -173,6 +174,7 @@ func (r *sharedXpoint) Step(now int64) {
 				// Body and tail flits cannot fail VC allocation; ACK on
 				// arrival so the input can proceed.
 				r.xpBody++
+				r.acking++
 				r.ack.Schedule(now+ackDelay, xpAck{input: f.Src, vc: f.VC, ack: true})
 			}
 		}
@@ -240,6 +242,7 @@ func (r *sharedXpoint) outputStage(now int64) {
 			r.Owner.Acquire(o, f.VC, f.PacketID)
 			// Successful VC allocation: ACK so the input releases its
 			// retained copy.
+			r.acking++
 			r.ack.Schedule(now+ackDelay, xpAck{input: win, vc: f.VC, ack: true})
 		} else {
 			r.xpBody--

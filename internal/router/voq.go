@@ -7,12 +7,12 @@ import (
 
 func init() {
 	Register(ArchVOQ, Descriptor{
-		Name:     "voq",
-		Summary:  "virtual output queues with centralized iterative iSLIP scheduling",
-		Section:  "Tiny Tera (McKeown et al.), against the paper's Section 4 comparison",
-		Build:    func(cfg Config) Router { return newVOQ(cfg) },
-		Traits:   Traits{ExactInFlight: true, TerminalGrantNote: "switch"},
-		Validate: validateXpointDepth,
+		Name:      "voq",
+		Summary:   "virtual output queues with centralized iterative iSLIP scheduling",
+		Section:   "Tiny Tera (McKeown et al.), against the paper's Section 4 comparison",
+		Build:     func(cfg Config) Router { return newVOQ(cfg) },
+		GrantNote: "switch",
+		Validate:  validateXpointDepth,
 		Variants: func(radix, vcs int) []Variant {
 			base := Config{Arch: ArchVOQ, Radix: radix, VCs: vcs}
 			iter2 := base
@@ -100,16 +100,12 @@ func (r *voq) Config() Config { return r.cfg }
 // InFlight adds the VOQ occupancy to the base datapath's count.
 func (r *voq) InFlight() int { return r.In.Buffered() + r.voq.Buffered() + r.Out.Len() }
 
-// Quiescent: beyond the base datapath and the VOQs the router holds
-// only serializer timestamps, scheduler rotation state (which moves
-// only on grants) and the lazily reconciled busy bitsets (read only
-// under VOQ occupancy), so an empty datapath means Step is a no-op.
-func (r *voq) Quiescent() bool {
-	return r.In.Buffered() == 0 && r.voq.Buffered() == 0 && r.Out.Len() == 0
-}
-
 // NextWake: buffered flits anywhere drive scheduling every cycle;
-// otherwise only the ejection pipe holds timed state.
+// otherwise only the ejection pipe holds timed state. Beyond the base
+// datapath and the VOQs the router holds only serializer timestamps,
+// scheduler rotation state (which moves only on grants) and the lazily
+// reconciled busy bitsets (read only under VOQ occupancy), so an empty
+// datapath means Step is a no-op.
 func (r *voq) NextWake(now int64) int64 {
 	if r.In.Buffered() > 0 || r.voq.Buffered() > 0 {
 		return now + 1

@@ -222,9 +222,8 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 //
 //	GET /points?arch=baseline&load=0.5[&pattern=...][&format=json]
 //
-// The point is keyed and cached exactly like the figure generators'
-// points, so a point that any figure already computed is warm here and
-// vice versa.
+// The point is the figure generators' own (experiments.Scale.Point), so
+// a point that any figure already computed is warm here and vice versa.
 func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 	s.track(func() int {
 		q := r.URL.Query()
@@ -248,20 +247,8 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 				return http.StatusBadRequest
 			}
 		}
-		o := testbench.Options{
-			Router:        router.Config{Arch: arch},
-			Pattern:       pattern,
-			Load:          load,
-			WarmupCycles:  s.cfg.Scale.Warmup,
-			MeasureCycles: s.cfg.Scale.Measure,
-			Seed:          s.cfg.Scale.Seed,
-			Injection:     s.cfg.Scale.Injection,
-		}
-		key, cacheable := o.CacheKey()
 		body, hit, status := s.compute(r.Context(), func() ([]byte, bool, error) {
-			res, hit, err := sweep.RunCached(s.pool, s.cfg.Scale.Cache, key, cacheable,
-				testbench.EncodeResult, testbench.DecodeResult,
-				func() (testbench.Result, error) { return testbench.Run(o) })
+			res, hit, err := s.cfg.Scale.Point(s.pool, router.Config{Arch: arch}, pattern, load)
 			if err != nil {
 				return nil, false, err
 			}

@@ -164,6 +164,26 @@ func TestPointStoreLookups(t *testing.T) {
 	}
 }
 
+// TestPointSharesFigurePoints: /points runs the figure generators' point,
+// so one that a figure computed is a single store hit and no compute.
+func TestPointSharesFigurePoints(t *testing.T) {
+	s := testServer(t)
+	if code, _, _ := get(t, s, "/figures/fig13"); code != 200 {
+		t.Fatalf("fig13: code %d", code)
+	}
+	st := s.cfg.Scale.Cache
+	before := st.Counters()
+	if code, _, _ := get(t, s, "/points?arch=baseline&load=0.2"); code != 200 {
+		t.Fatalf("point: code %d", code)
+	}
+	after := st.Counters()
+	got := cache.Counters{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses,
+		Computes: after.Computes - before.Computes, Puts: after.Puts - before.Puts}
+	if want := (cache.Counters{Hits: 1}); got != want {
+		t.Errorf("store counters moved by %+v, want %+v", got, want)
+	}
+}
+
 // TestMetricsMatchRequestLog replays a request log and checks the
 // exported counters agree with it exactly.
 func TestMetricsMatchRequestLog(t *testing.T) {

@@ -145,7 +145,7 @@ func Run(o Options) (Result, error) {
 		chk *check.Checker
 		err error
 	)
-	p := &drive.Plant{Dense: o.NoFastForward}
+	p := &drive.Plant{}
 	if o.Check {
 		var c *check.Checked
 		if c, err = check.Wrap(o.Router, check.Options{}); err == nil {
