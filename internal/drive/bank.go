@@ -104,13 +104,13 @@ type source struct {
 // Bank is the evaluation front end of the paper's Section 4.3 for the
 // sources it owns: Bernoulli or Markov ON/OFF generation into unbounded
 // source queues, and injection over flit-serialized channels with a VC
-// chosen per packet. It is single-threaded.
+// chosen per packet. Its methods are called from one goroutine; while
+// drive.Run drives it, its draws may be taken on another (ahead.go).
 type Bank struct {
-	c     BankConfig
-	owned []int // ascending
-	rngs  []sim.RNG
-	srcs  []source
-	fl    *flit.FreeList
+	c    BankConfig
+	gen  *drawer // the producer's state: streams, samplers, the schedule (ahead.go)
+	srcs []source
+	fl   *flit.FreeList
 
 	// The sources InjectAll visits. A source with a nonempty queue is in
 	// ready while its channel is free, and otherwise waits in ring slot
@@ -122,33 +122,22 @@ type Bank struct {
 	ring        []arb.BitVec
 	swept, wake int64
 
-	// The one schedule of synthetic generation. A source's draws are
-	// private and none depends on the cycle it is consumed in, so each
-	// source takes its own ahead of time (ahead): arrival[i] is the cycle
-	// source owned[i] generates in next, every draw up to that cycle's
-	// taken — or, when parked[i], the cycle whose draw is its stream's
-	// next, horizon failures having got a per-cycle source there (a gap
-	// source samples the cycle outright and never parks). The cycles have
-	// a slice to themselves, scanned on the cycles simulated at or past
-	// soonest, their minimum.
-	arrival []int64
-	parked  []bool
-	soonest int64
-	gaps    []traffic.GapProcess   // gap mode: the sources' samplers
-	rate    uint64                 // per-cycle mode: Rate as a sim.BernoulliThreshold
-	markov  []*traffic.MarkovOnOff // per-cycle mode: the bursty sources' chains; nil for Bernoulli
+	// The one schedule of synthetic generation, drawn by the producer
+	// into the ring Generate consumes (ahead.go).
+	feed feed
+	take take
 
 	next int // trace replay: the first entry of Trace.Entries() not yet generated
 
 	genFlits, labeled, backlog int64
 }
 
-// horizon bounds one run-ahead, in draws: what a source that never
-// generates (rate 0, or 1e-9) draws past the end of its run, and how
-// often it makes the driver stop at a cycle nothing happens in. At 1024
-// a source of rate 0.00025 parks three times per packet, a few percent
-// on top of the draws themselves. A variable for the tests, which shrink
-// it until every arrival crosses a checkpoint.
+// horizon bounds the run-ahead, in cycles past the one the consumer has
+// reached: what a source that never generates (rate 0, or 1e-9) draws
+// past the end of its run, how far a producer may run ahead of the
+// device, and the draws one run-ahead takes. At 1024 a source of rate
+// 0.00025 parks about four times per packet. A variable for the tests,
+// which shrink it until every arrival crosses a checkpoint.
 var horizon = 1024
 
 // testHookNewBank, when a test has set it (export_test.go), sees every
@@ -158,9 +147,10 @@ var testHookNewBank func(*Bank)
 // NewBank builds the bank c describes.
 func NewBank(c BankConfig) *Bank {
 	n := c.Sources
+	d := &drawer{rngs: make([]sim.RNG, n)}
 	b := &Bank{
 		c:     c,
-		rngs:  make([]sim.RNG, n),
+		gen:   d,
 		srcs:  make([]source, n),
 		fl:    flit.NewFreeList(),
 		ready: arb.MakeBitVec(n),
@@ -173,71 +163,52 @@ func NewBank(c BankConfig) *Bank {
 	}
 	gap := c.Injection == traffic.InjGap && c.Trace == nil
 	if gap {
-		b.gaps = make([]traffic.GapProcess, n)
+		d.gaps = make([]traffic.GapProcess, n)
 	}
 	var bursters []traffic.Burster
 	if c.Bursty {
 		bursters = make([]traffic.Burster, n)
 		b.c.Pattern = traffic.NewBurstPattern(b.c.Pattern, bursters)
 		if !gap {
-			b.markov = make([]*traffic.MarkovOnOff, n)
+			d.markov = make([]*traffic.MarkovOnOff, n)
 		}
 	}
+	d.pattern = b.c.Pattern
 	bernoulli := traffic.NewBernoulliGap(c.Rate) // stateless: one serves every gap source
 	for id := 0; id < n; id++ {
 		if c.Owns != nil && !c.Owns(id) {
 			continue
 		}
-		b.owned = append(b.owned, id)
-		b.rngs[id].Seed(c.Seed(id))
+		d.owned = append(d.owned, id)
+		d.rngs[id].Seed(c.Seed(id))
 		b.srcs[id] = source{q: sim.MakeQueue[pkt](0), curVC: -1}
 		switch {
 		case c.Bursty && gap:
 			m := traffic.NewMarkovOnOffGap(c.Rate, c.BurstLen)
-			b.gaps[id], bursters[id] = m, m
+			d.gaps[id], bursters[id] = m, m
 		case c.Bursty:
 			m := traffic.NewMarkovOnOff(c.Rate, c.BurstLen)
-			b.markov[id], bursters[id] = m, m
+			d.markov[id], bursters[id] = m, m
 		case gap:
-			b.gaps[id] = bernoulli
+			d.gaps[id] = bernoulli
 		}
 	}
 	if c.Trace == nil {
-		b.rate = sim.BernoulliThreshold(c.Rate)
-		b.arrival = make([]int64, len(b.owned))
-		b.parked = make([]bool, len(b.owned))
-		b.soonest = sim.NoWake
-		for i := range b.owned {
-			b.soonest = min(b.soonest, b.ahead(i, 0))
+		d.rate = sim.BernoulliThreshold(c.Rate)
+		d.arrival = make([]int64, len(d.owned))
+		d.parked = make([]bool, len(d.owned))
+		d.at, d.soon = sim.NoWake, sim.NoWake
+		for i := range d.owned {
+			d.at = min(d.at, d.ahead(i, 0, int64(horizon)))
 		}
+		b.feed.recs = make([]arrivalRec, ringSize(len(d.owned)))
+		b.feed.front.Store(d.at)
+		b.take.seenFront = d.at
 	}
 	if testHookNewBank != nil {
 		testHookNewBank(b)
 	}
 	return b
-}
-
-// ahead takes the draws of source owned[i] for cycle from and the cycles
-// after it — a gap source's one sample, or a per-cycle source's draws
-// until one succeeds or horizon have failed — and returns the cycle that
-// leaves the source at: its next arrival (sim.NoWake if it has none), or
-// the checkpoint it parks at.
-func (b *Bank) ahead(i int, from int64) int64 {
-	id := b.owned[i]
-	if b.gaps != nil {
-		b.arrival[i] = b.gaps[id].NextInject(from, &b.rngs[id])
-		return b.arrival[i]
-	}
-	var idle int
-	var hit bool
-	if b.markov != nil {
-		idle, hit = b.markov[id].InjectAhead(&b.rngs[id], horizon)
-	} else {
-		idle, hit = b.rngs[id].BernoulliAhead(b.rate, horizon)
-	}
-	b.parked[i] = !hit
-	b.arrival[i] = from + int64(idle)
-	return b.arrival[i]
 }
 
 // spawn queues one packet generated in cycle now at source src.
@@ -264,12 +235,12 @@ func (b *Bank) spawn(now int64, src, dst, length int, measuring bool) {
 }
 
 // Generate queues the packets of cycle now: the trace's entries due, or
-// the synthetic sources whose arrival cycle it is. A live bank must be
+// the synthetic arrivals the producer found for it. A live bank must be
 // called at every cycle NextGen names, and may be at any other. Sources
 // are visited in ascending order in both injection modes, so a run that
 // jumps is draw-for-draw identical to its dense twin.
 //
-// A source draws its destination at its arrival cycle and only then runs
+// A source draws its destination at its arrival and only then runs
 // ahead again, from the cycle after, so a per-cycle stream is consumed in
 // the order one draw per cycle consumed it: failures, the success, the
 // destination, failures. A parked source resumes with the draw of the
@@ -278,27 +249,27 @@ func (b *Bank) spawn(now int64, src, dst, length int, measuring bool) {
 // no longer generating, decide nothing: measuring, like the call itself,
 // applies at the arrival.
 func (b *Bank) Generate(now int64, measuring bool) {
-	switch {
-	case b.c.Trace != nil:
+	if b.c.Trace != nil {
 		for es := b.c.Trace.Entries(); b.next < len(es) && es[b.next].Cycle <= now; b.next++ {
 			e := es[b.next]
 			b.spawn(now, e.Src, e.Dst, e.Len, measuring)
 		}
-	case now >= b.soonest:
-		soonest := sim.NoWake
-		for i, at := range b.arrival {
-			for at <= now {
-				if b.parked[i] {
-					at = b.ahead(i, at)
-				} else {
-					id := b.owned[i]
-					b.spawn(now, id, b.c.Pattern.Dest(id, &b.rngs[id]), b.c.PktLen, measuring)
-					at = b.ahead(i, now+1)
-				}
-			}
-			soonest = min(soonest, at)
+		return
+	}
+	t, recs := &b.take, b.feed.recs
+	mask := int64(len(recs)) - 1
+	for {
+		for ; t.rd < t.seen && recs[t.rd&mask].at <= now; t.rd++ {
+			r := &recs[t.rd&mask]
+			b.spawn(now, int(r.src), int(r.dst), b.c.PktLen, measuring)
 		}
-		b.soonest = soonest
+		if t.rd < t.seen || t.seenFront > now {
+			break
+		}
+		b.arrivals(now)
+	}
+	if now+1-t.posted >= int64(horizon/4) || t.rd-t.postedRd >= int64(len(recs)/4) {
+		b.post(now + 1)
 	}
 }
 
@@ -395,7 +366,9 @@ func (b *Bank) InjectedLabeled() int64 { return b.labeled }
 // NextGen returns a lower bound on the first cycle after now in which
 // Generate can queue anything, sim.NoWake when there is none: a trace's
 // next entry whatever live says; otherwise nothing unless synthetic
-// generation is live, and then the soonest cycle a source arrives or
+// generation is live, and then the cycle of the next arrival the
+// producer has published or, when it has published none unread, its
+// frontier: the cycle it is drawing, or the soonest a source arrives or
 // resumes drawing in.
 func (b *Bank) NextGen(now int64, live bool) int64 {
 	if b.c.Trace != nil {
@@ -407,7 +380,15 @@ func (b *Bank) NextGen(now int64, live bool) int64 {
 	if !live {
 		return sim.NoWake
 	}
-	return b.soonest
+	t := &b.take
+	if t.rd == t.seen {
+		t.seenFront = b.feed.front.Load()
+		t.seen = b.feed.pub.Load()
+	}
+	if t.rd < t.seen {
+		return b.feed.recs[t.rd&int64(len(b.feed.recs)-1)].at
+	}
+	return t.seenFront
 }
 
 // Plant is a Device behind the Bank that feeds it: the World that the

@@ -296,10 +296,10 @@ func TestBankSplit(t *testing.T) {
 			for now := int64(0); now < cycles; now++ {
 				none.Generate(now, true)
 			}
-			if none.GenFlits() != 0 || none.Backlog() != 0 || none.InjectedLabeled() != 0 || len(none.owned) != 0 {
+			if none.GenFlits() != 0 || none.Backlog() != 0 || none.InjectedLabeled() != 0 || len(none.gen.owned) != 0 {
 				t.Errorf("a bank owning no source generated %d flits", none.GenFlits())
 			}
-			if none.gaps != nil {
+			if none.gen.gaps != nil {
 				if at := none.NextGen(0, true); at != sim.NoWake {
 					t.Errorf("a gap bank owning no source expects to generate at %d", at)
 				}
@@ -385,10 +385,11 @@ func (o *oracle) generate(now int64) (out []string) {
 }
 
 // TestBankMatchesPerCycleOracle: knowing a source's next generation cycle
-// ahead of time changes no draw. The bank generates the oracle's packets
-// — cycle, source, id, destination — whether it is called every cycle or
-// only at the cycles NextGen names, which must lie after the one asked
-// about. The per-cycle rows shrink the horizon until nearly every arrival
+// ahead of time changes no draw, nor does who takes the draws. The bank
+// generates the oracle's packets — cycle, source, id, destination —
+// whether it is called every cycle or only at the cycles NextGen names,
+// which must lie after the one asked about, and whether it draws for
+// itself or a producer goroutine draws ahead of it. The per-cycle rows shrink the horizon until nearly every arrival
 // crosses a checkpoint, and two traps are in there: a source resuming at
 // a checkpoint draws for the checkpoint cycle itself, and a success on
 // that very draw generates in that cycle. The gap rows have no
@@ -435,37 +436,54 @@ func TestBankMatchesPerCycleOracle(t *testing.T) {
 					if (len(want) == 0) != (rate < 1e-6) {
 						t.Fatalf("vacuous: the oracle generated %d packets", len(want))
 					}
-					if got := packets(cycles, NewBank(c)); !slices.Equal(got, want) {
-						t.Fatalf("called every cycle: packet %d of %d differs from the oracle's %d", firstDiff(got, want), len(got), len(want))
-					}
-
-					var got []string
-					b, d, calls := NewBank(c), &pipe{latency: 1}, 0
-					for now := b.NextGen(-1, true); now < cycles; calls++ {
-						b.Generate(now, false)
-						b.InjectAll(now, d, func(_ int64, f *flit.Flit) {
-							got = append(got, packetLine(f.CreatedAt, f.Src, f.PacketID, f.Dst))
-						})
-						next := b.NextGen(now, true)
-						if next <= now {
-							t.Fatalf("NextGen at cycle %d names cycle %d", now, next)
+					for _, producing := range []bool{false, true} {
+						if got := packets(cycles, drawing(t, NewBank(c), producing)); !slices.Equal(got, want) {
+							t.Fatalf("producer %t, called every cycle: packet %d of %d differs from the oracle's %d", producing, firstDiff(got, want), len(got), len(want))
 						}
-						now = next
-					}
-					if !slices.Equal(got, want) {
-						t.Fatalf("called when NextGen says: packet %d of %d differs from the oracle's %d", firstDiff(got, want), len(got), len(want))
-					}
-					checkpoints := n * (int(cycles)/h + 1)
-					if r.inj == traffic.InjGap {
-						checkpoints = 0
-					}
-					if calls > len(want)+checkpoints {
-						t.Errorf("%d calls in %d cycles, for %d packets and at most %d checkpoints: NextGen is not skipping the idle ones", calls, cycles, len(want), checkpoints)
+
+						var got []string
+						b, d, calls := drawing(t, NewBank(c), producing), &pipe{latency: 1}, 0
+						for now := b.NextGen(-1, true); now < cycles; calls++ {
+							b.Generate(now, false)
+							b.InjectAll(now, d, func(_ int64, f *flit.Flit) {
+								got = append(got, packetLine(f.CreatedAt, f.Src, f.PacketID, f.Dst))
+							})
+							next := b.NextGen(now, true)
+							if next <= now {
+								t.Fatalf("producer %t: NextGen at cycle %d names cycle %d", producing, now, next)
+							}
+							now = next
+						}
+						if !slices.Equal(got, want) {
+							t.Fatalf("producer %t, called when NextGen says: packet %d of %d differs from the oracle's %d", producing, firstDiff(got, want), len(got), len(want))
+						}
+						checkpoints := n * (int(cycles)/h + 1)
+						if r.inj == traffic.InjGap {
+							checkpoints = 0
+						}
+						if calls > len(want)+checkpoints {
+							t.Errorf("producer %t: %d calls in %d cycles, for %d packets and at most %d checkpoints: NextGen is not skipping the idle ones", producing, calls, cycles, len(want), checkpoints)
+						}
 					}
 				})
 			}
 		}
 	}
+}
+
+// drawing hands b's draws to a producer goroutine, whatever the budget
+// says, when producing is set and there are draws to take, and stops it
+// when t ends.
+func drawing(t *testing.T, b *Bank, producing bool) *Bank {
+	if producing {
+		defer func(p int) { testProducers = p }(testProducers)
+		testProducers = 1
+		if !b.startDraws() && b.gen.at < sim.NoWake {
+			t.Fatal("no producer started for a bank with draws to take")
+		}
+		t.Cleanup(b.stopDraws)
+	}
+	return b
 }
 
 func firstDiff(a, b []string) int {

@@ -156,10 +156,28 @@ func (t *Tally) Saturated(satLatency float64) bool {
 	return t.Labeled < t.InjectedLabeled || t.Lat.Mean() > satLatency
 }
 
+// planted is a World that is a Plant: its bank's draws are Run's to
+// place.
+type planted interface{ plant() *Plant }
+
+func (p *Plant) plant() *Plant { return p }
+
 // Run advances w through warmup, measurement and drain. Each simulated
 // cycle is: the world's Cycle (which accounts its deliveries and
-// audits), the exit check, then the jump.
+// audits), the exit check, then the jump. Run counts its goroutine
+// against the CPU budget and, when w is a Plant and the budget has a CPU
+// spare, gives the bank's draws a producer goroutine of their own, which
+// it stops and joins on every way out.
 func Run(c Config, w World) (*Tally, error) {
+	defer Claim(1)()
+	if testHookClaimed != nil {
+		testHookClaimed()
+	}
+	if p, ok := w.(planted); ok {
+		if b := p.plant().Bank; b.startDraws() {
+			defer b.stopDraws()
+		}
+	}
 	t := &Tally{Lat: stats.NewSample(8192), window: c.Measure}
 	measEnd, bound := c.measEnd(), c.Bound()
 	var jump Waker = w // converted once, not per cycle

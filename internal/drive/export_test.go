@@ -1,6 +1,7 @@
 package drive
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"highradix/internal/sim"
@@ -22,7 +23,7 @@ func WatchBanks(t testing.TB) *[]*Bank {
 }
 
 // Owned returns the sources b generates for.
-func (b *Bank) Owned() []int { return b.owned }
+func (b *Bank) Owned() []int { return b.gen.owned }
 
 // Draws counts the draws source id has taken from its stream so far, by
 // walking a fresh copy of the stream up to the source's state; -1 if
@@ -30,10 +31,37 @@ func (b *Bank) Owned() []int { return b.owned }
 func (b *Bank) Draws(id, limit int) int {
 	r := sim.NewRNG(b.c.Seed(id))
 	for n := 0; n <= limit; n++ {
-		if *r == b.rngs[id] {
+		if *r == b.gen.rngs[id] {
 			return n
 		}
 		r.Uint64()
 	}
 	return -1
+}
+
+// ForceProducers makes drive.Run give every bank it drives a producer
+// goroutine when on, and none when off, whatever the budget says, until
+// t ends.
+func ForceProducers(t testing.TB, on bool) {
+	testProducers = -1
+	if on {
+		testProducers = 1
+	}
+	t.Cleanup(func() { testProducers = 0 })
+}
+
+// WatchProducers counts the producer goroutines started until t ends.
+func WatchProducers(t testing.TB) *atomic.Int64 {
+	var n atomic.Int64
+	testHookProducer = func(*Bank) { n.Add(1) }
+	t.Cleanup(func() { testHookProducer = nil })
+	return &n
+}
+
+// AfterClaim has every drive.Run call f once it has counted its own
+// goroutine against the budget and before it decides on a producer,
+// until t ends.
+func AfterClaim(t testing.TB, f func()) {
+	testHookClaimed = f
+	t.Cleanup(func() { testHookClaimed = nil })
 }

@@ -81,45 +81,6 @@ func TestShardWorkersExit(t *testing.T) {
 	settled("refused options")
 }
 
-// TestGateHandsOff ping-pongs a counter between two goroutines through
-// a pair of gates, as the coordinator and a worker do each epoch, and
-// checks every read sees the write posted before it — with the spin
-// the workers use and with none, so that every wait parks. Under the
-// race detector it fails if a wake-up meant for an earlier count
-// releases a later wait.
-func TestGateHandsOff(t *testing.T) {
-	for _, sp := range []int{spins, 0} {
-		handOff(t, sp)
-	}
-}
-
-func handOff(t *testing.T, budget int) {
-	const rounds = 20000
-	var start, done gate
-	start.init(budget)
-	done.init(budget)
-	var shared int64
-	exited := make(chan struct{})
-	go func() {
-		defer close(exited)
-		for n := int64(1); n <= rounds; n++ {
-			start.wait(n)
-			shared = n
-			done.post(n)
-		}
-	}()
-	for n := int64(1); n <= rounds; n++ {
-		start.post(n)
-		done.wait(n)
-		if shared != n {
-			t.Errorf("spins %d: round %d read %d", budget, n, shared)
-			start.post(rounds) // let the other side run out
-			break
-		}
-	}
-	<-exited
-}
-
 // TestShardOversubscribed runs more workers than processors: with one
 // processor for three workers, every determinism topology must still
 // equal the serial run, so the gate can neither livelock nor lose a

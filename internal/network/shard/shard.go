@@ -43,9 +43,7 @@
 package shard
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"highradix/internal/drive"
@@ -100,59 +98,6 @@ func Partition(n, p int) [][2]int {
 		lo += size
 	}
 	return parts
-}
-
-// spins is how many times a waiting goroutine checks its gate, yielding
-// its processor in between (about 0.1 ms on an idle one), before it
-// parks: long enough to cover the usual gap between two workers
-// finishing an epoch — a parked worker's wake-up costs the epoch tens of
-// microseconds — and short enough that a run with fewer free CPUs than
-// workers loses a wake-up per epoch, not a core.
-const spins = 1024
-
-// gate hands an increasing count from one goroutine to another.
-type gate struct {
-	n      atomic.Int64
-	parked atomic.Bool
-	wake   chan struct{} // one token per park the poster interrupts
-	spins  int
-}
-
-// init readies a gate whose waiter checks it spins times before it
-// parks.
-func (g *gate) init(spins int) { g.wake, g.spins = make(chan struct{}, 1), spins }
-
-// post raises the count to n and wakes the waiter if it parked.
-func (g *gate) post(n int64) {
-	g.n.Store(n)
-	if g.parked.Load() && g.parked.CompareAndSwap(true, false) {
-		g.wake <- struct{}{}
-	}
-}
-
-// wait returns once the count reaches n. Whichever side clears parked
-// owns the wake-up: the poster sends a token, or the waiter, having
-// seen the count after all, takes none. A token does not prove the
-// count reached n — a poster of an earlier count, delayed between
-// seeing parked set and clearing it, can claim this park — so the
-// waiter checks again after every one.
-func (g *gate) wait(n int64) {
-	for range g.spins {
-		if g.n.Load() >= n {
-			return
-		}
-		runtime.Gosched()
-	}
-	for {
-		g.parked.Store(true)
-		if g.n.Load() >= n {
-			if !g.parked.CompareAndSwap(true, false) {
-				<-g.wake
-			}
-			return
-		}
-		<-g.wake
-	}
 }
 
 // delivRec is one delivered flit, recorded by the worker at delivery
@@ -212,7 +157,7 @@ type worker struct {
 	// start carries the coordinator's handoffs, done the worker's
 	// replies; busy and wait are the time spent in epochs and in the
 	// gate (for worker 0, the coordinator, waiting on the others).
-	start, done gate
+	start, done drive.Gate
 	busy, wait  time.Duration
 }
 
@@ -244,6 +189,8 @@ type world struct {
 	injSrc [][]injRec
 	// build constructs a worker's shard: the task of the first handoff.
 	build func(w *worker)
+	// release returns the workers' claim on the CPU budget.
+	release func()
 }
 
 // start builds the shards of a run and starts their workers, which run
@@ -254,14 +201,17 @@ func (s *world) start(o network.Options, topo network.Topology, c drive.Config, 
 	s.cfg, s.hooks = c, o.Hooks
 	s.epochLen = max(int64(network.Lookahead(topo)+testLookaheadSkew), 1)
 	s.workers = make([]*worker, p)
+	// The coordinator is drive.Run's goroutine, which counts itself; the
+	// other workers count against the same CPU budget until stop.
+	s.release = drive.Claim(p - 1)
 	home := make([]int, topo.Terminals())
 	for i := range s.workers {
 		w := &worker{
 			id: i, cfg: c, home: home,
 			inflight: make([]int, s.epochLen), backlog: make([]int64, s.epochLen),
 		}
-		w.start.init(spins)
-		w.done.init(spins)
+		w.start.Init()
+		w.done.Init()
 		for e := range w.out {
 			w.out[e] = make([]network.Outbox, p)
 			w.spent[e] = make([][]*flit.Flit, p)
@@ -297,9 +247,10 @@ func (s *world) stop() {
 	s.quit = true
 	s.n++
 	for _, w := range s.workers[1:] {
-		w.start.post(s.n)
+		w.start.Post(s.n)
 	}
 	s.wg.Wait()
+	s.release()
 }
 
 // serve is the loop of worker w's goroutine: wait for a handoff, do it,
@@ -308,13 +259,13 @@ func (s *world) serve(w *worker) {
 	defer s.wg.Done()
 	for n := int64(1); ; n++ {
 		t := time.Now()
-		w.start.wait(n)
+		w.start.Wait(n)
 		w.wait += time.Since(t)
 		if s.quit {
 			return
 		}
 		s.do(w)
-		w.done.post(n)
+		w.done.Post(n)
 	}
 }
 
@@ -323,13 +274,13 @@ func (s *world) serve(w *worker) {
 func (s *world) handoff() {
 	s.n++
 	for _, w := range s.workers[1:] {
-		w.start.post(s.n)
+		w.start.Post(s.n)
 	}
 	w0 := s.workers[0]
 	s.do(w0)
 	t := time.Now()
 	for _, w := range s.workers[1:] {
-		w.done.wait(s.n)
+		w.done.Wait(s.n)
 	}
 	w0.wait += time.Since(t)
 }

@@ -28,11 +28,21 @@ const NoWake = int64(1) << 62
 // scheduled before base (possible only through a synchronizer bug; the
 // shard mutation tests seed exactly this) are clamped to base and apply
 // at the next drain rather than corrupting the ring.
+//
+// NextAt is O(1) between drains: the calendar keeps its earliest pending
+// cycle, lowered by Schedule, and forgets it only when PopDue drains
+// that cycle's bucket; the next NextAt finds it again with one scan from
+// base, and the calls after that reuse it.
 type Calendar[T any] struct {
 	buckets [][]T
 	mask    int64
 	base    int64 // every cycle < base has been drained
 	count   int
+	// next is the earliest pending cycle (NoWake when none) unless stale:
+	// PopDue has drained it, and the earliest lies somewhere at or past
+	// base.
+	next  int64
+	stale bool
 }
 
 // NewCalendar returns a calendar able to hold events up to span cycles
@@ -43,7 +53,7 @@ func NewCalendar[T any](span, perCycle int) *Calendar[T] {
 	for size <= span {
 		size <<= 1
 	}
-	c := &Calendar[T]{buckets: make([][]T, size), mask: int64(size) - 1}
+	c := &Calendar[T]{buckets: make([][]T, size), mask: int64(size) - 1, next: NoWake}
 	if perCycle > 0 {
 		for i := range c.buckets {
 			c.buckets[i] = make([]T, 0, perCycle)
@@ -77,6 +87,9 @@ func (c *Calendar[T]) Schedule(at int64, v T) {
 	b := at & c.mask
 	c.buckets[b] = append(c.buckets[b], v)
 	c.count++
+	if !c.stale {
+		c.next = min(c.next, at)
+	}
 }
 
 // grow doubles the ring and rehomes each pending bucket whole: bucket i
@@ -95,14 +108,14 @@ func (c *Calendar[T]) grow() {
 // NextAt returns the earliest pending cycle, or NoWake when there is
 // none.
 func (c *Calendar[T]) NextAt() int64 {
-	if c.count == 0 {
-		return NoWake
-	}
-	for at := c.base; ; at++ {
-		if len(c.buckets[at&c.mask]) > 0 {
-			return at
+	if c.stale {
+		at := c.base
+		for len(c.buckets[at&c.mask]) == 0 {
+			at++
 		}
+		c.next, c.stale = at, false
 	}
+	return c.next
 }
 
 // PopDue delivers every event with cycle <= now — one call of fn per
@@ -125,4 +138,10 @@ func (c *Calendar[T]) PopDue(now int64, fn func([]T)) {
 		c.buckets[b] = bkt[:0]
 	}
 	c.base = now + 1
+	switch {
+	case c.count == 0:
+		c.next, c.stale = NoWake, false
+	case c.next <= now:
+		c.stale = true
+	}
 }

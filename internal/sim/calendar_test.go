@@ -148,6 +148,62 @@ func TestCalendarIdleGap(t *testing.T) {
 	}
 }
 
+// scanNextAt is NextAt by brute force: the earliest cycle over every
+// nonempty bucket of the ring, read off the window.
+func scanNextAt[T any](c *Calendar[T]) int64 {
+	at := NoWake
+	for i, bkt := range c.buckets {
+		if len(bkt) > 0 {
+			at = min(at, c.base+(int64(i)-c.base)&c.mask)
+		}
+	}
+	return at
+}
+
+// TestCalendarNextAtMatchesScan: the earliest pending cycle the calendar
+// keeps is the one a scan of its ring finds, whatever ran since NextAt
+// was last asked — schedules that lower it, drains that empty its
+// bucket or jump past it, schedules behind the window, window slides
+// over idle stretches and ring growth — and asking twice changes
+// nothing.
+func TestCalendarNextAtMatchesScan(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := NewRNG(seed)
+		c := NewCalendar[int](int(seed%5), 0)
+		size := c.Buckets()
+		now := int64(-1)
+		for step := 0; step < 5000; step++ {
+			ring := int64(c.Buckets())
+			switch op := rng.Intn(16); {
+			case op == 0:
+				c.Schedule(now-int64(rng.Intn(4)), step) // behind the window: clamped
+			case op == 1 && c.Len() > 0 && c.Buckets() < 16*size:
+				c.Schedule(c.NextAt()+ring, step) // a pending event in the way: grow
+			case op < 9:
+				c.Schedule(now+1+int64(rng.Intn(int(ring))), step)
+			case op < 10 && c.Len() == 0:
+				now += int64(rng.Intn(50 * int(ring))) // idle: the next Schedule slides
+			default:
+				now += int64(rng.Intn(4))
+				c.PopDue(now, func([]int) {})
+			}
+			if rng.Intn(3) > 0 {
+				continue // let the next operations run on what the calendar kept
+			}
+			want := scanNextAt(c)
+			if at := c.NextAt(); at != want {
+				t.Fatalf("seed %d step %d: NextAt %d, a scan of the ring finds %d", seed, step, at, want)
+			}
+			if at := c.NextAt(); at != want {
+				t.Fatalf("seed %d step %d: NextAt asked again says %d, want %d", seed, step, at, want)
+			}
+		}
+		if c.Buckets() == size {
+			t.Errorf("seed %d: the ring never grew", seed)
+		}
+	}
+}
+
 // TestCalendarMatchesSortedModel drives a calendar and a stably sorted
 // slice with the same random script: out-of-order schedules up to one
 // ring length ahead (the bounded delay the sliding window assumes), some

@@ -26,6 +26,7 @@ import (
 	"runtime"
 	"sync"
 
+	"highradix/internal/drive"
 	"highradix/internal/stats"
 )
 
@@ -61,7 +62,7 @@ func Map[In, Out any](p *Pool, items []In, fn func(In) (Out, error)) ([]Out, err
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p.sem <- struct{}{}
+			p.acquire()
 			defer func() { <-p.sem }()
 			outs[i], errs[i] = fn(items[i])
 		}(i)
@@ -77,9 +78,19 @@ func Map[In, Out any](p *Pool, items []In, fn func(In) (Out, error)) ([]Out, err
 
 // Do runs one job on the pool, blocking until a worker slot frees.
 func Do[Out any](p *Pool, fn func() (Out, error)) (Out, error) {
-	p.sem <- struct{}{}
+	p.acquire()
 	defer func() { <-p.sem }()
 	return fn()
+}
+
+// acquire takes a worker slot. While it waits for one, the job counts
+// against the simulator's CPU budget (drive.Claim) as a run about to
+// start, so a run already going does not give its sources a producer
+// goroutine on a CPU the queue is about to want; once in the slot, the
+// job's own drive.Run counts it.
+func (p *Pool) acquire() {
+	defer drive.Claim(1)()
+	p.sem <- struct{}{}
 }
 
 // Gather runs fn for every item on its own goroutine without occupying
@@ -126,7 +137,10 @@ type Point struct {
 // the curve sooner, it only time-slices the point that decides whether
 // the rest are needed. The launcher stops at the first index known to
 // be saturated (or failed), and a point that was already launched
-// rechecks that bound after acquiring its pool slot. Because no index
+// rechecks that bound once, when its goroutine starts, before run. run
+// then waits for a pool slot inside RunCached or Do, so a point queued
+// there behind other curves' points still runs if its own curve's knee
+// lands meanwhile (DESIGN.md counts them per Quick pass). Because no index
 // launches until everything more than a window behind it has
 // completed, at most lookahead-1 points past the saturation index can
 // ever run — on one CPU the window is one point wide and the loop is
