@@ -52,13 +52,20 @@ type buffered struct {
 }
 
 func newBuffered(cfg Config) *buffered {
+	r := new(buffered)
+	r.init(cfg, cfg.VCs, "xpoint")
+	return r
+}
+
+// init builds the crossbar in place, since its stages point into r:
+// crosspoints of slots FIFOs each (v, or 1 for the shared-buffer
+// variant), their ledger audited under ledgerNote.
+func (r *buffered) init(cfg Config, slots int, ledgerNote string) {
 	k := cfg.Radix
-	r := &buffered{
-		cfg:  cfg,
-		Base: core.MakeBase(core.Obs{O: cfg.Observer}, k, cfg.VCs, cfg.InputBufDepth, cfg.STCycles),
-		bus:  core.MakeCreditBus(k, k, cfg.LocalGroup, cfg.VCs*cfg.XpointBufDepth),
-	}
-	r.col = makeColumnStage(&r.cfg, &r.Base, k, cfg.XpointBufDepth, "xpoint", "output")
+	r.cfg = cfg
+	r.Base = core.MakeBase(core.Obs{O: cfg.Observer}, k, cfg.VCs, cfg.InputBufDepth, cfg.STCycles)
+	r.bus = core.MakeCreditBus(k, k, cfg.LocalGroup, slots*cfg.XpointBufDepth)
+	r.col = makeColumnStage(&r.cfg, &r.Base, k, slots, cfg.XpointBufDepth, ledgerNote, "output")
 	if !cfg.IdealCredit {
 		r.col.bus = &r.bus
 	}
@@ -66,8 +73,7 @@ func newBuffered(cfg Config) *buffered {
 	for o := range self {
 		self[o] = int32(o)
 	}
-	r.row = makeRowStage(&r.cfg, &r.Base, self, k, &r.col.credit, "input-row")
-	return r
+	r.row = makeRowStage(&r.cfg, &r.Base, self, k, slots, &r.col.credit, "input-row")
 }
 
 func (r *buffered) Config() Config { return r.cfg }

@@ -156,8 +156,8 @@ func newHierarchical(cfg Config) *hierarchical {
 	for i := 0; i < k; i++ {
 		r.grp[i], r.loc[i] = int32(i/p), int32(i%p)
 	}
-	r.row = makeRowStage(&r.cfg, &r.Base, r.grp, g, &r.creditIn, "row-bus")
-	r.col = makeColumnStage(&r.cfg, &r.Base, g, cfg.SubOutDepth, "subout", "column")
+	r.row = makeRowStage(&r.cfg, &r.Base, r.grp, g, v, &r.creditIn, "row-bus")
+	r.col = makeColumnStage(&r.cfg, &r.Base, g, v, cfg.SubOutDepth, "subout", "column")
 	return r
 }
 

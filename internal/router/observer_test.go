@@ -72,46 +72,60 @@ func TestObserverSeesPacketLifecycle(t *testing.T) {
 	}
 }
 
-// TestObserverNacksVisible forces a VC-allocation failure in the
-// baseline router and checks a NACK event surfaces: two single-VC
-// packets to one output, the second must fail its first speculation
-// while the first holds the output VC.
+// TestObserverNacksVisible forces a VC-allocation failure and checks a
+// NACK event surfaces: two single-VC packets to one output, the second
+// must fail while the first holds the output VC — at the baseline's
+// speculative VC allocation, and at the shared crosspoint, whose blocked
+// head is dropped from the buffer front and re-sent from the input. The
+// router's InFlight must equal accepts minus ejects after every Step.
 func TestObserverNacksVisible(t *testing.T) {
-	var nacks int
-	cfg := router.Config{
-		Arch: router.ArchBaseline, Radix: 4, VCs: 1, InputBufDepth: 8, VA: router.CVA,
-		Observer: router.ObserverFunc(func(e router.Event) {
-			if e.Kind == router.EvNack {
-				nacks++
+	for _, tc := range []struct {
+		name string
+		cfg  router.Config
+		note string // a NACK note that must appear
+	}{
+		{"baseline", router.Config{Arch: router.ArchBaseline, Radix: 4, VCs: 1, InputBufDepth: 8, VA: router.CVA}, "cva-busy"},
+		{"sharedxp", router.Config{Arch: router.ArchSharedXpoint, Radix: 4, VCs: 1, InputBufDepth: 8}, "xpoint-vc-busy"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nacks := map[string]int{}
+			cfg := tc.cfg
+			cfg.Observer = router.ObserverFunc(func(e router.Event) {
+				if e.Kind == router.EvNack {
+					nacks[e.Note]++
+				}
+			})
+			r, err := router.New(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}),
-	}
-	r, err := router.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two long packets from different inputs to output 0 on the only VC.
-	a := flit.MakePacket(1, 0, 0, 0, 6, 0, false)
-	b := flit.MakePacket(2, 1, 0, 0, 6, 0, false)
-	ai, bi := 0, 0
-	got := 0
-	for now := int64(0); now < 5000 && got < 12; now++ {
-		if ai < len(a) && r.CanAccept(0, 0) {
-			r.Accept(now, a[ai])
-			ai++
-		}
-		if bi < len(b) && r.CanAccept(1, 0) {
-			r.Accept(now, b[bi])
-			bi++
-		}
-		r.Step(now)
-		got += len(r.Ejected())
-	}
-	if got != 12 {
-		t.Fatalf("delivered %d of 12 flits", got)
-	}
-	if nacks == 0 {
-		t.Fatal("no NACK observed although two packets contended for one output VC")
+			// Two long packets from different inputs to output 0 on the only VC.
+			a := flit.MakePacket(1, 0, 0, 0, 6, 0, false)
+			b := flit.MakePacket(2, 1, 0, 0, 6, 0, false)
+			ai, bi := 0, 0
+			got := 0
+			for now := int64(0); now < 5000 && got < 12; now++ {
+				if ai < len(a) && r.CanAccept(0, 0) {
+					r.Accept(now, a[ai])
+					ai++
+				}
+				if bi < len(b) && r.CanAccept(1, 0) {
+					r.Accept(now, b[bi])
+					bi++
+				}
+				r.Step(now)
+				got += len(r.Ejected())
+				if live := ai + bi - got; r.InFlight() != live {
+					t.Fatalf("cycle %d: InFlight %d, %d accepted and %d ejected", now, r.InFlight(), ai+bi, got)
+				}
+			}
+			if got != 12 {
+				t.Fatalf("delivered %d of 12 flits", got)
+			}
+			if nacks[tc.note] == 0 {
+				t.Fatalf("no %q NACK observed although two packets contended for one output VC (NACKs: %v)", tc.note, nacks)
+			}
+		})
 	}
 }
 
