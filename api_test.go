@@ -54,6 +54,75 @@ func TestPublicSweep(t *testing.T) {
 	}
 }
 
+// checkSweep holds a load sweep to the paper's curve contract: points
+// in load order, ending on the first saturated one, each the result a
+// lone run at its load reports.
+func checkSweep(t *testing.T, s *highradix.Series, loads []float64, lone func(load float64) (latency float64, saturated bool)) {
+	t.Helper()
+	if len(s.Points) < 2 || !s.Points[len(s.Points)-1].Saturated {
+		t.Fatalf("sweep %+v does not end on a saturated point after an unsaturated one", s.Points)
+	}
+	for i, p := range s.Points {
+		if p.X != loads[i] {
+			t.Fatalf("point %d at load %v, want %v", i, p.X, loads[i])
+		}
+		if p.Saturated && i < len(s.Points)-1 {
+			t.Fatalf("sweep continued past the saturated point at load %v", p.X)
+		}
+		if lat, sat := lone(p.X); p.Y != lat || p.Saturated != sat {
+			t.Fatalf("load %v: swept (%v, %v), lone run (%v, %v)", p.X, p.Y, p.Saturated, lat, sat)
+		}
+	}
+}
+
+func TestSweepStopsAtSaturation(t *testing.T) {
+	base := highradix.SimOptions{
+		Router:        highradix.RouterConfig{Arch: highradix.Baseline, Radix: 16, VCs: 2},
+		WarmupCycles:  500,
+		MeasureCycles: 1000,
+		DrainCycles:   3000,
+		Seed:          1,
+	}
+	loads := []float64{0.2, 0.9, 0.95, 0.98}
+	s, err := highradix.SweepLoads("baseline", loads, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSweep(t, s, loads, func(load float64) (float64, bool) {
+		o := base
+		o.Load = load
+		res, err := highradix.Simulate(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.AvgLatency, res.Saturated
+	})
+}
+
+func TestSweepNetworkStopsAtSaturation(t *testing.T) {
+	base := highradix.NetOptions{
+		Net:           highradix.NetworkConfig{Radix: 4, Digits: 2},
+		WarmupCycles:  300,
+		MeasureCycles: 600,
+		SatLatency:    60, // crossed between loads 0.8 and 0.9
+		Seed:          1,
+	}
+	loads := []float64{0.2, 0.5, 0.8, 0.9, 1.0}
+	s, err := highradix.SweepNetwork("clos", loads, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSweep(t, s, loads, func(load float64) (float64, bool) {
+		o := base
+		o.Load = load
+		res, err := highradix.SimulateNetwork(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.AvgLatency, res.Saturated
+	})
+}
+
 func TestPublicPatterns(t *testing.T) {
 	if highradix.UniformTraffic(8).Name() != "uniform" {
 		t.Fatal("uniform constructor broken")

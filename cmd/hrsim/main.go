@@ -2,17 +2,25 @@
 // throughput and saturation, exposing every knob of the router
 // configurations studied by the paper.
 //
+// With -packets N it then prints the timelines of the first N packets
+// whose head flit is accepted at or after warm-up: when each flit was
+// accepted, granted through each stage, NACKed and ejected. It is the
+// debugging view of the router models — e.g. watching a speculative
+// head flit collect NACKs while the output VC it bids for is busy.
+//
 // Examples:
 //
 //	hrsim -arch hierarchical -subsize 8 -load 0.7
 //	hrsim -arch baseline -va OVA -load 0.5 -pkt 10
 //	hrsim -arch buffered -xpbuf 16 -pattern hotspot -load 0.4
+//	hrsim -arch baseline -va CVA -load 0.6 -packets 5
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"highradix/internal/router"
@@ -39,6 +47,7 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "random seed")
 		trace   = flag.String("trace", "", "replay a trace file (cycle,src,dst[,len] lines) instead of synthetic traffic")
 		events  = flag.Int("events", 0, "print the first N microarchitectural events (accept/grant/nack/eject)")
+		packets = flag.Int("packets", 0, "after the summary, print the timelines of the first N packets accepted after warm-up")
 		chk     = flag.Bool("check", false, "arm the cycle-level invariant checker (drains the run to empty and fails on any violation)")
 		inj     = flag.String("inj", "percycle", "injection sampling: percycle|gap (gap is event-driven, O(events) at low load, distribution-equivalent)")
 	)
@@ -77,19 +86,37 @@ func main() {
 		Prioritized:    *prio,
 		IdealCredit:    *ideal,
 	}
-	if *events > 0 {
+	// timelines holds the flit events of each tracked packet: the first
+	// *packets whose head is accepted at or after warm-up. Request-level
+	// events (baseline NACKs) carry no flit and join no timeline.
+	timelines := map[uint64][]router.Event{}
+	var tracked []uint64
+	if *events > 0 || *packets > 0 {
 		remaining := *events
 		cfg.Observer = router.ObserverFunc(func(e router.Event) {
-			if remaining <= 0 {
+			if remaining > 0 {
+				remaining--
+				id := uint64(0)
+				if e.Flit != nil {
+					id = e.Flit.PacketID
+				}
+				fmt.Printf("cycle %6d  %-6s pkt=%-6d in=%-3d out=%-3d vc=%d %s\n",
+					e.Cycle, e.Kind, id, e.Input, e.Output, e.VC, e.Note)
+			}
+			if e.Flit == nil {
 				return
 			}
-			remaining--
-			id := uint64(0)
-			if e.Flit != nil {
-				id = e.Flit.PacketID
+			id := e.Flit.PacketID
+			if _, ok := timelines[id]; !ok {
+				if len(tracked) == *packets || e.Kind != router.EvAccept || !e.Flit.Head || e.Cycle < *warmup {
+					return
+				}
+				tracked = append(tracked, id)
 			}
-			fmt.Printf("cycle %6d  %-6s pkt=%-6d in=%-3d out=%-3d vc=%d %s\n",
-				e.Cycle, e.Kind, id, e.Input, e.Output, e.VC, e.Note)
+			// The router recycles a flit once it ejects: keep a copy.
+			f := *e.Flit
+			e.Flit = &f
+			timelines[id] = append(timelines[id], e)
 		})
 	}
 	opts := testbench.Options{
@@ -133,5 +160,23 @@ func main() {
 	}
 	if res.Saturated {
 		fmt.Println("  SATURATED: offered load exceeds sustainable throughput at this configuration")
+	}
+	if len(tracked) > 0 {
+		fmt.Println()
+	}
+	slices.Sort(tracked)
+	for _, id := range tracked {
+		evs := timelines[id]
+		first := evs[0]
+		fmt.Printf("packet %d: %d -> %d, %d flits\n", id, first.Flit.Src, first.Flit.Dst, first.Flit.PacketLen)
+		for _, e := range evs {
+			note := e.Note
+			if note != "" {
+				note = " @" + note
+			}
+			fmt.Printf("  +%4d  %-6s flit %d/%d  in=%d out=%d vc=%d%s\n",
+				e.Cycle-first.Cycle, e.Kind, e.Flit.Seq+1, e.Flit.PacketLen, e.Input, e.Output, e.VC, note)
+		}
+		fmt.Println()
 	}
 }

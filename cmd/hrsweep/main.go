@@ -27,7 +27,6 @@ import (
 
 	"highradix/internal/cache"
 	"highradix/internal/experiments"
-	"highradix/internal/stats"
 	"highradix/internal/traffic"
 )
 
@@ -111,19 +110,14 @@ func run() int {
 		}()
 	}
 
-	figure := func(name string, gen experiments.Generator) error {
+	figure := func(name string) error {
 		t0 := time.Now()
-		var table *stats.Table
-		var err error
-		if scale.Cache != nil {
-			// The figure-level cache serves a warm table without
-			// running the generator at all; a dirty scale falls
-			// through to the generator, where the point-level cache
-			// limits recomputation to the changed points.
-			table, _, err = experiments.Table(name, scale)
-		} else {
-			table, err = gen(scale)
-		}
+		// With -cache the figure-level cache serves a warm table without
+		// running the generator at all; a dirty scale falls through to
+		// the generator, where the point-level cache limits
+		// recomputation to the changed points. Without it the table is
+		// generated, and the encode-decode round trip is exact.
+		table, _, err := experiments.Table(name, scale)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -145,17 +139,16 @@ func run() int {
 
 	if *exp == "all" {
 		for _, e := range experiments.Registry {
-			if err := figure(e.Name, e.Gen); err != nil {
+			if err := figure(e.Name); err != nil {
 				return fail(1, err)
 			}
 		}
 		return 0
 	}
-	gen, err := experiments.ByName(*exp)
-	if err != nil {
+	if _, err := experiments.ByName(*exp); err != nil {
 		return fail(2, err)
 	}
-	if err := figure(*exp, gen); err != nil {
+	if err := figure(*exp); err != nil {
 		return fail(1, err)
 	}
 	return 0

@@ -49,7 +49,6 @@ func main() {
 				Router:        a.cfg,
 				WarmupCycles:  1500,
 				MeasureCycles: 3000,
-				DrainCycles:   1,
 				Seed:          7,
 			}
 			p.mutate(&o)

@@ -55,6 +55,7 @@ import (
 	"highradix/internal/network"
 	"highradix/internal/router"
 	"highradix/internal/stats"
+	"highradix/internal/sweep"
 	"highradix/internal/testbench"
 	"highradix/internal/traffic"
 )
@@ -144,7 +145,23 @@ func Simulate(o SimOptions) (SimResult, error) { return testbench.Run(o) }
 // SweepLoads runs a latency-versus-offered-load curve, stopping at the
 // first saturated point.
 func SweepLoads(name string, loads []float64, base SimOptions) (*Series, error) {
-	return testbench.Sweep(name, loads, base)
+	return curve(name, loads, func(load float64) (sweep.Point, error) {
+		o := base
+		o.Load = load
+		res, err := testbench.Run(o)
+		return sweep.Point{Y: res.AvgLatency, Saturated: res.Saturated}, err
+	})
+}
+
+// curve runs a latency-load curve on one worker, where sweep.Curve is
+// the serial early-stopping loop: points run one at a time, in order,
+// and none past the first saturated one. One worker, because a caller's
+// Router.Observer or OnMeasureStart need not be goroutine-safe.
+func curve(name string, loads []float64, run func(load float64) (sweep.Point, error)) (*Series, error) {
+	p := sweep.New(1)
+	return sweep.Curve(p, name, loads, func(load float64) (sweep.Point, error) {
+		return sweep.Do(p, func() (sweep.Point, error) { return run(load) })
+	})
 }
 
 // SaturationThroughput measures accepted throughput at an offered load
@@ -198,9 +215,15 @@ type (
 // SimulateNetwork runs one Clos network simulation.
 func SimulateNetwork(o NetOptions) (NetResult, error) { return network.Run(o) }
 
-// SweepNetwork runs a network latency-load curve.
+// SweepNetwork runs a network latency-load curve, stopping at the first
+// saturated point.
 func SweepNetwork(name string, loads []float64, base NetOptions) (*Series, error) {
-	return network.Sweep(name, loads, base)
+	return curve(name, loads, func(load float64) (sweep.Point, error) {
+		o := base
+		o.Load = load
+		res, err := network.Run(o)
+		return sweep.Point{Y: res.AvgLatency, Saturated: res.Saturated}, err
+	})
 }
 
 // Technology is a design point of the Section 2 latency/cost model.

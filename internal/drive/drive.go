@@ -251,22 +251,3 @@ func CheckLoad(load float64, ser, pktLen int) error {
 	}
 	return nil
 }
-
-// Sweep calls run at each offered load in turn and returns the
-// latency-versus-load series named name. It stops after the first
-// saturated point, which is where the paper's curves end and what keeps
-// sweeps fast.
-func Sweep(name string, loads []float64, run func(load float64) (latency float64, saturated bool, err error)) (*stats.Series, error) {
-	s := &stats.Series{Name: name}
-	for _, load := range loads {
-		lat, sat, err := run(load)
-		if err != nil {
-			return nil, err
-		}
-		s.Add(load, lat, sat)
-		if sat {
-			break
-		}
-	}
-	return s, nil
-}

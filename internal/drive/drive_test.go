@@ -226,18 +226,3 @@ func TestCheckLoad(t *testing.T) {
 		}
 	}
 }
-
-func TestSweepStopsAtFirstSaturatedPoint(t *testing.T) {
-	var ran []float64
-	s, err := Sweep("x", []float64{0.1, 0.5, 0.9, 1}, func(load float64) (float64, bool, error) {
-		ran = append(ran, load)
-		return 10 * load, load >= 0.5, nil
-	})
-	if err != nil || len(s.Points) != 2 || !s.Points[1].Saturated || len(ran) != 2 {
-		t.Fatalf("sweep ran %v, series %+v, err %v", ran, s, err)
-	}
-	wantErr := errors.New("boom")
-	if _, err := Sweep("x", []float64{0.1}, func(float64) (float64, bool, error) { return 0, false, wantErr }); err != wantErr {
-		t.Fatalf("sweep returned %v, want the run's error", err)
-	}
-}

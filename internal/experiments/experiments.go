@@ -127,12 +127,10 @@ func (s Scale) Point(p *sweep.Pool, cfg router.Config, pattern traffic.Pattern, 
 // saturation-throughput scalars.
 func (s Scale) satThroughput(p *sweep.Pool, cfg router.Config, mutate func(*testbench.Options)) (float64, error) {
 	o := s.opts(cfg)
-	o.DrainCycles = 1 // no need to drain a deliberately saturated run
 	if mutate != nil {
 		mutate(&o)
 	}
-	o.Load = 1.0
-	res, _, err := s.runTB(p, o)
+	res, _, err := s.runTB(p, testbench.Saturating(o))
 	if err != nil {
 		return 0, err
 	}

@@ -169,14 +169,6 @@ func (c *Clos) shuffle(w int) int {
 	return (w%(c.n/k))*k + msb
 }
 
-// unshuffle inverts shuffle: the wire entering (stage, router, port)
-// left the previous stage at unshuffle(router*k+port).
-func (c *Clos) unshuffle(w int) int {
-	k := c.cfg.Radix
-	lsb := w % k
-	return lsb*(c.n/k) + w/k
-}
-
 // Link wires output p of router r to the next stage through the
 // shuffle; last-stage outputs eject at terminal index*k + p.
 func (c *Clos) Link(r, p int) Link {
@@ -187,18 +179,6 @@ func (c *Clos) Link(r, p int) Link {
 	}
 	w := c.shuffle(ri*k + p)
 	return Link{Router: (st+1)*c.rpl + w/k, Port: w % k}
-}
-
-// Feeder inverts Link: stage-0 inputs are fed by terminals, deeper
-// inputs by the unshuffled previous-stage output.
-func (c *Clos) Feeder(r, p int) Link {
-	k := c.cfg.Radix
-	st, ri := r/c.rpl, r%c.rpl
-	if st == 0 {
-		return Link{Router: -1, Terminal: ri*k + p}
-	}
-	w := c.unshuffle(ri*k + p)
-	return Link{Router: (st-1)*c.rpl + w/k, Port: w % k}
 }
 
 // Entry injects terminal t at stage-0 router t/k, port t%k.

@@ -8,8 +8,8 @@ import (
 	"highradix/internal/sim"
 )
 
-// TestShuffleRotatesDigits checks the inter-stage wiring permutation and
-// that sendCreditUpstream's inverse really inverts it.
+// TestShuffleIsPermutation checks that the inter-stage wiring is a
+// permutation of the wire positions.
 func TestShuffleIsPermutation(t *testing.T) {
 	cl, err := NewClos(Config{Radix: 4, Digits: 3})
 	if err != nil {
@@ -26,21 +26,26 @@ func TestShuffleIsPermutation(t *testing.T) {
 	}
 }
 
+// TestShuffleInverse checks that shuffle rotates digits: Digits
+// applications rotate a position's Digits base-k digits back into
+// place, so Digits-1 of them invert one.
 func TestShuffleInverse(t *testing.T) {
 	cl, err := NewClos(Config{Radix: 4, Digits: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for w := 0; w < cl.Terminals(); w++ {
-		if cl.unshuffle(cl.shuffle(w)) != w {
-			t.Fatalf("unshuffle(shuffle(%d)) = %d", w, cl.unshuffle(cl.shuffle(w)))
+		if back := cl.shuffle(cl.shuffle(cl.shuffle(w))); back != w {
+			t.Fatalf("shuffle^3(%d) = %d", w, back)
 		}
 	}
 }
 
-// TestLinkFeederInverse checks, for every topology family, that Feeder
-// really inverts Link: following any router output to its downstream
-// input and asking that input who feeds it must name the original
+// TestLinkFeederInverse checks, for every topology family, that the
+// wiring is one-to-one — a brute-force search finds exactly one output
+// or terminal feeding each router input — and that the engine's feeder
+// table inverts Link: following any router output to its downstream
+// input and asking the engine who feeds that input names the original
 // output. sendCreditUpstream relies on exactly this identity.
 func TestLinkFeederInverse(t *testing.T) {
 	for _, topo := range []Topology{
@@ -49,8 +54,13 @@ func TestLinkFeederInverse(t *testing.T) {
 		mustTorus(t, TorusConfig{X: 7, Y: 1}),
 		mustTorus(t, TorusConfig{X: 3, Y: 4}),
 	} {
+		_, feeders := NewNetwork(topo, 1).WiringTables()
+		ports := topo.Ports()
 		for r := 0; r < topo.Routers(); r++ {
-			for p := 0; p < topo.Ports(); p++ {
+			for p := 0; p < ports; p++ {
+				if fs := FeedersOf(topo, r, p); len(fs) != 1 {
+					t.Fatalf("%s: input %d of router %d fed by %+v", topo.Name(), p, r, fs)
+				}
 				l := topo.Link(r, p)
 				if l.Router < 0 {
 					if l.Terminal < 0 || l.Terminal >= topo.Terminals() {
@@ -58,16 +68,14 @@ func TestLinkFeederInverse(t *testing.T) {
 					}
 					continue
 				}
-				back := topo.Feeder(l.Router, l.Port)
-				if back.Router != r || back.Port != p {
-					t.Fatalf("%s: Feeder(Link(%d,%d)) = %+v", topo.Name(), r, p, back)
+				if back := feeders[l.Router*ports+l.Port]; back != (Link{Router: r, Port: p}) {
+					t.Fatalf("%s: feeder of Link(%d,%d) = %+v", topo.Name(), r, p, back)
 				}
 			}
 		}
 		for term := 0; term < topo.Terminals(); term++ {
 			r, p := topo.Entry(term)
-			fd := topo.Feeder(r, p)
-			if fd.Router != -1 || fd.Terminal != term {
+			if fd := feeders[r*ports+p]; fd != (Link{Router: -1, Terminal: term}) {
 				t.Fatalf("%s: Entry(%d) input not fed by its terminal: %+v", topo.Name(), term, fd)
 			}
 		}

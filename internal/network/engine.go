@@ -359,31 +359,50 @@ func NewNetworkRange(topo Topology, seed uint64, l Layout, i int) *Network {
 		}
 		return b
 	}
-	for o := range nw.outs {
-		r, pt := lo+o/p, o%p
-		switch ln := topo.Link(r, pt); {
-		case ln.Router < 0:
-			nw.outs[o] = output{to: ^int32(ln.Terminal), box: -1}
-		default:
-			nw.outs[o] = output{to: int32(ln.Router), port: uint16(ln.Port), box: box(part(l.Routers, ln.Router))}
-			for c := 0; c < v; c++ {
-				nw.out[o*v+c].credit = int32(depth)
-			}
-		}
-		switch fd := topo.Feeder(r, pt); {
-		case fd.Router < 0:
-			nw.feeders[o] = feeder{ch: ^int32(fd.Terminal * v), box: box(part(l.Terminals, fd.Terminal))}
-		case nw.Owns(fd.Router):
-			nw.feeders[o] = feeder{ch: int32(nw.queue(fd.Router, fd.Port, 0)), box: -1}
-		default:
-			nw.feeders[o] = feeder{ch: int32((fd.Router*p + fd.Port) * v), box: box(part(l.Routers, fd.Router))}
+	// The topology states its wiring once, as Link and Entry; an owned
+	// input port's feeder, where its credits go, is the one output or
+	// terminal whose wire ends there, found by inverting both.
+	fed := make([]int, routers*p)
+	feed := func(r, pt int, fd feeder) {
+		if nw.Owns(r) {
+			nw.feeders[(r-lo)*p+pt] = fd
+			fed[(r-lo)*p+pt]++
 		}
 	}
-	for t := tlo; t < thi; t++ {
+	for r := range topo.Routers() {
+		for pt := range p {
+			ln := topo.Link(r, pt)
+			if nw.Owns(r) {
+				o := (r-lo)*p + pt
+				if ln.Router < 0 {
+					nw.outs[o] = output{to: ^int32(ln.Terminal), box: -1}
+					continue
+				}
+				nw.outs[o] = output{to: int32(ln.Router), port: uint16(ln.Port), box: box(part(l.Routers, ln.Router))}
+				for c := 0; c < v; c++ {
+					nw.out[o*v+c].credit = int32(depth)
+				}
+				feed(ln.Router, ln.Port, feeder{ch: int32(nw.queue(r, pt, 0)), box: -1})
+			} else if ln.Router >= 0 && nw.Owns(ln.Router) {
+				feed(ln.Router, ln.Port, feeder{ch: int32((r*p + pt) * v), box: box(part(l.Routers, r))})
+			}
+		}
+	}
+	for t := range nw.n {
 		er, ep := topo.Entry(t)
-		nw.entry[t-tlo] = entry{router: int32(er), port: uint16(ep), box: box(part(l.Routers, er))}
-		for c := 0; c < v; c++ {
-			nw.injCredit[t*v+c] = int32(depth)
+		feed(er, ep, feeder{ch: ^int32(t * v), box: box(part(l.Terminals, t))})
+		if t >= tlo && t < thi {
+			nw.entry[t-tlo] = entry{router: int32(er), port: uint16(ep), box: box(part(l.Routers, er))}
+			for c := 0; c < v; c++ {
+				nw.injCredit[t*v+c] = int32(depth)
+			}
+		}
+	}
+	// An input fed by no wire, or by two, is a topology bug: its credits
+	// would have nowhere to go, or two places.
+	for o, n := range fed {
+		if n != 1 {
+			panic(fmt.Sprintf("network: %s router %d input port %d is fed %d times", topo.Name(), lo+o/p, o%p, n))
 		}
 	}
 	return nw

@@ -14,10 +14,11 @@ import (
 // behind a source bank.
 var _ drive.Device = (*network.Network)(nil)
 
-// TestWiringTablesMatchTopology pins the engine's precomputed link and
-// feeder tables to the topology's own answers for every (router, port),
-// over a full engine and over a shard-style sub-range (whose tables are
-// offset by lo, and whose remote ends are mailed).
+// TestWiringTablesMatchTopology pins the engine's precomputed link
+// table to the topology's Link and its feeder table to a brute-force
+// inversion of Link and Entry, for every (router, port), over a full
+// engine and over a shard-style sub-range (whose tables are offset by
+// lo, and whose remote ends are mailed).
 func TestWiringTablesMatchTopology(t *testing.T) {
 	for _, tc := range digestTopologies(t) {
 		n, ports := tc.topo.Routers(), tc.topo.Ports()
@@ -36,12 +37,51 @@ func TestWiringTablesMatchTopology(t *testing.T) {
 					if got, want := links[o], tc.topo.Link(r, p); got != want {
 						t.Errorf("%s [%d,%d): links[%d] = %+v, topo.Link(%d,%d) = %+v", tc.name, rg[0], rg[1], o, got, r, p, want)
 					}
-					if got, want := feeders[o], tc.topo.Feeder(r, p); got != want {
-						t.Errorf("%s [%d,%d): feeders[%d] = %+v, topo.Feeder(%d,%d) = %+v", tc.name, rg[0], rg[1], o, got, r, p, want)
+					if want := network.FeedersOf(tc.topo, r, p); len(want) != 1 || feeders[o] != want[0] {
+						t.Errorf("%s [%d,%d): feeders[%d] = %+v, fed by %+v", tc.name, rg[0], rg[1], o, feeders[o], want)
 					}
 				}
 			}
 		}
+	}
+}
+
+// miswired wraps a topology and points output port 1 of router 0 at the
+// input port 0 already feeds, leaving the one it fed before unfed.
+type miswired struct{ network.Topology }
+
+func (m miswired) Link(r, p int) network.Link {
+	if r == 0 && p == 1 {
+		p = 0
+	}
+	return m.Topology.Link(r, p)
+}
+
+// TestMiswiredTopologyPanics is the wiring check's mutation test: an
+// engine whose owned input is fed twice, or not at all, must refuse to
+// build and name the port. In the radix-4 Clos, outputs 0 and 1 of
+// router 0 lead to input 0 of routers 4 and 5.
+func TestMiswiredTopologyPanics(t *testing.T) {
+	topo := miswired{digestTopologies(t)[0].topo}
+	n := topo.Routers()
+	for _, tc := range []struct {
+		owned [2]int
+		want  string
+	}{
+		{[2]int{0, n}, "router 4 input port 0 is fed 2 times"},
+		{[2]int{5, n}, "router 5 input port 0 is fed 0 times"},
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, tc.want) {
+					t.Errorf("owning %v: panic %q, want one containing %q", tc.owned, msg, tc.want)
+				}
+			}()
+			network.NewNetworkRange(topo, 1, network.Layout{
+				Routers:   [][2]int{{0, tc.owned[0]}, tc.owned},
+				Terminals: [][2]int{{0, 0}, {0, topo.Terminals()}},
+			}, 1)
+		}()
 	}
 }
 

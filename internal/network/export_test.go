@@ -25,6 +25,26 @@ func (nw *Network) WiringTables() (links, feeders []Link) {
 	return links, feeders
 }
 
+// FeedersOf inverts topo's wiring by brute force, independently of the
+// engine: it scans every router output and every terminal and returns
+// all those whose wire ends at input port p of router r.
+func FeedersOf(topo Topology, r, p int) []Link {
+	var fs []Link
+	for ur := range topo.Routers() {
+		for up := range topo.Ports() {
+			if ln := topo.Link(ur, up); ln.Router == r && ln.Port == p {
+				fs = append(fs, Link{Router: ur, Port: up})
+			}
+		}
+	}
+	for t := range topo.Terminals() {
+		if er, ep := topo.Entry(t); er == r && ep == p {
+			fs = append(fs, Link{Router: -1, Terminal: t})
+		}
+	}
+	return fs
+}
+
 // New builds a full serial network over the Clos topology described by
 // cfg, for the tests that step an engine directly instead of through
 // Run; routing draws from seed.

@@ -5,7 +5,6 @@ import (
 
 	"highradix/internal/drive"
 	"highradix/internal/flit"
-	"highradix/internal/stats"
 	"highradix/internal/traffic"
 )
 
@@ -199,16 +198,5 @@ func Drive(o Options, build func(o Options, topo Topology, c drive.Config) drive
 func Run(o Options) (Result, error) {
 	return Drive(o, func(o Options, topo Topology, _ drive.Config) drive.World {
 		return NewWorld(o, topo, whole(topo), 0)
-	})
-}
-
-// Sweep runs across offered loads, ending at the first saturated point
-// (see drive.Sweep), and returns the latency-versus-load series.
-func Sweep(name string, loads []float64, base Options) (*stats.Series, error) {
-	return drive.Sweep(name, loads, func(load float64) (float64, bool, error) {
-		o := base
-		o.Load = load
-		res, err := Run(o)
-		return res.AvgLatency, res.Saturated, err
 	})
 }

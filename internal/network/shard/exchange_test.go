@@ -19,9 +19,22 @@ import (
 // (source router -1) ahead of every router's and ordered by terminal,
 // as a serial run injects before it steps. A message does not carry its
 // source; the wiring gives it back — a flit left the output or terminal
-// feeding its destination input.
+// feeding its destination input, found by inverting Link and Entry.
 func canonicalCmp(topo network.Topology) func(a, b network.Arrival) int {
-	src := func(m *network.Arrival) network.Link { return topo.Feeder(int(m.Router), int(m.Port)) }
+	ports := topo.Ports()
+	feeders := make([]network.Link, topo.Routers()*ports)
+	for r := range topo.Routers() {
+		for p := range ports {
+			if ln := topo.Link(r, p); ln.Router >= 0 {
+				feeders[ln.Router*ports+ln.Port] = network.Link{Router: r, Port: p}
+			}
+		}
+	}
+	for term := range topo.Terminals() {
+		r, p := topo.Entry(term)
+		feeders[r*ports+p] = network.Link{Router: -1, Terminal: term}
+	}
+	src := func(m *network.Arrival) network.Link { return feeders[int(m.Router)*ports+int(m.Port)] }
 	return func(a, b network.Arrival) int {
 		as, bs := src(&a), src(&b)
 		return cmp.Or(

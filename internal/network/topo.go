@@ -4,7 +4,7 @@ import "math/bits"
 
 // Link identifies the far end of a router port: either input port
 // `Port` of router `Router`, or — when Router is -1 — the terminal
-// `Terminal` (ejection for Link, injection for Feeder).
+// `Terminal`.
 type Link struct {
 	Router   int
 	Port     int
@@ -48,11 +48,11 @@ type Topology interface {
 	// Diameter is the most routers any route crosses: the largest hop
 	// count a delivered flit can carry.
 	Diameter() int
-	// Link returns where output port p of router r leads.
+	// Link returns where output port p of router r leads. Link and
+	// Entry state the whole wiring: every router input port must be the
+	// far end of exactly one of them, and the engine inverts them to
+	// route credits upstream.
 	Link(r, p int) Link
-	// Feeder returns the upstream output port (or terminal) feeding
-	// input port p of router r; credits for freed slots travel there.
-	Feeder(r, p int) Link
 	// Entry returns the router input port terminal t injects into.
 	Entry(t int) (router, port int)
 	// NextHop picks the output port and downstream VC for a head flit

@@ -137,23 +137,6 @@ func (g *Torus) Link(r, p int) Link {
 	}
 }
 
-// Feeder inverts Link.
-func (g *Torus) Feeder(r, p int) Link {
-	x, y := r%g.cfg.X, r/g.cfg.X
-	switch p {
-	case 0:
-		return Link{Router: -1, Terminal: r}
-	case 1:
-		return Link{Router: y*g.cfg.X + (x-1+g.cfg.X)%g.cfg.X, Port: 1}
-	case 2:
-		return Link{Router: y*g.cfg.X + (x+1)%g.cfg.X, Port: 2}
-	case 3:
-		return Link{Router: ((y-1+g.cfg.Y)%g.cfg.Y)*g.cfg.X + x, Port: 3}
-	default:
-		return Link{Router: ((y+1)%g.cfg.Y)*g.cfg.X + x, Port: 4}
-	}
-}
-
 // Entry injects terminal t at router t, port 0.
 func (g *Torus) Entry(t int) (router, port int) { return t, 0 }
 

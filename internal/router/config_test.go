@@ -173,7 +173,7 @@ func TestSpecPolicyNames(t *testing.T) {
 			t.Errorf("VAByName(%q) = %v, %v, want %v", tc.want, got, err, tc.s)
 		}
 	}
-	// The CLIs exit 2 on this error; hrtrace used to run CVA instead.
+	// The CLIs exit 2 on this error.
 	for _, bad := range []string{"", "ova", "XVA"} {
 		if _, err := router.VAByName(bad); err == nil {
 			t.Errorf("VAByName(%q) succeeded, want an error", bad)

@@ -127,9 +127,10 @@ type Point struct {
 }
 
 // Curve sweeps run over xs and returns the series named name,
-// truncated after the first saturated point — the exact contract of
-// the serial testbench.Sweep / network.Sweep loops, which stop where
-// the paper's curves end.
+// truncated after the first saturated point — the contract of a serial
+// early-stopping loop, which stops where the paper's curves end. On a
+// one-worker pool Curve is that loop (highradix.SweepLoads and
+// SweepNetwork run it so).
 //
 // Points launch strictly in index order through a sliding window of
 // min(pool size, GOMAXPROCS) past the lowest incomplete index:

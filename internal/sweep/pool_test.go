@@ -143,6 +143,43 @@ func TestCurveMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestCurveErrors pins Curve's error contract at every pool size: a
+// failure at or below the first saturated index returns the
+// lowest-index error, the one the serial loop would hit first, and a
+// failure past that index — a point run only as lookahead — is not
+// returned.
+func TestCurveErrors(t *testing.T) {
+	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8}
+	const satAt = 4
+	errAt := func(i int) error { return fmt.Errorf("point %d failed", i) }
+	for _, tc := range []struct {
+		fail []int
+		want error // nil: the curve truncated at satAt
+	}{
+		{[]int{2, 3}, errAt(2)},
+		{[]int{3, 8}, errAt(3)},
+		{[]int{satAt}, errAt(satAt)},
+		{[]int{satAt + 1, satAt + 2}, nil},
+	} {
+		for _, workers := range []int{1, 2, 4, 16} {
+			s, err := Curve(New(workers), "e", xs, func(x float64) (Point, error) {
+				for _, i := range tc.fail {
+					if int(x) == i {
+						return Point{}, errAt(i)
+					}
+				}
+				return Point{Y: x, Saturated: int(x) >= satAt}, nil
+			})
+			if fmt.Sprint(err) != fmt.Sprint(tc.want) {
+				t.Fatalf("fail %v, workers=%d: error %v, want %v", tc.fail, workers, err, tc.want)
+			}
+			if tc.want == nil && len(s.Points) != satAt+1 {
+				t.Fatalf("fail %v, workers=%d: %d points, want %d", tc.fail, workers, len(s.Points), satAt+1)
+			}
+		}
+	}
+}
+
 // TestCurveBoundsWaste verifies the sliding-window launcher: once a
 // point saturates, at most lookahead-1 points past it ever run,
 // regardless of pool size — the fix for parallel curve sweeps costing

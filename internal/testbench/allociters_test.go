@@ -11,7 +11,6 @@ import (
 func TestAllocItersRecoverHoL(t *testing.T) {
 	thr := func(iters int) float64 {
 		o := quickOpts(router.Config{Arch: router.ArchLowRadix, Radix: 16, AllocIters: iters}, 1.0)
-		o.DrainCycles = 1
 		v, err := SaturationThroughput(o)
 		if err != nil {
 			t.Fatal(err)

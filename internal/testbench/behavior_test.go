@@ -18,7 +18,6 @@ import (
 func TestCrosspointBufferSizeMatters(t *testing.T) {
 	thr := func(depth int) float64 {
 		o := quickOpts(router.Config{Arch: router.ArchBuffered, Radix: 16, VCs: 2, XpointBufDepth: depth}, 1.0)
-		o.DrainCycles = 1
 		v, err := SaturationThroughput(o)
 		if err != nil {
 			t.Fatal(err)
@@ -43,7 +42,6 @@ func TestLongPacketsNeedDeepBuffers(t *testing.T) {
 		o := quickOpts(router.Config{Arch: router.ArchBuffered, Radix: 16, VCs: 2, XpointBufDepth: depth}, 1.0)
 		o.PktLen = 10
 		o.WarmupCycles, o.MeasureCycles = 1500, 3000
-		o.DrainCycles = 1
 		v, err := SaturationThroughput(o)
 		if err != nil {
 			t.Fatal(err)
@@ -67,7 +65,6 @@ func TestHierarchicalWorstCaseDegrades(t *testing.T) {
 	thr := func(p traffic.Pattern) float64 {
 		o := quickOpts(cfg, 1.0)
 		o.Pattern = p
-		o.DrainCycles = 1
 		v, err := SaturationThroughput(o)
 		if err != nil {
 			t.Fatal(err)
@@ -90,7 +87,6 @@ func TestHierarchicalWorstCaseDegrades(t *testing.T) {
 func TestCVABeatsOVA(t *testing.T) {
 	thr := func(va router.VAScheme) float64 {
 		o := quickOpts(router.Config{Arch: router.ArchBaseline, Radix: 16, VCs: 2, VA: va}, 1.0)
-		o.DrainCycles = 1
 		v, err := SaturationThroughput(o)
 		if err != nil {
 			t.Fatal(err)
@@ -115,7 +111,6 @@ func TestHotspotCapsEveryArchitecture(t *testing.T) {
 	} {
 		o := quickOpts(cfg, 1.0)
 		o.Pattern = traffic.NewHotspot(16, 2)
-		o.DrainCycles = 1
 		thr, err := SaturationThroughput(o)
 		if err != nil {
 			t.Fatal(err)
@@ -139,7 +134,6 @@ func TestBurstyFavorsBufferedDesigns(t *testing.T) {
 		o.Bursty = true
 		o.BurstLen = 8
 		o.WarmupCycles, o.MeasureCycles = 1500, 3000
-		o.DrainCycles = 1
 		v, err := SaturationThroughput(o)
 		if err != nil {
 			t.Fatal(err)
@@ -160,7 +154,6 @@ func TestBurstyFavorsBufferedDesigns(t *testing.T) {
 func TestCreditBusNearIdeal(t *testing.T) {
 	thr := func(ideal bool) float64 {
 		o := quickOpts(router.Config{Arch: router.ArchBuffered, Radix: 16, VCs: 2, IdealCredit: ideal}, 1.0)
-		o.DrainCycles = 1
 		v, err := SaturationThroughput(o)
 		if err != nil {
 			t.Fatal(err)

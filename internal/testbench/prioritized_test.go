@@ -19,7 +19,6 @@ func TestPrioritizedSpeculationFig11(t *testing.T) {
 			PktLen:        10,
 			WarmupCycles:  1500,
 			MeasureCycles: 3500,
-			DrainCycles:   1,
 			Seed:          1,
 		}
 		v, err := SaturationThroughput(o)

@@ -14,7 +14,6 @@ func TestSpecPolicyOrdering(t *testing.T) {
 	thr := func(p router.SpecPolicy) float64 {
 		o := quickOpts(router.Config{Arch: router.ArchBaseline, VA: router.CVA, SpecPolicy: p}, 1.0)
 		o.PktLen = 4
-		o.DrainCycles = 1
 		v, err := SaturationThroughput(o)
 		if err != nil {
 			t.Fatal(err)

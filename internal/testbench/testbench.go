@@ -19,7 +19,6 @@ import (
 	"highradix/internal/drive"
 	"highradix/internal/router"
 	"highradix/internal/sim"
-	"highradix/internal/stats"
 	"highradix/internal/traffic"
 )
 
@@ -178,7 +177,7 @@ func Run(o Options) (Result, error) {
 		c.SourceEnd = o.Trace.Duration()
 	}
 	// Every source's stream is split off one master in port order, and
-	// packet ids count up across the whole run (hrtrace orders by them).
+	// packet ids count up across the whole run (hrsim -packets orders by them).
 	master := sim.NewRNG(o.Seed ^ 0x685a2d9cb9a5d1f3)
 	seeds := make([]uint64, k)
 	for i := range seeds {
@@ -221,24 +220,20 @@ func Run(o Options) (Result, error) {
 	return res, nil
 }
 
-// Sweep runs the simulation across the supplied offered loads and
-// returns a latency-versus-load series named name, ending at the first
-// saturated point (see drive.Sweep).
-func Sweep(name string, loads []float64, base Options) (*stats.Series, error) {
-	return drive.Sweep(name, loads, func(load float64) (float64, bool, error) {
-		o := base
-		o.Load = load
-		res, err := Run(o)
-		return res.AvgLatency, res.Saturated, err
-	})
+// Saturating returns o set up as a saturation run: offered load 1.0 and
+// a one-cycle drain. The drain is all but skipped because Throughput
+// counts the measurement window's flits only; a run past saturation
+// could otherwise spend its whole drain bound failing to empty.
+func Saturating(o Options) Options {
+	o.Load, o.DrainCycles = 1.0, 1
+	return o
 }
 
 // SaturationThroughput measures accepted throughput at an offered load
-// of 1.0 — the scalar the paper quotes as "saturation throughput".
+// of 1.0 — the scalar the paper quotes as "saturation throughput". It
+// overrides the caller's Load and DrainCycles (see Saturating).
 func SaturationThroughput(base Options) (float64, error) {
-	o := base
-	o.Load = 1.0
-	res, err := Run(o)
+	res, err := Run(Saturating(base))
 	if err != nil {
 		return 0, err
 	}
