@@ -31,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -43,7 +44,11 @@ import (
 	"highradix/internal/traffic"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main with an exit status instead of os.Exit: it parses the
+// flags, opens the store, listens and serves until SIGINT or SIGTERM.
+func run() int {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		cacheDir = flag.String("cache", "", "content-addressed result cache directory (required)")
@@ -58,17 +63,17 @@ func main() {
 
 	if *cacheDir == "" {
 		fmt.Fprintln(os.Stderr, "hrsweepd: -cache DIR is required (the cache is what makes a figure service viable)")
-		os.Exit(2)
+		return 2
 	}
 	injMode, err := traffic.InjModeByName(*inj)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hrsweepd:", err)
-		os.Exit(2)
+		return 2
 	}
 	st, err := cache.Open(*cacheDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hrsweepd:", err)
-		os.Exit(1)
+		return 1
 	}
 
 	scale := experiments.Full
@@ -85,36 +90,55 @@ func main() {
 		MaxInflight: *inflight,
 		Timeout:     *timeout,
 	})
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Printf("hrsweepd: %v", err)
+		return 1
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	context.AfterFunc(ctx, stop) // a second signal kills at once
+	log.Printf("hrsweepd: serving %d experiments on %s (cache %s)", len(experiments.Registry), ln.Addr(), st.Dir())
+	if err := serveUntil(ctx, ln, srv, *timeout); err != nil {
+		log.Printf("hrsweepd: %v", err)
+		return 1
+	}
+	log.Printf("hrsweepd: drained")
+	return 0
+}
+
+// serveUntil serves srv on ln until ctx is cancelled, then drains for at
+// most drain: http.Server.Shutdown answers the requests still open, and
+// a wait for srv's Inflight counter to reach zero lets every cold
+// computation still running land in the store. A nil return means the
+// drain completed.
+func serveUntil(ctx context.Context, ln net.Listener, srv *serve.Server, drain time.Duration) error {
+	hs := &http.Server{Handler: srv.Handler()}
 	served := make(chan error, 1)
-	go func() { served <- hs.ListenAndServe() }()
-	log.Printf("hrsweepd: serving %d experiments on %s (cache %s)", len(experiments.Registry), *addr, st.Dir())
+	go func() { served <- hs.Serve(ln) }()
 	select {
 	case err := <-served:
-		log.Fatalf("hrsweepd: %v", err)
+		return err
 	case <-ctx.Done():
 	}
-	stop() // a second signal kills at once
-	log.Printf("hrsweepd: draining in-flight requests (at most %s)", *timeout)
-	drain, cancel := context.WithTimeout(context.Background(), *timeout)
+	log.Printf("hrsweepd: draining in-flight requests (at most %s)", drain)
+	budget, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
-	if err := hs.Shutdown(drain); err != nil {
-		log.Fatalf("hrsweepd: shutdown: %v", err)
+	if err := hs.Shutdown(budget); err != nil {
+		return fmt.Errorf("shutdown: %w", err)
 	}
 	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
-		log.Fatalf("hrsweepd: %v", err)
+		return err
 	}
 	// Shutdown waits for open connections only; a computation whose
 	// client gave up (504 or disconnect) runs on and may be writing the
 	// store, so wait for those too, within the same budget.
 	for srv.Metrics().Inflight > 0 {
 		select {
-		case <-drain.Done():
-			log.Fatalf("hrsweepd: shutdown: %v", drain.Err())
+		case <-budget.Done():
+			return fmt.Errorf("shutdown: %w", budget.Err())
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	log.Printf("hrsweepd: drained")
+	return nil
 }

@@ -239,12 +239,13 @@ func (c Config) Wake(w Waker, now, bound int64) int64 {
 	return max(now+1, min(wake, bound))
 }
 
-// CheckLoad rejects an offered load no source can produce: negative, or
-// above one packet per cycle per source (load is a fraction of channel
-// capacity, one flit per ser cycles, in packets of pktLen flits).
+// CheckLoad rejects an offered load no source can produce: negative,
+// not a number, or above one packet per cycle per source (load is a
+// fraction of channel capacity, one flit per ser cycles, in packets of
+// pktLen flits).
 func CheckLoad(load float64, ser, pktLen int) error {
-	if load < 0 {
-		return fmt.Errorf("negative load %.3g", load)
+	if !(load >= 0) {
+		return fmt.Errorf("load %.3g is negative or not a number", load)
 	}
 	if load/float64(ser*pktLen) > 1 {
 		return fmt.Errorf("load %.3g needs more than one packet per cycle per source", load)

@@ -3,6 +3,7 @@ package drive
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -220,6 +221,7 @@ func TestCheckLoad(t *testing.T) {
 	}{
 		{0, 4, 1, true}, {1, 4, 1, true}, {4, 4, 1, true}, {8, 4, 2, true},
 		{-0.5, 4, 1, false}, {4.01, 4, 1, false}, {8, 4, 1, false}, {1.5, 1, 1, false},
+		{math.NaN(), 4, 1, false}, {math.Inf(1), 4, 1, false},
 	} {
 		if err := CheckLoad(tc.load, tc.ser, tc.pktLen); (err == nil) != tc.ok {
 			t.Errorf("CheckLoad(%v, %d, %d) = %v, want ok=%v", tc.load, tc.ser, tc.pktLen, err, tc.ok)

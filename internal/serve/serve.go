@@ -1,6 +1,7 @@
 // Package serve is the HTTP figure service behind cmd/hrsweepd: it
-// renders the repository's experiments over HTTP, serving warm figures
-// from the content-addressed result cache in microseconds and
+// renders the repository's experiments and single-router points over
+// HTTP, serving warm ones from a bounded memo of rendered bodies or
+// else the content-addressed result cache in microseconds, and
 // dispatching cold ones to the sweep worker pool exactly once no
 // matter how many requests ask for them.
 //
@@ -86,12 +87,56 @@ type Server struct {
 	inflight  atomic.Int64
 	latencyUS atomic.Int64
 
-	// rendered memoizes fully rendered response bodies (name+format →
-	// bytes). Within one process the scale is fixed, so a rendered
-	// figure never changes; the memo turns warm requests into one map
-	// read.
+	// rendered memoizes the 200 bodies of both endpoints by the parsed
+	// request. Within one process the scale is fixed, so a rendered
+	// figure or point never changes; the memo turns a warm request into
+	// one map read. Figure entries are bounded by the registry times the
+	// three formats; point entries by pointMemoCap, and points counts
+	// them.
 	mu       sync.RWMutex
-	rendered map[string][]byte
+	rendered map[memoKey][]byte
+	points   int
+}
+
+// memoKey is one memoised response: a figure's name and format, or a
+// point's canonical architecture, load and pattern name (figure "").
+type memoKey struct {
+	figure, format string
+	arch           router.Arch
+	load           float64
+	pattern        string
+}
+
+// pointMemoCap bounds the memo's point entries; inserting one more
+// drops an arbitrary point. A variable so that tests may shrink it.
+var pointMemoCap = 4096
+
+// recall returns the memoised body for k, if any.
+func (s *Server) recall(k memoKey) ([]byte, bool) {
+	s.mu.RLock()
+	body, ok := s.rendered[k]
+	s.mu.RUnlock()
+	return body, ok
+}
+
+// remember memoises body under k, first dropping an arbitrary point
+// entry when k is a new point and the point entries are at their cap.
+func (s *Server) remember(k memoKey, body []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.rendered[k]; !ok && k.figure == "" {
+		if s.points >= pointMemoCap {
+			for old := range s.rendered {
+				if old.figure == "" {
+					delete(s.rendered, old)
+					s.points--
+					break
+				}
+			}
+		}
+		s.points++
+	}
+	s.rendered[k] = body
 }
 
 // New builds the service.
@@ -107,7 +152,7 @@ func New(cfg Config) *Server {
 		mux:      http.NewServeMux(),
 		pool:     sweep.New(cfg.Scale.Workers),
 		cold:     make(chan struct{}, cfg.MaxInflight),
-		rendered: map[string][]byte{},
+		rendered: map[memoKey][]byte{},
 	}
 	s.mux.HandleFunc("GET /figures/{name}", s.handleFigure)
 	s.mux.HandleFunc("GET /points", s.handlePoint)
@@ -141,6 +186,18 @@ func (s *Server) track(fn func() int) {
 	if status >= 400 {
 		s.errors.Add(1)
 	}
+}
+
+// ok writes a 200 body and counts it as a hit (memo or store) or a miss.
+func (s *Server) ok(w http.ResponseWriter, contentType string, body []byte, hit bool) int {
+	if hit {
+		s.hits.Add(1)
+	} else {
+		s.misses.Add(1)
+	}
+	w.Header().Set("Content-Type", contentType)
+	w.Write(body)
+	return http.StatusOK
 }
 
 // format resolves the response format from ?format=, defaulting to the
@@ -178,19 +235,13 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "unknown format (want text, csv or json)", http.StatusBadRequest)
 			return http.StatusBadRequest
 		}
+		key := memoKey{figure: name, format: fmtName}
+		if body, warm := s.recall(key); warm {
+			return s.ok(w, contentType, body, true)
+		}
 		if _, err := experiments.ByName(name); err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return http.StatusNotFound
-		}
-		memoKey := name + "\x00" + fmtName
-		s.mu.RLock()
-		body, warm := s.rendered[memoKey]
-		s.mu.RUnlock()
-		if warm {
-			s.hits.Add(1)
-			w.Header().Set("Content-Type", contentType)
-			w.Write(body)
-			return http.StatusOK
 		}
 		body, hit, status := s.compute(r.Context(), func() ([]byte, bool, error) {
 			t, hit, err := experiments.Table(name, s.cfg.Scale)
@@ -204,17 +255,8 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, http.StatusText(status), status)
 			return status
 		}
-		if hit {
-			s.hits.Add(1)
-		} else {
-			s.misses.Add(1)
-		}
-		s.mu.Lock()
-		s.rendered[memoKey] = body
-		s.mu.Unlock()
-		w.Header().Set("Content-Type", contentType)
-		w.Write(body)
-		return http.StatusOK
+		s.remember(key, body)
+		return s.ok(w, contentType, body, hit)
 	})
 }
 
@@ -222,8 +264,11 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 //
 //	GET /points?arch=baseline&load=0.5[&pattern=...][&format=json]
 //
-// The point is the figure generators' own (experiments.Scale.Point), so
-// a point that any figure already computed is warm here and vice versa.
+// A warm point is answered from the memo, keyed by the parsed request
+// (load=0.5 and load=0.50 are one entry). A memo miss is one store
+// lookup: the point is the figure generators' own
+// (experiments.Scale.Point), so a point that any figure already
+// computed is warm here and vice versa.
 func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 	s.track(func() int {
 		q := r.URL.Query()
@@ -232,16 +277,21 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return http.StatusBadRequest
 		}
+		// Written so that NaN fails it too.
 		load, err := strconv.ParseFloat(q.Get("load"), 64)
-		if err != nil || load <= 0 || load > 1 {
+		if err != nil || !(load > 0 && load <= 1) {
 			http.Error(w, "load must be a float in (0, 1]", http.StatusBadRequest)
 			return http.StatusBadRequest
+		}
+		key := memoKey{arch: arch, load: load, pattern: q.Get("pattern")}
+		if body, warm := s.recall(key); warm {
+			return s.ok(w, "application/json", body, true)
 		}
 		// No pattern is the drivers' default (uniform), keyed as the figure
 		// generators key it; a named one resolves as in the CLIs, against
 		// the default radix-64 router this endpoint builds.
 		var pattern traffic.Pattern
-		if name := q.Get("pattern"); name != "" {
+		if name := key.pattern; name != "" {
 			if pattern, err = traffic.ByName(name, 64, 8, 8); err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return http.StatusBadRequest
@@ -258,14 +308,8 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, http.StatusText(status), status)
 			return status
 		}
-		if hit {
-			s.hits.Add(1)
-		} else {
-			s.misses.Add(1)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
-		return http.StatusOK
+		s.remember(key, body)
+		return s.ok(w, "application/json", body, hit)
 	})
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"io"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -11,6 +10,7 @@ import (
 
 	"highradix/internal/cache"
 	"highradix/internal/experiments"
+	"highradix/internal/router"
 )
 
 // testServer builds a service over a tiny scale with a fresh store.
@@ -34,16 +34,14 @@ func testServer(t *testing.T) *Server {
 	})
 }
 
+// get serves one request; it never fails the test, so that concurrent
+// tests may call it from their own goroutines.
 func get(t *testing.T, s *Server, path string) (int, string, string) {
 	t.Helper()
 	req := httptest.NewRequest("GET", path, nil)
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, req)
-	b, err := io.ReadAll(rec.Result().Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rec.Code, string(b), rec.Result().Header.Get("Content-Type")
+	return rec.Code, rec.Body.String(), rec.Header().Get("Content-Type")
 }
 
 func TestFigureFormats(t *testing.T) {
@@ -143,24 +141,162 @@ func TestPointEndpoint(t *testing.T) {
 	if code, _, _ := get(t, s, "/points?arch=baseline&load=x"); code != 400 {
 		t.Fatalf("unparsable load: code=%d, want 400", code)
 	}
+	moved := storeMoved(s.cfg.Scale.Cache, func() {
+		if code, _, _ := get(t, s, "/points?arch=baseline&load=NaN"); code != 400 {
+			t.Errorf("NaN load: code=%d, want 400", code)
+		}
+	})
+	if moved.Puts != 0 {
+		t.Errorf("NaN load stored %d entries", moved.Puts)
+	}
 }
 
-// TestPointStoreLookups pins one store lookup per /points request: a
-// cold point is one miss and one compute, a warm one is one hit.
+// storeMoved runs fn and returns how far it moved the store's hit, miss,
+// compute and put counters.
+func storeMoved(st *cache.Store, fn func()) cache.Counters {
+	before := st.Counters()
+	fn()
+	after := st.Counters()
+	return cache.Counters{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses,
+		Computes: after.Computes - before.Computes, Puts: after.Puts - before.Puts}
+}
+
+// getOK is get for a request that must answer 200; it returns the body.
+func getOK(t *testing.T, s *Server, path string) string {
+	t.Helper()
+	code, body, _ := get(t, s, path)
+	if code != 200 {
+		t.Fatalf("GET %s: code %d", path, code)
+	}
+	return body
+}
+
+// memoCounts returns the memo's point and figure entries, checking the
+// point entries against the running count the cap is enforced on.
+func memoCounts(t *testing.T, s *Server) (points, figures int) {
+	t.Helper()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for k := range s.rendered {
+		if k.figure == "" {
+			points++
+		} else {
+			figures++
+		}
+	}
+	if points != s.points {
+		t.Fatalf("memo holds %d point entries, counted %d", points, s.points)
+	}
+	return points, figures
+}
+
+// TestPointStoreLookups pins the store traffic of /points: within one
+// Server a cold point is one miss and one compute and its repeat is a
+// memo hit that moves no store counter; a fresh Server over the same
+// store answers it with exactly one store hit.
 func TestPointStoreLookups(t *testing.T) {
 	s := testServer(t)
 	st := s.cfg.Scale.Cache
-	for _, want := range []cache.Counters{{Misses: 1, Computes: 1, Puts: 1}, {Hits: 1}} {
-		before := st.Counters()
-		if code, _, _ := get(t, s, "/points?arch=baseline&load=0.5"); code != 200 {
-			t.Fatalf("code %d", code)
-		}
-		after := st.Counters()
-		got := cache.Counters{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses,
-			Computes: after.Computes - before.Computes, Puts: after.Puts - before.Puts}
-		if got != want {
+	const path = "/points?arch=baseline&load=0.5"
+	for _, want := range []cache.Counters{{Misses: 1, Computes: 1, Puts: 1}, {}} {
+		if got := storeMoved(st, func() { getOK(t, s, path) }); got != want {
 			t.Errorf("store counters moved by %+v, want %+v", got, want)
 		}
+	}
+	fresh := New(s.cfg)
+	if got, want := storeMoved(st, func() { getOK(t, fresh, path) }), (cache.Counters{Hits: 1}); got != want {
+		t.Errorf("fresh server: store counters moved by %+v, want %+v", got, want)
+	}
+}
+
+// TestPointMemo pins the memo's contract for points: one body whichever
+// layer answers, one entry per parsed request, and a bound on point
+// entries that never costs a figure entry or a recomputation.
+func TestPointMemo(t *testing.T) {
+	s := testServer(t)
+	st := s.cfg.Scale.Cache
+	cold := getOK(t, s, "/points?arch=baseline&load=0.5")
+	var memo string
+	if got := storeMoved(st, func() { memo = getOK(t, s, "/points?arch=baseline&load=0.50") }); got != (cache.Counters{}) {
+		t.Errorf("load=0.50 after load=0.5 moved the store by %+v, want a memo hit", got)
+	}
+	if points, _ := memoCounts(t, s); points != 1 {
+		t.Errorf("load=0.5 and load=0.50 hold %d memo entries, want 1", points)
+	}
+	stored := getOK(t, New(s.cfg), "/points?arch=baseline&load=0.5")
+	if memo != cold || stored != cold {
+		t.Fatalf("cold, memo and store bodies differ:\n%s%s%s", cold, memo, stored)
+	}
+
+	defer func(n int) { pointMemoCap = n }(pointMemoCap)
+	pointMemoCap = 3
+	s = testServer(t)
+	st = s.cfg.Scale.Cache
+	for _, f := range []string{"text", "csv", "json"} {
+		getOK(t, s, "/figures/fig2?format="+f)
+	}
+	bodies := map[float64]string{}
+	for i, load := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6} {
+		bodies[load] = getOK(t, s, fmt.Sprintf("/points?arch=baseline&load=%g", load))
+		points, figures := memoCounts(t, s)
+		if points > 3 || figures != 3 {
+			t.Fatalf("after %d points the memo holds %d points and %d figures, want <= 3 and 3", i+1, points, figures)
+		}
+	}
+	s.mu.RLock()
+	var evicted []float64
+	for load := range bodies {
+		if _, ok := s.rendered[memoKey{arch: router.ArchBaseline, load: load}]; !ok {
+			evicted = append(evicted, load)
+		}
+	}
+	s.mu.RUnlock()
+	if len(evicted) != 3 {
+		t.Fatalf("%d of 6 points evicted with the cap at 3, want 3", len(evicted))
+	}
+	var again string
+	path := fmt.Sprintf("/points?arch=baseline&load=%g", evicted[0])
+	if got, want := storeMoved(st, func() { again = getOK(t, s, path) }), (cache.Counters{Hits: 1}); got != want {
+		t.Errorf("evicted point: store counters moved by %+v, want %+v", got, want)
+	}
+	if again != bodies[evicted[0]] {
+		t.Errorf("evicted point's body changed on the store hit")
+	}
+}
+
+// TestMemoConcurrent has two goroutines read and insert points and
+// figures at once, with a cap that forces evictions; run it under -race.
+func TestMemoConcurrent(t *testing.T) {
+	defer func(n int) { pointMemoCap = n }(pointMemoCap)
+	pointMemoCap = 2
+	s := testServer(t)
+	paths := []string{"/figures/fig2", "/figures/fig2?format=csv", "/figures/fig2?format=json"}
+	for _, load := range []string{"0.1", "0.2", "0.3", "0.4"} {
+		paths = append(paths, "/points?arch=baseline&load="+load)
+	}
+	var mu sync.Mutex
+	first := map[string]string{}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 10*len(paths); i++ {
+				path := paths[(i*(g+1))%len(paths)]
+				code, body, _ := get(t, s, path)
+				mu.Lock()
+				if want, seen := first[path]; code != 200 || seen && body != want {
+					t.Errorf("GET %s: code %d, body equal to the first: %t", path, code, !seen || body == want)
+				} else if !seen {
+					first[path] = body
+				}
+				mu.Unlock()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if points, figures := memoCounts(t, s); points > 2 || figures != 3 {
+		t.Errorf("memo holds %d points and %d figures, want <= 2 and 3", points, figures)
 	}
 }
 
@@ -168,17 +304,8 @@ func TestPointStoreLookups(t *testing.T) {
 // so one that a figure computed is a single store hit and no compute.
 func TestPointSharesFigurePoints(t *testing.T) {
 	s := testServer(t)
-	if code, _, _ := get(t, s, "/figures/fig13"); code != 200 {
-		t.Fatalf("fig13: code %d", code)
-	}
-	st := s.cfg.Scale.Cache
-	before := st.Counters()
-	if code, _, _ := get(t, s, "/points?arch=baseline&load=0.2"); code != 200 {
-		t.Fatalf("point: code %d", code)
-	}
-	after := st.Counters()
-	got := cache.Counters{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses,
-		Computes: after.Computes - before.Computes, Puts: after.Puts - before.Puts}
+	getOK(t, s, "/figures/fig13")
+	got := storeMoved(s.cfg.Scale.Cache, func() { getOK(t, s, "/points?arch=baseline&load=0.2") })
 	if want := (cache.Counters{Hits: 1}); got != want {
 		t.Errorf("store counters moved by %+v, want %+v", got, want)
 	}
