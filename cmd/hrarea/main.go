@@ -12,23 +12,38 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"highradix/internal/analytic"
 	"highradix/internal/area"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments, output streams and exit status made
+// explicit, so that a test can drive it.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("hrarea", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		mode      = flag.String("mode", "optimal", "optimal|area|power")
-		bandwidth = flag.Float64("bandwidth", 20e12, "router bandwidth B (bits/s)")
-		tr        = flag.Float64("tr", 5e-9, "per-hop router delay (s)")
-		nodes     = flag.Float64("nodes", 2048, "network size N")
-		packet    = flag.Float64("packet", 256, "packet length L (bits)")
-		radix     = flag.Int("radix", 64, "radix for area mode")
-		subsize   = flag.Int("subsize", 8, "subswitch size for area mode")
+		mode      = flags.String("mode", "optimal", "optimal|area|power")
+		bandwidth = flags.Float64("bandwidth", 20e12, "router bandwidth B (bits/s)")
+		tr        = flags.Float64("tr", 5e-9, "per-hop router delay (s)")
+		nodes     = flags.Float64("nodes", 2048, "network size N")
+		packet    = flags.Float64("packet", 256, "packet length L (bits)")
+		radix     = flags.Int("radix", 64, "radix for area mode")
+		subsize   = flags.Int("subsize", 8, "subswitch size for area mode")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "hrarea:", err)
+		return 2
+	}
 
 	switch *mode {
 	case "optimal":
@@ -37,37 +52,45 @@ func main() {
 			Nodes: *nodes, PacketBits: *packet,
 		}
 		kOpt := tech.OptimalRadixFor()
-		fmt.Printf("aspect ratio A = B*tr*ln(N)/L = %.1f\n", tech.AspectRatio())
-		fmt.Printf("latency-optimal radix (k*ln^2 k = A): %.1f\n", kOpt)
-		fmt.Printf("network latency at k_opt: %.1f ns\n", tech.Latency(kOpt)*1e9)
+		fmt.Fprintf(stdout, "aspect ratio A = B*tr*ln(N)/L = %.1f\n", tech.AspectRatio())
+		fmt.Fprintf(stdout, "latency-optimal radix (k*ln^2 k = A): %.1f\n", kOpt)
+		fmt.Fprintf(stdout, "network latency at k_opt: %.1f ns\n", tech.Latency(kOpt)*1e9)
 		for _, k := range []float64{8, 16, 32, 64, 128, 256} {
-			fmt.Printf("  k=%-4.0f latency %7.1f ns   cost %8.0f channels\n",
+			fmt.Fprintf(stdout, "  k=%-4.0f latency %7.1f ns   cost %8.0f channels\n",
 				k, tech.Latency(k)*1e9, tech.Cost(k))
 		}
 	case "area":
 		m := area.Default()
+		// The hierarchical crossbar's own rule: k/p subswitches of p
+		// ports each span the radix.
 		k, p := *radix, *subsize
+		if k < 2 {
+			return fail(fmt.Errorf("-radix %d: want a radix >= 2", k))
+		}
+		if p < 1 || k%p != 0 {
+			return fail(fmt.Errorf("-subsize %d: want a subswitch size >= 1 that divides -radix %d", p, k))
+		}
 		fb := m.FullyBufferedBits(k)
 		h := m.HierarchicalBits(k, p, m.XpointBufDepth)
 		sArea, wArea := m.FullyBufferedAreaMm2(k)
-		fmt.Printf("radix %d, v=%d, %d-flit buffers, %d-bit flits\n", k, m.VCs, m.XpointBufDepth, m.FlitBits)
-		fmt.Printf("  fully buffered storage: %.3g bits (%.1f mm^2)\n", fb, m.StorageAreaMm2(fb))
-		fmt.Printf("  hierarchical p=%d:      %.3g bits (%.1f mm^2), %.0f%% saving\n",
+		fmt.Fprintf(stdout, "radix %d, v=%d, %d-flit buffers, %d-bit flits\n", k, m.VCs, m.XpointBufDepth, m.FlitBits)
+		fmt.Fprintf(stdout, "  fully buffered storage: %.3g bits (%.1f mm^2)\n", fb, m.StorageAreaMm2(fb))
+		fmt.Fprintf(stdout, "  hierarchical p=%d:      %.3g bits (%.1f mm^2), %.0f%% saving\n",
 			p, h, m.StorageAreaMm2(h), 100*m.HierarchicalSavings(k, p, m.XpointBufDepth))
-		fmt.Printf("  baseline (inputs only): %.3g bits\n", m.BaselineBits(k))
-		fmt.Printf("  wire area:              %.1f mm^2 (storage %.1f mm^2; crossover radix %d)\n",
+		fmt.Fprintf(stdout, "  baseline (inputs only): %.3g bits\n", m.BaselineBits(k))
+		fmt.Fprintf(stdout, "  wire area:              %.1f mm^2 (storage %.1f mm^2; crossover radix %d)\n",
 			wArea, sArea, m.Crossover())
 	case "power":
 		p := analytic.DefaultPower(*bandwidth)
-		fmt.Printf("router bandwidth %.3g b/s, network of %.0f nodes\n", *bandwidth, *nodes)
+		fmt.Fprintf(stdout, "router bandwidth %.3g b/s, network of %.0f nodes\n", *bandwidth, *nodes)
 		for _, k := range []float64{8, 16, 32, 64, 128, 256} {
-			fmt.Printf("  k=%-4.0f router %5.1f W (arb %4.2f%%), network %6.0f routers, %8.0f W total\n",
+			fmt.Fprintf(stdout, "  k=%-4.0f router %5.1f W (arb %4.2f%%), network %6.0f routers, %8.0f W total\n",
 				k, p.RouterWatts(k), 100*p.ArbFraction(k),
 				analytic.NetworkRouters(k, *nodes), p.NetworkWatts(k, *nodes))
 		}
-		fmt.Println("per-router power is nearly radix-independent; network power falls with radix (Section 2)")
+		fmt.Fprintln(stdout, "per-router power is nearly radix-independent; network power falls with radix (Section 2)")
 	default:
-		fmt.Fprintf(os.Stderr, "hrarea: unknown mode %q\n", *mode)
-		os.Exit(2)
+		return fail(fmt.Errorf("unknown mode %q", *mode))
 	}
+	return 0
 }

@@ -1,0 +1,43 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// An area query for a router that cannot be built is a usage error that
+// names the flag at fault, not a panic or a figure.
+func TestAreaRejectsUnbuildableRouter(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-subsize", "0"}, "-subsize"}, // divides by zero
+		{[]string{"-subsize", "7"}, "-subsize"}, // 7 does not divide 64
+		{[]string{"-radix", "0"}, "-radix"},     // NaN mm^2
+		{[]string{"-radix", "1", "-subsize", "1"}, "-radix"},
+		{[]string{"-radix", "16", "-subsize", "32"}, "-subsize"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(append([]string{"-mode", "area"}, tc.args...), &stdout, &stderr)
+		if code != 2 || !strings.Contains(stderr.String(), tc.flag) || stdout.Len() != 0 {
+			t.Errorf("%v: exit %d, stderr %q, stdout %q; want exit 2 naming %s and no figures",
+				tc.args, code, stderr.String(), stdout.String(), tc.flag)
+		}
+	}
+}
+
+func TestAreaBuildableRouter(t *testing.T) {
+	for _, args := range [][]string{
+		{"-radix", "64", "-subsize", "8"},
+		{"-radix", "64", "-subsize", "64"},
+		{"-radix", "2", "-subsize", "1"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(append([]string{"-mode", "area"}, args...), &stdout, &stderr)
+		if code != 0 || stderr.Len() != 0 || !strings.Contains(stdout.String(), "hierarchical p=") || strings.Contains(stdout.String(), "NaN") {
+			t.Errorf("%v: exit %d, stderr %q, stdout %q", args, code, stderr.String(), stdout.String())
+		}
+	}
+}

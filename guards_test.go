@@ -1,0 +1,257 @@
+package highradix_test
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// The structural guards keep removed designs removed: each of the
+// paper's structures (the local-global arbiter, the crosspoint column,
+// the driver and its source bank, the timed queue, the cache key) exists
+// once, and a second copy of one fails here, in go test ./..., with the file
+// and line that holds it.
+
+// A guard is one check: a line pattern over the .go files under its
+// roots, optionally with a syntax-tree form of the same rule for a
+// declaration a line pattern can miss (split across lines, another
+// receiver name). A line either form matches is a hit, and a guard
+// fails unless it finds exactly want hits.
+type guard struct {
+	roots   []string // directories or files, relative to the repo root
+	tests   bool     // _test.go files are in scope
+	except  string   // a file, or a directory ending in "/", left out
+	pattern string
+	decls   func(*ast.File) []ast.Node
+	want    int
+	msg     string
+}
+
+// guardSteps groups the guards by the rule they keep; each step is one
+// subtest.
+var guardSteps = []struct {
+	name   string
+	guards []guard
+}{
+	{"One arbiter per structure", []guard{{
+		roots:   []string{"internal", "cmd"},
+		pattern: `type LocalGlobal|ArbitrateWord|\[\]\*arb\.RoundRobin|NewRing`,
+		msg:     "a second implementation of one arbiter or topology (see DESIGN.md, Arbiters)",
+	}}},
+	{"One column stage", []guard{{
+		roots:   []string{"internal/router"},
+		except:  "internal/router/column.go",
+		pattern: `xpOcc|xpHead|subOutOcc|subOutHead|colRows|func \(r \*(buffered|hierarchical)\) (outputStage|columnStage|inputStage)`,
+		decls:   methods(`^(buffered|hierarchical)$`, `^(outputStage|columnStage|inputStage)$`),
+		msg:     "a second column or row stage beside internal/router/column.go (see DESIGN.md, Router memory layout)",
+	}, {
+		roots:   []string{"internal/router/sharedxp.go"},
+		pattern: `core\.(MakeFIFOBank|MakeLedger|MakeCreditBus)|arb\.NewOutputArbiter`,
+		msg:     "sharedxp builds a second crosspoint grid beside the buffered crossbar it embeds (see DESIGN.md, Router memory layout)",
+	}}},
+	{"One device contract", []guard{{
+		roots:   []string{"."},
+		pattern: `Quiescent\(\)|ExactInFlight|Traits\{|Plant\{[^}]*Dense:`,
+		decls:   literalKeys("Plant", "Dense"),
+		msg:     "a second wake-up answer, an inexact InFlight or a second dense flag (see DESIGN.md, Quiescence & time advance)",
+	}}},
+	{"One driver", []guard{{
+		roots:   []string{"internal", "cmd"},
+		except:  "internal/drive/",
+		pattern: `measEnd|measStart|MeasEnd|MeasStart|maxCycles`,
+		msg:     "phase arithmetic outside internal/drive (see DESIGN.md, The driver)",
+	}}},
+	{"One source bank", []guard{{
+		roots:   []string{"internal", "cmd"},
+		except:  "internal/drive/",
+		pattern: `injFree`,
+		msg:     "a second injection channel outside internal/drive (see DESIGN.md, The driver)",
+	}}},
+	{"Draws are run ahead", []guard{{
+		roots:   []string{"internal/drive"},
+		pattern: `\.Bernoulli\(`,
+		msg:     "a per-cycle Bernoulli draw under internal/drive (see DESIGN.md, Event-driven core)",
+	}}},
+	{"One timed queue", []guard{{
+		roots:   []string{"internal/router", "internal/network", "cmd"},
+		tests:   true,
+		pattern: `DelayLine|% ?int64\(len\(`,
+		msg:     "a second timed queue beside sim.Calendar (see DESIGN.md, Quiescence & time advance)",
+	}}},
+	{"One gate type", []guard{{
+		roots:   []string{"."},
+		tests:   true,
+		pattern: `type [Gg]ate struct`,
+		decls:   structTypes(`^[Gg]ate$`),
+		want:    1,
+		msg:     "a second gate type beside drive.Gate (see DESIGN.md, The driver)",
+	}}},
+	{"One schedule", []guard{{
+		roots:   []string{"internal", "cmd"},
+		except:  "internal/sim/",
+		pattern: `sim\.Wheel|NewWheel\(|NewGapWheel`,
+		msg:     "a calendar-queue wheel outside internal/sim (see DESIGN.md, Event-driven core: One schedule)",
+	}}},
+	{"One key walker", []guard{{
+		roots:   []string{"internal", "cmd"},
+		except:  "internal/cache/",
+		pattern: `cache\.NewKey\(|\) Canonical\(\) string`,
+		msg:     "a hand-written cache key outside internal/cache (see DESIGN.md, Result cache: Keys)",
+	}}},
+}
+
+func TestStructuralGuards(t *testing.T) {
+	for _, step := range guardSteps {
+		t.Run(step.name, func(t *testing.T) {
+			for _, g := range step.guards {
+				hits, err := g.hits()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(hits) != g.want {
+					t.Errorf("%d matching lines, want %d:\n%s\n%s", len(hits), g.want, strings.Join(hits, "\n"), g.msg)
+				}
+			}
+		})
+	}
+}
+
+// hits returns every line in the guard's scope that either form
+// matches, as "file:line: text", in file and line order.
+func (g guard) hits() ([]string, error) {
+	re := regexp.MustCompile(g.pattern)
+	var hits []string
+	for _, root := range g.roots {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !g.inScope(filepath.ToSlash(path)) {
+				return err
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			lines := strings.Split(string(src), "\n")
+			matched := map[int]bool{}
+			for i, l := range lines {
+				if re.MatchString(l) {
+					matched[i+1] = true
+				}
+			}
+			if g.decls != nil {
+				fset := token.NewFileSet()
+				f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
+				if err != nil {
+					return err
+				}
+				for _, n := range g.decls(f) {
+					matched[fset.Position(n.Pos()).Line] = true
+				}
+			}
+			var nums []int
+			for n := range matched {
+				nums = append(nums, n)
+			}
+			sort.Ints(nums)
+			for _, n := range nums {
+				hits = append(hits, fmt.Sprintf("%s:%d: %s", filepath.ToSlash(path), n, strings.TrimSpace(lines[n-1])))
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return hits, nil
+}
+
+func (g guard) inScope(path string) bool {
+	if !strings.HasSuffix(path, ".go") || !g.tests && strings.HasSuffix(path, "_test.go") {
+		return false
+	}
+	if strings.HasSuffix(g.except, "/") {
+		return !strings.HasPrefix(path, g.except)
+	}
+	return path != g.except
+}
+
+// methods matches method declarations whose receiver type (pointer or
+// not) and name match the two patterns, whatever the receiver's name.
+func methods(recv, name string) func(*ast.File) []ast.Node {
+	recvRe, nameRe := regexp.MustCompile(recv), regexp.MustCompile(name)
+	return func(f *ast.File) []ast.Node {
+		var out []ast.Node
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || !nameRe.MatchString(fn.Name.Name) {
+				continue
+			}
+			typ := fn.Recv.List[0].Type
+			if star, ok := typ.(*ast.StarExpr); ok {
+				typ = star.X
+			}
+			if id, ok := typ.(*ast.Ident); ok && recvRe.MatchString(id.Name) {
+				out = append(out, fn)
+			}
+		}
+		return out
+	}
+}
+
+// literalKeys matches the key of a composite literal of the named type
+// (bare or package-qualified) however the literal is laid out over lines.
+func literalKeys(typ, key string) func(*ast.File) []ast.Node {
+	return func(f *ast.File) []ast.Node {
+		var out []ast.Node
+		ast.Inspect(f, func(n ast.Node) bool {
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok || typeName(lit.Type) != typ {
+				return true
+			}
+			for _, e := range lit.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok && id.Name == key {
+						out = append(out, kv)
+					}
+				}
+			}
+			return true
+		})
+		return out
+	}
+}
+
+func typeName(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		return e.Sel.Name
+	}
+	return ""
+}
+
+// structTypes matches struct type declarations whose name matches, in a
+// grouped type block too.
+func structTypes(name string) func(*ast.File) []ast.Node {
+	re := regexp.MustCompile(name)
+	return func(f *ast.File) []ast.Node {
+		var out []ast.Node
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok && re.MatchString(ts.Name.Name) {
+				if _, ok := ts.Type.(*ast.StructType); ok {
+					out = append(out, ts)
+				}
+			}
+			return true
+		})
+		return out
+	}
+}

@@ -128,8 +128,11 @@ func Fig17a(s Scale) (*stats.Table, error) {
 // Fig17b reproduces Figure 17(b): the same comparison under the
 // worst-case traffic pattern that concentrates all traffic of each
 // input row group onto a single column of subswitches. The pattern is
-// defined for p=8 (the paper's focus); smaller subswitches are hurt
-// less, larger ones more.
+// fixed at 8-input groups (the paper's p=8 focus), which makes the
+// p = 8, 16 and 32 routers structurally equivalent under it, so their
+// rows are identical; only p = 4 differs. Each p's own worst case
+// (hrsim -pattern worstcase -subsize p -load 1, seed 1) gives 0.872,
+// 0.850, 0.838 and 0.835 for p = 4, 8, 16 and 32.
 func Fig17b(s Scale) (*stats.Table, error) {
 	pat := traffic.NewWorstCaseHierarchical(64, 8)
 	return hierSweep(s, "Figure 17(b): hierarchical crossbar, worst-case traffic (p=8 groups)",
