@@ -138,8 +138,22 @@ func TestPublicAnalytic(t *testing.T) {
 		t.Fatalf("optimal radix %v", k)
 	}
 	m := highradix.DefaultAreaModel()
-	if s := m.TotalSavings(64, 8, m.XpointBufDepth); s < 0.3 || s > 0.5 {
+	fb, err := highradix.PriceRouter(m, highradix.RouterConfig{Arch: highradix.Buffered})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := highradix.PriceRouter(m, highradix.RouterConfig{Arch: highradix.Hierarchical, SubSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := 1 - h.TotalMm2()/fb.TotalMm2(); s < 0.3 || s > 0.5 {
 		t.Fatalf("savings %v", s)
+	}
+	if k := highradix.AreaCrossover(m); k < 40 || k > 62 {
+		t.Fatalf("crossover at radix %d, paper reports ~50", k)
+	}
+	if _, err := highradix.PriceRouter(m, highradix.RouterConfig{Radix: 2048}); err == nil {
+		t.Fatal("priced a router above the radix ceiling")
 	}
 }
 

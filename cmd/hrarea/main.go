@@ -17,6 +17,8 @@ import (
 
 	"highradix/internal/analytic"
 	"highradix/internal/area"
+	"highradix/internal/experiments"
+	"highradix/internal/router"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -61,25 +63,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	case "area":
 		m := area.Default()
-		// The hierarchical crossbar's own rule: k/p subswitches of p
-		// ports each span the radix.
+		// Only routers that can be built are priced: the radix within
+		// the router's bounds, and the hierarchical crossbar's own rule
+		// that k/p subswitches of p ports each span it.
 		k, p := *radix, *subsize
-		if k < 2 {
-			return fail(fmt.Errorf("-radix %d: want a radix >= 2", k))
+		if k < 2 || k > router.MaxRadix {
+			return fail(fmt.Errorf("-radix %d: want a radix in [2, %d]", k, router.MaxRadix))
 		}
 		if p < 1 || k%p != 0 {
 			return fail(fmt.Errorf("-subsize %d: want a subswitch size >= 1 that divides -radix %d", p, k))
 		}
-		fb := m.FullyBufferedBits(k)
-		h := m.HierarchicalBits(k, p, m.XpointBufDepth)
-		sArea, wArea := m.FullyBufferedAreaMm2(k)
-		fmt.Fprintf(stdout, "radix %d, v=%d, %d-flit buffers, %d-bit flits\n", k, m.VCs, m.XpointBufDepth, m.FlitBits)
-		fmt.Fprintf(stdout, "  fully buffered storage: %.3g bits (%.1f mm^2)\n", fb, m.StorageAreaMm2(fb))
+		// Each router is built at the default config and priced by the
+		// buffers it holds.
+		def := router.Config{}.WithDefaults()
+		fb := experiments.Price(m, router.Config{Arch: router.ArchBuffered, Radix: k})
+		h := experiments.Price(m, router.Config{Arch: router.ArchHierarchical, Radix: k, SubSize: p})
+		fmt.Fprintf(stdout, "radix %d, v=%d, %d-flit buffers, %d-bit flits\n", k, def.VCs, def.XpointBufDepth, m.FlitBits)
+		fmt.Fprintf(stdout, "  fully buffered storage: %.3g bits (%.1f mm^2)\n", fb.Bits, fb.StorageMm2)
 		fmt.Fprintf(stdout, "  hierarchical p=%d:      %.3g bits (%.1f mm^2), %.0f%% saving\n",
-			p, h, m.StorageAreaMm2(h), 100*m.HierarchicalSavings(k, p, m.XpointBufDepth))
-		fmt.Fprintf(stdout, "  baseline (inputs only): %.3g bits\n", m.BaselineBits(k))
+			p, h.Bits, h.StorageMm2, 100*(1-h.Bits/fb.Bits))
+		fmt.Fprintf(stdout, "  baseline (inputs only): %.3g bits\n",
+			experiments.Price(m, router.Config{Arch: router.ArchBaseline, Radix: k}).Bits)
 		fmt.Fprintf(stdout, "  wire area:              %.1f mm^2 (storage %.1f mm^2; crossover radix %d)\n",
-			wArea, sArea, m.Crossover())
+			fb.WireMm2, fb.StorageMm2, experiments.Crossover(m))
 	case "power":
 		p := analytic.DefaultPower(*bandwidth)
 		fmt.Fprintf(stdout, "router bandwidth %.3g b/s, network of %.0f nodes\n", *bandwidth, *nodes)

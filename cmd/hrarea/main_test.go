@@ -18,6 +18,7 @@ func TestAreaRejectsUnbuildableRouter(t *testing.T) {
 		{[]string{"-radix", "0"}, "-radix"},     // NaN mm^2
 		{[]string{"-radix", "1", "-subsize", "1"}, "-radix"},
 		{[]string{"-radix", "16", "-subsize", "32"}, "-subsize"},
+		{[]string{"-radix", "2048"}, "-radix"}, // above router.MaxRadix
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(append([]string{"-mode", "area"}, tc.args...), &stdout, &stderr)
@@ -39,5 +40,20 @@ func TestAreaBuildableRouter(t *testing.T) {
 		if code != 0 || stderr.Len() != 0 || !strings.Contains(stdout.String(), "hierarchical p=") || strings.Contains(stdout.String(), "NaN") {
 			t.Errorf("%v: exit %d, stderr %q, stdout %q", args, code, stderr.String(), stdout.String())
 		}
+	}
+}
+
+// The area report's every number, as first recorded when it priced hand
+// formulas; pricing the built routers must reproduce it byte for byte.
+func TestAreaReportPinned(t *testing.T) {
+	const want = `radix 64, v=4, 4-flit buffers, 64-bit flits
+  fully buffered storage: 4.46e+06 bits (6.7 mm^2)
+  hierarchical p=8:      1.31e+06 bits (2.0 mm^2), 71% saving
+  baseline (inputs only): 2.62e+05 bits
+  wire area:              5.3 mm^2 (storage 6.7 mm^2; crossover radix 51)
+`
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-mode", "area", "-radix", "64", "-subsize", "8"}, &stdout, &stderr); code != 0 || stdout.String() != want {
+		t.Errorf("exit %d, stderr %q, stdout:\n%s\nwant:\n%s", code, stderr.String(), stdout.String(), want)
 	}
 }

@@ -69,11 +69,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hrsim:", err)
 		os.Exit(2)
 	}
-	pat, err := traffic.ByName(*pattern, *radix, *subsize, 8)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hrsim:", err)
-		os.Exit(2)
-	}
 	cfg := router.Config{
 		Arch:           a,
 		Radix:          *radix,
@@ -85,6 +80,17 @@ func main() {
 		VA:             vaScheme,
 		Prioritized:    *prio,
 		IdealCredit:    *ideal,
+	}
+	// A router that cannot be built is a usage error, caught before
+	// anything is sized by the radix.
+	if err := cfg.WithDefaults().Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "hrsim:", err)
+		os.Exit(2)
+	}
+	pat, err := traffic.ByName(*pattern, *radix, *subsize, 8)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hrsim:", err)
+		os.Exit(2)
 	}
 	// timelines holds the flit events of each tracked packet: the first
 	// *packets whose head is accepted at or after warm-up. Request-level

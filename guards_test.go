@@ -54,8 +54,14 @@ var guardSteps = []struct {
 		msg:     "a second column or row stage beside internal/router/column.go (see DESIGN.md, Router memory layout)",
 	}, {
 		roots:   []string{"internal/router/sharedxp.go"},
-		pattern: `core\.(MakeFIFOBank|MakeLedger|MakeCreditBus)|arb\.NewOutputArbiter`,
+		pattern: `MakeFIFOBank|core\.(MakeLedger|MakeCreditBus)|arb\.NewOutputArbiter`,
 		msg:     "sharedxp builds a second crosspoint grid beside the buffered crossbar it embeds (see DESIGN.md, Router memory layout)",
+	}}},
+	{"One storage type", []guard{{
+		roots:   []string{"internal/router"},
+		except:  "internal/router/core/fifo.go",
+		pattern: `make\(\[\]\*?flit\.Flit, *[^0 ]|NewQueue\[\*?flit\.Flit\]`,
+		msg:     "flit storage allocated outside core.FIFOBank, which a router's Storage() would not count (see DESIGN.md, Area in storage bits)",
 	}}},
 	{"One device contract", []guard{{
 		roots:   []string{"."},

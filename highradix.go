@@ -240,13 +240,30 @@ var (
 // OptimalRadix solves k*ln^2(k) = A for the latency-minimizing radix.
 func OptimalRadix(aspectRatio float64) float64 { return analytic.OptimalRadix(aspectRatio) }
 
-// AreaModel holds the storage/wire area parameters of Figures 15 and
-// 17(d).
+// AreaModel holds the technology parameters of Figures 15 and 17(d):
+// flit width, bit-cell area and the crossbar wire model.
 type AreaModel = area.Model
 
 // DefaultAreaModel returns the calibrated 0.10um model used by the
 // reproduction.
 func DefaultAreaModel() AreaModel { return area.Default() }
+
+// RouterArea is a built router priced in an AreaModel: its storage in
+// bits and mm^2 and its crossbar's wire area.
+type RouterArea = experiments.Area
+
+// PriceRouter builds the router cfg configures (zero fields take the
+// paper's defaults) and prices the buffers it holds.
+func PriceRouter(m AreaModel, cfg RouterConfig) (RouterArea, error) {
+	if err := cfg.WithDefaults().Validate(); err != nil {
+		return RouterArea{}, err
+	}
+	return experiments.Price(m, cfg), nil
+}
+
+// AreaCrossover returns the smallest radix at which the fully buffered
+// crossbar's storage area exceeds its wire area (the paper reports ~50).
+func AreaCrossover(m AreaModel) int { return experiments.Crossover(m) }
 
 // ExperimentScale sizes experiment runs; FullScale reproduces the
 // figures at publication quality, QuickScale is for smoke runs.

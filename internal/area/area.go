@@ -1,8 +1,9 @@
 // Package area implements the storage and wire area models behind
-// Figures 15 and 17(d): how crosspoint buffering grows quadratically
-// with radix in the fully buffered crossbar, how the hierarchical
-// crossbar divides that by the subswitch size, and where storage area
-// overtakes wire area on the die.
+// Figures 15 and 17(d). It prices flits, not architectures: a router
+// reports the flit storage it built (router.Router.Storage), and the
+// model converts that to bits and die area and sets it beside the wire
+// area of a crossbar of the same radix and VC count, which is where
+// storage overtakes wiring on the die.
 //
 // Figure 17(d) is reproduced exactly in the paper's own unit (storage
 // bits). Figure 15 needs a process model; Model holds first-order
@@ -15,15 +16,8 @@ package area
 
 import "math"
 
-// Model collects the technology and microarchitecture parameters of the
-// area comparison.
+// Model collects the technology parameters of the area comparison.
 type Model struct {
-	// VCs is v.
-	VCs int
-	// XpointBufDepth is crosspoint buffer depth per VC in flits.
-	XpointBufDepth int
-	// InputBufDepth is input buffer depth per VC in flits.
-	InputBufDepth int
 	// FlitBits is the storage size of one flit.
 	FlitBits int
 	// BitCellUm2 is the area of one SRAM storage bit in um^2
@@ -40,48 +34,22 @@ type Model struct {
 	CtlBase int
 }
 
-// Default returns the model used for the paper reproduction: v=4,
-// 4-flit crosspoint buffers, 16-flit input buffers, 64-bit flits, and
-// 0.10 um constants calibrated so the Figure 15 crossover falls near
-// radix 50.
+// Default returns the model used for the paper reproduction: 64-bit
+// flits and 0.10 um constants calibrated so the Figure 15 crossover
+// falls near radix 50 for the routers' default buffers.
 func Default() Model {
 	return Model{
-		VCs:            4,
-		XpointBufDepth: 4,
-		InputBufDepth:  16,
-		FlitBits:       64,
-		BitCellUm2:     1.5,
-		WirePitchUm:    1.2,
-		DatapathWires:  1024,
-		CtlBase:        6,
+		FlitBits:      64,
+		BitCellUm2:    1.5,
+		WirePitchUm:   1.2,
+		DatapathWires: 1024,
+		CtlBase:       6,
 	}
 }
 
-// FullyBufferedBits returns total buffer storage in bits for the fully
-// buffered crossbar at radix k: v*d flits at each of the k^2
-// crosspoints plus the input buffers. Crosspoint storage grows as
-// O(v*k^2) and dominates chip area as radix increases (Section 5.3).
-func (m Model) FullyBufferedBits(k int) float64 {
-	xp := float64(k) * float64(k) * float64(m.VCs) * float64(m.XpointBufDepth) * float64(m.FlitBits)
-	in := float64(k) * float64(m.VCs) * float64(m.InputBufDepth) * float64(m.FlitBits)
-	return xp + in
-}
-
-// HierarchicalBits returns total buffer storage in bits for the
-// hierarchical crossbar at radix k with subswitch size p and the given
-// per-VC buffer depth at subswitch inputs and outputs: (k/p)^2
-// subswitches with p buffered inputs and p buffered outputs each, i.e.
-// O(v*k^2/p) (Section 6).
-func (m Model) HierarchicalBits(k, p, depth int) float64 {
-	sub := float64(k/p) * float64(k/p) * 2 * float64(p) * float64(m.VCs) * float64(depth) * float64(m.FlitBits)
-	in := float64(k) * float64(m.VCs) * float64(m.InputBufDepth) * float64(m.FlitBits)
-	return sub + in
-}
-
-// BaselineBits returns input-buffer-only storage of the unbuffered
-// baseline crossbar.
-func (m Model) BaselineBits(k int) float64 {
-	return float64(k) * float64(m.VCs) * float64(m.InputBufDepth) * float64(m.FlitBits)
+// StorageBits converts flits of storage to bits.
+func (m Model) StorageBits(flits int) float64 {
+	return float64(flits) * float64(m.FlitBits)
 }
 
 // StorageAreaMm2 converts storage bits to die area.
@@ -89,72 +57,13 @@ func (m Model) StorageAreaMm2(bits float64) float64 {
 	return bits * m.BitCellUm2 * 1e-6
 }
 
-// WireAreaMm2 returns the crossbar wire area at radix k: the datapath
-// (constant total width, since bandwidth is held constant) plus control
-// wiring that grows with radix as each port needs request lines
-// (log2 k destination bits plus log2 v VC bits) and fixed control.
-// The crossbar occupies the square of its side length.
-func (m Model) WireAreaMm2(k int) float64 {
-	ctlPerPort := float64(m.CtlBase) + math.Log2(float64(k)) + math.Log2(float64(m.VCs))
+// WireAreaMm2 returns the wire area of a radix-k crossbar with v virtual
+// channels: the datapath (constant total width, since bandwidth is held
+// constant) plus control wiring that grows with radix as each port needs
+// request lines (log2 k destination bits plus log2 v VC bits) and fixed
+// control. The crossbar occupies the square of its side length.
+func (m Model) WireAreaMm2(k, v int) float64 {
+	ctlPerPort := float64(m.CtlBase) + math.Log2(float64(k)) + math.Log2(float64(v))
 	side := (float64(m.DatapathWires) + float64(k)*ctlPerPort) * m.WirePitchUm
 	return side * side * 1e-6
-}
-
-// FullyBufferedAreaMm2 returns storage-plus-wire area of the fully
-// buffered crossbar (Figure 15 plots the two components separately).
-func (m Model) FullyBufferedAreaMm2(k int) (storage, wire float64) {
-	return m.StorageAreaMm2(m.FullyBufferedBits(k)), m.WireAreaMm2(k)
-}
-
-// Crossover returns the smallest radix at which storage area exceeds
-// wire area in the fully buffered crossbar (the paper reports ~50).
-func (m Model) Crossover() int {
-	for k := 2; k <= 1024; k++ {
-		s, w := m.FullyBufferedAreaMm2(k)
-		if s > w {
-			return k
-		}
-	}
-	return -1
-}
-
-// HierarchicalSavings returns the fractional saving in buffer storage
-// bits of the hierarchical crossbar (subswitch p, depth d) over the
-// fully buffered crossbar at radix k. With equal per-buffer depth this
-// is structurally 2/p smaller storage (a 75% bit saving at p=8).
-func (m Model) HierarchicalSavings(k, p, depth int) float64 {
-	fb := m.FullyBufferedBits(k)
-	h := m.HierarchicalBits(k, p, depth)
-	return 1 - h/fb
-}
-
-// TotalFullyBufferedMm2 returns storage plus wire area of the fully
-// buffered crossbar.
-func (m Model) TotalFullyBufferedMm2(k int) float64 {
-	s, w := m.FullyBufferedAreaMm2(k)
-	return s + w
-}
-
-// TotalHierarchicalMm2 returns storage plus wire area of the
-// hierarchical crossbar. The datapath and control wiring of the
-// decomposed crossbar spans the same die footprint as the flat
-// crossbar's (the subswitches tile the same k x k wire matrix), so the
-// wire term is shared.
-func (m Model) TotalHierarchicalMm2(k, p, depth int) float64 {
-	return m.StorageAreaMm2(m.HierarchicalBits(k, p, depth)) + m.WireAreaMm2(k)
-}
-
-// TotalSavings returns the fractional total-area (storage + wire)
-// saving of the hierarchical crossbar over the fully buffered crossbar
-// — the paper's headline number: ~40% for k=64, p=8.
-func (m Model) TotalSavings(k, p, depth int) float64 {
-	return 1 - m.TotalHierarchicalMm2(k, p, depth)/m.TotalFullyBufferedMm2(k)
-}
-
-// EqualBufferHierDepth returns the per-buffer depth that gives the
-// hierarchical crossbar the same total intermediate storage as the
-// fully buffered crossbar (the Figure 17(c) comparison): depth =
-// XpointBufDepth * p/2.
-func (m Model) EqualBufferHierDepth(p int) int {
-	return m.XpointBufDepth * p / 2
 }

@@ -6,64 +6,11 @@ import (
 	"testing/quick"
 )
 
-func TestFullyBufferedQuadratic(t *testing.T) {
-	m := Default()
-	// Doubling the radix roughly quadruples crosspoint storage.
-	r := m.FullyBufferedBits(128) / m.FullyBufferedBits(64)
-	if r < 3.8 || r > 4.2 {
-		t.Fatalf("radix doubling scaled storage by %v, want ~4", r)
-	}
-}
-
-func TestHierarchicalFactor(t *testing.T) {
-	m := Default()
-	// Ignoring the shared input buffers, hierarchical storage is 2/p of
-	// the fully buffered crosspoint storage.
-	fbXp := m.FullyBufferedBits(64) - m.BaselineBits(64)
-	hXp := m.HierarchicalBits(64, 8, m.XpointBufDepth) - m.BaselineBits(64)
-	got := hXp / fbXp
-	if math.Abs(got-2.0/8) > 1e-9 {
-		t.Fatalf("hierarchical/fully-buffered crosspoint storage = %v, want 0.25", got)
-	}
-}
-
-func TestPaperHeadlines(t *testing.T) {
-	m := Default()
-	// Figure 15: storage overtakes wire area near radix 50.
-	if c := m.Crossover(); c < 40 || c > 62 {
-		t.Fatalf("storage/wire crossover at radix %d, paper reports ~50", c)
-	}
-	// Headline: ~40% total-area saving at k=64, p=8.
-	if s := m.TotalSavings(64, 8, m.XpointBufDepth); s < 0.30 || s > 0.50 {
-		t.Fatalf("total-area saving %v, paper reports 0.40", s)
-	}
-	// Storage-bit saving is structurally 1 - 2/p modulo input buffers.
-	if s := m.HierarchicalSavings(64, 8, m.XpointBufDepth); s < 0.65 || s > 0.80 {
-		t.Fatalf("bit saving %v", s)
-	}
-}
-
-func TestEqualBufferDepth(t *testing.T) {
-	m := Default()
-	// Paper footnote: each hierarchical buffer gets p/2 times the
-	// storage of a crosspoint buffer; p=8 -> 16 entries.
-	if d := m.EqualBufferHierDepth(8); d != 16 {
-		t.Fatalf("equal-storage depth %d, want 16", d)
-	}
-	// With that depth total hierarchical storage equals fully buffered
-	// crosspoint storage.
-	fbXp := m.FullyBufferedBits(64) - m.BaselineBits(64)
-	hXp := m.HierarchicalBits(64, 8, m.EqualBufferHierDepth(8)) - m.BaselineBits(64)
-	if math.Abs(hXp/fbXp-1) > 1e-9 {
-		t.Fatalf("equal-storage depths differ: %v vs %v", hXp, fbXp)
-	}
-}
-
 func TestWireAreaGrowsWithRadix(t *testing.T) {
 	m := Default()
 	prev := 0.0
 	for _, k := range []int{8, 16, 32, 64, 128, 256} {
-		w := m.WireAreaMm2(k)
+		w := m.WireAreaMm2(k, 4)
 		if w <= prev {
 			t.Fatalf("wire area not increasing at k=%d: %v <= %v", k, w, prev)
 		}
@@ -73,11 +20,13 @@ func TestWireAreaGrowsWithRadix(t *testing.T) {
 
 func TestMonotonicityProperties(t *testing.T) {
 	m := Default()
-	err := quick.Check(func(a, b uint8) bool {
+	err := quick.Check(func(a, b, c uint8) bool {
 		k1 := int(a%200) + 8
 		k2 := k1 + int(b%100) + 1
-		return m.FullyBufferedBits(k2) > m.FullyBufferedBits(k1) &&
-			m.WireAreaMm2(k2) > m.WireAreaMm2(k1)
+		v := int(c%8) + 1
+		return m.WireAreaMm2(k2, v) > m.WireAreaMm2(k1, v) &&
+			m.WireAreaMm2(k1, v+1) > m.WireAreaMm2(k1, v) &&
+			m.StorageBits(k2) > m.StorageBits(k1)
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -86,6 +35,9 @@ func TestMonotonicityProperties(t *testing.T) {
 
 func TestStorageAreaConversion(t *testing.T) {
 	m := Default()
+	if got := m.StorageBits(1000); got != 1000*float64(m.FlitBits) {
+		t.Fatalf("StorageBits = %v", got)
+	}
 	if got := m.StorageAreaMm2(1e6); math.Abs(got-1e6*m.BitCellUm2*1e-6) > 1e-12 {
 		t.Fatalf("StorageAreaMm2 = %v", got)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"highradix/internal/analytic"
 	"highradix/internal/area"
+	"highradix/internal/router"
 	"highradix/internal/stats"
 )
 
@@ -101,6 +102,41 @@ func argminX(s *stats.Series) float64 {
 	return best
 }
 
+// Area is a built router priced in the area model: the bits of flit
+// storage it holds, their die area, and the wire area of its crossbar.
+type Area struct {
+	Bits, StorageMm2, WireMm2 float64
+}
+
+// TotalMm2 returns storage plus wire area. A hierarchical crossbar's
+// subswitches tile the same k x k wire matrix as the flat crossbar, so
+// every architecture of one radix and VC count shares the wire term.
+func (a Area) TotalMm2() float64 { return a.StorageMm2 + a.WireMm2 }
+
+// Price builds the router cfg configures (zero fields take the paper's
+// defaults) and prices the storage it built in m. cfg must validate:
+// callers price fixed configurations or check their input first.
+func Price(m area.Model, cfg router.Config) Area {
+	r, err := router.New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	c, bits := r.Config(), m.StorageBits(r.Storage())
+	return Area{Bits: bits, StorageMm2: m.StorageAreaMm2(bits), WireMm2: m.WireAreaMm2(c.Radix, c.VCs)}
+}
+
+// Crossover returns the smallest radix at which the fully buffered
+// crossbar's storage area exceeds its wire area (the paper reports ~50),
+// or -1 when no buildable radix does.
+func Crossover(m area.Model) int {
+	for k := 2; k <= router.MaxRadix; k++ {
+		if a := Price(m, router.Config{Arch: router.ArchBuffered, Radix: k}); a.StorageMm2 > a.WireMm2 {
+			return k
+		}
+	}
+	return -1
+}
+
 // Fig15 reproduces Figure 15: storage area versus wire area of the
 // fully buffered crossbar in the 0.10 um model as radix grows; storage
 // overtakes wire area near radix 50.
@@ -114,13 +150,13 @@ func Fig15(Scale) (*stats.Table, error) {
 	st := &stats.Series{Name: "storage-area"}
 	wr := &stats.Series{Name: "wire-area"}
 	for _, k := range []int{8, 16, 32, 48, 64, 96, 128, 192, 256} {
-		s, w := m.FullyBufferedAreaMm2(k)
-		st.Add(float64(k), s, false)
-		wr.Add(float64(k), w, false)
+		a := Price(m, router.Config{Arch: router.ArchBuffered, Radix: k})
+		st.Add(float64(k), a.StorageMm2, false)
+		wr.Add(float64(k), a.WireMm2, false)
 	}
 	t.AddSeries(st)
 	t.AddSeries(wr)
-	t.AddScalar("storage>wire crossover radix", float64(m.Crossover()), "")
+	t.AddScalar("storage>wire crossover radix", float64(Crossover(m)), "")
 	t.AddNote("paper: for a radix greater than 50, storage area exceeds wire area")
 	return t, nil
 }
@@ -138,7 +174,7 @@ func Fig17d(Scale) (*stats.Table, error) {
 	radices := []int{32, 64, 96, 128, 192, 256}
 	fb := &stats.Series{Name: "fully-buffered"}
 	for _, k := range radices {
-		fb.Add(float64(k), m.FullyBufferedBits(k), false)
+		fb.Add(float64(k), Price(m, router.Config{Arch: router.ArchBuffered, Radix: k}).Bits, false)
 	}
 	t.AddSeries(fb)
 	for _, p := range []int{4, 8, 16, 32} {
@@ -147,12 +183,13 @@ func Fig17d(Scale) (*stats.Table, error) {
 			if k%p != 0 {
 				continue
 			}
-			s.Add(float64(k), m.HierarchicalBits(k, p, m.XpointBufDepth), false)
+			s.Add(float64(k), Price(m, router.Config{Arch: router.ArchHierarchical, Radix: k, SubSize: p}).Bits, false)
 		}
 		t.AddSeries(s)
 	}
-	t.AddScalar("storage-bit savings k=64 p=8", m.HierarchicalSavings(64, 8, m.XpointBufDepth), "fraction")
-	t.AddScalar("total-area savings k=64 p=8", m.TotalSavings(64, 8, m.XpointBufDepth), "fraction")
+	fb64, h64 := Price(m, router.Config{Arch: router.ArchBuffered, Radix: 64}), Price(m, router.Config{Arch: router.ArchHierarchical, Radix: 64, SubSize: 8})
+	t.AddScalar("storage-bit savings k=64 p=8", 1-h64.Bits/fb64.Bits, "fraction")
+	t.AddScalar("total-area savings k=64 p=8", 1-h64.TotalMm2()/fb64.TotalMm2(), "fraction")
 	t.AddNote("paper: for k=64 and p=8 the hierarchical crossbar takes 40%% less area than a fully-buffered crossbar (total area: buffers shrink 2/p, wire area is shared)")
 	return t, nil
 }

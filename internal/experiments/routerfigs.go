@@ -3,7 +3,6 @@ package experiments
 import (
 	"strconv"
 
-	"highradix/internal/area"
 	"highradix/internal/router"
 	"highradix/internal/stats"
 	"highradix/internal/sweep"
@@ -173,12 +172,14 @@ func Fig17c(s Scale) (*stats.Table, error) {
 		XLabel: "offered load",
 		YLabel: "latency (cycles)",
 	}
-	m := area.Default()
-	depth := m.EqualBufferHierDepth(8)
+	// Each of a subswitch's 2p buffers per VC stands for p/2 crosspoint
+	// buffers of the flat crossbar.
+	xp := router.Config{}.WithDefaults().XpointBufDepth
+	depth := xp * 8 / 2
 	long := func(o *testbench.Options) { o.PktLen = 10 }
 	cases := []latencyCase{
-		{name: "fully-buffered(4/xp)",
-			cfg: router.Config{Arch: router.ArchBuffered, XpointBufDepth: 4}, mutate: long},
+		{name: "fully-buffered(" + strconv.Itoa(xp) + "/xp)",
+			cfg: router.Config{Arch: router.ArchBuffered}, mutate: long},
 		{name: "hierarchical-p8(" + strconv.Itoa(depth) + "/buf)",
 			cfg: router.Config{
 				Arch: router.ArchHierarchical, SubSize: 8, SubInDepth: depth, SubOutDepth: depth},

@@ -96,7 +96,7 @@ func makeColumnStage(cfg *Config, base *core.Base, rows, slots, depth int, ledge
 		vcBits:  -min(slots-1, 1),
 		base:    base,
 		note:    grantNote,
-		buf:     core.MakeFIFOBank(rows*k*slots, depth),
+		buf:     base.MakeFIFOBank(rows*k*slots, depth),
 		credit:  core.MakeLedger(base.Obs, ledgerNote, rows*k*slots, depth),
 		mask:    make([]uint64, rows*k*((v+31)/32)),
 		wide:    v > 32,

@@ -181,6 +181,11 @@ type Config struct {
 	Observer Observer `key:"nil"`
 }
 
+// MaxRadix is the largest radix Validate accepts. Every buffer is built
+// whole at construction, and a fully buffered router holds k^2*v
+// crosspoint FIFOs: at k = 1024 that is already about 200 MB.
+const MaxRadix = 1024
+
 // WithDefaults returns a copy of c with unset fields replaced by the
 // paper's evaluation defaults.
 func (c Config) WithDefaults() Config {
@@ -226,6 +231,9 @@ func (c Config) Validate() error {
 	var errs []error
 	if c.Radix < 2 {
 		errs = append(errs, fmt.Errorf("radix %d < 2", c.Radix))
+	}
+	if c.Radix > MaxRadix {
+		errs = append(errs, fmt.Errorf("radix %d > MaxRadix %d", c.Radix, MaxRadix))
 	}
 	if c.VCs < 1 {
 		errs = append(errs, fmt.Errorf("vcs %d < 1", c.VCs))

@@ -20,6 +20,10 @@ func TestConfigValidationEdges(t *testing.T) {
 	cases := []edgeCase{
 		{"radix 1", func(c *router.Config) { c.Radix = 1 }, "radix 1 < 2"},
 		{"negative radix", func(c *router.Config) { c.Radix = -4 }, "radix -4 < 2"},
+		// Beyond the ceiling a router is refused before any buffer is
+		// allocated, instead of exhausting memory building its grid.
+		{"radix beyond ceiling", func(c *router.Config) { c.Arch = router.ArchBuffered; c.Radix = 100000 }, "radix 100000 > MaxRadix 1024"},
+		{"radix just beyond ceiling", func(c *router.Config) { c.Radix = router.MaxRadix + 1 }, "radix 1025 > MaxRadix 1024"},
 		{"negative vcs", func(c *router.Config) { c.VCs = -1 }, "vcs -1 < 1"},
 		{"vcs beyond word", func(c *router.Config) { c.VCs = 65 }, "vcs 65 > 64"},
 		{"negative input depth", func(c *router.Config) { c.InputBufDepth = -1 }, "input buffer depth -1 < 1"},
@@ -78,6 +82,16 @@ func TestConfigValidationEdges(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.fragment)
 			}
 		})
+	}
+}
+
+// TestMaxRadixValidates checks the ceiling is itself a valid radix for
+// every architecture (validation only: building one takes ~200 MB).
+func TestMaxRadixValidates(t *testing.T) {
+	for _, a := range router.Registered() {
+		if err := (router.Config{Arch: a, Radix: router.MaxRadix}).WithDefaults().Validate(); err != nil {
+			t.Errorf("%v at radix %d: %v", a, router.MaxRadix, err)
+		}
 	}
 }
 

@@ -65,13 +65,13 @@ type InputBank struct {
 	buffered int // total flits across all queues
 }
 
-// MakeInputBank returns a bank of inputs x vcs buffers of the given
-// depth, by value for embedding.
-func MakeInputBank(obs Obs, inputs, vcs, depth int) InputBank {
+// makeInputBank returns a bank of inputs x vcs buffers over q, one FIFO
+// per buffer, by value for embedding.
+func makeInputBank(obs Obs, q FIFOBank, inputs, vcs int) InputBank {
 	b := InputBank{
 		vcs:      vcs,
 		obs:      obs,
-		q:        MakeFIFOBank(inputs*vcs, depth),
+		q:        q,
 		front:    make([]Front, inputs*vcs),
 		full:     make([]uint64, inputs),
 		held:     make([]uint64, inputs),

@@ -5,15 +5,18 @@ import "highradix/internal/flit"
 // Base is the datapath every architecture composes: the input-buffer
 // bank, the ejection pipe, and the global output-VC owner table, wired
 // to one observer hook. Embedding Base gives a router the injection
-// side of the router.Router contract (CanAccept, Accept, Ejected and
-// the default InFlight) for free; architectures holding intermediate
-// buffers override InFlight to add their own running counters, and
-// every Step begins with BeginCycle to drain the ejection pipe.
+// side of the router.Router contract (CanAccept, Accept, Ejected, the
+// default InFlight and Storage) for free; architectures holding
+// intermediate buffers override InFlight to add their own running
+// counters, and every Step begins with BeginCycle to drain the ejection
+// pipe.
 type Base struct {
 	Obs   Obs
 	In    InputBank
 	Out   EjectPipe
 	Owner VCOwnerTable
+
+	storage int // flit slots of every bank made by MakeFIFOBank
 }
 
 // MakeBase returns a base for a ports x vcs router with the given input
@@ -21,13 +24,19 @@ type Base struct {
 // embedding. The value holds no pointers into itself, so the embedding
 // copy at construction is safe.
 func MakeBase(obs Obs, ports, vcs, depth, ejectDelay int) Base {
-	return Base{
+	b := Base{
 		Obs:   obs,
-		In:    MakeInputBank(obs, ports, vcs, depth),
 		Out:   MakeEjectPipe(ejectDelay, ports),
 		Owner: MakeVCOwnerTable(ports, vcs),
 	}
+	b.In = makeInputBank(obs, b.MakeFIFOBank(ports*vcs, depth), ports, vcs)
+	return b
 }
+
+// Storage returns the flit capacity of every buffer the router built:
+// the slots of the FIFO banks made by MakeFIFOBank through this base.
+// It is what the area model prices.
+func (b *Base) Storage() int { return b.storage }
 
 // CanAccept reports whether input buffer (input, vc) has a free slot —
 // the upstream side of credit flow control.

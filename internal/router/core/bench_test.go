@@ -12,7 +12,7 @@ import (
 // stage. The front-cache refresh is part of the cost on purpose: it is
 // what the step loops buy their scan-free eligibility checks with.
 func BenchmarkInputBankPushPop(b *testing.B) {
-	bank := core.MakeInputBank(core.Obs{}, 64, 4, 16)
+	bank := core.MakeBase(core.Obs{}, 64, 4, 16, 1).In
 	f := flit.MakePacket(1, 7, 3, 2, 1, 0, false)[0]
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -25,7 +25,7 @@ func BenchmarkInputBankPushPop(b *testing.B) {
 // BenchmarkInputBankScan measures a full issuable scan plus front reads
 // at a typical low-load occupancy (4 of 64 inputs holding flits).
 func BenchmarkInputBankScan(b *testing.B) {
-	bank := core.MakeInputBank(core.Obs{}, 64, 4, 16)
+	bank := core.MakeBase(core.Obs{}, 64, 4, 16, 1).In
 	for _, src := range []int{3, 17, 40, 63} {
 		bank.Accept(0, flit.MakePacket(uint64(src), src, 1, 0, 1, 0, false)[0])
 	}

@@ -9,7 +9,8 @@
 //
 //   - FIFOBank: n bounded flit FIFOs of one depth over one slot slab —
 //     the only flit storage of every buffer grid (input VCs, crosspoint
-//     buffers, subswitch buffers, virtual output queues).
+//     buffers, subswitch buffers, virtual output queues), made only by
+//     Base.MakeFIFOBank, which counts its slots toward Base.Storage.
 //   - InputBank: the input VC buffers of all ports, with the cached
 //     head-of-line state (Front) the allocators read every cycle, the
 //     per-input full bitsets behind CanAccept, and the occupied /
@@ -30,8 +31,8 @@
 //   - ActiveSet: occupancy-counted bitsets so per-cycle loops visit
 //     only indices holding work.
 //   - Base: the composition of bank + pipe + owner table providing the
-//     injection side (CanAccept/Accept), Ejected and InFlight shared
-//     by all architectures.
+//     injection side (CanAccept/Accept), Ejected, InFlight and Storage
+//     shared by all architectures.
 //
 // Event, Observer and the nil-guarded Obs emitter live here too, so
 // core components can emit audit events without importing the router

@@ -253,7 +253,7 @@ func TestActiveSet(t *testing.T) {
 }
 
 func mkBank(inputs, vcs, depth int) core.InputBank {
-	return core.MakeInputBank(core.Obs{}, inputs, vcs, depth)
+	return core.MakeBase(core.Obs{}, inputs, vcs, depth, 1).In
 }
 
 func TestInputBankAcceptPop(t *testing.T) {
@@ -361,7 +361,7 @@ func TestFIFOBankMatchesQueue(t *testing.T) {
 	const fifos = 13
 	rng := sim.NewRNG(0xf1f0)
 	for depth := 1; depth <= 8; depth++ {
-		bank := core.MakeFIFOBank(fifos, depth)
+		bank := new(core.Base).MakeFIFOBank(fifos, depth)
 		oracle := make([]*sim.Queue[*flit.Flit], fifos)
 		for i := range oracle {
 			oracle[i] = sim.NewQueue[*flit.Flit](depth)
@@ -399,7 +399,7 @@ func TestFIFOBankMatchesQueue(t *testing.T) {
 }
 
 func TestFIFOBankViolationsPanic(t *testing.T) {
-	b := core.MakeFIFOBank(3, 2)
+	b := new(core.Base).MakeFIFOBank(3, 2)
 	mustPanic(t, "FIFO 1 popped while empty", func() { b.Pop(1) })
 	b.Push(1, &flit.Flit{})
 	b.Push(1, &flit.Flit{})
@@ -407,6 +407,6 @@ func TestFIFOBankViolationsPanic(t *testing.T) {
 	if b.Len(0) != 0 || b.Len(2) != 0 || b.Peek(0) != nil {
 		t.Fatal("a full FIFO leaked into its neighbours")
 	}
-	mustPanic(t, "FIFO depth 0", func() { core.MakeFIFOBank(1, 0) })
-	mustPanic(t, "FIFO depth 65536", func() { core.MakeFIFOBank(1, core.MaxFIFODepth+1) })
+	mustPanic(t, "FIFO depth 0", func() { new(core.Base).MakeFIFOBank(1, 0) })
+	mustPanic(t, "FIFO depth 65536", func() { new(core.Base).MakeFIFOBank(1, core.MaxFIFODepth+1) })
 }

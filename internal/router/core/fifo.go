@@ -28,11 +28,14 @@ type fifoCursor struct{ head, n uint16 }
 const MaxFIFODepth = 1<<16 - 1
 
 // MakeFIFOBank returns a bank of n empty FIFOs holding up to depth flits
-// each, by value for embedding.
-func MakeFIFOBank(n, depth int) FIFOBank {
+// each, by value for embedding, and adds its n*depth slots to the
+// router's Storage. Banks are made only here, so a router's storage is
+// the sum of the buffers it built and is stated nowhere else.
+func (b *Base) MakeFIFOBank(n, depth int) FIFOBank {
 	if depth < 1 || depth > MaxFIFODepth {
 		Violatef("FIFO depth %d outside [1, %d]", depth, MaxFIFODepth)
 	}
+	b.storage += n * depth
 	return FIFOBank{depth: depth, slots: make([]*flit.Flit, n*depth), cur: make([]fifoCursor, n)}
 }
 

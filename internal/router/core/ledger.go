@@ -30,6 +30,9 @@ func MakeLedger(obs Obs, note string, pools, depth int) Ledger {
 	return l
 }
 
+// Capacity returns the credits of all pools when every slot is free.
+func (l *Ledger) Capacity() int { return len(l.credits) * l.depth }
+
 // Avail reports whether pool i has a credit to spend.
 func (l *Ledger) Avail(i int) bool { return l.credits[i] > 0 }
 

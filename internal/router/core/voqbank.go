@@ -37,11 +37,11 @@ type VOQBank struct {
 }
 
 // MakeVOQBank returns a bank of inputs x outputs queues of the given
-// depth, by value for embedding.
-func MakeVOQBank(inputs, outputs, depth int) VOQBank {
+// depth, made through base, by value for embedding.
+func MakeVOQBank(base *Base, inputs, outputs, depth int) VOQBank {
 	b := VOQBank{
 		outputs: outputs,
-		q:       MakeFIFOBank(inputs*outputs, depth),
+		q:       base.MakeFIFOBank(inputs*outputs, depth),
 		srcVC:   make([]int8, inputs*outputs),
 		outVC:   make([]int16, inputs*outputs),
 		cols:    arb.MakeBitVecs(outputs, inputs),

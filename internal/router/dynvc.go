@@ -64,6 +64,12 @@ func newDynVC(cfg Config) *dynVC {
 
 func (r *dynVC) Config() Config { return r.cfg }
 
+// Storage is the pool's capacity, k*v*InputBufDepth flits, the one
+// override of core.Base's count: the input bank is built v times deeper
+// than the pool it models only so that any VC may grow to the whole
+// pool, and the pool ledger is what bounds the flits held.
+func (r *dynVC) Storage() int { return r.pool.Capacity() }
+
 // CanAccept applies the dynamic sizing rule: the pool must have a free
 // slot, and the VC must be under its current cap of one reserved slot
 // plus an even share of the shareable pool across the input's active

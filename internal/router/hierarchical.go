@@ -132,7 +132,6 @@ func newHierarchical(cfg Config) *hierarchical {
 		loc:         make([]int32, k),
 		Base:        core.MakeBase(obs, k, v, cfg.InputBufDepth, cfg.STCycles),
 		creditIn:    core.MakeLedger(obs, "subin", k*g*v, cfg.SubInDepth),
-		subIn:       core.MakeFIFOBank(k*g*v, cfg.SubInDepth),
 		subOutOwner: core.MakeVCOwnerTable(k*g, v),
 		intInFree:   core.NewSerializerBank(k * g),
 		intOutFree:  core.NewSerializerBank(k * g),
@@ -156,6 +155,7 @@ func newHierarchical(cfg Config) *hierarchical {
 	for i := 0; i < k; i++ {
 		r.grp[i], r.loc[i] = int32(i/p), int32(i%p)
 	}
+	r.subIn = r.MakeFIFOBank(k*g*v, cfg.SubInDepth)
 	r.row = makeRowStage(&r.cfg, &r.Base, r.grp, g, v, &r.creditIn, "row-bus")
 	r.col = makeColumnStage(&r.cfg, &r.Base, g, v, cfg.SubOutDepth, "subout", "column")
 	return r

@@ -45,6 +45,10 @@ type Router interface {
 	// testbenches run until this reaches zero, and the invariant checker
 	// holds it to the event stream every cycle.
 	InFlight() int
+	// Storage returns the flit capacity of the buffers the router built,
+	// the quantity the area model prices. core.Base counts it as the
+	// constructor makes each FIFO bank, so it is exact by construction.
+	Storage() int
 	// NextWake returns a lower bound, at least now+1, on the earliest
 	// future cycle at which Step is not provably a no-op assuming no
 	// further Accepts, or sim.NoWake when the router is quiescent: no

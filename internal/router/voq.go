@@ -76,7 +76,6 @@ func newVOQ(cfg Config) *voq {
 	r := &voq{
 		cfg:     cfg,
 		Base:    core.MakeBase(core.Obs{O: cfg.Observer}, k, v, cfg.InputBufDepth, cfg.STCycles),
-		voq:     core.MakeVOQBank(k, k, cfg.XpointBufDepth),
 		sched:   arb.NewISLIP(k),
 		inMove:  arb.NewRotorBank(k, v),
 		vcPick:  arb.NewRotorBank(k, v),
@@ -87,6 +86,7 @@ func newVOQ(cfg Config) *voq {
 		reqCols: make([]arb.BitVec, k),
 		outEl:   arb.NewBitVec(k),
 	}
+	r.voq = core.MakeVOQBank(&r.Base, k, k, cfg.XpointBufDepth)
 	r.credit = core.MakeLedger(core.Obs{O: cfg.Observer}, "voq", k*k, cfg.XpointBufDepth)
 	for o := range r.reqCols {
 		r.reqCols[o] = arb.MakeBitVec(k)
