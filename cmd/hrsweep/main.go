@@ -15,6 +15,10 @@
 // -j sizes the parallel sweep pool the per-figure (arch, load, pattern)
 // points fan out on (default: GOMAXPROCS; -j 1 runs serially). Every
 // run owns its RNG, so the output is byte-identical at every -j.
+// -cache DIR keeps every simulation point in a content-addressed store:
+// a rerun simulates only the points the store lacks and prints the same
+// bytes, because each table is always its current generator run over
+// the points. The store's counters go to stderr.
 // -cpuprofile writes a pprof CPU profile of the whole invocation.
 package main
 
@@ -47,7 +51,7 @@ func run() int {
 		profile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		inj      = flag.String("inj", "percycle", "injection sampling: percycle|gap (gap is event-driven, O(events) at low load, distribution-equivalent)")
 		netw     = flag.Int("netw", 0, "workers sharing each network run: 0 and 1 run it serially, >= 2 sharded (results are byte-identical at every value)")
-		cacheDir = flag.String("cache", "", "content-addressed result cache directory: warm figures and points are served from it byte-identically instead of resimulated")
+		cacheDir = flag.String("cache", "", "content-addressed result cache directory: warm points are read from it byte-identically instead of resimulated")
 	)
 	flag.Parse()
 
@@ -112,11 +116,6 @@ func run() int {
 
 	figure := func(name string) error {
 		t0 := time.Now()
-		// With -cache the figure-level cache serves a warm table without
-		// running the generator at all; a dirty scale falls through to
-		// the generator, where the point-level cache limits
-		// recomputation to the changed points. Without it the table is
-		// generated, and the encode-decode round trip is exact.
 		table, _, err := experiments.Table(name, scale)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)

@@ -1,7 +1,8 @@
 // Command hrsweepd is the long-running figure service: it serves the
-// repository's experiments over HTTP, answering warm figures from the
-// content-addressed result cache in microseconds and dispatching cold
-// ones to the sweep worker pool with bounded concurrency and
+// repository's experiments over HTTP, answering a repeated request from
+// memory in microseconds, running a figure's generator over the points
+// in the content-addressed result cache, and dispatching the points it
+// lacks to the sweep worker pool with bounded concurrency and
 // per-request timeouts.
 //
 // Usage:
@@ -20,9 +21,10 @@
 // cold computation still running — a client's, or one whose client gave
 // up — finishes and lands in the store first.
 //
-// Determinism makes the service sound: a figure served from cache is
-// byte-identical to one regenerated from scratch, so clients cannot
-// tell whether their request was warm — except by its latency.
+// Determinism makes the service sound: a point read from the cache is
+// byte-identical to one resimulated, and a figure is always its current
+// generator run over its points, so clients cannot tell whether their
+// request was warm — except by its latency.
 package main
 
 import (

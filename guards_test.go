@@ -28,7 +28,7 @@ import (
 type guard struct {
 	roots   []string // directories or files, relative to the repo root
 	tests   bool     // _test.go files are in scope
-	except  string   // a file, or a directory ending in "/", left out
+	except  []string // files, or directories ending in "/", left out
 	pattern string
 	decls   func(*ast.File) []ast.Node
 	want    int
@@ -48,7 +48,7 @@ var guardSteps = []struct {
 	}}},
 	{"One column stage", []guard{{
 		roots:   []string{"internal/router"},
-		except:  "internal/router/column.go",
+		except:  []string{"internal/router/column.go"},
 		pattern: `xpOcc|xpHead|subOutOcc|subOutHead|colRows|func \(r \*(buffered|hierarchical)\) (outputStage|columnStage|inputStage)`,
 		decls:   methods(`^(buffered|hierarchical)$`, `^(outputStage|columnStage|inputStage)$`),
 		msg:     "a second column or row stage beside internal/router/column.go (see DESIGN.md, Router memory layout)",
@@ -59,7 +59,7 @@ var guardSteps = []struct {
 	}}},
 	{"One storage type", []guard{{
 		roots:   []string{"internal/router"},
-		except:  "internal/router/core/fifo.go",
+		except:  []string{"internal/router/core/fifo.go"},
 		pattern: `make\(\[\]\*?flit\.Flit, *[^0 ]|NewQueue\[\*?flit\.Flit\]`,
 		msg:     "flit storage allocated outside core.FIFOBank, which a router's Storage() would not count (see DESIGN.md, Area in storage bits)",
 	}}},
@@ -71,13 +71,13 @@ var guardSteps = []struct {
 	}}},
 	{"One driver", []guard{{
 		roots:   []string{"internal", "cmd"},
-		except:  "internal/drive/",
+		except:  []string{"internal/drive/"},
 		pattern: `measEnd|measStart|MeasEnd|MeasStart|maxCycles`,
 		msg:     "phase arithmetic outside internal/drive (see DESIGN.md, The driver)",
 	}}},
 	{"One source bank", []guard{{
 		roots:   []string{"internal", "cmd"},
-		except:  "internal/drive/",
+		except:  []string{"internal/drive/"},
 		pattern: `injFree`,
 		msg:     "a second injection channel outside internal/drive (see DESIGN.md, The driver)",
 	}}},
@@ -102,13 +102,20 @@ var guardSteps = []struct {
 	}}},
 	{"One schedule", []guard{{
 		roots:   []string{"internal", "cmd"},
-		except:  "internal/sim/",
+		except:  []string{"internal/sim/"},
 		pattern: `sim\.Wheel|NewWheel\(|NewGapWheel`,
 		msg:     "a calendar-queue wheel outside internal/sim (see DESIGN.md, Event-driven core: One schedule)",
 	}}},
+	{"Points only in the store", []guard{{
+		roots:   []string{"internal", "cmd", "examples", "highradix.go"},
+		except:  []string{"internal/cache/", "internal/sweep/cached.go"},
+		pattern: `\.GetOrCompute\(|\.Put\([^()]*,`,
+		decls:   storeCalls,
+		msg:     "a store read-through or write outside sweep.RunCached; the store holds simulation points only (see DESIGN.md, Result cache)",
+	}}},
 	{"One key walker", []guard{{
 		roots:   []string{"internal", "cmd"},
-		except:  "internal/cache/",
+		except:  []string{"internal/cache/"},
 		pattern: `cache\.NewKey\(|\) Canonical\(\) string`,
 		msg:     "a hand-written cache key outside internal/cache (see DESIGN.md, Result cache: Keys)",
 	}}},
@@ -182,10 +189,12 @@ func (g guard) inScope(path string) bool {
 	if !strings.HasSuffix(path, ".go") || !g.tests && strings.HasSuffix(path, "_test.go") {
 		return false
 	}
-	if strings.HasSuffix(g.except, "/") {
-		return !strings.HasPrefix(path, g.except)
+	for _, e := range g.except {
+		if path == e || strings.HasSuffix(e, "/") && strings.HasPrefix(path, e) {
+			return false
+		}
 	}
-	return path != g.except
+	return true
 }
 
 // methods matches method declarations whose receiver type (pointer or
@@ -260,4 +269,23 @@ func structTypes(name string) func(*ast.File) []ast.Node {
 		})
 		return out
 	}
+}
+
+// storeCalls matches calls of a GetOrCompute method, and of a Put method
+// with two arguments (a key and a payload), however the call is laid
+// out over lines.
+func storeCalls(f *ast.File) []ast.Node {
+	var out []ast.Node
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok &&
+			(sel.Sel.Name == "GetOrCompute" || sel.Sel.Name == "Put" && len(call.Args) == 2) {
+			out = append(out, call)
+		}
+		return true
+	})
+	return out
 }

@@ -16,11 +16,10 @@ type call struct {
 	err error
 }
 
-// Do runs fn under key, deduplicating concurrent calls. shared reports
-// whether the result was produced by another caller's flight. The
-// returned slice is shared between all callers of the flight and must
-// be treated as read-only.
-func (g *group) Do(key string, fn func() ([]byte, error)) (val []byte, shared bool, err error) {
+// Do runs fn under key, deduplicating concurrent calls. The returned
+// slice is shared between all callers of the flight and must be treated
+// as read-only.
+func (g *group) Do(key string, fn func() ([]byte, error)) ([]byte, error) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[string]*call)
@@ -28,7 +27,7 @@ func (g *group) Do(key string, fn func() ([]byte, error)) (val []byte, shared bo
 	if c, ok := g.m[key]; ok {
 		g.mu.Unlock()
 		c.wg.Wait()
-		return c.val, true, c.err
+		return c.val, c.err
 	}
 	c := new(call)
 	c.wg.Add(1)
@@ -41,5 +40,5 @@ func (g *group) Do(key string, fn func() ([]byte, error)) (val []byte, shared bo
 	delete(g.m, key)
 	g.mu.Unlock()
 	c.wg.Done()
-	return c.val, false, c.err
+	return c.val, c.err
 }

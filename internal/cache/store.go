@@ -190,7 +190,7 @@ func (s *Store) GetOrCompute(k Key, compute func() ([]byte, error)) (payload []b
 	if b, ok := s.Get(k); ok {
 		return b, true, nil
 	}
-	payload, shared, err := s.flight.Do(string(k), func() ([]byte, error) {
+	payload, err = s.flight.Do(string(k), func() ([]byte, error) {
 		// Another flight may have stored the entry between our miss and
 		// acquiring the flight; serve it rather than recomputing.
 		if b, ok := s.get(k); ok {
@@ -212,6 +212,5 @@ func (s *Store) GetOrCompute(k Key, compute func() ([]byte, error)) (payload []b
 	// Waiters that joined an existing flight did not compute, but they
 	// did not hit the store either; report hit=false so callers count
 	// them as misses (they had to wait for a simulation).
-	_ = shared
 	return payload, false, nil
 }

@@ -2,7 +2,10 @@ package cache_test
 
 import (
 	"fmt"
+	"io/fs"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -119,23 +122,54 @@ func mutate(t *testing.T, l leaf) {
 	}
 }
 
+// figurePoints runs fig9 and fig19 at s over a fresh store and keys the
+// set of point keys they stored: what a Scale contributes to the store.
+func figurePoints(t *testing.T, v any) (cache.Key, bool) {
+	s := *v.(*experiments.Scale)
+	st, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Cache = st
+	for _, name := range []string{"fig9", "fig19"} {
+		if _, _, err := experiments.Table(name, s); err != nil {
+			t.Errorf("%s: %v", name, err)
+			return "", false
+		}
+	}
+	var stored []string
+	err = filepath.WalkDir(st.Dir(), func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			stored = append(stored, d.Name())
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cache.NewKey("figure points").Field("keys", strings.Join(stored, ",")).Key(), true
+}
+
 // TestWalkerKeys is the one forgotten-field test of every result key.
 // For each root the cache keys — single-router points over every
 // built-in pattern, network points over a Clos spelled as Net or as Topo
-// and over a torus, and figure tables — it finds every leaf the walker
-// reaches (inside router.Config, network.Config, TorusConfig and the
-// pattern structs too), mutates that leaf alone on a fresh value, and
-// requires the key to move; a leaf under key:"-" must leave it alone.
+// and over a torus, and the points a figure stores for a Scale — it
+// finds every leaf the walker reaches (inside router.Config,
+// network.Config, TorusConfig and the pattern structs too), mutates
+// that leaf alone on a fresh value, and requires the key to move; a leaf
+// under key:"-", or named free by its root, must leave it alone.
 func TestWalkerKeys(t *testing.T) {
 	type root struct {
 		name  string
 		fresh func(*testing.T) any
-		key   func(any) (cache.Key, bool)
+		key   func(*testing.T, any) (cache.Key, bool)
 		// ignored names a field the run itself ignores.
 		ignored string
+		// free lists the fields proven not to change a result byte.
+		free []string
 	}
-	tbKey := func(v any) (cache.Key, bool) { return v.(*testbench.Options).CacheKey() }
-	netKey := func(v any) (cache.Key, bool) { return v.(*network.Options).CacheKey() }
+	tbKey := func(_ *testing.T, v any) (cache.Key, bool) { return v.(*testbench.Options).CacheKey() }
+	netKey := func(_ *testing.T, v any) (cache.Key, bool) { return v.(*network.Options).CacheKey() }
 	var roots []root
 	for _, p := range patternNames {
 		roots = append(roots, root{name: "testbench/" + p, fresh: func(t *testing.T) any { return tbOptions(t, p) }, key: tbKey})
@@ -149,17 +183,16 @@ func TestWalkerKeys(t *testing.T) {
 			return netOptions(mustTopo(network.NewTorus(network.TorusConfig{X: 4, Y: 2, VCs: 2,
 				BufDepth: 4, SerCycles: 2, CreditDelay: 3, HopDelay: 2})))
 		}},
-		root{name: "figure", key: func(v any) (cache.Key, bool) {
-			return experiments.FigureKey("fig9", *v.(*experiments.Scale)), true
-		}, fresh: func(*testing.T) any {
-			return &experiments.Scale{Warmup: 100, Measure: 200, Loads: []float64{0.2, 0.5},
-				NetLoads: []float64{0.3}, NetWarmup: 50, NetMeasure: 60, FullNetwork: true, Seed: 3,
-				Workers: 2, NetWorkers: 2, Injection: traffic.InjGap}
-		}},
+		root{name: "figure", key: figurePoints, free: []string{".Workers", ".NetWorkers", ".Cache", ".dense", ".missed"},
+			fresh: func(*testing.T) any {
+				return &experiments.Scale{Warmup: 100, Measure: 200, Loads: []float64{0.2, 0.5},
+					NetLoads: []float64{0.3}, NetWarmup: 50, NetMeasure: 60, Seed: 3,
+					Workers: 2, NetWorkers: 2, Injection: traffic.InjGap}
+			}},
 	)
 	for _, r := range roots {
 		t.Run(r.name, func(t *testing.T) {
-			base, ok := r.key(r.fresh(t))
+			base, ok := r.key(t, r.fresh(t))
 			if !ok {
 				t.Fatal("base options uncacheable")
 			}
@@ -168,7 +201,8 @@ func TestWalkerKeys(t *testing.T) {
 				v := r.fresh(t)
 				l := leaves(reflect.ValueOf(v).Elem(), "", false, nil)[i]
 				mutate(t, l)
-				k, ok := r.key(v)
+				l.free = l.free || slices.Contains(r.free, l.path)
+				k, ok := r.key(t, v)
 				switch {
 				case r.ignored != "" && strings.HasPrefix(l.path, r.ignored):
 				case !ok:
@@ -243,9 +277,6 @@ func TestWalkerKeysDistinct(t *testing.T) {
 	} {
 		k, ok := network.Options{Topo: topo, Load: 0.5}.CacheKey()
 		distinct(fmt.Sprintf("topology %s/%d", topo.Name(), topo.Routers()), k, ok)
-	}
-	for _, e := range experiments.Registry {
-		distinct("figure "+e.Name, experiments.FigureKey(e.Name, experiments.Quick), true)
 	}
 
 	sparse := network.Options{Net: network.Config{Radix: 4, Digits: 2}, Load: 0.5, Seed: 1}

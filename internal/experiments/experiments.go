@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"highradix/internal/cache"
 	"highradix/internal/router"
@@ -37,14 +38,14 @@ type Scale struct {
 	// (arch, load, pattern) points out on. 0 selects GOMAXPROCS; 1
 	// forces serial execution. Every run owns its RNG (seeded from
 	// Seed), so the produced tables are identical for every value.
-	Workers int `key:"-"`
+	Workers int
 	// NetWorkers is how many workers share one network run: 0 and 1 run
 	// it serially (network.Run), >= 2 through the sharded runner
 	// (network/shard) with that many workers. The sharded runner is
 	// byte-identical to the serial one at every worker count, so this
 	// knob changes wall-clock only, never a table — the goldens pin that
 	// by regenerating fig19 through the sharded path.
-	NetWorkers int `key:"-"`
+	NetWorkers int
 	// Injection selects the synthetic source implementation for every
 	// run (testbench.Options.Injection / network.Options.Injection).
 	// The default per-cycle mode reproduces the historical goldens;
@@ -52,15 +53,20 @@ type Scale struct {
 	// with its own goldens (fig9_gap, fig19_gap).
 	Injection traffic.InjMode
 	// Cache, when non-nil, is the content-addressed result store every
-	// generator consults before running a simulation point, and that
-	// Table consults before running a generator at all. Because every
-	// run is deterministic in its options, serving from the cache is
-	// byte-identical to recomputing; nil disables caching entirely.
-	Cache *cache.Store `key:"-"`
+	// generator consults before running a simulation point. Only points
+	// are stored, under keys that hold every option of the run, so a
+	// table is always its current generator run over them: serving a
+	// point from the store is byte-identical to recomputing it, and nil
+	// disables caching entirely.
+	Cache *cache.Store
 	// dense forces per-cycle stepping in every run (NoFastForward of
 	// testbench.Options and network.Options). Tables are byte-identical
 	// either way; only this package's TestGoldenDense sets it.
-	dense bool `key:"-"`
+	dense bool
+	// missed, when non-nil, is set by the first point that had to be
+	// simulated rather than read from Cache; Table hands each generator
+	// a fresh one to report its hit.
+	missed *atomic.Bool
 }
 
 // Full is the publication-quality scale.
@@ -105,12 +111,23 @@ func (s Scale) pool() *sweep.Pool { return sweep.New(s.Workers) }
 // runTB runs one single-router point, consulting the scale's cache
 // when configured: a warm key decodes the stored Result without
 // touching the pool (hit); a cold one simulates under a pool slot
-// (inside the store's single-flight) and stores the bytes. With Cache
-// nil this is exactly sweep.Do(p, testbench.Run).
+// (inside the store's single-flight), stores the bytes and notes the
+// miss for Table. With Cache nil this is exactly
+// sweep.Do(p, testbench.Run).
 func (s Scale) runTB(p *sweep.Pool, o testbench.Options) (res testbench.Result, hit bool, err error) {
 	key, ok := o.CacheKey()
-	return sweep.RunCached(p, s.Cache, key, ok, testbench.EncodeResult, testbench.DecodeResult,
+	res, hit, err = sweep.RunCached(p, s.Cache, key, ok, testbench.EncodeResult, testbench.DecodeResult,
 		func() (testbench.Result, error) { return testbench.Run(o) })
+	s.note(hit)
+	return res, hit, err
+}
+
+// note records a point that was not served from the store on the flag
+// Table handed the generator, if any.
+func (s Scale) note(hit bool) {
+	if !hit && s.missed != nil {
+		s.missed.Store(true)
+	}
 }
 
 // Point runs the single-router point the latency figures run for cfg at
@@ -135,6 +152,38 @@ func (s Scale) satThroughput(p *sweep.Pool, cfg router.Config, mutate func(*test
 		return 0, err
 	}
 	return res.Throughput, nil
+}
+
+// curve is sweep.Curve over xs for one line of a figure. With a store
+// attached it first runs the line's points in order, one at a time, for
+// as long as they are stored, and hands sweep.Curve the rest after the
+// first that was not: a warm line is then read exactly as the serial
+// early-stopping loop reads it, and never runs a point past its knee
+// that the cold run's lookahead happened to skip.
+func (s Scale) curve(p *sweep.Pool, name string, xs []float64, run func(x float64) (sweep.Point, bool, error)) (*stats.Series, error) {
+	series := &stats.Series{Name: name}
+	for s.Cache != nil && len(xs) > 0 {
+		pt, hit, err := run(xs[0])
+		if err != nil {
+			return nil, err
+		}
+		series.Add(xs[0], pt.Y, pt.Saturated)
+		if xs = xs[1:]; pt.Saturated {
+			return series, nil
+		}
+		if !hit {
+			break
+		}
+	}
+	rest, err := sweep.Curve(p, name, xs, func(x float64) (sweep.Point, error) {
+		pt, _, err := run(x)
+		return pt, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	series.Points = append(series.Points, rest.Points...)
+	return series, nil
 }
 
 // latencyCase declares one line of a latency-versus-load figure: a
@@ -162,14 +211,11 @@ func (s Scale) latencyFigure(t *stats.Table, cases []latencyCase) error {
 		if c.mutate != nil {
 			c.mutate(&base)
 		}
-		series, err := sweep.Curve(p, c.name, s.Loads, func(load float64) (sweep.Point, error) {
+		series, err := s.curve(p, c.name, s.Loads, func(load float64) (sweep.Point, bool, error) {
 			o := base
 			o.Load = load
-			res, _, err := s.runTB(p, o)
-			if err != nil {
-				return sweep.Point{}, err
-			}
-			return sweep.Point{Y: res.AvgLatency, Saturated: res.Saturated}, nil
+			res, hit, err := s.runTB(p, o)
+			return sweep.Point{Y: res.AvgLatency, Saturated: res.Saturated}, hit, err
 		})
 		if err != nil {
 			return caseOut{}, err
@@ -231,19 +277,26 @@ var Registry = []Entry{
 
 // ByName finds a registered experiment's generator.
 func ByName(name string) (Generator, error) {
-	e, err := lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return e.Gen, nil
-}
-
-// lookup finds a registered experiment.
-func lookup(name string) (Entry, error) {
 	for _, e := range Registry {
 		if e.Name == name {
-			return e, nil
+			return e.Gen, nil
 		}
 	}
-	return Entry{}, fmt.Errorf("experiments: unknown experiment %q", name)
+	return nil, fmt.Errorf("experiments: unknown experiment %q", name)
+}
+
+// Table runs the named experiment's generator at this scale. Tables are
+// never stored: with a store attached, each of the generator's points is
+// looked up there before it is simulated, and hit reports that a store
+// is attached and no point had to be simulated.
+func Table(name string, s Scale) (t *stats.Table, hit bool, err error) {
+	gen, err := ByName(name)
+	if err != nil {
+		return nil, false, err
+	}
+	s.missed = new(atomic.Bool)
+	if t, err = gen(s); err != nil {
+		return nil, false, err
+	}
+	return t, s.Cache != nil && !s.missed.Load(), nil
 }

@@ -11,17 +11,19 @@ import (
 // pool slot, sharded when the scale gives it NetWorkers to share the
 // run among, serially otherwise. The two are byte-identical
 // (shard's determinism suite), so the cache key deliberately omits the
-// worker count and they share an entry.
-func (s Scale) runNet(p *sweep.Pool, o network.Options) (network.Result, error) {
+// worker count and they share an entry. A miss is noted for Table, as
+// runTB notes one.
+func (s Scale) runNet(p *sweep.Pool, o network.Options) (network.Result, bool, error) {
 	key, ok := o.CacheKey()
-	res, _, err := sweep.RunCached(p, s.Cache, key, ok, network.EncodeResult, network.DecodeResult,
+	res, hit, err := sweep.RunCached(p, s.Cache, key, ok, network.EncodeResult, network.DecodeResult,
 		func() (network.Result, error) {
 			if s.NetWorkers > 1 {
 				return shard.Run(shard.Options{Options: o, Workers: s.NetWorkers})
 			}
 			return network.Run(o)
 		})
-	return res, err
+	s.note(hit)
+	return res, hit, err
 }
 
 // netCase declares one line of a network latency-versus-load figure: a
@@ -47,20 +49,17 @@ func (s Scale) netFigure(t *stats.Table, cases []netCase) error {
 		base := c.o
 		base.WarmupCycles, base.MeasureCycles = s.NetWarmup, s.NetMeasure
 		base.Seed, base.NoFastForward, base.Injection = s.Seed, s.dense, s.Injection
-		series, err := sweep.Curve(p, c.name, s.NetLoads, func(load float64) (sweep.Point, error) {
+		series, err := s.curve(p, c.name, s.NetLoads, func(load float64) (sweep.Point, bool, error) {
 			o := base
 			o.Load = load
-			res, err := s.runNet(p, o)
-			if err != nil {
-				return sweep.Point{}, err
-			}
-			return sweep.Point{Y: res.AvgLatency, Saturated: res.Saturated}, nil
+			res, hit, err := s.runNet(p, o)
+			return sweep.Point{Y: res.AvgLatency, Saturated: res.Saturated}, hit, err
 		})
 		if err != nil {
 			return caseOut{}, err
 		}
 		base.Load = 0.05
-		zero, err := s.runNet(p, base)
+		zero, _, err := s.runNet(p, base)
 		if err != nil {
 			return caseOut{}, err
 		}

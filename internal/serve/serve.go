@@ -1,20 +1,21 @@
 // Package serve is the HTTP figure service behind cmd/hrsweepd: it
 // renders the repository's experiments and single-router points over
-// HTTP, serving warm ones from a bounded memo of rendered bodies or
-// else the content-addressed result cache in microseconds, and
-// dispatching cold ones to the sweep worker pool exactly once no
-// matter how many requests ask for them.
+// HTTP, serving repeated requests from a bounded memo of rendered
+// bodies, running a figure's generator over the points in the
+// content-addressed result cache, and simulating each point the cache
+// lacks exactly once no matter how many requests ask for it.
 //
 // Soundness is inherited from the cache layer: every simulation in the
-// repository is deterministic in its options, so a stored figure is
-// byte-identical to a regenerated one, and the service can answer from
-// the store without qualification. Concurrency control is layered:
+// repository is deterministic in its options, so a stored point is
+// byte-identical to a resimulated one, and a figure is always its
+// current generator run over its points. Concurrency control is
+// layered:
 //
 //   - the store's single-flight collapses concurrent requests for one
-//     cold figure into one generator run;
-//   - a semaphore bounds how many distinct cold figures generate at
-//     once, so a burst of cold traffic cannot fork an unbounded number
-//     of sweep pools;
+//     cold point into one simulation;
+//   - a semaphore bounds how many figure generations and point lookups
+//     run at once, so a burst of cold traffic cannot fork an unbounded
+//     number of sweep pools;
 //   - a per-request timeout turns a too-slow cold computation into 504
 //     Gateway Timeout. The computation itself keeps running and warms
 //     the cache for the retry — abandoning it would waste the work.
@@ -43,8 +44,8 @@ type Config struct {
 	// Scale is the experiment scale every figure is generated at; its
 	// Cache field (usually non-nil) is what makes warm requests cheap.
 	Scale experiments.Scale
-	// MaxInflight bounds how many distinct cold computations may run
-	// concurrently; further cold requests queue. <= 0 selects 2.
+	// MaxInflight bounds how many memo misses may compute concurrently;
+	// further ones queue. <= 0 selects 2.
 	MaxInflight int
 	// Timeout is the per-request budget for cold computations; a
 	// request whose figure is not ready in time gets 504. <= 0 selects
@@ -77,7 +78,7 @@ type Server struct {
 	cfg  Config
 	mux  *http.ServeMux
 	pool *sweep.Pool
-	cold chan struct{} // bounds distinct concurrent cold computations
+	cold chan struct{} // bounds concurrent memo-miss computations
 
 	requests  atomic.Int64
 	hits      atomic.Int64
@@ -264,7 +265,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 //
 //	GET /points?arch=baseline&load=0.5[&pattern=...][&format=json]
 //
-// A warm point is answered from the memo, keyed by the parsed request
+// A repeated point is answered from the memo, keyed by the parsed request
 // (load=0.5 and load=0.50 are one entry). A memo miss is one store
 // lookup: the point is the figure generators' own
 // (experiments.Scale.Point), so a point that any figure already

@@ -73,9 +73,11 @@ func TestFigureFormats(t *testing.T) {
 }
 
 // TestFigureSingleFlight is the satellite contract: N concurrent
-// requests for one cold figure run exactly one generation, and every
+// requests for one cold simulated figure compute each of its points
+// once, as many computes as one request on a fresh store, and every
 // response body is byte-identical.
 func TestFigureSingleFlight(t *testing.T) {
+	const path = "/figures/fig13"
 	s := testServer(t)
 	const n = 16
 	bodies := make([]string, n)
@@ -85,7 +87,7 @@ func TestFigureSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			codes[i], bodies[i], _ = get(t, s, "/figures/fig2")
+			codes[i], bodies[i], _ = get(t, s, path)
 		}(i)
 	}
 	wg.Wait()
@@ -97,10 +99,14 @@ func TestFigureSingleFlight(t *testing.T) {
 			t.Fatalf("request %d body differs", i)
 		}
 	}
-	// fig2 is analytic: its only store compute is the figure itself, so
-	// the count is exact.
-	if got := s.cfg.Scale.Cache.Counters().Computes; got != 1 {
-		t.Fatalf("%d generator runs for one cold figure, want 1", got)
+	// Workers 1 makes the set of points a generation asks for exact.
+	one := testServer(t)
+	if body := getOK(t, one, path); body != bodies[0] {
+		t.Fatal("one request's body differs from the concurrent ones")
+	}
+	got, want := s.cfg.Scale.Cache.Counters().Computes, one.cfg.Scale.Cache.Counters().Computes
+	if want == 0 || got != want {
+		t.Fatalf("%d concurrent requests computed %d points, one request %d", n, got, want)
 	}
 }
 
@@ -312,7 +318,9 @@ func TestPointSharesFigurePoints(t *testing.T) {
 }
 
 // TestMetricsMatchRequestLog replays a request log and checks the
-// exported counters agree with it exactly.
+// exported counters agree with it exactly. The figure is a simulated
+// one (an analytic figure over a store is always a hit), and the point
+// is off its load grid.
 func TestMetricsMatchRequestLog(t *testing.T) {
 	s := testServer(t)
 	type want struct {
@@ -320,12 +328,12 @@ func TestMetricsMatchRequestLog(t *testing.T) {
 		ok   bool
 	}
 	log := []want{
-		{"/figures/fig2", true},                  // miss
-		{"/figures/fig2", true},                  // hit (memo)
-		{"/figures/fig2?format=csv", true},       // hit (figure store warm)
+		{"/figures/fig13", true},                 // miss
+		{"/figures/fig13", true},                 // hit (memo)
+		{"/figures/fig13?format=csv", true},      // hit (points warm)
 		{"/figures/nope", false},                 // 404
-		{"/points?arch=baseline&load=0.9", true}, // miss
-		{"/points?arch=baseline&load=0.9", true}, // hit
+		{"/points?arch=baseline&load=0.5", true}, // miss
+		{"/points?arch=baseline&load=0.5", true}, // hit
 		{"/points?arch=baseline&load=-1", false}, // 400
 	}
 	for i, rq := range log {

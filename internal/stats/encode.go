@@ -7,18 +7,17 @@ import (
 	"math"
 )
 
-// Stable table/series encoding for the content-addressed result cache
-// (internal/cache) and the figure service (cmd/hrsweepd): a Table is
-// encoded field by field in one fixed order with IEEE-754 bit patterns
-// for every float, so encoding is a pure function of the table's value
-// — no map iteration, no float formatting — and equal tables are equal
-// bytes. Decoding is exact, which is what lets the service store one
-// Table and render it to text, CSV or JSON per request with output
-// byte-identical to an uncached regeneration.
+// Stable table/series encoding: a Table is encoded field by field in
+// one fixed order with IEEE-754 bit patterns for every float, so
+// encoding is a pure function of the table's value — no map iteration,
+// no float formatting — and equal tables are equal bytes, with an exact
+// decode. No store holds tables (the result cache holds simulation
+// points only); the codec is kept for the bench ledger, which digests
+// figure tables with it and times it.
 
 // tableLayoutVersion versions the encoding below. Bump on any layout
-// change; the figure-cache schema key includes it, so old entries are
-// invalidated rather than misdecoded.
+// change; DecodeTable rejects any other version rather than misdecode
+// it.
 const tableLayoutVersion = 1
 
 // EncodeTable renders the table as stable bytes.

@@ -55,25 +55,9 @@ func New(workers int) *Pool {
 // iteration would have hit first), making error reporting as
 // deterministic as the results.
 func Map[In, Out any](p *Pool, items []In, fn func(In) (Out, error)) ([]Out, error) {
-	outs := make([]Out, len(items))
-	errs := make([]error, len(items))
-	var wg sync.WaitGroup
-	for i := range items {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			p.acquire()
-			defer func() { <-p.sem }()
-			outs[i], errs[i] = fn(items[i])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return outs, nil
+	return Gather(items, func(in In) (Out, error) {
+		return Do(p, func() (Out, error) { return fn(in) })
+	})
 }
 
 // Do runs one job on the pool, blocking until a worker slot frees.
