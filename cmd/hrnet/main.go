@@ -13,10 +13,12 @@
 //	hrnet -radix 64 -workers 8 -load 0.6       # sharded run, 8 workers
 //
 // -workers is a count: at N >= 2 the run goes through the deterministic
-// sharded runner (internal/network/shard), which is byte-identical to
-// the serial driver at every worker count, and prints each worker's
-// busy and wait seconds on stderr; 0 (the default) and 1 run
-// serially. With -loads, the listed offered-load points run in
+// epoch runner (network.RunSharded), which is byte-identical to the
+// one-engine world at every worker count, and prints each worker's busy
+// and wait seconds on stderr; 1 runs on one engine; 0 (the default)
+// takes the count from the CPUs the process leaves spare (network.Run),
+// sharding only a network of 4096 terminals or more and printing
+// nothing extra. With -loads, the listed offered-load points run in
 // parallel on a worker pool (-j workers, default GOMAXPROCS; each run
 // owns its RNG, so the table is identical at every -j) and the sweep
 // stops at the first saturated point, like the paper's curves.
@@ -32,7 +34,6 @@ import (
 
 	"highradix/internal/check"
 	"highradix/internal/network"
-	"highradix/internal/network/shard"
 	"highradix/internal/sweep"
 	"highradix/internal/traffic"
 )
@@ -50,7 +51,7 @@ func main() {
 		warmup   = flag.Int64("warmup", 1500, "warmup cycles")
 		measure  = flag.Int64("measure", 3000, "measurement cycles")
 		seed     = flag.Uint64("seed", 1, "random seed")
-		workers  = flag.Int("workers", 0, "shard the simulation across N workers (0 and 1 run serially; results are byte-identical at every count)")
+		workers  = flag.Int("workers", 0, "shard the simulation across N workers (0 takes them from the spare CPUs, 4096-terminal networks only; 1 runs on one engine; results are byte-identical at every count)")
 		jobs     = flag.Int("j", 0, "sweep pool workers (0 = GOMAXPROCS, 1 = serial)")
 		profile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		chk      = flag.Bool("check", false, "arm the end-to-end network auditor (drains each run to empty and fails on any violation)")
@@ -149,14 +150,18 @@ func main() {
 	}
 }
 
-// runPoint dispatches one run to the serial driver or, given workers to
-// share it among, the sharded one, whose per-worker busy and wait
+// runPoint dispatches one run to network.Run, which takes its workers
+// from the CPU budget, to the one-engine world or, given workers to
+// share it among, to the sharded runner, whose per-worker busy and wait
 // seconds go to stderr so stdout stays the serial run's.
 func runPoint(o network.Options, workers int) (network.Result, error) {
-	if workers <= 1 {
+	switch workers {
+	case 0:
 		return network.Run(o)
+	case 1:
+		return network.RunSerial(o)
 	}
-	res, rep, err := shard.RunReport(shard.Options{Options: o, Workers: workers})
+	res, rep, err := network.RunSharded(o, workers)
 	if err == nil {
 		line := []string{fmt.Sprintf("hrnet: load %.3f: %d epochs", o.Load, rep.Epochs)}
 		for i := range rep.Busy {

@@ -50,7 +50,7 @@ func run() int {
 		jobs     = flag.Int("j", 0, "sweep pool workers (0 = GOMAXPROCS, 1 = serial)")
 		profile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		inj      = flag.String("inj", "percycle", "injection sampling: percycle|gap (gap is event-driven, O(events) at low load, distribution-equivalent)")
-		netw     = flag.Int("netw", 0, "workers sharing each network run: 0 and 1 run it serially, >= 2 sharded (results are byte-identical at every value)")
+		netw     = flag.Int("netw", 0, "workers sharing each network run: 0 takes them from the spare CPUs (4096-terminal networks only), 1 runs it on one engine, >= 2 sharded that many ways (results are byte-identical at every value)")
 		cacheDir = flag.String("cache", "", "content-addressed result cache directory: warm points are read from it byte-identically instead of resimulated")
 	)
 	flag.Parse()

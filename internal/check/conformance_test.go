@@ -6,7 +6,6 @@ import (
 
 	"highradix/internal/check"
 	"highradix/internal/network"
-	"highradix/internal/network/shard"
 	"highradix/internal/router"
 	"highradix/internal/testbench"
 	"highradix/internal/traffic"
@@ -186,7 +185,7 @@ func TestTopologyConformance(t *testing.T) {
 	for _, tc := range cases {
 		for _, pat := range conformancePatterns {
 			for _, pktLen := range []int{1, 3} {
-				// Workers 0 runs the serial driver; the sharded runs keep
+				// Workers 0 runs the one-engine world; the sharded runs keep
 				// the same auditor armed across the barrier replay.
 				for _, workers := range []int{0, 3} {
 					tc, pat, pktLen, workers := tc, pat, pktLen, workers
@@ -209,9 +208,9 @@ func TestTopologyConformance(t *testing.T) {
 						}
 						var res network.Result
 						if workers == 0 {
-							res, err = network.Run(o)
+							res, err = network.RunSerial(o)
 						} else {
-							res, err = shard.Run(shard.Options{Options: o, Workers: workers})
+							res, _, err = network.RunSharded(o, workers)
 						}
 						if err != nil {
 							t.Fatalf("invariant violation: %v", err)

@@ -214,7 +214,7 @@ func (b *Bank) startDraws() bool {
 		return false
 	case testProducers > 0:
 		threads.Add(1)
-	case !claimSpare():
+	case spare(1) == 0:
 		return false
 	}
 	b.feed.ahead.Init()
@@ -230,10 +230,12 @@ func (b *Bank) startDraws() bool {
 
 // Test hooks, set only by export_test.go: testHookProducer sees every
 // bank whose draws a producer goroutine takes, testHookClaimed every
-// drive.Run between claiming its goroutine and deciding on a producer.
+// drive.Run between claiming its goroutine and building its world, and
+// testHookDecided every drive.Run once it has decided on a producer.
 var (
 	testHookProducer func(*Bank)
 	testHookClaimed  func()
+	testHookDecided  func()
 )
 
 // runDraws is the producer goroutine: produce, then wait until the

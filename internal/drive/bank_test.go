@@ -535,7 +535,7 @@ func TestPlantDenseTwin(t *testing.T) {
 						}
 					}
 					w := &counted{Plant: p}
-					tl, err := Run(Config{Warmup: 300, Measure: 4000, Drain: 400, Audited: audited, Dense: dense}, w)
+					tl, err := Run(Config{Warmup: 300, Measure: 4000, Drain: 400, Audited: audited, Dense: dense}, func() World { return w })
 					if err != nil {
 						t.Fatal(err)
 					}

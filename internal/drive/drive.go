@@ -162,21 +162,27 @@ type planted interface{ plant() *Plant }
 
 func (p *Plant) plant() *Plant { return p }
 
-// Run advances w through warmup, measurement and drain. Each simulated
-// cycle is: the world's Cycle (which accounts its deliveries and
-// audits), the exit check, then the jump. Run counts its goroutine
-// against the CPU budget and, when w is a Plant and the budget has a CPU
-// spare, gives the bank's draws a producer goroutine of their own, which
-// it stops and joins on every way out.
-func Run(c Config, w World) (*Tally, error) {
+// Run advances the world build returns through warmup, measurement and
+// drain. Each simulated cycle is: the world's Cycle (which accounts its
+// deliveries and audits), the exit check, then the jump. Run counts its
+// goroutine against the CPU budget before it calls build, so a world
+// that spreads over CPUs the budget leaves spare (ClaimSpare) sees this
+// run counted; then, when the world is a Plant and the budget still has
+// a CPU spare, Run gives the bank's draws a producer goroutine of their
+// own, which it stops and joins on every way out.
+func Run(c Config, build func() World) (*Tally, error) {
 	defer Claim(1)()
 	if testHookClaimed != nil {
 		testHookClaimed()
 	}
+	w := build()
 	if p, ok := w.(planted); ok {
 		if b := p.plant().Bank; b.startDraws() {
 			defer b.stopDraws()
 		}
+	}
+	if testHookDecided != nil {
+		testHookDecided()
 	}
 	t := &Tally{Lat: stats.NewSample(8192), window: c.Measure}
 	measEnd, bound := c.measEnd(), c.Bound()

@@ -147,7 +147,7 @@ func TestDriverLegality(t *testing.T) {
 					}
 					hookAt = len(w.seen)
 				}
-				tally, err := Run(c, &w)
+				tally, err := Run(c, func() World { return &w })
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -204,7 +204,7 @@ func TestDriverLegality(t *testing.T) {
 // with that error, at that cycle.
 func TestDriverAuditAborts(t *testing.T) {
 	w := script{perCycle: true, auditAt: 17}
-	_, err := Run(Config{Warmup: 10, Measure: 20, Drain: 40, Audited: true}, &w)
+	_, err := Run(Config{Warmup: 10, Measure: 20, Drain: 40, Audited: true}, func() World { return &w })
 	if !errors.Is(err, errAudit) {
 		t.Fatalf("run returned %v, want the audit error", err)
 	}

@@ -1,6 +1,7 @@
 package drive
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -58,10 +59,16 @@ func WatchProducers(t testing.TB) *atomic.Int64 {
 	return &n
 }
 
-// AfterClaim has every drive.Run call f once it has counted its own
-// goroutine against the budget and before it decides on a producer,
-// until t ends.
-func AfterClaim(t testing.TB, f func()) {
-	testHookClaimed = f
-	t.Cleanup(func() { testHookClaimed = nil })
+// Rendezvous has every drive.Run wait twice until n runs have reached
+// the same point, until t ends: once it has counted its own goroutine
+// against the budget, so none decides before all are counted, and once
+// it has decided on a producer, so none ends, and returns its claim,
+// before all have decided.
+func Rendezvous(t testing.TB, n int) {
+	var claimed, decided sync.WaitGroup
+	claimed.Add(n)
+	decided.Add(n)
+	testHookClaimed = func() { claimed.Done(); claimed.Wait() }
+	testHookDecided = func() { decided.Done(); decided.Wait() }
+	t.Cleanup(func() { testHookClaimed, testHookDecided = nil, nil })
 }

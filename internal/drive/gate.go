@@ -16,7 +16,7 @@ const spins = 1024
 // Gate hands an increasing count from one goroutine to another: the
 // poster raises it, the waiter blocks until it reaches a value, first
 // spinning and then parked. Both handoffs between goroutines in the
-// simulator use it: a shard worker's epochs (internal/network/shard) and
+// simulator use it: a shard worker's epochs (internal/network) and
 // a bank's arrivals drawn on a spare core (ahead.go).
 type Gate struct {
 	n      atomic.Int64
@@ -66,30 +66,43 @@ func (g *Gate) Wait(n int64) {
 }
 
 // threads is the process's CPU budget in use: the goroutines simulating
-// at once. Every drive.Run counts its own, a sharded run each worker
-// beyond the coordinator, and a bank's producer itself (ahead.go).
+// at once. Every drive.Run counts its own, a sharded network run each
+// worker beyond the coordinator, and a bank's producer itself
+// (ahead.go).
 var threads atomic.Int64
 
 // Claim counts n more simulating goroutines against the budget until the
 // returned release is called. It always succeeds: these goroutines run
 // whether or not a CPU is free, and what they claim only keeps
-// producers, which are optional, off the CPUs they need.
+// optional ones — producers, a network run's spare workers — off the
+// CPUs they need.
 func Claim(n int) (release func()) {
 	threads.Add(int64(n))
 	return func() { threads.Add(-int64(n)) }
 }
 
-// claimSpare claims one more goroutine if the budget then still fits
-// GOMAXPROCS, and reports whether it did.
-func claimSpare() bool {
+// ClaimSpare claims, in one step, as many as n more goroutines as the
+// budget then still fits under GOMAXPROCS, and returns how many it
+// claimed and their release. A caller counts itself (drive.Run does)
+// before it asks, so what it gets is what the runs already counted
+// leave over.
+func ClaimSpare(n int) (got int, release func()) {
+	k := spare(n)
+	return k, func() { threads.Add(-int64(k)) }
+}
+
+// spare claims up to n more goroutines, as many as then still fit
+// GOMAXPROCS, and returns how many it claimed.
+func spare(n int) int {
 	procs := int64(runtime.GOMAXPROCS(0))
 	for {
 		t := threads.Load()
-		if t >= procs {
-			return false
+		k := min(int64(n), procs-t)
+		if k <= 0 {
+			return 0
 		}
-		if threads.CompareAndSwap(t, t+1) {
-			return true
+		if threads.CompareAndSwap(t, t+k) {
+			return int(k)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -228,10 +227,10 @@ func TestProducerBudget(t *testing.T) {
 	}
 	runtime.GOMAXPROCS(2)
 
-	// Both runs count themselves before either decides.
-	var claimed sync.WaitGroup
-	claimed.Add(2)
-	drive.AfterClaim(t, func() { claimed.Done(); claimed.Wait() })
+	// Both runs count themselves before either decides, and neither
+	// ends before both have decided: a run that ended first would leave
+	// the other a CPU spare.
+	drive.Rendezvous(t, 2)
 	if _, err := sweep.Map(sweep.New(2), []int{0, 1}, run); err != nil || started.Load() != 0 {
 		t.Fatalf("two runs in a two-worker pool started %d producers (%v)", started.Load(), err)
 	}

@@ -39,12 +39,14 @@ type Scale struct {
 	// forces serial execution. Every run owns its RNG (seeded from
 	// Seed), so the produced tables are identical for every value.
 	Workers int
-	// NetWorkers is how many workers share one network run: 0 and 1 run
-	// it serially (network.Run), >= 2 through the sharded runner
-	// (network/shard) with that many workers. The sharded runner is
-	// byte-identical to the serial one at every worker count, so this
-	// knob changes wall-clock only, never a table — the goldens pin that
-	// by regenerating fig19 through the sharded path.
+	// NetWorkers is how many workers share one network run: 0 takes the
+	// count from the CPU budget (network.Run: the 4096-terminal networks
+	// shard over the CPUs the pool leaves spare, smaller ones never), 1
+	// forces the one-engine world (network.RunSerial), and >= 2 runs the
+	// epoch runner with that many workers (network.RunSharded). Every
+	// choice is byte-identical to the one-engine world, so this knob
+	// changes wall-clock only, never a table — the goldens pin that by
+	// regenerating fig19 through the sharded path.
 	NetWorkers int
 	// Injection selects the synthetic source implementation for every
 	// run (testbench.Options.Injection / network.Options.Injection).

@@ -2,25 +2,28 @@ package experiments
 
 import (
 	"highradix/internal/network"
-	"highradix/internal/network/shard"
 	"highradix/internal/stats"
 	"highradix/internal/sweep"
 )
 
 // runNet executes one network point behind the scale's cache, under a
-// pool slot, sharded when the scale gives it NetWorkers to share the
-// run among, serially otherwise. The two are byte-identical
-// (shard's determinism suite), so the cache key deliberately omits the
-// worker count and they share an entry. A miss is noted for Table, as
-// runTB notes one.
+// pool slot, on the workers the scale's NetWorkers gives it: as many as
+// the CPU budget allows (0), the one-engine world (1) or that many
+// shards. All are byte-identical (the determinism suite), so the
+// cache key deliberately omits the worker count and they share an
+// entry. A miss is noted for Table, as runTB notes one.
 func (s Scale) runNet(p *sweep.Pool, o network.Options) (network.Result, bool, error) {
 	key, ok := o.CacheKey()
 	res, hit, err := sweep.RunCached(p, s.Cache, key, ok, network.EncodeResult, network.DecodeResult,
 		func() (network.Result, error) {
-			if s.NetWorkers > 1 {
-				return shard.Run(shard.Options{Options: o, Workers: s.NetWorkers})
+			switch s.NetWorkers {
+			case 0:
+				return network.Run(o)
+			case 1:
+				return network.RunSerial(o)
 			}
-			return network.Run(o)
+			res, _, err := network.RunSharded(o, s.NetWorkers)
+			return res, err
 		})
 	s.note(hit)
 	return res, hit, err

@@ -6,8 +6,9 @@
 // and lets the one driver advance them (World). Generation, source
 // queues and injection channels are drive.Bank's; this package supplies
 // only which terminals a bank owns, their seeds and their packet ids
-// (NewSources). The sibling package network/shard partitions the same
-// engine and the same World across workers with byte-identical results.
+// (NewSources). The epoch runner (sharded.go) partitions the same engine
+// and the same World across workers with byte-identical results, and
+// Run takes its worker count from the process's CPU budget.
 //
 // The flagship topology is the multistage Clos of Figure 19: 4096
 // nodes connected either by three stages of radix-64 routers (used as

@@ -11,7 +11,6 @@ import (
 
 	"highradix/internal/flit"
 	"highradix/internal/network"
-	"highradix/internal/network/shard"
 	"highradix/internal/traffic"
 )
 
@@ -94,7 +93,7 @@ func TestEngineDigest(t *testing.T) {
 						Seed: seed, Injection: mode.inj,
 					}
 					if *printDigests {
-						fmt.Printf("\t%q: %q,\n", name, engineDigest(t, o, network.Run))
+						fmt.Printf("\t%q: %q,\n", name, engineDigest(t, o, network.RunSerial))
 						continue
 					}
 					t.Run(name, func(t *testing.T) {
@@ -102,12 +101,13 @@ func TestEngineDigest(t *testing.T) {
 						if !ok {
 							t.Fatalf("no recorded digest for %s", name)
 						}
-						if got := engineDigest(t, o, network.Run); got != want {
+						if got := engineDigest(t, o, network.RunSerial); got != want {
 							t.Errorf("serial digest %s, want %s", got, want)
 						}
 						for _, w := range []int{1, 3} {
 							got := engineDigest(t, o, func(o network.Options) (network.Result, error) {
-								return shard.Run(shard.Options{Options: o, Workers: w})
+								res, _, err := network.RunSharded(o, w)
+								return res, err
 							})
 							if got != want {
 								t.Errorf("workers=%d digest %s, want %s", w, got, want)

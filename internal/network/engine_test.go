@@ -7,7 +7,6 @@ import (
 
 	"highradix/internal/drive"
 	"highradix/internal/network"
-	"highradix/internal/network/shard"
 )
 
 // The engine, whole or one shard's range of it, is what NewWorld puts
@@ -129,7 +128,10 @@ func TestOversizeTopologyIsAnError(t *testing.T) {
 		o := network.Options{Topo: tc.topo, Load: 0.1, WarmupCycles: 10, MeasureCycles: 10}
 		for driver, run := range map[string]func() (network.Result, error){
 			"network.Run": func() (network.Result, error) { return network.Run(o) },
-			"shard.Run":   func() (network.Result, error) { return shard.Run(shard.Options{Options: o, Workers: 2}) },
+			"network.RunSharded": func() (network.Result, error) {
+				res, _, err := network.RunSharded(o, 2)
+				return res, err
+			},
 		} {
 			_, err := run()
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprint(tc.limit)) {
@@ -152,11 +154,11 @@ func TestEmptyRangeConstructs(t *testing.T) {
 		Terminals: [][2]int{{0, 3}, {3, 3}, {3, ring.Terminals()}},
 	}, 1).Step(0)
 	o := network.Options{Topo: ring, Load: 0.4, WarmupCycles: 50, MeasureCycles: 100, Seed: 5}
-	want, err := network.Run(o)
+	want, err := network.RunSerial(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := shard.Run(shard.Options{Options: o, Workers: ring.Routers() + 3})
+	got, _, err := network.RunSharded(o, ring.Routers()+3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func TestEngineCalendarsSurviveIdleGaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := NewWorld(o, topo, whole(topo), 0)
-	tally, err := drive.Run(drive.Config{Measure: 50_000_000}, w)
+	tally, err := drive.Run(drive.Config{Measure: 50_000_000}, func() drive.World { return w })
 	if err != nil {
 		t.Fatal(err)
 	}

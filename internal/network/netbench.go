@@ -135,8 +135,8 @@ type Result struct {
 }
 
 // World is the drive.Plant of an engine: the engine behind the source
-// bank feeding it. Run drives one over the whole topology; each worker
-// of the sharded runner advances one over its router range.
+// bank feeding it. The one-engine world is one over the whole topology;
+// each worker of the epoch runner advances one over its router range.
 type World struct {
 	drive.Plant
 	Net *Network
@@ -158,26 +158,104 @@ func NewWorld(o Options, topo Topology, l Layout, i int) *World {
 	return w
 }
 
-// Drive runs the world build returns for o under internal/drive and
-// summarizes what it measured: everything Run and the sharded runner
-// share. build receives the defaulted options, the resolved topology
-// and the driver configuration the world will be run with.
-func Drive(o Options, build func(o Options, topo Topology, c drive.Config) drive.World) (Result, error) {
+// shardTerminals is the smallest share of a network's terminals Run
+// gives one worker: a network below twice this runs on the one-engine
+// world whatever CPUs are spare, and a larger one never on more than one
+// worker per shardTerminals terminals, so a many-core host does not cut
+// it into slivers whose epochs are all handoff. The threshold is
+// measured: on 2 vCPUs two workers take 0.53-0.97x the one-engine time
+// on the two 4096-terminal Clos networks, and every smaller network
+// measured is slower sharded at some load, up to 1.95x (DESIGN.md,
+// "Workers from the CPU budget"). The floor is not: only 2-worker runs
+// were timed, so whether 2048 terminals per worker is right beyond 2
+// workers is unverified. Re-measure it before a network of more than
+// 4096 terminals relies on it.
+const shardTerminals = 2048
+
+// Test hooks, set only by tests: testHookCounted sees every Run
+// once drive.Run has counted it against the CPU budget and before it
+// chooses its workers, testHookChose the count it chose (1 for the
+// one-engine world).
+var (
+	testHookCounted func()
+	testHookChose   func(workers int)
+)
+
+// Run executes one network simulation on as many workers as the CPU
+// budget allows (internal/drive's Claim and ClaimSpare): a network of at
+// least 2*shardTerminals terminals claims the CPUs the runs already
+// counted leave spare, one worker per shardTerminals terminals at most,
+// and runs on the epoch runner over itself and them; any other run, or
+// one that finds no CPU spare, is the one-engine world. The two are
+// byte-identical at every worker count (TestShardDeterminism holds the
+// epoch runner to RunSerial), so the choice moves wall-clock only.
+func Run(o Options) (Result, error) {
+	res, _, err := run(o, func(topo Topology) (int, func()) {
+		if testHookCounted != nil {
+			testHookCounted()
+		}
+		spare, release := drive.ClaimSpare(topo.Terminals()/shardTerminals - 1)
+		if testHookChose != nil {
+			testHookChose(1 + spare)
+		}
+		if spare == 0 {
+			return 0, nil
+		}
+		return 1 + spare, release
+	})
+	return res, err
+}
+
+// RunSerial executes one network simulation on the one-engine world,
+// whatever the budget: the world every sharded run is held to.
+func RunSerial(o Options) (Result, error) {
+	res, _, err := run(o, func(Topology) (int, func()) { return 0, nil })
+	return res, err
+}
+
+// RunSharded executes one network simulation on the epoch runner over
+// workers workers (at least one, which still runs the epoch machinery),
+// counted against the CPU budget whether or not CPUs are spare, and
+// reports where their time went.
+func RunSharded(o Options, workers int) (Result, Report, error) {
+	return run(o, func(Topology) (int, func()) {
+		p := max(workers, 1)
+		return p, drive.Claim(p - 1)
+	})
+}
+
+// run drives o under internal/drive and summarizes what it measured:
+// everything the one-engine world and the epoch runner share. claim,
+// called once drive.Run has counted the run against the CPU budget,
+// returns how many workers the run shards over, with the release of the
+// goroutines it claimed for them; 0 is the one-engine world. Every way
+// out of the run — its end, an error, a panic — stops the workers.
+func run(o Options, claim func(topo Topology) (workers int, release func())) (Result, Report, error) {
 	o = o.WithDefaults()
 	topo, err := o.Topology()
 	if err != nil {
-		return Result{}, err
+		return Result{}, Report{}, err
 	}
 	if err := drive.CheckLoad(o.Load, topo.SerCycles(), o.PktLen); err != nil {
-		return Result{}, fmt.Errorf("network: %w", err)
+		return Result{}, Report{}, fmt.Errorf("network: %w", err)
 	}
 	c := drive.Config{
 		Warmup: o.WarmupCycles, Measure: o.MeasureCycles, Drain: o.DrainCycles,
 		Audited: o.Hooks != nil, Dense: o.NoFastForward,
 	}
-	t, err := drive.Run(c, build(o, topo, c))
+	s := &sharded{}
+	defer s.stop()
+	t, err := drive.Run(c, func() drive.World {
+		workers, release := claim(topo)
+		if workers == 0 {
+			return NewWorld(o, topo, whole(topo), 0)
+		}
+		s.start(o, topo, c, workers, release)
+		return s
+	})
+	rep := s.report()
 	if err != nil {
-		return Result{}, err
+		return Result{}, rep, err
 	}
 	return Result{
 		Load:       o.Load,
@@ -189,14 +267,5 @@ func Drive(o Options, build func(o Options, topo Topology, c drive.Config) drive
 		Cycles:     t.Cycles,
 		AvgHops:    t.AvgHops(),
 		DrainUsed:  t.DrainUsed,
-	}, nil
-}
-
-// Run executes one network simulation serially. The sharded runner
-// (internal/network/shard) reproduces its results byte-for-byte at
-// every worker count (TestShardDeterminism pins the equivalence).
-func Run(o Options) (Result, error) {
-	return Drive(o, func(o Options, topo Topology, _ drive.Config) drive.World {
-		return NewWorld(o, topo, whole(topo), 0)
-	})
+	}, rep, nil
 }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"reflect"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -64,12 +63,12 @@ func creditBanks(nw *network.Network) []int64 {
 
 // TestOutboxCanonicalByConstruction tests the argument the exchange
 // rests on instead of trusting it. Nothing sorts the mailboxes, so over
-// the determinism matrix, after every epoch: the flits a worker will
-// take, in the order it takes them (inbox), must be addressed to its
-// routers and already
-// be in strictly ascending canonical order within each arrival cycle,
-// which is all a calendar bucket can observe; and the credits it will
-// take must be addressed to its routers or terminals and leave the same
+// the determinism matrix, after every epoch of the runner itself
+// (network.Exchange): the flits a worker will take, in the order it
+// takes them, must be addressed to its routers and already be in
+// strictly ascending canonical order within each arrival cycle, which
+// is all a calendar bucket can observe; and the credits it will take
+// must be addressed to its routers or terminals and leave the same
 // counters behind applied forward and reversed, through the engine's
 // own PutCredits and Step.
 func TestOutboxCanonicalByConstruction(t *testing.T) {
@@ -85,9 +84,8 @@ func TestOutboxCanonicalByConstruction(t *testing.T) {
 						o.PktLen = pktLen
 						o = o.WithDefaults()
 						c := drive.Config{Warmup: o.WarmupCycles, Measure: o.MeasureCycles, Drain: o.DrainCycles}
-						s := &world{}
-						s.start(o, topo, c, p)
-						defer s.stop()
+						x := network.NewExchange(o, topo, c, p)
+						defer x.Stop()
 						// Two idle engines per shard take the credits only, one
 						// forward and one reversed; clock is the next cycle to step.
 						l := network.Layout{Routers: Partition(topo.Routers(), p), Terminals: Partition(topo.Terminals(), p)}
@@ -98,24 +96,25 @@ func TestOutboxCanonicalByConstruction(t *testing.T) {
 						}
 						clock := int64(0)
 						var nFlits, nCredits int
-						for from := int64(0); from < c.Warmup+c.Measure; from = s.end {
-							s.epoch(from)
+						for from, end := int64(0), int64(0); from < c.Warmup+c.Measure; from = end {
+							end = x.Epoch(from)
 							last := clock
-							for i, w := range s.workers {
+							for j := range p {
+								net := x.Net(j)
 								byCycle := map[uint32][]network.Arrival{}
 								var credits []network.CreditMail
-								for _, ms := range s.inbox(w, s.n) {
+								for _, ms := range x.Flits(j) {
 									for _, m := range ms {
-										if !w.Net.Owns(int(m.Router)) {
-											t.Fatalf("epoch %d: worker %d was mailed a flit for router %d", from, i, m.Router)
+										if !net.Owns(int(m.Router)) {
+											t.Fatalf("epoch %d: worker %d was mailed a flit for router %d", from, j, m.Router)
 										}
 										byCycle[m.At] = append(byCycle[m.At], m)
 									}
 								}
-								for _, other := range s.workers {
-									for _, m := range other.out[s.n&1][i].Credits {
-										if q := int(m.Q); q >= 0 && !w.Net.Owns(q/flat) || q < 0 && w.home[^q/topo.VCs()] != i {
-											t.Fatalf("epoch %d: worker %d was mailed a credit it has no use for: %d", from, i, q)
+								for _, ms := range x.Credits(j) {
+									for _, m := range ms {
+										if q := int(m.Q); q >= 0 && !net.Owns(q/flat) || q < 0 && x.Home(^q/topo.VCs()) != j {
+											t.Fatalf("epoch %d: worker %d was mailed a credit it has no use for: %d", from, j, q)
 										}
 										credits = append(credits, m)
 										last = max(last, int64(m.At))
@@ -125,13 +124,13 @@ func TestOutboxCanonicalByConstruction(t *testing.T) {
 									nFlits += len(ms)
 									// Sorted, and strictly: the key is unique per message.
 									if !slices.IsSortedFunc(ms, order) || len(slices.CompactFunc(ms, func(a, b network.Arrival) bool { return order(a, b) == 0 })) != len(ms) {
-										t.Fatalf("epoch %d: worker %d pulled cycle %d's flits out of canonical order", from, i, at)
+										t.Fatalf("epoch %d: worker %d pulled cycle %d's flits out of canonical order", from, j, at)
 									}
 								}
 								nCredits += len(credits)
-								fwd[i].PutCredits(credits, clock)
+								fwd[j].PutCredits(credits, clock)
 								slices.Reverse(credits)
-								rev[i].PutCredits(credits, clock)
+								rev[j].PutCredits(credits, clock)
 							}
 							for ; clock <= last; clock++ {
 								for i := range fwd {
@@ -151,51 +150,6 @@ func TestOutboxCanonicalByConstruction(t *testing.T) {
 					})
 				}
 			}
-		}
-	}
-}
-
-// TestShardEpochSteadyStateAllocs gates the sharded hot path: once the
-// free lists, calendars, outboxes and record slices have warmed up, an
-// epoch allocates nothing — the workers are started once per run and
-// handed each epoch through their gates, so what is left is slice growth
-// at a new high-water mark. It fails when a shard recycles the flits it
-// delivers instead of sending them home (in a Clos the sources' shard
-// then allocates every flit it generates, ~3 KB per cycle here), and
-// when an epoch starts goroutines (the per-phase goroutines this gate
-// replaced cost 0.1–0.3 KB per cycle).
-func TestShardEpochSteadyStateAllocs(t *testing.T) {
-	topo, err := network.NewClos(network.Config{Radix: 8, Digits: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []int{2, 3} {
-		o := network.Options{Topo: topo, Load: 0.5, Seed: 1}.WithDefaults()
-		// The window never opens, so the bare Tally is never asked for a
-		// latency sample.
-		c := drive.Config{Warmup: 1 << 40}
-		s := &world{}
-		s.start(o, topo, c, p)
-		defer s.stop()
-		tally := &drive.Tally{}
-		run := func(from, to int64) {
-			for now := from; now < to; now++ {
-				if err := s.Cycle(now, c.At(now), tally); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		const cycles = 1000
-		run(0, cycles)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		run(cycles, 2*cycles)
-		runtime.ReadMemStats(&after)
-		if tally.Flits == 0 {
-			t.Fatal("vacuous: nothing was delivered")
-		}
-		if perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles; perCycle >= 64 {
-			t.Errorf("workers=%d: %d bytes allocated per cycle in steady state, want < 64", p, perCycle)
 		}
 	}
 }

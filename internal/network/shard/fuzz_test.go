@@ -61,7 +61,7 @@ func FuzzShardEquivalence(f *testing.F) {
 		}
 		p := 1 + int(workers)%8
 
-		want, err := network.Run(base)
+		want, err := network.RunSerial(base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func FuzzShardEquivalence(f *testing.F) {
 		hooked := base
 		wantRec := &recorder{}
 		hooked.Hooks = wantRec
-		wantHooked, err := network.Run(hooked)
+		wantHooked, err := network.RunSerial(hooked)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -89,7 +89,7 @@ func TestShardOversubscribed(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for name, topo := range testTopologies(t) {
 		o := baseOpts(topo, 2, traffic.InjPerCycle)
-		want, err := network.Run(o)
+		want, err := network.RunSerial(o)
 		if err != nil {
 			t.Fatal(err)
 		}

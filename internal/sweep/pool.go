@@ -26,7 +26,6 @@ import (
 	"runtime"
 	"sync"
 
-	"highradix/internal/drive"
 	"highradix/internal/stats"
 )
 
@@ -60,21 +59,16 @@ func Map[In, Out any](p *Pool, items []In, fn func(In) (Out, error)) ([]Out, err
 	})
 }
 
-// Do runs one job on the pool, blocking until a worker slot frees.
+// Do runs one job on the pool, blocking until a worker slot frees. A
+// job waiting for a slot does not count against the simulator's CPU
+// budget (drive.Claim): it can start only when a running job ends and
+// returns its own CPU, so the runs in the slots may use the CPUs the
+// pool leaves spare — a producer goroutine, a network run's second
+// worker — on a pool smaller than GOMAXPROCS.
 func Do[Out any](p *Pool, fn func() (Out, error)) (Out, error) {
-	p.acquire()
+	p.sem <- struct{}{}
 	defer func() { <-p.sem }()
 	return fn()
-}
-
-// acquire takes a worker slot. While it waits for one, the job counts
-// against the simulator's CPU budget (drive.Claim) as a run about to
-// start, so a run already going does not give its sources a producer
-// goroutine on a CPU the queue is about to want; once in the slot, the
-// job's own drive.Run counts it.
-func (p *Pool) acquire() {
-	defer drive.Claim(1)()
-	p.sem <- struct{}{}
 }
 
 // Gather runs fn for every item on its own goroutine without occupying

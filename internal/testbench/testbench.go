@@ -193,7 +193,7 @@ func Run(o Options) (Result, error) {
 		Seed:     func(id int) uint64 { return seeds[id] },
 		PacketID: func(int, uint32) uint64 { pktID++; return pktID },
 	})
-	t, err := drive.Run(c, p)
+	t, err := drive.Run(c, func() drive.World { return p })
 	if err != nil {
 		return Result{}, err
 	}
