@@ -1,7 +1,7 @@
 // Command hrnet runs the network-scale simulation: the Clos of the
 // paper's Figure 19 (N = k^d terminals, 2d-1 stages of radix-k routers,
 // oblivious random-middle-stage routing) or the ring and 2D-torus
-// extensions, serially or sharded across workers.
+// extensions.
 //
 // Examples:
 //
@@ -10,18 +10,14 @@
 //	hrnet -radix 64 -loads 0.1,0.3,0.5,0.7,0.9 # latency-load sweep
 //	hrnet -topo ring -nodes 16 -load 0.3       # 16-node ring, dateline VCs
 //	hrnet -topo torus -dimx 4 -dimy 4 -load 0.4
-//	hrnet -radix 64 -workers 8 -load 0.6       # sharded run, 8 workers
 //
-// -workers is a count: at N >= 2 the run goes through the deterministic
-// epoch runner (network.RunSharded), which is byte-identical to the
-// one-engine world at every worker count, and prints each worker's busy
-// and wait seconds on stderr; 1 runs on one engine; 0 (the default)
-// takes the count from the CPUs the process leaves spare (network.Run),
-// sharding only a network of 4096 terminals or more and printing
-// nothing extra. With -loads, the listed offered-load points run in
-// parallel on a worker pool (-j workers, default GOMAXPROCS; each run
-// owns its RNG, so the table is identical at every -j) and the sweep
-// stops at the first saturated point, like the paper's curves.
+// A run shards itself over the CPUs the process leaves spare when the
+// network has 4096 terminals or more (network.Run); the output is
+// byte-identical on any number of CPUs. With -loads, the listed
+// offered-load points run in parallel on a worker pool (-j workers,
+// default GOMAXPROCS; each run owns its RNG, so the table is identical
+// at every -j) and the sweep stops at the first saturated point, like
+// the paper's curves.
 package main
 
 import (
@@ -51,7 +47,6 @@ func main() {
 		warmup   = flag.Int64("warmup", 1500, "warmup cycles")
 		measure  = flag.Int64("measure", 3000, "measurement cycles")
 		seed     = flag.Uint64("seed", 1, "random seed")
-		workers  = flag.Int("workers", 0, "shard the simulation across N workers (0 takes them from the spare CPUs, 4096-terminal networks only; 1 runs on one engine; results are byte-identical at every count)")
 		jobs     = flag.Int("j", 0, "sweep pool workers (0 = GOMAXPROCS, 1 = serial)")
 		profile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		chk      = flag.Bool("check", false, "arm the end-to-end network auditor (drains each run to empty and fails on any violation)")
@@ -63,10 +58,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hrnet:", err)
 		os.Exit(2)
-	}
-	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "hrnet: -workers %d: want a worker count >= 0\n", *workers)
-		os.Exit(1)
 	}
 
 	if *profile != "" {
@@ -105,15 +96,11 @@ func main() {
 		Seed:          *seed,
 		Injection:     injMode,
 	}
-	fmt.Printf("%s: routers=%d terminals=%d vcs=%d hop-delay=%d ser=%d",
+	fmt.Printf("%s: routers=%d terminals=%d vcs=%d hop-delay=%d ser=%d\n",
 		topo.Name(), topo.Routers(), topo.Terminals(), topo.VCs(), topo.HopDelay(), topo.SerCycles())
-	if *workers > 1 {
-		fmt.Printf(" shard-workers=%d lookahead=%d", *workers, network.Lookahead(topo))
-	}
-	fmt.Println()
 
 	if *loads != "" {
-		if err := sweepLoads(base, *loads, *jobs, *workers, *chk); err != nil {
+		if err := sweepLoads(base, *loads, *jobs, *chk); err != nil {
 			fmt.Fprintln(os.Stderr, "hrnet:", err)
 			os.Exit(1)
 		}
@@ -126,7 +113,7 @@ func main() {
 		aud = check.NewNetAuditor(topo.Terminals(), topo.SerCycles(), check.Options{})
 		base.Hooks = aud
 	}
-	res, err := runPoint(base, *workers)
+	res, err := network.Run(base)
 	if err == nil && aud != nil && !res.Saturated {
 		// A saturated run legitimately fails to drain inside the cycle
 		// budget; only a completed drain is held to the empty-network
@@ -150,31 +137,9 @@ func main() {
 	}
 }
 
-// runPoint dispatches one run to network.Run, which takes its workers
-// from the CPU budget, to the one-engine world or, given workers to
-// share it among, to the sharded runner, whose per-worker busy and wait
-// seconds go to stderr so stdout stays the serial run's.
-func runPoint(o network.Options, workers int) (network.Result, error) {
-	switch workers {
-	case 0:
-		return network.Run(o)
-	case 1:
-		return network.RunSerial(o)
-	}
-	res, rep, err := network.RunSharded(o, workers)
-	if err == nil {
-		line := []string{fmt.Sprintf("hrnet: load %.3f: %d epochs", o.Load, rep.Epochs)}
-		for i := range rep.Busy {
-			line = append(line, fmt.Sprintf("worker %d busy %.3fs wait %.3fs", i, rep.Busy[i].Seconds(), rep.Wait[i].Seconds()))
-		}
-		fmt.Fprintln(os.Stderr, strings.Join(line, "; "))
-	}
-	return res, err
-}
-
 // sweepLoads fans the listed offered-load points out on the worker pool
 // and prints one line per point, truncated at the first saturation.
-func sweepLoads(base network.Options, list string, jobs, workers int, chk bool) error {
+func sweepLoads(base network.Options, list string, jobs int, chk bool) error {
 	var xs []float64
 	for _, s := range strings.Split(list, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
@@ -208,9 +173,7 @@ func sweepLoads(base network.Options, list string, jobs, workers int, chk bool) 
 		}
 		// Curve's run executes slotless; the simulation itself goes
 		// through Do so the pool still bounds concurrent runs.
-		res, err := sweep.Do(p, func() (network.Result, error) {
-			return runPoint(o, workers)
-		})
+		res, err := sweep.Do(p, func() (network.Result, error) { return network.Run(o) })
 		if err == nil && aud != nil && !res.Saturated {
 			err = aud.Final(res.Cycles)
 		}

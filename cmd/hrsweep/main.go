@@ -50,7 +50,6 @@ func run() int {
 		jobs     = flag.Int("j", 0, "sweep pool workers (0 = GOMAXPROCS, 1 = serial)")
 		profile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		inj      = flag.String("inj", "percycle", "injection sampling: percycle|gap (gap is event-driven, O(events) at low load, distribution-equivalent)")
-		netw     = flag.Int("netw", 0, "workers sharing each network run: 0 takes them from the spare CPUs (4096-terminal networks only), 1 runs it on one engine, >= 2 sharded that many ways (results are byte-identical at every value)")
 		cacheDir = flag.String("cache", "", "content-addressed result cache directory: warm points are read from it byte-identically instead of resimulated")
 	)
 	flag.Parse()
@@ -62,9 +61,6 @@ func run() int {
 	injMode, err := traffic.InjModeByName(*inj)
 	if err != nil {
 		return fail(2, err)
-	}
-	if *netw < 0 {
-		return fail(1, fmt.Errorf("-netw %d: want a worker count >= 0", *netw))
 	}
 
 	if *profile != "" {
@@ -98,7 +94,6 @@ func run() int {
 	scale.Seed = *seed
 	scale.Workers = *jobs
 	scale.Injection = injMode
-	scale.NetWorkers = *netw
 	if *cacheDir != "" {
 		st, err := cache.Open(*cacheDir)
 		if err != nil {

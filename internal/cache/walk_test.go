@@ -183,11 +183,11 @@ func TestWalkerKeys(t *testing.T) {
 			return netOptions(mustTopo(network.NewTorus(network.TorusConfig{X: 4, Y: 2, VCs: 2,
 				BufDepth: 4, SerCycles: 2, CreditDelay: 3, HopDelay: 2})))
 		}},
-		root{name: "figure", key: figurePoints, free: []string{".Workers", ".NetWorkers", ".Cache", ".dense", ".missed"},
+		root{name: "figure", key: figurePoints, free: []string{".Workers", ".Cache", ".dense", ".shards", ".missed"},
 			fresh: func(*testing.T) any {
 				return &experiments.Scale{Warmup: 100, Measure: 200, Loads: []float64{0.2, 0.5},
 					NetLoads: []float64{0.3}, NetWarmup: 50, NetMeasure: 60, Seed: 3,
-					Workers: 2, NetWorkers: 2, Injection: traffic.InjGap}
+					Workers: 2, Injection: traffic.InjGap}
 			}},
 	)
 	for _, r := range roots {

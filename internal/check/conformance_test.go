@@ -164,11 +164,11 @@ func TestClosConformance(t *testing.T) {
 }
 
 // TestTopologyConformance extends the network audit to the ring and
-// torus families, serial and sharded: conservation, in-order per-packet
-// delivery, terminal serializer spacing, and a drained final state,
-// under every traffic pattern. Loads sit under each family's worst
-// pattern capacity (the diagonal is the ring's tornado, whose capacity
-// on 16 nodes is ~0.12).
+// torus families, serial and sharded, and to the Clos sharded:
+// conservation, in-order per-packet delivery, terminal serializer
+// spacing, and a drained final state, under every traffic pattern.
+// Loads sit under each family's worst pattern capacity (the diagonal is
+// the ring's tornado, whose capacity on 16 nodes is ~0.12).
 func TestTopologyConformance(t *testing.T) {
 	ring, err := network.NewTorus(network.TorusConfig{X: 16, Y: 1})
 	if err != nil {
@@ -178,10 +178,14 @@ func TestTopologyConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	clos, err := network.NewClos(network.Config{Radix: 4, Digits: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		topo network.Topology
 		load float64
-	}{{ring, 0.08}, {torus, 0.15}}
+	}{{ring, 0.08}, {torus, 0.15}, {clos, 0.3}}
 	for _, tc := range cases {
 		for _, pat := range conformancePatterns {
 			for _, pktLen := range []int{1, 3} {
@@ -210,7 +214,7 @@ func TestTopologyConformance(t *testing.T) {
 						if workers == 0 {
 							res, err = network.RunSerial(o)
 						} else {
-							res, _, err = network.RunSharded(o, workers)
+							res, err = network.RunSharded(o, workers)
 						}
 						if err != nil {
 							t.Fatalf("invariant violation: %v", err)

@@ -169,8 +169,14 @@ func (p *Plant) plant() *Plant { return p }
 // that spreads over CPUs the budget leaves spare (ClaimSpare) sees this
 // run counted; then, when the world is a Plant and the budget still has
 // a CPU spare, Run gives the bank's draws a producer goroutine of their
-// own, which it stops and joins on every way out.
+// own, which it stops and joins on every way out. A phase no run can
+// have — a negative warmup or drain, a measurement window shorter than
+// one cycle — is an error before anything is built.
 func Run(c Config, build func() World) (*Tally, error) {
+	if c.Warmup < 0 || c.Measure < 1 || c.Drain < 0 {
+		return nil, fmt.Errorf("phases of %d warmup, %d measure and %d drain cycles: want warmup and drain >= 0 and measure >= 1",
+			c.Warmup, c.Measure, c.Drain)
+	}
 	defer Claim(1)()
 	if testHookClaimed != nil {
 		testHookClaimed()
@@ -245,11 +251,14 @@ func (c Config) Wake(w Waker, now, bound int64) int64 {
 	return max(now+1, min(wake, bound))
 }
 
-// CheckLoad rejects an offered load no source can produce: negative,
-// not a number, or above one packet per cycle per source (load is a
-// fraction of channel capacity, one flit per ser cycles, in packets of
-// pktLen flits).
+// CheckLoad rejects an offered load no source can produce: in packets
+// shorter than one flit, negative, not a number, or above one packet per
+// cycle per source (load is a fraction of channel capacity, one flit per
+// ser cycles, in packets of pktLen flits).
 func CheckLoad(load float64, ser, pktLen int) error {
+	if pktLen < 1 {
+		return fmt.Errorf("packet length %d: want at least one flit", pktLen)
+	}
 	if !(load >= 0) {
 		return fmt.Errorf("load %.3g is negative or not a number", load)
 	}

@@ -164,7 +164,7 @@ func TestTableServesCurrentGenerator(t *testing.T) {
 // TestFigureKeySensitivity: the points fig9 stores are keyed by every
 // option that determines them. Over a store fig9 warmed, a scale with
 // another seed, load list or warmup simulates points afresh; one that
-// differs only in the wall-clock knobs Workers, NetWorkers and dense
+// differs only in the wall-clock knobs Workers, shards and dense
 // simulates none.
 func TestFigureKeySensitivity(t *testing.T) {
 	s := cacheScale(t)
@@ -173,7 +173,7 @@ func TestFigureKeySensitivity(t *testing.T) {
 	}
 	same := s
 	same.Workers = 8
-	same.NetWorkers = 4
+	same.shards = 4
 	same.dense = true
 	reseeded := s
 	reseeded.Seed = 2

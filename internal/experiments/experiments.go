@@ -39,15 +39,6 @@ type Scale struct {
 	// forces serial execution. Every run owns its RNG (seeded from
 	// Seed), so the produced tables are identical for every value.
 	Workers int
-	// NetWorkers is how many workers share one network run: 0 takes the
-	// count from the CPU budget (network.Run: the 4096-terminal networks
-	// shard over the CPUs the pool leaves spare, smaller ones never), 1
-	// forces the one-engine world (network.RunSerial), and >= 2 runs the
-	// epoch runner with that many workers (network.RunSharded). Every
-	// choice is byte-identical to the one-engine world, so this knob
-	// changes wall-clock only, never a table — the goldens pin that by
-	// regenerating fig19 through the sharded path.
-	NetWorkers int
 	// Injection selects the synthetic source implementation for every
 	// run (testbench.Options.Injection / network.Options.Injection).
 	// The default per-cycle mode reproduces the historical goldens;
@@ -65,6 +56,11 @@ type Scale struct {
 	// testbench.Options and network.Options). Tables are byte-identical
 	// either way; only this package's TestGoldenDense sets it.
 	dense bool
+	// shards, when non-zero, runs every network point on the epoch
+	// runner at that many workers (network.RunSharded) rather than on the
+	// ones the CPU budget gives it. Tables are byte-identical either way;
+	// only this package's TestGolden/fig19_sharded sets it.
+	shards int
 	// missed, when non-nil, is set by the first point that had to be
 	// simulated rather than read from Cache; Table hands each generator
 	// a fresh one to report its hit.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -65,10 +66,10 @@ func gapScale() Scale {
 // the flat crosspoint banks, the credit rings) and fig_alloc the one
 // that reaches the iSLIP matcher and the shared-pool admission rule.
 // The three figures with a <name>_gap file are pinned under gap
-// injection as well. Quick runs fig19 through the serial driver;
-// fig19_sharded regenerates it through the sharded one at 2 workers
-// against the same file — the golden-level statement of the shard
-// package's equivalence claim.
+// injection as well. Quick's 256-node networks run on one engine;
+// fig19_sharded regenerates fig19 through the epoch runner at 2 and at 4
+// workers against the same file — the golden-level statement of the
+// shard package's equivalence claim.
 func TestGolden(t *testing.T) {
 	for _, e := range Registry {
 		t.Run(e.Name, func(t *testing.T) { golden(t, e.Name, e.Gen, Quick) })
@@ -84,9 +85,13 @@ func TestGolden(t *testing.T) {
 		if *update {
 			t.Skip("fig19.golden is written by the fig19 case (serial); this case only cross-checks the sharded driver")
 		}
-		s := Quick
-		s.NetWorkers = 2
-		golden(t, "fig19", Fig19, s)
+		for _, w := range []int{2, 4} {
+			t.Run(fmt.Sprintf("w%d", w), func(t *testing.T) {
+				s := Quick
+				s.shards = w
+				golden(t, "fig19", Fig19, s)
+			})
+		}
 	})
 }
 

@@ -7,23 +7,17 @@ import (
 )
 
 // runNet executes one network point behind the scale's cache, under a
-// pool slot, on the workers the scale's NetWorkers gives it: as many as
-// the CPU budget allows (0), the one-engine world (1) or that many
-// shards. All are byte-identical (the determinism suite), so the
-// cache key deliberately omits the worker count and they share an
-// entry. A miss is noted for Table, as runTB notes one.
+// pool slot, on the workers the CPU budget gives it (network.Run). Every
+// worker count is byte-identical (the determinism suite), so the cache
+// key has none. A miss is noted for Table, as runTB notes one.
 func (s Scale) runNet(p *sweep.Pool, o network.Options) (network.Result, bool, error) {
 	key, ok := o.CacheKey()
 	res, hit, err := sweep.RunCached(p, s.Cache, key, ok, network.EncodeResult, network.DecodeResult,
 		func() (network.Result, error) {
-			switch s.NetWorkers {
-			case 0:
-				return network.Run(o)
-			case 1:
-				return network.RunSerial(o)
+			if s.shards > 0 {
+				return network.RunSharded(o, s.shards)
 			}
-			res, _, err := network.RunSharded(o, s.NetWorkers)
-			return res, err
+			return network.Run(o)
 		})
 	s.note(hit)
 	return res, hit, err

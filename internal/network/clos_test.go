@@ -283,14 +283,22 @@ func TestNetbenchRun(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadLoads: a load no terminal can offer is an error, not
-// a run (testbench.Run has the same test against the same check).
+// TestRunRejectsBadLoads: a load no terminal can offer, or phases no run
+// can have, are an error, not a run (testbench.Run has the same test
+// against the same checks).
 func TestRunRejectsBadLoads(t *testing.T) {
-	o := Options{Net: Config{Radix: 4, Digits: 2}, WarmupCycles: 50, MeasureCycles: 100}
-	for _, load := range []float64{-0.5, 8} {
-		o.Load = load
+	for name, bad := range map[string]func(o *Options){
+		"negative load":            func(o *Options) { o.Load = -0.5 },
+		"load over 1 packet/cycle": func(o *Options) { o.Load = 8 },
+		"negative packet length":   func(o *Options) { o.PktLen = -2 },
+		"negative warmup":          func(o *Options) { o.WarmupCycles = -100 },
+		"negative measure":         func(o *Options) { o.MeasureCycles = -50 },
+		"negative drain":           func(o *Options) { o.DrainCycles = -1 },
+	} {
+		o := Options{Net: Config{Radix: 4, Digits: 2}, Load: 0.3, WarmupCycles: 50, MeasureCycles: 100}
+		bad(&o)
 		if _, err := Run(o); err == nil {
-			t.Errorf("load %v accepted", load)
+			t.Errorf("%s accepted", name)
 		}
 	}
 }

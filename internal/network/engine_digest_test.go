@@ -106,8 +106,7 @@ func TestEngineDigest(t *testing.T) {
 						}
 						for _, w := range []int{1, 3} {
 							got := engineDigest(t, o, func(o network.Options) (network.Result, error) {
-								res, _, err := network.RunSharded(o, w)
-								return res, err
+								return network.RunSharded(o, w)
 							})
 							if got != want {
 								t.Errorf("workers=%d digest %s, want %s", w, got, want)

@@ -127,11 +127,8 @@ func TestOversizeTopologyIsAnError(t *testing.T) {
 	} {
 		o := network.Options{Topo: tc.topo, Load: 0.1, WarmupCycles: 10, MeasureCycles: 10}
 		for driver, run := range map[string]func() (network.Result, error){
-			"network.Run": func() (network.Result, error) { return network.Run(o) },
-			"network.RunSharded": func() (network.Result, error) {
-				res, _, err := network.RunSharded(o, 2)
-				return res, err
-			},
+			"network.Run":        func() (network.Result, error) { return network.Run(o) },
+			"network.RunSharded": func() (network.Result, error) { return network.RunSharded(o, 2) },
 		} {
 			_, err := run()
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprint(tc.limit)) {
@@ -158,7 +155,7 @@ func TestEmptyRangeConstructs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := network.RunSharded(o, ring.Routers()+3)
+	got, err := network.RunSharded(o, ring.Routers()+3)
 	if err != nil {
 		t.Fatal(err)
 	}

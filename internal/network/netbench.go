@@ -190,7 +190,7 @@ var (
 // byte-identical at every worker count (TestShardDeterminism holds the
 // epoch runner to RunSerial), so the choice moves wall-clock only.
 func Run(o Options) (Result, error) {
-	res, _, err := run(o, func(topo Topology) (int, func()) {
+	return run(o, func(topo Topology) (int, func()) {
 		if testHookCounted != nil {
 			testHookCounted()
 		}
@@ -203,21 +203,18 @@ func Run(o Options) (Result, error) {
 		}
 		return 1 + spare, release
 	})
-	return res, err
 }
 
 // RunSerial executes one network simulation on the one-engine world,
 // whatever the budget: the world every sharded run is held to.
 func RunSerial(o Options) (Result, error) {
-	res, _, err := run(o, func(Topology) (int, func()) { return 0, nil })
-	return res, err
+	return run(o, func(Topology) (int, func()) { return 0, nil })
 }
 
 // RunSharded executes one network simulation on the epoch runner over
 // workers workers (at least one, which still runs the epoch machinery),
-// counted against the CPU budget whether or not CPUs are spare, and
-// reports where their time went.
-func RunSharded(o Options, workers int) (Result, Report, error) {
+// counted against the CPU budget whether or not CPUs are spare.
+func RunSharded(o Options, workers int) (Result, error) {
 	return run(o, func(Topology) (int, func()) {
 		p := max(workers, 1)
 		return p, drive.Claim(p - 1)
@@ -230,14 +227,14 @@ func RunSharded(o Options, workers int) (Result, Report, error) {
 // returns how many workers the run shards over, with the release of the
 // goroutines it claimed for them; 0 is the one-engine world. Every way
 // out of the run — its end, an error, a panic — stops the workers.
-func run(o Options, claim func(topo Topology) (workers int, release func())) (Result, Report, error) {
+func run(o Options, claim func(topo Topology) (workers int, release func())) (Result, error) {
 	o = o.WithDefaults()
 	topo, err := o.Topology()
 	if err != nil {
-		return Result{}, Report{}, err
+		return Result{}, err
 	}
 	if err := drive.CheckLoad(o.Load, topo.SerCycles(), o.PktLen); err != nil {
-		return Result{}, Report{}, fmt.Errorf("network: %w", err)
+		return Result{}, fmt.Errorf("network: %w", err)
 	}
 	c := drive.Config{
 		Warmup: o.WarmupCycles, Measure: o.MeasureCycles, Drain: o.DrainCycles,
@@ -253,9 +250,8 @@ func run(o Options, claim func(topo Topology) (workers int, release func())) (Re
 		s.start(o, topo, c, workers, release)
 		return s
 	})
-	rep := s.report()
 	if err != nil {
-		return Result{}, rep, err
+		return Result{}, err
 	}
 	return Result{
 		Load:       o.Load,
@@ -267,5 +263,5 @@ func run(o Options, claim func(topo Topology) (workers int, release func())) (Re
 		Cycles:     t.Cycles,
 		AvgHops:    t.AvgHops(),
 		DrainUsed:  t.DrainUsed,
-	}, rep, nil
+	}, nil
 }

@@ -88,7 +88,7 @@ func TestOutboxCanonicalByConstruction(t *testing.T) {
 						defer x.Stop()
 						// Two idle engines per shard take the credits only, one
 						// forward and one reversed; clock is the next cycle to step.
-						l := network.Layout{Routers: Partition(topo.Routers(), p), Terminals: Partition(topo.Terminals(), p)}
+						l := network.Layout{Routers: network.Partition(topo.Routers(), p), Terminals: network.Partition(topo.Terminals(), p)}
 						var fwd, rev []*network.Network
 						for i := range p {
 							fwd = append(fwd, network.NewNetworkRange(topo, o.RouteSeed(), l, i))

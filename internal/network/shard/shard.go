@@ -19,19 +19,7 @@ type Options struct {
 	Workers int
 }
 
-// Partition splits routers [0, n) into p contiguous ranges whose sizes
-// differ by at most one; when p > n the tail ranges are empty.
-func Partition(n, p int) [][2]int { return network.Partition(n, p) }
-
 // Run executes one network simulation across o.Workers shards and
-// returns the byte-identical serial result.
-func Run(o Options) (network.Result, error) {
-	res, _, err := RunReport(o)
-	return res, err
-}
-
-// RunReport is Run, also reporting where the workers' time went. Every
-// way out of the run — its end, an error, a panic — stops the workers.
-func RunReport(o Options) (network.Result, network.Report, error) {
-	return network.RunSharded(o.Options, o.Workers)
-}
+// returns the byte-identical serial result. Every way out of the run —
+// its end, an error, a panic — stops the workers.
+func Run(o Options) (network.Result, error) { return network.RunSharded(o.Options, o.Workers) }

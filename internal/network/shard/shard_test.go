@@ -150,14 +150,21 @@ func TestShardMultiFlit(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadLoads: the sharded runner refuses the loads
-// network.Run refuses.
+// TestRunRejectsBadLoads: the sharded runner refuses the loads and
+// phases network.Run refuses.
 func TestRunRejectsBadLoads(t *testing.T) {
-	o := baseOpts(testTopologies(t)["clos"], 1, traffic.InjPerCycle)
-	for _, load := range []float64{-0.5, 8} {
-		o.Load = load
+	for name, bad := range map[string]func(o *network.Options){
+		"negative load":            func(o *network.Options) { o.Load = -0.5 },
+		"load over 1 packet/cycle": func(o *network.Options) { o.Load = 8 },
+		"negative packet length":   func(o *network.Options) { o.PktLen = -2 },
+		"negative warmup":          func(o *network.Options) { o.WarmupCycles = -100 },
+		"negative measure":         func(o *network.Options) { o.MeasureCycles = -50 },
+		"negative drain":           func(o *network.Options) { o.DrainCycles = -1 },
+	} {
+		o := baseOpts(testTopologies(t)["clos"], 1, traffic.InjPerCycle)
+		bad(&o)
 		if _, err := Run(Options{Options: o, Workers: 2}); err == nil {
-			t.Errorf("load %v accepted", load)
+			t.Errorf("%s accepted", name)
 		}
 	}
 }
@@ -167,7 +174,7 @@ func TestRunRejectsBadLoads(t *testing.T) {
 // routers.
 func TestPartition(t *testing.T) {
 	for _, tc := range []struct{ n, p int }{{12, 1}, {12, 3}, {12, 5}, {7, 7}, {3, 7}, {1, 4}} {
-		parts := Partition(tc.n, tc.p)
+		parts := network.Partition(tc.n, tc.p)
 		if len(parts) != tc.p {
 			t.Fatalf("Partition(%d,%d) has %d parts", tc.n, tc.p, len(parts))
 		}

@@ -2,7 +2,6 @@ package network
 
 import (
 	"sync"
-	"time"
 
 	"highradix/internal/drive"
 	"highradix/internal/flit"
@@ -144,10 +143,8 @@ type worker struct {
 	backlog  []int64
 
 	// start carries the coordinator's handoffs, done the worker's
-	// replies; busy and wait are the time spent in epochs and in the
-	// gate (for worker 0, the coordinator, waiting on the others).
+	// replies.
 	start, done drive.Gate
-	busy, wait  time.Duration
 }
 
 // sharded is the sharded network as internal/drive sees it. The workers
@@ -246,9 +243,7 @@ func (s *sharded) stop() {
 func (s *sharded) serve(w *worker) {
 	defer s.wg.Done()
 	for n := int64(1); ; n++ {
-		t := time.Now()
 		w.start.Wait(n)
-		w.wait += time.Since(t)
 		if s.quit {
 			return
 		}
@@ -264,13 +259,10 @@ func (s *sharded) handoff() {
 	for _, w := range s.workers[1:] {
 		w.start.Post(s.n)
 	}
-	w0 := s.workers[0]
-	s.do(w0)
-	t := time.Now()
+	s.do(s.workers[0])
 	for _, w := range s.workers[1:] {
 		w.done.Wait(s.n)
 	}
-	w0.wait += time.Since(t)
 }
 
 // do is worker w's part of handoff n: building its shard for the first,
@@ -280,9 +272,7 @@ func (s *sharded) do(w *worker) {
 		s.build(w)
 		return
 	}
-	t := time.Now()
 	s.runEpoch(w)
-	w.busy += time.Since(t)
 }
 
 // inbox lists the flits epoch e mailed worker w in the order w takes
@@ -455,27 +445,6 @@ func (s *sharded) InFlight() int {
 // exactly the values a serial run would have read.
 func (s *sharded) GenFlits() int64        { return s.sum((*worker).GenFlits) }
 func (s *sharded) InjectedLabeled() int64 { return s.sum((*worker).InjectedLabeled) }
-
-// Report is where a sharded run's workers spent their wall-clock time;
-// a run on the one-engine world reports no workers.
-type Report struct {
-	// Epochs is the number of epochs simulated.
-	Epochs int64
-	// Busy[i] is the time worker i spent simulating epochs and Wait[i]
-	// the time it waited: worker 0, which is the coordinator, for the
-	// others to finish an epoch; the others for the next one to start,
-	// the coordinator's merge and replay included.
-	Busy, Wait []time.Duration
-}
-
-// report says where the workers' time went.
-func (s *sharded) report() Report {
-	rep := Report{Epochs: max(s.n-1, 0)}
-	for _, w := range s.workers {
-		rep.Busy, rep.Wait = append(rep.Busy, w.busy), append(rep.Wait, w.wait)
-	}
-	return rep
-}
 
 // Exchange is the epoch runner stepped one epoch at a time, with the
 // mail each epoch sent readable until the next: the state tests of the

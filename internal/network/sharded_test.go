@@ -58,13 +58,13 @@ func someWorkerDiverges(t *testing.T) bool {
 				t.Fatal(err)
 			}
 			for _, p := range []int{2, 3} {
-				got, _, err := RunSharded(base, p)
+				got, err := RunSharded(base, p)
 				if err != nil {
 					t.Fatal(err)
 				}
 				gotRec := &recHooks{}
 				hooked.Hooks = gotRec
-				gotHooked, _, err := RunSharded(hooked, p)
+				gotHooked, err := RunSharded(hooked, p)
 				if err != nil {
 					t.Fatal(err)
 				}

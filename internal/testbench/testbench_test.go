@@ -150,13 +150,23 @@ func TestMultiFlitPackets(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadLoads: a load no source can offer, or phases no run
+// can have, are an error, not a run (network.Run has the same test
+// against the same checks).
 func TestRunRejectsBadLoads(t *testing.T) {
-	if _, err := Run(quickOpts(router.Config{}, -0.5)); err == nil {
-		t.Error("negative load accepted")
-	}
-	o := quickOpts(router.Config{}, 8.0)
-	if _, err := Run(o); err == nil {
-		t.Error("load requiring >1 packet/cycle accepted")
+	for name, bad := range map[string]func(o *Options){
+		"negative load":            func(o *Options) { o.Load = -0.5 },
+		"load over 1 packet/cycle": func(o *Options) { o.Load = 8 },
+		"negative packet length":   func(o *Options) { o.PktLen = -2 },
+		"negative warmup":          func(o *Options) { o.WarmupCycles = -100 },
+		"negative measure":         func(o *Options) { o.MeasureCycles = -50 },
+		"negative drain":           func(o *Options) { o.DrainCycles = -1 },
+	} {
+		o := quickOpts(router.Config{}, 0.5)
+		bad(&o)
+		if _, err := Run(o); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
