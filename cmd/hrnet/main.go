@@ -108,9 +108,9 @@ func main() {
 	}
 
 	base.Load = *load
-	var aud *check.NetAuditor
+	var aud *check.Checker
 	if *chk {
-		aud = check.NewNetAuditor(topo.Terminals(), topo.SerCycles(), check.Options{})
+		aud = check.NewNetAuditor(topo.Terminals(), topo.VCs(), topo.SerCycles(), check.Options{})
 		base.Hooks = aud
 	}
 	res, err := network.Run(base)
@@ -130,7 +130,7 @@ func main() {
 	fmt.Printf("  throughput       %.4f of capacity\n", res.Throughput)
 	fmt.Printf("  labeled packets  %d over %d cycles\n", res.Packets, res.Cycles)
 	if aud != nil && !res.Saturated {
-		fmt.Println("  invariants       ok (conservation, in-order delivery, serializer spacing, progress)")
+		fmt.Println("  invariants       ok (conservation, in-order delivery, VC ownership, serializer spacing, progress)")
 	}
 	if res.Saturated {
 		fmt.Println("  SATURATED")
@@ -160,15 +160,15 @@ func sweepLoads(base network.Options, list string, jobs int, chk bool) error {
 		i := int(idx)
 		o := base
 		o.Load = xs[i]
-		var aud *check.NetAuditor
+		var aud *check.Checker
 		if chk {
 			// Each point runs on its own goroutine, so each needs its
-			// own auditor; a shared one would race.
+			// own checker; a shared one would race.
 			topo, err := o.Topology()
 			if err != nil {
 				return sweep.Point{}, err
 			}
-			aud = check.NewNetAuditor(topo.Terminals(), topo.SerCycles(), check.Options{})
+			aud = check.NewNetAuditor(topo.Terminals(), topo.VCs(), topo.SerCycles(), check.Options{})
 			o.Hooks = aud
 		}
 		// Curve's run executes slotless; the simulation itself goes

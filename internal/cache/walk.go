@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"strconv"
 )
@@ -107,4 +109,67 @@ func (w *walker) walk(v reflect.Value, name string) bool {
 		panic(fmt.Sprintf(`cache: field %s of kind %s has no key description: tag it key:"-" or key:"nil"`, name, v.Kind()))
 	}
 	return true
+}
+
+// Encode renders v, a struct of float64, int/int64 and bool fields, as
+// a stored result: a layout version byte 1, then each field in
+// declaration order as 8 big-endian bytes (IEEE-754 bits for a float,
+// two's complement for an integer, 0 or 1 for a bool). The encoding is
+// exact — Decode gives back a value == to v — which is what makes cached
+// and recomputed tables byte-identical. A field of any other kind
+// panics, as the key walker does, so no field is ever dropped silently.
+func Encode(v any) []byte {
+	rv := reflect.ValueOf(v)
+	b := append(make([]byte, 0, 1+8*rv.NumField()), 1)
+	for i := 0; i < rv.NumField(); i++ {
+		var u uint64
+		switch f := rv.Field(i); codecKind(rv.Type(), i) {
+		case reflect.Float64:
+			u = math.Float64bits(f.Float())
+		case reflect.Int64:
+			u = uint64(f.Int())
+		case reflect.Bool:
+			if f.Bool() {
+				u = 1
+			}
+		}
+		b = binary.BigEndian.AppendUint64(b, u)
+	}
+	return b
+}
+
+// Decode inverts Encode into the struct v points to. A payload of the
+// wrong length or layout version is an error; callers treat it as a
+// miss and recompute.
+func Decode(b []byte, v any) error {
+	rv := reflect.ValueOf(v).Elem()
+	n := rv.NumField()
+	if len(b) != 1+8*n || b[0] != 1 {
+		return fmt.Errorf("cache: bad encoded %s (%d bytes)", rv.Type(), len(b))
+	}
+	for i := 0; i < n; i++ {
+		u := binary.BigEndian.Uint64(b[1+8*i:])
+		switch f := rv.Field(i); codecKind(rv.Type(), i) {
+		case reflect.Float64:
+			f.SetFloat(math.Float64frombits(u))
+		case reflect.Int64:
+			f.SetInt(int64(u))
+		case reflect.Bool:
+			f.SetBool(u != 0)
+		}
+	}
+	return nil
+}
+
+// codecKind is the encoding of field i of struct type t: Float64, Int64
+// (for int too) or Bool. Any other kind panics.
+func codecKind(t reflect.Type, i int) reflect.Kind {
+	f := t.Field(i)
+	switch k := f.Type.Kind(); k {
+	case reflect.Float64, reflect.Bool:
+		return k
+	case reflect.Int, reflect.Int64:
+		return reflect.Int64
+	}
+	panic(fmt.Sprintf("cache: field %s.%s of kind %s has no result encoding", t, f.Name, f.Type.Kind()))
 }

@@ -290,3 +290,53 @@ func TestWalkerKeysDistinct(t *testing.T) {
 	k2, ok2 = asTopo.CacheKey()
 	same("Clos as Net vs as Topo", k, k2, ok, ok2)
 }
+
+// TestCodec pins the stored-result encoding: an exact round trip, and a
+// truncated payload or another layout version is an error, not a value.
+// A field kind with no encoding panics on both sides.
+func TestCodec(t *testing.T) {
+	type result struct {
+		F float64
+		I int
+		J int64
+		B bool
+	}
+	want := result{F: -0.1, I: -3, J: 1 << 40, B: true}
+	good := cache.Encode(want)
+	wrongVersion := append([]byte{2}, good[1:]...)
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		ok      bool
+	}{
+		{"round trip", good, true},
+		{"truncated", good[:len(good)-1], false},
+		{"wrong version", wrongVersion, false},
+	} {
+		var got result
+		err := cache.Decode(c.payload, &got)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: err = %v, want ok=%v", c.name, err, c.ok)
+		}
+		if c.ok && got != want {
+			t.Errorf("%s: decoded %+v, want %+v", c.name, got, want)
+		}
+	}
+	type unsupported struct {
+		F float64
+		S string
+	}
+	for name, f := range map[string]func(){
+		"encode": func() { cache.Encode(unsupported{}) },
+		"decode": func() { cache.Decode(append([]byte{1}, make([]byte, 16)...), &unsupported{}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of a string field did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}

@@ -1,6 +1,6 @@
 // Package check is a cycle-level invariant checker for the router
-// architectures and the Clos network. It consumes the router.Observer
-// event stream plus the router's own occupancy counter and validates,
+// architectures and for whole networks. It consumes the router.Observer
+// event stream plus the device's own occupancy counter and validates,
 // every cycle, the properties any correct implementation must hold:
 //
 //   - Flit conservation: every flit accepted is eventually ejected,
@@ -22,10 +22,14 @@
 //     the watchdog window; otherwise the checker reports a bounded
 //     deadlock/livelock certificate naming the oldest stuck flit.
 //
-// Arm it with Wrap (drop-in router.Router) or feed events to a Checker
-// directly. The checker is strictly passive and allocation-free on the
-// router's hot path when not attached: routers emit events through a
-// nil-guarded observer hook.
+// Arm it on a router with Wrap (drop-in router.Router) or feed events
+// to a Checker directly. A network is checked by the same Checker with
+// its terminals as the ports (NewNetAuditor): Injected and Delivered
+// are its accept and eject events, so every rule above holds at the
+// terminals except grant legality and credit conservation, which need
+// events only a router emits. The checker is strictly passive and
+// allocation-free on the router's hot path when not attached: routers
+// emit events through a nil-guarded observer hook.
 package check
 
 import (
@@ -94,11 +98,14 @@ type Stats struct {
 	Packets uint64 // fully delivered packets
 }
 
-// Checker validates a single router's event stream. It implements
-// router.Observer; feed it via Config.Observer or use Wrap.
+// Checker validates one device's event stream: a router's, or a
+// network's at its terminals. It implements router.Observer (feed it
+// via Config.Observer or use Wrap) and network.Hooks.
 type Checker struct {
-	cfg router.Config
-	opt Options
+	opt   Options
+	ports int
+	vcs   int
+	ser   int64 // cycles an output serializer needs per flit
 
 	fl    *flow
 	stats Stats
@@ -126,19 +133,33 @@ type Checker struct {
 // Config the router was (or will be) built from.
 func New(cfg router.Config, opt Options) *Checker {
 	cfg = cfg.WithDefaults()
+	d, _ := router.Describe(cfg.Arch)
+	return newChecker(cfg.Radix, cfg.VCs, cfg.STCycles, d.GrantNote, opt)
+}
+
+// NewNetAuditor builds a checker for a network whose terminals are its
+// ports: terminals of them, vcs virtual channels on each exit channel,
+// and serCycles per flit at each terminal serializer (the network
+// configuration's values after defaults).
+func NewNetAuditor(terminals, vcs, serCycles int, opt Options) *Checker {
+	return newChecker(terminals, vcs, serCycles, "", opt)
+}
+
+func newChecker(ports, vcs, serCycles int, grantNote string, opt Options) *Checker {
 	if opt.WatchdogCycles <= 0 {
 		opt.WatchdogCycles = defaultWatchdog
 	}
-	d, _ := router.Describe(cfg.Arch)
 	c := &Checker{
-		cfg:       cfg,
 		opt:       opt,
+		ports:     ports,
+		vcs:       vcs,
+		ser:       int64(serCycles),
 		fl:        newFlow(),
-		termNote:  d.GrantNote,
-		liveIn:    make([]int, cfg.Radix),
-		vcOwner:   make([]uint64, cfg.Radix*cfg.VCs),
-		lastEject: make([]int64, cfg.Radix),
-		lastGrant: make([]int64, cfg.Radix),
+		termNote:  grantNote,
+		liveIn:    make([]int, ports),
+		vcOwner:   make([]uint64, ports*vcs),
+		lastEject: make([]int64, ports),
+		lastGrant: make([]int64, ports),
 		pools:     make(map[poolKey]*pool),
 	}
 	const never = -1 << 40
@@ -185,17 +206,29 @@ func (c *Checker) Observe(e router.Event) {
 	}
 }
 
+// Injected records a flit entering a network at terminal f.Src: the
+// accept rule at that port.
+func (c *Checker) Injected(now int64, f *flit.Flit) {
+	c.Observe(router.Event{Cycle: now, Kind: router.EvAccept, Flit: f, Input: f.Src, Output: f.Dst, VC: f.VC})
+}
+
+// Delivered records a flit leaving a network at terminal f.Dst on its
+// exit channel's VC f.VC: the eject rule at that port.
+func (c *Checker) Delivered(now int64, f *flit.Flit) {
+	c.Observe(router.Event{Cycle: now, Kind: router.EvEject, Flit: f, Input: f.Src, Output: f.Dst, VC: f.VC})
+}
+
 func (c *Checker) accept(e router.Event) {
 	if c.fl.liveCount == 0 {
-		// Arrival into an idle router restarts the progress clock; the
+		// Arrival into an idle device restarts the progress clock; the
 		// watchdog should time ejections against work being present.
 		c.progress(e.Cycle)
 	}
 	if c.err = c.fl.accept(e.Cycle, e.Flit); c.err != nil {
 		return
 	}
-	if src := e.Flit.Src; src < 0 || src >= c.cfg.Radix {
-		c.err = vio(e.Cycle, "flit.shape", "%v: source port out of range", e.Flit)
+	if f := e.Flit; f.Src < 0 || f.Src >= c.ports || f.Dst < 0 || f.Dst >= c.ports {
+		c.err = vio(e.Cycle, "flit.shape", "%v: port out of range [0,%d)", f, c.ports)
 		return
 	}
 	c.liveIn[e.Flit.Src]++
@@ -225,13 +258,13 @@ func (c *Checker) grant(e router.Event) {
 	// Terminal-stage grants seize the output serializer, which needs
 	// STCycles per flit: two grants closer together would mean two
 	// flits multiplexed onto one serializer at once.
-	if e.Output < 0 || e.Output >= c.cfg.Radix {
+	if e.Output < 0 || e.Output >= c.ports {
 		c.err = vio(e.Cycle, "grant.serializer", "%s grant at out-of-range output %d", e.Note, e.Output)
 		return
 	}
-	if since := e.Cycle - c.lastGrant[e.Output]; since < int64(c.cfg.STCycles) {
+	if since := e.Cycle - c.lastGrant[e.Output]; since < c.ser {
 		c.err = vio(e.Cycle, "grant.serializer",
-			"output %d granted twice within %d cycles (serializer needs %d)", e.Output, since, c.cfg.STCycles)
+			"output %d granted twice within %d cycles (serializer needs %d)", e.Output, since, c.ser)
 		return
 	}
 	c.lastGrant[e.Output] = e.Cycle
@@ -250,16 +283,16 @@ func (c *Checker) eject(e router.Event) {
 		c.err = vio(e.Cycle, "flow.misroute", "%v ejected on VC %d", f, e.VC)
 		return
 	}
-	if since := e.Cycle - c.lastEject[e.Output]; since < int64(c.cfg.STCycles) {
+	if since := e.Cycle - c.lastEject[e.Output]; since < c.ser {
 		c.err = vio(e.Cycle, "eject.serializer",
-			"output %d ejected twice within %d cycles (serializer needs %d)", e.Output, since, c.cfg.STCycles)
+			"output %d ejected twice within %d cycles (serializer needs %d)", e.Output, since, c.ser)
 		return
 	}
 	c.lastEject[e.Output] = e.Cycle
 	// Output VC single-ownership: a packet's head claims the (output,
 	// VC) eject stream and holds it until its tail leaves; any other
 	// packet's flit appearing on it means interleaved wormholes.
-	slot := e.Output*c.cfg.VCs + f.VC
+	slot := e.Output*c.vcs + f.VC
 	owner := c.vcOwner[slot]
 	if f.Head {
 		if owner != 0 {
@@ -322,9 +355,9 @@ func (c *Checker) progress(cycle int64) {
 	c.nacksSince = 0
 }
 
-// EndCycle closes the cycle: it reconciles the router's own occupancy
+// EndCycle closes the cycle: it reconciles the device's own occupancy
 // counter against the event-derived live set and runs the progress
-// watchdog. Call it after every Step with the router's InFlight().
+// watchdog. Call it after every Step with the device's InFlight().
 func (c *Checker) EndCycle(now int64, inFlight int) error {
 	if c.err != nil {
 		return c.err
@@ -332,7 +365,7 @@ func (c *Checker) EndCycle(now int64, inFlight int) error {
 	live := c.fl.liveCount
 	if inFlight != live {
 		c.err = vio(now, "conservation.count",
-			"router reports %d flits in flight, events account for %d", inFlight, live)
+			"device reports %d flits in flight, events account for %d", inFlight, live)
 		return c.err
 	}
 	if live > 0 && now-c.lastProgress > c.opt.WatchdogCycles {
@@ -346,7 +379,7 @@ func (c *Checker) EndCycle(now int64, inFlight int) error {
 	return nil
 }
 
-// Final closes the run: the router must have drained (no live flits)
+// Final closes the run: the device must have drained (no live flits)
 // and every credit pool must have all its credits home. Call it after
 // injection has stopped and InFlight has reached zero.
 func (c *Checker) Final(now int64) error {

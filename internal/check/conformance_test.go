@@ -119,8 +119,9 @@ func TestConformanceBursty(t *testing.T) {
 
 // TestClosConformance audits the Clos network end to end under every
 // traffic pattern valid for its terminal count: injection/delivery
-// conservation, per-packet in-order delivery, terminal serializer
-// spacing and progress, with the run drained to empty.
+// conservation, per-packet in-order delivery, VC ownership and
+// serializer spacing at each terminal, and progress, with the run
+// drained to empty.
 func TestClosConformance(t *testing.T) {
 	// radix 4, 2 digits: 16 terminals (a power of two with an even bit
 	// count, so every deterministic pattern is well formed).
@@ -135,7 +136,7 @@ func TestClosConformance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				aud := check.NewNetAuditor(full.Terminals(), full.SerCycles, check.Options{})
+				aud := check.NewNetAuditor(full.Terminals(), full.VCs, full.SerCycles, check.Options{})
 				res, err := network.Run(network.Options{
 					Net:           cfg,
 					Load:          0.3,
@@ -155,7 +156,7 @@ func TestClosConformance(t *testing.T) {
 				if err := aud.Final(res.Cycles); err != nil {
 					t.Fatalf("final audit: %v", err)
 				}
-				if aud.DeliveredPackets() == 0 {
+				if aud.Stats().Packets == 0 {
 					t.Fatal("no packets delivered; the run was vacuous")
 				}
 			})
@@ -165,8 +166,9 @@ func TestClosConformance(t *testing.T) {
 
 // TestTopologyConformance extends the network audit to the ring and
 // torus families, serial and sharded, and to the Clos sharded:
-// conservation, in-order per-packet delivery, terminal serializer
-// spacing, and a drained final state, under every traffic pattern.
+// conservation, in-order per-packet delivery, terminal VC ownership
+// and serializer spacing, and a drained final state, under every
+// traffic pattern.
 // Loads sit under each family's worst pattern capacity (the diagonal is
 // the ring's tornado, whose capacity on 16 nodes is ~0.12).
 func TestTopologyConformance(t *testing.T) {
@@ -199,7 +201,7 @@ func TestTopologyConformance(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						aud := check.NewNetAuditor(tc.topo.Terminals(), tc.topo.SerCycles(), check.Options{})
+						aud := check.NewNetAuditor(tc.topo.Terminals(), tc.topo.VCs(), tc.topo.SerCycles(), check.Options{})
 						o := network.Options{
 							Topo:          tc.topo,
 							Load:          tc.load,
@@ -225,7 +227,7 @@ func TestTopologyConformance(t *testing.T) {
 						if err := aud.Final(res.Cycles); err != nil {
 							t.Fatalf("final audit: %v", err)
 						}
-						if aud.DeliveredPackets() == 0 {
+						if aud.Stats().Packets == 0 {
 							t.Fatal("no packets delivered; the run was vacuous")
 						}
 					})

@@ -13,14 +13,3 @@ func (c *Checker) Stats() Stats {
 // Live returns the number of flits currently in flight according to
 // the event stream.
 func (c *Checker) Live() int { return c.fl.liveCount }
-
-// DeliveredPackets returns the number of fully delivered packets.
-func (a *NetAuditor) DeliveredPackets() uint64 { return a.fl.delivered }
-
-// Err returns the first violation the auditor detected, or nil.
-func (a *NetAuditor) Err() error {
-	if a.err == nil {
-		return nil
-	}
-	return a.err
-}

@@ -23,8 +23,8 @@ type pktState struct {
 
 // flow is the device-independent half of the invariant state: the live
 // flit set (accepted but not yet ejected), pointer identity, and
-// per-packet sequencing on both sides. The router checker and the
-// network auditor layer their device-specific rules on top of it.
+// per-packet sequencing on both sides. The Checker layers its port,
+// VC, serializer, grant and credit rules on top of it.
 type flow struct {
 	live      map[flitKey]*flit.Flit
 	byPtr     map[*flit.Flit]flitKey

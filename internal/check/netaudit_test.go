@@ -7,11 +7,11 @@ import (
 	"highradix/internal/network"
 )
 
-// Compile-time proof the auditor satisfies the netbench hook contract.
-var _ network.Hooks = (*check.NetAuditor)(nil)
+// Compile-time proof the checker satisfies the network hook contract.
+var _ network.Hooks = (*check.Checker)(nil)
 
 func TestNetAuditorCleanRun(t *testing.T) {
-	a := check.NewNetAuditor(4, 2, check.Options{})
+	a := check.NewNetAuditor(4, 2, 2, check.Options{})
 	f0, f1 := mkflit(1, 0, 2, 0, 3, 0), mkflit(1, 1, 2, 0, 3, 0)
 	a.Injected(0, f0)
 	a.Injected(2, f1)
@@ -26,13 +26,13 @@ func TestNetAuditorCleanRun(t *testing.T) {
 	if err := a.Final(13); err != nil {
 		t.Fatal(err)
 	}
-	if a.DeliveredPackets() != 1 {
-		t.Fatalf("delivered packets = %d, want 1", a.DeliveredPackets())
+	if n := a.Stats().Packets; n != 1 {
+		t.Fatalf("delivered packets = %d, want 1", n)
 	}
 }
 
 func TestNetAuditorCatchesLoss(t *testing.T) {
-	a := check.NewNetAuditor(4, 2, check.Options{})
+	a := check.NewNetAuditor(4, 2, 2, check.Options{})
 	a.Delivered(0, mkflit(1, 0, 1, 0, 3, 0))
 	err := a.Err()
 	if err == nil {
@@ -44,7 +44,7 @@ func TestNetAuditorCatchesLoss(t *testing.T) {
 }
 
 func TestNetAuditorCatchesSerializerOverlap(t *testing.T) {
-	a := check.NewNetAuditor(4, 4, check.Options{})
+	a := check.NewNetAuditor(4, 2, 4, check.Options{})
 	f0, f1 := mkflit(1, 0, 1, 0, 3, 0), mkflit(2, 0, 1, 2, 3, 1)
 	a.Injected(0, f0)
 	a.Injected(0, f1)
@@ -59,8 +59,28 @@ func TestNetAuditorCatchesSerializerOverlap(t *testing.T) {
 	}
 }
 
+// TestNetAuditorCatchesInterleaving delivers the heads of two 2-flit
+// packets from different sources to one terminal on one VC: the second
+// head arrives while the first packet still owns the exit channel's VC,
+// which is two wormholes interleaved.
+func TestNetAuditorCatchesInterleaving(t *testing.T) {
+	a := check.NewNetAuditor(4, 2, 2, check.Options{})
+	h1, h2 := mkflit(1, 0, 2, 0, 3, 0), mkflit(2, 0, 2, 1, 3, 0)
+	a.Injected(0, h1)
+	a.Injected(0, h2)
+	a.Delivered(10, h1)
+	a.Delivered(12, h2)
+	err := a.Err()
+	if err == nil {
+		t.Fatal("expected a vc.busy violation")
+	}
+	if v := err.(*check.Violation); v.Rule != "vc.busy" {
+		t.Fatalf("expected vc.busy, got %q", v.Rule)
+	}
+}
+
 func TestNetAuditorCatchesCountMismatch(t *testing.T) {
-	a := check.NewNetAuditor(4, 2, check.Options{})
+	a := check.NewNetAuditor(4, 2, 2, check.Options{})
 	a.Injected(0, mkflit(1, 0, 1, 0, 3, 0))
 	if err := a.EndCycle(0, 0); err == nil {
 		t.Fatal("expected a conservation.count violation")
@@ -68,7 +88,7 @@ func TestNetAuditorCatchesCountMismatch(t *testing.T) {
 }
 
 func TestNetAuditorWatchdog(t *testing.T) {
-	a := check.NewNetAuditor(4, 2, check.Options{WatchdogCycles: 50})
+	a := check.NewNetAuditor(4, 2, 2, check.Options{WatchdogCycles: 50})
 	a.Injected(0, mkflit(1, 0, 1, 0, 3, 0))
 	for now := int64(0); now <= 50; now++ {
 		if err := a.EndCycle(now, 1); err != nil {

@@ -114,7 +114,7 @@ func (s Scale) pool() *sweep.Pool { return sweep.New(s.Workers) }
 // sweep.Do(p, testbench.Run).
 func (s Scale) runTB(p *sweep.Pool, o testbench.Options) (res testbench.Result, hit bool, err error) {
 	key, ok := o.CacheKey()
-	res, hit, err = sweep.RunCached(p, s.Cache, key, ok, testbench.EncodeResult, testbench.DecodeResult,
+	res, hit, err = sweep.RunCached(p, s.Cache, key, ok,
 		func() (testbench.Result, error) { return testbench.Run(o) })
 	s.note(hit)
 	return res, hit, err

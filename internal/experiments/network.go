@@ -12,7 +12,7 @@ import (
 // key has none. A miss is noted for Table, as runTB notes one.
 func (s Scale) runNet(p *sweep.Pool, o network.Options) (network.Result, bool, error) {
 	key, ok := o.CacheKey()
-	res, hit, err := sweep.RunCached(p, s.Cache, key, ok, network.EncodeResult, network.DecodeResult,
+	res, hit, err := sweep.RunCached(p, s.Cache, key, ok,
 		func() (network.Result, error) {
 			if s.shards > 0 {
 				return network.RunSharded(o, s.shards)

@@ -121,7 +121,7 @@ func Fig14(s Scale) (*stats.Table, error) {
 // uniform random traffic for subswitch sizes 4..32 against the baseline
 // and the fully buffered crossbar.
 func Fig17a(s Scale) (*stats.Table, error) {
-	return hierSweep(s, "Figure 17(a): hierarchical crossbar, uniform random traffic", nil, nil)
+	return hierSweep(s, "Figure 17(a): hierarchical crossbar, uniform random traffic", nil)
 }
 
 // Fig17b reproduces Figure 17(b): the same comparison under the
@@ -135,12 +135,12 @@ func Fig17a(s Scale) (*stats.Table, error) {
 func Fig17b(s Scale) (*stats.Table, error) {
 	pat := traffic.NewWorstCaseHierarchical(64, 8)
 	return hierSweep(s, "Figure 17(b): hierarchical crossbar, worst-case traffic (p=8 groups)",
-		func(o *testbench.Options) { o.Pattern = pat }, nil)
+		func(o *testbench.Options) { o.Pattern = pat })
 }
 
-func hierSweep(s Scale, title string, mutate func(*testbench.Options), depths map[int]int) (*stats.Table, error) {
+func hierSweep(s Scale, title string, mutate func(*testbench.Options)) (*stats.Table, error) {
 	t := &stats.Table{Title: title, XLabel: "offered load", YLabel: "latency (cycles)"}
-	base := []latencyCase{
+	cases := []latencyCase{
 		{name: "baseline", cfg: router.Config{Arch: router.ArchBaseline, VA: router.CVA}},
 		{name: "subswitch-32", cfg: router.Config{Arch: router.ArchHierarchical, SubSize: 32}},
 		{name: "subswitch-16", cfg: router.Config{Arch: router.ArchHierarchical, SubSize: 16}},
@@ -148,13 +148,8 @@ func hierSweep(s Scale, title string, mutate func(*testbench.Options), depths ma
 		{name: "subswitch-4", cfg: router.Config{Arch: router.ArchHierarchical, SubSize: 4}},
 		{name: "fully-buffered", cfg: router.Config{Arch: router.ArchBuffered}},
 	}
-	cases := make([]latencyCase, 0, len(base))
-	for _, c := range base {
-		if d, ok := depths[c.cfg.SubSize]; ok && c.cfg.Arch == router.ArchHierarchical {
-			c.cfg.SubInDepth, c.cfg.SubOutDepth = d, d
-		}
-		c.mutate = mutate
-		cases = append(cases, c)
+	for i := range cases {
+		cases[i].mutate = mutate
 	}
 	if err := s.latencyFigure(t, cases); err != nil {
 		return nil, err

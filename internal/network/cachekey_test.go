@@ -14,14 +14,14 @@ func TestNetEncodeResultRoundTrip(t *testing.T) {
 		Packets: 99999, Saturated: true, Cycles: 5400, AvgHops: 4.75,
 		DrainUsed: 132,
 	}
-	got, err := DecodeResult(EncodeResult(r))
-	if err != nil {
+	var got Result
+	if err := cache.Decode(EncodeResult(r), &got); err != nil {
 		t.Fatal(err)
 	}
 	if got != r {
 		t.Fatalf("roundtrip changed the result:\n%+v\n%+v", got, r)
 	}
-	if _, err := DecodeResult(nil); err == nil {
+	if err := cache.Decode(nil, &got); err == nil {
 		t.Fatal("nil payload decoded without error")
 	}
 }

@@ -9,9 +9,10 @@ import (
 )
 
 // Hooks observes a network run at its terminal boundary. Implemented
-// structurally by check.NewNetAuditor; the network side only defines
-// the contract. EndCycle runs after every Step with the network's
-// in-flight count and may end the run by returning an error.
+// structurally by the *check.Checker that check.NewNetAuditor returns;
+// the network side only defines the contract. EndCycle runs after
+// every Step with the network's in-flight count and may end the run by
+// returning an error.
 type Hooks interface {
 	Injected(now int64, f *flit.Flit)
 	Delivered(now int64, f *flit.Flit)
@@ -118,20 +119,21 @@ func (o Options) SourceOpts(topo Topology) SourceOpts {
 	}}
 }
 
-// Result mirrors testbench.Result at network scale.
+// Result mirrors testbench.Result at network scale, and like it is
+// stored field by field in this order (cache.Encode).
 type Result struct {
 	Load       float64
 	AvgLatency float64
 	P99        float64
 	Throughput float64
-	Packets    int64
-	Saturated  bool
-	Cycles     int64
 	AvgHops    float64
+	Packets    int64
+	Cycles     int64
 	// DrainUsed is how many cycles past the measurement window the run
 	// actually needed before exiting (0 when it exited at the window's
 	// edge; DrainCycles when the drain bound was exhausted).
 	DrainUsed int64
+	Saturated bool
 }
 
 // World is the drive.Plant of an engine: the engine behind the source

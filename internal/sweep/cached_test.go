@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -11,16 +10,8 @@ import (
 	"highradix/internal/cache"
 )
 
-func encInt(v int64) []byte {
-	return binary.BigEndian.AppendUint64(nil, uint64(v))
-}
-
-func decInt(b []byte) (int64, error) {
-	if len(b) != 8 {
-		return 0, errors.New("bad payload")
-	}
-	return int64(binary.BigEndian.Uint64(b)), nil
-}
+// point is the smallest value RunCached can store.
+type point struct{ V int64 }
 
 func TestRunCachedHitSkipsCompute(t *testing.T) {
 	st, err := cache.Open(t.TempDir())
@@ -30,13 +21,13 @@ func TestRunCachedHitSkipsCompute(t *testing.T) {
 	p := New(2)
 	key := cache.NewKey("test/v1").Key()
 	var computes atomic.Int64
-	compute := func() (int64, error) {
+	compute := func() (point, error) {
 		computes.Add(1)
-		return 42, nil
+		return point{42}, nil
 	}
 	for i := 0; i < 3; i++ {
-		v, hit, err := RunCached(p, st, key, true, encInt, decInt, compute)
-		if err != nil || v != 42 || hit != (i > 0) {
+		v, hit, err := RunCached(p, st, key, true, compute)
+		if err != nil || v.V != 42 || hit != (i > 0) {
 			t.Fatalf("run %d: %d, hit=%v, %v", i, v, hit, err)
 		}
 	}
@@ -44,10 +35,10 @@ func TestRunCachedHitSkipsCompute(t *testing.T) {
 		t.Fatalf("%d computes, want 1 (warm runs must hit the store)", got)
 	}
 	// Uncacheable and storeless runs always compute.
-	if _, _, err := RunCached(p, st, key, false, encInt, decInt, compute); err != nil {
+	if _, _, err := RunCached(p, st, key, false, compute); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunCached[int64](p, nil, key, true, encInt, decInt, compute); err != nil {
+	if _, _, err := RunCached[point](p, nil, key, true, compute); err != nil {
 		t.Fatal(err)
 	}
 	if got := computes.Load(); got != 3 {
@@ -68,21 +59,21 @@ func TestRunCachedSingleFlight(t *testing.T) {
 	var computes atomic.Int64
 	const goroutines = 16
 	var wg sync.WaitGroup
-	vals := make([]int64, goroutines)
+	vals := make([]point, goroutines)
 	errs := make([]error, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			vals[g], _, errs[g] = RunCached(p, st, key, true, encInt, decInt, func() (int64, error) {
+			vals[g], _, errs[g] = RunCached(p, st, key, true, func() (point, error) {
 				computes.Add(1)
-				return 7, nil
+				return point{7}, nil
 			})
 		}(g)
 	}
 	wg.Wait()
 	for g := 0; g < goroutines; g++ {
-		if errs[g] != nil || vals[g] != 7 {
+		if errs[g] != nil || vals[g].V != 7 {
 			t.Fatalf("goroutine %d: %d, %v", g, vals[g], errs[g])
 		}
 	}
@@ -101,22 +92,22 @@ func TestRunCachedSelfHeals(t *testing.T) {
 	}
 	p := New(1)
 	key := cache.NewKey("test/v1").Key()
-	if err := st.Put(key, []byte("not eight bytes")); err != nil {
+	if err := st.Put(key, []byte("not a point")); err != nil {
 		t.Fatal(err)
 	}
 	var computes atomic.Int64
-	compute := func() (int64, error) {
+	compute := func() (point, error) {
 		computes.Add(1)
-		return 9, nil
+		return point{9}, nil
 	}
-	if v, _, err := RunCached(p, st, key, true, encInt, decInt, compute); err != nil || v != 9 {
+	if v, _, err := RunCached(p, st, key, true, compute); err != nil || v.V != 9 {
 		t.Fatalf("self-heal run: %d, %v", v, err)
 	}
 	if computes.Load() != 1 {
 		t.Fatalf("stale entry served without recompute")
 	}
 	// The overwrite stuck: a second run hits the healed entry.
-	if v, _, err := RunCached(p, st, key, true, encInt, decInt, compute); err != nil || v != 9 {
+	if v, _, err := RunCached(p, st, key, true, compute); err != nil || v.V != 9 {
 		t.Fatalf("post-heal run: %d, %v", v, err)
 	}
 	if got := computes.Load(); got != 1 {
@@ -132,11 +123,11 @@ func TestRunCachedErrorPropagates(t *testing.T) {
 	p := New(1)
 	key := cache.NewKey("test/v1").Key()
 	boom := fmt.Errorf("boom")
-	if _, _, err := RunCached(p, st, key, true, encInt, decInt, func() (int64, error) { return 0, boom }); !errors.Is(err, boom) {
+	if _, _, err := RunCached(p, st, key, true, func() (point, error) { return point{}, boom }); !errors.Is(err, boom) {
 		t.Fatalf("error = %v, want boom", err)
 	}
 	// A failed compute must not poison the key.
-	if v, _, err := RunCached(p, st, key, true, encInt, decInt, func() (int64, error) { return 5, nil }); err != nil || v != 5 {
+	if v, _, err := RunCached(p, st, key, true, func() (point, error) { return point{5}, nil }); err != nil || v.V != 5 {
 		t.Fatalf("retry after error: %d, %v", v, err)
 	}
 }

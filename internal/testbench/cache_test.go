@@ -3,6 +3,7 @@ package testbench
 import (
 	"testing"
 
+	"highradix/internal/cache"
 	"highradix/internal/router"
 	"highradix/internal/sim"
 	"highradix/internal/traffic"
@@ -14,14 +15,14 @@ func TestEncodeResultRoundTrip(t *testing.T) {
 		Throughput: 0.6489, Packets: 12345, Saturated: true,
 		RelErr99: 0.021, Cycles: 11800,
 	}
-	got, err := DecodeResult(EncodeResult(r))
-	if err != nil {
+	var got Result
+	if err := cache.Decode(EncodeResult(r), &got); err != nil {
 		t.Fatal(err)
 	}
 	if got != r {
 		t.Fatalf("roundtrip changed the result:\n%+v\n%+v", got, r)
 	}
-	if _, err := DecodeResult(EncodeResult(r)[:10]); err == nil {
+	if err := cache.Decode(EncodeResult(r)[:10], &got); err == nil {
 		t.Fatal("truncated payload decoded without error")
 	}
 }

@@ -110,7 +110,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Result summarizes one run.
+// Result summarizes one run. The store and the digest tables hold its
+// fields in this order (cache.Encode).
 type Result struct {
 	// Load echoes the offered load.
 	Load float64
@@ -122,16 +123,16 @@ type Result struct {
 	// Throughput is accepted throughput during the measurement window
 	// as a fraction of capacity.
 	Throughput float64
-	// Packets is the number of labeled packets delivered.
-	Packets int64
-	// Saturated reports that the run did not reach steady state: the
-	// drain did not complete or the mean latency diverged.
-	Saturated bool
 	// RelErr99 is the 99%-confidence relative half-width of the mean
 	// latency (the paper keeps this under 3%).
 	RelErr99 float64
+	// Packets is the number of labeled packets delivered.
+	Packets int64
 	// Cycles is the total simulated cycle count.
 	Cycles int64
+	// Saturated reports that the run did not reach steady state: the
+	// drain did not complete or the mean latency diverged.
+	Saturated bool
 }
 
 // Run executes one simulation and returns its measurements: the router

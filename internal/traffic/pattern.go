@@ -67,9 +67,7 @@ type Hotspot struct {
 // NewHotspot returns hotspot traffic with the first h ports as hotspots
 // (the paper uses h=8).
 func NewHotspot(k, h int) *Hotspot {
-	if h <= 0 || h > k {
-		panic("traffic: hotspot count out of range")
-	}
+	must("hotspot", k, 0, h)
 	hs := make([]int, h)
 	for i := range hs {
 		hs[i] = i
@@ -102,9 +100,7 @@ type WorstCaseHierarchical struct {
 // NewWorstCaseHierarchical returns the worst-case pattern for radix k
 // and subswitch size p. Input group g targets output group g.
 func NewWorstCaseHierarchical(k, p int) *WorstCaseHierarchical {
-	if p <= 0 || k%p != 0 {
-		panic("traffic: subswitch size must divide radix")
-	}
+	must("worstcase", k, p, 0)
 	return &WorstCaseHierarchical{K: k, P: p}
 }
 
@@ -126,7 +122,7 @@ type BitComplement struct{ K int }
 // NewBitComplement returns bit-complement traffic over k ports (k must
 // be a power of two).
 func NewBitComplement(k int) *BitComplement {
-	mustPow2(k)
+	must("bitcomp", k, 0, 0)
 	return &BitComplement{K: k}
 }
 
@@ -142,7 +138,7 @@ type BitReverse struct{ K int }
 // NewBitReverse returns bit-reverse traffic over k ports (k must be a
 // power of two).
 func NewBitReverse(k int) *BitReverse {
-	mustPow2(k)
+	must("bitrev", k, 0, 0)
 	return &BitReverse{K: k}
 }
 
@@ -162,10 +158,7 @@ type Transpose struct{ K int }
 // NewTranspose returns transpose traffic over k ports (k must be a power
 // of two with an even number of address bits).
 func NewTranspose(k int) *Transpose {
-	mustPow2(k)
-	if (bits.Len(uint(k))-1)%2 != 0 {
-		panic("traffic: transpose requires an even number of address bits")
-	}
+	must("transpose", k, 0, 0)
 	return &Transpose{K: k}
 }
 
@@ -186,7 +179,7 @@ type Shuffle struct{ K int }
 // NewShuffle returns shuffle traffic over k ports (k must be a power of
 // two).
 func NewShuffle(k int) *Shuffle {
-	mustPow2(k)
+	must("shuffle", k, 0, 0)
 	return &Shuffle{K: k}
 }
 
@@ -199,15 +192,38 @@ func (s *Shuffle) Dest(src int, rng *sim.RNG) int {
 // Name implements Pattern.
 func (s *Shuffle) Name() string { return "shuffle" }
 
-func mustPow2(k int) {
-	if k <= 0 || k&(k-1) != 0 {
-		panic(fmt.Sprintf("traffic: radix %d is not a power of two", k))
+// precondition states, once, what pattern name needs of its radix k,
+// subswitch size p and hotspot count h: the constructors panic on its
+// error (must) and ByName returns it.
+func precondition(name string, k, p, h int) error {
+	addrBits := bits.Len(uint(k)) - 1
+	switch {
+	case name == "hotspot" && (h <= 0 || h > k):
+		return fmt.Errorf("traffic: hotspot count %d out of range [1,%d]", h, k)
+	case name == "worstcase" && (p <= 0 || k%p != 0):
+		return fmt.Errorf("traffic: subswitch size %d does not divide radix %d", p, k)
+	case (name == "bitcomp" || name == "bitrev" || name == "shuffle" || name == "transpose") &&
+		(k <= 0 || k&(k-1) != 0):
+		return fmt.Errorf("traffic: radix %d is not a power of two", k)
+	case name == "transpose" && addrBits%2 != 0:
+		return fmt.Errorf("traffic: transpose requires an even number of address bits, radix %d has %d", k, addrBits)
+	}
+	return nil
+}
+
+func must(name string, k, p, h int) {
+	if err := precondition(name, k, p, h); err != nil {
+		panic(err)
 	}
 }
 
 // ByName constructs a pattern from its report name; it is used by the
 // CLIs. p is only consulted for the worst-case pattern, h for hotspot.
+// A pattern whose precondition k, p or h breaks is an error, not a panic.
 func ByName(name string, k, p, h int) (Pattern, error) {
+	if err := precondition(name, k, p, h); err != nil {
+		return nil, err
+	}
 	switch name {
 	case "uniform":
 		return NewUniform(k), nil

@@ -166,6 +166,23 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("nope", 64, 8, 8); err == nil {
 		t.Fatal("unknown pattern accepted")
 	}
+	// A pattern whose precondition the radix breaks is an error, not a
+	// panic: hrsim reports it as a usage error.
+	for _, c := range []struct {
+		name    string
+		k, p, h int
+	}{
+		{"hotspot", 4, 8, 8},   // more hotspots than ports
+		{"worstcase", 4, 8, 8}, // subswitch size does not divide the radix
+		{"bitcomp", 6, 2, 2},   // not a power of two
+		{"bitrev", 6, 2, 2},
+		{"shuffle", 6, 2, 2},
+		{"transpose", 8, 8, 8}, // odd number of address bits
+	} {
+		if _, err := ByName(c.name, c.k, c.p, c.h); err == nil {
+			t.Errorf("ByName(%q, k=%d, p=%d, h=%d) accepted", c.name, c.k, c.p, c.h)
+		}
+	}
 }
 
 func TestNonPowerOfTwoPanics(t *testing.T) {
