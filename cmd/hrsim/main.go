@@ -75,8 +75,6 @@ func main() {
 		VCs:            *vcs,
 		SubSize:        *subsize,
 		XpointBufDepth: *xpbuf,
-		SubInDepth:     *xpbuf,
-		SubOutDepth:    *xpbuf,
 		VA:             vaScheme,
 		Prioritized:    *prio,
 		IdealCredit:    *ideal,

@@ -82,7 +82,7 @@ func TestEqualBufferDepth(t *testing.T) {
 			t.Fatalf("equal-storage depth %d, want 16", d)
 		}
 		fbXp := intermediateBits(fb)
-		hXp := intermediateBits(router.Config{Arch: router.ArchHierarchical, Radix: k, SubSize: 8, SubInDepth: d, SubOutDepth: d})
+		hXp := intermediateBits(router.Config{Arch: router.ArchHierarchical, Radix: k, SubSize: 8, XpointBufDepth: d})
 		if math.Abs(hXp/fbXp-1) > 1e-9 {
 			t.Errorf("k=%d: equal-storage depths differ: %v vs %v", k, hXp, fbXp)
 		}

@@ -27,7 +27,10 @@
 // its terminals as the ports (NewNetAuditor): Injected and Delivered
 // are its accept and eject events, so every rule above holds at the
 // terminals except grant legality and credit conservation, which need
-// events only a router emits. The checker is strictly passive and
+// events only a router emits. The drivers close a checked run
+// themselves: testbench.Run and network.Run call Final on every run
+// that drained (drive.Tally.Drained), saturated or not, and on no
+// other. The checker is strictly passive and
 // allocation-free on the router's hot path when not attached: routers
 // emit events through a nil-guarded observer hook.
 package check
@@ -381,7 +384,8 @@ func (c *Checker) EndCycle(now int64, inFlight int) error {
 
 // Final closes the run: the device must have drained (no live flits)
 // and every credit pool must have all its credits home. Call it after
-// injection has stopped and InFlight has reached zero.
+// injection has stopped and InFlight has reached zero. A second call
+// returns what the first did.
 func (c *Checker) Final(now int64) error {
 	if c.err != nil {
 		return c.err

@@ -187,8 +187,6 @@ func TestTorture(t *testing.T) {
 			cfg := vt.Config
 			// Shallow intermediate buffers maximize blocking pressure.
 			cfg.XpointBufDepth = 2
-			cfg.SubInDepth = 2
-			cfg.SubOutDepth = 2
 			for _, seed := range []uint64{1, 0x9e3779b9, 0xfeedface} {
 				name, cfg, seed := vt.Name, cfg, seed
 				t.Run(fmt.Sprintf("%s/seed%x", name, seed), func(t *testing.T) {

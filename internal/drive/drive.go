@@ -116,6 +116,10 @@ type Tally struct {
 	// Cycles is the simulated cycle count; DrainUsed how many of them lay
 	// past the window (Drain when the bound was exhausted).
 	Cycles, DrainUsed int64
+	// Drained reports an audited run that ended with every generated
+	// flit delivered: the one run an auditor's end-of-run checks (an
+	// empty system, every credit home) may be applied to.
+	Drained bool
 
 	now       int64
 	measuring bool
@@ -212,6 +216,7 @@ func Run(c Config, build func() World) (*Tally, error) {
 	}
 	t.Cycles, t.DrainUsed = now, max(now-measEnd, 0)
 	t.InjectedLabeled = w.InjectedLabeled()
+	t.Drained = c.Audited && t.Flits >= w.GenFlits()
 	return t, nil
 }
 

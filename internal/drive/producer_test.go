@@ -45,6 +45,7 @@ func (l *eventLog) Delivered(now int64, f *flit.Flit) {
 	l.events = append(l.events, fmt.Sprintf("%d out %#x.%d", now, f.PacketID, f.Seq))
 }
 func (l *eventLog) EndCycle(int64, int) error { return nil }
+func (l *eventLog) Final(int64) error         { return nil }
 
 // TestProducerTwins: a run whose draws a producer goroutine takes is the
 // run whose consumer draws for itself, byte for byte — behind the single
@@ -115,6 +116,7 @@ var errStop = errors.New("audit stop")
 
 func (h *stopAt) Injected(int64, *flit.Flit)  {}
 func (h *stopAt) Delivered(int64, *flit.Flit) {}
+func (h *stopAt) Final(int64) error           { return nil }
 func (h *stopAt) EndCycle(now int64, _ int) error {
 	switch {
 	case now < h.at:

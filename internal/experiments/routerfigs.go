@@ -167,8 +167,9 @@ func Fig17c(s Scale) (*stats.Table, error) {
 		XLabel: "offered load",
 		YLabel: "latency (cycles)",
 	}
-	// Each of a subswitch's 2p buffers per VC stands for p/2 crosspoint
-	// buffers of the flat crossbar.
+	// Each subswitch input and output buffer, sized by XpointBufDepth as
+	// the crosspoint buffers are, stands for p/2 crosspoint buffers of
+	// the flat crossbar.
 	xp := router.Config{}.WithDefaults().XpointBufDepth
 	depth := xp * 8 / 2
 	long := func(o *testbench.Options) { o.PktLen = 10 }
@@ -177,7 +178,7 @@ func Fig17c(s Scale) (*stats.Table, error) {
 			cfg: router.Config{Arch: router.ArchBuffered}, mutate: long},
 		{name: "hierarchical-p8(" + strconv.Itoa(depth) + "/buf)",
 			cfg: router.Config{
-				Arch: router.ArchHierarchical, SubSize: 8, SubInDepth: depth, SubOutDepth: depth},
+				Arch: router.ArchHierarchical, SubSize: 8, XpointBufDepth: depth},
 			mutate: long},
 	}
 	if err := s.latencyFigure(t, cases); err != nil {

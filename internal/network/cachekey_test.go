@@ -104,6 +104,7 @@ type nopHooks struct{}
 func (nopHooks) Injected(int64, *flit.Flit)  {}
 func (nopHooks) Delivered(int64, *flit.Flit) {}
 func (nopHooks) EndCycle(int64, int) error   { return nil }
+func (nopHooks) Final(int64) error           { return nil }
 
 func TestNetCacheKeyUncacheable(t *testing.T) {
 	o := Options{Net: Config{Radix: 4, Digits: 2}, Load: 0.5, Seed: 1}

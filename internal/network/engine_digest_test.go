@@ -32,6 +32,7 @@ func (d *streamDigest) Delivered(now int64, f *flit.Flit) {
 }
 
 func (d *streamDigest) EndCycle(int64, int) error { return nil }
+func (d *streamDigest) Final(int64) error         { return nil }
 
 // engineDigest runs o hooked (delivery stream + result) and unhooked
 // (result only: the path that never stops generating) through run and

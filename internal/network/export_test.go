@@ -56,5 +56,5 @@ func New(cfg Config, seed uint64) (*Network, error) {
 	if err := CheckLimits(topo); err != nil {
 		return nil, err
 	}
-	return NewNetwork(topo, seed^0x632be59bd9b4e019), nil
+	return NewNetwork(topo, Options{Seed: seed}.RouteSeed()), nil
 }

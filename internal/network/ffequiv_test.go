@@ -49,6 +49,13 @@ func (h *recHooks) EndCycle(now int64, inFlight int) error {
 	return nil
 }
 
+func (h *recHooks) Final(now int64) error {
+	if h.inner != nil {
+		return h.inner.Final(now)
+	}
+	return nil
+}
+
 func TestNetFastForwardTwin(t *testing.T) {
 	cases := []struct {
 		cfg  Config

@@ -12,11 +12,14 @@ import (
 // structurally by the *check.Checker that check.NewNetAuditor returns;
 // the network side only defines the contract. EndCycle runs after
 // every Step with the network's in-flight count and may end the run by
-// returning an error.
+// returning an error. Final runs once, at the end of a run that drained
+// (every generated flit delivered), and its error is the run's; a run
+// that did not drain is never held to it.
 type Hooks interface {
 	Injected(now int64, f *flit.Flit)
 	Delivered(now int64, f *flit.Flit)
 	EndCycle(now int64, inFlight int) error
+	Final(now int64) error
 }
 
 // Options parameterizes one network simulation run (Figure 19 uses
@@ -49,7 +52,8 @@ type Options struct {
 	// audits each cycle. Arming hooks also stops generation at the end
 	// of the measurement window and extends the run until every
 	// generated flit has drained, so end-to-end conservation can be
-	// verified; a non-nil EndCycle error aborts the run.
+	// verified; a non-nil EndCycle error aborts the run, and a run that
+	// drained returns the error of Final.
 	Hooks Hooks `key:"nil"`
 	// NoFastForward forces dense per-cycle stepping: the run neither
 	// skips quiescent network steps nor jumps time across provably idle
@@ -254,6 +258,11 @@ func run(o Options, claim func(topo Topology) (workers int, release func())) (Re
 	})
 	if err != nil {
 		return Result{}, err
+	}
+	if t.Drained {
+		if err := o.Hooks.Final(t.Cycles); err != nil {
+			return Result{}, err
+		}
 	}
 	return Result{
 		Load:       o.Load,

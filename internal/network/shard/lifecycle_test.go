@@ -22,6 +22,7 @@ var errStop = errors.New("audit stop")
 
 func (h *stopAt) Injected(int64, *flit.Flit)  {}
 func (h *stopAt) Delivered(int64, *flit.Flit) {}
+func (h *stopAt) Final(int64) error           { return nil }
 func (h *stopAt) EndCycle(now int64, _ int) error {
 	switch {
 	case now < h.at:

@@ -34,6 +34,7 @@ func (r *recorder) Delivered(now int64, f *flit.Flit) {
 }
 
 func (r *recorder) EndCycle(now int64, inFlight int) error { return nil }
+func (r *recorder) Final(int64) error                      { return nil }
 
 func testTopologies(t testing.TB) map[string]network.Topology {
 	clos, err := network.NewClos(network.Config{Radix: 4, Digits: 2, VCs: 2, BufDepth: 4})

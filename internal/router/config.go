@@ -141,15 +141,12 @@ type Config struct {
 	VCs int
 	// InputBufDepth is the per-input-VC buffer depth in flits.
 	InputBufDepth int
-	// XpointBufDepth is the per-VC crosspoint buffer depth in flits
-	// (fully buffered and shared-crosspoint architectures).
+	// XpointBufDepth is the per-VC depth in flits of the buffers inside
+	// the crossbar: each crosspoint's (buffered, sharedxp, VOQ) or each
+	// subswitch input's and output's (hierarchical).
 	XpointBufDepth int
 	// SubSize is p, the subswitch size of the hierarchical crossbar.
 	SubSize int
-	// SubInDepth and SubOutDepth are the per-VC buffer depths at
-	// subswitch inputs and outputs.
-	SubInDepth  int
-	SubOutDepth int
 	// STCycles is the switch traversal time of one flit in cycles.
 	STCycles int
 	// LocalGroup is m, the local arbitration group size of the
@@ -204,12 +201,6 @@ func (c Config) WithDefaults() Config {
 	if c.SubSize == 0 {
 		c.SubSize = 8
 	}
-	if c.SubInDepth == 0 {
-		c.SubInDepth = 4
-	}
-	if c.SubOutDepth == 0 {
-		c.SubOutDepth = 4
-	}
 	if c.STCycles == 0 {
 		c.STCycles = 4
 	}
@@ -250,7 +241,7 @@ func (c Config) Validate() error {
 	// core.CreditBus); the deepest any architecture builds from these
 	// fields are the dynamic-VC pool of VCs x InputBufDepth flits and the
 	// buffered crossbar's credit rings of VCs x XpointBufDepth credits.
-	if d := max(c.VCs*max(c.InputBufDepth, c.XpointBufDepth), c.SubInDepth, c.SubOutDepth); d > core.MaxFIFODepth {
+	if d := c.VCs * max(c.InputBufDepth, c.XpointBufDepth); d > core.MaxFIFODepth {
 		errs = append(errs, fmt.Errorf("buffer depth %d > %d", d, core.MaxFIFODepth))
 	}
 	if c.STCycles < 1 {

@@ -57,8 +57,8 @@ func TestConfigValidationEdges(t *testing.T) {
 		},
 		{
 			"negative subswitch depths",
-			func(c *router.Config) { c.Arch = router.ArchHierarchical; c.SubInDepth = -2; c.SubOutDepth = -3 },
-			"subswitch buffer depths must be >= 1 (got in=-2 out=-3)",
+			func(c *router.Config) { c.Arch = router.ArchHierarchical; c.XpointBufDepth = -2 },
+			"crosspoint buffer depth -2 < 1",
 		},
 		{
 			"prioritized off-baseline",
@@ -130,8 +130,7 @@ func TestWithDefaultsPreservesExplicit(t *testing.T) {
 		t.Fatalf("explicit fields overridden: %+v", out)
 	}
 	// Unset fields get the paper's evaluation parameters.
-	if out.InputBufDepth != 16 || out.XpointBufDepth != 4 ||
-		out.SubInDepth != 4 || out.SubOutDepth != 4 {
+	if out.InputBufDepth != 16 || out.XpointBufDepth != 4 {
 		t.Fatalf("defaults not applied: %+v", out)
 	}
 	once := router.Config{}.WithDefaults()

@@ -21,10 +21,7 @@ func init() {
 			if c.SubSize < 1 || c.Radix%c.SubSize != 0 {
 				errs = append(errs, fmt.Errorf("subswitch size %d must divide radix %d", c.SubSize, c.Radix))
 			}
-			if c.SubInDepth < 1 || c.SubOutDepth < 1 {
-				errs = append(errs, fmt.Errorf("subswitch buffer depths must be >= 1 (got in=%d out=%d)", c.SubInDepth, c.SubOutDepth))
-			}
-			return errs
+			return append(errs, validateXpointDepth(c)...)
 		},
 		Variants: func(radix, vcs int) []Variant {
 			return []Variant{{"hierarchical", Config{
@@ -131,7 +128,7 @@ func newHierarchical(cfg Config) *hierarchical {
 		grp:         make([]int32, k),
 		loc:         make([]int32, k),
 		Base:        core.MakeBase(obs, k, v, cfg.InputBufDepth, cfg.STCycles),
-		creditIn:    core.MakeLedger(obs, "subin", k*g*v, cfg.SubInDepth),
+		creditIn:    core.MakeLedger(obs, "subin", k*g*v, cfg.XpointBufDepth),
 		subOutOwner: core.MakeVCOwnerTable(k*g, v),
 		intInFree:   core.NewSerializerBank(k * g),
 		intOutFree:  core.NewSerializerBank(k * g),
@@ -155,9 +152,9 @@ func newHierarchical(cfg Config) *hierarchical {
 	for i := 0; i < k; i++ {
 		r.grp[i], r.loc[i] = int32(i/p), int32(i%p)
 	}
-	r.subIn = r.MakeFIFOBank(k*g*v, cfg.SubInDepth)
+	r.subIn = r.MakeFIFOBank(k*g*v, cfg.XpointBufDepth)
 	r.row = makeRowStage(&r.cfg, &r.Base, r.grp, g, v, &r.creditIn, "row-bus")
-	r.col = makeColumnStage(&r.cfg, &r.Base, g, v, cfg.SubOutDepth, "subout", "column")
+	r.col = makeColumnStage(&r.cfg, &r.Base, g, v, cfg.XpointBufDepth, "subout", "column")
 	return r
 }
 

@@ -31,8 +31,6 @@ func TestRandomConfigConservation(t *testing.T) {
 		if cfg.Arch == router.ArchHierarchical {
 			ss := subs[cfg.Radix]
 			cfg.SubSize = ss[int(d)%len(ss)]
-			cfg.SubInDepth = 1 + int(v)%3
-			cfg.SubOutDepth = 1 + int(r)%3
 		}
 		if cfg.Arch == router.ArchBaseline {
 			cfg.VA = router.VAScheme(int(seedSel) % 2)

@@ -147,7 +147,8 @@ func variantLocalGroup(radix int) int {
 }
 
 // validateXpointDepth is the Validate hook of every architecture that
-// buffers flits per crosspoint (buffered, sharedxp, voq).
+// buffers flits inside the crossbar: per crosspoint (buffered, sharedxp,
+// voq) or per subswitch input and output (hierarchical).
 func validateXpointDepth(c Config) []error {
 	if c.XpointBufDepth < 1 {
 		return []error{fmt.Errorf("crosspoint buffer depth %d < 1", c.XpointBufDepth)}

@@ -20,8 +20,6 @@ func allConfigs() map[string]router.Config {
 			cfg := vt.Config
 			cfg.InputBufDepth = 8
 			cfg.XpointBufDepth = 2
-			cfg.SubInDepth = 2
-			cfg.SubOutDepth = 2
 			m[vt.Name] = cfg
 		}
 	}
@@ -268,13 +266,13 @@ func TestFlowControlRejection(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []router.Config{
-		{Arch: router.ArchHierarchical, Radix: 64, SubSize: 7},      // p does not divide k
-		{Arch: router.ArchLowRadix, Radix: 1},                       // radix too small
-		{Arch: router.ArchBuffered, XpointBufDepth: -1},             // negative buffer
-		{Arch: router.ArchBuffered, Prioritized: true},              // prioritization is baseline-only
-		{Arch: router.Arch(99)},                                     // unknown arch
-		{Arch: router.ArchHierarchical, SubSize: 8, SubInDepth: -2}, // negative depth
-		{Arch: router.ArchBaseline, STCycles: -4},                   // negative traversal
+		{Arch: router.ArchHierarchical, Radix: 64, SubSize: 7},          // p does not divide k
+		{Arch: router.ArchLowRadix, Radix: 1},                           // radix too small
+		{Arch: router.ArchBuffered, XpointBufDepth: -1},                 // negative buffer
+		{Arch: router.ArchBuffered, Prioritized: true},                  // prioritization is baseline-only
+		{Arch: router.Arch(99)},                                         // unknown arch
+		{Arch: router.ArchHierarchical, SubSize: 8, XpointBufDepth: -2}, // negative depth
+		{Arch: router.ArchBaseline, STCycles: -4},                       // negative traversal
 	}
 	for i, cfg := range bad {
 		if _, err := router.New(cfg); err == nil {

@@ -49,7 +49,7 @@ func TestStorage(t *testing.T) {
 				// 1/v of the fully buffered crossbar's crosspoint storage.
 				want = (fullyBufferedFlits(cfg)-baselineFlits(cfg))/cfg.VCs + baselineFlits(cfg)
 			case router.ArchHierarchical:
-				want = hierarchicalFlits(cfg, cfg.SubInDepth)
+				want = hierarchicalFlits(cfg, cfg.XpointBufDepth)
 			case router.ArchVOQ:
 				want = k*k*cfg.XpointBufDepth + baselineFlits(cfg)
 			case router.ArchDynVC:
@@ -67,7 +67,7 @@ func TestStorage(t *testing.T) {
 				continue
 			}
 			cfg, got := built(t, router.Config{Arch: router.ArchHierarchical, Radix: k, SubSize: p})
-			if want := hierarchicalFlits(cfg, cfg.SubInDepth); got != want {
+			if want := hierarchicalFlits(cfg, cfg.XpointBufDepth); got != want {
 				t.Errorf("hierarchical k=%d p=%d: Storage %d flits, want %d", k, p, got, want)
 			}
 		}

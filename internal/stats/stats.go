@@ -21,7 +21,6 @@ type Sample struct {
 	sorted []float64 // values in ascending order; stale while shorter than values
 	// reservoir sampling bound; 0 means retain everything.
 	reservoirCap int
-	seen         int64
 	rngState     uint64
 }
 
@@ -36,7 +35,6 @@ func (s *Sample) Add(v float64) {
 	s.n++
 	s.sum += v
 	s.sumSq += v * v
-	s.seen++
 	s.sorted = s.sorted[:0]
 	if s.reservoirCap == 0 || len(s.values) < s.reservoirCap {
 		s.values = append(s.values, v)
@@ -46,7 +44,7 @@ func (s *Sample) Add(v float64) {
 	s.rngState ^= s.rngState << 13
 	s.rngState ^= s.rngState >> 7
 	s.rngState ^= s.rngState << 17
-	j := s.rngState % uint64(s.seen)
+	j := s.rngState % uint64(s.n)
 	if int(j) < s.reservoirCap {
 		s.values[j] = v
 	}

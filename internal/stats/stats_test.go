@@ -68,7 +68,7 @@ func TestQuantileInterleavedWithAdd(t *testing.T) {
 			}
 		}
 	}
-	if s.seen <= int64(len(s.values)) {
+	if s.n <= int64(len(s.values)) {
 		t.Fatal("vacuous: the reservoir never replaced a value")
 	}
 }

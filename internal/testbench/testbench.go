@@ -198,7 +198,7 @@ func Run(o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if chk != nil && t.Flits >= p.GenFlits() {
+	if t.Drained {
 		if err := chk.Final(t.Cycles); err != nil {
 			return Result{}, err
 		}
