@@ -116,7 +116,7 @@ func main() {
 
 	base.Load = *load
 	if *chk {
-		base.Hooks = check.NewNetAuditor(topo.Terminals(), topo.VCs(), topo.SerCycles(), check.Options{})
+		base.Hooks = check.NewNetAuditor(topo.Terminals(), topo.VCs(), topo.SerCycles())
 	}
 	res, err := network.Run(base)
 	if err != nil {
@@ -166,7 +166,7 @@ func sweepLoads(base network.Options, list string, jobs int, chk bool) error {
 			if err != nil {
 				return sweep.Point{}, err
 			}
-			o.Hooks = check.NewNetAuditor(topo.Terminals(), topo.VCs(), topo.SerCycles(), check.Options{})
+			o.Hooks = check.NewNetAuditor(topo.Terminals(), topo.VCs(), topo.SerCycles())
 		}
 		// Curve's run executes slotless; the simulation itself goes
 		// through Do so the pool still bounds concurrent runs.

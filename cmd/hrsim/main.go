@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
@@ -28,46 +29,57 @@ import (
 	"highradix/internal/traffic"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments, output streams and exit status made
+// explicit, so that a test can drive it.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("hrsim", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		arch    = flag.String("arch", "hierarchical", strings.Join(router.ArchNames(), "|"))
-		radix   = flag.Int("radix", 64, "router radix k")
-		vcs     = flag.Int("vcs", 4, "virtual channels v")
-		subsize = flag.Int("subsize", 8, "hierarchical subswitch size p")
-		xpbuf   = flag.Int("xpbuf", 4, "crosspoint/subswitch buffer depth per VC (flits)")
-		va      = flag.String("va", "CVA", "baseline VC allocation: CVA|OVA")
-		prio    = flag.Bool("prioritized", false, "dual spec/nonspec switch arbiters (baseline)")
-		ideal   = flag.Bool("idealcredit", false, "ideal credit return instead of shared bus")
-		load    = flag.Float64("load", 0.5, "offered load (fraction of capacity)")
-		pkt     = flag.Int("pkt", 1, "packet length in flits")
-		pattern = flag.String("pattern", "uniform", "uniform|diagonal|hotspot|worstcase|bitcomp|bitrev|transpose|shuffle")
-		bursty  = flag.Bool("bursty", false, "Markov ON/OFF injection (avg burst 8)")
-		warmup  = flag.Int64("warmup", 3000, "warmup cycles")
-		measure = flag.Int64("measure", 8000, "measurement cycles")
-		seed    = flag.Uint64("seed", 1, "random seed")
-		trace   = flag.String("trace", "", "replay a trace file (cycle,src,dst[,len] lines) instead of synthetic traffic")
-		events  = flag.Int("events", 0, "print the first N microarchitectural events (accept/grant/nack/eject)")
-		packets = flag.Int("packets", 0, "after the summary, print the timelines of the first N packets accepted after warm-up")
-		chk     = flag.Bool("check", false, "arm the cycle-level invariant checker (drains the run to empty and fails on any violation)")
-		inj     = flag.String("inj", "percycle", "injection sampling: percycle|gap (gap is event-driven, O(events) at low load, distribution-equivalent)")
+		arch    = flags.String("arch", "hierarchical", strings.Join(router.ArchNames(), "|"))
+		radix   = flags.Int("radix", 64, "router radix k")
+		vcs     = flags.Int("vcs", 4, "virtual channels v")
+		subsize = flags.Int("subsize", 8, "hierarchical subswitch size p")
+		xpbuf   = flags.Int("xpbuf", 4, "crosspoint/subswitch buffer depth per VC (flits)")
+		va      = flags.String("va", "CVA", "baseline VC allocation: CVA|OVA")
+		prio    = flags.Bool("prioritized", false, "dual spec/nonspec switch arbiters (baseline)")
+		ideal   = flags.Bool("idealcredit", false, "ideal credit return instead of shared bus")
+		load    = flags.Float64("load", 0.5, "offered load (fraction of capacity)")
+		pkt     = flags.Int("pkt", 1, "packet length in flits")
+		pattern = flags.String("pattern", "uniform", "uniform|diagonal|hotspot|worstcase|bitcomp|bitrev|transpose|shuffle")
+		bursty  = flags.Bool("bursty", false, "Markov ON/OFF injection (avg burst 8)")
+		warmup  = flags.Int64("warmup", 3000, "warmup cycles")
+		measure = flags.Int64("measure", 8000, "measurement cycles")
+		seed    = flags.Uint64("seed", 1, "random seed")
+		trace   = flags.String("trace", "", "replay a trace file (cycle,src,dst[,len] lines) instead of synthetic traffic")
+		events  = flags.Int("events", 0, "print the first N microarchitectural events (accept/grant/nack/eject)")
+		packets = flags.Int("packets", 0, "after the summary, print the timelines of the first N packets accepted after warm-up")
+		chk     = flags.Bool("check", false, "arm the cycle-level invariant checker (drains the run to empty and fails on any violation)")
+		inj     = flags.String("inj", "percycle", "injection sampling: percycle|gap (gap is event-driven, O(events) at low load, distribution-equivalent)")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "hrsim:", err)
+		return code
+	}
 
 	injMode, err := traffic.InjModeByName(*inj)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hrsim:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 
 	a, err := router.ArchByName(*arch)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hrsim:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	vaScheme, err := router.VAByName(*va)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hrsim:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	cfg := router.Config{
 		Arch:           a,
@@ -80,15 +92,15 @@ func main() {
 		IdealCredit:    *ideal,
 	}
 	// A router that cannot be built is a usage error, caught before
-	// anything is sized by the radix.
-	if err := cfg.WithDefaults().Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "hrsim:", err)
-		os.Exit(2)
+	// anything is sized by the radix. The pattern and the header take
+	// the router's own radix, VCs and subswitch size, defaults filled in.
+	full := cfg.WithDefaults()
+	if err := full.Validate(); err != nil {
+		return fail(2, err)
 	}
-	pat, err := traffic.ByName(*pattern, *radix, *subsize, 8)
+	pat, err := traffic.ByName(*pattern, full.Radix, full.SubSize, 8)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hrsim:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	// timelines holds the flit events of each tracked packet: the first
 	// *packets whose head is accepted at or after warm-up. Request-level
@@ -104,7 +116,7 @@ func main() {
 				if e.Flit != nil {
 					id = e.Flit.PacketID
 				}
-				fmt.Printf("cycle %6d  %-6s pkt=%-6d in=%-3d out=%-3d vc=%d %s\n",
+				fmt.Fprintf(stdout, "cycle %6d  %-6s pkt=%-6d in=%-3d out=%-3d vc=%d %s\n",
 					e.Cycle, e.Kind, id, e.Input, e.Output, e.VC, e.Note)
 			}
 			if e.Flit == nil {
@@ -138,49 +150,47 @@ func main() {
 	if *trace != "" {
 		f, err := os.Open(*trace)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hrsim:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		opts.Trace, err = traffic.LoadTrace(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hrsim:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 	}
 	res, err := testbench.Run(opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hrsim:", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
-	fmt.Printf("arch=%s radix=%d vcs=%d pattern=%s load=%.3f pkt=%d\n",
-		a, *radix, *vcs, pat.Name(), *load, *pkt)
-	fmt.Printf("  avg latency      %.2f cycles (p50 %.1f, p99 %.1f)\n", res.AvgLatency, res.P50, res.P99)
-	fmt.Printf("  throughput       %.4f of capacity\n", res.Throughput)
-	fmt.Printf("  labeled packets  %d (99%% CI half-width %.2f%% of mean)\n", res.Packets, 100*res.RelErr99)
-	fmt.Printf("  simulated cycles %d\n", res.Cycles)
+	fmt.Fprintf(stdout, "arch=%s radix=%d vcs=%d pattern=%s load=%.3f pkt=%d\n",
+		a, full.Radix, full.VCs, pat.Name(), *load, *pkt)
+	fmt.Fprintf(stdout, "  avg latency      %.2f cycles (p50 %.1f, p99 %.1f)\n", res.AvgLatency, res.P50, res.P99)
+	fmt.Fprintf(stdout, "  throughput       %.4f of capacity\n", res.Throughput)
+	fmt.Fprintf(stdout, "  labeled packets  %d (99%% CI half-width %.2f%% of mean)\n", res.Packets, 100*res.RelErr99)
+	fmt.Fprintf(stdout, "  simulated cycles %d\n", res.Cycles)
 	if *chk {
-		fmt.Println("  invariants       ok (conservation, credits, ordering, VC ownership, progress)")
+		fmt.Fprintln(stdout, "  invariants       ok (conservation, credits, ordering, VC ownership, progress)")
 	}
 	if res.Saturated {
-		fmt.Println("  SATURATED: offered load exceeds sustainable throughput at this configuration")
+		fmt.Fprintln(stdout, "  SATURATED: offered load exceeds sustainable throughput at this configuration")
 	}
 	if len(tracked) > 0 {
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	slices.Sort(tracked)
 	for _, id := range tracked {
 		evs := timelines[id]
 		first := evs[0]
-		fmt.Printf("packet %d: %d -> %d, %d flits\n", id, first.Flit.Src, first.Flit.Dst, first.Flit.PacketLen)
+		fmt.Fprintf(stdout, "packet %d: %d -> %d, %d flits\n", id, first.Flit.Src, first.Flit.Dst, first.Flit.PacketLen)
 		for _, e := range evs {
 			note := e.Note
 			if note != "" {
 				note = " @" + note
 			}
-			fmt.Printf("  +%4d  %-6s flit %d/%d  in=%d out=%d vc=%d%s\n",
+			fmt.Fprintf(stdout, "  +%4d  %-6s flit %d/%d  in=%d out=%d vc=%d%s\n",
 				e.Cycle-first.Cycle, e.Kind, e.Flit.Seq+1, e.Flit.PacketLen, e.Input, e.Output, e.VC, note)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
+	return 0
 }

@@ -32,7 +32,7 @@ func main() {
 		{"uniform", func(o *highradix.SimOptions) {}},
 		{"diagonal", func(o *highradix.SimOptions) { o.Pattern = highradix.DiagonalTraffic(64) }},
 		{"hotspot", func(o *highradix.SimOptions) { o.Pattern = highradix.HotspotTraffic(64, 8) }},
-		{"bursty", func(o *highradix.SimOptions) { o.Bursty = true; o.BurstLen = 8 }},
+		{"bursty", func(o *highradix.SimOptions) { o.Bursty = true }},
 		{"worstcase", func(o *highradix.SimOptions) { o.Pattern = highradix.WorstCaseTraffic(64, 8) }},
 	}
 

@@ -119,6 +119,11 @@ var guardSteps = []struct {
 		pattern: `cache\.NewKey\(|\) Canonical\(\) string`,
 		msg:     "a hand-written cache key outside internal/cache (see DESIGN.md, Result cache: Keys)",
 	}}},
+	{"One checker state", []guard{{
+		roots:   []string{"internal/check"},
+		pattern: `type (flow|NetAuditor|Options|Stats) struct`,
+		msg:     "a second layer of checker state, a checker option, or counters only tests read (see DESIGN.md, Invariant checker)",
+	}}},
 }
 
 func TestStructuralGuards(t *testing.T) {

@@ -81,8 +81,8 @@ const (
 )
 
 // ArchDescriptor is a registered architecture's registry entry:
-// constructor, checker traits, defaulting and validation hooks, bench
-// radices, and the paper section it models.
+// constructor, checker traits, validation hook, test variants and
+// bench radices.
 type ArchDescriptor = router.Descriptor
 
 // Architectures lists every registered architecture in ascending

@@ -32,7 +32,7 @@ func tbOptions(t *testing.T, pattern string) *testbench.Options {
 		Router: router.Config{Arch: router.ArchBaseline, Radix: 16, VCs: 2, InputBufDepth: 8,
 			XpointBufDepth: 2, SubSize: 4, STCycles: 2, LocalGroup: 4,
 			AllocIters: 2, VA: router.OVA, SpecPolicy: router.SpecHash, Prioritized: true, IdealCredit: true},
-		Pattern: p, Bursty: true, BurstLen: 4, Load: 0.5, PktLen: 2,
+		Pattern: p, Bursty: true, Load: 0.5, PktLen: 2,
 		WarmupCycles: 100, MeasureCycles: 200, DrainCycles: 900, SatLatency: 500, Seed: 1,
 		Check: true, Injection: traffic.InjGap,
 	}

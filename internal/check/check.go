@@ -19,18 +19,19 @@
 //     router, and no output serializer granted (or ejecting) more
 //     often than once per STCycles.
 //   - Progress: if flits are in flight, some flit must eject within
-//     the watchdog window; otherwise the checker reports a bounded
-//     deadlock/livelock certificate naming the oldest stuck flit.
+//     the watchdog window of 10000 cycles; otherwise the checker
+//     reports a bounded deadlock/livelock certificate naming the
+//     oldest stuck flit.
 //
 // Arm it on a router with Wrap (drop-in router.Router) or feed events
-// to a Checker directly. A network is checked by the same Checker with
-// its terminals as the ports (NewNetAuditor): Injected and Delivered
-// are its accept and eject events, so every rule above holds at the
-// terminals except grant legality and credit conservation, which need
-// events only a router emits. The drivers close a checked run
-// themselves: testbench.Run and network.Run call Final on every run
-// that drained (drive.Tally.Drained), saturated or not, and on no
-// other. The checker is strictly passive and
+// to a Checker directly; it takes no options. A network is checked by
+// the same Checker with its terminals as the ports (NewNetAuditor):
+// Injected and Delivered are its accept and eject events, so every
+// rule above holds at the terminals except grant legality and credit
+// conservation, which need events only a router emits. The drivers
+// close a checked run themselves: testbench.Run and network.Run call
+// Final on every run that drained (drive.Tally.Drained), saturated or
+// not, and on no other. The checker is strictly passive and
 // allocation-free on the router's hot path when not attached: routers
 // emit events through a nil-guarded observer hook.
 package check
@@ -60,16 +61,10 @@ func vio(cycle int64, rule, format string, args ...any) *Violation {
 	return &Violation{Cycle: cycle, Rule: rule, Detail: fmt.Sprintf(format, args...)}
 }
 
-// Options tunes the checker.
-type Options struct {
-	// WatchdogCycles is how long the checker tolerates in-flight flits
-	// without a single ejection before declaring a progress violation.
-	// Zero selects the default (10000), generous for every architecture
-	// at any load below saturation.
-	WatchdogCycles int64
-}
-
-const defaultWatchdog = 10000
+// watchdogCycles is how long the checker tolerates in-flight flits
+// without a single ejection before declaring a progress violation:
+// generous for every architecture at any load below saturation.
+const watchdogCycles = 10000
 
 // poolKey identifies one credit-counted buffer pool. Routers name the
 // pool kind in Event.Note and address it with the event's port fields,
@@ -89,30 +84,25 @@ type pool struct {
 	depth       int
 }
 
-// Stats counts what the checker observed; useful for reporting and for
-// watchdog certificates.
-type Stats struct {
-	Events  uint64
-	Accepts uint64
-	Grants  uint64
-	Nacks   uint64
-	Ejects  uint64
-	Credits uint64
-	Packets uint64 // fully delivered packets
-}
-
 // Checker validates one device's event stream: a router's, or a
 // network's at its terminals. It implements router.Observer (feed it
 // via Config.Observer or use Wrap) and network.Hooks.
 type Checker struct {
-	opt   Options
 	ports int
 	vcs   int
 	ser   int64 // cycles an output serializer needs per flit
 
-	fl    *flow
-	stats Stats
-	err   *Violation
+	err *Violation
+
+	// The device-independent half of the state: the live flit set
+	// (accepted but not yet ejected), pointer identity, and per-packet
+	// sequencing on both sides (flow.go). The rules below layer ports,
+	// VCs, serializers, grants and credits on top of it.
+	live      map[flitKey]*flit.Flit
+	byPtr     map[*flit.Flit]flitKey
+	pkts      map[uint64]*pktState
+	liveCount int
+	delivered uint64 // fully ejected packets
 
 	// termNote is the Note of the grant stage that seizes the output
 	// serializer in this architecture; those grants (and all ejects)
@@ -134,30 +124,28 @@ type Checker struct {
 // New builds a checker for a router with the given configuration. The
 // configuration is normalized with WithDefaults, so pass the same
 // Config the router was (or will be) built from.
-func New(cfg router.Config, opt Options) *Checker {
+func New(cfg router.Config) *Checker {
 	cfg = cfg.WithDefaults()
 	d, _ := router.Describe(cfg.Arch)
-	return newChecker(cfg.Radix, cfg.VCs, cfg.STCycles, d.GrantNote, opt)
+	return newChecker(cfg.Radix, cfg.VCs, cfg.STCycles, d.GrantNote)
 }
 
 // NewNetAuditor builds a checker for a network whose terminals are its
 // ports: terminals of them, vcs virtual channels on each exit channel,
 // and serCycles per flit at each terminal serializer (the network
 // configuration's values after defaults).
-func NewNetAuditor(terminals, vcs, serCycles int, opt Options) *Checker {
-	return newChecker(terminals, vcs, serCycles, "", opt)
+func NewNetAuditor(terminals, vcs, serCycles int) *Checker {
+	return newChecker(terminals, vcs, serCycles, "")
 }
 
-func newChecker(ports, vcs, serCycles int, grantNote string, opt Options) *Checker {
-	if opt.WatchdogCycles <= 0 {
-		opt.WatchdogCycles = defaultWatchdog
-	}
+func newChecker(ports, vcs, serCycles int, grantNote string) *Checker {
 	c := &Checker{
-		opt:       opt,
 		ports:     ports,
 		vcs:       vcs,
 		ser:       int64(serCycles),
-		fl:        newFlow(),
+		live:      make(map[flitKey]*flit.Flit),
+		byPtr:     make(map[*flit.Flit]flitKey),
+		pkts:      make(map[uint64]*pktState),
 		termNote:  grantNote,
 		liveIn:    make([]int, ports),
 		vcOwner:   make([]uint64, ports*vcs),
@@ -188,23 +176,17 @@ func (c *Checker) Observe(e router.Event) {
 	if c.err != nil {
 		return
 	}
-	c.stats.Events++
 	switch e.Kind {
 	case router.EvAccept:
-		c.stats.Accepts++
 		c.accept(e)
 	case router.EvGrant:
-		c.stats.Grants++
 		c.grantsSince++
 		c.grant(e)
 	case router.EvNack:
-		c.stats.Nacks++
 		c.nacksSince++
 	case router.EvEject:
-		c.stats.Ejects++
 		c.eject(e)
 	case router.EvCredit:
-		c.stats.Credits++
 		c.credit(e)
 	}
 }
@@ -222,12 +204,12 @@ func (c *Checker) Delivered(now int64, f *flit.Flit) {
 }
 
 func (c *Checker) accept(e router.Event) {
-	if c.fl.liveCount == 0 {
+	if c.liveCount == 0 {
 		// Arrival into an idle device restarts the progress clock; the
 		// watchdog should time ejections against work being present.
 		c.progress(e.Cycle)
 	}
-	if c.err = c.fl.accept(e.Cycle, e.Flit); c.err != nil {
+	if c.err = c.admit(e.Cycle, e.Flit); c.err != nil {
 		return
 	}
 	if f := e.Flit; f.Src < 0 || f.Src >= c.ports || f.Dst < 0 || f.Dst >= c.ports {
@@ -242,7 +224,7 @@ func (c *Checker) grant(e router.Event) {
 		// A grant that names a flit must name a live one: granting a
 		// flit never accepted, already ejected, or recycled means the
 		// allocator is working from stale buffer state.
-		key, ok := c.fl.byPtr[f]
+		key, ok := c.byPtr[f]
 		if !ok || key.pkt != f.PacketID || key.seq != f.Seq {
 			c.err = vio(e.Cycle, "grant.stale", "%s grant at output %d for %v, which is not in flight",
 				e.Note, e.Output, f)
@@ -275,7 +257,7 @@ func (c *Checker) grant(e router.Event) {
 
 func (c *Checker) eject(e router.Event) {
 	f := e.Flit
-	if c.err = c.fl.eject(e.Cycle, f); c.err != nil {
+	if c.err = c.release(e.Cycle, f); c.err != nil {
 		return
 	}
 	if e.Output != f.Dst {
@@ -365,14 +347,14 @@ func (c *Checker) EndCycle(now int64, inFlight int) error {
 	if c.err != nil {
 		return c.err
 	}
-	live := c.fl.liveCount
+	live := c.liveCount
 	if inFlight != live {
 		c.err = vio(now, "conservation.count",
 			"device reports %d flits in flight, events account for %d", inFlight, live)
 		return c.err
 	}
-	if live > 0 && now-c.lastProgress > c.opt.WatchdogCycles {
-		f := c.fl.oldestLive()
+	if live > 0 && now-c.lastProgress > watchdogCycles {
+		f := c.oldestLive()
 		c.err = vio(now, "progress.watchdog",
 			"no ejection for %d cycles with %d flits in flight; oldest is %v (injected cycle %d); "+
 				"%d grants and %d nacks since last progress — deadlock if 0 grants, livelock otherwise",
@@ -390,7 +372,7 @@ func (c *Checker) Final(now int64) error {
 	if c.err != nil {
 		return c.err
 	}
-	if c.err = c.fl.drained(now); c.err != nil {
+	if c.err = c.drained(now); c.err != nil {
 		return c.err
 	}
 	var leaked []poolKey
@@ -428,7 +410,7 @@ type Checked struct {
 	chk *Checker
 }
 
-// Checker exposes the underlying checker for Err/Final/Stats.
+// Checker exposes the underlying checker for Err and Final.
 func (w *Checked) Checker() *Checker { return w.chk }
 
 // Accept validates that the testbench honored CanAccept before
@@ -452,9 +434,9 @@ func (w *Checked) Step(now int64) {
 // Wrap builds the configured router with a Checker spliced into its
 // observer chain (the checker sees every event first; a previously
 // configured observer still receives them all).
-func Wrap(cfg router.Config, opt Options) (*Checked, error) {
+func Wrap(cfg router.Config) (*Checked, error) {
 	cfg = cfg.WithDefaults()
-	chk := New(cfg, opt)
+	chk := New(cfg)
 	if prior := cfg.Observer; prior != nil {
 		cfg.Observer = router.ObserverFunc(func(e router.Event) {
 			chk.Observe(e)

@@ -14,7 +14,7 @@ import (
 // tests can schedule events freely.
 func newChecker(t *testing.T) *check.Checker {
 	t.Helper()
-	return check.New(router.Config{Arch: router.ArchLowRadix, Radix: 4, VCs: 2, STCycles: 1}, check.Options{})
+	return check.New(router.Config{Arch: router.ArchLowRadix, Radix: 4, VCs: 2, STCycles: 1})
 }
 
 func mkflit(pkt uint64, seq, length, src, dst, vc int) *flit.Flit {
@@ -149,7 +149,7 @@ func TestMisroutedEject(t *testing.T) {
 }
 
 func TestEjectSerializerSpacing(t *testing.T) {
-	c := check.New(router.Config{Arch: router.ArchLowRadix, Radix: 4, VCs: 2, STCycles: 4}, check.Options{})
+	c := check.New(router.Config{Arch: router.ArchLowRadix, Radix: 4, VCs: 2, STCycles: 4})
 	f0, f1 := mkflit(1, 0, 1, 0, 1, 0), mkflit(2, 0, 1, 2, 1, 1)
 	accept(c, 0, f0)
 	accept(c, 0, f1)
@@ -192,7 +192,7 @@ func TestGrantFromEmptyInput(t *testing.T) {
 }
 
 func TestGrantSerializerSpacing(t *testing.T) {
-	c := check.New(router.Config{Arch: router.ArchLowRadix, Radix: 4, VCs: 2, STCycles: 4}, check.Options{})
+	c := check.New(router.Config{Arch: router.ArchLowRadix, Radix: 4, VCs: 2, STCycles: 4})
 	f0, f1 := mkflit(1, 0, 1, 0, 1, 0), mkflit(2, 0, 1, 2, 1, 1)
 	accept(c, 0, f0)
 	accept(c, 0, f1)
@@ -252,7 +252,7 @@ func TestConservationCount(t *testing.T) {
 func TestCountCheckExact(t *testing.T) {
 	for _, a := range router.Registered() {
 		t.Run(a.String(), func(t *testing.T) {
-			c := check.New(router.Config{Arch: a, Radix: 4, VCs: 2}, check.Options{})
+			c := check.New(router.Config{Arch: a, Radix: 4, VCs: 2})
 			accept(c, 0, mkflit(1, 0, 1, 0, 1, 0))
 			if err := c.EndCycle(0, 1); err != nil {
 				t.Fatalf("the true count fails: %v", err)
@@ -275,15 +275,14 @@ func TestUndrainedFinal(t *testing.T) {
 }
 
 func TestWatchdogFires(t *testing.T) {
-	c := check.New(router.Config{Arch: router.ArchLowRadix, Radix: 4, VCs: 2, STCycles: 1},
-		check.Options{WatchdogCycles: 10})
+	c := newChecker(t)
 	accept(c, 0, mkflit(1, 0, 1, 0, 1, 0))
-	for now := int64(0); now <= 10; now++ {
+	for now := int64(0); now <= check.WatchdogCycles; now++ {
 		if err := c.EndCycle(now, 1); err != nil {
 			t.Fatalf("watchdog fired early at cycle %d: %v", now, err)
 		}
 	}
-	if err := c.EndCycle(11, 1); err == nil {
+	if err := c.EndCycle(check.WatchdogCycles+1, 1); err == nil {
 		t.Fatal("expected the watchdog to fire")
 	}
 	wantRule(t, c, "progress.watchdog")
@@ -293,8 +292,7 @@ func TestWatchdogFires(t *testing.T) {
 }
 
 func TestWatchdogResetByProgress(t *testing.T) {
-	c := check.New(router.Config{Arch: router.ArchLowRadix, Radix: 4, VCs: 2, STCycles: 1},
-		check.Options{WatchdogCycles: 10})
+	c := newChecker(t)
 	f0 := mkflit(1, 0, 1, 0, 1, 0)
 	accept(c, 0, f0)
 	accept(c, 0, mkflit(2, 0, 1, 2, 3, 1))
@@ -304,13 +302,13 @@ func TestWatchdogResetByProgress(t *testing.T) {
 		}
 	}
 	eject(c, 8, f0) // progress: the clock restarts
-	for now := int64(8); now <= 18; now++ {
+	for now := int64(8); now <= 8+check.WatchdogCycles; now++ {
 		if err := c.EndCycle(now, 1); err != nil {
 			t.Fatalf("watchdog fired at cycle %d despite progress at 8: %v", now, err)
 		}
 	}
-	if err := c.EndCycle(19, 1); err == nil {
-		t.Fatal("expected the watchdog to fire 11 cycles after the last eject")
+	if err := c.EndCycle(8+check.WatchdogCycles+1, 1); err == nil {
+		t.Fatal("expected the watchdog to fire WatchdogCycles+1 cycles after the last eject")
 	}
 	wantRule(t, c, "progress.watchdog")
 }
@@ -326,8 +324,7 @@ func TestFirstViolationSticks(t *testing.T) {
 }
 
 func TestCheckedRejectsOverfullAccept(t *testing.T) {
-	w, err := check.Wrap(router.Config{Arch: router.ArchBuffered, Radix: 4, VCs: 1, InputBufDepth: 1, STCycles: 1},
-		check.Options{})
+	w, err := check.Wrap(router.Config{Arch: router.ArchBuffered, Radix: 4, VCs: 1, InputBufDepth: 1, STCycles: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,7 +136,7 @@ func TestClosConformance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				aud := check.NewNetAuditor(full.Terminals(), full.VCs, full.SerCycles, check.Options{})
+				aud := check.NewNetAuditor(full.Terminals(), full.VCs, full.SerCycles)
 				res, err := network.Run(network.Options{
 					Net:           cfg,
 					Load:          0.3,
@@ -201,7 +201,7 @@ func TestTopologyConformance(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						aud := check.NewNetAuditor(tc.topo.Terminals(), tc.topo.VCs(), tc.topo.SerCycles(), check.Options{})
+						aud := check.NewNetAuditor(tc.topo.Terminals(), tc.topo.VCs(), tc.topo.SerCycles())
 						o := network.Options{
 							Topo:          tc.topo,
 							Load:          tc.load,

@@ -56,7 +56,7 @@ type flitID struct {
 // checker armed and records what was delivered.
 func replay(t *testing.T, cfg router.Config, sched []schedEntry) replayResult {
 	t.Helper()
-	w, err := check.Wrap(cfg, check.Options{})
+	w, err := check.Wrap(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,8 @@
 package check
 
+// The flow rules: the Checker's live flit set, pointer identity and
+// per-packet sequencing, which hold for a router and a network alike.
+
 import (
 	"highradix/internal/flit"
 )
@@ -21,30 +24,10 @@ type pktState struct {
 	nextEject        int
 }
 
-// flow is the device-independent half of the invariant state: the live
-// flit set (accepted but not yet ejected), pointer identity, and
-// per-packet sequencing on both sides. The Checker layers its port,
-// VC, serializer, grant and credit rules on top of it.
-type flow struct {
-	live      map[flitKey]*flit.Flit
-	byPtr     map[*flit.Flit]flitKey
-	pkts      map[uint64]*pktState
-	liveCount int
-	delivered uint64 // fully ejected packets
-}
-
-func newFlow() *flow {
-	return &flow{
-		live:  make(map[flitKey]*flit.Flit),
-		byPtr: make(map[*flit.Flit]flitKey),
-		pkts:  make(map[uint64]*pktState),
-	}
-}
-
-// accept admits a flit into the live set, validating identity, shape,
+// admit enters a flit into the live set, validating identity, shape,
 // aliasing and per-packet accept order. It returns the violation, or
 // nil when the flit is clean.
-func (fl *flow) accept(cycle int64, f *flit.Flit) *Violation {
+func (c *Checker) admit(cycle int64, f *flit.Flit) *Violation {
 	if f == nil {
 		return vio(cycle, "flit.nil", "accept of a nil flit")
 	}
@@ -58,17 +41,17 @@ func (fl *flow) accept(cycle int64, f *flit.Flit) *Violation {
 		return vio(cycle, "flit.shape", "%v: head/tail flags disagree with seq %d of %d", f, f.Seq, f.PacketLen)
 	}
 	key := flitKey{f.PacketID, f.Seq}
-	if _, ok := fl.live[key]; ok {
+	if _, ok := c.live[key]; ok {
 		return vio(cycle, "conservation.duplicate", "%v accepted twice without an eject in between", f)
 	}
-	if old, ok := fl.byPtr[f]; ok {
+	if old, ok := c.byPtr[f]; ok {
 		return vio(cycle, "conservation.alias",
 			"%v reuses the memory of live flit pkt=%d seq=%d (recycled while in flight)", f, old.pkt, old.seq)
 	}
-	ps := fl.pkts[f.PacketID]
+	ps := c.pkts[f.PacketID]
 	if ps == nil {
 		ps = &pktState{src: f.Src, dst: f.Dst, length: f.PacketLen}
-		fl.pkts[f.PacketID] = ps
+		c.pkts[f.PacketID] = ps
 	} else if ps.src != f.Src || ps.dst != f.Dst || ps.length != f.PacketLen {
 		return vio(cycle, "flit.shape",
 			"%v disagrees with its packet's earlier flits (src=%d dst=%d len=%d)", f, ps.src, ps.dst, ps.length)
@@ -77,20 +60,20 @@ func (fl *flow) accept(cycle int64, f *flit.Flit) *Violation {
 		return vio(cycle, "order.accept", "%v accepted out of order (expected seq %d)", f, ps.nextAccept)
 	}
 	ps.nextAccept++
-	fl.live[key] = f
-	fl.byPtr[f] = key
-	fl.liveCount++
+	c.live[key] = f
+	c.byPtr[f] = key
+	c.liveCount++
 	return nil
 }
 
-// eject removes a flit from the live set, validating that it was
+// release removes a flit from the live set, validating that it was
 // accepted, that its identity did not mutate in flight, and that its
 // packet's flits leave in sequence.
-func (fl *flow) eject(cycle int64, f *flit.Flit) *Violation {
+func (c *Checker) release(cycle int64, f *flit.Flit) *Violation {
 	if f == nil {
 		return vio(cycle, "flit.nil", "eject of a nil flit")
 	}
-	key, ok := fl.byPtr[f]
+	key, ok := c.byPtr[f]
 	if !ok {
 		return vio(cycle, "conservation.loss", "%v ejected but is not live (never accepted, or ejected twice)", f)
 	}
@@ -98,40 +81,40 @@ func (fl *flow) eject(cycle int64, f *flit.Flit) *Violation {
 		return vio(cycle, "conservation.alias",
 			"%v ejected but this memory was accepted as pkt=%d seq=%d", f, key.pkt, key.seq)
 	}
-	ps := fl.pkts[f.PacketID]
+	ps := c.pkts[f.PacketID]
 	if f.Seq != ps.nextEject {
 		return vio(cycle, "order.packet", "%v ejected out of order (expected seq %d)", f, ps.nextEject)
 	}
 	ps.nextEject++
 	if ps.nextEject == ps.length {
-		delete(fl.pkts, f.PacketID)
-		fl.delivered++
+		delete(c.pkts, f.PacketID)
+		c.delivered++
 	}
-	delete(fl.live, key)
-	delete(fl.byPtr, f)
-	fl.liveCount--
+	delete(c.live, key)
+	delete(c.byPtr, f)
+	c.liveCount--
 	return nil
 }
 
 // drained asserts the live set is empty — every accepted flit was
 // ejected. Called after a run has been given time to drain completely.
-func (fl *flow) drained(cycle int64) *Violation {
-	if fl.liveCount == 0 {
+func (c *Checker) drained(cycle int64) *Violation {
+	if c.liveCount == 0 {
 		return nil
 	}
-	f := fl.oldestLive()
+	f := c.oldestLive()
 	return vio(cycle, "conservation.drain",
-		"%d flits were accepted but never ejected; oldest is %v, injected at cycle %d", fl.liveCount, f, f.InjectedAt)
+		"%d flits were accepted but never ejected; oldest is %v, injected at cycle %d", c.liveCount, f, f.InjectedAt)
 }
 
 // oldestLive returns the live flit with the earliest injection cycle
 // (ties broken on (pkt, seq) so the report is deterministic), or nil
 // when the live set is empty. Used for violation certificates only, so
 // the linear scan is fine.
-func (fl *flow) oldestLive() *flit.Flit {
+func (c *Checker) oldestLive() *flit.Flit {
 	var best *flit.Flit
 	var bestKey flitKey
-	for key, f := range fl.live {
+	for key, f := range c.live {
 		if best == nil || f.InjectedAt < best.InjectedAt ||
 			f.InjectedAt == best.InjectedAt &&
 				(key.pkt < bestKey.pkt || key.pkt == bestKey.pkt && key.seq < bestKey.seq) {

@@ -17,7 +17,7 @@ import (
 func driveBuffered(t *testing.T, filter func(router.Event) []router.Event) (*check.Checker, int64) {
 	t.Helper()
 	cfg := router.Config{Arch: router.ArchBuffered, Radix: 4, VCs: 2, STCycles: 1}
-	chk := check.New(cfg, check.Options{})
+	chk := check.New(cfg)
 	cfg.Observer = router.ObserverFunc(func(e router.Event) {
 		for _, out := range filter(e) {
 			chk.Observe(out)
@@ -129,7 +129,7 @@ func TestSeededDoubleCreditCaught(t *testing.T) {
 func TestSeededLostFlitCaught(t *testing.T) {
 	lost := false
 	cfg := router.Config{Arch: router.ArchBuffered, Radix: 4, VCs: 2, STCycles: 1}
-	chk := check.New(cfg, check.Options{})
+	chk := check.New(cfg)
 	cfg.Observer = router.ObserverFunc(func(e router.Event) {
 		if !lost && e.Kind == router.EvEject {
 			lost = true

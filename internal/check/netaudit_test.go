@@ -11,7 +11,7 @@ import (
 var _ network.Hooks = (*check.Checker)(nil)
 
 func TestNetAuditorCleanRun(t *testing.T) {
-	a := check.NewNetAuditor(4, 2, 2, check.Options{})
+	a := check.NewNetAuditor(4, 2, 2)
 	f0, f1 := mkflit(1, 0, 2, 0, 3, 0), mkflit(1, 1, 2, 0, 3, 0)
 	a.Injected(0, f0)
 	a.Injected(2, f1)
@@ -32,7 +32,7 @@ func TestNetAuditorCleanRun(t *testing.T) {
 }
 
 func TestNetAuditorCatchesLoss(t *testing.T) {
-	a := check.NewNetAuditor(4, 2, 2, check.Options{})
+	a := check.NewNetAuditor(4, 2, 2)
 	a.Delivered(0, mkflit(1, 0, 1, 0, 3, 0))
 	err := a.Err()
 	if err == nil {
@@ -44,7 +44,7 @@ func TestNetAuditorCatchesLoss(t *testing.T) {
 }
 
 func TestNetAuditorCatchesSerializerOverlap(t *testing.T) {
-	a := check.NewNetAuditor(4, 2, 4, check.Options{})
+	a := check.NewNetAuditor(4, 2, 4)
 	f0, f1 := mkflit(1, 0, 1, 0, 3, 0), mkflit(2, 0, 1, 2, 3, 1)
 	a.Injected(0, f0)
 	a.Injected(0, f1)
@@ -64,7 +64,7 @@ func TestNetAuditorCatchesSerializerOverlap(t *testing.T) {
 // head arrives while the first packet still owns the exit channel's VC,
 // which is two wormholes interleaved.
 func TestNetAuditorCatchesInterleaving(t *testing.T) {
-	a := check.NewNetAuditor(4, 2, 2, check.Options{})
+	a := check.NewNetAuditor(4, 2, 2)
 	h1, h2 := mkflit(1, 0, 2, 0, 3, 0), mkflit(2, 0, 2, 1, 3, 0)
 	a.Injected(0, h1)
 	a.Injected(0, h2)
@@ -80,7 +80,7 @@ func TestNetAuditorCatchesInterleaving(t *testing.T) {
 }
 
 func TestNetAuditorCatchesCountMismatch(t *testing.T) {
-	a := check.NewNetAuditor(4, 2, 2, check.Options{})
+	a := check.NewNetAuditor(4, 2, 2)
 	a.Injected(0, mkflit(1, 0, 1, 0, 3, 0))
 	if err := a.EndCycle(0, 0); err == nil {
 		t.Fatal("expected a conservation.count violation")
@@ -88,14 +88,14 @@ func TestNetAuditorCatchesCountMismatch(t *testing.T) {
 }
 
 func TestNetAuditorWatchdog(t *testing.T) {
-	a := check.NewNetAuditor(4, 2, 2, check.Options{WatchdogCycles: 50})
+	a := check.NewNetAuditor(4, 2, 2)
 	a.Injected(0, mkflit(1, 0, 1, 0, 3, 0))
-	for now := int64(0); now <= 50; now++ {
+	for now := int64(0); now <= check.WatchdogCycles; now++ {
 		if err := a.EndCycle(now, 1); err != nil {
 			t.Fatalf("watchdog fired early at %d: %v", now, err)
 		}
 	}
-	if err := a.EndCycle(51, 1); err == nil {
+	if err := a.EndCycle(check.WatchdogCycles+1, 1); err == nil {
 		t.Fatal("expected the watchdog to fire")
 	}
 }

@@ -45,7 +45,7 @@ func torture(t *testing.T, cfg router.Config, seed uint64) {
 
 func tortureAt(t *testing.T, cfg router.Config, seed uint64, opt tortureOpts) {
 	t.Helper()
-	w, err := check.Wrap(cfg, check.Options{})
+	w, err := check.Wrap(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

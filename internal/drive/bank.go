@@ -45,9 +45,8 @@ type Workload struct {
 	// (every pattern in internal/traffic draws from the RNG it is given).
 	Pattern traffic.Pattern
 	// Bursty replaces Bernoulli generation by Markov ON/OFF bursts of
-	// BurstLen packets on average, each burst to one destination.
-	Bursty   bool
-	BurstLen float64
+	// traffic.BurstLen packets on average, each burst to one destination.
+	Bursty bool
 	// Injection selects the paper's draw per source per cycle, taken ahead
 	// of time in stream order, or gap sampling, one draw per packet
 	// (ignored by a trace replay).
@@ -184,10 +183,10 @@ func NewBank(c BankConfig) *Bank {
 		b.srcs[id] = source{q: sim.MakeQueue[pkt](0), curVC: -1}
 		switch {
 		case c.Bursty && gap:
-			m := traffic.NewMarkovOnOffGap(c.Rate, c.BurstLen)
+			m := traffic.NewMarkovOnOffGap(c.Rate, traffic.BurstLen)
 			d.gaps[id], bursters[id] = m, m
 		case c.Bursty:
-			m := traffic.NewMarkovOnOff(c.Rate, c.BurstLen)
+			m := traffic.NewMarkovOnOff(c.Rate, traffic.BurstLen)
 			d.markov[id], bursters[id] = m, m
 		case gap:
 			d.gaps[id] = bernoulli

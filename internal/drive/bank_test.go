@@ -183,8 +183,8 @@ func TestBankTraceReplay(t *testing.T) {
 var workloads = map[string]Workload{
 	"percycle":        {Rate: 0.3, PktLen: 2},
 	"gap":             {Rate: 0.3, PktLen: 2, Injection: traffic.InjGap},
-	"percycle/bursty": {Rate: 0.3, PktLen: 2, Bursty: true, BurstLen: 4},
-	"gap/bursty":      {Rate: 0.3, PktLen: 2, Bursty: true, BurstLen: 4, Injection: traffic.InjGap},
+	"percycle/bursty": {Rate: 0.3, PktLen: 2, Bursty: true},
+	"gap/bursty":      {Rate: 0.3, PktLen: 2, Bursty: true, Injection: traffic.InjGap},
 }
 
 // TestBankVisitOrder: generation and injection visit sources in ascending
@@ -339,12 +339,12 @@ func newOracle(c BankConfig) *oracle {
 		var g traffic.GapProcess
 		switch {
 		case gap && c.Bursty:
-			m := traffic.NewMarkovOnOffGap(c.Rate, c.BurstLen)
+			m := traffic.NewMarkovOnOffGap(c.Rate, traffic.BurstLen)
 			g, bursters[id] = m, m
 		case gap:
 			g = traffic.NewBernoulliGap(c.Rate)
 		case c.Bursty:
-			m := traffic.NewMarkovOnOff(c.Rate, c.BurstLen)
+			m := traffic.NewMarkovOnOff(c.Rate, traffic.BurstLen)
 			o.markov, bursters[id] = append(o.markov, m), m
 		}
 		if g != nil {
@@ -426,7 +426,7 @@ func TestBankMatchesPerCycleOracle(t *testing.T) {
 						cycles = 1500 // as many packets from fewer cycles
 					}
 					c := testIDs(BankConfig{
-						Workload: Workload{Rate: rate, PktLen: 1, Bursty: bursty, BurstLen: 3, Injection: r.inj},
+						Workload: Workload{Rate: rate, PktLen: 1, Bursty: bursty, Injection: r.inj},
 						Sources:  n, VCs: 2, Ser: 1, Owns: owns,
 					})
 					var want []string

@@ -213,7 +213,7 @@ func Fig18(s Scale) (*stats.Table, error) {
 	}{
 		{"diag", func(o *testbench.Options) { o.Pattern = traffic.NewDiagonal(64) }},
 		{"hot", func(o *testbench.Options) { o.Pattern = traffic.NewHotspot(64, 8) }},
-		{"burst", func(o *testbench.Options) { o.Bursty = true; o.BurstLen = 8 }},
+		{"burst", func(o *testbench.Options) { o.Bursty = true }},
 	}
 	var cases []latencyCase
 	for _, p := range pats {

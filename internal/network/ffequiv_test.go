@@ -70,7 +70,7 @@ func TestNetFastForwardTwin(t *testing.T) {
 		t.Run(fmt.Sprintf("k%dd%d", cfg.Radix, cfg.Digits), func(t *testing.T) {
 			run := func(noFF bool) ([]netEvent, Result, error) {
 				full := cfg.WithDefaults()
-				rec := &recHooks{inner: check.NewNetAuditor(full.Terminals(), full.VCs, full.SerCycles, check.Options{})}
+				rec := &recHooks{inner: check.NewNetAuditor(full.Terminals(), full.VCs, full.SerCycles)}
 				res, err := Run(Options{
 					Net:           cfg,
 					Load:          0.4,

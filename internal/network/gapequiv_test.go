@@ -44,7 +44,7 @@ func TestNetGapFastForwardTwin(t *testing.T) {
 					Injection:     traffic.InjGap,
 				}
 				if hooked {
-					rec.inner = check.NewNetAuditor(full.Terminals(), full.VCs, full.SerCycles, check.Options{})
+					rec.inner = check.NewNetAuditor(full.Terminals(), full.VCs, full.SerCycles)
 				}
 				res, err := Run(o)
 				return rec.events, res, err

@@ -9,8 +9,6 @@ import (
 func init() {
 	Register(ArchBaseline, Descriptor{
 		Name:            "baseline",
-		Summary:         "distributed separable allocation with speculative VC allocation (CVA/OVA)",
-		Section:         "Section 4 (Figures 6-8)",
 		Build:           func(cfg Config) Router { return newBaseline(cfg) },
 		GrantNote:       "switch",
 		UsesPrioritized: true,

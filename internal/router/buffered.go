@@ -8,8 +8,6 @@ import (
 func init() {
 	Register(ArchBuffered, Descriptor{
 		Name:      "buffered",
-		Summary:   "fully buffered crossbar, per-input-VC crosspoint buffers with credit flow control",
-		Section:   "Section 5 (Figure 12(b))",
 		Build:     func(cfg Config) Router { return newBuffered(cfg) },
 		GrantNote: "output",
 		Validate:  validateXpointDepth,

@@ -210,9 +210,6 @@ func (c Config) WithDefaults() Config {
 	if c.AllocIters == 0 {
 		c.AllocIters = 1
 	}
-	if d, ok := Describe(c.Arch); ok && d.Defaults != nil {
-		d.Defaults(&c)
-	}
 	return c
 }
 

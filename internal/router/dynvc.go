@@ -8,8 +8,6 @@ import (
 func init() {
 	Register(ArchDynVC, Descriptor{
 		Name:      "dynvc",
-		Summary:   "dynamic VC allocation: per-input shared buffer pool carved into VCs on demand",
-		Section:   "Onsori & Safaei (dynamic virtual-channel allocation), over the Section 3 allocator",
 		Build:     func(cfg Config) Router { return newDynVC(cfg) },
 		GrantNote: "switch",
 		Variants: func(radix, vcs int) []Variant {

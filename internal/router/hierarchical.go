@@ -12,8 +12,6 @@ import (
 func init() {
 	Register(ArchHierarchical, Descriptor{
 		Name:      "hierarchical",
-		Summary:   "hierarchical crossbar of p x p subswitches with decoupled local/global VC allocation",
-		Section:   "Section 6 (Figure 16)",
 		Build:     func(cfg Config) Router { return newHierarchical(cfg) },
 		GrantNote: "column",
 		Validate: func(c Config) []error {

@@ -7,8 +7,6 @@ import (
 func init() {
 	Register(ArchLowRadix, Descriptor{
 		Name:      "lowradix",
-		Summary:   "conventional input-queued VC router, centralized single-cycle allocation",
-		Section:   "Section 3 (the paper's radix-16 comparison point)",
 		Build:     func(cfg Config) Router { return newLowRadix(cfg) },
 		GrantNote: "switch",
 		Variants: func(radix, vcs int) []Variant {

@@ -13,10 +13,11 @@ import (
 // repeated by hand in every test harness, benchmark and CLI. The
 // registry inverts that: each architecture file registers a Descriptor
 // carrying everything the cross-cutting layers need — the constructor,
-// the checker's grant note, config validation and defaulting hooks, the
-// paper-section provenance, representative test configurations and the
-// benchmark radices — and config.go's String/ArchByName/Validate/New
-// plus every enumeration site dispatch through it. A newly
+// the checker's grant note, the config validation hook, representative
+// test configurations and the benchmark radices — and config.go's
+// String/ArchByName/Validate/New plus every enumeration site dispatch
+// through it. Each architecture's type comment cites the paper section
+// or external work it models. A newly
 // registered architecture is therefore automatically conformance-
 // checked, torture-tested, differentially compared, benchmarked and
 // reachable from the CLIs, with no list to update anywhere.
@@ -33,24 +34,16 @@ type Variant struct {
 
 // Descriptor describes one registered architecture to the cross-cutting
 // layers (config dispatch, invariant checker, test suites, benchmarks,
-// CLIs, documentation).
+// CLIs).
 type Descriptor struct {
 	// Name is the stable report name (ArchByName input, String output).
 	Name string
-	// Summary is a one-line description for CLI help and docs.
-	Summary string
-	// Section cites the paper section or external work the architecture
-	// models.
-	Section string
 	// Build constructs the router from a defaulted, validated config.
 	Build func(Config) Router
 	// GrantNote is the Note of the grant stage that seizes the output
 	// serializer in this architecture; the invariant checker holds grants
 	// carrying it (and all ejections) to the STCycles spacing per output.
 	GrantNote string
-	// Defaults, when non-nil, fills architecture-specific zero fields
-	// after the shared WithDefaults pass. It must be idempotent.
-	Defaults func(*Config)
 	// Validate, when non-nil, returns architecture-specific
 	// configuration errors (shared field checks run separately).
 	Validate func(Config) []error

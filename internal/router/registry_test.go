@@ -24,9 +24,6 @@ func TestRegistryCompleteness(t *testing.T) {
 			t.Fatalf("Registered() returned %v but Describe does not know it", a)
 		}
 		t.Run(d.Name, func(t *testing.T) {
-			if d.Summary == "" || d.Section == "" {
-				t.Error("descriptor missing Summary or Section")
-			}
 			if d.GrantNote == "" {
 				t.Error("descriptor has no terminal grant note; the checker cannot audit switch-traversal spacing")
 			}

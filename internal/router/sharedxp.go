@@ -12,8 +12,6 @@ import (
 func init() {
 	Register(ArchSharedXpoint, Descriptor{
 		Name:      "sharedxp",
-		Summary:   "buffered crossbar with one shared buffer per crosspoint and ACK/NACK retention",
-		Section:   "Section 5.4",
 		Build:     func(cfg Config) Router { return newSharedXpoint(cfg) },
 		GrantNote: "output",
 		Validate:  validateXpointDepth,

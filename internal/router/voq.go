@@ -8,8 +8,6 @@ import (
 func init() {
 	Register(ArchVOQ, Descriptor{
 		Name:      "voq",
-		Summary:   "virtual output queues with centralized iterative iSLIP scheduling",
-		Section:   "Tiny Tera (McKeown et al.), against the paper's Section 4 comparison",
 		Build:     func(cfg Config) Router { return newVOQ(cfg) },
 		GrantNote: "switch",
 		Validate:  validateXpointDepth,

@@ -18,27 +18,14 @@ func (t *Table) CSV() string {
 	}
 	b.WriteString(strings.Join(cols, ","))
 	b.WriteString("\r\n")
-	var xs []float64
-	seen := map[float64]bool{}
-	for _, s := range t.Series {
-		for _, p := range s.Points {
-			if !seen[p.X] {
-				seen[p.X] = true
-				xs = append(xs, p.X)
-			}
-		}
-	}
-	for _, x := range xs {
+	for _, x := range t.xs() {
 		row := []string{strconv.FormatFloat(x, 'g', -1, 64)}
 		for _, s := range t.Series {
 			cell := ""
-			for _, p := range s.Points {
-				if p.X == x {
-					cell = strconv.FormatFloat(p.Y, 'g', -1, 64)
-					if p.Saturated {
-						cell += "*"
-					}
-					break
+			if p, ok := s.at(x); ok {
+				cell = strconv.FormatFloat(p.Y, 'g', -1, 64)
+				if p.Saturated {
+					cell += "*"
 				}
 			}
 			row = append(row, cell)
@@ -119,7 +106,7 @@ func (t *Table) Plot(width, height int) string {
 	}
 	fmt.Fprintf(&b, "%s +%s\n", strings.Repeat(" ", 8), strings.Repeat("-", width))
 	fmt.Fprintf(&b, "%s  %-10.3g%s%10.3g\n", strings.Repeat(" ", 8), xmin,
-		strings.Repeat(" ", maxInt(1, width-20)), xmax)
+		strings.Repeat(" ", max(1, width-20)), xmax)
 	for si, s := range t.Series {
 		fmt.Fprintf(&b, "  %c = %s\n", byte('a'+si%26), s.Name)
 	}
@@ -145,11 +132,4 @@ func minMaxClamped(ys []float64) (float64, float64) {
 		hi = p99
 	}
 	return lo, hi
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -60,12 +60,9 @@ func (t *Table) AddNote(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
-// String renders the table. Series are matched row-wise by x value; a
-// series missing a given x renders a blank cell.
-func (t *Table) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s ==\n", t.Title)
-	// Collect the union of x values in first-seen order.
+// xs returns the union of the series' x values in first-seen order: the
+// rows of every rendering.
+func (t *Table) xs() []float64 {
 	var xs []float64
 	seen := map[float64]bool{}
 	for _, s := range t.Series {
@@ -76,24 +73,34 @@ func (t *Table) String() string {
 			}
 		}
 	}
+	return xs
+}
+
+// at returns the series' first point at x, if it has one.
+func (s *Series) at(x float64) (Point, bool) {
+	for _, p := range s.Points {
+		if p.X == x {
+			return p, true
+		}
+	}
+	return Point{}, false
+}
+
+// String renders the table. Series are matched row-wise by x value; a
+// series missing a given x renders a blank cell.
+func (t *Table) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "== %s ==\n", t.Title)
 	// Header.
 	fmt.Fprintf(&b, "%-12s", t.XLabel)
 	for _, s := range t.Series {
 		fmt.Fprintf(&b, " %18s", s.Name)
 	}
 	b.WriteString("\n")
-	lookup := func(s *Series, x float64) (Point, bool) {
-		for _, p := range s.Points {
-			if p.X == x {
-				return p, true
-			}
-		}
-		return Point{}, false
-	}
-	for _, x := range xs {
+	for _, x := range t.xs() {
 		fmt.Fprintf(&b, "%-12.4g", x)
 		for _, s := range t.Series {
-			if p, ok := lookup(s, x); ok {
+			if p, ok := s.at(x); ok {
 				cell := fmt.Sprintf("%.4g", p.Y)
 				if p.Saturated {
 					cell += "*"

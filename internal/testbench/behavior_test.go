@@ -132,7 +132,6 @@ func TestBurstyFavorsBufferedDesigns(t *testing.T) {
 	thr := func(cfg router.Config) float64 {
 		o := quickOpts(cfg, 1.0)
 		o.Bursty = true
-		o.BurstLen = 8
 		o.WarmupCycles, o.MeasureCycles = 1500, 3000
 		v, err := SaturationThroughput(o)
 		if err != nil {

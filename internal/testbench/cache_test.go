@@ -36,7 +36,6 @@ func TestCacheKeyDefaultingInvariance(t *testing.T) {
 	spelled.MeasureCycles = 8000
 	spelled.DrainCycles = 4 * (3000 + 8000)
 	spelled.SatLatency = 1000
-	spelled.BurstLen = 8
 	k1, ok1 := sparse.CacheKey()
 	k2, ok2 := spelled.CacheKey()
 	if !ok1 || !ok2 || k1 != k2 {

@@ -34,10 +34,9 @@ type Options struct {
 	// router's port range.
 	Trace *traffic.Trace `key:"nil"`
 	// Bursty switches injection from Bernoulli to Markov ON/OFF with
-	// BurstLen average packets per burst; burst packets share a
+	// traffic.BurstLen average packets per burst; burst packets share a
 	// destination (Table 1).
-	Bursty   bool
-	BurstLen float64
+	Bursty bool
 	// Load is offered load as a fraction of switch capacity
 	// (capacity = one flit per port per STCycles cycles).
 	Load float64
@@ -104,9 +103,6 @@ func (o Options) withDefaults() Options {
 	if o.SatLatency == 0 {
 		o.SatLatency = 1000
 	}
-	if o.BurstLen == 0 {
-		o.BurstLen = 8
-	}
 	return o
 }
 
@@ -148,7 +144,7 @@ func Run(o Options) (Result, error) {
 	p := &drive.Plant{}
 	if o.Check {
 		var c *check.Checked
-		if c, err = check.Wrap(o.Router, check.Options{}); err == nil {
+		if c, err = check.Wrap(o.Router); err == nil {
 			r, chk = c, c.Checker()
 			p.Audit = func(int64, int) error { return chk.Err() }
 		}
@@ -188,7 +184,7 @@ func Run(o Options) (Result, error) {
 	p.Bank = drive.NewBank(drive.BankConfig{
 		Workload: drive.Workload{
 			Rate: o.Load / float64(st*o.PktLen), PktLen: o.PktLen, Pattern: o.Pattern,
-			Bursty: o.Bursty, BurstLen: o.BurstLen, Injection: o.Injection, Trace: o.Trace,
+			Bursty: o.Bursty, Injection: o.Injection, Trace: o.Trace,
 		},
 		Sources: k, VCs: cfg.VCs, Ser: st,
 		Seed:     func(id int) uint64 { return seeds[id] },

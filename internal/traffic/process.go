@@ -36,8 +36,13 @@ func markovRates(rate, avgBurst float64) (alpha, beta float64) {
 	return alpha, beta
 }
 
+// BurstLen is Table 1's average burst length in packets: the avgBurst
+// every bursty run in this repository injects with.
+const BurstLen = 8
+
 // NewMarkovOnOff returns a bursty process with the given long-run packet
-// rate per cycle and average burst length in packets (the paper uses 8).
+// rate per cycle and average burst length in packets (Table 1's is
+// BurstLen).
 func NewMarkovOnOff(rate, avgBurst float64) *MarkovOnOff {
 	alpha, beta := markovRates(rate, avgBurst)
 	return &MarkovOnOff{alpha: sim.BernoulliThreshold(alpha), beta: beta}
