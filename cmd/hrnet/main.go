@@ -30,6 +30,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
 	"strconv"
@@ -41,42 +42,63 @@ import (
 	"highradix/internal/traffic"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments, output streams and exit status made
+// explicit, so that a test can drive it.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("hrnet", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		topoName = flag.String("topo", "clos", "topology family: clos|ring|torus")
-		radix    = flag.Int("radix", 64, "clos: router radix k")
-		digits   = flag.Int("digits", 0, "clos: d with N=k^d terminals (0 = paper default)")
-		nodes    = flag.Int("nodes", 16, "ring: router/terminal count")
-		dimx     = flag.Int("dimx", 4, "torus: X dimension")
-		dimy     = flag.Int("dimy", 4, "torus: Y dimension")
-		load     = flag.Float64("load", 0.5, "offered load (fraction of terminal capacity)")
-		loads    = flag.String("loads", "", "comma-separated loads to sweep in parallel (overrides -load)")
-		warmup   = flag.Int64("warmup", 1500, "warmup cycles")
-		measure  = flag.Int64("measure", 3000, "measurement cycles")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		jobs     = flag.Int("j", 0, "sweep pool workers (0 = GOMAXPROCS, 1 = serial)")
-		profile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		chk      = flag.Bool("check", false, "arm the end-to-end network auditor (drains each run to empty and fails on any violation)")
-		inj      = flag.String("inj", "percycle", "injection sampling: percycle|gap (gap is event-driven, O(events) at low load, distribution-equivalent)")
+		topoName = flags.String("topo", "clos", "topology family: clos|ring|torus")
+		radix    = flags.Int("radix", 64, "clos: router radix k")
+		digits   = flags.Int("digits", 0, "clos: d with N=k^d terminals (0 = paper default)")
+		nodes    = flags.Int("nodes", 16, "ring: router/terminal count")
+		dimx     = flags.Int("dimx", 4, "torus: X dimension")
+		dimy     = flags.Int("dimy", 4, "torus: Y dimension")
+		load     = flags.Float64("load", 0.5, "offered load (fraction of terminal capacity)")
+		loads    = flags.String("loads", "", "comma-separated loads to sweep in parallel (overrides -load)")
+		warmup   = flags.Int64("warmup", 1500, "warmup cycles")
+		measure  = flags.Int64("measure", 3000, "measurement cycles")
+		seed     = flags.Uint64("seed", 1, "random seed")
+		jobs     = flags.Int("j", 0, "sweep pool workers (0 = GOMAXPROCS, 1 = serial)")
+		profile  = flags.String("cpuprofile", "", "write a CPU profile to this file")
+		chk      = flags.Bool("check", false, "arm the end-to-end network auditor (drains each run to empty and fails on any violation)")
+		inj      = flags.String("inj", "percycle", "injection sampling: percycle|gap (gap is event-driven, O(events) at low load, distribution-equivalent)")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "hrnet:", err)
+		return code
+	}
 
 	injMode, err := traffic.InjModeByName(*inj)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hrnet:", err)
-		os.Exit(2)
+		return fail(2, err)
+	}
+	var xs []float64
+	if *loads != "" {
+		for _, s := range strings.Split(*loads, ",") {
+			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+			if err != nil {
+				return fail(2, fmt.Errorf("bad -loads entry %q: %v", s, err))
+			}
+			xs = append(xs, v)
+		}
 	}
 
 	if *profile != "" {
 		f, err := os.Create(*profile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hrnet:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "hrnet:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -93,8 +115,7 @@ func main() {
 		err = fmt.Errorf("unknown -topo %q (want clos, ring or torus)", *topoName)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hrnet:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	base := network.Options{
 		Topo:          topo,
@@ -103,15 +124,17 @@ func main() {
 		Seed:          *seed,
 		Injection:     injMode,
 	}
-	fmt.Printf("%s: routers=%d terminals=%d vcs=%d hop-delay=%d ser=%d\n",
-		topo.Name(), topo.Routers(), topo.Terminals(), topo.VCs(), topo.HopDelay(), topo.SerCycles())
+	// A granted flit lands one link cycle after the router's pipeline
+	// delay, so a hop costs HopDelay+1 cycles: at zero load a packet
+	// takes per-hop times its hops, plus ser once.
+	fmt.Fprintf(stdout, "%s: routers=%d terminals=%d vcs=%d per-hop=%d ser=%d\n",
+		topo.Name(), topo.Routers(), topo.Terminals(), topo.VCs(), topo.HopDelay()+1, topo.SerCycles())
 
-	if *loads != "" {
-		if err := sweepLoads(base, *loads, *jobs, *chk); err != nil {
-			fmt.Fprintln(os.Stderr, "hrnet:", err)
-			os.Exit(1)
+	if xs != nil {
+		if err := sweepLoads(stdout, base, xs, *jobs, *chk); err != nil {
+			return fail(1, err)
 		}
-		return
+		return 0
 	}
 
 	base.Load = *load
@@ -120,33 +143,25 @@ func main() {
 	}
 	res, err := network.Run(base)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hrnet:", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
-	fmt.Printf("  load             %.3f of capacity\n", res.Load)
-	fmt.Printf("  avg latency      %.2f cycles (p99 %.1f)\n", res.AvgLatency, res.P99)
-	fmt.Printf("  avg router hops  %.2f\n", res.AvgHops)
-	fmt.Printf("  throughput       %.4f of capacity\n", res.Throughput)
-	fmt.Printf("  labeled packets  %d over %d cycles\n", res.Packets, res.Cycles)
+	fmt.Fprintf(stdout, "  load             %.3f of capacity\n", res.Load)
+	fmt.Fprintf(stdout, "  avg latency      %.2f cycles (p99 %.1f)\n", res.AvgLatency, res.P99)
+	fmt.Fprintf(stdout, "  avg router hops  %.2f\n", res.AvgHops)
+	fmt.Fprintf(stdout, "  throughput       %.4f of capacity\n", res.Throughput)
+	fmt.Fprintf(stdout, "  labeled packets  %d over %d cycles\n", res.Packets, res.Cycles)
 	if *chk {
-		fmt.Println("  invariants       ok (conservation, in-order delivery, VC ownership, serializer spacing, progress)")
+		fmt.Fprintln(stdout, "  invariants       ok (conservation, in-order delivery, VC ownership, serializer spacing, progress)")
 	}
 	if res.Saturated {
-		fmt.Println("  SATURATED")
+		fmt.Fprintln(stdout, "  SATURATED")
 	}
+	return 0
 }
 
-// sweepLoads fans the listed offered-load points out on the worker pool
+// sweepLoads fans the offered-load points xs out on the worker pool
 // and prints one line per point, truncated at the first saturation.
-func sweepLoads(base network.Options, list string, jobs int, chk bool) error {
-	var xs []float64
-	for _, s := range strings.Split(list, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil {
-			return fmt.Errorf("bad -loads entry %q: %v", s, err)
-		}
-		xs = append(xs, v)
-	}
+func sweepLoads(stdout io.Writer, base network.Options, xs []float64, jobs int, chk bool) error {
 	p := sweep.New(jobs)
 	results := make([]network.Result, len(xs))
 	// Sweep over point indices so each parallel run writes its own
@@ -180,14 +195,14 @@ func sweepLoads(base network.Options, list string, jobs int, chk bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  %-8s %12s %12s %10s\n", "load", "latency", "throughput", "hops")
+	fmt.Fprintf(stdout, "  %-8s %12s %12s %10s\n", "load", "latency", "throughput", "hops")
 	for i := range series.Points {
 		res := results[i]
 		sat := ""
 		if res.Saturated {
 			sat = "  SATURATED"
 		}
-		fmt.Printf("  %-8.3f %12.2f %12.4f %10.2f%s\n",
+		fmt.Fprintf(stdout, "  %-8.3f %12.2f %12.4f %10.2f%s\n",
 			res.Load, res.AvgLatency, res.Throughput, res.AvgHops, sat)
 	}
 	return nil

@@ -38,9 +38,13 @@ func main() {
 	}
 
 	for _, c := range cases {
-		full := c.cfg.WithDefaults()
-		fmt.Printf("%s  (per-router pipeline %d cycles, channel serialization %d cycles)\n",
-			c.name, full.RouterDelay(), full.SerCycles)
+		topo, err := highradix.NetOptions{Net: c.cfg}.Topology()
+		if err != nil {
+			log.Fatal(err)
+		}
+		// A flit lands one link cycle after the router's pipeline delay.
+		fmt.Printf("%s  (%d cycles per hop, channel serialization %d cycles)\n",
+			c.name, topo.HopDelay()+1, topo.SerCycles())
 		for _, load := range loads {
 			res, err := highradix.SimulateNetwork(highradix.NetOptions{
 				Net:           c.cfg,

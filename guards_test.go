@@ -119,6 +119,11 @@ var guardSteps = []struct {
 		pattern: `cache\.NewKey\(|\) Canonical\(\) string`,
 		msg:     "a hand-written cache key outside internal/cache (see DESIGN.md, Result cache: Keys)",
 	}}},
+	{"One latency model", []guard{{
+		roots:   []string{"internal/network"},
+		pattern: `RouterDelay|CreditDelay|math\.Log2`,
+		msg:     "a timing knob or a second statement of Equation (2) in cycles beside analytic.Cycles (see DESIGN.md, Topologies & sharded synchronization)",
+	}}},
 	{"One checker state", []guard{{
 		roots:   []string{"internal/check"},
 		pattern: `type (flow|NetAuditor|Options|Stats) struct`,

@@ -203,7 +203,11 @@ type (
 	Table  = stats.Table
 )
 
-// NetworkConfig parameterizes a multistage Clos network (Figure 19).
+// NetworkConfig parameterizes a multistage Clos network (Figure 19):
+// its radix, digits, VCs and buffer depth. Its timing is not a
+// parameter: each hop costs the radix's pipeline delay from Equation
+// (2) in cycles (analytic.Cycles) plus one link cycle, and each packet
+// pays the channel serialization once.
 type NetworkConfig = network.Config
 
 // NetOptions and NetResult parameterize and report network runs.

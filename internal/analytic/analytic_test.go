@@ -115,3 +115,14 @@ func TestFitTrendDegenerate(t *testing.T) {
 		t.Fatal("empty fit should be zero")
 	}
 }
+
+// TestCycles pins Equation (2)'s terms in cycles at the radices of a
+// 4096-node Clos: tr grows by one cycle per doubling of k, and the
+// channel is never faster than one flit per cycle (k = 4 and 8).
+func TestCycles(t *testing.T) {
+	for _, c := range []struct{ k, tr, ser int }{{4, 7, 1}, {8, 8, 1}, {16, 9, 1}, {32, 10, 2}, {64, 11, 4}, {128, 12, 8}} {
+		if tr, ser := Cycles(c.k); tr != c.tr || ser != c.ser {
+			t.Errorf("Cycles(%d) = (%d, %d), want (%d, %d)", c.k, tr, ser, c.tr, c.ser)
+		}
+	}
+}

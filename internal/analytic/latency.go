@@ -63,6 +63,19 @@ func (t Technology) Latency(k float64) float64 {
 	return header + serialization
 }
 
+// Cycles returns Equation (2)'s two terms in cycles for a radix-k
+// router, as the network simulator charges them: the per-hop pipeline
+// delay tr = round(5 + log2 k), and the serialization of one flit on a
+// channel, ser = max(1, round(4k/64)), 4 cycles at radix 64 with
+// channels narrowing as radix grows at constant router bandwidth. That
+// convention holds for k >= 16 only: below it the channel carries a
+// whole flit per cycle, not 0.25 (k = 4) or 0.5 (k = 8).
+func Cycles(k int) (tr, ser int) {
+	tr = int(math.Round(5 + math.Log2(float64(k))))
+	ser = int(math.Max(1, math.Round(4*float64(k)/64)))
+	return tr, ser
+}
+
 // OptimalRadix solves k*ln^2(k) = A for the latency-minimizing radix
 // (Equation 3) by bisection. The returned value is continuous; round to
 // taste.

@@ -42,8 +42,7 @@ func tbOptions(t *testing.T, pattern string) *testbench.Options {
 // or over topo when one is given.
 func netOptions(topo network.Topology) *network.Options {
 	return &network.Options{
-		Net: network.Config{Radix: 4, Digits: 2, VCs: 2, BufDepth: 4, RouterDelayX: 3,
-			RouterDelayY: 0.5, SerCycles: 2, CreditDelay: 3},
+		Net:  network.Config{Radix: 4, Digits: 2, VCs: 2, BufDepth: 4},
 		Topo: topo, Load: 0.5, PktLen: 2, WarmupCycles: 100, MeasureCycles: 200, DrainCycles: 900,
 		SatLatency: 500, Seed: 1, Pattern: traffic.NewUniform(16), Injection: traffic.InjGap,
 	}
@@ -180,8 +179,7 @@ func TestWalkerKeys(t *testing.T) {
 			return netOptions(mustTopo(network.NewClos(netOptions(nil).Net)))
 		}},
 		root{name: "network/torus", key: netKey, ignored: ".Net", fresh: func(*testing.T) any {
-			return netOptions(mustTopo(network.NewTorus(network.TorusConfig{X: 4, Y: 2, VCs: 2,
-				BufDepth: 4, SerCycles: 2, CreditDelay: 3, HopDelay: 2})))
+			return netOptions(mustTopo(network.NewTorus(network.TorusConfig{X: 4, Y: 2, VCs: 2, BufDepth: 4})))
 		}},
 		root{name: "figure", key: figurePoints, free: []string{".Workers", ".Cache", ".dense", ".shards", ".missed"},
 			fresh: func(*testing.T) any {

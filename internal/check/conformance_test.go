@@ -126,17 +126,20 @@ func TestClosConformance(t *testing.T) {
 	// radix 4, 2 digits: 16 terminals (a power of two with an even bit
 	// count, so every deterministic pattern is well formed).
 	cfg := network.Config{Radix: 4, Digits: 2}
-	full := cfg.WithDefaults()
+	clos, err := network.NewClos(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, pat := range conformancePatterns {
 		for _, pktLen := range []int{1, 3} {
 			pat, pktLen := pat, pktLen
 			t.Run(fmt.Sprintf("%s/pkt%d", pat, pktLen), func(t *testing.T) {
 				t.Parallel()
-				p, err := traffic.ByName(pat, full.Terminals(), 4, 4)
+				p, err := traffic.ByName(pat, clos.Terminals(), 4, 4)
 				if err != nil {
 					t.Fatal(err)
 				}
-				aud := check.NewNetAuditor(full.Terminals(), full.VCs, full.SerCycles)
+				aud := check.NewNetAuditor(clos.Terminals(), clos.VCs(), clos.SerCycles())
 				res, err := network.Run(network.Options{
 					Net:           cfg,
 					Load:          0.3,
@@ -184,18 +187,33 @@ func TestTopologyConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One radix-32 router: the only case whose channels take more than
+	// one cycle per flit (ser = 2), so the only one that audits the
+	// serializer's spacing. 32 terminals split into no square, so it
+	// has no transpose.
+	clos32, err := network.NewClos(network.Config{Radix: 32, Digits: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
-		topo network.Topology
-		load float64
-	}{{ring, 0.08}, {torus, 0.15}, {clos, 0.3}}
+		name     string
+		topo     network.Topology
+		load     float64
+		patterns []string
+	}{
+		{"ring", ring, 0.08, conformancePatterns},
+		{"torus", torus, 0.15, conformancePatterns},
+		{"clos", clos, 0.3, conformancePatterns},
+		{"clos32", clos32, 0.3, []string{"uniform", "diagonal", "hotspot", "worstcase", "bitcomp", "bitrev", "shuffle"}},
+	}
 	for _, tc := range cases {
-		for _, pat := range conformancePatterns {
+		for _, pat := range tc.patterns {
 			for _, pktLen := range []int{1, 3} {
 				// Workers 0 runs the one-engine world; the sharded runs keep
 				// the same auditor armed across the barrier replay.
 				for _, workers := range []int{0, 3} {
 					tc, pat, pktLen, workers := tc, pat, pktLen, workers
-					t.Run(fmt.Sprintf("%s/%s/pkt%d/w%d", tc.topo.Name(), pat, pktLen, workers), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%s/%s/pkt%d/w%d", tc.name, pat, pktLen, workers), func(t *testing.T) {
 						t.Parallel()
 						p, err := traffic.ByName(pat, tc.topo.Terminals(), 4, 4)
 						if err != nil {

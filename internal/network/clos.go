@@ -20,19 +20,17 @@
 // Per the paper, a simplified router model is used at network scale
 // (the paper cites its own reduced-accuracy methodology [19]): each
 // router is input-queued with per-VC buffers and a single-iteration
-// round-robin output allocation; the per-hop pipeline latency follows
-// the Section 2 router-delay model tr = X + Y*log2(k), and channels
-// are serialized at L/b cycles per flit, where b shrinks as radix
-// grows at constant router bandwidth. Flits cut through hop to hop
-// (header latency per hop is the pipeline delay) and pay the full
-// serialization once at ejection, matching Equation (1)'s
-// T = H*tr + L/b decomposition.
+// round-robin output allocation. Its per-hop pipeline delay and channel
+// serialization are analytic.Cycles of the radix; a granted flit lands
+// downstream one link cycle after the pipeline delay, and a packet
+// pays serialization once, at ejection.
 package network
 
 import (
 	"errors"
 	"fmt"
-	"math"
+
+	"highradix/internal/analytic"
 )
 
 // Config describes one Clos network.
@@ -45,16 +43,6 @@ type Config struct {
 	VCs int
 	// BufDepth is the per-(port,VC) input buffer depth in flits.
 	BufDepth int
-	// RouterDelayX, RouterDelayY set the per-hop pipeline latency
-	// tr = X + Y*log2(k) in cycles (Section 2).
-	RouterDelayX, RouterDelayY float64
-	// SerCycles is the channel serialization time of one flit. If zero
-	// it is derived from the single-router convention of 4 cycles at
-	// radix 64 (channels narrow as radix grows at constant router
-	// bandwidth).
-	SerCycles int
-	// CreditDelay is the upstream credit return latency in cycles.
-	CreditDelay int
 }
 
 // WithDefaults fills the paper's Figure 19 parameters.
@@ -77,18 +65,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.BufDepth == 0 {
 		c.BufDepth = 8
-	}
-	if c.RouterDelayX == 0 {
-		c.RouterDelayX = 5
-	}
-	if c.RouterDelayY == 0 {
-		c.RouterDelayY = 1
-	}
-	if c.SerCycles == 0 {
-		c.SerCycles = int(math.Max(1, math.Round(4*float64(c.Radix)/64)))
-	}
-	if c.CreditDelay == 0 {
-		c.CreditDelay = 2
 	}
 	return c
 }
@@ -119,11 +95,6 @@ func (c Config) Terminals() int {
 // Stages returns 2d-1, the number of switch stages.
 func (c Config) Stages() int { return 2*c.Digits - 1 }
 
-// RouterDelay returns tr in cycles for this radix.
-func (c Config) RouterDelay() int {
-	return int(math.Round(c.RouterDelayX + c.RouterDelayY*math.Log2(float64(c.Radix))))
-}
-
 // Clos is the folded-Clos Topology of Figure 19: 2d-1 stages of n/k
 // radix-k switches wired stage to stage by the k-ary perfect shuffle.
 // Router r = stage*(n/k) + index within the stage.
@@ -132,6 +103,8 @@ type Clos struct {
 	n   int // terminals
 	s   int // stages
 	rpl int // routers per stage = n/k
+	tr  int // per-hop pipeline delay, cycles
+	ser int // flit serialization, cycles
 }
 
 // NewClos builds the Clos topology, applying Config defaults.
@@ -141,22 +114,22 @@ func NewClos(cfg Config) (*Clos, error) {
 		return nil, err
 	}
 	n := cfg.Terminals()
-	return &Clos{cfg: cfg, n: n, s: cfg.Stages(), rpl: n / cfg.Radix}, nil
+	tr, ser := analytic.Cycles(cfg.Radix)
+	return &Clos{cfg: cfg, n: n, s: cfg.Stages(), rpl: n / cfg.Radix, tr: tr, ser: ser}, nil
 }
 
 // Config returns the defaulted configuration.
 func (c *Clos) Config() Config { return c.cfg }
 
-func (c *Clos) Name() string     { return "clos" }
-func (c *Clos) Routers() int     { return c.s * c.rpl }
-func (c *Clos) Ports() int       { return c.cfg.Radix }
-func (c *Clos) VCs() int         { return c.cfg.VCs }
-func (c *Clos) Terminals() int   { return c.n }
-func (c *Clos) BufDepth() int    { return c.cfg.BufDepth }
-func (c *Clos) SerCycles() int   { return c.cfg.SerCycles }
-func (c *Clos) CreditDelay() int { return c.cfg.CreditDelay }
-func (c *Clos) HopDelay() int    { return c.cfg.RouterDelay() }
-func (c *Clos) InjectVCs() int   { return c.cfg.VCs }
+func (c *Clos) Name() string   { return "clos" }
+func (c *Clos) Routers() int   { return c.s * c.rpl }
+func (c *Clos) Ports() int     { return c.cfg.Radix }
+func (c *Clos) VCs() int       { return c.cfg.VCs }
+func (c *Clos) Terminals() int { return c.n }
+func (c *Clos) BufDepth() int  { return c.cfg.BufDepth }
+func (c *Clos) SerCycles() int { return c.ser }
+func (c *Clos) HopDelay() int  { return c.tr }
+func (c *Clos) InjectVCs() int { return c.cfg.VCs }
 
 // Diameter is the stage count: every route crosses each stage once.
 func (c *Clos) Diameter() int { return c.s }

@@ -245,7 +245,6 @@ type Network struct {
 	depth int
 	ser   int64
 	hop   int64
-	cd    int64
 
 	// Input queue q is a FIFO of inq[q].n flits: front[q], then
 	// rest[q*(depth-1):] in order. Allocation reads only the dense front
@@ -324,12 +323,12 @@ func NewNetworkRange(topo Topology, seed uint64, l Layout, i int) *Network {
 	tlo, thi := l.Terminals[i][0], l.Terminals[i][1]
 	p, v, depth := topo.Ports(), topo.VCs(), topo.BufDepth()
 	routers := hi - lo
-	span := max(topo.HopDelay()+2, topo.CreditDelay()+1)
+	span := max(topo.HopDelay()+2, creditDelay+1)
 	nq := routers * p * v
 	nw := &Network{
 		topo: topo, seed: seed, lo: lo, hi: hi, qlo: lo * p * v,
 		n: topo.Terminals(), v: v, ports: p, flat: p * v, depth: depth,
-		ser: int64(topo.SerCycles()), hop: int64(topo.HopDelay()), cd: int64(topo.CreditDelay()),
+		ser: int64(topo.SerCycles()), hop: int64(topo.HopDelay()),
 		front:     make([]slot, nq),
 		rest:      make([]slot, nq*(depth-1)),
 		inq:       make([]inQueue, nq),
@@ -729,7 +728,7 @@ func (nw *Network) arbitrate(row []uint64, ptr, qbase, chbase int, eject bool) i
 // another engine owns the output or hosts the terminal.
 func (nw *Network) sendCreditUpstream(now int64, o, c int) {
 	fd := nw.feeders[o]
-	at := now + nw.cd
+	at := now + creditDelay
 	ch := fd.ch + int32(c)
 	if fd.ch < 0 {
 		ch = fd.ch - int32(c)

@@ -69,8 +69,11 @@ func TestNetFastForwardTwin(t *testing.T) {
 		cfg := c.cfg
 		t.Run(fmt.Sprintf("k%dd%d", cfg.Radix, cfg.Digits), func(t *testing.T) {
 			run := func(noFF bool) ([]netEvent, Result, error) {
-				full := cfg.WithDefaults()
-				rec := &recHooks{inner: check.NewNetAuditor(full.Terminals(), full.VCs, full.SerCycles)}
+				clos, err := NewClos(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := &recHooks{inner: check.NewNetAuditor(clos.Terminals(), clos.VCs(), clos.SerCycles())}
 				res, err := Run(Options{
 					Net:           cfg,
 					Load:          0.4,

@@ -31,7 +31,10 @@ func TestNetGapFastForwardTwin(t *testing.T) {
 		c := c
 		t.Run(fmt.Sprintf("k%dd%d", c.cfg.Radix, c.cfg.Digits), func(t *testing.T) {
 			run := func(noFF bool, hooked bool) ([]netEvent, Result, error) {
-				full := c.cfg.WithDefaults()
+				clos, err := NewClos(c.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
 				rec := &recHooks{}
 				o := Options{
 					Net:           c.cfg,
@@ -44,7 +47,7 @@ func TestNetGapFastForwardTwin(t *testing.T) {
 					Injection:     traffic.InjGap,
 				}
 				if hooked {
-					rec.inner = check.NewNetAuditor(full.Terminals(), full.VCs, full.SerCycles)
+					rec.inner = check.NewNetAuditor(clos.Terminals(), clos.VCs(), clos.SerCycles())
 				}
 				res, err := Run(o)
 				return rec.events, res, err

@@ -15,7 +15,7 @@ import (
 // The synchronization is conservative and deterministic. Time advances
 // in epochs of L = Lookahead(topo) cycles: the minimum latency of any
 // cross-router effect (a flit lands HopDelay+1 cycles after its
-// grant, a credit returns after CreditDelay). Every event produced
+// grant, a credit returns after creditDelay). Every event produced
 // during an epoch therefore takes effect at or after the next epoch's
 // start, so workers can simulate a whole epoch without hearing from
 // each other. Each worker is one goroutine for the whole run (the

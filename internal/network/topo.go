@@ -36,8 +36,6 @@ type Topology interface {
 	BufDepth() int
 	// SerCycles is the channel serialization time of one flit.
 	SerCycles() int
-	// CreditDelay is the upstream credit return latency in cycles.
-	CreditDelay() int
 	// HopDelay is the per-hop pipeline latency; a granted flit lands in
 	// the downstream buffer HopDelay+1 cycles later.
 	HopDelay() int
@@ -62,22 +60,19 @@ type Topology interface {
 	NextHop(r, inPort, dst, vc int, key uint64) (outPort, outVC int)
 }
 
+// creditDelay is the upstream credit return latency in cycles, the same
+// in every topology.
+const creditDelay = 2
+
 // Lookahead returns the conservative-synchronization window of a
 // topology: the minimum latency of any cross-router effect. A granted
 // flit lands HopDelay+1 cycles later and a credit returns after
-// CreditDelay, so no event produced during an epoch of this length can
+// creditDelay, so no event produced during an epoch of this length can
 // take effect before the next epoch begins — which is exactly why the
 // shard runner's once-per-epoch barrier misses nothing (DESIGN.md,
 // "Sharded synchronization").
 func Lookahead(t Topology) int {
-	l := t.HopDelay() + 1
-	if cd := t.CreditDelay(); cd < l {
-		l = cd
-	}
-	if l < 1 {
-		l = 1
-	}
-	return l
+	return min(t.HopDelay()+1, creditDelay)
 }
 
 // mix64 is the SplitMix64 finalizer: a cheap invertible mixer whose

@@ -16,13 +16,14 @@ type TorusConfig struct {
 	VCs int
 	// BufDepth is the per-(port,VC) input buffer depth in flits.
 	BufDepth int
-	// SerCycles is the channel serialization time of one flit.
-	SerCycles int
-	// CreditDelay is the upstream credit return latency in cycles.
-	CreditDelay int
-	// HopDelay is the per-hop pipeline latency tr in cycles.
-	HopDelay int
 }
+
+// A torus router's per-hop pipeline delay and flit serialization, in
+// cycles: a small NoC-style router with full-width channels.
+const (
+	torusHopDelay  = 3
+	torusSerCycles = 1
+)
 
 // WithDefaults fills a small NoC-style torus.
 func (c TorusConfig) WithDefaults() TorusConfig {
@@ -37,15 +38,6 @@ func (c TorusConfig) WithDefaults() TorusConfig {
 	}
 	if c.BufDepth == 0 {
 		c.BufDepth = 8
-	}
-	if c.SerCycles == 0 {
-		c.SerCycles = 1
-	}
-	if c.CreditDelay == 0 {
-		c.CreditDelay = 2
-	}
-	if c.HopDelay == 0 {
-		c.HopDelay = 3
 	}
 	return c
 }
@@ -106,14 +98,13 @@ func (g *Torus) Ports() int {
 	return 5
 }
 
-func (g *Torus) Routers() int     { return g.cfg.X * g.cfg.Y }
-func (g *Torus) VCs() int         { return g.cfg.VCs }
-func (g *Torus) Terminals() int   { return g.cfg.X * g.cfg.Y }
-func (g *Torus) BufDepth() int    { return g.cfg.BufDepth }
-func (g *Torus) SerCycles() int   { return g.cfg.SerCycles }
-func (g *Torus) CreditDelay() int { return g.cfg.CreditDelay }
-func (g *Torus) HopDelay() int    { return g.cfg.HopDelay }
-func (g *Torus) InjectVCs() int   { return g.cfg.VCs / 2 }
+func (g *Torus) Routers() int   { return g.cfg.X * g.cfg.Y }
+func (g *Torus) VCs() int       { return g.cfg.VCs }
+func (g *Torus) Terminals() int { return g.cfg.X * g.cfg.Y }
+func (g *Torus) BufDepth() int  { return g.cfg.BufDepth }
+func (g *Torus) SerCycles() int { return torusSerCycles }
+func (g *Torus) HopDelay() int  { return torusHopDelay }
+func (g *Torus) InjectVCs() int { return g.cfg.VCs / 2 }
 
 // Diameter counts the routers of the longest minimal dimension-order
 // route: half of each ring, plus the router the route starts at.
