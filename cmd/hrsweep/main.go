@@ -20,42 +20,56 @@
 // bytes, because each table is always its current generator run over
 // the points. The store's counters go to stderr.
 // -cpuprofile writes a pprof CPU profile of the whole invocation.
+//
+// After the last table, -exp all prints the paper's claims
+// (experiments.Claims) checked against the tables it printed: one row
+// per claim with the paper's statement, the measured numbers and the
+// verdict. -csv prints no verdicts.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
 	"time"
 
 	"highradix/internal/cache"
 	"highradix/internal/experiments"
+	"highradix/internal/stats"
 	"highradix/internal/traffic"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is main with an exit status instead of os.Exit, so that a failure
-// at any point still runs the deferred profile stop, file close and
-// cache counter line.
-func run() int {
+// run is main with its arguments, output streams and exit status made
+// explicit, so that a test can drive it and a failure at any point
+// still runs the deferred profile stop, file close and cache counter
+// line.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("hrsweep", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		exp      = flag.String("exp", "", "experiment to run (see -list), or 'all'")
-		quick    = flag.Bool("quick", false, "reduced simulation windows")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		list     = flag.Bool("list", false, "list available experiments")
-		csv      = flag.Bool("csv", false, "emit CSV instead of the text table")
-		plot     = flag.Bool("plot", false, "append an ASCII plot of the series")
-		jobs     = flag.Int("j", 0, "sweep pool workers (0 = GOMAXPROCS, 1 = serial)")
-		profile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		inj      = flag.String("inj", "percycle", "injection sampling: percycle|gap (gap is event-driven, O(events) at low load, distribution-equivalent)")
-		cacheDir = flag.String("cache", "", "content-addressed result cache directory: warm points are read from it byte-identically instead of resimulated")
+		exp      = flags.String("exp", "", "experiment to run (see -list), or 'all'")
+		quick    = flags.Bool("quick", false, "reduced simulation windows")
+		seed     = flags.Uint64("seed", 1, "random seed")
+		list     = flags.Bool("list", false, "list available experiments")
+		csv      = flags.Bool("csv", false, "emit CSV instead of the text table")
+		plot     = flags.Bool("plot", false, "append an ASCII plot of the series")
+		jobs     = flags.Int("j", 0, "sweep pool workers (0 = GOMAXPROCS, 1 = serial)")
+		profile  = flags.String("cpuprofile", "", "write a CPU profile to this file")
+		inj      = flags.String("inj", "percycle", "injection sampling: percycle|gap (gap is event-driven, O(events) at low load, distribution-equivalent)")
+		cacheDir = flags.String("cache", "", "content-addressed result cache directory: warm points are read from it byte-identically instead of resimulated")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	fail := func(status int, err error) int {
-		fmt.Fprintln(os.Stderr, "hrsweep:", err)
+		fmt.Fprintln(stderr, "hrsweep:", err)
 		return status
 	}
 	injMode, err := traffic.InjModeByName(*inj)
@@ -76,12 +90,14 @@ func run() int {
 	}
 
 	if *list || *exp == "" {
-		fmt.Println("experiments:")
+		fmt.Fprintln(stdout, "experiments:")
 		for _, e := range experiments.Registry {
-			fmt.Printf("  %-10s %s\n", e.Name, e.Desc)
+			fmt.Fprintf(stdout, "  %-10s %s\n", e.Name, e.Desc)
 		}
-		fmt.Println("  all        run everything")
-		if *exp == "" {
+		fmt.Fprintln(stdout, "  all        run everything")
+		// Asked for, the list is the answer; printed because no -exp
+		// was given, it is a usage error.
+		if !*list {
 			return 2
 		}
 		return 0
@@ -104,45 +120,51 @@ func run() int {
 		// byte-identical to an uncached invocation.
 		defer func() {
 			c := st.Counters()
-			fmt.Fprintf(os.Stderr, "cache: hits=%d misses=%d computes=%d puts=%d corrupt=%d\n",
+			fmt.Fprintf(stderr, "cache: hits=%d misses=%d computes=%d puts=%d corrupt=%d\n",
 				c.Hits, c.Misses, c.Computes, c.Puts, c.Corrupt)
 		}()
 	}
 
-	figure := func(name string) error {
+	figure := func(name string) (*stats.Table, error) {
 		t0 := time.Now()
 		table, _, err := experiments.Table(name, scale)
 		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		if *csv {
-			fmt.Print(table.CSV())
+			fmt.Fprint(stdout, table.CSV())
 		} else {
-			fmt.Print(table.String())
+			fmt.Fprint(stdout, table.String())
 		}
 		if *plot {
-			fmt.Print(table.Plot(72, 20))
+			fmt.Fprint(stdout, table.Plot(72, 20))
 		}
 		// Timing goes to stderr: stdout carries only the tables, so two
 		// invocations of one experiment are byte-comparable regardless
 		// of wall-clock (which is the point of -cache).
-		fmt.Fprintf(os.Stderr, "[%s completed in %.1fs]\n", name, time.Since(t0).Seconds())
-		fmt.Println()
-		return nil
+		fmt.Fprintf(stderr, "[%s completed in %.1fs]\n", name, time.Since(t0).Seconds())
+		fmt.Fprintln(stdout)
+		return table, nil
 	}
 
 	if *exp == "all" {
+		tables := map[string]*stats.Table{}
 		for _, e := range experiments.Registry {
-			if err := figure(e.Name); err != nil {
+			t, err := figure(e.Name)
+			if err != nil {
 				return fail(1, err)
 			}
+			tables[e.Name] = t
+		}
+		if !*csv {
+			fmt.Fprint(stdout, experiments.VerdictTable(experiments.Evaluate(experiments.Claims, tables, !*quick)))
 		}
 		return 0
 	}
 	if _, err := experiments.ByName(*exp); err != nil {
 		return fail(2, err)
 	}
-	if err := figure(*exp); err != nil {
+	if _, err := figure(*exp); err != nil {
 		return fail(1, err)
 	}
 	return 0

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 
 	"strconv"
@@ -90,6 +91,20 @@ func Fig3(Scale) (*stats.Table, error) {
 	}
 	t.AddNote("latency is U-shaped (hop count vs serialization); cost decreases monotonically with radix")
 	return t, nil
+}
+
+// eq2Cycles tabulates Equation (2) in cycles, (2d−1)(tr+1)+ser with tr
+// and ser from analytic.Cycles, at every radix k with k^d = 4096: the
+// zero-load latency network.TestZeroLoadIsEquationTwo holds the engine
+// to at k = 4, 8, 16 and 64. It is no registry figure: only Evaluate
+// reads it, for the claim that the minimum is at k = 64.
+func eq2Cycles() *stats.Table {
+	t := &stats.Table{Title: "Equation (2) in cycles, N = 4096"}
+	for _, kd := range [][2]int{{2, 12}, {4, 6}, {8, 4}, {16, 3}, {64, 2}, {4096, 1}} {
+		tr, ser := analytic.Cycles(kd[0])
+		t.AddScalar(fmt.Sprintf("T(k=%d)", kd[0]), float64((2*kd[1]-1)*(tr+1)+ser), "cycles")
+	}
+	return t
 }
 
 func argminX(s *stats.Series) float64 {

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"highradix/internal/stats"
 	"highradix/internal/traffic"
 )
 
@@ -17,8 +19,9 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 // (see TestParallelSweepDeterminism), so these files pin the numeric
 // output of the whole simulation stack — any change to routing,
 // arbitration, RNG streams or statistics shows up as a diff here, and
-// intentional changes are recorded with -update.
-func golden(t *testing.T, name string, gen Generator, s Scale) {
+// intentional changes are recorded with -update. It returns the table
+// it generated.
+func golden(t *testing.T, name string, gen Generator, s Scale) *stats.Table {
 	t.Helper()
 	tab, err := gen(s)
 	if err != nil {
@@ -34,7 +37,7 @@ func golden(t *testing.T, name string, gen Generator, s Scale) {
 			t.Fatal(err)
 		}
 		t.Logf("rewrote %s", path)
-		return
+		return tab
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
@@ -45,6 +48,7 @@ func golden(t *testing.T, name string, gen Generator, s Scale) {
 			"  go test ./internal/experiments -run TestGolden -update\n--- got ---\n%s\n--- want ---\n%s",
 			name, got, want)
 	}
+	return tab
 }
 
 // gapScale is Quick with gap-sampled injection. Gap mode is
@@ -70,10 +74,32 @@ func gapScale() Scale {
 // fig19_sharded regenerates fig19 through the epoch runner at 2 and at 4
 // workers against the same file — the golden-level statement of the
 // shard package's equivalence claim.
+//
+// The claims step evaluates every entry of Claims on the Quick tables
+// the registry cases generated, simulating nothing more, and fails on
+// any verdict its entry does not expect, in either direction. It runs
+// under -update too, so a change that moves a golden across a claim
+// must flip that claim's FailsAt in the same diff.
 func TestGolden(t *testing.T) {
+	tables := map[string]*stats.Table{}
 	for _, e := range Registry {
-		t.Run(e.Name, func(t *testing.T) { golden(t, e.Name, e.Gen, Quick) })
+		t.Run(e.Name, func(t *testing.T) { tables[e.Name] = golden(t, e.Name, e.Gen, Quick) })
 	}
+	t.Run("claims", func(t *testing.T) {
+		vs := Evaluate(Claims, tables, false)
+		if len(vs) < len(Claims) {
+			t.Logf("%d of %d claims evaluated: the others' figures did not run", len(vs), len(Claims))
+		}
+		var bad []string
+		for _, v := range vs {
+			if !v.Expected {
+				bad = append(bad, v.ID)
+			}
+		}
+		if len(bad) > 0 {
+			t.Errorf("verdicts the claims table does not expect: %s\n%s", strings.Join(bad, ", "), VerdictTable(vs))
+		}
+	})
 	for _, name := range []string{"fig9", "fig19", "topo"} {
 		gen, err := ByName(name)
 		if err != nil {

@@ -166,3 +166,27 @@ func TestCreditBusNearIdeal(t *testing.T) {
 			ideal-shared, shared, ideal)
 	}
 }
+
+// Dynamic VC sizing lets a congested VC borrow the buffer space idle
+// ones leave, on the low-radix router's own allocator. Under uniform
+// single-flit traffic no VC fills and the two routers grant alike;
+// 10-flit packets fill VCs, and the shared pool then carries more
+// (radix 64, load 1.0: 0.687 against 0.645 at seed 1, and 2.5-4.2 pp
+// more on seeds 1-3).
+func TestDynVCBeatsLowRadixOnLongPackets(t *testing.T) {
+	thr := func(arch router.Arch) float64 {
+		o := quickOpts(router.Config{Arch: arch, Radix: 64}, 1.0)
+		o.PktLen = 10
+		o.WarmupCycles, o.MeasureCycles = 800, 1600
+		v, err := SaturationThroughput(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	low, dyn := thr(router.ArchLowRadix), thr(router.ArchDynVC)
+	t.Logf("lowradix %.4f dynvc %.4f", low, dyn)
+	if dyn < low+0.01 {
+		t.Fatalf("10-flit packets: dynvc %.4f not above lowradix %.4f", dyn, low)
+	}
+}
