@@ -29,7 +29,7 @@ type guard struct {
 	roots   []string // directories or files, relative to the repo root
 	tests   bool     // _test.go files are in scope
 	except  []string // files, or directories ending in "/", left out
-	pattern string
+	pattern string   // empty: the syntax-tree form alone
 	decls   func(*ast.File) []ast.Node
 	want    int
 	msg     string
@@ -124,6 +124,12 @@ var guardSteps = []struct {
 		pattern: `RouterDelay|CreditDelay|math\.Log2`,
 		msg:     "a timing knob or a second statement of Equation (2) in cycles beside analytic.Cycles (see DESIGN.md, Topologies & sharded synchronization)",
 	}}},
+	{"Events only for an observer", []guard{{
+		roots:  []string{"internal/router"},
+		except: []string{"internal/router/core/event.go"},
+		decls:  unguardedEvents,
+		msg:    "an Event built before the observer's nil test: a run without an observer would pay for it (use core.Obs.Emit or Credit; see DESIGN.md, Invariant checker)",
+	}}},
 	{"One checker state", []guard{{
 		roots:   []string{"internal/check"},
 		pattern: `type (flow|NetAuditor|Options|Stats) struct`,
@@ -150,7 +156,10 @@ func TestStructuralGuards(t *testing.T) {
 // hits returns every line in the guard's scope that either form
 // matches, as "file:line: text", in file and line order.
 func (g guard) hits() ([]string, error) {
-	re := regexp.MustCompile(g.pattern)
+	var re *regexp.Regexp
+	if g.pattern != "" {
+		re = regexp.MustCompile(g.pattern)
+	}
 	var hits []string
 	for _, root := range g.roots {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -164,7 +173,7 @@ func (g guard) hits() ([]string, error) {
 			lines := strings.Split(string(src), "\n")
 			matched := map[int]bool{}
 			for i, l := range lines {
-				if re.MatchString(l) {
+				if re != nil && re.MatchString(l) {
 					matched[i+1] = true
 				}
 			}
@@ -279,6 +288,54 @@ func structTypes(name string) func(*ast.File) []ast.Node {
 		})
 		return out
 	}
+}
+
+// unguardedEvents matches an Event composite literal (bare or
+// package-qualified) outside the body of every if statement whose
+// condition tests something against nil.
+func unguardedEvents(f *ast.File) []ast.Node {
+	var guarded [][2]token.Pos
+	var lits []ast.Node
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.IfStmt:
+			if testsNil(n.Cond) {
+				guarded = append(guarded, [2]token.Pos{n.Body.Pos(), n.Body.End()})
+			}
+		case *ast.CompositeLit:
+			if typeName(n.Type) == "Event" {
+				lits = append(lits, n)
+			}
+		}
+		return true
+	})
+	var out []ast.Node
+	for _, lit := range lits {
+		in := false
+		for _, b := range guarded {
+			in = in || b[0] <= lit.Pos() && lit.End() <= b[1]
+		}
+		if !in {
+			out = append(out, lit)
+		}
+	}
+	return out
+}
+
+// testsNil reports whether cond compares anything with != nil.
+func testsNil(cond ast.Expr) bool {
+	found := false
+	ast.Inspect(cond, func(n ast.Node) bool {
+		if b, ok := n.(*ast.BinaryExpr); ok && b.Op == token.NEQ {
+			for _, side := range []ast.Expr{b.X, b.Y} {
+				if id, ok := side.(*ast.Ident); ok && id.Name == "nil" {
+					found = true
+				}
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // storeCalls matches calls of a GetOrCompute method, and of a Put method

@@ -117,6 +117,45 @@ func TestConformanceBursty(t *testing.T) {
 	}
 }
 
+// TestConformanceWideSubswitch holds the hierarchical internal stage to
+// the invariants with more heads per subswitch than a 64-bit word has
+// bits: radix 64 with 32 x 32 subswitches and 4 VCs gathers p·v = 128
+// heads a subswitch, past every registry variant (p <= 16, so p·v = 64
+// at most). One run near saturation, one of bursty multi-flit packets,
+// which keep body flits waiting on VCs their packets own.
+func TestConformanceWideSubswitch(t *testing.T) {
+	cfg := router.Config{Arch: router.ArchHierarchical, Radix: 64, VCs: 4, SubSize: 32}
+	for _, c := range []struct {
+		name   string
+		load   float64
+		pktLen int
+		bursty bool
+	}{
+		{"uniform/load=0.9", 0.9, 1, false},
+		{"bursty/pktlen=3/load=0.6", 0.6, 3, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			res, err := testbench.Run(testbench.Options{
+				Router:        cfg,
+				Bursty:        c.bursty,
+				Load:          c.load,
+				PktLen:        c.pktLen,
+				WarmupCycles:  800,
+				MeasureCycles: 1600,
+				Seed:          7,
+				Check:         true,
+			})
+			if err != nil {
+				t.Fatalf("invariant violation: %v", err)
+			}
+			if res.Packets == 0 {
+				t.Fatal("no labeled packets delivered; the run was vacuous")
+			}
+		})
+	}
+}
+
 // TestClosConformance audits the Clos network end to end under every
 // traffic pattern valid for its terminal count: injection/delivery
 // conservation, per-packet in-order delivery, VC ownership and

@@ -88,16 +88,22 @@ type pkt struct {
 	measured  bool
 }
 
-// source is the injection machinery in front of one device port: an
-// unbounded generation queue, a flit-serialized injection channel and
-// per-packet VC assignment.
+// source is the injection machinery in front of one device port, in
+// one 64-byte record: an unbounded generation queue, a flit-serialized
+// injection channel and per-packet VC assignment. The queue's front
+// packet sits inline in head; the packets behind it wait in an overflow
+// ring allocated at the source's first backlog, so a source that never
+// queues two packets touches one cache line per generation and
+// injection.
 type source struct {
-	q       sim.Queue[pkt]
-	sent    int    // flits of the front packet already injected
-	injFree int64  // cycle the injection channel frees
-	curVC   int    // VC of the packet crossing the channel, -1 between packets
-	vcPtr   int    // rotating VC assignment pointer
-	seq     uint32 // packets generated
+	head    pkt             // the front packet, while queued > 0
+	more    *sim.Queue[pkt] // the packets behind head; nil until a backlog forms
+	injFree int64           // cycle the injection channel frees
+	queued  int32           // packets queued, head included
+	seq     uint32          // packets generated
+	sent    int32           // flits of the front packet already injected
+	curVC   int16           // VC of the packet crossing the channel, -1 between packets
+	vcPtr   int16           // rotating VC assignment pointer
 }
 
 // Bank is the evaluation front end of the paper's Section 4.3 for the
@@ -180,7 +186,7 @@ func NewBank(c BankConfig) *Bank {
 		}
 		d.owned = append(d.owned, id)
 		d.rngs[id].Seed(c.Seed(id))
-		b.srcs[id] = source{q: sim.MakeQueue[pkt](0), curVC: -1}
+		b.srcs[id].curVC = -1
 		switch {
 		case c.Bursty && gap:
 			m := traffic.NewMarkovOnOffGap(c.Rate, traffic.BurstLen)
@@ -217,7 +223,7 @@ func (b *Bank) spawn(now int64, src, dst, length int, measuring bool) {
 	}
 	s := &b.srcs[src]
 	switch {
-	case s.q.Len() > 0: // InjectAll already finds it
+	case s.queued > 0: // InjectAll already finds it
 	case s.injFree <= now:
 		b.ready.Set(src)
 	default:
@@ -225,7 +231,17 @@ func (b *Bank) spawn(now int64, src, dst, length int, measuring bool) {
 		b.wake = max(b.wake, s.injFree)
 	}
 	s.seq++
-	s.q.MustPush(pkt{b.c.PacketID(src, s.seq), now, dst, int32(length), measuring})
+	p := pkt{b.c.PacketID(src, s.seq), now, dst, int32(length), measuring}
+	switch {
+	case s.queued == 0:
+		s.head = p
+	case s.more == nil:
+		s.more = sim.NewQueue[pkt](0)
+		fallthrough
+	default:
+		s.more.MustPush(p)
+	}
+	s.queued++
 	b.genFlits += int64(length)
 	b.backlog += int64(length)
 	if measuring {
@@ -300,11 +316,11 @@ func (b *Bank) InjectAll(now int64, d Device, onInject func(now int64, f *flit.F
 	v := b.c.VCs
 	for id := b.ready.Next(0); id >= 0; id = b.ready.Next(id + 1) {
 		s := &b.srcs[id]
-		vc := s.curVC
+		vc := int(s.curVC)
 		if s.sent == 0 {
 			vc = -1
 			for j := 0; j < v; j++ {
-				c := s.vcPtr + j
+				c := int(s.vcPtr) + j
 				if c >= v {
 					c -= v
 				}
@@ -316,17 +332,19 @@ func (b *Bank) InjectAll(now int64, d Device, onInject func(now int64, f *flit.F
 			if vc < 0 {
 				continue
 			}
-			s.curVC = vc
+			s.curVC = int16(vc)
 		} else if !d.CanAccept(id, vc) {
 			continue
 		}
-		p, _ := s.q.Peek()
-		f := b.fl.Make(p.id, s.sent, id, p.dst, vc, int(p.len), p.createdAt, p.measured)
+		p := &s.head
+		f := b.fl.Make(p.id, int(s.sent), id, p.dst, vc, int(p.len), p.createdAt, p.measured)
 		b.backlog--
 		if f.Tail {
-			s.q.MustPop()
+			if s.queued--; s.queued > 0 {
+				s.head = s.more.MustPop()
+			}
 			s.sent = 0
-			if s.vcPtr = vc + 1; s.vcPtr == v {
+			if s.vcPtr = int16(vc + 1); int(s.vcPtr) == v {
 				s.vcPtr = 0
 			}
 			s.curVC = -1
@@ -339,7 +357,7 @@ func (b *Bank) InjectAll(now int64, d Device, onInject func(now int64, f *flit.F
 		}
 		s.injFree = now + int64(b.c.Ser)
 		b.ready.Clear(id)
-		if s.q.Len() > 0 {
+		if s.queued > 0 {
 			if slot == nil {
 				slot, b.wake = &b.ring[now%n], now+n
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"highradix/internal/flit"
 	"highradix/internal/sim"
@@ -66,6 +67,14 @@ func testIDs(c BankConfig) BankConfig {
 	c.Seed = func(id int) uint64 { return 0x9e3779b97f4a7c15 * uint64(id+1) }
 	c.PacketID = func(src int, seq uint32) uint64 { return uint64(src+1)<<32 | uint64(seq) }
 	return c
+}
+
+// TestSourceRecordSize: a source is one cache line, its front packet
+// inline; what a backlog needs lies behind a pointer.
+func TestSourceRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(source{}); got > 64 {
+		t.Errorf("source is %d bytes, want <= 64", got)
+	}
 }
 
 // TestBankInjectionChannel walks one scripted scenario through the
@@ -133,7 +142,7 @@ func TestBankInjectionChannel(t *testing.T) {
 				b.Backlog(), b.GenFlits(), b.InjectedLabeled(), step.backlog, step.gen, step.lab)
 		}
 		for id, s := range b.srcs {
-			if s.curVC != step.curVC[id] || s.vcPtr != step.vcPtr[id] {
+			if int(s.curVC) != step.curVC[id] || int(s.vcPtr) != step.vcPtr[id] {
 				t.Errorf("cycle %d source %d: curVC %d vcPtr %d, want %d and %d", now, id, s.curVC, s.vcPtr, step.curVC[id], step.vcPtr[id])
 			}
 		}
@@ -468,6 +477,73 @@ func TestBankMatchesPerCycleOracle(t *testing.T) {
 				})
 			}
 		}
+	}
+	t.Run("pktlen=3/bursty/load=1", func(t *testing.T) {
+		horizon = 1024
+		const cycles = 3000
+		c := testIDs(BankConfig{
+			Workload: Workload{Rate: 1.0 / 3, PktLen: 3, Bursty: true},
+			Sources:  n, VCs: 2, Ser: 1,
+		})
+		var want []string
+		for o, now := newOracle(c), int64(0); now < cycles; now++ {
+			want = append(want, o.generate(now)...)
+		}
+		for _, producing := range []bool{false, true} {
+			checkSourceRecords(t, drawing(t, NewBank(c), producing), cycles, want)
+		}
+	})
+}
+
+// checkSourceRecords runs b for cycles cycles and then injects until its
+// backlog is gone, and checks what crossed the channels: every packet
+// whole, its flits in order on one VC and back to back at its source;
+// heads in the oracle's want; and the front packet refilled from the
+// overflow ring behind it at a quarter of the tails or more, and not at
+// all of them, so packets moved between a source's inline slot and its
+// ring often and some source's queue emptied and refilled inline.
+func checkSourceRecords(t *testing.T, b *Bank, cycles int64, want []string) {
+	t.Helper()
+	d := &pipe{latency: 1}
+	var heads []string
+	last := make([]*flit.Flit, b.c.Sources) // each source's last flit, a copy
+	tails, refills := 0, 0
+	inject := func(now int64, f *flit.Flit) {
+		p := last[f.Src]
+		switch {
+		case f.Head:
+			if p != nil && !p.Tail {
+				t.Fatalf("cycle %d source %d: packet %#x starts before packet %#x's tail", now, f.Src, f.PacketID, p.PacketID)
+			}
+			heads = append(heads, packetLine(f.CreatedAt, f.Src, f.PacketID, f.Dst))
+		case p == nil || p.PacketID != f.PacketID || p.Seq != f.Seq-1 || p.VC != f.VC:
+			t.Fatalf("cycle %d source %d: flit %v does not follow %v", now, f.Src, f, p)
+		}
+		if f.Tail {
+			tails++
+			if b.srcs[f.Src].queued > 0 {
+				refills++
+			}
+		}
+		cp := *f
+		last[f.Src] = &cp
+	}
+	now := int64(0)
+	for ; now < cycles; now++ {
+		b.Generate(now, false)
+		b.InjectAll(now, d, inject)
+	}
+	for ; b.Backlog() > 0; now++ {
+		b.InjectAll(now, d, inject)
+	}
+	slices.Sort(heads)
+	sorted := slices.Clone(want)
+	slices.Sort(sorted)
+	if !slices.Equal(heads, sorted) {
+		t.Fatalf("%d packets injected, the oracle generated %d; first difference at %d", len(heads), len(sorted), firstDiff(heads, sorted))
+	}
+	if refills*4 < tails || refills == tails {
+		t.Errorf("%d of %d tails left a packet to refill the inline slot from the ring, want a quarter or more but not all", refills, tails)
 	}
 }
 

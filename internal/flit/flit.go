@@ -91,20 +91,23 @@ type Credit struct {
 }
 
 // reset overwrites every field of f with flit i of a fresh packet, so
-// a recycled flit carries no state from its previous life.
+// a recycled flit carries no state from its previous life. It writes
+// the fields one by one rather than assigning a composite literal,
+// which the compiler builds in a temporary and copies whole;
+// TestResetWritesEveryField holds it to every field.
 func reset(f *Flit, id uint64, i int, src, dst, vc, length int, createdAt int64, measured bool) {
-	*f = Flit{
-		PacketID:  id,
-		Seq:       i,
-		Src:       src,
-		Dst:       dst,
-		VC:        vc,
-		Head:      i == 0,
-		Tail:      i == length-1,
-		PacketLen: length,
-		CreatedAt: createdAt,
-		Measured:  measured,
-	}
+	f.PacketID = id
+	f.Seq = i
+	f.Src = src
+	f.Dst = dst
+	f.VC = vc
+	f.Head = i == 0
+	f.Tail = i == length-1
+	f.PacketLen = length
+	f.CreatedAt = createdAt
+	f.InjectedAt = 0
+	f.Measured = measured
+	f.Hops = 0
 }
 
 // MakePacket allocates the flits of one packet. The head flit carries the

@@ -1,6 +1,7 @@
 package flit
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -65,6 +66,43 @@ func TestFreeListMatchesMakePacket(t *testing.T) {
 	for i := range got {
 		if *got[i] != *want[i] {
 			t.Errorf("flit %d: recycled %+v != fresh %+v", i, *got[i], *want[i])
+		}
+	}
+}
+
+// TestResetWritesEveryField: a flit reborn from the free list equals a
+// fresh one in every field, whatever its previous life left in it. Every
+// field is set by reflection to a value no fresh flit of the packet
+// below holds, so a field that reset forgets (a new one, say) keeps it
+// and fails here by name.
+func TestResetWritesEveryField(t *testing.T) {
+	dirty := &Flit{}
+	v := reflect.ValueOf(dirty).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch fv := v.Field(i); fv.Kind() {
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			fv.SetInt(-1000 - int64(i))
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			fv.SetUint(200 + uint64(i))
+		case reflect.Bool:
+			fv.SetBool(true)
+		default:
+			t.Fatalf("field %s: no dirty value for kind %s; add one", v.Type().Field(i).Name, fv.Kind())
+		}
+	}
+	l := NewFreeList()
+	l.Put(dirty)
+	// The middle flit of a 3-flit unmeasured packet: neither head nor
+	// tail, so every bool a fresh flit carries is false.
+	got := l.Make(7, 1, 3, 9, 2, 3, 100, false)
+	if got != dirty {
+		t.Fatal("Make allocated a flit despite one on the free list")
+	}
+	want := MakePacket(7, 3, 9, 2, 3, 100, false)[1]
+	gv, wv := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
+	for i := 0; i < gv.NumField(); i++ {
+		if g, w := gv.Field(i).Interface(), wv.Field(i).Interface(); g != w {
+			t.Errorf("field %s: recycled flit holds %v, a fresh one %v: reset does not write it", gv.Type().Field(i).Name, g, w)
 		}
 	}
 }

@@ -316,7 +316,7 @@ func (r *baseline) nackBusySpecs(now int64, o int, ou *blOutput) {
 			if !ou.specVC[req.outVC].Any() {
 				ou.specVCAny &^= 1 << uint(req.outVC)
 			}
-			r.Obs.Emit(Event{Cycle: now, Kind: EvNack, Input: in, Output: o, VC: int(req.outVC), Note: "cva-busy"})
+			r.Obs.Emit(now, EvNack, nil, in, o, int(req.outVC), "cva-busy")
 			r.pushResp(now, blResponse{input: req.input, vc: req.vc, grant: false})
 			continue
 		}
@@ -373,7 +373,7 @@ func (r *baseline) arbitrateOne(now int64, o int, ou *blOutput, start int64) {
 			// so the output cannot re-arbitrate until then.
 			ou.free.FreeAt = now + grantWireDelay + stStartDelay
 			r.removePending(ou, int(r.ins[winner].reqAt))
-			r.Obs.Emit(Event{Cycle: now, Kind: EvNack, Input: int(req.input), Output: o, VC: int(req.outVC), Note: "ova-busy"})
+			r.Obs.Emit(now, EvNack, nil, int(req.input), o, int(req.outVC), "ova-busy")
 			r.pushResp(now, blResponse{input: req.input, vc: req.vc, grant: false})
 			return
 		}
@@ -383,7 +383,7 @@ func (r *baseline) arbitrateOne(now int64, o int, ou *blOutput, start int64) {
 			// busy (the request is NACKed by nackBusySpecs this cycle)
 			// or it lost the per-VC tie-break (it stays pending). Either
 			// way the switch round is wasted (Figure 8(a)).
-			r.Obs.Emit(Event{Cycle: now, Kind: EvNack, Input: int(req.input), Output: o, VC: int(req.outVC), Note: "cva-lost-vc-arb"})
+			r.Obs.Emit(now, EvNack, nil, int(req.input), o, int(req.outVC), "cva-lost-vc-arb")
 			return
 		}
 		r.Owner.Acquire(o, int(req.outVC), req.pkt)
@@ -394,7 +394,7 @@ func (r *baseline) arbitrateOne(now int64, o int, ou *blOutput, start int64) {
 	}
 	r.removePending(ou, int(r.ins[winner].reqAt))
 	ou.free.FreeAt = start + int64(r.cfg.STCycles)
-	r.Obs.Emit(Event{Cycle: now, Kind: EvGrant, Input: int(req.input), Output: o, VC: int(req.outVC), Note: "switch"})
+	r.Obs.Emit(now, EvGrant, nil, int(req.input), o, int(req.outVC), "switch")
 	r.pushResp(now, blResponse{input: req.input, vc: req.vc, grant: true, outVC: req.outVC})
 }
 

@@ -163,7 +163,7 @@ func (s *columnStage) step(now int64) {
 		if f.Head {
 			s.base.Owner.Acquire(o, c, f.PacketID)
 		}
-		s.base.Obs.Emit(Event{Cycle: now, Kind: EvGrant, Flit: f, Input: f.Src, Output: o, VC: c, Note: s.note})
+		s.base.Obs.Emit(now, EvGrant, f, f.Src, o, c, s.note)
 		s.outFree.Reserve(o, now, s.st)
 		s.base.Out.Push(now, o, f)
 		if s.granted != nil {
@@ -320,7 +320,7 @@ func (s *rowStage) step(now int64) {
 		col := int(s.colOf[f.Dst])
 		s.credit.Spend(now, s.pool(i, col, c), i, col, c&s.vcBits)
 		s.free.Reserve(i, now, s.st)
-		s.base.Obs.Emit(Event{Cycle: now, Kind: EvGrant, Flit: f, Input: i, Output: f.Dst, VC: c, Note: s.note})
+		s.base.Obs.Emit(now, EvGrant, f, i, f.Dst, c, s.note)
 		s.wire.Schedule(now+int64(s.st), f)
 	}
 }

@@ -116,7 +116,7 @@ func (b *InputBank) Accept(now int64, f *flit.Flit) {
 	if !b.outst.Get(f.Src) {
 		b.issuable.Set(f.Src)
 	}
-	b.obs.Emit(Event{Cycle: now, Kind: EvAccept, Flit: f, Input: f.Src, Output: f.Dst, VC: f.VC})
+	b.obs.Emit(now, EvAccept, f, f.Src, f.Dst, f.VC, "")
 }
 
 // Pop removes and returns the front flit of (input, vc), refreshing the

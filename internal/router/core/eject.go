@@ -69,7 +69,7 @@ func (p *EjectPipe) BeginCycle(now int64, owner *VCOwnerTable, obs Obs) {
 			if f.Tail {
 				owner.Release(int(en.port), f.VC, f.PacketID)
 			}
-			obs.Emit(Event{Cycle: now, Kind: EvEject, Flit: f, Input: f.Src, Output: int(en.port), VC: f.VC})
+			obs.Emit(now, EvEject, f, f.Src, int(en.port), f.VC, "")
 			p.out = append(p.out, f)
 		}
 	})

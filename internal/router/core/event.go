@@ -79,14 +79,36 @@ type ObserverFunc func(Event)
 func (f ObserverFunc) Observe(e Event) { f(e) }
 
 // Obs is the nil-guarded emission hook every core component carries. A
-// zero Obs (nil observer) emits nothing and costs a single comparison.
+// zero Obs (nil observer) emits nothing. Its helpers take an event's
+// fields as scalars and test for the observer before anything else, so
+// an unobserved run pays one comparison per site and never builds an
+// Event.
 type Obs struct {
 	O Observer
 }
 
-// Emit delivers e if an observer is attached.
-func (s Obs) Emit(e Event) {
+// Emit delivers a kind event about f (nil for an event about a request)
+// at (input, output, vc), labelled note, if an observer is attached.
+func (s Obs) Emit(now int64, kind EventKind, f *flit.Flit, input, output, vc int, note string) {
 	if s.O != nil {
-		s.O.Observe(e)
+		s.observe(now, kind, f, input, output, vc, note, 0, 0)
 	}
+}
+
+// Credit delivers an EvCredit event, delta credits of a pool of depth
+// slots labelled note at (input, output, vc), if an observer is attached.
+func (s Obs) Credit(now int64, input, output, vc int, note string, delta, depth int) {
+	if s.O != nil {
+		s.observe(now, EvCredit, nil, input, output, vc, note, delta, depth)
+	}
+}
+
+// observe is the helpers' delivery, out of line so that they stay within
+// the inliner's budget and a site without an observer keeps only the
+// nil test.
+//
+//go:noinline
+func (s Obs) observe(now int64, kind EventKind, f *flit.Flit, input, output, vc int, note string, delta, depth int) {
+	s.O.Observe(Event{Cycle: now, Kind: kind, Flit: f, Input: input, Output: output, VC: vc,
+		Note: note, Delta: delta, Depth: depth})
 }

@@ -46,8 +46,7 @@ func (l *Ledger) Spend(now int64, i int, input, output, vc int) {
 		Violatef("%s credit underflow at pool in=%d out=%d vc=%d: spend beyond depth %d",
 			l.note, input, output, vc, l.depth)
 	}
-	l.obs.Emit(Event{Cycle: now, Kind: EvCredit, Input: input, Output: output, VC: vc,
-		Note: l.note, Delta: -1, Depth: l.depth})
+	l.obs.Credit(now, input, output, vc, l.note, -1, l.depth)
 }
 
 // Return gives one credit back to pool i — the buffer slot freed — and
@@ -59,6 +58,5 @@ func (l *Ledger) Return(now int64, i int, input, output, vc int) {
 		Violatef("%s credit overflow at pool in=%d out=%d vc=%d: returned beyond depth %d",
 			l.note, input, output, vc, l.depth)
 	}
-	l.obs.Emit(Event{Cycle: now, Kind: EvCredit, Input: input, Output: output, VC: vc,
-		Note: l.note, Delta: +1, Depth: l.depth})
+	l.obs.Credit(now, input, output, vc, l.note, +1, l.depth)
 }

@@ -87,11 +87,9 @@ type hierarchical struct {
 
 	// Active sets. The internal stage walks only subswitches holding
 	// flits (subAct), and within one only the occupied local inputs
-	// (subInAct) and the local outputs some queued flit is destined to
-	// (subDemand).
-	subAct    core.ActiveSet   // over g*g subswitches s
-	subInAct  []core.ActiveSet // [s] over local inputs q
-	subDemand []core.ActiveSet // [s] over local outputs j
+	// (subInAct).
+	subAct   core.ActiveSet   // over g*g subswitches s
+	subInAct []core.ActiveSet // [s] over local inputs q
 	// subInFlits counts flits across the subswitch input buffers,
 	// maintained as flits land and drain so InFlight never walks the grid.
 	subInFlits int
@@ -99,12 +97,26 @@ type hierarchical struct {
 	cand   *arb.BitVec // sized p: internal-stage local-input candidates
 	candVC []int       // sized p
 	// subHeads caches the head flit of every subswitch input queue — the
-	// only fields the internal stage's per-output candidate scan reads.
-	// A queue's front changes only where flits land (row-wire drain) and
-	// leave (internal-stage grant), so the cache is patched at those two
-	// sites and the scan never peeks a queue, let alone once per
-	// demanded output.
+	// only fields the internal stage's gather reads. A queue's front
+	// changes only where flits land (row-wire drain) and leave
+	// (internal-stage grant), so the cache is patched at those two sites
+	// and the gather never peeks a queue.
 	subHeads []subHead // [(s*p+q)*v+c], the layout of subIn
+
+	// The internal stage's gather, for one subswitch at a time: an entry
+	// per (free occupied input, local output) holding the VCs the input
+	// may send there, chained per output in ascending input order from
+	// first[j] to last[j] while gathered has j.
+	gathered    *arb.BitVec // sized p
+	first, last []int32     // sized p
+	reqs        []subReq    // capacity p*v
+}
+
+// subReq is one gather entry: local input q asks for the output VCs in
+// vcs; next chains the entries of one output (-1 ends the chain).
+type subReq struct {
+	vcs     uint64
+	q, next int32
 }
 
 // subHead is one internalStage head-cache entry: the head flit's local
@@ -136,10 +148,13 @@ func newHierarchical(cfg Config) *hierarchical {
 		creditWire:  sim.NewCalendar[flit.Credit](creditWireDelay, k),
 		subAct:      core.MakeActiveSet(g * g),
 		subInAct:    core.MakeActiveSets(g*g, p),
-		subDemand:   core.MakeActiveSets(g*g, p),
 		cand:        arb.NewBitVec(p),
 		candVC:      make([]int, p),
 		subHeads:    make([]subHead, k*g*v),
+		gathered:    arb.NewBitVec(p),
+		first:       make([]int32, p),
+		last:        make([]int32, p),
+		reqs:        make([]subReq, 0, p*v),
 	}
 	for i := range r.subHeads {
 		r.subHeads[i].dst = -1 // all queues start empty
@@ -190,7 +205,6 @@ func (r *hierarchical) Step(now int64) {
 			}
 			r.subAct.Inc(s)
 			r.subInAct[s].Inc(q)
-			r.subDemand[s].Inc(int(j))
 		}
 		r.subInFlits += len(fs)
 	})
@@ -211,42 +225,27 @@ func (r *hierarchical) Step(now int64) {
 
 // internalStage moves flits across each p x p subswitch crossbar from
 // input buffers to output buffers, performing the local VC allocation.
+// It reads a subswitch's heads once per cycle (gather) and then
+// arbitrates the local outputs they ask for in ascending order, each
+// over its own chain: O(p*v) per subswitch, where asking every input
+// again for each demanded output was O(p*p*v).
 func (r *hierarchical) internalStage(now int64) {
 	v, p, g := r.cfg.VCs, r.p, r.g
 	for s := r.subAct.Next(0); s >= 0; s = r.subAct.Next(s + 1) {
 		row, col := s/g, s%g
 		sp := s * p
-		dem := &r.subDemand[s]
-		occ := &r.subInAct[s]
-		for j := dem.Next(0); j >= 0; j = dem.Next(j + 1) {
+		r.gather(now, s)
+		for j := r.gathered.Next(0); j >= 0; j = r.gathered.Next(j + 1) {
 			pj := sp + j
-			if !r.intOutFree.Free(pj, now) {
-				continue
-			}
 			r.cand.Reset()
 			any := false
-			// Output VC c of local port j can take a flit while its
-			// buffer has a credit; a head flit additionally needs the VC
-			// unowned, a body flit needs its own packet to own it.
-			freeVC := r.subOutOwner.FreeMask(pj)
-			for q := occ.Next(0); q >= 0; q = occ.Next(q + 1) {
+			for e := r.first[j]; e >= 0; e = r.reqs[e].next {
+				q := int(r.reqs[e].q)
 				if !r.intInFree.Free(sp+q, now) {
-					continue
-				}
-				var req uint64
-				hs := r.subHeads[(sp+q)*v : (sp+q+1)*v]
-				for c := range hs {
-					h := &hs[c]
-					if int(h.dst) == j && r.col.credit.Avail(pj*v+c) &&
-						(h.head && freeVC>>uint(c)&1 != 0 || !h.head && r.subOutOwner.OwnedBy(pj, c, h.id)) {
-						req |= 1 << uint(c)
-					}
-				}
-				if req == 0 {
-					continue
+					continue // it won an earlier output this cycle
 				}
 				r.cand.Set(q)
-				r.candVC[q] = r.subInArb.Arbitrate(sp+q, req)
+				r.candVC[q] = r.subInArb.Arbitrate(sp+q, r.reqs[e].vcs)
 				any = true
 			}
 			if !any {
@@ -262,8 +261,7 @@ func (r *hierarchical) internalStage(now int64) {
 				h.dst = -1
 			}
 			r.subAct.Dec(s)
-			occ.Dec(q)
-			dem.Dec(j)
+			r.subInAct[s].Dec(q)
 			r.subInFlits--
 			if f.Head {
 				r.subOutOwner.Acquire(pj, c, f.PacketID)
@@ -274,11 +272,54 @@ func (r *hierarchical) internalStage(now int64) {
 			r.col.credit.Spend(now, pj*v+c, row, col*p+j, c)
 			r.intInFree.Reserve(sp+q, now, r.cfg.STCycles)
 			r.intOutFree.Reserve(pj, now, r.cfg.STCycles)
-			r.Obs.Emit(Event{Cycle: now, Kind: EvGrant, Flit: f, Input: row*p + q, Output: f.Dst, VC: c, Note: "subswitch"})
+			r.Obs.Emit(now, EvGrant, f, row*p+q, f.Dst, c, "subswitch")
 			r.toSubOut.Schedule(now+int64(r.cfg.STCycles), f)
 			// Freed subswitch input slot: return a credit to the
 			// router input that feeds local port q of this row.
 			r.creditWire.Schedule(now+creditWireDelay, flit.Credit{Input: row*p + q, Output: col, VC: c})
+		}
+		r.gathered.Reset()
+		r.reqs = r.reqs[:0]
+	}
+}
+
+// gather chains, by local output, the heads of subswitch s's free
+// occupied inputs that may cross this cycle. Output VC c of local port
+// j can take a flit while j's serializer is free and c's buffer has a
+// credit; a head flit additionally needs the VC unowned, a body flit
+// needs its own packet to own it. None of that changes for j before j
+// is arbitrated: a grant touches only its own output's state, and its
+// input's, which the arbitration tests again.
+func (r *hierarchical) gather(now int64, s int) {
+	v, sp := r.cfg.VCs, s*r.p
+	occ := &r.subInAct[s]
+	for q := occ.Next(0); q >= 0; q = occ.Next(q + 1) {
+		if !r.intInFree.Free(sp+q, now) {
+			continue
+		}
+		hs := r.subHeads[(sp+q)*v : (sp+q+1)*v]
+		for c := range hs {
+			h := &hs[c]
+			if h.dst < 0 {
+				continue
+			}
+			j := int(h.dst)
+			pj := sp + j
+			if !r.intOutFree.Free(pj, now) || !r.col.credit.Avail(pj*v+c) ||
+				!(h.head && r.subOutOwner.FreeMask(pj)>>uint(c)&1 != 0 || !h.head && r.subOutOwner.OwnedBy(pj, c, h.id)) {
+				continue
+			}
+			if !r.gathered.Get(j) {
+				r.gathered.Set(j)
+				r.first[j] = int32(len(r.reqs))
+			} else if e := r.last[j]; int(r.reqs[e].q) == q {
+				r.reqs[e].vcs |= 1 << uint(c)
+				continue
+			} else {
+				r.reqs[e].next = int32(len(r.reqs))
+			}
+			r.last[j] = int32(len(r.reqs))
+			r.reqs = append(r.reqs, subReq{vcs: 1 << uint(c), q: int32(q), next: -1})
 		}
 	}
 }

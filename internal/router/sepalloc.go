@@ -226,7 +226,7 @@ func (s *sepAlloc) switchAllocate(now int64) {
 				// ejects on the final traversal cycle.
 				s.inFree.Reserve(win, now, st)
 				s.outFree.Reserve(o, now, st)
-				s.base.Obs.Emit(Event{Cycle: now, Kind: EvGrant, Flit: f, Input: win, Output: o, VC: f.VC, Note: "switch"})
+				s.base.Obs.Emit(now, EvGrant, f, win, o, f.VC, "switch")
 				s.base.Out.Push(now, o, f)
 				s.inputMatched.Set(win)
 			}

@@ -141,7 +141,7 @@ func (r *sharedXpoint) nackBlockedHeads(now int64) {
 			c := bits.TrailingZeros64(blocked)
 			f := r.col.pop(i, o, c)
 			r.left(i, o)
-			r.Obs.Emit(Event{Cycle: now, Kind: EvNack, Flit: f, Input: i, Output: o, VC: c, Note: "xpoint-vc-busy"})
+			r.Obs.Emit(now, EvNack, f, i, o, c, "xpoint-vc-busy")
 			r.ack.Schedule(now+ackDelay, xpAck{input: i, vc: c, ack: false})
 			r.col.free(now, i, o, c)
 		}

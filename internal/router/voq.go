@@ -187,7 +187,7 @@ func (r *voq) accept(i, o int) {
 	r.outFree.Reserve(o, now, st)
 	r.inBusy.Set(i)
 	r.outBusy.Set(o)
-	r.Obs.Emit(Event{Cycle: now, Kind: EvGrant, Flit: f, Input: i, Output: o, VC: f.VC, Note: "switch"})
+	r.Obs.Emit(now, EvGrant, f, i, o, f.VC, "switch")
 	r.Out.Push(now, o, f)
 }
 

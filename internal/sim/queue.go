@@ -14,25 +14,11 @@ type Queue[T any] struct {
 // NewQueue returns a queue with the given capacity. capacity <= 0 makes
 // the queue unbounded.
 func NewQueue[T any](capacity int) *Queue[T] {
-	q := MakeQueue[T](capacity)
-	return &q
-}
-
-// MakeQueue returns a queue by value, for storing banks of queues in
-// one flat slice (drive.Bank's per-source generation queues): laying the
-// headers out contiguously replaces a pointer dereference per access
-// with an index. Banks of bounded flit FIFOs inside the routers use
-// core.FIFOBank, which also shares one ring slab.
-func MakeQueue[T any](capacity int) Queue[T] {
 	initial := capacity
 	if initial <= 0 {
 		initial = 8
 	}
-	c := capacity
-	if c < 0 {
-		c = 0
-	}
-	return Queue[T]{buf: make([]T, initial), cap: c}
+	return &Queue[T]{buf: make([]T, initial), cap: max(capacity, 0)}
 }
 
 // Len reports the number of queued items.
