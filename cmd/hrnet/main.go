@@ -37,9 +37,9 @@ import (
 	"strings"
 
 	"highradix/internal/check"
+	"highradix/internal/drive"
 	"highradix/internal/network"
 	"highradix/internal/sweep"
-	"highradix/internal/traffic"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -64,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jobs     = flags.Int("j", 0, "sweep pool workers (0 = GOMAXPROCS, 1 = serial)")
 		profile  = flags.String("cpuprofile", "", "write a CPU profile to this file")
 		chk      = flags.Bool("check", false, "arm the end-to-end network auditor (drains each run to empty and fails on any violation)")
-		inj      = flags.String("inj", "percycle", "injection sampling: percycle|gap (gap is event-driven, O(events) at low load, distribution-equivalent)")
 	)
 	if err := flags.Parse(args); err == flag.ErrHelp {
 		return 0
@@ -76,10 +75,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
-	injMode, err := traffic.InjModeByName(*inj)
-	if err != nil {
-		return fail(2, err)
-	}
 	var xs []float64
 	if *loads != "" {
 		for _, s := range strings.Split(*loads, ",") {
@@ -103,7 +98,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer pprof.StopCPUProfile()
 	}
 
-	var topo network.Topology
+	var (
+		topo network.Topology
+		err  error
+	)
 	switch *topoName {
 	case "clos":
 		topo, err = network.NewClos(network.Config{Radix: *radix, Digits: *digits})
@@ -117,12 +115,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(2, err)
 	}
+	// An offered load no terminal can produce is a usage error, caught
+	// before the header prints.
+	points := xs
+	if points == nil {
+		points = []float64{*load}
+	}
+	for _, l := range points {
+		if err := drive.CheckLoad(l, topo.SerCycles(), 1); err != nil {
+			return fail(2, err)
+		}
+	}
 	base := network.Options{
 		Topo:          topo,
 		WarmupCycles:  *warmup,
 		MeasureCycles: *measure,
 		Seed:          *seed,
-		Injection:     injMode,
 	}
 	// A granted flit lands one link cycle after the router's pipeline
 	// delay, so a hop costs HopDelay+1 cycles: at zero load a packet

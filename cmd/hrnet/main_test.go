@@ -24,13 +24,22 @@ func TestRunOutputPinned(t *testing.T) {
 	}
 }
 
-// A -loads list that does not parse is a usage error, found before
-// anything is printed.
+// A -load or -loads entry that does not parse, or that no terminal can
+// offer (negative, not a number, more than one packet per cycle), is a
+// usage error, found before anything is printed.
 func TestBadLoadsIsUsageError(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-radix", "4", "-digits", "2", "-loads", "0.2,,0.3"}, &stdout, &stderr)
-	if code != 2 || stdout.Len() != 0 || stderr.Len() == 0 {
-		t.Errorf("exit %d, stdout %q, stderr %q; want exit 2, nothing on stdout, the error on stderr",
-			code, stdout.String(), stderr.String())
+	for _, args := range [][]string{
+		{"-loads", "0.2,,0.3"},
+		{"-load", "-0.1"},
+		{"-loads", "0.1,-0.2"},
+		{"-load", "8"},
+		{"-load", "NaN"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(append([]string{"-radix", "4", "-digits", "2"}, args...), &stdout, &stderr)
+		if code != 2 || stdout.Len() != 0 || stderr.Len() == 0 {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2, nothing on stdout, the error on stderr",
+				args, code, stdout.String(), stderr.String())
+		}
 	}
 }

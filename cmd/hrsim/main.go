@@ -24,6 +24,7 @@ import (
 	"slices"
 	"strings"
 
+	"highradix/internal/drive"
 	"highradix/internal/router"
 	"highradix/internal/testbench"
 	"highradix/internal/traffic"
@@ -56,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		events  = flags.Int("events", 0, "print the first N microarchitectural events (accept/grant/nack/eject)")
 		packets = flags.Int("packets", 0, "after the summary, print the timelines of the first N packets accepted after warm-up")
 		chk     = flags.Bool("check", false, "arm the cycle-level invariant checker (drains the run to empty and fails on any violation)")
-		inj     = flags.String("inj", "percycle", "injection sampling: percycle|gap (gap is event-driven, O(events) at low load, distribution-equivalent)")
 	)
 	if err := flags.Parse(args); err == flag.ErrHelp {
 		return 0
@@ -66,11 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fail := func(code int, err error) int {
 		fmt.Fprintln(stderr, "hrsim:", err)
 		return code
-	}
-
-	injMode, err := traffic.InjModeByName(*inj)
-	if err != nil {
-		return fail(2, err)
 	}
 
 	a, err := router.ArchByName(*arch)
@@ -145,9 +140,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MeasureCycles: *measure,
 		Seed:          *seed,
 		Check:         *chk,
-		Injection:     injMode,
-	}
-	if *trace != "" {
+	}.WithDefaults()
+	if *trace == "" {
+		// An offered load no source can produce is a usage error too,
+		// caught before anything prints.
+		if err := drive.CheckLoad(*load, full.STCycles, opts.PktLen); err != nil {
+			return fail(2, err)
+		}
+	} else {
 		f, err := os.Open(*trace)
 		if err != nil {
 			return fail(1, err)
@@ -163,7 +163,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(1, err)
 	}
 	fmt.Fprintf(stdout, "arch=%s radix=%d vcs=%d pattern=%s load=%.3f pkt=%d\n",
-		a, full.Radix, full.VCs, pat.Name(), *load, *pkt)
+		a, full.Radix, full.VCs, pat.Name(), *load, opts.PktLen)
 	fmt.Fprintf(stdout, "  avg latency      %.2f cycles (p50 %.1f, p99 %.1f)\n", res.AvgLatency, res.P50, res.P99)
 	fmt.Fprintf(stdout, "  throughput       %.4f of capacity\n", res.Throughput)
 	fmt.Fprintf(stdout, "  labeled packets  %d (99%% CI half-width %.2f%% of mean)\n", res.Packets, 100*res.RelErr99)

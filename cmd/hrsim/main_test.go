@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -12,17 +13,24 @@ func TestRunUsesDefaultedConfig(t *testing.T) {
 	short := []string{"-load", "0.1", "-warmup", "100", "-measure", "200"}
 	for _, tc := range []struct {
 		args []string
+		code int
 		want string
 	}{
-		{[]string{"-radix", "0"}, "radix=64"},
-		{[]string{"-vcs", "0"}, "vcs=4"},
-		{[]string{"-subsize", "0", "-pattern", "worstcase"}, "pattern=worstcase"},
+		{[]string{"-radix", "0"}, 0, "radix=64"},
+		{[]string{"-vcs", "0"}, 0, "vcs=4"},
+		{[]string{"-subsize", "0", "-pattern", "worstcase"}, 0, "pattern=worstcase"},
+		{[]string{"-pkt", "0"}, 0, "pkt=1\n"},
+		// A load the defaulted router cannot be offered is a usage error,
+		// reported before anything prints.
+		{[]string{"-load", "-1"}, 2, ""},
+		{[]string{"-load", "5"}, 2, ""}, // 4 cycles a flit: at most a load of 4
+		{[]string{"-pkt", "-2"}, 2, ""},
 	} {
 		var stdout, stderr bytes.Buffer
-		code := run(append(tc.args, short...), &stdout, &stderr)
-		if code != 0 || !strings.Contains(stdout.String(), tc.want) {
-			t.Errorf("%v: exit %d, stderr %q, stdout %q; want exit 0 and %q",
-				tc.args, code, stderr.String(), stdout.String(), tc.want)
+		code := run(append(slices.Clone(short), tc.args...), &stdout, &stderr)
+		if code != tc.code || !strings.Contains(stdout.String(), tc.want) || tc.want == "" && stdout.Len() != 0 {
+			t.Errorf("%v: exit %d, stderr %q, stdout %q; want exit %d and %q",
+				tc.args, code, stderr.String(), stdout.String(), tc.code, tc.want)
 		}
 	}
 }

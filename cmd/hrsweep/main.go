@@ -38,7 +38,6 @@ import (
 	"highradix/internal/cache"
 	"highradix/internal/experiments"
 	"highradix/internal/stats"
-	"highradix/internal/traffic"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -59,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		plot     = flags.Bool("plot", false, "append an ASCII plot of the series")
 		jobs     = flags.Int("j", 0, "sweep pool workers (0 = GOMAXPROCS, 1 = serial)")
 		profile  = flags.String("cpuprofile", "", "write a CPU profile to this file")
-		inj      = flags.String("inj", "percycle", "injection sampling: percycle|gap (gap is event-driven, O(events) at low load, distribution-equivalent)")
 		cacheDir = flags.String("cache", "", "content-addressed result cache directory: warm points are read from it byte-identically instead of resimulated")
 	)
 	if err := flags.Parse(args); err == flag.ErrHelp {
@@ -71,10 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fail := func(status int, err error) int {
 		fmt.Fprintln(stderr, "hrsweep:", err)
 		return status
-	}
-	injMode, err := traffic.InjModeByName(*inj)
-	if err != nil {
-		return fail(2, err)
 	}
 
 	if *profile != "" {
@@ -109,7 +103,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	scale.Seed = *seed
 	scale.Workers = *jobs
-	scale.Injection = injMode
 	if *cacheDir != "" {
 		st, err := cache.Open(*cacheDir)
 		if err != nil {

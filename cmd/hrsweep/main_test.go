@@ -31,12 +31,13 @@ func TestList(t *testing.T) {
 	}
 }
 
-// A name that is not an experiment, an unknown injection mode and an
-// unknown flag are usage errors, reported before anything runs.
+// A name that is not an experiment and an unknown flag (-inj among them:
+// no command has an injection switch) are usage errors, reported before
+// anything runs.
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-exp", "nope"},
-		{"-exp", "fig2", "-inj", "bogus"},
+		{"-exp", "fig2", "-inj", "gap"},
 		{"-exp", "fig2", "-nosuchflag"},
 	} {
 		var stdout, stderr bytes.Buffer

@@ -43,7 +43,6 @@ import (
 	"highradix/internal/cache"
 	"highradix/internal/experiments"
 	"highradix/internal/serve"
-	"highradix/internal/traffic"
 )
 
 func main() { os.Exit(run()) }
@@ -57,7 +56,6 @@ func run() int {
 		quick    = flag.Bool("quick", false, "serve figures at the reduced Quick scale instead of publication scale")
 		seed     = flag.Uint64("seed", 1, "random seed for all simulations")
 		jobs     = flag.Int("j", 0, "sweep pool workers per generation (0 = GOMAXPROCS)")
-		inj      = flag.String("inj", "percycle", "injection sampling: percycle|gap")
 		inflight = flag.Int("maxinflight", 2, "max concurrent cold figure computations")
 		timeout  = flag.Duration("timeout", 5*time.Minute, "per-request budget for cold computations (exceeded -> 504)")
 	)
@@ -65,11 +63,6 @@ func run() int {
 
 	if *cacheDir == "" {
 		fmt.Fprintln(os.Stderr, "hrsweepd: -cache DIR is required (the cache is what makes a figure service viable)")
-		return 2
-	}
-	injMode, err := traffic.InjModeByName(*inj)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hrsweepd:", err)
 		return 2
 	}
 	st, err := cache.Open(*cacheDir)
@@ -84,7 +77,6 @@ func run() int {
 	}
 	scale.Seed = *seed
 	scale.Workers = *jobs
-	scale.Injection = injMode
 	scale.Cache = st
 
 	srv := serve.New(serve.Config{

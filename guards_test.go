@@ -135,6 +135,19 @@ var guardSteps = []struct {
 		pattern: `type (flow|NetAuditor|Options|Stats) struct`,
 		msg:     "a second layer of checker state, a checker option, or counters only tests read (see DESIGN.md, Invariant checker)",
 	}}},
+	{"One injection discipline on the user surface", []guard{{
+		roots:   []string{"internal", "cmd", "examples", "highradix.go"},
+		pattern: `InjModeByName`,
+		msg:     "a parser for an injection-mode flag: gap sampling is a library mode no command sets (see DESIGN.md, Event-driven core)",
+	}, {
+		roots:   []string{"cmd"},
+		pattern: `"inj"`,
+		msg:     "an -inj flag: every command runs the paper's per-cycle draws (see DESIGN.md, Event-driven core)",
+	}, {
+		roots: []string{"internal/experiments"},
+		decls: fieldsNamed("Injection"),
+		msg:   "an Injection field in the figure code: every figure runs the paper's per-cycle draws (see DESIGN.md, Event-driven core)",
+	}}},
 }
 
 func TestStructuralGuards(t *testing.T) {
@@ -282,6 +295,27 @@ func structTypes(name string) func(*ast.File) []ast.Node {
 			if ts, ok := n.(*ast.TypeSpec); ok && re.MatchString(ts.Name.Name) {
 				if _, ok := ts.Type.(*ast.StructType); ok {
 					out = append(out, ts)
+				}
+			}
+			return true
+		})
+		return out
+	}
+}
+
+// fieldsNamed matches struct field declarations of the given name, in
+// any struct type of the file.
+func fieldsNamed(name string) func(*ast.File) []ast.Node {
+	return func(f *ast.File) []ast.Node {
+		var out []ast.Node
+		ast.Inspect(f, func(n ast.Node) bool {
+			if st, ok := n.(*ast.StructType); ok {
+				for _, field := range st.Fields.List {
+					for _, id := range field.Names {
+						if id.Name == name {
+							out = append(out, id)
+						}
+					}
 				}
 			}
 			return true

@@ -38,24 +38,56 @@ func TestOptimalRadixSolvesEquation(t *testing.T) {
 }
 
 // TestLatencyUShaped verifies the Figure 3(a) shape: latency decreases
-// from very small radices, reaches a minimum near the optimal radix,
-// and increases again as serialization dominates.
+// from very small radices, reaches a minimum at the optimal radix of
+// Equation (3), and increases again as serialization dominates. It holds
+// for the paper's design points and for random technologies: bandwidth
+// 1e9 to 1e15 b/s (in-package optics included), tr 0.1 to 100 ns, N 64
+// to 1e6 and L 32 to 1024 bits, with aspect ratio A >= 10 as in
+// TestOptimalRadixSolvesEquation.
 func TestLatencyUShaped(t *testing.T) {
-	for _, tech := range []Technology{Tech2003, Tech2010} {
+	ushaped := func(tech Technology) bool {
 		kOpt := tech.OptimalRadixFor()
 		lOpt := tech.Latency(kOpt)
-		if tech.Latency(kOpt/4) <= lOpt {
-			t.Errorf("%s: latency at k_opt/4 not above minimum", tech.Name)
+		if tech.Latency(kOpt/4) <= lOpt || tech.Latency(kOpt*4) <= lOpt {
+			t.Errorf("%+v: latency at k_opt/4 or 4*k_opt not above the minimum at k_opt = %v", tech, kOpt)
+			return false
 		}
-		if tech.Latency(kOpt*4) <= lOpt {
-			t.Errorf("%s: latency at 4*k_opt not above minimum", tech.Name)
-		}
-		// Minimum is genuinely near kOpt on a fine sweep.
-		for k := 4.0; k < 512; k *= 1.2 {
-			if tech.Latency(k) < lOpt-1e-12 {
-				t.Errorf("%s: latency at k=%v below latency at k_opt", tech.Name, k)
+		// The minimum of a fine sweep sits at kOpt within one step.
+		const step = 1.01
+		kMin := 2.0
+		for k := 2.0; k < 16*kOpt; k *= step {
+			if tech.Latency(k) < tech.Latency(kMin) {
+				kMin = k
 			}
 		}
+		if kMin < kOpt/step || kMin > kOpt*step {
+			t.Errorf("%+v: sweep minimum at k=%v, Equation (3) gives k_opt=%v", tech, kMin, kOpt)
+			return false
+		}
+		return true
+	}
+	for _, tech := range []Technology{Tech2003, Tech2010} {
+		ushaped(tech)
+	}
+	// span maps x in [0, 65535] log-uniformly onto [lo, hi].
+	span := func(x uint16, lo, hi float64) float64 {
+		return lo * math.Pow(hi/lo, float64(x)/math.MaxUint16)
+	}
+	checked := 0
+	err := quick.Check(func(b, tr, n, l uint16) bool {
+		tech := Technology{Name: "random", BandwidthBps: span(b, 1e9, 1e15), RouterDelay: span(tr, 0.1e-9, 100e-9),
+			Nodes: span(n, 64, 1e6), PacketBits: span(l, 32, 1024)}
+		if tech.AspectRatio() < 10 {
+			return true
+		}
+		checked++
+		return ushaped(tech)
+	}, &quick.Config{MaxCount: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked < 100 {
+		t.Fatalf("vacuous: only %d of 400 random technologies have A >= 10", checked)
 	}
 }
 

@@ -185,7 +185,7 @@ func TestWalkerKeys(t *testing.T) {
 			fresh: func(*testing.T) any {
 				return &experiments.Scale{Warmup: 100, Measure: 200, Loads: []float64{0.2, 0.5},
 					NetLoads: []float64{0.3}, NetWarmup: 50, NetMeasure: 60, Seed: 3,
-					Workers: 2, Injection: traffic.InjGap}
+					Workers: 2}
 			}},
 	)
 	for _, r := range roots {

@@ -47,7 +47,7 @@ type drawer struct {
 	// parks).
 	arrival []int64
 	parked  []bool
-	gaps    []traffic.GapProcess   // gap mode: the sources' samplers
+	gap     *traffic.BernoulliGap  // gap mode: every source's sampler; nil per cycle
 	rate    uint64                 // per-cycle mode: Rate as a sim.BernoulliThreshold
 	markov  []*traffic.MarkovOnOff // per-cycle mode: the bursty sources' chains; nil for Bernoulli
 
@@ -133,8 +133,8 @@ func ringSize(n int) int {
 // parks at. The horizon cap bounds one call whatever limit is.
 func (d *drawer) ahead(i int, from, limit int64) int64 {
 	id := d.owned[i]
-	if d.gaps != nil {
-		d.arrival[i] = d.gaps[id].NextInject(from, &d.rngs[id])
+	if d.gap != nil {
+		d.arrival[i] = d.gap.NextInject(from, &d.rngs[id])
 		return d.arrival[i]
 	}
 	n := int(min(limit-from, int64(horizon)))

@@ -48,8 +48,9 @@ type Workload struct {
 	// traffic.BurstLen packets on average, each burst to one destination.
 	Bursty bool
 	// Injection selects the paper's draw per source per cycle, taken ahead
-	// of time in stream order, or gap sampling, one draw per packet
-	// (ignored by a trace replay).
+	// of time in stream order, or, for Bernoulli sources only, gap
+	// sampling, one draw per packet (ignored by a trace replay). NewBank
+	// panics on a bursty gap workload; testbench.Run refuses one first.
 	Injection traffic.InjMode
 	// Trace, when non-nil, replaces synthetic generation: its packets are
 	// generated at their recorded cycles, whatever the phase. The bank
@@ -166,20 +167,17 @@ func NewBank(c BankConfig) *Bank {
 	if c.Pattern == nil {
 		b.c.Pattern = traffic.NewUniform(n)
 	}
-	gap := c.Injection == traffic.InjGap && c.Trace == nil
-	if gap {
-		d.gaps = make([]traffic.GapProcess, n)
-	}
-	var bursters []traffic.Burster
-	if c.Bursty {
-		bursters = make([]traffic.Burster, n)
-		b.c.Pattern = traffic.NewBurstPattern(b.c.Pattern, bursters)
-		if !gap {
-			d.markov = make([]*traffic.MarkovOnOff, n)
-		}
+	switch {
+	case c.Trace != nil:
+	case c.Bursty && c.Injection == traffic.InjGap:
+		panic("drive: bursty sources have no gap-sampled form")
+	case c.Bursty:
+		d.markov = make([]*traffic.MarkovOnOff, n)
+		b.c.Pattern = traffic.NewBurstPattern(b.c.Pattern, d.markov)
+	case c.Injection == traffic.InjGap:
+		d.gap = traffic.NewBernoulliGap(c.Rate) // stateless: one serves every source
 	}
 	d.pattern = b.c.Pattern
-	bernoulli := traffic.NewBernoulliGap(c.Rate) // stateless: one serves every gap source
 	for id := 0; id < n; id++ {
 		if c.Owns != nil && !c.Owns(id) {
 			continue
@@ -187,15 +185,8 @@ func NewBank(c BankConfig) *Bank {
 		d.owned = append(d.owned, id)
 		d.rngs[id].Seed(c.Seed(id))
 		b.srcs[id].curVC = -1
-		switch {
-		case c.Bursty && gap:
-			m := traffic.NewMarkovOnOffGap(c.Rate, traffic.BurstLen)
-			d.gaps[id], bursters[id] = m, m
-		case c.Bursty:
-			m := traffic.NewMarkovOnOff(c.Rate, traffic.BurstLen)
-			d.markov[id], bursters[id] = m, m
-		case gap:
-			d.gaps[id] = bernoulli
+		if d.markov != nil {
+			d.markov[id] = traffic.NewMarkovOnOff(c.Rate, traffic.BurstLen)
 		}
 	}
 	if c.Trace == nil {

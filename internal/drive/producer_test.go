@@ -59,7 +59,6 @@ func TestProducerTwins(t *testing.T) {
 		"gap":          func(o *testbench.Options) { o.Injection = traffic.InjGap },
 		"gap/low":      func(o *testbench.Options) { o.Injection, o.Load = traffic.InjGap, 0.02 },
 		"bursty":       func(o *testbench.Options) { o.Bursty = true },
-		"bursty/gap":   func(o *testbench.Options) { o.Bursty, o.Injection = true, traffic.InjGap },
 		"checked":      func(o *testbench.Options) { o.Check = true },
 	} {
 		runs["testbench/"+name] = func(t *testing.T) []byte {

@@ -39,12 +39,6 @@ type Scale struct {
 	// forces serial execution. Every run owns its RNG (seeded from
 	// Seed), so the produced tables are identical for every value.
 	Workers int
-	// Injection selects the synthetic source implementation for every
-	// run (testbench.Options.Injection / network.Options.Injection).
-	// The default per-cycle mode reproduces the historical goldens;
-	// gap mode is distribution-equivalent and O(events) at low load,
-	// with its own goldens (fig9_gap, fig19_gap).
-	Injection traffic.InjMode
 	// Cache, when non-nil, is the content-addressed result store every
 	// generator consults before running a simulation point. Only points
 	// are stored, under keys that hold every option of the run, so a
@@ -99,7 +93,6 @@ func (s Scale) opts(cfg router.Config) testbench.Options {
 		MeasureCycles: s.Measure,
 		Seed:          s.Seed,
 		NoFastForward: s.dense,
-		Injection:     s.Injection,
 	}
 }
 

@@ -11,7 +11,7 @@ import "highradix/internal/cache"
 // is byte-identical by contract (the twin and fuzz equivalence suites),
 // so both stepping modes share one entry.
 func (o Options) CacheKey() (key cache.Key, ok bool) {
-	o = o.withDefaults()
+	o = o.WithDefaults()
 	o.Router = o.Router.WithDefaults()
 	return cache.KeyOf(o)
 }

@@ -2,9 +2,11 @@ package testbench
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"highradix/internal/router"
+	"highradix/internal/sim"
 	"highradix/internal/traffic"
 )
 
@@ -39,13 +41,22 @@ func TestGapFastForwardTwin(t *testing.T) {
 			o.Check = true
 			runTwins(t, o)
 		})
-		t.Run(a.String()+"/bursty", func(t *testing.T) {
-			o := quickOpts(router.Config{Arch: a, Radix: 8, VCs: 2}, 0.3)
-			o.Injection = traffic.InjGap
-			o.Bursty = true
-			o.Check = true
-			runTwins(t, o)
-		})
+	}
+}
+
+// TestBurstyGapRefused: Markov ON/OFF sources have no gap-sampled form,
+// so a synthetic run asking for both is an error naming the two fields,
+// before anything is built. A trace replay ignores both and runs.
+func TestBurstyGapRefused(t *testing.T) {
+	o := quickOpts(router.Config{Arch: router.ArchBaseline, Radix: 8, VCs: 2}, 0.3)
+	o.Bursty, o.Injection = true, traffic.InjGap
+	_, err := Run(o)
+	if err == nil || !strings.Contains(err.Error(), "Bursty") || !strings.Contains(err.Error(), "Injection") {
+		t.Fatalf("bursty gap run: error %v, want one naming Bursty and Injection", err)
+	}
+	o.Trace = traffic.GenerateTrace(sim.NewRNG(3), 8, 200, 0.05, 1, traffic.NewUniform(8))
+	if _, err := Run(o); err != nil {
+		t.Fatalf("trace replay with Bursty and gap set: %v", err)
 	}
 }
 
@@ -81,13 +92,13 @@ func TestGapMatchesPerCycleDistribution(t *testing.T) {
 	}
 }
 
-// FuzzGapEquivalence explores (arch, load, bursty, seed) space for gap
-// twin divergence the table-driven cases miss.
+// FuzzGapEquivalence explores (arch, load, seed) space for gap twin
+// divergence the table-driven cases miss.
 func FuzzGapEquivalence(f *testing.F) {
-	f.Add(uint8(0), uint8(20), false, uint64(1))
-	f.Add(uint8(2), uint8(200), true, uint64(42))
-	f.Add(uint8(4), uint8(80), false, uint64(7))
-	f.Fuzz(func(t *testing.T, archB, loadB uint8, bursty bool, seed uint64) {
+	f.Add(uint8(0), uint8(20), uint64(1))
+	f.Add(uint8(2), uint8(200), uint64(42))
+	f.Add(uint8(4), uint8(80), uint64(7))
+	f.Fuzz(func(t *testing.T, archB, loadB uint8, seed uint64) {
 		archs := []router.Arch{
 			router.ArchLowRadix, router.ArchBaseline, router.ArchBuffered,
 			router.ArchSharedXpoint, router.ArchHierarchical,
@@ -95,7 +106,6 @@ func FuzzGapEquivalence(f *testing.F) {
 		o := Options{
 			Router:        router.Config{Arch: archs[int(archB)%len(archs)], Radix: 8, VCs: 2},
 			Load:          float64(loadB) / 255,
-			Bursty:        bursty,
 			WarmupCycles:  200,
 			MeasureCycles: 400,
 			Seed:          seed,

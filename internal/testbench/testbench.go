@@ -68,15 +68,13 @@ type Options struct {
 	NoFastForward bool `key:"-"`
 	// Injection selects the synthetic source implementation (ignored
 	// for trace replays). The default, traffic.InjPerCycle, draws one
-	// Bernoulli per source per cycle — the discipline every historical
-	// golden was recorded under. traffic.InjGap samples each source's
-	// next injection cycle directly (same arrival distribution, one draw
-	// per event — see traffic.InjGap). Either way drive.Bank knows every
-	// source's next generation cycle ahead of time, so the run advances
-	// straight to the next event across idle stretches. Gap runs are
-	// byte-identical to their own dense twins (NoFastForward with
-	// Injection still gap — TestGapFastForwardTwin) and
-	// distribution-equivalent, not byte-identical, to per-cycle runs.
+	// Bernoulli or Markov ON/OFF step per source per cycle, the
+	// discipline every golden was recorded under. traffic.InjGap samples
+	// each Bernoulli source's next injection cycle directly (same arrival
+	// distribution, one draw per packet; see traffic.InjGap); Run refuses
+	// it together with Bursty. Either way drive.Bank knows every source's
+	// next generation cycle ahead of time, so the run advances straight
+	// to the next event across idle stretches.
 	Injection traffic.InjMode
 	// OnMeasureStart, when non-nil, is called exactly once, at the first
 	// cycle of the measurement window (after construction and warmup).
@@ -87,7 +85,7 @@ type Options struct {
 	OnMeasureStart func() `key:"nil"`
 }
 
-func (o Options) withDefaults() Options {
+func (o Options) WithDefaults() Options {
 	if o.PktLen == 0 {
 		o.PktLen = 1
 	}
@@ -135,7 +133,10 @@ type Result struct {
 // under test, behind a drive.Bank of one source per port, as the
 // drive.Plant internal/drive advances.
 func Run(o Options) (Result, error) {
-	o = o.withDefaults()
+	o = o.WithDefaults()
+	if o.Bursty && o.Injection == traffic.InjGap && o.Trace == nil {
+		return Result{}, fmt.Errorf("testbench: Bursty with Injection %v: Markov ON/OFF sources have no gap-sampled form", o.Injection)
+	}
 	var (
 		r   router.Router
 		chk *check.Checker

@@ -10,13 +10,11 @@ import (
 
 // These tests are the distributional half of the gap-sampling
 // equivalence argument (the byte-level half is the twin tests in
-// internal/testbench and internal/network): the gap samplers must
-// reproduce, cell for cell, the distributions the per-cycle processes
-// generate — geometric inter-arrival gaps for Bernoulli, geometric
-// burst lengths and silent gaps for the Markov ON/OFF chain — and the
-// per-cycle chain itself is pinned to the same closed forms, so the two
-// implementations are held to one hypothesis. Seeds are fixed;
-// failures mean a distribution changed, not bad luck.
+// internal/testbench and internal/network): the Bernoulli gap sampler
+// must reproduce, cell for cell, the geometric inter-arrival gaps the
+// per-cycle process generates, and the per-cycle Markov ON/OFF chain is
+// pinned to its closed forms for burst length and silent gap. Seeds are
+// fixed; failures mean a distribution changed, not bad luck.
 
 // geomProbs returns the pmf of first+Geom(p) over {first..first+bins-1}
 // with the remaining mass lumped into a final tail cell.
@@ -99,60 +97,10 @@ func TestBernoulliGapMeanRate(t *testing.T) {
 	}
 }
 
-// markovSample drives a MarkovOnOffGap and splits its event stream into
-// burst lengths and inter-burst silent gaps.
-func markovSample(rate, avgBurst float64, events int, seed uint64) (bursts, gaps []int64, lastAt int64) {
-	m := traffic.NewMarkovOnOffGap(rate, avgBurst)
-	rng := sim.NewRNG(seed)
-	prev := int64(-1) // first call asks from cycle 0
-	var burstLen int64
-	for i := 0; i < events; i++ {
-		at := m.NextInject(prev+1, rng)
-		if at == prev+1 && burstLen > 0 {
-			burstLen++
-		} else {
-			if burstLen > 0 {
-				bursts = append(bursts, burstLen)
-				gaps = append(gaps, at-prev-1)
-			}
-			burstLen = 1
-		}
-		prev = at
-	}
-	return bursts, gaps, prev
-}
-
-// TestMarkovOnOffGapDistributions pins the gap-sampled chain to the
-// two-state chain's closed forms: burst length 1 + Geom(beta) and
-// inter-burst silent gap 1 + Geom(alpha), with beta = 1/avgBurst and
-// alpha = rate*beta/(1-rate).
-func TestMarkovOnOffGapDistributions(t *testing.T) {
-	const rate, avgBurst = 0.2, 8.0
-	beta := 1.0 / avgBurst
-	alpha := rate * beta / (1 - rate)
-	bursts, gaps, lastAt := markovSample(rate, avgBurst, 40000, 0x6a90003)
-	if len(bursts) < 2000 {
-		t.Fatalf("only %d bursts sampled", len(bursts))
-	}
-	bHist := make([]int, 31)
-	for _, l := range bursts {
-		binTail(bHist, l-1)
-	}
-	checkChi(t, "burst length", bHist, geomProbs(beta, 30), len(bursts))
-	gHist := make([]int, 121)
-	for _, s := range gaps {
-		binTail(gHist, s-1)
-	}
-	checkChi(t, "silent gap", gHist, geomProbs(alpha, 120), len(gaps))
-	got := 40000 / float64(lastAt+1)
-	if math.Abs(got-rate) > 0.05*rate {
-		t.Errorf("long-run rate %v, want ~%v", got, rate)
-	}
-}
-
-// TestMarkovPerCycleMatchesSameForms holds the per-cycle chain to the
-// identical closed forms, so the gap and per-cycle implementations are
-// pinned to one hypothesis rather than merely to each other.
+// TestMarkovPerCycleMatchesSameForms holds the per-cycle chain to its
+// closed forms: burst length 1 + Geom(beta) and inter-burst silent gap
+// 1 + Geom(alpha), with beta = 1/avgBurst and alpha =
+// rate*beta/(1-rate).
 func TestMarkovPerCycleMatchesSameForms(t *testing.T) {
 	const rate, avgBurst = 0.2, 8.0
 	beta := 1.0 / avgBurst
@@ -197,13 +145,9 @@ func TestGapEdgeRates(t *testing.T) {
 		t.Errorf("rate-0 Bernoulli gap injected at %d", at)
 	}
 	g := traffic.NewBernoulliGap(1)
-	m := traffic.NewMarkovOnOffGap(1, 8)
 	for at := int64(3); at < 103; at++ {
 		if got := g.NextInject(at, rng); got != at {
 			t.Fatalf("rate-1 Bernoulli gap: NextInject(%d) = %d", at, got)
-		}
-		if got := m.NextInject(at, rng); got != at {
-			t.Fatalf("rate-1 Markov gap: NextInject(%d) = %d", at, got)
 		}
 	}
 }

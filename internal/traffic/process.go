@@ -18,24 +18,6 @@ type MarkovOnOff struct {
 	burst int
 }
 
-// markovRates solves the two-state chain's transition probabilities for
-// a long-run packet rate and average burst length; shared by the
-// per-cycle and gap-sampled forms so both walk the same chain.
-func markovRates(rate, avgBurst float64) (alpha, beta float64) {
-	if avgBurst < 1 {
-		panic("traffic: average burst length must be >= 1")
-	}
-	beta = 1.0 / avgBurst
-	if rate >= 1 {
-		return 1, 0
-	}
-	alpha = rate * beta / (1 - rate)
-	if alpha > 1 {
-		alpha = 1
-	}
-	return alpha, beta
-}
-
 // BurstLen is Table 1's average burst length in packets: the avgBurst
 // every bursty run in this repository injects with.
 const BurstLen = 8
@@ -44,7 +26,14 @@ const BurstLen = 8
 // rate per cycle and average burst length in packets (Table 1's is
 // BurstLen).
 func NewMarkovOnOff(rate, avgBurst float64) *MarkovOnOff {
-	alpha, beta := markovRates(rate, avgBurst)
+	if avgBurst < 1 {
+		panic("traffic: average burst length must be >= 1")
+	}
+	if rate >= 1 {
+		return &MarkovOnOff{alpha: sim.BernoulliThreshold(1)}
+	}
+	beta := 1.0 / avgBurst
+	alpha := min(rate*beta/(1-rate), 1)
 	return &MarkovOnOff{alpha: sim.BernoulliThreshold(alpha), beta: beta}
 }
 
@@ -90,20 +79,13 @@ func (m *MarkovOnOff) InBurst() bool { return m.on && m.burst > 1 }
 // exercises intermediate buffering, the effect Figure 18(c) reports).
 type BurstPattern struct {
 	Base  Pattern
-	procs []Burster
+	procs []*MarkovOnOff
 	dests []int
-}
-
-// Burster is the slice of a bursty process BurstPattern needs: whether
-// the current injection continues a burst whose destination must be
-// held. Implemented by MarkovOnOff and MarkovOnOffGap.
-type Burster interface {
-	InBurst() bool
 }
 
 // NewBurstPattern couples a base pattern with the per-source Markov
 // processes so destinations persist per burst.
-func NewBurstPattern(base Pattern, procs []Burster) *BurstPattern {
+func NewBurstPattern(base Pattern, procs []*MarkovOnOff) *BurstPattern {
 	dests := make([]int, len(procs))
 	for i := range dests {
 		dests[i] = -1

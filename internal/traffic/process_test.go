@@ -99,7 +99,7 @@ func TestMarkovPanicsOnShortBurst(t *testing.T) {
 func TestBurstPatternHoldsDestination(t *testing.T) {
 	const k = 64
 	m := NewMarkovOnOff(0.3, 8)
-	bp := NewBurstPattern(NewUniform(k), []Burster{m})
+	bp := NewBurstPattern(NewUniform(k), []*MarkovOnOff{m})
 	rng := sim.NewRNG(5)
 	var burstDests []int // first destination of each burst
 	cur := -1
