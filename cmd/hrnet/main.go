@@ -132,6 +132,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MeasureCycles: *measure,
 		Seed:          *seed,
 	}
+	// So are phases no run can have, read after the defaults fill in
+	// a zero.
+	d := base.WithDefaults()
+	if err := drive.CheckPhases(d.WarmupCycles, d.MeasureCycles, d.DrainCycles); err != nil {
+		return fail(2, err)
+	}
 	// A granted flit lands one link cycle after the router's pipeline
 	// delay, so a hop costs HopDelay+1 cycles: at zero load a packet
 	// takes per-hop times its hops, plus ser once.

@@ -34,6 +34,9 @@ func TestBadLoadsIsUsageError(t *testing.T) {
 		{"-loads", "0.1,-0.2"},
 		{"-load", "8"},
 		{"-load", "NaN"},
+		// So is a phase no run can have, caught before the header prints.
+		{"-warmup", "-100"},
+		{"-measure", "-50", "-loads", "0.1,0.2"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(append([]string{"-radix", "4", "-digits", "2"}, args...), &stdout, &stderr)

@@ -141,6 +141,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Seed:          *seed,
 		Check:         *chk,
 	}.WithDefaults()
+	// So are phases no run can have, read after the defaults fill in
+	// a zero.
+	if err := drive.CheckPhases(opts.WarmupCycles, opts.MeasureCycles, opts.DrainCycles); err != nil {
+		return fail(2, err)
+	}
 	if *trace == "" {
 		// An offered load no source can produce is a usage error too,
 		// caught before anything prints.

@@ -25,6 +25,9 @@ func TestRunUsesDefaultedConfig(t *testing.T) {
 		{[]string{"-load", "-1"}, 2, ""},
 		{[]string{"-load", "5"}, 2, ""}, // 4 cycles a flit: at most a load of 4
 		{[]string{"-pkt", "-2"}, 2, ""},
+		// So is a phase no run can have.
+		{[]string{"-warmup", "-100"}, 2, ""},
+		{[]string{"-measure", "-50"}, 2, ""},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(append(slices.Clone(short), tc.args...), &stdout, &stderr)

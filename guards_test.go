@@ -91,6 +91,15 @@ var guardSteps = []struct {
 		tests:   true,
 		pattern: `DelayLine|% ?int64\(len\(`,
 		msg:     "a second timed queue beside sim.Calendar (see DESIGN.md, Quiescence & time advance)",
+	}, {
+		roots:   []string{"internal/sim/wheel.go"},
+		pattern: `\[\]\[\]|"math/bits"`,
+		msg:     "sim.Wheel keeps buckets of its own instead of viewing a sim.Calendar (see DESIGN.md, Event-driven core: One schedule)",
+	}}},
+	{"One table encoding", []guard{{
+		roots:   []string{"internal/stats"},
+		pattern: `"encoding/binary"`,
+		msg:     "a second table encoding beside Table.JSON (see DESIGN.md, Result cache & figure service: One cache level)",
 	}}},
 	{"One gate type", []guard{{
 		roots:   []string{"."},

@@ -12,7 +12,7 @@ func (q *Queue[T]) Free() int {
 }
 
 // Len reports the number of pending events.
-func (w *Wheel) Len() int { return w.inLap + len(w.over) }
+func (w *Wheel) Len() int { return w.cal.Len() }
 
 // Buckets reports the length of the calendar's ring.
 func (c *Calendar[T]) Buckets() int { return len(c.buckets) }

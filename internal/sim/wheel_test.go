@@ -11,6 +11,11 @@ type wheelModel struct {
 	events []wheelEvent
 }
 
+type wheelEvent struct {
+	at int64
+	id int32
+}
+
 func (m *wheelModel) schedule(at int64, id int32) {
 	m.events = append(m.events, wheelEvent{at: at, id: id})
 }
@@ -116,6 +121,28 @@ func TestWheelSameCycleOrder(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("popped %v, want %v", got, want)
+		}
+	}
+}
+
+// TestWheelEarlierAfterFar pins that an event scheduled after a far one,
+// for an earlier cycle, still pops on its own cycle and first: the
+// calendar under the wheel must not have moved its window past it.
+func TestWheelEarlierAfterFar(t *testing.T) {
+	w := NewWheel(64)
+	w.Schedule(100000, 1)
+	w.Schedule(20, 2)
+	if at, ok := w.NextAt(); !ok || at != 20 {
+		t.Fatalf("NextAt = (%d,%v), want (20,true)", at, ok)
+	}
+	for _, step := range []struct {
+		now  int64
+		want int32
+	}{{50, 2}, {100000, 1}} {
+		var got []int32
+		w.PopDue(step.now, func(id int32) { got = append(got, id) })
+		if len(got) != 1 || got[0] != step.want {
+			t.Fatalf("PopDue(%d) popped %v, want [%d]", step.now, got, step.want)
 		}
 	}
 }

@@ -1,85 +1,41 @@
 package stats
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 )
 
-// Stable table/series encoding: a Table is encoded field by field in
-// one fixed order with IEEE-754 bit patterns for every float, so
-// encoding is a pure function of the table's value — no map iteration,
-// no float formatting — and equal tables are equal bytes, with an exact
-// decode. No store holds tables (the result cache holds simulation
-// points only); the codec is kept for the bench ledger, which digests
-// figure tables with it and times it.
-
-// tableLayoutVersion versions the encoding below. Bump on any layout
-// change; DecodeTable rejects any other version rather than misdecode
-// it.
-const tableLayoutVersion = 1
-
-// EncodeTable renders the table as stable bytes.
+// EncodeTable is the table's one encoding, Table.JSON: field order is
+// fixed by the struct declarations below and every float is written in
+// its shortest exact form, so equal tables are equal bytes and
+// DecodeTable inverts it exactly. The bench ledger digests figure tables
+// with it and times it.
 func EncodeTable(t *Table) []byte {
-	var b []byte
-	b = append(b, tableLayoutVersion)
-	b = appendString(b, t.Title)
-	b = appendString(b, t.XLabel)
-	b = appendString(b, t.YLabel)
-	b = binary.AppendUvarint(b, uint64(len(t.Series)))
-	for _, s := range t.Series {
-		b = appendString(b, s.Name)
-		b = binary.AppendUvarint(b, uint64(len(s.Points)))
-		for _, p := range s.Points {
-			b = appendFloat(b, p.X)
-			b = appendFloat(b, p.Y)
-			b = appendBool(b, p.Saturated)
-		}
-	}
-	b = binary.AppendUvarint(b, uint64(len(t.Scalars)))
-	for _, sc := range t.Scalars {
-		b = appendString(b, sc.Name)
-		b = appendFloat(b, sc.Value)
-		b = appendString(b, sc.Unit)
-	}
-	b = binary.AppendUvarint(b, uint64(len(t.Notes)))
-	for _, n := range t.Notes {
-		b = appendString(b, n)
+	b, err := t.JSON()
+	if err != nil {
+		panic(err) // jsonFloat covers every value a float64 can take
 	}
 	return b
 }
 
-// DecodeTable inverts EncodeTable. Any truncation, trailing garbage or
-// version mismatch is an error; cache layers treat it as a miss.
+// DecodeTable inverts EncodeTable. Malformed input, truncation and
+// trailing bytes are errors.
 func DecodeTable(b []byte) (*Table, error) {
-	d := &decoder{b: b}
-	if v := d.byte(); v != tableLayoutVersion {
-		return nil, fmt.Errorf("stats: table layout version %d, want %d", v, tableLayoutVersion)
+	var v jsonTable
+	if err := json.Unmarshal(b, &v); err != nil {
+		return nil, fmt.Errorf("stats: decoding table: %w", err)
 	}
-	t := &Table{
-		Title:  d.string(),
-		XLabel: d.string(),
-		YLabel: d.string(),
-	}
-	for i, n := 0, d.count(); i < n; i++ {
-		s := &Series{Name: d.string()}
-		for j, m := 0, d.count(); j < m; j++ {
-			s.Points = append(s.Points, Point{X: d.float(), Y: d.float(), Saturated: d.bool()})
+	t := &Table{Title: v.Title, XLabel: v.XLabel, YLabel: v.YLabel, Notes: v.Notes}
+	for _, js := range v.Series {
+		s := &Series{Name: js.Name}
+		for _, p := range js.Points {
+			s.Points = append(s.Points, Point{X: float64(p.X), Y: float64(p.Y), Saturated: p.Saturated})
 		}
 		t.Series = append(t.Series, s)
 	}
-	for i, n := 0, d.count(); i < n; i++ {
-		t.Scalars = append(t.Scalars, Scalar{Name: d.string(), Value: d.float(), Unit: d.string()})
-	}
-	for i, n := 0, d.count(); i < n; i++ {
-		t.Notes = append(t.Notes, d.string())
-	}
-	if d.err == nil && len(d.b) != 0 {
-		return nil, fmt.Errorf("stats: %d trailing bytes after table", len(d.b))
-	}
-	if d.err != nil {
-		return nil, d.err
+	for _, sc := range v.Scalars {
+		t.Scalars = append(t.Scalars, Scalar{Name: sc.Name, Value: float64(sc.Value), Unit: sc.Unit})
 	}
 	return t, nil
 }
@@ -160,80 +116,16 @@ func (f jsonFloat) MarshalJSON() ([]byte, error) {
 	return json.Marshal(v)
 }
 
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendFloat(b []byte, f float64) []byte {
-	return binary.BigEndian.AppendUint64(b, math.Float64bits(f))
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
+func (f *jsonFloat) UnmarshalJSON(b []byte) error {
+	switch string(b) {
+	case `"+Inf"`:
+		*f = jsonFloat(math.Inf(1))
+	case `"-Inf"`:
+		*f = jsonFloat(math.Inf(-1))
+	case `"NaN"`:
+		*f = jsonFloat(math.NaN())
+	default:
+		return json.Unmarshal(b, (*float64)(f))
 	}
-	return append(b, 0)
+	return nil
 }
-
-// decoder consumes the encoding above, latching the first error so the
-// read methods can be chained without per-call checks.
-type decoder struct {
-	b   []byte
-	err error
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("stats: truncated table encoding")
-	}
-}
-
-func (d *decoder) byte() byte {
-	if d.err != nil || len(d.b) < 1 {
-		d.fail()
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *decoder) count() int {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 || v > uint64(len(d.b)) {
-		// A count can never exceed the remaining bytes (every element
-		// is at least one byte); rejecting here also bounds allocation
-		// on corrupt input.
-		d.fail()
-		return 0
-	}
-	d.b = d.b[n:]
-	return int(v)
-}
-
-func (d *decoder) string() string {
-	n := d.count()
-	if d.err != nil || len(d.b) < n {
-		d.fail()
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
-
-func (d *decoder) float() float64 {
-	if d.err != nil || len(d.b) < 8 {
-		d.fail()
-		return 0
-	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *decoder) bool() bool { return d.byte() != 0 }
