@@ -153,9 +153,26 @@ var guardSteps = []struct {
 		pattern: `"inj"`,
 		msg:     "an -inj flag: every command runs the paper's per-cycle draws (see DESIGN.md, Event-driven core)",
 	}, {
-		roots: []string{"internal/experiments"},
+		roots: []string{"internal/experiments", "internal/network"},
 		decls: fieldsNamed("Injection"),
-		msg:   "an Injection field in the figure code: every figure runs the paper's per-cycle draws (see DESIGN.md, Event-driven core)",
+		msg:   "an Injection field in the figure or network code: every figure and every network run draws the paper's per-cycle variates (see DESIGN.md, Event-driven core)",
+	}}},
+	{"One switch port", []guard{{
+		roots:   []string{"internal/router"},
+		except:  []string{"internal/router/core/", "internal/router/hierarchical.go"},
+		pattern: `NewSerializerBank\(`,
+		msg:     "a router building its own port serializers: a router's input and output ports are core.Base's InPort and OutPort (see DESIGN.md, Layering)",
+	}, {
+		roots:   []string{"internal/router/hierarchical.go"},
+		pattern: `NewSerializerBank\(`,
+		want:    2,
+		msg:     "the hierarchical crossbar builds serializers only for its subswitch ports; its router ports are core.Base's (see DESIGN.md, Layering)",
+	}, {
+		roots:   []string{"internal/router"},
+		except:  []string{"internal/router/core/"},
+		pattern: `NewRotorBank\(`,
+		want:    3,
+		msg:     "a VC rotor beside voq's per-output VC pick, the column stage's per-buffer VC arbiters and the subswitch inputs' arbiters: each input's VC round robin is core.Base's InVC (see DESIGN.md, Layering)",
 	}}},
 }
 

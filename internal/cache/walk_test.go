@@ -44,7 +44,7 @@ func netOptions(topo network.Topology) *network.Options {
 	return &network.Options{
 		Net:  network.Config{Radix: 4, Digits: 2, VCs: 2, BufDepth: 4},
 		Topo: topo, Load: 0.5, PktLen: 2, WarmupCycles: 100, MeasureCycles: 200, DrainCycles: 900,
-		SatLatency: 500, Seed: 1, Pattern: traffic.NewUniform(16), Injection: traffic.InjGap,
+		SatLatency: 500, Seed: 1, Pattern: traffic.NewUniform(16),
 	}
 }
 

@@ -50,7 +50,8 @@ func (l *eventLog) Final(int64) error         { return nil }
 // TestProducerTwins: a run whose draws a producer goroutine takes is the
 // run whose consumer draws for itself, byte for byte — behind the single
 // router in both injection modes, bursty, at a load low enough to jump
-// and under the checker, and behind a network, hooked and not.
+// and under the checker, and behind a network (whose sources draw per
+// cycle), hooked and not.
 func TestProducerTwins(t *testing.T) {
 	runs := map[string]func(t *testing.T) []byte{}
 	for name, mod := range map[string]func(*testbench.Options){
@@ -71,21 +72,18 @@ func TestProducerTwins(t *testing.T) {
 			return testbench.EncodeResult(res)
 		}
 	}
-	for _, inj := range []traffic.InjMode{traffic.InjPerCycle, traffic.InjGap} {
-		for _, hooked := range []bool{false, true} {
-			runs[fmt.Sprintf("network/%s/hooked=%t", inj, hooked)] = func(t *testing.T) []byte {
-				o := netOpts(t, 0.3)
-				o.Injection = inj
-				l := &eventLog{}
-				if hooked {
-					o.Hooks = l
-				}
-				res, err := network.Run(o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return append(network.EncodeResult(res), fmt.Sprint(l.events)...)
+	for _, hooked := range []bool{false, true} {
+		runs[fmt.Sprintf("network/percycle/hooked=%t", hooked)] = func(t *testing.T) []byte {
+			o := netOpts(t, 0.3)
+			l := &eventLog{}
+			if hooked {
+				o.Hooks = l
 			}
+			res, err := network.Run(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return append(network.EncodeResult(res), fmt.Sprint(l.events)...)
 		}
 	}
 	for name, run := range runs {

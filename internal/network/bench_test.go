@@ -100,3 +100,26 @@ func TestNetworkStepSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state cycle allocates %.2f times, want <= 0.5", avg)
 	}
 }
+
+// BenchmarkNetRunLowLoad mirrors testbench.BenchmarkRunLowLoad at
+// network scale: one full Clos run per op at a low offered load. The
+// 0.05 point is the zero-load-latency configuration Fig19 runs.
+func BenchmarkNetRunLowLoad(b *testing.B) {
+	for _, load := range []float64{0.05, 0.2} {
+		b.Run(fmt.Sprintf("load=%v", load), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, err := Run(Options{
+					Net:           Config{Radix: 16, Digits: 2},
+					Load:          load,
+					WarmupCycles:  600,
+					MeasureCycles: 1200,
+					Seed:          uint64(i) + 1,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

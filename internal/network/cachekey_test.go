@@ -46,12 +46,11 @@ func TestNetCacheKeySensitivity(t *testing.T) {
 		t.Fatalf("defaulted spelling keys differently: %v ok=%v", k, ok)
 	}
 	distinct := map[string]func(*Options){
-		"load":      func(o *Options) { o.Load = 0.6 },
-		"seed":      func(o *Options) { o.Seed = 2 },
-		"pktlen":    func(o *Options) { o.PktLen = 3 },
-		"topology":  func(o *Options) { o.Net.Digits = 3 },
-		"pattern":   func(o *Options) { o.Pattern = traffic.NewDiagonal(16) },
-		"injection": func(o *Options) { o.Injection = traffic.InjGap },
+		"load":     func(o *Options) { o.Load = 0.6 },
+		"seed":     func(o *Options) { o.Seed = 2 },
+		"pktlen":   func(o *Options) { o.PktLen = 3 },
+		"topology": func(o *Options) { o.Net.Digits = 3 },
+		"pattern":  func(o *Options) { o.Pattern = traffic.NewDiagonal(16) },
 	}
 	for name, mutate := range distinct {
 		o := base

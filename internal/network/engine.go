@@ -1,7 +1,6 @@
 package network
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -360,8 +359,11 @@ func NewNetworkRange(topo Topology, seed uint64, l Layout, i int) *Network {
 	}
 	// The topology states its wiring once, as Link and Entry; an owned
 	// input port's feeder, where its credits go, is the one output or
-	// terminal whose wire ends there, found by inverting both.
+	// terminal whose wire ends there, found by inverting both. Walked in
+	// (router, port) order, the ejection links' terminals must strictly
+	// increase: that is the order Step delivers in (Ejected).
 	fed := make([]int, routers*p)
+	lastTerm := -1
 	feed := func(r, pt int, fd feeder) {
 		if nw.Owns(r) {
 			nw.feeders[(r-lo)*p+pt] = fd
@@ -371,6 +373,12 @@ func NewNetworkRange(topo Topology, seed uint64, l Layout, i int) *Network {
 	for r := range topo.Routers() {
 		for pt := range p {
 			ln := topo.Link(r, pt)
+			if ln.Router < 0 {
+				if ln.Terminal <= lastTerm {
+					panic(fmt.Sprintf("network: %s router %d port %d ejects to terminal %d after terminal %d", topo.Name(), r, pt, ln.Terminal, lastTerm))
+				}
+				lastTerm = ln.Terminal
+			}
 			if nw.Owns(r) {
 				o := (r-lo)*p + pt
 				if ln.Router < 0 {
@@ -450,11 +458,14 @@ func (nw *Network) Accept(now int64, f *flit.Flit) {
 }
 
 // Ejected returns flits delivered to terminals during the last Step,
-// sorted by destination terminal; the slice is reused across steps.
-// The sort makes delivery order canonical per cycle (at most one
-// delivery per terminal per cycle, by the ejection serializer), which
-// both the serial and sharded drivers rely on for identical statistics
-// accumulation order.
+// in ascending destination terminal; the slice is reused across steps.
+// The order is canonical per cycle (at most one delivery per terminal
+// per cycle, by the ejection serializer), which both the serial and
+// sharded drivers rely on for identical statistics accumulation order.
+// The order holds by construction: one cycle's deliveries all left in
+// one Step, which grants in ascending (router, output port) order, and
+// NewNetworkRange refuses a topology whose ejection links do not number
+// their terminals in that order.
 func (nw *Network) Ejected() []*flit.Flit { return nw.ejected }
 
 // InFlight counts flits inside the network. The buffered count is
@@ -585,9 +596,6 @@ func (nw *Network) Step(now int64) {
 	nw.credits.PopDue(now, nw.applyCredits)
 	nw.arrivals.PopDue(now, nw.land)
 	nw.toTerm.PopDue(now, func(fs []*flit.Flit) { nw.ejected = append(nw.ejected, fs...) })
-	if len(nw.ejected) > 1 {
-		slices.SortFunc(nw.ejected, func(a, b *flit.Flit) int { return cmp.Compare(a.Dst, b.Dst) })
-	}
 
 	v, ports, reqW, flat := nw.v, nw.ports, nw.reqW, nw.flat
 	for lr := nw.act.Next(0); lr >= 0; lr = nw.act.Next(lr + 1) {

@@ -84,6 +84,44 @@ func TestMiswiredTopologyPanics(t *testing.T) {
 	}
 }
 
+// misnumbered wraps a topology and swaps the terminals its first two
+// ejection links lead to: every terminal is still reached once, but not
+// in (router, port) order.
+type misnumbered struct{ network.Topology }
+
+func (m misnumbered) Link(r, p int) network.Link {
+	ln := m.Topology.Link(r, p)
+	if ln.Router < 0 && ln.Terminal < 2 {
+		ln.Terminal ^= 1
+	}
+	return ln
+}
+
+// TestMisnumberedTopologyPanics: Step delivers a cycle's flits in
+// (router, output port) order and Ejected promises them in terminal
+// order, so an engine over a topology whose ejection links number their
+// terminals out of that order must refuse to build, whatever it owns.
+func TestMisnumberedTopologyPanics(t *testing.T) {
+	for _, tc := range digestTopologies(t) {
+		topo := misnumbered{tc.topo}
+		n := topo.Routers()
+		for _, owned := range [][2]int{{0, n}, {n, n}} {
+			func() {
+				defer func() {
+					want := "ejects to terminal 0 after terminal 1"
+					if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+						t.Errorf("%s owning %v: panic %q, want one containing %q", tc.name, owned, msg, want)
+					}
+				}()
+				network.NewNetworkRange(topo, 1, network.Layout{
+					Routers:   [][2]int{{0, owned[0]}, owned},
+					Terminals: [][2]int{{0, 0}, {0, topo.Terminals()}},
+				}, 1)
+			}()
+		}
+	}
+}
+
 // oversize wraps a topology and overrides the dimensions that are set,
 // to present the engine with one it cannot index.
 type oversize struct {

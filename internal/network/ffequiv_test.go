@@ -2,10 +2,13 @@ package network
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"highradix/internal/check"
+	"highradix/internal/drive"
 	"highradix/internal/flit"
+	"highradix/internal/traffic"
 )
 
 // The network-scale twin of testbench's fast-forward equivalence test:
@@ -127,5 +130,49 @@ func TestNetFastForwardTwinUnhooked(t *testing.T) {
 	}
 	if ffRes != dRes {
 		t.Fatalf("result mismatch:\nfast-forward %+v\ndense        %+v", ffRes, dRes)
+	}
+}
+
+// TestEngineCalendarsSurviveIdleGaps: a run whose packets lie millions
+// of cycles apart jumps every stretch between them, so each packet's
+// first event meets calendars whose windows still stand where the last
+// packet left them. They must slide, not grow to the length of the gap.
+// Only gap-sampled sources make such a run affordable, and no network
+// option selects them, so the test builds its plant's bank itself.
+func TestEngineCalendarsSurviveIdleGaps(t *testing.T) {
+	o := Options{
+		Net:    Config{Radix: 4, Digits: 2},
+		Load:   2e-8, // 16 terminals: a packet every ~3M cycles
+		PktLen: 1,
+		Seed:   1,
+	}.WithDefaults()
+	topo, err := o.Topology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := o.SourceOpts(topo)
+	src.Injection = traffic.InjGap
+	nw := NewNetwork(topo, o.RouteSeed())
+	w := &World{Net: nw, Plant: drive.Plant{Dev: nw, Bank: newSources(topo, src, func(int) bool { return true })}}
+	tally, err := drive.Run(drive.Config{Measure: 50_000_000}, func() drive.World { return w })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tally.Flits < 2 || tally.Flits > 40 {
+		t.Fatalf("%d flits delivered in %d cycles; the test wants a few, far apart", tally.Flits, tally.Cycles)
+	}
+	ring := func(cal any) int { return reflect.ValueOf(cal).Elem().FieldByName("buckets").Len() }
+	fresh := NewNetwork(topo, 0)
+	for _, c := range []struct {
+		name       string
+		ran, built any
+	}{
+		{"arrivals", w.Net.arrivals, fresh.arrivals},
+		{"credits", w.Net.credits, fresh.credits},
+		{"toTerm", w.Net.toTerm, fresh.toTerm},
+	} {
+		if got, want := ring(c.ran), ring(c.built); got != want {
+			t.Errorf("%s calendar ended the run with %d buckets, built with %d", c.name, got, want)
+		}
 	}
 }

@@ -61,16 +61,6 @@ type Options struct {
 	// (TestNetFastForwardTwin asserts byte-identical results), so this
 	// exists for A/B verification, not correctness.
 	NoFastForward bool `key:"-"`
-	// Injection selects the terminal source implementation. The
-	// default, traffic.InjPerCycle, draws one Bernoulli per terminal
-	// per cycle; traffic.InjGap samples each terminal's next injection
-	// cycle directly, one draw per packet. Either way drive.Bank knows
-	// every terminal's next generation cycle ahead of time, so the run
-	// advances straight to the next event across idle stretches. Gap
-	// runs are byte-identical to their own dense twins
-	// (TestNetGapFastForwardTwin) and distribution-equivalent, not
-	// byte-identical, to per-cycle runs.
-	Injection traffic.InjMode
 }
 
 // WithDefaults fills the defaulted phase lengths and packet size.
@@ -116,10 +106,9 @@ func (o Options) RouteSeed() uint64 { return o.Seed ^ 0x632be59bd9b4e019 }
 // the given topology.
 func (o Options) SourceOpts(topo Topology) SourceOpts {
 	return SourceOpts{Seed: o.Seed, Workload: drive.Workload{
-		Rate:      o.Load / float64(topo.SerCycles()*o.PktLen),
-		PktLen:    o.PktLen,
-		Pattern:   o.Pattern,
-		Injection: o.Injection,
+		Rate:    o.Load / float64(topo.SerCycles()*o.PktLen),
+		PktLen:  o.PktLen,
+		Pattern: o.Pattern,
 	}}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"highradix/internal/drive"
 	"highradix/internal/network"
-	"highradix/internal/traffic"
 )
 
 // canonicalCmp is the comparator the epoch exchange used to sort every
@@ -72,83 +71,80 @@ func creditBanks(nw *network.Network) []int64 {
 // counters behind applied forward and reversed, through the engine's
 // own PutCredits and Step.
 func TestOutboxCanonicalByConstruction(t *testing.T) {
-	modes := map[string]traffic.InjMode{"percycle": traffic.InjPerCycle, "gap": traffic.InjGap}
 	for name, topo := range testTopologies(t) {
 		order := canonicalCmp(topo)
 		flat := topo.Ports() * topo.VCs()
-		for modeName, mode := range modes {
-			for _, pktLen := range []int{1, 4} {
-				for _, p := range []int{1, 2, 3, 7} {
-					t.Run(fmt.Sprintf("%s/%s/pkt%d/workers%d", name, modeName, pktLen, p), func(t *testing.T) {
-						o := baseOpts(topo, 1, mode)
-						o.PktLen = pktLen
-						o = o.WithDefaults()
-						c := drive.Config{Warmup: o.WarmupCycles, Measure: o.MeasureCycles, Drain: o.DrainCycles}
-						x := network.NewExchange(o, topo, c, p)
-						defer x.Stop()
-						// Two idle engines per shard take the credits only, one
-						// forward and one reversed; clock is the next cycle to step.
-						l := network.Layout{Routers: network.Partition(topo.Routers(), p), Terminals: network.Partition(topo.Terminals(), p)}
-						var fwd, rev []*network.Network
-						for i := range p {
-							fwd = append(fwd, network.NewNetworkRange(topo, o.RouteSeed(), l, i))
-							rev = append(rev, network.NewNetworkRange(topo, o.RouteSeed(), l, i))
+		for _, pktLen := range []int{1, 4} {
+			for _, p := range []int{1, 2, 3, 7} {
+				t.Run(fmt.Sprintf("%s/percycle/pkt%d/workers%d", name, pktLen, p), func(t *testing.T) {
+					o := baseOpts(topo, 1)
+					o.PktLen = pktLen
+					o = o.WithDefaults()
+					c := drive.Config{Warmup: o.WarmupCycles, Measure: o.MeasureCycles, Drain: o.DrainCycles}
+					x := network.NewExchange(o, topo, c, p)
+					defer x.Stop()
+					// Two idle engines per shard take the credits only, one
+					// forward and one reversed; clock is the next cycle to step.
+					l := network.Layout{Routers: network.Partition(topo.Routers(), p), Terminals: network.Partition(topo.Terminals(), p)}
+					var fwd, rev []*network.Network
+					for i := range p {
+						fwd = append(fwd, network.NewNetworkRange(topo, o.RouteSeed(), l, i))
+						rev = append(rev, network.NewNetworkRange(topo, o.RouteSeed(), l, i))
+					}
+					clock := int64(0)
+					var nFlits, nCredits int
+					for from, end := int64(0), int64(0); from < c.Warmup+c.Measure; from = end {
+						end = x.Epoch(from)
+						last := clock
+						for j := range p {
+							net := x.Net(j)
+							byCycle := map[uint32][]network.Arrival{}
+							var credits []network.CreditMail
+							for _, ms := range x.Flits(j) {
+								for _, m := range ms {
+									if !net.Owns(int(m.Router)) {
+										t.Fatalf("epoch %d: worker %d was mailed a flit for router %d", from, j, m.Router)
+									}
+									byCycle[m.At] = append(byCycle[m.At], m)
+								}
+							}
+							for _, ms := range x.Credits(j) {
+								for _, m := range ms {
+									if q := int(m.Q); q >= 0 && !net.Owns(q/flat) || q < 0 && x.Home(^q/topo.VCs()) != j {
+										t.Fatalf("epoch %d: worker %d was mailed a credit it has no use for: %d", from, j, q)
+									}
+									credits = append(credits, m)
+									last = max(last, int64(m.At))
+								}
+							}
+							for at, ms := range byCycle {
+								nFlits += len(ms)
+								// Sorted, and strictly: the key is unique per message.
+								if !slices.IsSortedFunc(ms, order) || len(slices.CompactFunc(ms, func(a, b network.Arrival) bool { return order(a, b) == 0 })) != len(ms) {
+									t.Fatalf("epoch %d: worker %d pulled cycle %d's flits out of canonical order", from, j, at)
+								}
+							}
+							nCredits += len(credits)
+							fwd[j].PutCredits(credits, clock)
+							slices.Reverse(credits)
+							rev[j].PutCredits(credits, clock)
 						}
-						clock := int64(0)
-						var nFlits, nCredits int
-						for from, end := int64(0), int64(0); from < c.Warmup+c.Measure; from = end {
-							end = x.Epoch(from)
-							last := clock
-							for j := range p {
-								net := x.Net(j)
-								byCycle := map[uint32][]network.Arrival{}
-								var credits []network.CreditMail
-								for _, ms := range x.Flits(j) {
-									for _, m := range ms {
-										if !net.Owns(int(m.Router)) {
-											t.Fatalf("epoch %d: worker %d was mailed a flit for router %d", from, j, m.Router)
-										}
-										byCycle[m.At] = append(byCycle[m.At], m)
-									}
-								}
-								for _, ms := range x.Credits(j) {
-									for _, m := range ms {
-										if q := int(m.Q); q >= 0 && !net.Owns(q/flat) || q < 0 && x.Home(^q/topo.VCs()) != j {
-											t.Fatalf("epoch %d: worker %d was mailed a credit it has no use for: %d", from, j, q)
-										}
-										credits = append(credits, m)
-										last = max(last, int64(m.At))
-									}
-								}
-								for at, ms := range byCycle {
-									nFlits += len(ms)
-									// Sorted, and strictly: the key is unique per message.
-									if !slices.IsSortedFunc(ms, order) || len(slices.CompactFunc(ms, func(a, b network.Arrival) bool { return order(a, b) == 0 })) != len(ms) {
-										t.Fatalf("epoch %d: worker %d pulled cycle %d's flits out of canonical order", from, j, at)
-									}
-								}
-								nCredits += len(credits)
-								fwd[j].PutCredits(credits, clock)
-								slices.Reverse(credits)
-								rev[j].PutCredits(credits, clock)
-							}
-							for ; clock <= last; clock++ {
-								for i := range fwd {
-									fwd[i].Step(clock)
-									rev[i].Step(clock)
-								}
-							}
+						for ; clock <= last; clock++ {
 							for i := range fwd {
-								if !slices.Equal(creditBanks(fwd[i]), creditBanks(rev[i])) {
-									t.Fatalf("epoch %d: worker %d's credit counters depend on application order", from, i)
-								}
+								fwd[i].Step(clock)
+								rev[i].Step(clock)
 							}
 						}
-						if p > 1 && (nFlits == 0 || nCredits == 0) {
-							t.Fatalf("vacuous: %d flits and %d credits crossed shards", nFlits, nCredits)
+						for i := range fwd {
+							if !slices.Equal(creditBanks(fwd[i]), creditBanks(rev[i])) {
+								t.Fatalf("epoch %d: worker %d's credit counters depend on application order", from, i)
+							}
 						}
-					})
-				}
+					}
+					if p > 1 && (nFlits == 0 || nCredits == 0) {
+						t.Fatalf("vacuous: %d flits and %d credits crossed shards", nFlits, nCredits)
+					}
+				})
 			}
 		}
 	}

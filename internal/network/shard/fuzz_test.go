@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"highradix/internal/network"
-	"highradix/internal/traffic"
 )
 
 // FuzzShardEquivalence drives randomized small topologies, loads,
@@ -14,15 +13,15 @@ import (
 // shapes: shards of a single router, more workers than routers, and a
 // one-router network (Clos with one digit).
 func FuzzShardEquivalence(f *testing.F) {
-	f.Add(uint8(0), uint8(2), uint8(40), uint8(3), uint8(1), uint64(1), false)
+	f.Add(uint8(0), uint8(2), uint8(40), uint8(3), uint8(1), uint64(1))
 	// Ring of 2 routers across 2 workers: every shard is one router.
-	f.Add(uint8(1), uint8(0), uint8(30), uint8(2), uint8(1), uint64(2), true)
+	f.Add(uint8(1), uint8(0), uint8(30), uint8(2), uint8(1), uint64(2))
 	// 3-router ring under 7 workers: more shards than routers.
-	f.Add(uint8(1), uint8(1), uint8(50), uint8(7), uint8(2), uint64(3), false)
-	f.Add(uint8(2), uint8(3), uint8(60), uint8(4), uint8(3), uint64(4), true)
+	f.Add(uint8(1), uint8(1), uint8(50), uint8(7), uint8(2), uint64(3))
+	f.Add(uint8(2), uint8(3), uint8(60), uint8(4), uint8(3), uint64(4))
 	// One-digit Clos: the whole network is a single router.
-	f.Add(uint8(0), uint8(3), uint8(70), uint8(5), uint8(1), uint64(5), false)
-	f.Fuzz(func(t *testing.T, topoSel, size, loadPct, workers, pktLen uint8, seed uint64, gapMode bool) {
+	f.Add(uint8(0), uint8(3), uint8(70), uint8(5), uint8(1), uint64(5))
+	f.Fuzz(func(t *testing.T, topoSel, size, loadPct, workers, pktLen uint8, seed uint64) {
 		var topo network.Topology
 		var err error
 		vcs := 2 + 2*int(size%2)
@@ -46,10 +45,6 @@ func FuzzShardEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inj := traffic.InjPerCycle
-		if gapMode {
-			inj = traffic.InjGap
-		}
 		base := network.Options{
 			Topo:          topo,
 			Load:          float64(5+int(loadPct)%86) / 100,
@@ -57,7 +52,6 @@ func FuzzShardEquivalence(f *testing.F) {
 			WarmupCycles:  40,
 			MeasureCycles: 80,
 			Seed:          seed,
-			Injection:     inj,
 		}
 		p := 1 + int(workers)%8
 

@@ -8,7 +8,6 @@ import (
 
 	"highradix/internal/flit"
 	"highradix/internal/network"
-	"highradix/internal/traffic"
 )
 
 // stopAt is a hook that ends the run at cycle at, by an audit error or,
@@ -49,7 +48,7 @@ func TestShardWorkersExit(t *testing.T) {
 			}
 		}
 	}
-	o := baseOpts(testTopologies(t)["clos"], 1, traffic.InjPerCycle)
+	o := baseOpts(testTopologies(t)["clos"], 1)
 	if _, err := Run(Options{Options: o, Workers: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +88,7 @@ func TestShardWorkersExit(t *testing.T) {
 func TestShardOversubscribed(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for name, topo := range testTopologies(t) {
-		o := baseOpts(topo, 2, traffic.InjPerCycle)
+		o := baseOpts(topo, 2)
 		want, err := network.RunSerial(o)
 		if err != nil {
 			t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 
 	"highradix/internal/flit"
 	"highradix/internal/network"
-	"highradix/internal/traffic"
 )
 
 // event is one observable boundary event: an injection or delivery with
@@ -52,63 +51,60 @@ func testTopologies(t testing.TB) map[string]network.Topology {
 	return map[string]network.Topology{"clos": clos, "ring": ring, "torus": torus}
 }
 
-func baseOpts(topo network.Topology, seed uint64, inj traffic.InjMode) network.Options {
+func baseOpts(topo network.Topology, seed uint64) network.Options {
 	return network.Options{
 		Topo:          topo,
 		Load:          0.45,
 		WarmupCycles:  80,
 		MeasureCycles: 160,
 		Seed:          seed,
-		Injection:     inj,
 	}
 }
 
 // TestShardDeterminism is the equivalence battery of the sharded
-// runner: for every topology family, injection mode, and seed, the
-// sharded run at each worker count must reproduce the serial run's
-// Result byte-for-byte (unhooked path) and its full injection/delivery
-// event stream (hooked path).
+// runner: for every topology family and seed, the sharded run at each
+// worker count must reproduce the serial run's Result byte-for-byte
+// (unhooked path) and its full injection/delivery event stream (hooked
+// path). The subtests keep the name of the sources' discipline,
+// "percycle", the one a network run draws by.
 func TestShardDeterminism(t *testing.T) {
 	workers := []int{1, 2, 3, 7}
-	modes := map[string]traffic.InjMode{"percycle": traffic.InjPerCycle, "gap": traffic.InjGap}
 	for name, topo := range testTopologies(t) {
-		for modeName, mode := range modes {
-			for seed := uint64(1); seed <= 3; seed++ {
-				t.Run(fmt.Sprintf("%s/%s/seed%d", name, modeName, seed), func(t *testing.T) {
-					base := baseOpts(topo, seed, mode)
-					want, err := network.RunSerial(base)
+		for seed := uint64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/percycle/seed%d", name, seed), func(t *testing.T) {
+				base := baseOpts(topo, seed)
+				want, err := network.RunSerial(base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hookedBase := base
+				wantRec := &recorder{}
+				hookedBase.Hooks = wantRec
+				wantHooked, err := network.RunSerial(hookedBase)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range workers {
+					got, err := Run(Options{Options: base, Workers: p})
 					if err != nil {
 						t.Fatal(err)
 					}
-					hookedBase := base
-					wantRec := &recorder{}
-					hookedBase.Hooks = wantRec
-					wantHooked, err := network.RunSerial(hookedBase)
+					if got != want {
+						t.Errorf("workers=%d result diverged:\n got %+v\nwant %+v", p, got, want)
+					}
+					gotRec := &recorder{}
+					ho := hookedBase
+					ho.Hooks = gotRec
+					gotHooked, err := Run(Options{Options: ho, Workers: p})
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, p := range workers {
-						got, err := Run(Options{Options: base, Workers: p})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got != want {
-							t.Errorf("workers=%d result diverged:\n got %+v\nwant %+v", p, got, want)
-						}
-						gotRec := &recorder{}
-						ho := hookedBase
-						ho.Hooks = gotRec
-						gotHooked, err := Run(Options{Options: ho, Workers: p})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if gotHooked != wantHooked {
-							t.Errorf("workers=%d hooked result diverged:\n got %+v\nwant %+v", p, gotHooked, wantHooked)
-						}
-						diffStreams(t, p, gotRec.events, wantRec.events)
+					if gotHooked != wantHooked {
+						t.Errorf("workers=%d hooked result diverged:\n got %+v\nwant %+v", p, gotHooked, wantHooked)
 					}
-				})
-			}
+					diffStreams(t, p, gotRec.events, wantRec.events)
+				}
+			})
 		}
 	}
 }
@@ -131,7 +127,7 @@ func diffStreams(t *testing.T, workers int, got, want []event) {
 func TestShardMultiFlit(t *testing.T) {
 	for name, topo := range testTopologies(t) {
 		t.Run(name, func(t *testing.T) {
-			base := baseOpts(topo, 7, traffic.InjPerCycle)
+			base := baseOpts(topo, 7)
 			base.PktLen = 3
 			base.Load = 0.5
 			want, err := network.RunSerial(base)
@@ -162,7 +158,7 @@ func TestRunRejectsBadLoads(t *testing.T) {
 		"negative measure":         func(o *network.Options) { o.MeasureCycles = -50 },
 		"negative drain":           func(o *network.Options) { o.DrainCycles = -1 },
 	} {
-		o := baseOpts(testTopologies(t)["clos"], 1, traffic.InjPerCycle)
+		o := baseOpts(testTopologies(t)["clos"], 1)
 		bad(&o)
 		if _, err := Run(Options{Options: o, Workers: 2}); err == nil {
 			t.Errorf("%s accepted", name)

@@ -71,7 +71,6 @@ type blOutput struct {
 	lg      arb.Arbiter
 	dual    *arb.Dual
 	vcPtr   []int // CVA per-output-VC rotating pointer over inputs
-	free    core.Serializer
 
 	// Request bitsets maintained incrementally as requests arrive and
 	// leave, so an arbitration round reads them directly instead of
@@ -104,13 +103,13 @@ type blOutput struct {
 // collapses).
 const reqTimeout = 8
 
-// blInput gathers all per-input request-line state into one small
-// struct so the SA1 scan touches one cache line per input instead of
-// five parallel arrays. Whether the request line is outstanding lives
-// in the input bank, which folds it into the issuable set.
+// blInput gathers the per-input request-line state into one small
+// struct, written when the input issues and read when its request
+// times out. Whether the request line is outstanding lives in the input
+// bank, which folds it into the issuable set, and the input port's
+// serializer is core.Base's InPort.
 type blInput struct {
 	issuedAt int64
-	freeAt   int64 // input-port serializer: busy until this cycle
 	reqOut   int32 // output targeted by the outstanding request
 	reqAt    int32 // index of the input's request in that output's pending slice
 }
@@ -124,9 +123,7 @@ type baseline struct {
 	cfg Config
 	core.Base
 
-	ins      []blInput
-	inputArb *arb.RotorBank // per input, over VCs
-
+	ins  []blInput
 	outs []blOutput // by value: one contiguous block, no per-output pointer chase
 
 	reqWire  sim.Calendar[blRequest]  // due reqWireDelay after issue
@@ -159,7 +156,6 @@ func newBaseline(cfg Config) *baseline {
 		cfg:         cfg,
 		Base:        core.MakeBase(core.Obs{O: cfg.Observer}, k, v, cfg.InputBufDepth, stStartDelay+cfg.STCycles-1),
 		ins:         make([]blInput, k),
-		inputArb:    arb.NewRotorBank(k, v),
 		outs:        make([]blOutput, k),
 		outPending:  arb.MakeBitVec(k),
 		anyReq:      arb.MakeBitVec(k),
@@ -251,7 +247,7 @@ func (r *baseline) processResponses(now int64, due []blResponse) {
 		// Traversal occupies cycles now+stStartDelay .. now+stStartDelay+ST-1;
 		// the flit ejects on the final traversal cycle (the ejection
 		// pipe's fixed delay).
-		r.ins[in].freeAt = now + stStartDelay + int64(r.cfg.STCycles)
+		r.InPort.Reserve(in, now+stStartDelay, r.cfg.STCycles)
 		r.Out.Push(now, f.Dst, f)
 	}
 }
@@ -284,10 +280,10 @@ func (r *baseline) deliverRequests(due []blRequest) {
 // grant a doomed speculative request and waste the round — the loss
 // that Section 4.4's prioritized dual arbiter reduces.
 func (r *baseline) arbitrateOutputs(now int64) {
-	start := now + grantWireDelay + stStartDelay
+	start, outPort := now+grantWireDelay+stStartDelay, r.OutPort
 	for o := r.outPending.Next(0); o >= 0; o = r.outPending.Next(o + 1) {
 		ou := &r.outs[o]
-		if ou.free.FreeAt <= start {
+		if outPort.Free(o, start) {
 			r.arbitrateOne(now, o, ou, start)
 		}
 		if r.cfg.VA == CVA && ou.vcDirty {
@@ -371,7 +367,7 @@ func (r *baseline) arbitrateOne(now int64, o int, ou *blOutput, start int64) {
 			// the allocation round is wasted and the failure is only
 			// discovered after the grant has crossed back (Figure 7(c)),
 			// so the output cannot re-arbitrate until then.
-			ou.free.FreeAt = now + grantWireDelay + stStartDelay
+			r.OutPort.Reserve(o, now+grantWireDelay+stStartDelay, 0)
 			r.removePending(ou, int(r.ins[winner].reqAt))
 			r.Obs.Emit(now, EvNack, nil, int(req.input), o, int(req.outVC), "ova-busy")
 			r.pushResp(now, blResponse{input: req.input, vc: req.vc, grant: false})
@@ -393,7 +389,7 @@ func (r *baseline) arbitrateOne(now int64, o int, ou *blOutput, start int64) {
 		}
 	}
 	r.removePending(ou, int(r.ins[winner].reqAt))
-	ou.free.FreeAt = start + int64(r.cfg.STCycles)
+	r.OutPort.Reserve(o, start, r.cfg.STCycles)
 	r.Obs.Emit(now, EvGrant, nil, int(req.input), o, int(req.outVC), "switch")
 	r.pushResp(now, blResponse{input: req.input, vc: req.vc, grant: true, outVC: req.outVC})
 }
@@ -424,7 +420,7 @@ func (r *baseline) removePending(ou *blOutput, idx int) {
 // its port will be free by the time a grant could start traversal.
 func (r *baseline) issueRequests(now int64) {
 	v := r.cfg.VCs
-	horizon := now + reqWireDelay + grantWireDelay + stStartDelay
+	horizon, inPort, inVC := now+reqWireDelay+grantWireDelay+stStartDelay, r.InPort, r.InVC
 	// Withdraw requests stuck at congested outputs so the input arbiter
 	// can serve another VC (the per-cycle re-selection real request
 	// wires get for free). The due bucket holds the inputs that issued
@@ -451,8 +447,7 @@ func (r *baseline) issueRequests(now int64) {
 		}
 	})
 	for i := r.In.NextIssuable(0); i >= 0; i = r.In.NextIssuable(i + 1) {
-		st := &r.ins[i]
-		if st.freeAt > horizon {
+		if !inPort.Free(i, horizon) {
 			continue
 		}
 		var w uint64
@@ -465,7 +460,7 @@ func (r *baseline) issueRequests(now int64) {
 		if w == 0 {
 			continue
 		}
-		c := r.inputArb.Arbitrate(i, w)
+		c := inVC.Arbitrate(i, w)
 		fm := &fronts[c]
 		breq := blRequest{input: int32(i), vc: int32(c), out: fm.Dst, pkt: fm.Pkt}
 		if fm.Head && fm.OutVC < 0 {
@@ -482,6 +477,7 @@ func (r *baseline) issueRequests(now int64) {
 			breq.outVC = int32(fm.OutVC)
 		}
 		r.In.MarkOutstanding(i)
+		st := &r.ins[i]
 		st.issuedAt = now
 		st.reqOut = breq.out
 		r.withdrawAt.Schedule(now+reqTimeout, int32(i))

@@ -74,9 +74,8 @@ type columnStage struct {
 	act     core.ActiveSet
 	flits   int
 
-	vcArb   *arb.RotorBank // [x] over VCs; nil for a shared FIFO, whose front is the one candidate
-	outArb  []arb.Arbiter  // [o] over rows
-	outFree core.SerializerBank
+	vcArb  *arb.RotorBank // [x] over VCs; nil for a shared FIFO, whose front is the one candidate
+	outArb []arb.Arbiter  // [o] over rows
 
 	cand   *arb.BitVec // sized rows: rows offering a VC to this output
 	candVC []int       // [row]: the VC each offers
@@ -103,7 +102,6 @@ func makeColumnStage(cfg *Config, base *core.Base, rows, slots, depth int, ledge
 		rowBits: arb.MakeBitVecs(k, rows),
 		act:     core.MakeActiveSet(k),
 		outArb:  make([]arb.Arbiter, k),
-		outFree: core.NewSerializerBank(k),
 		cand:    arb.NewBitVec(rows),
 		candVC:  make([]int, rows),
 	}
@@ -129,10 +127,12 @@ func (s *columnStage) land(row int, f *flit.Flit) {
 	s.flits++
 }
 
-// step drains at most one flit per free output into its serializer.
+// step drains at most one flit per free output into its serializer
+// (core.Base.OutPort).
 func (s *columnStage) step(now int64) {
+	outPort := s.base.OutPort
 	for o := s.act.Next(0); o >= 0; o = s.act.Next(o + 1) {
-		if !s.outFree.Free(o, now) {
+		if !outPort.Free(o, now) {
 			continue
 		}
 		s.cand.Reset()
@@ -164,7 +164,7 @@ func (s *columnStage) step(now int64) {
 			s.base.Owner.Acquire(o, c, f.PacketID)
 		}
 		s.base.Obs.Emit(now, EvGrant, f, f.Src, o, c, s.note)
-		s.outFree.Reserve(o, now, s.st)
+		outPort.Reserve(o, now, s.st)
 		s.base.Out.Push(now, o, f)
 		if s.granted != nil {
 			s.granted(now, row, o, f)
@@ -238,10 +238,11 @@ func (s *columnStage) returnCredit(now int64, row, o, c int) {
 }
 
 // rowStage is the input side of the same crossbars: each free input
-// forwards at most one flit onto its row wire, towards the buffer of the
-// flit's column, subject to that buffer's credits. The input's VC round
-// robin is the only allocation — a flit that leaves the input never
-// re-arbitrates there, the decoupling that removes head-of-line blocking.
+// (core.Base.InPort) forwards at most one flit onto its row wire, towards
+// the buffer of the flit's column, subject to that buffer's credits. The
+// input's VC round robin (core.Base.InVC) is the only allocation — a
+// flit that leaves the input never re-arbitrates there, the decoupling
+// that removes head-of-line blocking.
 // Output o's column colOf[o] is o itself in the buffered crossbars and
 // o's column group in the hierarchical one; VC c of buffer (input,
 // column) is credit pool (input*cols + column)*slots + slot(c).
@@ -258,8 +259,6 @@ type rowStage struct {
 	colOf    []int32
 	cols     int
 	credit   *core.Ledger
-	free     core.SerializerBank       // [input]
-	vcArb    *arb.RotorBank            // [input] over VCs
 	wire     *sim.Calendar[*flit.Flit] // the row wires, STCycles long
 	retain   bool
 	awaiting []uint64 // [input] bit c: sent and retained
@@ -279,8 +278,6 @@ func makeRowStage(cfg *Config, base *core.Base, colOf []int32, cols, slots int, 
 		colOf:    colOf,
 		cols:     cols,
 		credit:   credit,
-		free:     core.NewSerializerBank(k),
-		vcArb:    arb.NewRotorBank(k, cfg.VCs),
 		wire:     sim.NewCalendar[*flit.Flit](cfg.STCycles, k),
 		awaiting: make([]uint64, k),
 	}
@@ -293,9 +290,9 @@ func (s *rowStage) step(now int64) {
 	in := &s.base.In
 	// The VC scan is the stage's inner loop: its loop invariants are
 	// read once.
-	credit, colOf, slots, vcBits := s.credit, s.colOf, s.slots, s.vcBits
+	credit, colOf, slots, vcBits, inPort, inVC := s.credit, s.colOf, s.slots, s.vcBits, s.base.InPort, s.base.InVC
 	for i := in.NextOccupied(0); i >= 0; i = in.NextOccupied(i + 1) {
-		if !s.free.Free(i, now) {
+		if !inPort.Free(i, now) {
 			continue
 		}
 		var req uint64
@@ -310,7 +307,7 @@ func (s *rowStage) step(now int64) {
 		if req == 0 {
 			continue
 		}
-		c := s.vcArb.Arbitrate(i, req)
+		c := inVC.Arbitrate(i, req)
 		f := in.Peek(i, c)
 		if s.retain {
 			s.awaiting[i] |= 1 << uint(c)
@@ -319,7 +316,7 @@ func (s *rowStage) step(now int64) {
 		}
 		col := int(s.colOf[f.Dst])
 		s.credit.Spend(now, s.pool(i, col, c), i, col, c&s.vcBits)
-		s.free.Reserve(i, now, s.st)
+		inPort.Reserve(i, now, s.st)
 		s.base.Obs.Emit(now, EvGrant, f, i, f.Dst, c, s.note)
 		s.wire.Schedule(now+int64(s.st), f)
 	}

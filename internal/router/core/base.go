@@ -1,20 +1,30 @@
 package core
 
-import "highradix/internal/flit"
+import (
+	"highradix/internal/arb"
+	"highradix/internal/flit"
+)
 
 // Base is the datapath every architecture composes: the input-buffer
-// bank, the ejection pipe, and the global output-VC owner table, wired
-// to one observer hook. Embedding Base gives a router the injection
-// side of the router.Router contract (CanAccept, Accept, Ejected, the
-// default InFlight and Storage) for free; architectures holding
-// intermediate buffers override InFlight to add their own running
-// counters, and every Step begins with BeginCycle to drain the ejection
-// pipe.
+// bank, the ejection pipe, the global output-VC owner table and the
+// switch ports, wired to one observer hook. Embedding Base gives a
+// router the injection side of the router.Router contract (CanAccept,
+// Accept, Ejected, the default InFlight and Storage) for free;
+// architectures holding intermediate buffers override InFlight to add
+// their own running counters, and every Step begins with BeginCycle to
+// drain the ejection pipe.
 type Base struct {
 	Obs   Obs
 	In    InputBank
 	Out   EjectPipe
 	Owner VCOwnerTable
+
+	// The switch ports, one timing rule for every architecture: each
+	// input picks one of its VCs per cycle by round robin (Section 4.1),
+	// and each input and output port carries one flit every STCycles
+	// cycles.
+	InVC            *arb.RotorBank // [input] over VCs
+	InPort, OutPort SerializerBank // [input], [output]
 
 	storage int // flit slots of every bank made by MakeFIFOBank
 }
@@ -25,9 +35,12 @@ type Base struct {
 // copy at construction is safe.
 func MakeBase(obs Obs, ports, vcs, depth, ejectDelay int) Base {
 	b := Base{
-		Obs:   obs,
-		Out:   MakeEjectPipe(ejectDelay, ports),
-		Owner: MakeVCOwnerTable(ports, vcs),
+		Obs:     obs,
+		Out:     MakeEjectPipe(ejectDelay, ports),
+		Owner:   MakeVCOwnerTable(ports, vcs),
+		InVC:    arb.NewRotorBank(ports, vcs),
+		InPort:  NewSerializerBank(ports),
+		OutPort: NewSerializerBank(ports),
 	}
 	b.In = makeInputBank(obs, b.MakeFIFOBank(ports*vcs, depth), ports, vcs)
 	return b

@@ -26,11 +26,12 @@
 //     router.Router.Ejected.
 //   - VCOwnerTable: per-packet output virtual-channel ownership
 //     (acquired by the head flit, released by the tail — Section 3).
-//   - Serializer / SerializerBank: ports carrying one flit every
-//     STCycles cycles.
+//   - SerializerBank: ports carrying one flit every STCycles cycles.
 //   - ActiveSet: occupancy-counted bitsets so per-cycle loops visit
 //     only indices holding work.
-//   - Base: the composition of bank + pipe + owner table providing the
+//   - Base: the composition of bank + pipe + owner table, with the
+//     switch ports every architecture shares (each input's VC round
+//     robin, the input and output serializers), providing the
 //     injection side (CanAccept/Accept), Ejected, InFlight and Storage
 //     shared by all architectures.
 //

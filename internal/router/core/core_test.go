@@ -10,23 +10,23 @@ import (
 )
 
 func TestSerializer(t *testing.T) {
-	var s core.Serializer
-	if !s.Free(0) {
-		t.Fatal("zero serializer not free")
+	b := core.NewSerializerBank(3)
+	if !b.Free(0, 0) {
+		t.Fatal("fresh serializer not free")
 	}
-	s.Reserve(10, 4)
+	b.Reserve(1, 10, 4)
 	for now := int64(10); now < 14; now++ {
-		if s.Free(now) {
+		if b.Free(1, now) {
 			t.Fatalf("free at %d inside reservation", now)
 		}
 	}
-	if !s.Free(14) {
-		t.Fatal("not free after reservation")
-	}
-	b := core.NewSerializerBank(3)
-	b.Reserve(1, 0, 2)
-	if b.Free(1, 1) || !b.Free(0, 1) || !b.Free(1, 2) {
+	if !b.Free(1, 14) || !b.Free(0, 10) || !b.Free(2, 10) {
 		t.Fatal("bank reservation wrong")
+	}
+	// A zero-length reservation holds the port until its start cycle.
+	b.Reserve(2, 20, 0)
+	if b.Free(2, 19) || !b.Free(2, 20) {
+		t.Fatal("zero-length reservation wrong")
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 // router (Section 3), factored out so allocation-policy variants that
 // keep the paper's reference switch allocation but change the buffer
 // organization — the dynamic-VC family — compose it instead of copying
-// it. It owns the serializers, the rotating arbiters and all per-cycle
-// scratch; the embedding router supplies its Config and core.Base and,
+// it. It owns the output and VC arbiters and all per-cycle scratch; the
+// embedding router supplies its Config and core.Base (whose switch ports,
+// the input VC round robins and the port serializers, it drives) and,
 // optionally, an onPop hook observing every flit the allocator removes
 // from an input buffer (before its VC field is rewritten to the output
 // VC), which is where a shared-pool credit ledger returns its credit.
@@ -31,12 +32,9 @@ type sepAlloc struct {
 	base  *core.Base
 	onPop func(now int64, input, vc int, f *flit.Flit)
 
-	inFree   core.SerializerBank
-	outFree  core.SerializerBank
-	inputArb *arb.RotorBank   // per input, over VCs
-	outArb   []arb.RoundRobin // per output, over inputs
-	va       []vaKey          // per output VC (flat o*v+ov)
-	routed   []uint64         // per input: bit c raised iff Front(i, c).OutVC >= 0
+	outArb []arb.RoundRobin // per output, over inputs
+	va     []vaKey          // per output VC (flat o*v+ov)
+	routed []uint64         // per input: bit c raised iff Front(i, c).OutVC >= 0
 
 	// scratch
 	saReqVC      []int        // per input: requesting VC this iteration
@@ -65,9 +63,6 @@ func makeSepAlloc(cfg *Config, base *core.Base, onPop func(int64, int, int, *fli
 		cfg:          cfg,
 		base:         base,
 		onPop:        onPop,
-		inFree:       core.NewSerializerBank(k),
-		outFree:      core.NewSerializerBank(k),
-		inputArb:     arb.NewRotorBank(k, v),
 		outArb:       make([]arb.RoundRobin, k),
 		va:           make([]vaKey, k*v),
 		routed:       make([]uint64, k),
@@ -168,13 +163,13 @@ func (s *sepAlloc) grantVC(key int) {
 // enjoys and the distributed design cannot afford.
 func (s *sepAlloc) switchAllocate(now int64) {
 	st := s.cfg.STCycles
-	in := &s.base.In
+	in, inPort, outPort, inVC := &s.base.In, s.base.InPort, s.base.OutPort, s.base.InVC
 	for iter := 0; iter < s.cfg.AllocIters; iter++ {
 		anyReq := false
 		for wi, iw := range in.Occupied().Words() {
 			for ; iw != 0; iw &= iw - 1 {
 				i := wi<<6 | bits.TrailingZeros64(iw)
-				if s.inputMatched.Get(i) || !s.inFree.Free(i, now) {
+				if s.inputMatched.Get(i) || !inPort.Free(i, now) {
 					continue
 				}
 				var req uint64
@@ -188,7 +183,7 @@ func (s *sepAlloc) switchAllocate(now int64) {
 					// input-queued switches near 60%, Section 4.3). Later
 					// iterations only re-bid toward outputs that can still
 					// be granted, which is what the refinement is for.
-					if now <= fr.Inj || iter > 0 && !s.outFree.Free(int(fr.Dst), now) {
+					if now <= fr.Inj || iter > 0 && !outPort.Free(int(fr.Dst), now) {
 						continue
 					}
 					req |= 1 << uint(c)
@@ -196,7 +191,7 @@ func (s *sepAlloc) switchAllocate(now int64) {
 				if req == 0 {
 					continue
 				}
-				c := s.inputArb.Arbitrate(i, req)
+				c := inVC.Arbitrate(i, req)
 				s.saReqVC[i] = c
 				o := int(fronts[c].Dst)
 				s.outReqs[o].Set(i)
@@ -209,7 +204,7 @@ func (s *sepAlloc) switchAllocate(now int64) {
 		}
 		for o := s.outActive.Next(0); o >= 0; o = s.outActive.Next(o + 1) {
 			reqs := &s.outReqs[o]
-			if s.outFree.Free(o, now) {
+			if outPort.Free(o, now) {
 				win := s.outArb[o].ArbitrateBits(reqs)
 				c := s.saReqVC[win]
 				fr := in.Front(win, c)
@@ -224,8 +219,8 @@ func (s *sepAlloc) switchAllocate(now int64) {
 				}
 				// Traversal occupies cycles now+1 .. now+STCycles; the flit
 				// ejects on the final traversal cycle.
-				s.inFree.Reserve(win, now, st)
-				s.outFree.Reserve(o, now, st)
+				inPort.Reserve(win, now, st)
+				outPort.Reserve(o, now, st)
 				s.base.Obs.Emit(now, EvGrant, f, win, o, f.VC, "switch")
 				s.base.Out.Push(now, o, f)
 				s.inputMatched.Set(win)

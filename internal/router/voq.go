@@ -49,12 +49,9 @@ type voq struct {
 	voq    core.VOQBank
 	credit core.Ledger // VOQ pools flat [input*k+output]
 	sched  *arb.ISLIP
-	inMove *arb.RotorBank // per input, over VCs: input buffer -> VOQ move
 	vcPick *arb.RotorBank // per output, over VCs: output VC allocation
 
-	inFree  core.SerializerBank
-	outFree core.SerializerBank
-	// inBusy/outBusy mirror "serializer not free at now" as bitsets so
+	// inBusy/outBusy mirror "InPort/OutPort not free at now" as bitsets so
 	// the scheduler's request columns are built with word arithmetic.
 	// They are reconciled lazily from the serializer timestamps at the
 	// start of each Step — never by per-cycle expiry — so they stay
@@ -75,10 +72,7 @@ func newVOQ(cfg Config) *voq {
 		cfg:     cfg,
 		Base:    core.MakeBase(core.Obs{O: cfg.Observer}, k, v, cfg.InputBufDepth, cfg.STCycles),
 		sched:   arb.NewISLIP(k),
-		inMove:  arb.NewRotorBank(k, v),
 		vcPick:  arb.NewRotorBank(k, v),
-		inFree:  core.NewSerializerBank(k),
-		outFree: core.NewSerializerBank(k),
 		inBusy:  arb.MakeBitVec(k),
 		outBusy: arb.MakeBitVec(k),
 		reqCols: make([]arb.BitVec, k),
@@ -122,13 +116,14 @@ func (r *voq) Step(now int64) {
 // expired. O(set bits), and exact across skipped cycles because the
 // serializer timestamps are absolute.
 func (r *voq) reconcile(now int64) {
+	inPort, outPort := r.InPort, r.OutPort
 	for i := r.inBusy.Next(0); i >= 0; i = r.inBusy.Next(i + 1) {
-		if r.inFree.Free(i, now) {
+		if inPort.Free(i, now) {
 			r.inBusy.Clear(i)
 		}
 	}
 	for o := r.outBusy.Next(0); o >= 0; o = r.outBusy.Next(o + 1) {
-		if r.outFree.Free(o, now) {
+		if outPort.Free(o, now) {
 			r.outBusy.Clear(o)
 		}
 	}
@@ -183,8 +178,8 @@ func (r *voq) accept(i, o int) {
 	// (input, output, vc) label its spend used — before rewriting VC.
 	r.credit.Return(now, i*r.cfg.Radix+o, i, o, f.VC)
 	f.VC = ov
-	r.inFree.Reserve(i, now, st)
-	r.outFree.Reserve(o, now, st)
+	r.InPort.Reserve(i, now, st)
+	r.OutPort.Reserve(o, now, st)
 	r.inBusy.Set(i)
 	r.outBusy.Set(o)
 	r.Obs.Emit(now, EvGrant, f, i, o, f.VC, "switch")
@@ -192,12 +187,12 @@ func (r *voq) accept(i, o int) {
 }
 
 // inputMove advances at most one flit per input from its VC buffers
-// into the VOQ for its output — the VOQ write port. A VC is eligible
-// when its front flit has sat a cycle, the target VOQ has a credit, and
-// the VOQ's source-VC lock admits it (free for head flits, held by this
-// VC mid-packet).
+// into the VOQ for its output — the VOQ write port — picked by the
+// input's VC round robin (InVC). A VC is eligible when its front flit
+// has sat a cycle, the target VOQ has a credit, and the VOQ's source-VC
+// lock admits it (free for head flits, held by this VC mid-packet).
 func (r *voq) inputMove(now int64) {
-	k, v := r.cfg.Radix, r.cfg.VCs
+	k, v, inVC := r.cfg.Radix, r.cfg.VCs, r.InVC
 	for i := r.In.NextOccupied(0); i >= 0; i = r.In.NextOccupied(i + 1) {
 		fronts := r.In.Fronts(i)
 		var elig uint64
@@ -218,7 +213,7 @@ func (r *voq) inputMove(now int64) {
 		if elig == 0 {
 			continue
 		}
-		c := r.inMove.Arbitrate(i, elig)
+		c := inVC.Arbitrate(i, elig)
 		o := int(fronts[c].Dst)
 		f := r.In.Pop(i, c)
 		r.credit.Spend(now, i*k+o, i, o, f.VC)

@@ -34,10 +34,11 @@ const NoWake = int64(1) << 62
 // that cycle's bucket; the next NextAt finds it again with one scan from
 // base, and the calls after that reuse it.
 type Calendar[T any] struct {
-	buckets [][]T
-	mask    int64
-	base    int64 // every cycle < base has been drained
-	count   int
+	buckets  [][]T
+	mask     int64
+	base     int64 // every cycle < base has been drained
+	count    int
+	perCycle int // capacity of a fresh bucket
 	// next is the earliest pending cycle (NoWake when none) unless stale:
 	// PopDue has drained it, and the earliest lies somewhere at or past
 	// base.
@@ -47,19 +48,27 @@ type Calendar[T any] struct {
 
 // NewCalendar returns a calendar able to hold events up to span cycles
 // in the future without growing its ring, and perCycle events in each
-// cycle without growing a bucket.
+// cycle without growing a bucket — also in the buckets a grown ring
+// adds.
 func NewCalendar[T any](span, perCycle int) *Calendar[T] {
 	size := 2
 	for size <= span {
 		size <<= 1
 	}
-	c := &Calendar[T]{buckets: make([][]T, size), mask: int64(size) - 1, next: NoWake}
-	if perCycle > 0 {
-		for i := range c.buckets {
-			c.buckets[i] = make([]T, 0, perCycle)
+	c := &Calendar[T]{buckets: make([][]T, size), mask: int64(size) - 1, perCycle: perCycle, next: NoWake}
+	c.fill()
+	return c
+}
+
+// fill gives every bucket without storage the capacity of perCycle
+// events (none when perCycle is 0: a zero-capacity slice allocates
+// nothing).
+func (c *Calendar[T]) fill() {
+	for i, b := range c.buckets {
+		if b == nil {
+			c.buckets[i] = make([]T, 0, c.perCycle)
 		}
 	}
-	return c
 }
 
 // Len returns the number of pending events.
@@ -94,7 +103,8 @@ func (c *Calendar[T]) Schedule(at int64, v T) {
 
 // grow doubles the ring and rehomes each pending bucket whole: bucket i
 // of the old ring holds the one cycle of [base, base+len) congruent to
-// i, so per-cycle insertion order survives the move.
+// i, so per-cycle insertion order survives the move. The buckets the
+// ring gains get the capacity NewCalendar gives its own.
 func (c *Calendar[T]) grow() {
 	old, oldMask := c.buckets, c.mask
 	c.buckets = make([][]T, 2*len(old))
@@ -103,6 +113,7 @@ func (c *Calendar[T]) grow() {
 		at := c.base + (int64(i)-c.base)&oldMask
 		c.buckets[at&c.mask] = bkt
 	}
+	c.fill()
 }
 
 // NextAt returns the earliest pending cycle, or NoWake when there is

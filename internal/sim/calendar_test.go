@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -145,6 +146,42 @@ func TestCalendarIdleGap(t *testing.T) {
 	}
 	if got := drain(c, skip+8); !slices.Equal(got, []int{3, 4}) {
 		t.Fatalf("PopDue(%d) = %v, want [3 4]", skip+8, got)
+	}
+}
+
+// TestCalendarGrowsWithCapacity: a calendar whose span was declared too
+// short grows its ring, and the buckets it gains hold perCycle events as
+// its own do. So once the ring has stopped growing, a steady
+// schedule+drain cycle allocates nothing, from the first lap over the
+// grown ring on, not only once every new bucket has been used. The lap
+// is counted by hand: testing.AllocsPerRun's warm-up would spend it.
+func TestCalendarGrowsWithCapacity(t *testing.T) {
+	const perCycle, ahead = 8, 24
+	c := NewCalendar[int32](4, perCycle) // but every event goes 24 cycles ahead
+	var now int64
+	cycle := func() {
+		c.PopDue(now, func([]int32) {})
+		for i := range perCycle {
+			c.Schedule(now+ahead, int32(i))
+		}
+		now++
+	}
+	for c.Buckets() <= ahead {
+		cycle()
+	}
+	size := c.Buckets()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 2 * size {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if c.Buckets() != size {
+		t.Fatalf("ring grew again, from %d to %d buckets", size, c.Buckets())
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("%d heap allocations in the %d cycles after the ring grew to %d buckets, want 0", n, 2*size, size)
 	}
 }
 

@@ -48,14 +48,10 @@ func (w *Wheel) Schedule(at int64, id int32) {
 	// pending is in the way, and clamps an event before the window to its
 	// start. A ring longer than at-cursor keeps the window from passing
 	// the cursor, so a later event for an earlier cycle still lands on
-	// its own. Buckets the ring grows by start empty: give one the
-	// capacity NewCalendar gives its own when it is first used.
+	// its own.
 	c := w.cal
 	for at-w.cursor >= int64(len(c.buckets)) {
 		c.grow()
-	}
-	if b := at & c.mask; c.buckets[b] == nil {
-		c.buckets[b] = make([]int32, 0, wheelPerCycle)
 	}
 	c.Schedule(at, id)
 }
