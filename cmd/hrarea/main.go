@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"highradix/internal/analytic"
@@ -45,6 +46,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "hrarea:", err)
 		return 2
+	}
+	// The analytic modes take logarithms and quotients of their inputs,
+	// so each must be finite and > 0, and -nodes >= 2; anything else
+	// would print -Inf, NaN or a negative latency.
+	inputs := map[string][]string{"optimal": {"bandwidth", "tr", "nodes", "packet"}, "power": {"bandwidth", "nodes"}}
+	for _, name := range inputs[*mode] {
+		v := flags.Lookup(name).Value.(flag.Getter).Get().(float64)
+		ok, want := v > 0, "a finite number > 0"
+		if name == "nodes" {
+			ok, want = v >= 2, "a finite network size >= 2"
+		}
+		if !ok || math.IsInf(v, 1) {
+			return fail(fmt.Errorf("-%s %g: want %s", name, v, want))
+		}
 	}
 
 	switch *mode {

@@ -29,6 +29,42 @@ func TestAreaRejectsUnbuildableRouter(t *testing.T) {
 	}
 }
 
+// The analytic modes refuse inputs outside their models' domain, which
+// used to print -Inf, NaN or negative latencies and exit 0.
+func TestModelsRejectOutOfDomainInputs(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-mode", "optimal", "-nodes", "0"}, "-nodes"}, // A = -Inf, cost NaN
+		{[]string{"-mode", "optimal", "-nodes", "1"}, "-nodes"},
+		{[]string{"-mode", "optimal", "-nodes", "Inf"}, "-nodes"},
+		{[]string{"-mode", "optimal", "-bandwidth", "-1"}, "-bandwidth"}, // latency -1.0e12 ns
+		{[]string{"-mode", "optimal", "-tr", "0"}, "-tr"},
+		{[]string{"-mode", "optimal", "-tr", "NaN"}, "-tr"},
+		{[]string{"-mode", "optimal", "-packet", "0"}, "-packet"}, // A = +Inf
+		{[]string{"-mode", "power", "-nodes", "0"}, "-nodes"},     // NaN routers and watts
+		{[]string{"-mode", "power", "-bandwidth", "0"}, "-bandwidth"},
+		{[]string{"-mode", "power", "-bandwidth", "+Inf"}, "-bandwidth"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(tc.args, &stdout, &stderr)
+		if code != 2 || !strings.Contains(stderr.String(), tc.flag) || stdout.Len() != 0 {
+			t.Errorf("%v: exit %d, stderr %q, stdout %q; want exit 2 naming %s and no figures",
+				tc.args, code, stderr.String(), stdout.String(), tc.flag)
+		}
+	}
+	for _, args := range [][]string{
+		{"-mode", "optimal", "-nodes", "2"},
+		{"-mode", "power", "-nodes", "2"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 || stderr.Len() != 0 || strings.Contains(stdout.String(), "NaN") {
+			t.Errorf("%v: exit %d, stderr %q, stdout %q", args, code, stderr.String(), stdout.String())
+		}
+	}
+}
+
 func TestAreaBuildableRouter(t *testing.T) {
 	for _, args := range [][]string{
 		{"-radix", "64", "-subsize", "8"},

@@ -57,6 +57,16 @@ var guardSteps = []struct {
 		pattern: `MakeFIFOBank|core\.(MakeLedger|MakeCreditBus)|arb\.NewOutputArbiter`,
 		msg:     "sharedxp builds a second crosspoint grid beside the buffered crossbar it embeds (see DESIGN.md, Router memory layout)",
 	}}},
+	{"One buffer grid", []guard{{
+		roots:   []string{"internal"},
+		tests:   true,
+		pattern: `\bVOQBank\b`,
+		msg:     "a VOQ bank beside column.go's grid, which stores the VOQ router's queues (see DESIGN.md, Router memory layout)",
+	}, {
+		roots:   []string{"internal/router/voq.go"},
+		pattern: `MakeFIFOBank|core\.MakeLedger|MakeVOQBank`,
+		msg:     "voq builds its own queues or ledger beside the grid it reads (see DESIGN.md, Router memory layout)",
+	}}},
 	{"One storage type", []guard{{
 		roots:   []string{"internal/router"},
 		except:  []string{"internal/router/core/fifo.go"},

@@ -102,17 +102,6 @@ func (v *BitVec) CopyOr(a, b *BitVec) {
 	}
 }
 
-// AndNot clears every line of v that is raised in b. Both vectors must
-// have the same length.
-func (v *BitVec) AndNot(b *BitVec) {
-	if b.n != v.n {
-		panic("arb: bit vector size mismatch")
-	}
-	for i := range v.words {
-		v.words[i] &^= b.words[i]
-	}
-}
-
 // CopyAndNot sets v to the difference a &^ b. All three vectors must
 // have the same length.
 func (v *BitVec) CopyAndNot(a, b *BitVec) {

@@ -18,40 +18,32 @@ import (
 // with one FIFO per crosspoint instead of one per VC, plus retention at
 // the input; the hierarchical crossbar is the buffered one with a
 // subswitch in between: its rows feed subswitch inputs, and its column
-// buffers are subswitch outputs.
+// buffers are subswitch outputs. The column stage's buffers are a grid,
+// and the grid has a fourth user: the VOQ router (voq.go), whose
+// virtual output queues are the same k x k buffers of one shared FIFO,
+// drained by its iSLIP scheduler instead of a column allocator.
 //
 // A buffer holds slots FIFOs: v, one per VC, or 1 when all VCs share
 // one. VC c's FIFO is slot(c) = c & vcBits, with vcBits = -min(slots-1,
 // 1): -1 in the first case and 0 in the second — a mask, not a run-time
 // modulus, on the hot path.
 
-// columnStage is rows x k buffers in front of the k outputs and the
-// column allocation that drains them. Buffer (row, o) is crosspoint
-// (row, o) of the buffered crossbars (rows = k), and in the hierarchical
-// crossbar (rows = k/p) the output feeding o of the subswitch in row
-// group row — local port s*p + j, which is row*k + o. Either way the
-// buffer sits at grid index x = row*k + o, and VC c's FIFO at
+// grid is rows x k buffers of slots FIFOs each, with their credits and
+// the occupancy mirrors an allocator reads: the storage half of the
+// column stage. Buffer (row, o) is crosspoint (row, o) of the buffered
+// crossbars (rows = k), and in the hierarchical crossbar (rows = k/p)
+// the output feeding o of the subswitch in row group row — local port
+// s*p + j, which is row*k + o. In the VOQ router (rows = k, slots = 1)
+// it is the virtual output queue of input row towards output o. Either
+// way the buffer sits at grid index x = row*k + o, and VC c's FIFO at
 // x*slots + slot(c) of both the FIFO bank and the credit ledger.
-//
-// Output VC allocation takes two stages: a v-to-1 round robin per buffer
-// over its eligible VCs, then a local-global arbiter per output over the
-// rows offering one. A VC is eligible when its front flit is a body flit
-// or a head flit whose output VC is free. A body flit at a front is
-// always owned by its packet: it entered its FIFO behind its head, and
-// a shared FIFO takes a body only after its head was granted.
-type columnStage struct {
-	k, st  int // radix, STCycles
+type grid struct {
+	k      int // radix
 	slots  int // FIFOs per buffer: v, or 1 when the VCs share one
 	vcBits int // slot(c) = c & vcBits
-	base   *core.Base
-	note   string // Note of the grant events
 
-	buf    core.FIFOBank   // [x*slots + slot(c)]
-	credit core.Ledger     // pools [x*slots + slot(c)], events labelled (row, o, slot(c))
-	bus    *core.CreditBus // carries freed slots' credits home; nil returns them at once
-	// granted, when set, hears of every grant once its flit has left the
-	// buffer and before its credit is freed.
-	granted func(now int64, row, o int, f *flit.Flit)
+	buf    core.FIFOBank // [x*slots + slot(c)]
+	credit core.Ledger   // pools [x*slots + slot(c)]
 
 	// The mask mirrors each buffer's FIFO fronts in two words of one bit
 	// per VC, read by fronts and written by refront: occ bit c is raised while a FIFO of the buffer has
@@ -68,11 +60,117 @@ type columnStage struct {
 	wide bool
 	// rowBits[o] marks the rows whose buffer for o holds flits, raised and
 	// lowered as occ leaves and returns to zero. act weights every output
-	// by its buffered flits and flits counts them all, so the scan visits
+	// by its buffered flits and flits counts them all, so a scan visits
 	// only occupied buffers and InFlight never walks the grid.
 	rowBits []arb.BitVec
 	act     core.ActiveSet
 	flits   int
+}
+
+// makeGrid returns rows x cfg.Radix buffers of slots FIFOs of depth
+// flits, made through base and their ledger audited under ledgerNote,
+// by value for embedding.
+func makeGrid(cfg *Config, base *core.Base, rows, slots, depth int, ledgerNote string) grid {
+	k, v := cfg.Radix, cfg.VCs
+	return grid{
+		k:       k,
+		slots:   slots,
+		vcBits:  -min(slots-1, 1),
+		buf:     base.MakeFIFOBank(rows*k*slots, depth),
+		credit:  core.MakeLedger(base.Obs, ledgerNote, rows*k*slots, depth),
+		mask:    make([]uint64, rows*k*((v+31)/32)),
+		wide:    v > 32,
+		rowBits: arb.MakeBitVecs(k, rows),
+		act:     core.MakeActiveSet(k),
+	}
+}
+
+// land pushes f into buffer (row, f.Dst), mirroring it in the masks when
+// it becomes its queue's front.
+func (g *grid) land(row int, f *flit.Flit) {
+	o := f.Dst
+	x := row*g.k + o
+	if g.buf.Push(x*g.slots+f.VC&g.vcBits, f) == 1 {
+		g.rowBits[o].Set(row)
+		g.refront(x, f.VC, f)
+	}
+	g.act.Inc(o)
+	g.flits++
+}
+
+// fronts returns buffer x's occ and head words.
+func (g *grid) fronts(x int) (occ, head uint64) {
+	if g.wide {
+		return g.mask[2*x], g.mask[2*x+1]
+	}
+	return g.mask[x] & (1<<32 - 1), g.mask[x] >> 32
+}
+
+// refront moves buffer x's words from the front flit on VC c to f, the
+// front that replaces it (nil for none), and reports whether the buffer
+// is left empty. A landing into an empty FIFO passes f's own VC, whose
+// bits are clear. A shared FIFO's words are its one front's, so they are
+// stored without reading the k^2-sized slab.
+func (g *grid) refront(x, c int, f *flit.Flit) (empty bool) {
+	var occ, head uint64
+	if g.vcBits != 0 {
+		occ, head = g.fronts(x)
+		occ &^= 1 << uint(c)
+		head &^= 1 << uint(c)
+	}
+	if f != nil {
+		occ |= 1 << uint(f.VC)
+		if f.Head {
+			head |= 1 << uint(f.VC)
+		}
+	}
+	if g.wide {
+		g.mask[2*x], g.mask[2*x+1] = occ, head
+	} else {
+		g.mask[x] = occ | head<<32
+	}
+	return occ == 0
+}
+
+// pop removes the front flit of VC c's FIFO in buffer (row, o), moving
+// the masks to the flit behind it.
+func (g *grid) pop(row, o, c int) *flit.Flit {
+	x := row*g.k + o
+	f, nf := g.buf.Pop(x*g.slots + c&g.vcBits)
+	if g.refront(x, c, nf) {
+		g.rowBits[o].Clear(row)
+	}
+	g.act.Dec(o)
+	g.flits--
+	return f
+}
+
+// returnCredit gives VC c's FIFO of buffer (row, o) back the credit of a
+// freed slot, labelled (row, o, slot(c)).
+func (g *grid) returnCredit(now int64, row, o, c int) {
+	slot := c & g.vcBits
+	g.credit.Return(now, (row*g.k+o)*g.slots+slot, row, o, slot)
+}
+
+// columnStage is the column allocation that drains a grid into the k
+// outputs.
+//
+// Output VC allocation takes two stages: a v-to-1 round robin per buffer
+// over its eligible VCs, then a local-global arbiter per output over the
+// rows offering one. A VC is eligible when its front flit is a body flit
+// or a head flit whose output VC is free. A body flit at a front is
+// always owned by its packet: it entered its FIFO behind its head, and
+// a shared FIFO takes a body only after its head was granted.
+type columnStage struct {
+	grid
+	st   int // STCycles
+	base *core.Base
+	note string // Note of the grant events
+
+	bus *core.CreditBus // carries freed slots' credits home; nil returns them at once
+	// granted, when set, hears of every grant once its flit has left the
+	// buffer and before its credit is freed.
+	granted func(now int64, row, o int, f *flit.Flit)
 
 	vcArb  *arb.RotorBank // [x] over VCs; nil for a shared FIFO, whose front is the one candidate
 	outArb []arb.Arbiter  // [o] over rows
@@ -81,50 +179,29 @@ type columnStage struct {
 	candVC []int       // [row]: the VC each offers
 }
 
-// makeColumnStage returns the stage over rows x cfg.Radix buffers of
-// slots FIFOs of depth flits, its ledger audited under ledgerNote and
-// its grants emitted under grantNote, by value for embedding. base must
-// outlive the stage. Credits return at once unless the caller points
-// bus at a credit bus.
+// makeColumnStage returns the stage over a grid of rows x cfg.Radix
+// buffers of slots FIFOs of depth flits, its ledger audited under
+// ledgerNote and its grants emitted under grantNote, by value for
+// embedding. base must outlive the stage. Credits return at once unless
+// the caller points bus at a credit bus.
 func makeColumnStage(cfg *Config, base *core.Base, rows, slots, depth int, ledgerNote, grantNote string) columnStage {
-	k, v := cfg.Radix, cfg.VCs
+	k := cfg.Radix
 	s := columnStage{
-		k:       k,
-		st:      cfg.STCycles,
-		slots:   slots,
-		vcBits:  -min(slots-1, 1),
-		base:    base,
-		note:    grantNote,
-		buf:     base.MakeFIFOBank(rows*k*slots, depth),
-		credit:  core.MakeLedger(base.Obs, ledgerNote, rows*k*slots, depth),
-		mask:    make([]uint64, rows*k*((v+31)/32)),
-		wide:    v > 32,
-		rowBits: arb.MakeBitVecs(k, rows),
-		act:     core.MakeActiveSet(k),
-		outArb:  make([]arb.Arbiter, k),
-		cand:    arb.NewBitVec(rows),
-		candVC:  make([]int, rows),
+		grid:   makeGrid(cfg, base, rows, slots, depth, ledgerNote),
+		st:     cfg.STCycles,
+		base:   base,
+		note:   grantNote,
+		outArb: make([]arb.Arbiter, k),
+		cand:   arb.NewBitVec(rows),
+		candVC: make([]int, rows),
 	}
 	if slots > 1 {
-		s.vcArb = arb.NewRotorBank(rows*k, v)
+		s.vcArb = arb.NewRotorBank(rows*k, cfg.VCs)
 	}
 	for o := range s.outArb {
 		s.outArb[o] = arb.NewOutputArbiter(rows, cfg.LocalGroup)
 	}
 	return s
-}
-
-// land pushes f into buffer (row, f.Dst), mirroring it in the masks when
-// it becomes its queue's front.
-func (s *columnStage) land(row int, f *flit.Flit) {
-	o := f.Dst
-	x := row*s.k + o
-	if s.buf.Push(x*s.slots+f.VC&s.vcBits, f) == 1 {
-		s.rowBits[o].Set(row)
-		s.refront(x, f.VC, f)
-	}
-	s.act.Inc(o)
-	s.flits++
 }
 
 // step drains at most one flit per free output into its serializer
@@ -173,53 +250,6 @@ func (s *columnStage) step(now int64) {
 	}
 }
 
-// fronts returns buffer x's occ and head words.
-func (s *columnStage) fronts(x int) (occ, head uint64) {
-	if s.wide {
-		return s.mask[2*x], s.mask[2*x+1]
-	}
-	return s.mask[x] & (1<<32 - 1), s.mask[x] >> 32
-}
-
-// refront moves buffer x's words from the front flit on VC c to f, the
-// front that replaces it (nil for none), and reports whether the buffer
-// is left empty. A landing into an empty FIFO passes f's own VC, whose
-// bits are clear. A shared FIFO's words are its one front's, so they are
-// stored without reading the k^2-sized slab.
-func (s *columnStage) refront(x, c int, f *flit.Flit) (empty bool) {
-	var occ, head uint64
-	if s.vcBits != 0 {
-		occ, head = s.fronts(x)
-		occ &^= 1 << uint(c)
-		head &^= 1 << uint(c)
-	}
-	if f != nil {
-		occ |= 1 << uint(f.VC)
-		if f.Head {
-			head |= 1 << uint(f.VC)
-		}
-	}
-	if s.wide {
-		s.mask[2*x], s.mask[2*x+1] = occ, head
-	} else {
-		s.mask[x] = occ | head<<32
-	}
-	return occ == 0
-}
-
-// pop removes the front flit of VC c's FIFO in buffer (row, o), moving
-// the masks to the flit behind it.
-func (s *columnStage) pop(row, o, c int) *flit.Flit {
-	x := row*s.k + o
-	f, nf := s.buf.Pop(x*s.slots + c&s.vcBits)
-	if s.refront(x, c, nf) {
-		s.rowBits[o].Clear(row)
-	}
-	s.act.Dec(o)
-	s.flits--
-	return f
-}
-
 // free sends home the credit of the slot a flit of VC c left in buffer
 // (row, o): over the credit bus, or at once without one.
 func (s *columnStage) free(now int64, row, o, c int) {
@@ -228,13 +258,6 @@ func (s *columnStage) free(now int64, row, o, c int) {
 	} else {
 		s.returnCredit(now, row, o, c)
 	}
-}
-
-// returnCredit gives VC c's FIFO of buffer (row, o) back the credit of a
-// freed slot.
-func (s *columnStage) returnCredit(now int64, row, o, c int) {
-	slot := c & s.vcBits
-	s.credit.Return(now, (row*s.k+o)*s.slots+slot, row, o, slot)
 }
 
 // rowStage is the input side of the same crossbars: each free input

@@ -38,18 +38,31 @@ func init() {
 //
 // Datapath per flit: input VC buffer -> VOQ (one flit per input per
 // cycle, credit-gated, depth XpointBufDepth) -> scheduler match ->
-// output serializer (STCycles per flit). Packets stay wormhole-intact:
-// the VOQ source-VC lock keeps one packet per VOQ in flight from the
-// input side, and an output VC is allocated to the packet when its head
-// flit first wins the match (rotating scan over the output's free VCs).
+// output serializer (STCycles per flit). The VOQs are a buffer grid
+// (column.go) of one shared FIFO per (input, output) pair, ledger note
+// "voq", read by the scheduler instead of a column allocator. Packets
+// stay wormhole-intact: the VOQ source-VC lock keeps one packet per VOQ
+// in flight from the input side, and an output VC is allocated to the
+// packet when its head flit wins the match (rotating scan over the
+// output's free VCs).
 type voq struct {
 	cfg Config
 	core.Base
 
-	voq    core.VOQBank
-	credit core.Ledger // VOQ pools flat [input*k+output]
+	q      grid // [i*k + o]: VOQ (i, o), its credits labelled with the flit's input VC
 	sched  *arb.ISLIP
 	vcPick *arb.RotorBank // per output, over VCs: output VC allocation
+
+	// lock[x] is the input VC feeding VOQ x a packet, taken by a head
+	// flit and released by its tail (-1 between packets), so two packets
+	// from different input VCs never interleave inside one VOQ — which
+	// would deadlock the wormhole at the output side. outVC[x] is the
+	// output VC of the packet draining from VOQ x's front, set when its
+	// head is accepted and reset when its tail is; it persists while the
+	// queue runs empty mid-packet, because the packet's remaining flits
+	// still own the channel.
+	lock  []int8
+	outVC []int16
 
 	// inBusy/outBusy mirror "InPort/OutPort not free at now" as bitsets so
 	// the scheduler's request columns are built with word arithmetic.
@@ -73,15 +86,17 @@ func newVOQ(cfg Config) *voq {
 		Base:    core.MakeBase(core.Obs{O: cfg.Observer}, k, v, cfg.InputBufDepth, cfg.STCycles),
 		sched:   arb.NewISLIP(k),
 		vcPick:  arb.NewRotorBank(k, v),
+		lock:    make([]int8, k*k),
+		outVC:   make([]int16, k*k),
 		inBusy:  arb.MakeBitVec(k),
 		outBusy: arb.MakeBitVec(k),
-		reqCols: make([]arb.BitVec, k),
+		reqCols: arb.MakeBitVecs(k, k),
 		outEl:   arb.NewBitVec(k),
 	}
-	r.voq = core.MakeVOQBank(&r.Base, k, k, cfg.XpointBufDepth)
-	r.credit = core.MakeLedger(core.Obs{O: cfg.Observer}, "voq", k*k, cfg.XpointBufDepth)
-	for o := range r.reqCols {
-		r.reqCols[o] = arb.MakeBitVec(k)
+	r.q = makeGrid(&r.cfg, &r.Base, k, 1, cfg.XpointBufDepth, "voq")
+	for x := range r.lock {
+		r.lock[x] = -1
+		r.outVC[x] = -1
 	}
 	r.acceptFn = func(in, out int) { r.accept(in, out) }
 	return r
@@ -90,7 +105,7 @@ func newVOQ(cfg Config) *voq {
 func (r *voq) Config() Config { return r.cfg }
 
 // InFlight adds the VOQ occupancy to the base datapath's count.
-func (r *voq) InFlight() int { return r.In.Buffered() + r.voq.Buffered() + r.Out.Len() }
+func (r *voq) InFlight() int { return r.In.Buffered() + r.q.flits + r.Out.Len() }
 
 // NextWake: buffered flits anywhere drive scheduling every cycle;
 // otherwise only the ejection pipe holds timed state. Beyond the base
@@ -99,7 +114,7 @@ func (r *voq) InFlight() int { return r.In.Buffered() + r.voq.Buffered() + r.Out
 // reconciled busy bitsets (read only under VOQ occupancy), so an empty
 // datapath means Step is a no-op.
 func (r *voq) NextWake(now int64) int64 {
-	if r.In.Buffered() > 0 || r.voq.Buffered() > 0 {
+	if r.In.Buffered() > 0 || r.q.flits > 0 {
 		return now + 1
 	}
 	return r.Out.NextWake()
@@ -134,25 +149,30 @@ func (r *voq) reconcile(now int64) {
 // into switch traversal. It runs before inputMove so a flit entering a
 // VOQ at cycle t is first schedulable at t+1 (one-cycle VOQ latency).
 func (r *voq) transmit(now int64) {
+	k := r.cfg.Radix
 	r.outEl.Reset()
-	any := false
-	for o := r.voq.NextActive(0); o >= 0; o = r.voq.NextActive(o + 1) {
+	for o := r.q.act.Next(0); o >= 0; o = r.q.act.Next(o + 1) {
 		if r.outBusy.Get(o) {
 			continue
 		}
 		req := &r.reqCols[o]
-		req.CopyAndNot(r.voq.Col(o), &r.inBusy)
+		req.CopyAndNot(&r.q.rowBits[o], &r.inBusy)
 		if r.Owner.FreeMask(o) == 0 {
-			// No free output VC: unallocated head flits cannot start.
-			req.AndNot(r.voq.NeedVC(o))
+			// No free output VC: head flits cannot start. A head at a
+			// VOQ front never holds one, since the packet ahead of it
+			// has left, tail included.
+			for i := req.Next(0); i >= 0; i = req.Next(i + 1) {
+				if _, head := r.q.fronts(i*k + o); head != 0 {
+					req.Clear(i)
+				}
+			}
 		}
 		if !req.Any() {
 			continue
 		}
 		r.outEl.Set(o)
-		any = true
 	}
-	if !any {
+	if !r.outEl.Any() {
 		return
 	}
 	r.now = now
@@ -163,20 +183,22 @@ func (r *voq) transmit(now int64) {
 // VC to a head flit, return the VOQ credit, and push the flit into
 // switch traversal, reserving both serializers for STCycles.
 func (r *voq) accept(i, o int) {
-	now, st := r.now, r.cfg.STCycles
-	f := r.voq.Front(i, o)
-	if f.Head && r.voq.OutVC(i, o) < 0 {
+	now, st, x := r.now, r.cfg.STCycles, i*r.cfg.Radix+o
+	f := r.q.pop(i, o, 0)
+	if f.Head {
 		// The eligibility mask guaranteed a free VC; the rotating pick
 		// spreads packets across the output's VCs.
 		ov := r.vcPick.Arbitrate(o, r.Owner.FreeMask(o))
 		r.Owner.Acquire(o, ov, f.PacketID)
-		r.voq.SetOutVC(i, o, ov)
+		r.outVC[x] = int16(ov)
 	}
-	ov := r.voq.OutVC(i, o)
-	r.voq.Pop(i, o)
+	ov := int(r.outVC[x])
+	if f.Tail {
+		r.outVC[x] = -1
+	}
 	// Return the credit under the flit's source coordinates — the same
 	// (input, output, vc) label its spend used — before rewriting VC.
-	r.credit.Return(now, i*r.cfg.Radix+o, i, o, f.VC)
+	r.q.credit.Return(now, x, i, o, f.VC)
 	f.VC = ov
 	r.InPort.Reserve(i, now, st)
 	r.OutPort.Reserve(o, now, st)
@@ -201,11 +223,11 @@ func (r *voq) inputMove(now int64) {
 			if now <= fr.Inj {
 				continue
 			}
-			o := int(fr.Dst)
-			if !r.credit.Avail(i*k + o) {
+			x := i*k + int(fr.Dst)
+			if !r.q.credit.Avail(x) {
 				continue
 			}
-			if lock := r.voq.Lock(i, o); lock >= 0 && lock != c {
+			if lock := r.lock[x]; lock >= 0 && int(lock) != c {
 				continue
 			}
 			elig |= 1 << uint(c)
@@ -214,9 +236,15 @@ func (r *voq) inputMove(now int64) {
 			continue
 		}
 		c := inVC.Arbitrate(i, elig)
-		o := int(fronts[c].Dst)
 		f := r.In.Pop(i, c)
-		r.credit.Spend(now, i*k+o, i, o, f.VC)
-		r.voq.Push(i, o, f)
+		x := i*k + f.Dst
+		if f.Head {
+			r.lock[x] = int8(c)
+		}
+		if f.Tail {
+			r.lock[x] = -1
+		}
+		r.q.credit.Spend(now, x, i, f.Dst, f.VC)
+		r.q.land(i, f)
 	}
 }
