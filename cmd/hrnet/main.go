@@ -74,6 +74,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "hrnet:", err)
 		return code
 	}
+	if *jobs < 0 {
+		return fail(2, fmt.Errorf("-j %d: want a worker count >= 0", *jobs))
+	}
 
 	var xs []float64
 	if *loads != "" {

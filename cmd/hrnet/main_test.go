@@ -37,6 +37,9 @@ func TestBadLoadsIsUsageError(t *testing.T) {
 		// So is a phase no run can have, caught before the header prints.
 		{"-warmup", "-100"},
 		{"-measure", "-50", "-loads", "0.1,0.2"},
+		// And a negative worker count.
+		{"-j", "-3", "-loads", "0.1,0.2"},
+		{"-j", "-1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(append([]string{"-radix", "4", "-digits", "2"}, args...), &stdout, &stderr)

@@ -67,6 +67,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "hrsim:", err)
 		return code
 	}
+	// A negative count is a usage error: -packets would track every packet.
+	if *events < 0 {
+		return fail(2, fmt.Errorf("-events %d: want a count >= 0", *events))
+	}
+	if *packets < 0 {
+		return fail(2, fmt.Errorf("-packets %d: want a count >= 0", *packets))
+	}
 
 	a, err := router.ArchByName(*arch)
 	if err != nil {

@@ -28,10 +28,13 @@ func TestRunUsesDefaultedConfig(t *testing.T) {
 		// So is a phase no run can have.
 		{[]string{"-warmup", "-100"}, 2, ""},
 		{[]string{"-measure", "-50"}, 2, ""},
+		// And a negative count of events or packets to print.
+		{[]string{"-events", "-1"}, 2, ""},
+		{[]string{"-events", "1", "-packets", "-1"}, 2, ""},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(append(slices.Clone(short), tc.args...), &stdout, &stderr)
-		if code != tc.code || !strings.Contains(stdout.String(), tc.want) || tc.want == "" && stdout.Len() != 0 {
+		if code != tc.code || !strings.Contains(stdout.String(), tc.want) || tc.want == "" && (stdout.Len() != 0 || stderr.Len() == 0) {
 			t.Errorf("%v: exit %d, stderr %q, stdout %q; want exit %d and %q",
 				tc.args, code, stderr.String(), stdout.String(), tc.code, tc.want)
 		}

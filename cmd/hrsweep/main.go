@@ -70,6 +70,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "hrsweep:", err)
 		return status
 	}
+	if *jobs < 0 {
+		return fail(2, fmt.Errorf("-j %d: want a worker count >= 0", *jobs))
+	}
 
 	if *profile != "" {
 		f, err := os.Create(*profile)

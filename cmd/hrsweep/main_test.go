@@ -31,14 +31,16 @@ func TestList(t *testing.T) {
 	}
 }
 
-// A name that is not an experiment and an unknown flag (-inj among them:
-// no command has an injection switch) are usage errors, reported before
-// anything runs.
+// A name that is not an experiment, an unknown flag (-inj among them:
+// no command has an injection switch) and a negative worker count are
+// usage errors, reported before anything runs.
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-exp", "nope"},
 		{"-exp", "fig2", "-inj", "gap"},
 		{"-exp", "fig2", "-nosuchflag"},
+		{"-exp", "fig2", "-j", "-1"},
+		{"-list", "-j", "-1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 || stderr.Len() == 0 {

@@ -167,6 +167,11 @@ var guardSteps = []struct {
 		decls: fieldsNamed("Injection"),
 		msg:   "an Injection field in the figure or network code: every figure and every network run draws the paper's per-cycle variates (see DESIGN.md, Event-driven core)",
 	}}},
+	{"One figure shape", []guard{{
+		roots:   []string{"internal/experiments"},
+		pattern: `func (Fig(9|11|13|14|17[abc]|18)|Abl[A-Za-z]+|RadixScale|FigAlloc)\(`,
+		msg:     "a latency figure written as its own generator function: it is a latencyFig value run by latencyFig.gen (see DESIGN.md, Per-experiment index)",
+	}}},
 	{"One switch port", []guard{{
 		roots:   []string{"internal/router"},
 		except:  []string{"internal/router/core/", "internal/router/hierarchical.go"},

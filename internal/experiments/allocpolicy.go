@@ -1,11 +1,8 @@
 package experiments
 
-import (
-	"highradix/internal/router"
-	"highradix/internal/stats"
-)
+import "highradix/internal/router"
 
-// FigAlloc is an extension beyond the paper's figures: a head-to-head
+// figAlloc is an extension beyond the paper's figures: a head-to-head
 // latency-throughput comparison of the allocation-policy families the
 // registry hosts, at the paper's radix-64 design point under uniform
 // random traffic. The lines are the paper's baseline separable
@@ -19,33 +16,15 @@ import (
 // with the saturation-throughput scalars this is the registry's
 // flagship figure: one plot, four allocation policies, identical
 // methodology.
-func FigAlloc(s Scale) (*stats.Table, error) {
-	t := &stats.Table{
-		Title:  "Extension: allocation-policy families head to head at radix 64 (uniform random)",
-		XLabel: "offered load (fraction of capacity)",
-		YLabel: "avg packet latency (cycles)",
-	}
-	cases := []latencyCase{
-		{
-			name: "baseline-cva",
-			cfg:  router.Config{Arch: router.ArchBaseline, Radix: 64},
-		},
-		{
-			name: "voq-islip1",
-			cfg:  router.Config{Arch: router.ArchVOQ, Radix: 64},
-		},
-		{
-			name: "voq-islip3",
-			cfg:  router.Config{Arch: router.ArchVOQ, Radix: 64, AllocIters: 3},
-		},
-		{
-			name: "dynvc",
-			cfg:  router.Config{Arch: router.ArchDynVC, Radix: 64},
-		},
-	}
-	if err := s.latencyFigure(t, cases); err != nil {
-		return nil, err
-	}
-	t.AddNote("VOQ scheduling removes head-of-line blocking at the cost of k^2 queues; dynamic VC sizing trades static partitioning for pool sharing on the same allocator")
-	return t, nil
+var figAlloc = latencyFig{
+	title: "Extension: allocation-policy families head to head at radix 64 (uniform random)",
+	x:     "offered load (fraction of capacity)",
+	y:     "avg packet latency (cycles)",
+	cases: []latencyCase{
+		{name: "baseline-cva", cfg: router.Config{Arch: router.ArchBaseline, Radix: 64}},
+		{name: "voq-islip1", cfg: router.Config{Arch: router.ArchVOQ, Radix: 64}},
+		{name: "voq-islip3", cfg: router.Config{Arch: router.ArchVOQ, Radix: 64, AllocIters: 3}},
+		{name: "dynvc", cfg: router.Config{Arch: router.ArchDynVC, Radix: 64}},
+	},
+	note: "VOQ scheduling removes head-of-line blocking at the cost of k^2 queues; dynamic VC sizing trades static partitioning for pool sharing on the same allocator",
 }

@@ -1,11 +1,16 @@
 // Package experiments regenerates every table and figure in the paper's
-// evaluation. Each Fig* function returns a stats.Table whose series
-// correspond to the lines of the paper's figure; cmd/hrsweep prints
-// them, the repository benchmarks time them, and EXPERIMENTS.md records
-// their output against the paper's reported numbers.
+// evaluation. Figures are data with one generator per shape: a latency
+// figure is a latencyFig value (its lines as latencyCase values, run by
+// latencyFig.gen), the network figures run the network simulator, and
+// the analytic figures evaluate the paper's models. Each Registry entry
+// returns a stats.Table whose series correspond to the lines of the
+// paper's figure; cmd/hrsweep prints them, the repository benchmarks
+// time them, and EXPERIMENTS.md records their output against the
+// paper's reported numbers.
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"sync/atomic"
 
@@ -130,14 +135,10 @@ func (s Scale) Point(p *sweep.Pool, cfg router.Config, pattern traffic.Pattern, 
 	return s.runTB(p, o)
 }
 
-// satThroughput measures accepted throughput at offered load 1.0. It is
-// the leaf job the generators submit to the pool for their
+// satThroughput measures accepted throughput of o at offered load 1.0.
+// It is the leaf job the generators submit to the pool for their
 // saturation-throughput scalars.
-func (s Scale) satThroughput(p *sweep.Pool, cfg router.Config, mutate func(*testbench.Options)) (float64, error) {
-	o := s.opts(cfg)
-	if mutate != nil {
-		mutate(&o)
-	}
+func (s Scale) satThroughput(p *sweep.Pool, o testbench.Options) (float64, error) {
 	res, _, err := s.runTB(p, testbench.Saturating(o))
 	if err != nil {
 		return 0, err
@@ -178,12 +179,50 @@ func (s Scale) curve(p *sweep.Pool, name string, xs []float64, run func(x float6
 }
 
 // latencyCase declares one line of a latency-versus-load figure: a
-// named router configuration plus an optional Options mutation
-// (pattern, packet length, burstiness).
+// named router configuration and its traffic. A zero traffic field is
+// the paper's default: single-flit packets, uniform random destinations,
+// Bernoulli injection.
 type latencyCase struct {
-	name   string
-	cfg    router.Config
-	mutate func(*testbench.Options)
+	name    string
+	cfg     router.Config
+	pktLen  int
+	pattern traffic.Pattern
+	bursty  bool
+}
+
+// caseOpts builds the options of case c at this scale, load unset.
+func (s Scale) caseOpts(c latencyCase) testbench.Options {
+	o := s.opts(c.cfg)
+	o.PktLen, o.Pattern, o.Bursty = c.pktLen, c.pattern, c.bursty
+	return o
+}
+
+// latencyFig is one latency-versus-load figure as data. Its table holds
+// a curve and a saturation-throughput scalar per case, then scalars,
+// then note; x and y replace the default axis labels when set.
+type latencyFig struct {
+	title, note, x, y string
+	cases             []latencyCase
+	scalars           []stats.Scalar
+}
+
+// gen is the Generator of every latency figure. Its receiver is a
+// pointer so that a Registry method value reads the figure itself, not
+// a copy taken when Registry is initialised.
+func (f *latencyFig) gen(s Scale) (*stats.Table, error) {
+	t := &stats.Table{
+		Title:  f.title,
+		XLabel: cmp.Or(f.x, "offered load"),
+		YLabel: cmp.Or(f.y, "latency (cycles)"),
+	}
+	if err := s.latencyFigure(t, f.cases); err != nil {
+		return nil, err
+	}
+	t.Scalars = append(t.Scalars, f.scalars...)
+	if f.note != "" {
+		t.Notes = append(t.Notes, f.note)
+	}
+	return t, nil
 }
 
 // latencyFigure runs the declared cases on the sweep pool. Each case
@@ -198,10 +237,7 @@ func (s Scale) latencyFigure(t *stats.Table, cases []latencyCase) error {
 		thr    float64
 	}
 	outs, err := sweep.Gather(cases, func(c latencyCase) (caseOut, error) {
-		base := s.opts(c.cfg)
-		if c.mutate != nil {
-			c.mutate(&base)
-		}
+		base := s.caseOpts(c)
 		series, err := s.curve(p, c.name, s.Loads, func(load float64) (sweep.Point, bool, error) {
 			o := base
 			o.Load = load
@@ -211,7 +247,7 @@ func (s Scale) latencyFigure(t *stats.Table, cases []latencyCase) error {
 		if err != nil {
 			return caseOut{}, err
 		}
-		thr, err := s.satThroughput(p, c.cfg, c.mutate)
+		thr, err := s.satThroughput(p, base)
 		if err != nil {
 			return caseOut{}, err
 		}
@@ -243,27 +279,27 @@ var Registry = []Entry{
 	{"fig1", "router pin-bandwidth scaling 1985-2010 (historical data + trend fits)", Fig1},
 	{"fig2", "latency-optimal radix vs router aspect ratio", Fig2},
 	{"fig3", "network latency and cost vs radix for 2003/2010 technologies", Fig3},
-	{"fig9", "latency vs offered load, baseline high-radix (CVA/OVA) vs low-radix", Fig9},
-	{"fig11", "prioritized (dual-arbiter) vs single-arbiter speculation, 1 VC and 4 VC", Fig11},
-	{"fig13", "fully buffered crossbar vs baseline vs low-radix", Fig13},
-	{"fig14", "crosspoint buffer size sweep, short and long packets", Fig14},
+	{"fig9", "latency vs offered load, baseline high-radix (CVA/OVA) vs low-radix", fig9.gen},
+	{"fig11", "prioritized (dual-arbiter) vs single-arbiter speculation, 1 VC and 4 VC", fig11.gen},
+	{"fig13", "fully buffered crossbar vs baseline vs low-radix", fig13.gen},
+	{"fig14", "crosspoint buffer size sweep, short and long packets", fig14.gen},
 	{"fig15", "storage area vs wire area of the fully buffered crossbar", Fig15},
-	{"fig17a", "hierarchical crossbar, uniform random traffic, subswitch sizes", Fig17a},
-	{"fig17b", "hierarchical crossbar, worst-case traffic", Fig17b},
-	{"fig17c", "long packets at equal total buffer storage", Fig17c},
+	{"fig17a", "hierarchical crossbar, uniform random traffic, subswitch sizes", fig17a.gen},
+	{"fig17b", "hierarchical crossbar, worst-case traffic", fig17b.gen},
+	{"fig17c", "long packets at equal total buffer storage", fig17c.gen},
 	{"fig17d", "storage bits vs radix, hierarchical vs fully buffered", Fig17d},
-	{"fig18", "nonuniform traffic: diagonal, hotspot, bursty (Table 1)", Fig18},
+	{"fig18", "nonuniform traffic: diagonal, hotspot, bursty (Table 1)", fig18.gen},
 	{"fig19", "4096-node Clos network: radix-64 (3 stages) vs radix-16 (5 stages)", Fig19},
 	{"topo", "extension: ring and 2D-torus topologies, latency vs offered load", FigTopo},
 	{"table1", "saturation throughput of every architecture on every Table 1 pattern", TableT1},
-	{"creditbus", "ablation: shared credit-return bus vs ideal credit return", AblCreditBus},
-	{"sharedxp", "ablation: shared-buffer (ACK/NACK) crosspoints vs per-VC buffers", AblSharedXpoint},
-	{"localgroup", "ablation: local arbitration group size m", AblLocalGroup},
-	{"specpolicy", "ablation: speculative output-VC bid policy (Section 4.4 re-bidding)", AblSpecPolicy},
-	{"allociters", "ablation: allocation iterations of the centralized low-radix router", AblAllocIters},
+	{"creditbus", "ablation: shared credit-return bus vs ideal credit return", ablCreditBus.gen},
+	{"sharedxp", "ablation: shared-buffer (ACK/NACK) crosspoints vs per-VC buffers", ablSharedXpoint.gen},
+	{"localgroup", "ablation: local arbitration group size m", ablLocalGroup.gen},
+	{"specpolicy", "ablation: speculative output-VC bid policy (Section 4.4 re-bidding)", ablSpecPolicy.gen},
+	{"allociters", "ablation: allocation iterations of the centralized low-radix router", ablAllocIters.gen},
 	{"radixsweep", "extension: saturation throughput vs radix for the main organizations", RadixSweep},
-	{"radixscale", "extension: latency-throughput at radix 64/128/256, buffered and hierarchical", RadixScale},
-	{"fig_alloc", "extension: allocation-policy families head to head — baseline vs VOQ/iSLIP vs dynamic VC", FigAlloc},
+	{"radixscale", "extension: latency-throughput at radix 64/128/256, buffered and hierarchical", radixScale.gen},
+	{"fig_alloc", "extension: allocation-policy families head to head — baseline vs VOQ/iSLIP vs dynamic VC", figAlloc.gen},
 }
 
 // ByName finds a registered experiment's generator.

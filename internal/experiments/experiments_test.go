@@ -28,12 +28,18 @@ func TestAnalyticExperiments(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	// Every figure and table of the evaluation must be registered.
+	// Every figure and table of the evaluation must be registered, each
+	// under its own name: ByName returns the first match, so a second
+	// entry of one name would never run.
 	want := []string{"fig1", "fig2", "fig3", "fig9", "fig11", "fig13", "fig14",
-		"fig15", "fig17a", "fig17b", "fig17c", "fig17d", "fig18", "fig19",
-		"table1", "creditbus", "sharedxp", "localgroup", "specpolicy", "allociters", "radixsweep"}
+		"fig15", "fig17a", "fig17b", "fig17c", "fig17d", "fig18", "fig19", "topo",
+		"table1", "creditbus", "sharedxp", "localgroup", "specpolicy", "allociters",
+		"radixsweep", "radixscale", "fig_alloc"}
 	have := map[string]bool{}
 	for _, e := range Registry {
+		if have[e.Name] {
+			t.Errorf("experiment %s registered twice", e.Name)
+		}
 		have[e.Name] = true
 		if e.Desc == "" || e.Gen == nil {
 			t.Errorf("experiment %s missing description or generator", e.Name)

@@ -101,21 +101,17 @@ func TestGolden(t *testing.T) {
 }
 
 // TestGoldenDense is the figure-level fast-forward twin: regenerated
-// with every run forced to dense per-cycle stepping, a figure must
-// reproduce the golden its fast-forwarding run recorded. fig9 covers the
-// single-router driver, fig19 the network driver, fig_alloc the VOQ and
-// dynamic-VC routers.
+// with every run forced to dense per-cycle stepping, every registered
+// figure must reproduce the golden its fast-forwarding run recorded, so
+// each router organization, traffic pattern and the network driver are
+// held to their per-cycle selves.
 func TestGoldenDense(t *testing.T) {
 	if *update {
 		t.Skip("the goldens are written by TestGolden; this test only cross-checks dense stepping")
 	}
-	for _, name := range []string{"fig9", "fig19", "fig_alloc"} {
-		gen, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := Quick
-		s.dense = true
-		t.Run(name, func(t *testing.T) { golden(t, name, gen, s) })
+	s := Quick
+	s.dense = true
+	for _, e := range Registry {
+		t.Run(e.Name, func(t *testing.T) { golden(t, e.Name, e.Gen, s) })
 	}
 }

@@ -1,13 +1,8 @@
 package experiments
 
-import (
-	"fmt"
+import "highradix/internal/router"
 
-	"highradix/internal/router"
-	"highradix/internal/stats"
-)
-
-// RadixScale is an extension beyond the paper's figures: the full
+// radixScale is an extension beyond the paper's figures: the full
 // latency-throughput picture as the radix quadruples past the paper's
 // k=64 design point. Each line is one (organization, radix) pair's
 // latency-versus-offered-load curve with its saturation-throughput
@@ -19,29 +14,17 @@ import (
 // radix-256 step-loop optimizations: any behavioral drift in the
 // multi-word arbiters or the flattened crosspoint state moves these
 // curves.
-func RadixScale(s Scale) (*stats.Table, error) {
-	t := &stats.Table{
-		Title:  "Extension: latency-throughput scaling at radix 64/128/256 (uniform random)",
-		XLabel: "offered load (fraction of capacity)",
-		YLabel: "avg packet latency (cycles)",
-	}
-	radices := []int{64, 128, 256}
-	var cases []latencyCase
-	for _, k := range radices {
-		cases = append(cases, latencyCase{
-			name: fmt.Sprintf("fully-buffered-k%d", k),
-			cfg:  router.Config{Arch: router.ArchBuffered, Radix: k},
-		})
-	}
-	for _, k := range radices {
-		cases = append(cases, latencyCase{
-			name: fmt.Sprintf("hierarchical-p16-k%d", k),
-			cfg:  router.Config{Arch: router.ArchHierarchical, Radix: k, SubSize: 16},
-		})
-	}
-	if err := s.latencyFigure(t, cases); err != nil {
-		return nil, err
-	}
-	t.AddNote("both organizations hold latency and saturation throughput as the radix quadruples past the paper's design point")
-	return t, nil
+var radixScale = latencyFig{
+	title: "Extension: latency-throughput scaling at radix 64/128/256 (uniform random)",
+	x:     "offered load (fraction of capacity)",
+	y:     "avg packet latency (cycles)",
+	cases: []latencyCase{
+		{name: "fully-buffered-k64", cfg: router.Config{Arch: router.ArchBuffered, Radix: 64}},
+		{name: "fully-buffered-k128", cfg: router.Config{Arch: router.ArchBuffered, Radix: 128}},
+		{name: "fully-buffered-k256", cfg: router.Config{Arch: router.ArchBuffered, Radix: 256}},
+		{name: "hierarchical-p16-k64", cfg: router.Config{Arch: router.ArchHierarchical, Radix: 64, SubSize: 16}},
+		{name: "hierarchical-p16-k128", cfg: router.Config{Arch: router.ArchHierarchical, Radix: 128, SubSize: 16}},
+		{name: "hierarchical-p16-k256", cfg: router.Config{Arch: router.ArchHierarchical, Radix: 256, SubSize: 16}},
+	},
+	note: "both organizations hold latency and saturation throughput as the radix quadruples past the paper's design point",
 }

@@ -45,7 +45,7 @@ func RadixSweep(s Scale) (*stats.Table, error) {
 	}
 	p := s.pool()
 	thrs, err := sweep.Gather(jobs, func(cfg router.Config) (float64, error) {
-		return s.satThroughput(p, cfg, nil)
+		return s.satThroughput(p, s.opts(cfg))
 	})
 	if err != nil {
 		return nil, err
