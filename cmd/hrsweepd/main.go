@@ -32,6 +32,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -45,29 +46,47 @@ import (
 	"highradix/internal/serve"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is main with an exit status instead of os.Exit: it parses the
-// flags, opens the store, listens and serves until SIGINT or SIGTERM.
-func run() int {
+// run is main with its arguments, output streams and exit status made
+// explicit, so that a test can drive it: it parses the flags, opens the
+// store, listens and serves until SIGINT or SIGTERM. The service writes
+// nothing to standard output; its log goes to stderr.
+func run(args []string, _, stderr io.Writer) int {
+	flags := flag.NewFlagSet("hrsweepd", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		addr     = flag.String("addr", ":8080", "listen address")
-		cacheDir = flag.String("cache", "", "content-addressed result cache directory (required)")
-		quick    = flag.Bool("quick", false, "serve figures at the reduced Quick scale instead of publication scale")
-		seed     = flag.Uint64("seed", 1, "random seed for all simulations")
-		jobs     = flag.Int("j", 0, "sweep pool workers per generation (0 = GOMAXPROCS)")
-		inflight = flag.Int("maxinflight", 2, "max concurrent cold figure computations")
-		timeout  = flag.Duration("timeout", 5*time.Minute, "per-request budget for cold computations (exceeded -> 504)")
+		addr     = flags.String("addr", ":8080", "listen address")
+		cacheDir = flags.String("cache", "", "content-addressed result cache directory (required)")
+		quick    = flags.Bool("quick", false, "serve figures at the reduced Quick scale instead of publication scale")
+		seed     = flags.Uint64("seed", 1, "random seed for all simulations")
+		jobs     = flags.Int("j", 0, "sweep pool workers per generation (0 = GOMAXPROCS)")
+		inflight = flags.Int("maxinflight", 2, "max concurrent cold figure computations")
+		timeout  = flags.Duration("timeout", 5*time.Minute, "per-request budget for cold computations (exceeded -> 504)")
 	)
-	flag.Parse()
-
-	if *cacheDir == "" {
-		fmt.Fprintln(os.Stderr, "hrsweepd: -cache DIR is required (the cache is what makes a figure service viable)")
+	if err := flags.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
 		return 2
 	}
+	usage := func(msg string, a ...any) int {
+		fmt.Fprintf(stderr, "hrsweepd: "+msg+"\n", a...)
+		return 2
+	}
+	switch {
+	case *cacheDir == "":
+		return usage("-cache DIR is required (the cache is what makes a figure service viable)")
+	case *jobs < 0:
+		return usage("-j %d: want a worker count >= 0", *jobs)
+	case *inflight < 1:
+		return usage("-maxinflight %d: want at least 1 concurrent computation", *inflight)
+	case *timeout <= 0:
+		return usage("-timeout %s: want a positive duration", *timeout)
+	}
+	lg := log.New(stderr, "", log.LstdFlags)
 	st, err := cache.Open(*cacheDir)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hrsweepd:", err)
+		fmt.Fprintln(stderr, "hrsweepd:", err)
 		return 1
 	}
 
@@ -86,18 +105,18 @@ func run() int {
 	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		log.Printf("hrsweepd: %v", err)
+		lg.Printf("hrsweepd: %v", err)
 		return 1
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	context.AfterFunc(ctx, stop) // a second signal kills at once
-	log.Printf("hrsweepd: serving %d experiments on %s (cache %s)", len(experiments.Registry), ln.Addr(), st.Dir())
-	if err := serveUntil(ctx, ln, srv, *timeout); err != nil {
-		log.Printf("hrsweepd: %v", err)
+	lg.Printf("hrsweepd: serving %d experiments on %s (cache %s)", len(experiments.Registry), ln.Addr(), st.Dir())
+	if err := serveUntil(ctx, ln, srv, *timeout, lg); err != nil {
+		lg.Printf("hrsweepd: %v", err)
 		return 1
 	}
-	log.Printf("hrsweepd: drained")
+	lg.Printf("hrsweepd: drained")
 	return 0
 }
 
@@ -105,8 +124,8 @@ func run() int {
 // most drain: http.Server.Shutdown answers the requests still open, and
 // a wait for srv's Inflight counter to reach zero lets every cold
 // computation still running land in the store. A nil return means the
-// drain completed.
-func serveUntil(ctx context.Context, ln net.Listener, srv *serve.Server, drain time.Duration) error {
+// drain completed. lg logs the drain.
+func serveUntil(ctx context.Context, ln net.Listener, srv *serve.Server, drain time.Duration, lg *log.Logger) error {
 	hs := &http.Server{Handler: srv.Handler()}
 	served := make(chan error, 1)
 	go func() { served <- hs.Serve(ln) }()
@@ -115,7 +134,7 @@ func serveUntil(ctx context.Context, ln net.Listener, srv *serve.Server, drain t
 		return err
 	case <-ctx.Done():
 	}
-	log.Printf("hrsweepd: draining in-flight requests (at most %s)", drain)
+	lg.Printf("hrsweepd: draining in-flight requests (at most %s)", drain)
 	budget, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := hs.Shutdown(budget); err != nil {

@@ -1,10 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"io"
+	"log"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -48,7 +53,7 @@ func startServe(t *testing.T, srv *serve.Server) (string, context.CancelFunc, <-
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	done := make(chan error, 1)
-	go func() { done <- serveUntil(ctx, ln, srv, time.Minute) }()
+	go func() { done <- serveUntil(ctx, ln, srv, time.Minute, log.Default()) }()
 	return "http://" + ln.Addr().String(), cancel, done
 }
 
@@ -138,4 +143,52 @@ func TestDrainStoresAbandoned(t *testing.T) {
 		t.Fatalf("serveUntil returned with %d computations in flight", n)
 	}
 	checkStored(t, scale)
+}
+
+// TestRunRejectsBadFlags: a flag no service can run with exits 2 naming
+// the flag, before the store is opened (its directory is never made) or
+// a port bound, and prints nothing to stdout. A run that got past the
+// checks would serve until killed, so run is given 10 s to return.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-quick"}, "-cache"},
+		{[]string{"-j", "-1"}, "-j"},
+		{[]string{"-maxinflight", "0"}, "-maxinflight"},
+		{[]string{"-maxinflight", "-5"}, "-maxinflight"},
+		{[]string{"-j", "-1", "-maxinflight", "-5"}, "-j"},
+		{[]string{"-timeout", "0s"}, "-timeout"},
+		{[]string{"-timeout", "-1m"}, "-timeout"},
+		{[]string{"-nope"}, "-nope"},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			store := filepath.Join(t.TempDir(), "store")
+			args := append([]string{"-addr", "127.0.0.1:0"}, tc.args...)
+			if tc.flag != "-cache" {
+				args = append(args, "-cache", store)
+			}
+			var stdout, stderr bytes.Buffer
+			code := make(chan int, 1)
+			go func() { code <- run(args, &stdout, &stderr) }()
+			select {
+			case c := <-code:
+				if c != 2 {
+					t.Errorf("exit %d, want 2; stderr: %s", c, stderr.String())
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("run did not return: it is serving")
+			}
+			if !strings.Contains(stderr.String(), tc.flag) {
+				t.Errorf("stderr does not name %s: %q", tc.flag, stderr.String())
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("stdout: %q, want nothing", stdout.String())
+			}
+			if _, err := os.Stat(store); !os.IsNotExist(err) {
+				t.Errorf("the store was opened (stat: %v)", err)
+			}
+		})
+	}
 }

@@ -172,6 +172,23 @@ var guardSteps = []struct {
 		pattern: `func (Fig(9|11|13|14|17[abc]|18)|Abl[A-Za-z]+|RadixScale|FigAlloc)\(`,
 		msg:     "a latency figure written as its own generator function: it is a latencyFig value run by latencyFig.gen (see DESIGN.md, Per-experiment index)",
 	}}},
+	{"One mail stream", []guard{{
+		roots: []string{"internal/network"},
+		tests: true,
+		decls: fieldsNamed("Injected"),
+		msg:   "a second flit stream on Outbox: an engine mails injected and granted flits alike in Flits (see DESIGN.md, Topologies & sharded synchronization)",
+	}, {
+		roots:   []string{"internal/network"},
+		tests:   true,
+		pattern: `NewExchange`,
+		msg:     "an exchange stepped from outside the runner: mail has no order for a test to read (see DESIGN.md, Topologies & sharded synchronization)",
+	}, {
+		roots:   []string{"internal/network"},
+		tests:   true,
+		pattern: `sort\.(Slice|SliceStable|Sort|Stable)\(|slices\.Sort(Stable)?Func\(`,
+		decls:   arrivalComparators,
+		msg:     "a sort or a comparator over Arrival mail: a cycle's arrivals land the same in any order, so nothing in the network orders them (see DESIGN.md, Topologies & sharded synchronization)",
+	}}},
 	{"One switch port", []guard{{
 		roots:   []string{"internal/router"},
 		except:  []string{"internal/router/core/", "internal/router/hierarchical.go"},
@@ -363,6 +380,34 @@ func fieldsNamed(name string) func(*ast.File) []ast.Node {
 		})
 		return out
 	}
+}
+
+// arrivalComparators matches a function, declared or literal, that
+// takes two Arrivals (bare, package-qualified or by pointer): the shape
+// of a comparator for slices.SortFunc and its kin.
+func arrivalComparators(f *ast.File) []ast.Node {
+	var out []ast.Node
+	ast.Inspect(f, func(n ast.Node) bool {
+		ft, ok := n.(*ast.FuncType)
+		if !ok || ft.Params == nil {
+			return true
+		}
+		arrivals := 0
+		for _, p := range ft.Params.List {
+			typ := p.Type
+			if star, ok := typ.(*ast.StarExpr); ok {
+				typ = star.X
+			}
+			if typeName(typ) == "Arrival" {
+				arrivals += max(len(p.Names), 1)
+			}
+		}
+		if arrivals >= 2 {
+			out = append(out, ft)
+		}
+		return true
+	})
+	return out
 }
 
 // unguardedEvents matches an Event composite literal (bare or

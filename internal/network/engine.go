@@ -116,17 +116,15 @@ type CreditMail struct {
 }
 
 // Outbox is the mail one engine sends one other engine between two
-// exchanges: the flits its terminals injected toward the other's
-// routers, the flits its routers granted toward them, and credits. A
-// message carries no sort key: sources inject in ascending terminal
-// order and Step grants a cycle's flits by ascending router and output
-// port, so outboxes read in ascending engine order — every Injected
-// stream, then every Flits stream — list each arrival cycle's flits in
-// the order a serial run schedules them in; credits are counter
-// increments, which commute.
+// exchanges: the flits its terminals injected or its routers granted
+// toward the other's routers, and credits, each in the order sent. The
+// receiver may take them in any order. Each input queue is fed by one
+// channel, which carries at most one flit per cycle, so no two flits of
+// one arrival cycle land in the same queue and a cycle's arrivals land
+// the same in any order; credits are counter increments, which commute.
 type Outbox struct {
-	Injected, Flits []Arrival
-	Credits         []CreditMail
+	Flits   []Arrival
+	Credits []CreditMail
 }
 
 // Layout places a network on engines: engine i owns the routers of
@@ -450,11 +448,7 @@ func (nw *Network) Accept(now int64, f *flit.Flit) {
 		nw.arrivals.Schedule(at, a)
 		return
 	}
-	a.At = uint32(at)
-	box := &nw.outbox[e.box]
-	box.Injected = append(box.Injected, a)
-	nw.outFlits++
-	nw.mail(at)
+	nw.post(e.box, a, at)
 }
 
 // Ejected returns flits delivered to terminals during the last Step,
@@ -494,7 +488,7 @@ func (nw *Network) NextWake(now int64) int64 {
 func (nw *Network) SetOutbox(boxes []Outbox) {
 	for b := range boxes {
 		bx := &boxes[b]
-		bx.Injected, bx.Flits, bx.Credits = bx.Injected[:0], bx.Flits[:0], bx.Credits[:0]
+		bx.Flits, bx.Credits = bx.Flits[:0], bx.Credits[:0]
 	}
 	nw.outbox, nw.outFlits, nw.mailAt = boxes, 0, sim.NoWake
 }
@@ -509,10 +503,11 @@ func (nw *Network) queue(router, port, vc int) int {
 	return ((router-nw.lo)*nw.ports+port)*nw.v + vc
 }
 
-// PutFlits and PutCredits schedule, in order, flits and credits another
-// engine mailed this one. now is a cycle within 2^31 of every message's
-// (the exchange's). Called between epochs only (never concurrently with
-// this engine running or the sender's).
+// PutFlits and PutCredits schedule flits and credits another engine
+// mailed this one, taken in any order (Outbox says why). now is a cycle
+// within 2^31 of every message's (the exchange's). Called between
+// epochs only (never concurrently with this engine running or the
+// sender's).
 func (nw *Network) PutFlits(as []Arrival, now int64) {
 	for _, a := range as {
 		nw.arrivals.Schedule(widen(a.At, now), a)
@@ -589,6 +584,15 @@ func (nw *Network) applyCredits(cs []creditMsg) {
 
 // mail notes a message taking effect at cycle at.
 func (nw *Network) mail(at int64) { nw.mailAt = min(nw.mailAt, at) }
+
+// post mails engine b flit a, which lands at cycle at.
+func (nw *Network) post(b int32, a Arrival, at int64) {
+	a.At = uint32(at)
+	box := &nw.outbox[b]
+	box.Flits = append(box.Flits, a)
+	nw.outFlits++
+	nw.mail(at)
+}
 
 // Step advances the owned routers one cycle.
 func (nw *Network) Step(now int64) {
@@ -673,11 +677,7 @@ func (nw *Network) Step(now int64) {
 				if op.box < 0 {
 					nw.arrivals.Schedule(at, a)
 				} else {
-					a.At = uint32(at)
-					box := &nw.outbox[op.box]
-					box.Flits = append(box.Flits, a)
-					nw.outFlits++
-					nw.mail(at)
+					nw.post(op.box, a, at)
 				}
 			}
 		}

@@ -29,16 +29,13 @@ import (
 // contiguous range of the routers and one of the terminals, whose
 // sources it hosts wherever their entry routers are: in a Clos every
 // entry router is in the first stage, so the sources would otherwise
-// all load shard 0. A worker reads its mail in ascending worker order,
-// every sender's injected flits before every sender's granted ones.
-// That is the canonical order a serial run schedules a cycle's flits in
-// — terminals ascending, then (router, output port) ascending — by
-// construction: the ranges are contiguous in worker order, sources
-// inject by ascending terminal and an engine grants by ascending router
-// and port. So the event sequence each calendar sees, and with it every
-// downstream allocation decision, is independent of worker count and
-// scheduling without anything being sorted
-// (TestOutboxCanonicalByConstruction).
+// all load shard 0. A worker takes each sender's flits and credits in
+// whatever order it reads them, and none is needed: each input queue is
+// fed by one channel, which carries at most one flit per cycle, so a
+// cycle's arrivals land the same in any order, and credits are counter
+// increments, which commute. So every allocation decision is
+// independent of worker count and scheduling without anything being
+// ordered (TestArrivalOrderImmaterial).
 //
 // The run itself is internal/drive's, as it is for the one-engine
 // world: the sharded network is a drive.World whose Cycle simulates an
@@ -124,8 +121,6 @@ type worker struct {
 
 	deliv []delivRec
 	injs  []injRec
-	// in is scratch for inbox.
-	in [][]Arrival
 	// out[n&1][j] is the mail epoch n sends worker j, and spent[n&1][j]
 	// the flits delivered here in it that worker j generated; j takes
 	// both at the start of epoch n+1. Sinks and sources of one flow
@@ -275,21 +270,6 @@ func (s *sharded) do(w *worker) {
 	s.runEpoch(w)
 }
 
-// inbox lists the flits epoch e mailed worker w in the order w takes
-// them: every sender's injected flits, then every sender's granted ones,
-// the senders in ascending worker order (the canonical order; see the
-// package comment).
-func (s *sharded) inbox(w *worker, e int64) [][]Arrival {
-	w.in = w.in[:0]
-	for _, o := range s.workers {
-		w.in = append(w.in, o.out[e&1][w.id].Injected)
-	}
-	for _, o := range s.workers {
-		w.in = append(w.in, o.out[e&1][w.id].Flits)
-	}
-	return w.in
-}
-
 // runEpoch takes the mail and spent flits the previous epoch addressed
 // to w, then simulates cycles [from, end): it records each cycle's
 // deliveries instead of accounting them, and jumps across provably idle
@@ -297,11 +277,10 @@ func (s *sharded) inbox(w *worker, e int64) [][]Arrival {
 // bound.
 func (s *sharded) runEpoch(w *worker) {
 	prev, cur := (s.n-1)&1, s.n&1
-	for _, as := range s.inbox(w, s.n-1) {
-		w.Net.PutFlits(as, s.from)
-	}
 	for _, o := range s.workers {
-		w.Net.PutCredits(o.out[prev][w.id].Credits, s.from)
+		mail := &o.out[prev][w.id]
+		w.Net.PutFlits(mail.Flits, s.from)
+		w.Net.PutCredits(mail.Credits, s.from)
 		for _, f := range o.spent[prev][w.id] {
 			w.Recycle(f)
 		}
@@ -445,46 +424,3 @@ func (s *sharded) InFlight() int {
 // exactly the values a serial run would have read.
 func (s *sharded) GenFlits() int64        { return s.sum((*worker).GenFlits) }
 func (s *sharded) InjectedLabeled() int64 { return s.sum((*worker).InjectedLabeled) }
-
-// Exchange is the epoch runner stepped one epoch at a time, with the
-// mail each epoch sent readable until the next: the state tests of the
-// exchange's order read, from the runner itself rather than a
-// restatement of it. It claims no CPU; nothing but tests steps one.
-type Exchange struct{ s sharded }
-
-// NewExchange builds the p shards of a run of o (defaulted) under c and
-// starts their workers, which run until Stop.
-func NewExchange(o Options, topo Topology, c drive.Config, p int) *Exchange {
-	x := &Exchange{}
-	x.s.start(o, topo, c, p, func() {})
-	return x
-}
-
-// Stop makes the workers exit.
-func (x *Exchange) Stop() { x.s.stop() }
-
-// Epoch simulates the epoch that opens at from on every worker and
-// returns its end.
-func (x *Exchange) Epoch(from int64) int64 {
-	x.s.epoch(from)
-	return x.s.end
-}
-
-// Net is worker j's engine.
-func (x *Exchange) Net(j int) *Network { return x.s.workers[j].Net }
-
-// Home is the worker that hosts terminal t's sources.
-func (x *Exchange) Home(t int) int { return x.s.workers[0].home[t] }
-
-// Flits lists the flits the last epoch mailed worker j, in the order j
-// takes them in the next.
-func (x *Exchange) Flits(j int) [][]Arrival { return x.s.inbox(x.s.workers[j], x.s.n) }
-
-// Credits lists the credits the last epoch mailed worker j, one list
-// per sender, in the order j takes them in the next.
-func (x *Exchange) Credits(j int) (in [][]CreditMail) {
-	for _, o := range x.s.workers {
-		in = append(in, o.out[x.s.n&1][j].Credits)
-	}
-	return in
-}

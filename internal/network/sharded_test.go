@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -75,6 +76,123 @@ func someWorkerDiverges(t *testing.T) bool {
 		}
 	}
 	return false
+}
+
+// TestArrivalOrderImmaterial holds the epoch exchange to the invariant
+// that lets it take mail in any order: each input queue is fed by one
+// channel, which carries at most one flit per cycle, so a cycle's
+// arrivals land the same in any order, and credits commute. Over the
+// determinism topologies at packet lengths 1 and 4 it steps a
+// two-engine Layout twice through SetOutbox, PutFlits and PutCredits,
+// handing the mail over at every epoch edge as the runner does: once as
+// sent, once with every inbox and every credit list reversed. Both must
+// eject the same flits in the same cycles and order, and hold the same
+// count in flight after every cycle.
+func TestArrivalOrderImmaterial(t *testing.T) {
+	topos := map[string]Topology{
+		"clos":  mustClos(t, Config{Radix: 4, Digits: 2, VCs: 2, BufDepth: 4}),
+		"ring":  mustTorus(t, TorusConfig{X: 8, Y: 1, VCs: 4, BufDepth: 4}),
+		"torus": mustTorus(t, TorusConfig{X: 3, Y: 3, VCs: 4, BufDepth: 4}),
+	}
+	for name, topo := range topos {
+		for _, pktLen := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/pkt%d", name, pktLen), func(t *testing.T) {
+				o := Options{Topo: topo, Load: 0.45, PktLen: pktLen, WarmupCycles: 100, MeasureCycles: 400, Seed: 1}.WithDefaults()
+				sent, reversed := stepMail(topo, o, false), stepMail(topo, o, true)
+				if sent.shared == 0 || len(sent.ejected) == 0 {
+					t.Fatalf("vacuous: %d ejections, %d inboxes holding two flits that land in one cycle", len(sent.ejected), sent.shared)
+				}
+				if i := mismatch(sent.ejected, reversed.ejected); i >= 0 {
+					t.Fatalf("ejection %d differs with the mail reversed:\n  sent     %v\n  reversed %v", i, nth(sent.ejected, i), nth(reversed.ejected, i))
+				}
+				if i := mismatch(sent.inFlight, reversed.inFlight); i >= 0 {
+					t.Fatalf("cycle %d, engine %d: %v flits in flight as sent, %v with the mail reversed", i/2, i%2, nth(sent.inFlight, i), nth(reversed.inFlight, i))
+				}
+			})
+		}
+	}
+}
+
+// ejection is one flit an engine ejected.
+type ejection struct {
+	at             int64
+	engine         int
+	pkt            uint64
+	seq, dst, hops int
+}
+
+// mailRun is what stepMail saw: every ejection, the in-flight count of
+// engine e after cycle c at 2c+e, and how many (inbox, arrival cycle)
+// pairs held two flits or more.
+type mailRun struct {
+	ejected  []ejection
+	inFlight []int
+	shared   int
+}
+
+// stepMail runs o over a two-engine layout of topo for its warm-up and
+// measurement cycles, stepping both engines every cycle and exchanging
+// their mail every Lookahead cycles, each inbox and credit list reversed
+// when reverse is set.
+func stepMail(topo Topology, o Options, reverse bool) (r mailRun) {
+	l := Layout{Routers: Partition(topo.Routers(), 2), Terminals: Partition(topo.Terminals(), 2)}
+	ws := []*World{NewWorld(o, topo, l, 0), NewWorld(o, topo, l, 1)}
+	out := [][]Outbox{make([]Outbox, 2), make([]Outbox, 2)}
+	c := drive.Config{Warmup: o.WarmupCycles, Measure: o.MeasureCycles, Dense: true}
+	epoch := int64(Lookahead(topo))
+	var inbox []Arrival
+	var credits []CreditMail
+	for from := int64(0); from < c.Warmup+c.Measure; from += epoch {
+		for j, w := range ws {
+			inbox, credits = inbox[:0], credits[:0]
+			for i := range ws {
+				inbox = append(inbox, out[i][j].Flits...)
+				credits = append(credits, out[i][j].Credits...)
+			}
+			perCycle := map[uint32]int{}
+			for _, a := range inbox {
+				if perCycle[a.At]++; perCycle[a.At] == 2 {
+					r.shared++
+				}
+			}
+			if reverse {
+				slices.Reverse(inbox)
+				slices.Reverse(credits)
+			}
+			w.Net.PutFlits(inbox, from)
+			w.Net.PutCredits(credits, from)
+		}
+		for i, w := range ws {
+			w.Net.SetOutbox(out[i])
+		}
+		for now := from; now < from+epoch; now++ {
+			for i, w := range ws {
+				for _, f := range w.Advance(now, c.At(now)) {
+					r.ejected = append(r.ejected, ejection{now, i, f.PacketID, f.Seq, f.Dst, f.Hops})
+				}
+				r.inFlight = append(r.inFlight, w.InFlight())
+			}
+		}
+	}
+	return r
+}
+
+// mismatch returns the first index at which a and b differ, or -1.
+func mismatch[T comparable](a, b []T) int {
+	for i := range max(len(a), len(b)) {
+		if i >= len(a) || i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// nth returns s[i], or "none" past its end.
+func nth[T any](s []T, i int) any {
+	if i < len(s) {
+		return s[i]
+	}
+	return "none"
 }
 
 // TestShardEpochSteadyStateAllocs gates the sharded hot path: once the
