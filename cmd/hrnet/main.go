@@ -118,6 +118,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(2, err)
 	}
+	// So is a topology the engine cannot build.
+	if err := network.CheckLimits(topo); err != nil {
+		return fail(2, err)
+	}
 	// An offered load no terminal can produce is a usage error, caught
 	// before the header prints.
 	points := xs

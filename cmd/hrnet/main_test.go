@@ -40,6 +40,9 @@ func TestBadLoadsIsUsageError(t *testing.T) {
 		// And a negative worker count.
 		{"-j", "-3", "-loads", "0.1,0.2"},
 		{"-j", "-1"},
+		// And a topology beyond the engine's limits (25,000,000 terminals).
+		{"-radix", "5000", "-digits", "2"},
+		{"-topo", "torus", "-dimx", "5000", "-dimy", "5000"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(append([]string{"-radix", "4", "-digits", "2"}, args...), &stdout, &stderr)

@@ -174,8 +174,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(1, err)
 	}
-	fmt.Fprintf(stdout, "arch=%s radix=%d vcs=%d pattern=%s load=%.3f pkt=%d\n",
-		a, full.Radix, full.VCs, pat.Name(), *load, opts.PktLen)
+	// A replay offers its trace, not the pattern, load or packet length.
+	if opts.Trace == nil {
+		fmt.Fprintf(stdout, "arch=%s radix=%d vcs=%d pattern=%s load=%.3f pkt=%d\n",
+			a, full.Radix, full.VCs, pat.Name(), *load, opts.PktLen)
+	} else {
+		fmt.Fprintf(stdout, "arch=%s radix=%d vcs=%d trace=%s packets=%d\n",
+			a, full.Radix, full.VCs, *trace, opts.Trace.Len())
+	}
 	fmt.Fprintf(stdout, "  avg latency      %.2f cycles (p50 %.1f, p99 %.1f)\n", res.AvgLatency, res.P50, res.P99)
 	fmt.Fprintf(stdout, "  throughput       %.4f of capacity\n", res.Throughput)
 	fmt.Fprintf(stdout, "  labeled packets  %d (99%% CI half-width %.2f%% of mean)\n", res.Packets, 100*res.RelErr99)

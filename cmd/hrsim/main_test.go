@@ -2,15 +2,28 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+
+	"highradix/internal/sim"
+	"highradix/internal/traffic"
 )
 
 // A zero flag takes the router's default, and the run, its traffic
 // pattern and its header all use the router that was built.
 func TestRunUsesDefaultedConfig(t *testing.T) {
 	short := []string{"-load", "0.1", "-warmup", "100", "-measure", "200"}
+	trace := filepath.Join(t.TempDir(), "light.trace")
+	tr := traffic.GenerateTrace(sim.NewRNG(9), 16, 400, 0.05, 1, traffic.NewUniform(16))
+	var buf bytes.Buffer
+	tr.WriteTo(&buf)
+	if err := os.WriteFile(trace, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		args []string
 		code int
@@ -20,6 +33,10 @@ func TestRunUsesDefaultedConfig(t *testing.T) {
 		{[]string{"-vcs", "0"}, 0, "vcs=4"},
 		{[]string{"-subsize", "0", "-pattern", "worstcase"}, 0, "pattern=worstcase"},
 		{[]string{"-pkt", "0"}, 0, "pkt=1\n"},
+		// A replay's header names its trace, not the pattern, load and
+		// packet length it never used.
+		{[]string{"-arch", "hierarchical", "-radix", "16", "-subsize", "4", "-trace", trace}, 0,
+			fmt.Sprintf("vcs=4 trace=%s packets=%d\n", trace, tr.Len())},
 		// A load the defaulted router cannot be offered is a usage error,
 		// reported before anything prints.
 		{[]string{"-load", "-1"}, 2, ""},

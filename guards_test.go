@@ -189,6 +189,17 @@ var guardSteps = []struct {
 		decls:   arrivalComparators,
 		msg:     "a sort or a comparator over Arrival mail: a cycle's arrivals land the same in any order, so nothing in the network orders them (see DESIGN.md, Topologies & sharded synchronization)",
 	}}},
+	{"One request line", []guard{{
+		roots:   []string{"internal"},
+		tests:   true,
+		pattern: `NextIssuable|MarkOutstanding|ClearOutstanding|\bissuable\b`,
+		msg:     "request-line state in the shared input bank: core.InputBank holds no allocation policy, and baseline keeps its outstanding inputs itself (see DESIGN.md, Issuable inputs)",
+	}, {
+		roots:   []string{"internal/router"},
+		tests:   true,
+		pattern: `blRequest`,
+		msg:     "a request record copied onto baseline's wires or pending lists: an input's request lives once, in its blInput, and the wires carry input indices (see DESIGN.md, Issuable inputs)",
+	}}},
 	{"One switch port", []guard{{
 		roots:   []string{"internal/router"},
 		except:  []string{"internal/router/core/", "internal/router/hierarchical.go"},

@@ -1,6 +1,8 @@
 package router
 
 import (
+	"math/bits"
+
 	"highradix/internal/arb"
 	"highradix/internal/router/core"
 	"highradix/internal/sim"
@@ -40,34 +42,21 @@ const (
 	stStartDelay   = 1
 )
 
-// blRequest is one request on an input's horizontal request lines. Each
-// input controller drives a single request at a time (Section 4.1); the
-// request persists at the output until granted, or until NACKed by the
-// speculative VC check. Fields are deliberately narrow: requests are
-// copied through the request-wire calendar and the per-output pending
-// slices every cycle, so a compact struct keeps that traffic in few
-// cache lines (int32 still covers any radix or VC count the simulator
-// accepts).
-type blRequest struct {
-	input, vc int32
-	out       int32
-	outVC     int32
-	spec      bool // head flit without an allocated output VC
-	pkt       uint64
-}
-
-// blResponse travels back from an output arbiter to an input.
+// blResponse travels back from an output arbiter to an input: which
+// input, and whether it was granted. The request it answers is still
+// the input's blInput, which cannot reissue until the response lands.
 type blResponse struct {
-	input, vc int32
-	grant     bool
-	outVC     int32
+	input int32
+	grant bool
 }
 
 // blOutput is the distributed arbitration state co-located with one
 // switch output (the right half of Figure 6 plus, for CVA, the
 // per-output-VC arbiters of Figure 8(a)).
 type blOutput struct {
-	pending []blRequest
+	// pending holds the inputs whose requests wait here, in arrival
+	// order with swap-remove; each input's request is its blInput.
+	pending []int32
 	lg      arb.Arbiter
 	dual    *arb.Dual
 	vcPtr   []int // CVA per-output-VC rotating pointer over inputs
@@ -103,15 +92,22 @@ type blOutput struct {
 // collapses).
 const reqTimeout = 8
 
-// blInput gathers the per-input request-line state into one small
-// struct, written when the input issues and read when its request
-// times out. Whether the request line is outstanding lives in the input
-// bank, which folds it into the issuable set, and the input port's
-// serializer is core.Base's InPort.
+// blInput is the one home of an input's request: each input
+// controller drives a single request at a time (Section 4.1), so the
+// request wire, the output's pending list and the response carry only
+// the input's index. It is written when the input issues and stays put
+// until the response lands or the request times out; whether it is
+// outstanding is the router's outst bit, and the input port's
+// serializer is core.Base's InPort. Fields are narrow (int32 covers any
+// radix or VC count the simulator accepts) to keep the table small.
 type blInput struct {
 	issuedAt int64
-	reqOut   int32 // output targeted by the outstanding request
-	reqAt    int32 // index of the input's request in that output's pending slice
+	pkt      uint64
+	vc       int32 // input VC the request drives for
+	out      int32 // requested output
+	outVC    int32 // requested output VC
+	reqAt    int32 // index of the input in that output's pending list
+	spec     bool  // head flit without an allocated output VC
 }
 
 // baseline is the Section 4 high-radix router: an unbuffered crossbar
@@ -126,12 +122,14 @@ type baseline struct {
 	ins  []blInput
 	outs []blOutput // by value: one contiguous block, no per-output pointer chase
 
-	reqWire  sim.Calendar[blRequest]  // due reqWireDelay after issue
+	reqWire  sim.Calendar[int32]      // inputs, due reqWireDelay after issue
 	respWire sim.Calendar[blResponse] // due grantWireDelay after the decision
 
+	// outst has bit i set while input i's request is outstanding: an
+	// input issues from In.Occupied() &^ outst.
+	outst arb.BitVec
 	// outPending tracks outputs holding pending requests; idle outputs
-	// cost zero work per cycle. The matching input-side sets (occupied,
-	// issuable) live in the input bank.
+	// cost zero work per cycle.
 	outPending arb.BitVec
 	// withdrawAt holds input indices: an input issuing at cycle t is
 	// examined for timeout withdrawal exactly at t+reqTimeout. One
@@ -157,6 +155,7 @@ func newBaseline(cfg Config) *baseline {
 		Base:        core.MakeBase(core.Obs{O: cfg.Observer}, k, v, cfg.InputBufDepth, stStartDelay+cfg.STCycles-1),
 		ins:         make([]blInput, k),
 		outs:        make([]blOutput, k),
+		outst:       arb.MakeBitVec(k),
 		outPending:  arb.MakeBitVec(k),
 		anyReq:      arb.MakeBitVec(k),
 		perVCWinner: make([]int, v),
@@ -164,13 +163,13 @@ func newBaseline(cfg Config) *baseline {
 		// bounds every per-cycle wire bucket, pending set, and
 		// withdrawal bucket; pre-sizing them here keeps the steady
 		// state free of append regrowth at any radix.
-		reqWire:    *sim.NewCalendar[blRequest](reqWireDelay, k),
+		reqWire:    *sim.NewCalendar[int32](reqWireDelay, k),
 		respWire:   *sim.NewCalendar[blResponse](grantWireDelay, k),
 		withdrawAt: *sim.NewCalendar[int32](reqTimeout, k),
 	}
 	for i := 0; i < k; i++ {
 		o := &r.outs[i]
-		o.pending = make([]blRequest, 0, k)
+		o.pending = make([]int32, 0, k)
 		o.vcPtr = make([]int, v)
 		o.nonspec = arb.MakeBitVec(k)
 		o.spec = arb.MakeBitVec(k)
@@ -222,11 +221,12 @@ func (r *baseline) pushResp(now int64, resp blResponse) {
 // processResponses handles grants and NACKs arriving at the inputs.
 func (r *baseline) processResponses(now int64, due []blResponse) {
 	for _, resp := range due {
-		in, c := int(resp.input), int(resp.vc)
-		// The request resolved; the input re-enters the issuable set (it
-		// still holds at least the flit that bid).
-		r.In.ClearOutstanding(in)
-		fr := r.In.Front(in, c)
+		in := int(resp.input)
+		st := &r.ins[in]
+		// The request resolved; the input may issue again (it still
+		// holds at least the flit that bid).
+		r.outst.Clear(in)
+		fr := r.In.Front(in, int(st.vc))
 		if !resp.grant {
 			// Failed speculation: rotate the output-VC choice so the
 			// re-bid eventually finds a free VC (Section 4.4).
@@ -236,8 +236,8 @@ func (r *baseline) processResponses(now int64, due []blResponse) {
 			}
 			continue
 		}
-		f := r.In.Pop(in, c)
-		f.VC = int(resp.outVC)
+		f := r.In.Pop(in, int(st.vc))
+		f.VC = int(st.outVC)
 		if f.Head {
 			fr.OutVC = int16(f.VC)
 		}
@@ -254,12 +254,13 @@ func (r *baseline) processResponses(now int64, due []blResponse) {
 
 // deliverRequests moves requests off the wires into the output pending
 // sets.
-func (r *baseline) deliverRequests(due []blRequest) {
-	for _, req := range due {
+func (r *baseline) deliverRequests(due []int32) {
+	for _, i32 := range due {
+		req := &r.ins[i32]
 		ou := &r.outs[req.out]
-		in := int(req.input)
-		r.ins[in].reqAt = int32(len(ou.pending))
-		ou.pending = append(ou.pending, req)
+		in := int(i32)
+		req.reqAt = int32(len(ou.pending))
+		ou.pending = append(ou.pending, i32)
 		if req.spec {
 			ou.spec.Set(in)
 			ou.specVC[req.outVC].Set(in)
@@ -304,20 +305,21 @@ func (r *baseline) nackBusySpecs(now int64, o int, ou *blOutput) {
 		return
 	}
 	kept := ou.pending[:0]
-	for _, req := range ou.pending {
+	for _, i32 := range ou.pending {
+		req := &r.ins[i32]
 		if req.spec && !r.Owner.FreeVC(o, int(req.outVC)) {
-			in := int(req.input)
+			in := int(i32)
 			ou.spec.Clear(in)
 			ou.specVC[req.outVC].Clear(in)
 			if !ou.specVC[req.outVC].Any() {
 				ou.specVCAny &^= 1 << uint(req.outVC)
 			}
 			r.Obs.Emit(now, EvNack, nil, in, o, int(req.outVC), "cva-busy")
-			r.pushResp(now, blResponse{input: req.input, vc: req.vc, grant: false})
+			r.pushResp(now, blResponse{input: i32})
 			continue
 		}
-		r.ins[req.input].reqAt = int32(len(kept))
-		kept = append(kept, req)
+		req.reqAt = int32(len(kept))
+		kept = append(kept, i32)
 	}
 	ou.pending = kept
 }
@@ -360,7 +362,7 @@ func (r *baseline) arbitrateOne(now int64, o int, ou *blOutput, start int64) {
 	if winner < 0 {
 		return
 	}
-	req := ou.pending[r.ins[winner].reqAt]
+	req := &r.ins[winner]
 	if req.spec {
 		if r.cfg.VA == OVA && !r.Owner.FreeVC(o, int(req.outVC)) {
 			// Deep speculation failed after the switch was allocated:
@@ -368,9 +370,9 @@ func (r *baseline) arbitrateOne(now int64, o int, ou *blOutput, start int64) {
 			// discovered after the grant has crossed back (Figure 7(c)),
 			// so the output cannot re-arbitrate until then.
 			r.OutPort.Reserve(o, now+grantWireDelay+stStartDelay, 0)
-			r.removePending(ou, int(r.ins[winner].reqAt))
-			r.Obs.Emit(now, EvNack, nil, int(req.input), o, int(req.outVC), "ova-busy")
-			r.pushResp(now, blResponse{input: req.input, vc: req.vc, grant: false})
+			r.removePending(ou, int(req.reqAt))
+			r.Obs.Emit(now, EvNack, nil, winner, o, int(req.outVC), "ova-busy")
+			r.pushResp(now, blResponse{input: int32(winner)})
 			return
 		}
 		if r.cfg.VA == CVA && perVCWinner[req.outVC] != winner {
@@ -379,24 +381,24 @@ func (r *baseline) arbitrateOne(now int64, o int, ou *blOutput, start int64) {
 			// busy (the request is NACKed by nackBusySpecs this cycle)
 			// or it lost the per-VC tie-break (it stays pending). Either
 			// way the switch round is wasted (Figure 8(a)).
-			r.Obs.Emit(now, EvNack, nil, int(req.input), o, int(req.outVC), "cva-lost-vc-arb")
+			r.Obs.Emit(now, EvNack, nil, winner, o, int(req.outVC), "cva-lost-vc-arb")
 			return
 		}
 		r.Owner.Acquire(o, int(req.outVC), req.pkt)
 		ou.vcDirty = true
 		if r.cfg.VA == CVA {
-			ou.vcPtr[req.outVC] = (int(req.input) + 1) % k
+			ou.vcPtr[req.outVC] = (winner + 1) % k
 		}
 	}
-	r.removePending(ou, int(r.ins[winner].reqAt))
+	r.removePending(ou, int(req.reqAt))
 	r.OutPort.Reserve(o, start, r.cfg.STCycles)
-	r.Obs.Emit(now, EvGrant, nil, int(req.input), o, int(req.outVC), "switch")
-	r.pushResp(now, blResponse{input: req.input, vc: req.vc, grant: true, outVC: req.outVC})
+	r.Obs.Emit(now, EvGrant, nil, winner, o, int(req.outVC), "switch")
+	r.pushResp(now, blResponse{input: int32(winner), grant: true})
 }
 
 func (r *baseline) removePending(ou *blOutput, idx int) {
-	req := ou.pending[idx]
-	in := int(req.input)
+	in := int(ou.pending[idx])
+	req := &r.ins[in]
 	if req.spec {
 		ou.spec.Clear(in)
 		ou.specVC[req.outVC].Clear(in)
@@ -410,7 +412,7 @@ func (r *baseline) removePending(ou *blOutput, idx int) {
 	if idx != last {
 		moved := ou.pending[last]
 		ou.pending[idx] = moved
-		r.ins[moved.input].reqAt = int32(idx)
+		r.ins[moved].reqAt = int32(idx)
 	}
 	ou.pending = ou.pending[:last]
 }
@@ -433,54 +435,56 @@ func (r *baseline) issueRequests(now int64) {
 		for _, i32 := range due {
 			i := int(i32)
 			st := &r.ins[i]
-			if !r.In.Outstanding(i) || st.issuedAt != now-reqTimeout {
+			if !r.outst.Get(i) || st.issuedAt != now-reqTimeout {
 				continue
 			}
-			ou := &r.outs[st.reqOut]
-			if idx := int(st.reqAt); idx < len(ou.pending) && int(ou.pending[idx].input) == i {
-				r.removePending(ou, idx)
-				r.In.ClearOutstanding(i)
+			// An input's bit is unique router-wide, so it is set in its
+			// output's request sets exactly while the request is pending.
+			ou := &r.outs[st.out]
+			if ou.nonspec.Get(i) || ou.spec.Get(i) {
+				r.removePending(ou, int(st.reqAt))
+				r.outst.Clear(i)
 			}
 			if len(ou.pending) == 0 {
-				r.outPending.Clear(int(st.reqOut))
+				r.outPending.Clear(int(st.out))
 			}
 		}
 	})
-	for i := r.In.NextIssuable(0); i >= 0; i = r.In.NextIssuable(i + 1) {
-		if !inPort.Free(i, horizon) {
-			continue
-		}
-		var w uint64
-		fronts := r.In.Fronts(i)
-		for c := 0; c < v; c++ {
-			if now > fronts[c].Inj {
-				w |= 1 << uint(c)
+	outst := r.outst.Words()
+	for wi, iw := range r.In.Occupied().Words() {
+		for iw &^= outst[wi]; iw != 0; iw &= iw - 1 {
+			i := wi<<6 | bits.TrailingZeros64(iw)
+			if !inPort.Free(i, horizon) {
+				continue
 			}
-		}
-		if w == 0 {
-			continue
-		}
-		c := inVC.Arbitrate(i, w)
-		fm := &fronts[c]
-		breq := blRequest{input: int32(i), vc: int32(c), out: fm.Dst, pkt: fm.Pkt}
-		if fm.Head && fm.OutVC < 0 {
-			breq.spec = true
-			switch r.cfg.SpecPolicy {
-			case SpecFixed:
-				breq.outVC = 0
-			case SpecHash:
-				breq.outVC = int32(int(fm.Pkt) % v)
-			default: // SpecRotate: adapt after every NACK (Section 4.4)
-				breq.outVC = int32(int(fm.Rot) % v)
+			var w uint64
+			fronts := r.In.Fronts(i)
+			for c := 0; c < v; c++ {
+				if now > fronts[c].Inj {
+					w |= 1 << uint(c)
+				}
 			}
-		} else {
-			breq.outVC = int32(fm.OutVC)
+			if w == 0 {
+				continue
+			}
+			c := inVC.Arbitrate(i, w)
+			fm := &fronts[c]
+			st := &r.ins[i]
+			*st = blInput{issuedAt: now, pkt: fm.Pkt, vc: int32(c), out: fm.Dst, outVC: int32(fm.OutVC)}
+			if fm.Head && fm.OutVC < 0 {
+				st.spec = true
+				switch r.cfg.SpecPolicy {
+				case SpecFixed:
+					st.outVC = 0
+				case SpecHash:
+					st.outVC = int32(int(fm.Pkt) % v)
+				default: // SpecRotate: adapt after every NACK (Section 4.4)
+					st.outVC = int32(int(fm.Rot) % v)
+				}
+			}
+			r.outst.Set(i)
+			r.withdrawAt.Schedule(now+reqTimeout, int32(i))
+			r.reqWire.Schedule(now+reqWireDelay, int32(i))
 		}
-		r.In.MarkOutstanding(i)
-		st := &r.ins[i]
-		st.issuedAt = now
-		st.reqOut = breq.out
-		r.withdrawAt.Schedule(now+reqTimeout, int32(i))
-		r.reqWire.Schedule(now+reqWireDelay, breq)
 	}
 }

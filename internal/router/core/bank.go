@@ -39,11 +39,8 @@ const FrontNone = int64(1) << 62
 
 // InputBank is the bank of input virtual-channel buffers of all router
 // ports, flat-indexed [input*vcs+vc]. It owns the front cache, the
-// per-input full bitsets behind CanAccept, the occupied active set, and
-// the issuable set (occupied AND no outstanding request line) that
-// architectures with request/grant wires iterate instead of scanning
-// every port. Architectures without request lines simply never mark an
-// input outstanding, making issuable identical to occupied.
+// per-input full bitsets behind CanAccept, and the occupied active set
+// that allocators iterate instead of scanning every port.
 type InputBank struct {
 	vcs   int
 	obs   Obs
@@ -55,13 +52,8 @@ type InputBank struct {
 	full []uint64
 	// held[i] has bit c set while input buffer (i,c) holds a flit, so
 	// allocators iterate an input's occupied VCs instead of testing all.
-	held []uint64
-	occ  ActiveSet
-	// outst[i] is set while input i drives an outstanding request line;
-	// issuable = occupied AND NOT outstanding, maintained at every
-	// transition so issue scans skip inputs waiting on a response.
-	outst    arb.BitVec
-	issuable arb.BitVec
+	held     []uint64
+	occ      ActiveSet
 	buffered int // total flits across all queues
 }
 
@@ -69,15 +61,13 @@ type InputBank struct {
 // per buffer, by value for embedding.
 func makeInputBank(obs Obs, q FIFOBank, inputs, vcs int) InputBank {
 	b := InputBank{
-		vcs:      vcs,
-		obs:      obs,
-		q:        q,
-		front:    make([]Front, inputs*vcs),
-		full:     make([]uint64, inputs),
-		held:     make([]uint64, inputs),
-		occ:      MakeActiveSet(inputs),
-		outst:    arb.MakeBitVec(inputs),
-		issuable: arb.MakeBitVec(inputs),
+		vcs:   vcs,
+		obs:   obs,
+		q:     q,
+		front: make([]Front, inputs*vcs),
+		full:  make([]uint64, inputs),
+		held:  make([]uint64, inputs),
+		occ:   MakeActiveSet(inputs),
 	}
 	for i := range b.front {
 		b.front[i].Inj = FrontNone
@@ -113,15 +103,12 @@ func (b *InputBank) Accept(now int64, f *flit.Flit) {
 	}
 	b.occ.Inc(f.Src)
 	b.buffered++
-	if !b.outst.Get(f.Src) {
-		b.issuable.Set(f.Src)
-	}
 	b.obs.Emit(now, EvAccept, f, f.Src, f.Dst, f.VC, "")
 }
 
 // Pop removes and returns the front flit of (input, vc), refreshing the
 // front cache (OutVC and Rot persist — they belong to the head packet)
-// and the occupied/issuable sets. Popping an empty buffer is a
+// and the occupied set. Popping an empty buffer is a
 // flow-control violation.
 func (b *InputBank) Pop(input, vc int) *flit.Flit {
 	idx := input*b.vcs + vc
@@ -139,13 +126,6 @@ func (b *InputBank) Pop(input, vc int) *flit.Flit {
 	}
 	b.occ.Dec(input)
 	b.buffered--
-	if b.occ.Count(input) > 0 {
-		if !b.outst.Get(input) {
-			b.issuable.Set(input)
-		}
-	} else {
-		b.issuable.Clear(input)
-	}
 	return f
 }
 
@@ -184,27 +164,3 @@ func (b *InputBank) NextOccupied(i int) int { return b.occ.Next(i) }
 
 // Occupied returns the set of inputs holding any flit, read-only.
 func (b *InputBank) Occupied() *arb.BitVec { return &b.occ.bits }
-
-// NextIssuable returns the lowest input that is occupied with no
-// outstanding request line at or after i, or -1.
-func (b *InputBank) NextIssuable(i int) int { return b.issuable.Next(i) }
-
-// Outstanding reports whether input i drives an outstanding request.
-func (b *InputBank) Outstanding(i int) bool { return b.outst.Get(i) }
-
-// MarkOutstanding records that input i issued a request on its single
-// request line; the input leaves the issuable set until the response
-// (or a timeout withdrawal) clears it.
-func (b *InputBank) MarkOutstanding(i int) {
-	b.outst.Set(i)
-	b.issuable.Clear(i)
-}
-
-// ClearOutstanding records that input i's request resolved; the input
-// re-enters the issuable set if it still holds flits.
-func (b *InputBank) ClearOutstanding(i int) {
-	b.outst.Clear(i)
-	if b.occ.Count(i) > 0 {
-		b.issuable.Set(i)
-	}
-}

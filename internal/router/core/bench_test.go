@@ -22,7 +22,7 @@ func BenchmarkInputBankPushPop(b *testing.B) {
 	}
 }
 
-// BenchmarkInputBankScan measures a full issuable scan plus front reads
+// BenchmarkInputBankScan measures a full occupied scan plus front reads
 // at a typical low-load occupancy (4 of 64 inputs holding flits).
 func BenchmarkInputBankScan(b *testing.B) {
 	bank := core.MakeBase(core.Obs{}, 64, 4, 16, 1).In
@@ -33,7 +33,7 @@ func BenchmarkInputBankScan(b *testing.B) {
 	b.ResetTimer()
 	sink := 0
 	for n := 0; n < b.N; n++ {
-		for i := bank.NextIssuable(0); i >= 0; i = bank.NextIssuable(i + 1) {
+		for i := bank.NextOccupied(0); i >= 0; i = bank.NextOccupied(i + 1) {
 			for c := range bank.Fronts(i) {
 				fr := bank.Front(i, c)
 				if fr.Inj != core.FrontNone {

@@ -13,8 +13,8 @@
 //     Base.MakeFIFOBank, which counts its slots toward Base.Storage.
 //   - InputBank: the input VC buffers of all ports, with the cached
 //     head-of-line state (Front) the allocators read every cycle, the
-//     per-input full bitsets behind CanAccept, and the occupied /
-//     issuable (occupied AND not-outstanding) active sets.
+//     per-input full bitsets behind CanAccept, and the occupied active
+//     set; request lines and their bookkeeping are the baseline's own.
 //   - Ledger: a credit ledger owning every spend/return path of one
 //     family of credit-counted buffer pools; it maintains the counts
 //     and emits the EvCredit audit events itself.

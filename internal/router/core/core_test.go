@@ -306,40 +306,6 @@ func TestInputBankAcceptPop(t *testing.T) {
 	}
 }
 
-func TestInputBankIssuable(t *testing.T) {
-	b := mkBank(4, 1, 4)
-	f := flit.MakePacket(1, 2, 0, 0, 2, 0, false)
-	b.Accept(0, f[0])
-	if b.NextIssuable(0) != 2 || b.NextOccupied(0) != 2 {
-		t.Fatal("accepted input not issuable")
-	}
-	b.MarkOutstanding(2)
-	if b.NextIssuable(0) != -1 {
-		t.Fatal("outstanding input still issuable")
-	}
-	if !b.Outstanding(2) {
-		t.Fatal("outstanding bit lost")
-	}
-	// More flits arriving while a request is outstanding must not make
-	// the input issuable.
-	b.Accept(1, f[1])
-	if b.NextIssuable(0) != -1 {
-		t.Fatal("accept overrode outstanding")
-	}
-	b.ClearOutstanding(2)
-	if b.NextIssuable(0) != 2 {
-		t.Fatal("resolved input not issuable")
-	}
-	b.Pop(2, 0)
-	if b.NextIssuable(0) != 2 {
-		t.Fatal("nonempty input dropped from issuable on pop")
-	}
-	b.Pop(2, 0)
-	if b.NextIssuable(0) != -1 || b.NextOccupied(0) != -1 {
-		t.Fatal("empty input still issuable")
-	}
-}
-
 func TestInputBankOverflowPanics(t *testing.T) {
 	b := mkBank(1, 1, 1)
 	b.Accept(0, flit.MakePacket(1, 0, 0, 0, 1, 0, false)[0])

@@ -40,6 +40,27 @@ func TestTraceReplay(t *testing.T) {
 	}
 }
 
+// TestTraceReplayIgnoresLoad: a replay offers what its trace holds, so
+// a Load left over from a synthetic run's options (hrsim's default 0.5)
+// does not make a light trace read as saturated.
+func TestTraceReplayIgnoresLoad(t *testing.T) {
+	tr := traffic.GenerateTrace(sim.NewRNG(6), 16, 1500, 0.02, 1, traffic.NewUniform(16))
+	res, err := Run(Options{
+		Router:        router.Config{Arch: router.ArchHierarchical, Radix: 16, VCs: 4, SubSize: 4},
+		Trace:         tr,
+		Load:          0.5,
+		WarmupCycles:  300,
+		MeasureCycles: 900,
+		Seed:          6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Throughput > 0.1 || res.Saturated {
+		t.Fatalf("light trace (throughput %.4f) saturated %v; want unsaturated", res.Throughput, res.Saturated)
+	}
+}
+
 // TestTraceReplayDeterministic: the same trace through the same router
 // gives bit-identical results.
 func TestTraceReplayDeterministic(t *testing.T) {
