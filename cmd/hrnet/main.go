@@ -77,6 +77,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *jobs < 0 {
 		return fail(2, fmt.Errorf("-j %d: want a worker count >= 0", *jobs))
 	}
+	// A phase under one cycle is a usage error: the library would read 0
+	// as its default, running a phase the flag did not ask for.
+	if *warmup < 1 {
+		return fail(2, fmt.Errorf("-warmup %d: want at least one cycle", *warmup))
+	}
+	if *measure < 1 {
+		return fail(2, fmt.Errorf("-measure %d: want at least one cycle", *measure))
+	}
 
 	var xs []float64
 	if *loads != "" {
@@ -139,12 +147,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MeasureCycles: *measure,
 		Seed:          *seed,
 	}
-	// So are phases no run can have, read after the defaults fill in
-	// a zero.
-	d := base.WithDefaults()
-	if err := drive.CheckPhases(d.WarmupCycles, d.MeasureCycles, d.DrainCycles); err != nil {
-		return fail(2, err)
-	}
 	// A granted flit lands one link cycle after the router's pipeline
 	// delay, so a hop costs HopDelay+1 cycles: at zero load a packet
 	// takes per-hop times its hops, plus ser once.
@@ -172,7 +174,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "  throughput       %.4f of capacity\n", res.Throughput)
 	fmt.Fprintf(stdout, "  labeled packets  %d over %d cycles\n", res.Packets, res.Cycles)
 	if *chk {
-		fmt.Fprintln(stdout, "  invariants       ok (conservation, in-order delivery, VC ownership, serializer spacing, progress)")
+		fmt.Fprintln(stdout, invariantsOK)
 	}
 	if res.Saturated {
 		fmt.Fprintln(stdout, "  SATURATED")
@@ -180,8 +182,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// invariantsOK is what an audited run prints once every point it ran
+// has passed the checker.
+const invariantsOK = "  invariants       ok (conservation, in-order delivery, VC ownership, serializer spacing, progress)"
+
 // sweepLoads fans the offered-load points xs out on the worker pool
-// and prints one line per point, truncated at the first saturation.
+// and prints one line per point, truncated at the first saturation,
+// then, if chk armed the checker, the line saying every point passed.
 func sweepLoads(stdout io.Writer, base network.Options, xs []float64, jobs int, chk bool) error {
 	p := sweep.New(jobs)
 	results := make([]network.Result, len(xs))
@@ -225,6 +232,9 @@ func sweepLoads(stdout io.Writer, base network.Options, xs []float64, jobs int, 
 		}
 		fmt.Fprintf(stdout, "  %-8.3f %12.2f %12.4f %10.2f%s\n",
 			res.Load, res.AvgLatency, res.Throughput, res.AvgHops, sat)
+	}
+	if chk {
+		fmt.Fprintln(stdout, invariantsOK)
 	}
 	return nil
 }

@@ -24,6 +24,22 @@ func TestRunOutputPinned(t *testing.T) {
 	}
 }
 
+// An audited sweep's whole stdout: the table, then the line saying
+// every point it ran passed the checker.
+func TestSweepOutputPinned(t *testing.T) {
+	want := "clos: routers=12 terminals=16 vcs=4 per-hop=8 ser=1\n" +
+		"  load          latency   throughput       hops\n" +
+		"  0.200           25.29       0.2018       3.00\n" +
+		"  0.500           26.31       0.4903       3.00\n" +
+		"  invariants       ok (conservation, in-order delivery, VC ownership, serializer spacing, progress)\n"
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-radix", "4", "-digits", "2", "-loads", "0.2,0.5", "-warmup", "300", "-measure", "600",
+		"-check"}, &stdout, &stderr)
+	if code != 0 || stdout.String() != want || stderr.Len() != 0 {
+		t.Errorf("exit %d, stderr %q, stdout:\n%s\nwant:\n%s", code, stderr.String(), stdout.String(), want)
+	}
+}
+
 // A -load or -loads entry that does not parse, or that no terminal can
 // offer (negative, not a number, more than one packet per cycle), is a
 // usage error, found before anything is printed.
@@ -37,6 +53,9 @@ func TestBadLoadsIsUsageError(t *testing.T) {
 		// So is a phase no run can have, caught before the header prints.
 		{"-warmup", "-100"},
 		{"-measure", "-50", "-loads", "0.1,0.2"},
+		// Or a zero one, which the library would read as its default.
+		{"-warmup", "0"},
+		{"-measure", "0", "-loads", "0.1,0.2"},
 		// And a negative worker count.
 		{"-j", "-3", "-loads", "0.1,0.2"},
 		{"-j", "-1"},

@@ -74,6 +74,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *packets < 0 {
 		return fail(2, fmt.Errorf("-packets %d: want a count >= 0", *packets))
 	}
+	// So is a phase under one cycle: the library would read 0 as its
+	// default, running a phase the flag did not ask for.
+	if *warmup < 1 {
+		return fail(2, fmt.Errorf("-warmup %d: want at least one cycle", *warmup))
+	}
+	if *measure < 1 {
+		return fail(2, fmt.Errorf("-measure %d: want at least one cycle", *measure))
+	}
 
 	a, err := router.ArchByName(*arch)
 	if err != nil {
@@ -98,10 +106,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// the router's own radix, VCs and subswitch size, defaults filled in.
 	full := cfg.WithDefaults()
 	if err := full.Validate(); err != nil {
-		return fail(2, err)
-	}
-	pat, err := traffic.ByName(*pattern, full.Radix, full.SubSize, 8)
-	if err != nil {
 		return fail(2, err)
 	}
 	// timelines holds the flit events of each tracked packet: the first
@@ -139,7 +143,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	opts := testbench.Options{
 		Router:        cfg,
-		Pattern:       pat,
 		Bursty:        *bursty,
 		Load:          *load,
 		PktLen:        *pkt,
@@ -148,14 +151,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Seed:          *seed,
 		Check:         *chk,
 	}.WithDefaults()
-	// So are phases no run can have, read after the defaults fill in
-	// a zero.
-	if err := drive.CheckPhases(opts.WarmupCycles, opts.MeasureCycles, opts.DrainCycles); err != nil {
-		return fail(2, err)
-	}
 	if *trace == "" {
-		// An offered load no source can produce is a usage error too,
-		// caught before anything prints.
+		// A synthetic run's pattern must fit the router, and its offered
+		// load must be one a source can produce; a replay uses neither.
+		if opts.Pattern, err = traffic.ByName(*pattern, full.Radix, full.SubSize, 8); err != nil {
+			return fail(2, err)
+		}
 		if err := drive.CheckLoad(*load, full.STCycles, opts.PktLen); err != nil {
 			return fail(2, err)
 		}
@@ -177,7 +178,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// A replay offers its trace, not the pattern, load or packet length.
 	if opts.Trace == nil {
 		fmt.Fprintf(stdout, "arch=%s radix=%d vcs=%d pattern=%s load=%.3f pkt=%d\n",
-			a, full.Radix, full.VCs, pat.Name(), *load, opts.PktLen)
+			a, full.Radix, full.VCs, opts.Pattern.Name(), *load, opts.PktLen)
 	} else {
 		fmt.Fprintf(stdout, "arch=%s radix=%d vcs=%d trace=%s packets=%d\n",
 			a, full.Radix, full.VCs, *trace, opts.Trace.Len())

@@ -45,6 +45,9 @@ func TestRunUsesDefaultedConfig(t *testing.T) {
 		// So is a phase no run can have.
 		{[]string{"-warmup", "-100"}, 2, ""},
 		{[]string{"-measure", "-50"}, 2, ""},
+		// Or a zero one, which the library would read as its default.
+		{[]string{"-warmup", "0"}, 2, ""},
+		{[]string{"-measure", "0"}, 2, ""},
 		// And a negative count of events or packets to print.
 		{[]string{"-events", "-1"}, 2, ""},
 		{[]string{"-events", "1", "-packets", "-1"}, 2, ""},
@@ -79,5 +82,32 @@ func TestRunOutputPinned(t *testing.T) {
 		"-warmup", "100", "-measure", "200", "-check", "-packets", "1", "-events", "2"}, &stdout, &stderr)
 	if code != 0 || stdout.String() != want {
 		t.Errorf("exit %d, stderr %q, stdout:\n%s\nwant:\n%s", code, stderr.String(), stdout.String(), want)
+	}
+}
+
+// A replay draws no destinations, so -pattern neither refuses it (a
+// hotspot needs more terminals than radix 4 has) nor changes a byte of
+// its output.
+func TestTraceIgnoresPattern(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "radix4.trace")
+	tr := traffic.GenerateTrace(sim.NewRNG(3), 4, 300, 0.2, 1, traffic.NewUniform(4))
+	var buf bytes.Buffer
+	tr.WriteTo(&buf)
+	if err := os.WriteFile(trace, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base := []string{"-arch", "lowradix", "-radix", "4", "-warmup", "50", "-measure", "200", "-trace", trace}
+	var want, stderr bytes.Buffer
+	if code := run(base, &want, &stderr); code != 0 {
+		t.Fatalf("without -pattern: exit %d, stderr %q", code, stderr.String())
+	}
+	for _, pattern := range []string{"hotspot", "worstcase", "nope"} {
+		var stdout bytes.Buffer
+		stderr.Reset()
+		code := run(append(slices.Clone(base), "-pattern", pattern), &stdout, &stderr)
+		if code != 0 || stdout.String() != want.String() {
+			t.Errorf("-pattern %s: exit %d, stderr %q, stdout:\n%s\nwant the run without -pattern:\n%s",
+				pattern, code, stderr.String(), stdout.String(), want.String())
+		}
 	}
 }

@@ -186,8 +186,14 @@ var guardSteps = []struct {
 		roots:   []string{"internal/network"},
 		tests:   true,
 		pattern: `sort\.(Slice|SliceStable|Sort|Stable)\(|slices\.Sort(Stable)?Func\(`,
-		decls:   arrivalComparators,
+		decls:   comparators("Arrival"),
 		msg:     "a sort or a comparator over Arrival mail: a cycle's arrivals land the same in any order, so nothing in the network orders them (see DESIGN.md, Topologies & sharded synchronization)",
+	}}},
+	{"Records replay in order", []guard{{
+		roots:   []string{"internal/network"},
+		pattern: `\bmerge\b[\[(]`,
+		decls:   comparators("delivRec", "injRec"),
+		msg:     "a merge or a comparator over shard records: each worker's terminals precede the next worker's, so replaying the workers in index order is the serial world's order (see DESIGN.md, Topologies & sharded synchronization)",
 	}}},
 	{"One request line", []guard{{
 		roots:   []string{"internal"},
@@ -393,32 +399,35 @@ func fieldsNamed(name string) func(*ast.File) []ast.Node {
 	}
 }
 
-// arrivalComparators matches a function, declared or literal, that
-// takes two Arrivals (bare, package-qualified or by pointer): the shape
-// of a comparator for slices.SortFunc and its kin.
-func arrivalComparators(f *ast.File) []ast.Node {
-	var out []ast.Node
-	ast.Inspect(f, func(n ast.Node) bool {
-		ft, ok := n.(*ast.FuncType)
-		if !ok || ft.Params == nil {
+// comparators matches a function, declared or literal, that takes two
+// values of one of the named types (bare, package-qualified or by
+// pointer): the shape of a comparator for slices.SortFunc and its kin.
+func comparators(types ...string) func(*ast.File) []ast.Node {
+	return func(f *ast.File) []ast.Node {
+		var out []ast.Node
+		ast.Inspect(f, func(n ast.Node) bool {
+			ft, ok := n.(*ast.FuncType)
+			if !ok || ft.Params == nil {
+				return true
+			}
+			seen := map[string]int{}
+			for _, p := range ft.Params.List {
+				typ := p.Type
+				if star, ok := typ.(*ast.StarExpr); ok {
+					typ = star.X
+				}
+				seen[typeName(typ)] += max(len(p.Names), 1)
+			}
+			for _, t := range types {
+				if seen[t] >= 2 {
+					out = append(out, ft)
+					break
+				}
+			}
 			return true
-		}
-		arrivals := 0
-		for _, p := range ft.Params.List {
-			typ := p.Type
-			if star, ok := typ.(*ast.StarExpr); ok {
-				typ = star.X
-			}
-			if typeName(typ) == "Arrival" {
-				arrivals += max(len(p.Names), 1)
-			}
-		}
-		if arrivals >= 2 {
-			out = append(out, ft)
-		}
-		return true
-	})
-	return out
+		})
+		return out
+	}
 }
 
 // unguardedEvents matches an Event composite literal (bare or

@@ -173,11 +173,13 @@ func (p *Plant) plant() *Plant { return p }
 // that spreads over CPUs the budget leaves spare (ClaimSpare) sees this
 // run counted; then, when the world is a Plant and the budget still has
 // a CPU spare, Run gives the bank's draws a producer goroutine of their
-// own, which it stops and joins on every way out. A phase CheckPhases
-// rejects is an error before anything is built.
+// own, which it stops and joins on every way out. A phase no run can
+// have — a negative warmup or drain, or a measurement window shorter
+// than one cycle — is an error before anything is built.
 func Run(c Config, build func() World) (*Tally, error) {
-	if err := CheckPhases(c.Warmup, c.Measure, c.Drain); err != nil {
-		return nil, err
+	if c.Warmup < 0 || c.Measure < 1 || c.Drain < 0 {
+		return nil, fmt.Errorf("phases of %d warmup, %d measure and %d drain cycles: want warmup and drain >= 0 and measure >= 1",
+			c.Warmup, c.Measure, c.Drain)
 	}
 	defer Claim(1)()
 	if testHookClaimed != nil {
@@ -252,16 +254,6 @@ func (c Config) Wake(w Waker, now, bound int64) int64 {
 		wake = measEnd
 	}
 	return max(now+1, min(wake, bound))
-}
-
-// CheckPhases rejects phase lengths no run can have: a negative warmup
-// or drain, or a measurement window shorter than one cycle.
-func CheckPhases(warmup, measure, drain int64) error {
-	if warmup < 0 || measure < 1 || drain < 0 {
-		return fmt.Errorf("phases of %d warmup, %d measure and %d drain cycles: want warmup and drain >= 0 and measure >= 1",
-			warmup, measure, drain)
-	}
-	return nil
 }
 
 // CheckLoad rejects an offered load no source can produce: in packets

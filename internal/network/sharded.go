@@ -40,19 +40,23 @@ import (
 // The run itself is internal/drive's, as it is for the one-engine
 // world: the sharded network is a drive.World whose Cycle simulates an
 // epoch on the workers when the driver reaches its first cycle, then
-// replays each cycle's records, merged in the serial world's own order
-// (injections by (cycle, source), deliveries by (cycle, destination)),
-// into the driver's tally and the run's hooks. That makes not just the
-// final numbers but the full observable event stream identical to a
-// serial run. TestShardDeterminism pins this equivalence; DESIGN.md
+// replays each cycle's records into the driver's tally and the run's
+// hooks, worker by worker in index order. That is the serial world's own
+// order — injections by (cycle, source), deliveries by (cycle,
+// destination) — by construction: each worker's sources are a
+// contiguous terminal range and inject in ascending order, its routers
+// are a contiguous range whose ejections number terminals in (router,
+// port) order (NewNetworkRange refuses any other topology), and worker
+// i's ranges all precede worker i+1's. That makes not just the final
+// numbers but the full observable event stream identical to a serial
+// run. TestShardDeterminism pins this equivalence; DESIGN.md
 // ("The driver", "Topologies & sharded synchronization") gives the
 // legality argument.
 
 // Test-only fault injections, exercised by the mutation-regression
 // tests to prove the determinism suite actually detects the two classic
 // ways a conservative-parallel simulator rots: an off-by-one in the
-// synchronization window, and a merge order that depends on worker
-// scheduling.
+// synchronization window, and a replay out of the serial world's order.
 var (
 	// testLookaheadSkew is added to the epoch length. +1 makes epochs one
 	// cycle longer than the lookahead bound permits, so a cross-shard
@@ -62,10 +66,10 @@ var (
 	// catch (results still deterministic per worker count, but no longer
 	// equal across worker counts).
 	testLookaheadSkew int
-	// testUnorderedMerge, when true, concatenates per-worker delivery
-	// records in worker order instead of merging them into the canonical
-	// (cycle, destination) order, modelling a merge that forgot to compare.
-	testUnorderedMerge bool
+	// testReverseReplay, when true, replays each cycle's records walking
+	// the workers from last to first, modelling a replay that forgot the
+	// order its workers' terminal ranges put the records in.
+	testReverseReplay bool
 )
 
 // Partition splits routers [0, n) into p contiguous ranges whose sizes
@@ -86,14 +90,13 @@ func Partition(n, p int) [][2]int {
 }
 
 // delivRec is one delivered flit, recorded by the worker at delivery
-// and replayed by the coordinator in canonical order. Unhooked runs
+// and replayed by the coordinator in the serial world's order. Unhooked runs
 // copy the fields the statistics need and send the flit home (spent);
 // hooked runs keep the pointer alive (the auditor reads only fields
 // that are stable after ejection).
 type delivRec struct {
 	at        int64
 	createdAt int64
-	dst       int
 	hops      int
 	tail      bool
 	measured  bool
@@ -102,17 +105,17 @@ type delivRec struct {
 
 // injRec is one injected flit, recorded for hook replay.
 type injRec struct {
-	at  int64
-	src int
-	f   *flit.Flit
+	at int64
+	f  *flit.Flit
 }
 
 // worker owns one shard: the World (the drive.Plant of an engine and
 // its source bank) of a contiguous router range and a contiguous range
 // of terminals, whose sources it hosts. Workers run epochs
 // concurrently and never touch each other's state; everything they
-// produce for the coordinator lands in their own record slices, and
-// everything for another worker in their own outboxes.
+// produce for the coordinator lands in their own record slices, each in
+// the serial world's order already, and everything for another worker
+// in their own outboxes.
 type worker struct {
 	*World
 	id   int
@@ -121,6 +124,8 @@ type worker struct {
 
 	deliv []delivRec
 	injs  []injRec
+	// di and ii are the replay's cursors into deliv and injs.
+	di, ii int
 	// out[n&1][j] is the mail epoch n sends worker j, and spent[n&1][j]
 	// the flits delivered here in it that worker j generated; j takes
 	// both at the start of epoch n+1. Sinks and sources of one flow
@@ -144,9 +149,9 @@ type worker struct {
 
 // sharded is the sharded network as internal/drive sees it. The workers
 // simulate a whole epoch ahead of the cycle the driver is at; Cycle
-// then replays that cycle's records, merged into the serial world's
-// own order, so the driver's accounting, exit checks and hooks see
-// exactly what a serial run would have shown them.
+// then replays that cycle's records worker by worker, so the driver's
+// accounting, exit checks and hooks see exactly what a serial run would
+// have shown them.
 type sharded struct {
 	cfg      drive.Config
 	hooks    Hooks
@@ -162,12 +167,6 @@ type sharded struct {
 
 	// cur is the cycle last replayed.
 	from, end, cur int64
-	recs           []delivRec
-	injs           []injRec
-	ri, ii         int
-	// Scratch for merge: the workers' record streams.
-	recSrc [][]delivRec
-	injSrc [][]injRec
 	// build constructs a worker's shard: the task of the first handoff.
 	build func(w *worker)
 	// release returns the workers' claim on the CPU budget.
@@ -207,7 +206,7 @@ func (s *sharded) start(o Options, topo Topology, c drive.Config, p int, release
 		w.World = NewWorld(o, topo, l, w.id)
 		if c.Audited {
 			w.OnInject = func(now int64, f *flit.Flit) {
-				w.injs = append(w.injs, injRec{at: now, src: f.Src, f: f})
+				w.injs = append(w.injs, injRec{at: now, f: f})
 			}
 		}
 	}
@@ -290,12 +289,12 @@ func (s *sharded) runEpoch(w *worker) {
 	for i := range spent {
 		spent[i] = spent[i][:0]
 	}
-	w.deliv, w.injs = w.deliv[:0], w.injs[:0]
+	w.deliv, w.injs, w.di, w.ii = w.deliv[:0], w.injs[:0], 0, 0
 	for now := s.from; now < s.end; {
 		for _, f := range w.Advance(now, w.cfg.At(now)) {
 			rec := delivRec{
-				at: now, createdAt: f.CreatedAt, dst: f.Dst,
-				hops: f.Hops, tail: f.Tail, measured: f.Measured,
+				at: now, createdAt: f.CreatedAt, hops: f.Hops,
+				tail: f.Tail, measured: f.Measured,
 			}
 			if w.cfg.Audited {
 				rec.f = f
@@ -313,74 +312,43 @@ func (s *sharded) runEpoch(w *worker) {
 	}
 }
 
-// merge appends the streams, each already in less order, to dst in less
-// order; equal heads go lowest stream first.
-func merge[T any](dst []T, streams [][]T, less func(a, b *T) bool) []T {
-	for {
-		best, live := -1, 0
-		for i, st := range streams {
-			if len(st) == 0 {
-				continue
-			}
-			if live++; best < 0 || less(&st[0], &streams[best][0]) {
-				best = i
-			}
-		}
-		if live == 0 {
-			return dst
-		}
-		if live == 1 { // the last stream (in a Clos the only one: the sinks' shard) needs no compares
-			return append(dst, streams[best]...)
-		}
-		dst = append(dst, streams[best][0])
-		streams[best] = streams[best][1:]
-	}
-}
-
-// epoch simulates [from, from+epochLen) on the workers and prepares the
-// epoch's replay.
-func (s *sharded) epoch(from int64) {
-	s.from, s.end = from, min(from+s.epochLen, s.cfg.Bound())
-	s.handoff()
-
-	// Merge the per-worker records into the serial world's accumulation
-	// order: deliveries by (cycle, destination), injections by (cycle,
-	// source). Each worker's are already in that order.
-	s.recSrc, s.injSrc = s.recSrc[:0], s.injSrc[:0]
-	for _, w := range s.workers {
-		s.recSrc = append(s.recSrc, w.deliv)
-		s.injSrc = append(s.injSrc, w.injs)
-	}
-	s.recs = merge(s.recs[:0], s.recSrc, func(a, b *delivRec) bool {
-		return !testUnorderedMerge && (a.at < b.at || a.at == b.at && a.dst < b.dst)
-	})
-	s.injs = merge(s.injs[:0], s.injSrc, func(a, b *injRec) bool {
-		return a.at < b.at || a.at == b.at && a.src < b.src
-	})
-	s.ri, s.ii = 0, 0
-}
-
 // Cycle implements drive.World: simulate the epoch now opens, if it has
-// not been yet, then replay cycle now of it.
+// not been yet, then replay cycle now of it — injections, then
+// deliveries, each walking the workers in index order.
 func (s *sharded) Cycle(now int64, _ drive.Phase, t *drive.Tally) error {
 	if now >= s.end {
-		s.epoch(now)
+		s.from, s.end = now, min(now+s.epochLen, s.cfg.Bound())
+		s.handoff()
 	}
 	s.cur = now
-	for ; s.ii < len(s.injs) && s.injs[s.ii].at == now; s.ii++ {
-		s.hooks.Injected(now, s.injs[s.ii].f)
+	for i := range s.workers {
+		w := s.replayed(i)
+		for ; w.ii < len(w.injs) && w.injs[w.ii].at == now; w.ii++ {
+			s.hooks.Injected(now, w.injs[w.ii].f)
+		}
 	}
-	for ; s.ri < len(s.recs) && s.recs[s.ri].at == now; s.ri++ {
-		rec := &s.recs[s.ri]
-		t.Deliver(rec.createdAt, rec.hops, rec.tail, rec.measured)
-		if s.hooks != nil {
-			s.hooks.Delivered(now, rec.f)
+	for i := range s.workers {
+		w := s.replayed(i)
+		for ; w.di < len(w.deliv) && w.deliv[w.di].at == now; w.di++ {
+			rec := &w.deliv[w.di]
+			t.Deliver(rec.createdAt, rec.hops, rec.tail, rec.measured)
+			if s.hooks != nil {
+				s.hooks.Delivered(now, rec.f)
+			}
 		}
 	}
 	if s.hooks != nil {
 		return s.hooks.EndCycle(now, s.InFlight())
 	}
 	return nil
+}
+
+// replayed is the i-th worker the replay visits: worker i.
+func (s *sharded) replayed(i int) *worker {
+	if testReverseReplay {
+		i = len(s.workers) - 1 - i
+	}
+	return s.workers[i]
 }
 
 // NextWake implements drive.Waker. Inside an epoch the next cycle is

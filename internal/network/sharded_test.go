@@ -24,13 +24,14 @@ func TestMutationLookaheadSkew(t *testing.T) {
 	}
 }
 
-// TestMutationUnorderedMerge disables the canonical barrier merge order
-// and demands the suite catch the resulting worker-order dependence.
-func TestMutationUnorderedMerge(t *testing.T) {
-	testUnorderedMerge = true
-	defer func() { testUnorderedMerge = false }()
+// TestMutationReplayOrder replays each cycle's records walking the
+// workers last to first and demands the suite catch the resulting
+// departure from the serial world's (cycle, terminal) order.
+func TestMutationReplayOrder(t *testing.T) {
+	testReverseReplay = true
+	defer func() { testReverseReplay = false }()
 	if !someWorkerDiverges(t) {
-		t.Fatal("unordered mailbox merge was not detected by the serial-equivalence check")
+		t.Fatal("a replay out of worker order was not detected by the serial-equivalence check")
 	}
 }
 
