@@ -131,14 +131,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, err)
 	}
 	// An offered load no terminal can produce is a usage error, caught
-	// before the header prints.
-	points := xs
+	// before the header prints, and so is a zero one, which generates
+	// nothing to measure.
+	points, name := xs, "-loads"
 	if points == nil {
-		points = []float64{*load}
+		points, name = []float64{*load}, "-load"
 	}
 	for _, l := range points {
 		if err := drive.CheckLoad(l, topo.SerCycles(), 1); err != nil {
 			return fail(2, err)
+		}
+		if l == 0 {
+			return fail(2, fmt.Errorf("%s: an offered load of 0 generates nothing to measure", name))
 		}
 	}
 	base := network.Options{

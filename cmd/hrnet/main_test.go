@@ -40,9 +40,10 @@ func TestSweepOutputPinned(t *testing.T) {
 	}
 }
 
-// A -load or -loads entry that does not parse, or that no terminal can
-// offer (negative, not a number, more than one packet per cycle), is a
-// usage error, found before anything is printed.
+// A -load or -loads entry that does not parse, that no terminal can
+// offer (negative, not a number, more than one packet per cycle) or that
+// offers nothing (zero) is a usage error, found before anything is
+// printed.
 func TestBadLoadsIsUsageError(t *testing.T) {
 	for _, args := range [][]string{
 		{"-loads", "0.2,,0.3"},
@@ -50,6 +51,10 @@ func TestBadLoadsIsUsageError(t *testing.T) {
 		{"-loads", "0.1,-0.2"},
 		{"-load", "8"},
 		{"-load", "NaN"},
+		// Or that offers nothing to measure.
+		{"-load", "0"},
+		{"-loads", "0,0.3"},
+		{"-loads", "0.3,0"},
 		// So is a phase no run can have, caught before the header prints.
 		{"-warmup", "-100"},
 		{"-measure", "-50", "-loads", "0.1,0.2"},

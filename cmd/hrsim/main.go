@@ -1,6 +1,12 @@
 // Command hrsim runs one single-router simulation and reports latency,
-// throughput and saturation, exposing every knob of the router
-// configurations studied by the paper.
+// throughput and saturation. Its flags set the router's architecture,
+// radix, VC count, subswitch size, crosspoint buffer depth, VC
+// allocation scheme, dual switch arbiters and ideal credit return, and
+// the traffic's load, packet length, pattern and burstiness. The other
+// router options (input buffer depth, switch traversal cycles, local
+// arbitration group, allocation iterations, speculative bid policy)
+// keep their defaults here; the ablations of internal/experiments
+// sweep the last three.
 //
 // With -packets N it then prints the timelines of the first N packets
 // whose head flit is accepted at or after warm-up: when each flit was
@@ -153,12 +159,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}.WithDefaults()
 	if *trace == "" {
 		// A synthetic run's pattern must fit the router, and its offered
-		// load must be one a source can produce; a replay uses neither.
+		// load must be one a source can produce, above zero; a replay
+		// uses neither.
 		if opts.Pattern, err = traffic.ByName(*pattern, full.Radix, full.SubSize, 8); err != nil {
 			return fail(2, err)
 		}
 		if err := drive.CheckLoad(*load, full.STCycles, opts.PktLen); err != nil {
 			return fail(2, err)
+		}
+		if *load == 0 {
+			return fail(2, fmt.Errorf("-load: an offered load of 0 generates nothing to measure"))
 		}
 	} else {
 		f, err := os.Open(*trace)

@@ -37,9 +37,15 @@ func TestRunUsesDefaultedConfig(t *testing.T) {
 		// packet length it never used.
 		{[]string{"-arch", "hierarchical", "-radix", "16", "-subsize", "4", "-trace", trace}, 0,
 			fmt.Sprintf("vcs=4 trace=%s packets=%d\n", trace, tr.Len())},
+		// A replay offers its trace whatever -load says.
+		{[]string{"-arch", "hierarchical", "-radix", "16", "-subsize", "4", "-trace", trace, "-load", "0"}, 0,
+			fmt.Sprintf("vcs=4 trace=%s packets=%d\n", trace, tr.Len())},
 		// A load the defaulted router cannot be offered is a usage error,
-		// reported before anything prints.
+		// reported before anything prints, and so is one that offers
+		// nothing to measure.
 		{[]string{"-load", "-1"}, 2, ""},
+		{[]string{"-load", "0"}, 2, ""},
+		{[]string{"-arch", "lowradix", "-radix", "16", "-load", "0"}, 2, ""},
 		{[]string{"-load", "5"}, 2, ""}, // 4 cycles a flit: at most a load of 4
 		{[]string{"-pkt", "-2"}, 2, ""},
 		// So is a phase no run can have.

@@ -169,8 +169,8 @@ var guardSteps = []struct {
 	}}},
 	{"One figure shape", []guard{{
 		roots:   []string{"internal/experiments"},
-		pattern: `func (Fig(9|11|13|14|17[abc]|18)|Abl[A-Za-z]+|RadixScale|FigAlloc)\(`,
-		msg:     "a latency figure written as its own generator function: it is a latencyFig value run by latencyFig.gen (see DESIGN.md, Per-experiment index)",
+		pattern: `func (Fig(9|11|13|14|17[abc]|18)|Abl[A-Za-z]+|RadixScale|FigAlloc|TableT1|RadixSweep|Fig19|FigTopo)\(`,
+		msg:     "a simulated figure written as its own generator function: it is a latencyFig, satGrid or netFig value run by that type's gen (see DESIGN.md, Per-experiment index)",
 	}}},
 	{"One mail stream", []guard{{
 		roots: []string{"internal/network"},

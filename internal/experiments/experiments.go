@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure in the paper's
 // evaluation. Figures are data with one generator per shape: a latency
 // figure is a latencyFig value (its lines as latencyCase values, run by
-// latencyFig.gen), the network figures run the network simulator, and
-// the analytic figures evaluate the paper's models. Each Registry entry
+// latencyFig.gen), a saturation-throughput grid a satGrid value, a
+// network figure a netFig value, and only the analytic figures, which
+// evaluate the paper's models, are functions. Each Registry entry
 // returns a stats.Table whose series correspond to the lines of the
 // paper's figure; cmd/hrsweep prints them, the repository benchmarks
 // time them, and EXPERIMENTS.md records their output against the
@@ -12,6 +13,7 @@ package experiments
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"highradix/internal/cache"
@@ -90,17 +92,6 @@ var Quick = Scale{
 	Seed:       1,
 }
 
-// opts builds testbench options for a router config at this scale.
-func (s Scale) opts(cfg router.Config) testbench.Options {
-	return testbench.Options{
-		Router:        cfg,
-		WarmupCycles:  s.Warmup,
-		MeasureCycles: s.Measure,
-		Seed:          s.Seed,
-		NoFastForward: s.dense,
-	}
-}
-
 // pool builds the sweep pool the generators submit their points to.
 func (s Scale) pool() *sweep.Pool { return sweep.New(s.Workers) }
 
@@ -130,8 +121,8 @@ func (s Scale) note(hit bool) {
 // load under pattern (nil: uniform), through the same options and cache
 // keys, so a point any figure computed is a hit here and vice versa.
 func (s Scale) Point(p *sweep.Pool, cfg router.Config, pattern traffic.Pattern, load float64) (testbench.Result, bool, error) {
-	o := s.opts(cfg)
-	o.Pattern, o.Load = pattern, load
+	o := s.caseOpts(latencyCase{cfg: cfg, pattern: pattern})
+	o.Load = load
 	return s.runTB(p, o)
 }
 
@@ -192,9 +183,16 @@ type latencyCase struct {
 
 // caseOpts builds the options of case c at this scale, load unset.
 func (s Scale) caseOpts(c latencyCase) testbench.Options {
-	o := s.opts(c.cfg)
-	o.PktLen, o.Pattern, o.Bursty = c.pktLen, c.pattern, c.bursty
-	return o
+	return testbench.Options{
+		Router:        c.cfg,
+		PktLen:        c.pktLen,
+		Pattern:       c.pattern,
+		Bursty:        c.bursty,
+		WarmupCycles:  s.Warmup,
+		MeasureCycles: s.Measure,
+		Seed:          s.Seed,
+		NoFastForward: s.dense,
+	}
 }
 
 // latencyFig is one latency-versus-load figure as data. Its table holds
@@ -263,6 +261,47 @@ func (s Scale) latencyFigure(t *stats.Table, cases []latencyCase) error {
 	return nil
 }
 
+// satGrid is a saturation-throughput grid as data: a series per row,
+// a point per column at the column's x. Cell (row, col) runs the row's
+// router under the column's traffic, at the column's radix when the
+// column sets one.
+type satGrid struct {
+	title, x   string
+	rows, cols []latencyCase
+	xs         []float64
+	notes      []string
+}
+
+// gen is the Generator of every saturation grid. It submits the whole
+// grid to the pool at once; its receiver is a pointer for the reason
+// latencyFig.gen's is.
+func (g *satGrid) gen(s Scale) (*stats.Table, error) {
+	var cells []latencyCase
+	for _, r := range g.rows {
+		for _, c := range g.cols {
+			// The right side is read before c.cfg is replaced.
+			c.cfg, c.cfg.Radix = r.cfg, cmp.Or(c.cfg.Radix, r.cfg.Radix)
+			cells = append(cells, c)
+		}
+	}
+	p := s.pool()
+	thrs, err := sweep.Gather(cells, func(c latencyCase) (float64, error) {
+		return s.satThroughput(p, s.caseOpts(c))
+	})
+	if err != nil {
+		return nil, err
+	}
+	t := &stats.Table{Title: g.title, XLabel: g.x, YLabel: "saturation throughput (fraction of capacity)", Notes: slices.Clone(g.notes)}
+	for ri, r := range g.rows {
+		series := &stats.Series{Name: r.name}
+		for ci, x := range g.xs {
+			series.Add(x, thrs[ri*len(g.cols)+ci], false)
+		}
+		t.AddSeries(series)
+	}
+	return t, nil
+}
+
 // Registry maps experiment names (as accepted by cmd/hrsweep -exp) to
 // their generator functions.
 type Generator func(Scale) (*stats.Table, error)
@@ -289,15 +328,15 @@ var Registry = []Entry{
 	{"fig17c", "long packets at equal total buffer storage", fig17c.gen},
 	{"fig17d", "storage bits vs radix, hierarchical vs fully buffered", Fig17d},
 	{"fig18", "nonuniform traffic: diagonal, hotspot, bursty (Table 1)", fig18.gen},
-	{"fig19", "4096-node Clos network: radix-64 (3 stages) vs radix-16 (5 stages)", Fig19},
-	{"topo", "extension: ring and 2D-torus topologies, latency vs offered load", FigTopo},
-	{"table1", "saturation throughput of every architecture on every Table 1 pattern", TableT1},
+	{"fig19", "4096-node Clos network: radix-64 (3 stages) vs radix-16 (5 stages)", fig19.gen},
+	{"topo", "extension: ring and 2D-torus topologies, latency vs offered load", figTopo.gen},
+	{"table1", "saturation throughput of every architecture on every Table 1 pattern", table1.gen},
 	{"creditbus", "ablation: shared credit-return bus vs ideal credit return", ablCreditBus.gen},
 	{"sharedxp", "ablation: shared-buffer (ACK/NACK) crosspoints vs per-VC buffers", ablSharedXpoint.gen},
 	{"localgroup", "ablation: local arbitration group size m", ablLocalGroup.gen},
 	{"specpolicy", "ablation: speculative output-VC bid policy (Section 4.4 re-bidding)", ablSpecPolicy.gen},
 	{"allociters", "ablation: allocation iterations of the centralized low-radix router", ablAllocIters.gen},
-	{"radixsweep", "extension: saturation throughput vs radix for the main organizations", RadixSweep},
+	{"radixsweep", "extension: saturation throughput vs radix for the main organizations", radixSweep.gen},
 	{"radixscale", "extension: latency-throughput at radix 64/128/256, buffered and hierarchical", radixScale.gen},
 	{"fig_alloc", "extension: allocation-policy families head to head — baseline vs VOQ/iSLIP vs dynamic VC", figAlloc.gen},
 }

@@ -94,7 +94,7 @@ func TestGolden(t *testing.T) {
 			t.Run(fmt.Sprintf("w%d", w), func(t *testing.T) {
 				s := Quick
 				s.shards = w
-				golden(t, "fig19", Fig19, s)
+				golden(t, "fig19", fig19.gen, s)
 			})
 		}
 	})

@@ -5,7 +5,6 @@ import (
 
 	"highradix/internal/router"
 	"highradix/internal/stats"
-	"highradix/internal/sweep"
 	"highradix/internal/traffic"
 )
 
@@ -158,53 +157,25 @@ var fig18 = latencyFig{
 	note: "paper: diagonal, hierarchical exceeds baseline by ~10%; hotspot limits all to <40%; bursty, buffered architectures reach ~100% vs baseline ~50%",
 }
 
-// TableT1 measures saturation throughput of every architecture on every
+// table1 measures saturation throughput of every architecture on every
 // Table 1 traffic pattern plus uniform random — a compact summary that
 // subsumes the throughput claims scattered through the paper's text.
-// The full architecture-by-pattern grid is flattened into one job list
-// and submitted to the pool at once.
-func TableT1(s Scale) (*stats.Table, error) {
-	t := &stats.Table{
-		Title:  "Table 1 summary: saturation throughput by architecture and pattern",
-		XLabel: "pattern#",
-		YLabel: "saturation throughput (fraction of capacity)",
-	}
-	pats := []latencyCase{
+var table1 = satGrid{
+	title: "Table 1 summary: saturation throughput by architecture and pattern",
+	x:     "pattern#",
+	rows: []latencyCase{
+		{name: "baseline", cfg: baselineCVA},
+		{name: "buffered", cfg: fullyBuffered},
+		{name: "sharedxp", cfg: router.Config{Arch: router.ArchSharedXpoint}},
+		{name: "hier-p8", cfg: hierP8},
+	},
+	cols: []latencyCase{
 		{name: "uniform"},
 		{name: "diagonal", pattern: diagonal},
 		{name: "hotspot", pattern: hotspot},
 		{name: "bursty", bursty: true},
 		{name: "worstcase", pattern: worstCase},
-	}
-	archs := []latencyCase{
-		{name: "baseline", cfg: baselineCVA},
-		{name: "buffered", cfg: fullyBuffered},
-		{name: "sharedxp", cfg: router.Config{Arch: router.ArchSharedXpoint}},
-		{name: "hier-p8", cfg: hierP8},
-	}
-	var jobs []latencyCase
-	for _, a := range archs {
-		for _, c := range pats {
-			c.cfg = a.cfg
-			jobs = append(jobs, c)
-		}
-	}
-	p := s.pool()
-	thrs, err := sweep.Gather(jobs, func(c latencyCase) (float64, error) {
-		return s.satThroughput(p, s.caseOpts(c))
-	})
-	if err != nil {
-		return nil, err
-	}
-	for ai, a := range archs {
-		series := &stats.Series{Name: a.name}
-		for pi := range pats {
-			series.Add(float64(pi), thrs[ai*len(pats)+pi], false)
-		}
-		t.AddSeries(series)
-	}
-	for pi, p := range pats {
-		t.AddNote("pattern %d = %s", pi, p.name)
-	}
-	return t, nil
+	},
+	xs:    []float64{0, 1, 2, 3, 4},
+	notes: []string{"pattern 0 = uniform", "pattern 1 = diagonal", "pattern 2 = hotspot", "pattern 3 = bursty", "pattern 4 = worstcase"},
 }

@@ -103,7 +103,8 @@ func TestNetworkStepSteadyStateAllocs(t *testing.T) {
 
 // BenchmarkNetRunLowLoad mirrors testbench.BenchmarkRunLowLoad at
 // network scale: one full Clos run per op at a low offered load. The
-// 0.05 point is the zero-load-latency configuration Fig19 runs.
+// 0.05 point is the run the network figures (experiments' netFig)
+// take their zero-load latency and hop count from.
 func BenchmarkNetRunLowLoad(b *testing.B) {
 	for _, load := range []float64{0.05, 0.2} {
 		b.Run(fmt.Sprintf("load=%v", load), func(b *testing.B) {
