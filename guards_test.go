@@ -7,11 +7,16 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
+
+	"highradix/internal/experiments"
 )
 
 // The structural guards keep removed designs removed: each of the
@@ -236,6 +241,17 @@ func TestStructuralGuards(t *testing.T) {
 				if len(hits) != g.want {
 					t.Errorf("%d matching lines, want %d:\n%s\n%s", len(hits), g.want, strings.Join(hits, "\n"), g.msg)
 				}
+			}
+		})
+	}
+	for _, step := range docSteps {
+		t.Run(step.name, func(t *testing.T) {
+			hits, err := step.hits()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(hits) > 0 {
+				t.Errorf("%d hits, want 0:\n%s\n%s", len(hits), strings.Join(hits, "\n"), step.msg)
 			}
 		})
 	}
@@ -495,4 +511,408 @@ func storeCalls(f *ast.File) []ast.Node {
 		return true
 	})
 	return out
+}
+
+// docSteps keep the documents to the code: what README.md,
+// EXPERIMENTS.md, DESIGN.md and the verify skill tell a reader to run
+// must exist, and the verdicts EXPERIMENTS.md quotes must be the ones
+// the Full run prints. Each hit is "file:line: what is wrong".
+var docSteps = []struct {
+	name string
+	hits func() ([]string, error)
+	msg  string
+}{
+	{"Docs name what exists", docHits,
+		"the docs name a command, flag, package, file, test or figure that does not exist: mend the doc (history belongs in CHANGES.md)"},
+	{"Verdicts match the Full run", verdictHits,
+		"EXPERIMENTS.md's verdict block is not the == Claims table that closes experiments_full.txt: copy it from there"},
+}
+
+var docFiles = []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"}
+
+// goTestFlags are the go command's own test and build flags; the flags
+// test files define are added to them.
+const goTestFlags = "bench benchmem benchtime blockprofile c count cover covermode coverpkg coverprofile cpu cpuprofile " +
+	"failfast fullpath fuzz fuzztime gcflags json ldflags list memprofile mutexprofile o outputdir p parallel race run " +
+	"short shuffle skip tags timeout trace v vet"
+
+var (
+	codeSpan  = regexp.MustCompile("`([^`]+)`")
+	hrCommand = regexp.MustCompile(`^(hr[a-z]+)(-[a-z]+)?$`)
+	flagWord  = regexp.MustCompile(`^--?([A-Za-z][A-Za-z0-9_.-]*)(=|$)`)
+	assign    = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*=`)
+	testName  = regexp.MustCompile(`\b(Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*`)
+	expName   = regexp.MustCompile(`(-exp[ =]|/figures/)([a-z][a-z0-9_]*)`)
+	repoPath  = regexp.MustCompile(`\b(cmd|examples|internal|bench)/[A-Za-z0-9_./-]*[A-Za-z0-9_]`)
+)
+
+// repoNames is what the docs may name, read from the code: the flags of
+// each main package (by directory: cmd/hrsim, examples/closnetwork,
+// bench) and of go test, every test function, and every figure.
+type repoNames struct {
+	flags   map[string]map[string]bool
+	anyFlag map[string]bool
+	tests   []string
+	figures map[string]bool
+}
+
+func readRepoNames() (*repoNames, error) {
+	n := &repoNames{flags: map[string]map[string]bool{"go test": {}}, anyFlag: map[string]bool{}, figures: map[string]bool{"all": true}}
+	for _, f := range strings.Fields(goTestFlags) {
+		n.flags["go test"][f] = true
+	}
+	for _, e := range experiments.Registry {
+		n.figures[e.Name] = true
+	}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		p = filepath.ToSlash(p)
+		dir := path.Dir(p)
+		test := strings.HasSuffix(p, "_test.go")
+		main := path.Base(p) == "main.go" && (path.Dir(dir) == "cmd" || path.Dir(dir) == "examples" || dir == "bench")
+		if !test && !main {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		set := "go test"
+		if main {
+			set = dir
+			n.flags[dir] = map[string]bool{}
+		}
+		for _, name := range flagDefs(f) {
+			n.flags[set][name] = true
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && test && fn.Recv == nil && testName.MatchString(fn.Name.Name) {
+				n.tests = append(n.tests, fn.Name.Name)
+			}
+		}
+		return nil
+	})
+	for _, set := range n.flags {
+		for f := range set {
+			n.anyFlag[f] = true
+		}
+	}
+	return n, err
+}
+
+// flagDefs returns the names of the flags a file defines: the first
+// argument of flag.Int, fs.String and their kin, the second of their
+// …Var forms, whenever it is a string literal.
+func flagDefs(f *ast.File) []string {
+	kinds := map[string]bool{"Bool": true, "Int": true, "Int64": true, "Uint": true, "Uint64": true, "String": true,
+		"Float64": true, "Duration": true}
+	var out []string
+	ast.Inspect(f, func(nd ast.Node) bool {
+		call, ok := nd.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if _, ok := sel.X.(*ast.Ident); !ok {
+			return true
+		}
+		kind, arg := strings.CutSuffix(sel.Sel.Name, "Var")
+		i := 0
+		if arg {
+			i = 1
+		}
+		if !kinds[kind] || len(call.Args) <= i {
+			return true
+		}
+		if lit, ok := call.Args[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			if name, err := strconv.Unquote(lit.Value); err == nil {
+				out = append(out, name)
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// docHits reads every doc's code and reports each name in it that the
+// repository does not have.
+func docHits() ([]string, error) {
+	n, err := readRepoNames()
+	if err != nil {
+		return nil, err
+	}
+	var hits []string
+	for _, file := range docFiles {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			return nil, err
+		}
+		for _, c := range codeOf(string(src)) {
+			for _, p := range n.check(c.text) {
+				hits = append(hits, fmt.Sprintf("%s:%d: `%s`: %s", file, c.line, c.text, p))
+			}
+		}
+	}
+	return hits, nil
+}
+
+type docCode struct {
+	line int
+	text string
+}
+
+// codeOf returns what a Markdown document shows as code, with the line
+// each piece starts on: every line of a fenced block and every code span
+// of a paragraph, its line breaks read as spaces.
+func codeOf(doc string) []docCode {
+	var out []docCode
+	var para []string
+	paraLine, fenced := 0, false
+	flush := func() {
+		text := strings.Join(para, "\n")
+		for _, m := range codeSpan.FindAllStringSubmatchIndex(text, -1) {
+			out = append(out, docCode{paraLine + strings.Count(text[:m[0]], "\n"), strings.ReplaceAll(text[m[2]:m[3]], "\n", " ")})
+		}
+		para = nil
+	}
+	for i, l := range strings.Split(doc, "\n") {
+		switch {
+		case strings.HasPrefix(strings.TrimSpace(l), "```"):
+			flush()
+			fenced = !fenced
+		case fenced:
+			out = append(out, docCode{i + 1, l})
+		case strings.TrimSpace(l) == "":
+			flush()
+		default:
+			if para == nil {
+				paraLine = i + 1
+			}
+			para = append(para, l)
+		}
+	}
+	flush()
+	return out
+}
+
+// check returns what is wrong with one piece of code: a path that does
+// not exist, a command or flag no program defines, a test name no test
+// function has, or a figure the registry does not hold.
+func (n *repoNames) check(code string) []string {
+	var out []string
+	rest := code
+	for _, words := range shellCommands(code) {
+		out = append(out, n.checkCommand(words)...)
+		for i, w := range words {
+			flag, val, ok := strings.Cut(w, "=")
+			if !ok && i+1 < len(words) {
+				val = words[i+1]
+			}
+			if flag == "-run" || flag == "-bench" {
+				out = append(out, n.checkPattern(val)...)
+				rest = strings.ReplaceAll(rest, val, "")
+			}
+		}
+	}
+	for _, name := range testName.FindAllString(rest, -1) {
+		if !slices.Contains(n.tests, name) {
+			out = append(out, fmt.Sprintf("no test function %s", name))
+		}
+	}
+	for _, m := range expName.FindAllStringSubmatch(code, -1) {
+		if !n.figures[m[2]] {
+			out = append(out, fmt.Sprintf("no experiment %q in experiments.Registry", m[2]))
+		}
+	}
+	for _, p := range repoPath.FindAllString(code, -1) {
+		if _, err := os.Stat(strings.TrimSuffix(p, "/...")); err != nil {
+			out = append(out, fmt.Sprintf("no file or directory %s", p))
+		}
+	}
+	return out
+}
+
+// checkPattern holds a -run or -bench pattern to go test's rule: split
+// into alternatives at unbracketed bars and each alternative into levels
+// at unbracketed slashes, an alternative's top level must match a test
+// function as a regexp; a test name below the top level is one go test
+// never runs.
+func (n *repoNames) checkPattern(pat string) []string {
+	var out []string
+	for _, levels := range splitPattern(pat) {
+		re, err := regexp.Compile(levels[0])
+		if err != nil {
+			return []string{fmt.Sprintf("pattern %q: %v", pat, err)}
+		}
+		if !slices.ContainsFunc(n.tests, re.MatchString) {
+			out = append(out, fmt.Sprintf("pattern %q matches no test function", levels[0]))
+		}
+		for _, name := range testName.FindAllString(strings.Join(levels[1:], "/"), -1) {
+			out = append(out, fmt.Sprintf("%s is below the top level of pattern %q: go test never runs it", name, pat))
+		}
+	}
+	return out
+}
+
+// splitPattern splits a go test pattern the way the testing package
+// does: at each | and then each / that is not escaped or inside
+// brackets or parentheses.
+func splitPattern(pat string) [][]string {
+	var alts [][]string
+	var levels []string
+	esc, class, paren, from := false, false, 0, 0
+	for i, r := range pat {
+		switch {
+		case esc:
+			esc = false
+		case r == '\\':
+			esc = true
+		case class:
+			class = r != ']'
+		case r == '[':
+			class = true
+		case r == '(':
+			paren++
+		case r == ')':
+			paren--
+		case paren == 0 && (r == '/' || r == '|'):
+			levels = append(levels, pat[from:i])
+			from = i + 1
+			if r == '|' {
+				alts = append(alts, levels)
+				levels = nil
+			}
+		}
+	}
+	return append(alts, append(levels, pat[from:]))
+}
+
+// checkCommand checks one simple command's words: an hr… command must
+// be a directory under cmd, and each command's flags must be ones it
+// defines; a flag with no command before it must be one some command
+// or go test defines.
+func (n *repoNames) checkCommand(words []string) []string {
+	if len(words) == 0 {
+		return nil
+	}
+	var set map[string]bool
+	var who string
+	args := words[1:]
+	switch m := hrCommand.FindStringSubmatch(path.Base(words[0])); {
+	case m != nil:
+		who = "cmd/" + m[1]
+		if set = n.flags[who]; set == nil {
+			return []string{fmt.Sprintf("no command %s (no %s/main.go)", m[1], who)}
+		}
+	case words[0] == "go" && len(words) > 1 && words[1] == "test":
+		who, set, args = "go test", n.flags["go test"], words[2:]
+	case words[0] == "go" && len(words) > 2 && words[1] == "run":
+		who, set, args = path.Clean(words[2]), n.flags[path.Clean(words[2])], words[3:]
+	case strings.HasPrefix(words[0], "-"):
+		who, set, args = "any command", n.anyFlag, words
+	}
+	var out []string
+	for _, a := range args {
+		if m := flagWord.FindStringSubmatch(a); m != nil && set != nil && !set[m[1]] && m[1] != "h" && m[1] != "help" {
+			out = append(out, fmt.Sprintf("%s defines no flag -%s", who, m[1]))
+		}
+	}
+	return out
+}
+
+// shellCommands splits a line of shell into the words of its simple
+// commands: quotes are removed, a # comment and leading variable
+// assignments are dropped, and ;, &&, ||, | and & end a command.
+func shellCommands(line string) [][]string {
+	var words []string
+	var w strings.Builder
+	in, quote := false, rune(0)
+	end := func() {
+		if in {
+			words = append(words, w.String())
+			w.Reset()
+			in = false
+		}
+	}
+	for _, r := range line {
+		switch {
+		case quote != 0 && r == quote:
+			quote = 0
+		case quote != 0:
+			w.WriteRune(r)
+		case r == '\'' || r == '"':
+			quote, in = r, true
+		case r == ' ' || r == '\t':
+			end()
+		default:
+			w.WriteRune(r)
+			in = true
+		}
+	}
+	end()
+	var cmds [][]string
+	var cur []string
+	for _, word := range words {
+		if strings.HasPrefix(word, "#") {
+			break
+		}
+		word, sep := strings.CutSuffix(word, ";")
+		if word == "&&" || word == "||" || word == "|" || word == "&" {
+			word, sep = "", true
+		}
+		if word != "" && (len(cur) > 0 || !assign.MatchString(word)) {
+			cur = append(cur, word)
+		}
+		if sep {
+			cmds = append(cmds, cur)
+			cur = nil
+		}
+	}
+	return append(cmds, cur)
+}
+
+// verdictHits compares the fenced block under EXPERIMENTS.md's "Verdicts
+// (Full scale, seed 1)" with the == Claims table that closes
+// experiments_full.txt, line by line.
+func verdictHits() ([]string, error) {
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		return nil, err
+	}
+	full, err := os.ReadFile("experiments_full.txt")
+	if err != nil {
+		return nil, err
+	}
+	const heading = "\n## Verdicts (Full scale, seed 1)\n"
+	before, after, ok := strings.Cut(string(doc), heading)
+	fence := strings.SplitN(after, "```", 3)
+	_, claims, ok2 := strings.Cut(string(full), "\n== Claims")
+	if !ok || len(fence) < 3 || !ok2 {
+		return []string{"EXPERIMENTS.md: no fenced block under " + strings.TrimSpace(heading) + ", or experiments_full.txt: no == Claims table"}, nil
+	}
+	first := strings.Count(before+heading+fence[0], "\n") + 2 // the block's first line
+	got := strings.Split(strings.TrimPrefix(fence[1], "\n"), "\n")
+	want := strings.Split("== Claims"+claims, "\n")
+	var hits []string
+	for i := range max(len(got), len(want)) {
+		g, w := "(none)", "(none)"
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(want) {
+			w = want[i]
+		}
+		if g != w {
+			hits = append(hits, fmt.Sprintf("EXPERIMENTS.md:%d: %s\n  experiments_full.txt has: %s", first+i, g, w))
+		}
+	}
+	return hits, nil
 }
