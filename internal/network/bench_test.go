@@ -85,19 +85,22 @@ func BenchmarkLoadedNetworkStep(b *testing.B) {
 }
 
 // TestNetworkStepSteadyStateAllocs gates the per-cycle allocation count
-// of a warmed, loaded network: the calendars, scratch lists and source
-// queues have reached their steady capacity, so what remains is slice
-// growth at new high-water marks — a fraction of an allocation per
-// cycle, where a per-cycle closure or sort.Slice swapper would cost
-// whole ones.
+// of a warmed, loaded network: the calendars, scratch lists, source
+// queues and queue-chunk pool have reached their steady capacity, so
+// what remains is slice growth at new high-water marks — a fraction of
+// an allocation per cycle, where a per-cycle closure or sort.Slice
+// swapper would cost whole ones. At load 0.9 queues take and return
+// pool chunks every cycle; the churn must reuse them.
 func TestNetworkStepSteadyStateAllocs(t *testing.T) {
-	cycle, now := loadedNetwork(t, Config{Radix: 16, Digits: 2}, 0.5, 3000)
-	avg := testing.AllocsPerRun(500, func() {
-		cycle(now)
-		now++
-	})
-	if avg > 0.5 {
-		t.Errorf("steady-state cycle allocates %.2f times, want <= 0.5", avg)
+	for _, load := range []float64{0.5, 0.9} {
+		cycle, now := loadedNetwork(t, Config{Radix: 16, Digits: 2}, load, 3000)
+		avg := testing.AllocsPerRun(500, func() {
+			cycle(now)
+			now++
+		})
+		if avg > 0.5 {
+			t.Errorf("load %v: steady-state cycle allocates %.2f times, want <= 0.5", load, avg)
+		}
 	}
 }
 

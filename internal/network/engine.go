@@ -150,16 +150,50 @@ func part(parts [][2]int, x int) int32 {
 // cycle within 2^31 of it.
 func widen(at uint32, ref int64) int64 { return ref + int64(int32(at-uint32(ref))) }
 
-// inQueue is the fill of one input buffer plus the routing choice of
-// the packet currently arriving in it: a head's choice is relayed to
-// the body flits landing behind it, and each flit's slot is stamped at
-// land time, so a queued flit keeps its own choice even after a later
-// head overwrites route and vc here.
+// inQueue is the fill of one input buffer, where its flits after the
+// front lie, and the routing choice of the packet currently arriving in
+// it: a head's choice is relayed to the body flits landing behind it,
+// and each flit's slot is stamped at land time, so a queued flit keeps
+// its own choice even after a later head overwrites route and vc here.
 type inQueue struct {
 	n     uint16
 	route uint16
 	vc    uint8
+	// While n > 1 the queue holds pool chunk chunk, its second flit at
+	// ring position head.
+	head  uint16
+	chunk int32
 }
+
+// pool lends the input queues of one engine the slots for their flits
+// after the front: chunks of depth-1 slots, each a ring held by one
+// queue from its second flit's landing until a grant drains it to one.
+// Storage follows occupancy: a queue holding at most one flit owns no
+// chunk, and the pool grows only to the most queues ever holding two or
+// more at once.
+type pool struct {
+	m     int     // slots per chunk
+	slots []slot  // chunk c is slots[c*m:][:m]
+	free  []int32 // chunks not lent, most recently returned last
+}
+
+// take lends a chunk, growing the pool when none is free.
+func (p *pool) take() int32 {
+	if n := len(p.free); n > 0 {
+		c := p.free[n-1]
+		p.free = p.free[:n-1]
+		return c
+	}
+	c := int32(len(p.slots) / p.m)
+	p.slots = append(p.slots, make([]slot, p.m)...)
+	return c
+}
+
+// give returns chunk c to the pool.
+func (p *pool) give(c int32) { p.free = append(p.free, c) }
+
+// ring returns chunk c's slots.
+func (p *pool) ring(c int32) []slot { return p.slots[int(c)*p.m:][:p.m] }
 
 // outVC is the state of one outgoing channel VC (8 bytes).
 type outVC struct {
@@ -243,11 +277,12 @@ type Network struct {
 	ser   int64
 	hop   int64
 
-	// Input queue q is a FIFO of inq[q].n flits: front[q], then
-	// rest[q*(depth-1):] in order. Allocation reads only the dense front
-	// bank; rest is touched when a queue holds more than one flit.
+	// Input queue q is a FIFO of inq[q].n flits: front[q], then the
+	// ring of pool chunk inq[q].chunk from position inq[q].head on.
+	// Allocation reads only the dense front bank; the pool is touched
+	// when a queue holds more than one flit.
 	front []slot
-	rest  []slot
+	pool  pool
 	inq   []inQueue
 	// out[q] is outgoing channel VC (output port, vc) of a router,
 	// outs[o] output port o and feeders[o] where input port o's credits
@@ -327,7 +362,7 @@ func NewNetworkRange(topo Topology, seed uint64, l Layout, i int) *Network {
 		n: topo.Terminals(), v: v, ports: p, flat: p * v, depth: depth,
 		ser: int64(topo.SerCycles()), hop: int64(topo.HopDelay()),
 		front:     make([]slot, nq),
-		rest:      make([]slot, nq*(depth-1)),
+		pool:      pool{m: depth - 1},
 		inq:       make([]inQueue, nq),
 		out:       make([]outVC, nq),
 		outs:      make([]output, routers*p),
@@ -546,10 +581,17 @@ func (nw *Network) land(as []Arrival) {
 			nw.front[q] = s
 			nw.request(lr, int(s.route), fi)
 			nw.act.Set(lr)
-		case n < nw.depth:
-			nw.rest[q*(nw.depth-1)+n-1] = s
-		default:
+		case n >= nw.depth:
 			panic("network: input buffer overflow (credit accounting bug)")
+		case n == 1:
+			in.chunk, in.head = nw.pool.take(), 0
+			nw.pool.ring(in.chunk)[0] = s
+		default:
+			i := int(in.head) + n - 1
+			if i >= nw.pool.m {
+				i -= nw.pool.m
+			}
+			nw.pool.ring(in.chunk)[i] = s
 		}
 		in.n++
 	}
@@ -628,17 +670,8 @@ func (nw *Network) Step(now int64) {
 				if row[best>>6] &^= 1 << (best & 63); allZero(row) {
 					wanted[wi] &^= 1 << (out & 63)
 				}
-				// Vacated slots keep their stale flit pointers: flits are
-				// recycled through the sources' free lists, never
-				// collected mid-run.
-				if in := &nw.inq[q]; in.n > 1 {
-					in.n--
-					rest := nw.rest[q*(nw.depth-1):][:in.n]
-					nw.front[q] = rest[0]
-					copy(rest, rest[1:])
+				if nw.pop(q) {
 					exposed = append(exposed, int32(best))
-				} else {
-					in.n = 0
 				}
 				nw.buffered--
 				if best+1 == flat {
@@ -689,6 +722,28 @@ func (nw *Network) Step(now int64) {
 			nw.act.Clear(lr)
 		}
 	}
+}
+
+// pop removes queue q's front flit and reports whether another took
+// its place. The new front is the one flit that moves; the queue's
+// chunk goes back to the pool when that leaves it one flit. Vacated
+// slots keep their stale flit pointers: flits are recycled through the
+// sources' free lists, never collected mid-run.
+func (nw *Network) pop(q int) bool {
+	in := &nw.inq[q]
+	if in.n <= 1 {
+		in.n = 0
+		return false
+	}
+	in.n--
+	ring := nw.pool.ring(in.chunk)
+	nw.front[q] = ring[in.head]
+	if in.n == 1 {
+		nw.pool.give(in.chunk)
+	} else if in.head++; int(in.head) == len(ring) {
+		in.head = 0
+	}
+	return true
 }
 
 // arbitrate returns the first eligible requester of an output's request

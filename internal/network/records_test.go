@@ -6,14 +6,16 @@ import (
 )
 
 // TestRecordSizes pins the widths of the records every flit-hop moves:
-// a buffered flit, an outgoing channel VC, and the two kinds of mail
-// between engines. Growing one slows every run, serial or sharded.
+// a buffered flit, an input queue, an outgoing channel VC, and the two
+// kinds of mail between engines. Growing one slows every run, serial or
+// sharded.
 func TestRecordSizes(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		got, want uintptr
 	}{
 		{"slot", unsafe.Sizeof(slot{}), 24},
+		{"inQueue", unsafe.Sizeof(inQueue{}), 12},
 		{"outVC", unsafe.Sizeof(outVC{}), 8},
 		{"output", unsafe.Sizeof(output{}), 24},
 		{"feeder", unsafe.Sizeof(feeder{}), 8},

@@ -12,8 +12,9 @@ import (
 // one full Run (warmup+measure+drain) at a low offered load, per-cycle
 // versus gap-sampled injection. Each op is a complete simulation, so
 // the ratio of the two modes' ns/op is the end-to-end speedup at that
-// load; EXPERIMENTS.md records the table. Seeds advance per iteration
-// so neither mode benefits from a lucky realization.
+// load; CHANGES.md records the table, under "Event-driven injection".
+// Seeds advance per iteration so neither mode benefits from a lucky
+// realization.
 func BenchmarkRunLowLoad(b *testing.B) {
 	for _, load := range []float64{0.05, 0.2} {
 		for _, mode := range []traffic.InjMode{traffic.InjPerCycle, traffic.InjGap} {
